@@ -8,19 +8,16 @@
 //  * the generic.fault_campaign.v1 schema and its field order,
 //  * the fixed-format float rendering of campaign_to_json.
 //
-// To regenerate after an INTENTIONAL contract change:
-//   GENERIC_UPDATE_GOLDEN=1 ./tests/test_integration
-//       --gtest_filter='GoldenPipeline.*'
-// then commit the updated fixture and call the change out in the PR.
+// tests/golden.h says how to regenerate the fixture after an INTENTIONAL
+// contract change.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
+#include "golden.h"
 #include "model/pipeline.h"
 #include "resilience/campaign.h"
 
@@ -33,14 +30,6 @@ namespace {
 
 std::string fixture_path() {
   return std::string(GENERIC_GOLDEN_DIR) + "/fault_campaign_page.json";
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return {};
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
 }
 
 /// The pinned pipeline. Every constant here is part of the fixture's
@@ -68,29 +57,15 @@ std::string run_pinned_pipeline() {
 }
 
 TEST(GoldenPipeline, MatchesCommittedFixtureByteForByte) {
-  const std::string got = run_pinned_pipeline();
-
-  if (std::getenv("GENERIC_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream f(fixture_path(), std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(f) << "cannot write fixture " << fixture_path();
-    f << got;
-    GTEST_SKIP() << "fixture regenerated at " << fixture_path();
-  }
-
-  const std::string want = read_file(fixture_path());
-  ASSERT_FALSE(want.empty())
-      << "missing fixture " << fixture_path()
-      << " — run with GENERIC_UPDATE_GOLDEN=1 to create it";
-  EXPECT_EQ(got, want)
-      << "pipeline output diverged from the committed fixture; if the "
-         "change is intentional, regenerate with GENERIC_UPDATE_GOLDEN=1";
+  golden::expect_golden(run_pinned_pipeline(), fixture_path());
+  if (golden::updating()) GTEST_SKIP() << "fixture regenerated";
 }
 
 TEST(GoldenPipeline, FixtureCarriesSchemaAndSaneAccuracy) {
   // Independent of the byte comparison: the committed fixture itself must
   // declare the v1 schema and a plausible fault-free baseline, so a
   // regenerated-but-broken fixture cannot slip through silently.
-  const std::string want = read_file(fixture_path());
+  const std::string want = golden::read_file(fixture_path());
   ASSERT_FALSE(want.empty()) << "missing fixture " << fixture_path();
   EXPECT_NE(want.find("\"schema\": \"generic.fault_campaign.v1\""),
             std::string::npos);

@@ -8,23 +8,20 @@
 // _per_s (wall times, stage durations, RSS, throughput) — everything else
 // in the document is deterministic under a fixed seed and one pool lane.
 //
-// To regenerate after an INTENTIONAL schema or instrumentation change:
-//   GENERIC_UPDATE_GOLDEN=1 ./tests/test_obs --gtest_filter='ObsGolden.*'
-// then commit the updated fixture and call the change out in the PR.
+// tests/golden.h says how to regenerate the fixture after an INTENTIONAL
+// schema or instrumentation change.
 //
 // A second suite pins the behavioural contract the exporters ride on:
 // collection on vs off must not change pipeline results by a single byte.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <regex>
-#include <sstream>
 #include <string>
 
 #include "common/thread_pool.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
+#include "golden.h"
 #include "model/pipeline.h"
 #include "obs/export.h"
 #include "obs/obs.h"
@@ -39,14 +36,6 @@ namespace {
 
 std::string fixture_path() {
   return std::string(GENERIC_GOLDEN_DIR) + "/metrics_page_scrubbed.json";
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return {};
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
 }
 
 /// Replace the numeric value of every timing/size key with "<num>". The
@@ -98,23 +87,8 @@ TEST(ObsGolden, ScrubbedMetricsMatchCommittedFixture) {
 #if !GENERIC_OBS_ENABLED
   GTEST_SKIP() << "built with GENERIC_OBS=OFF — no metrics to pin";
 #else
-  const std::string got = run_pinned_metrics();
-
-  if (std::getenv("GENERIC_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream f(fixture_path(), std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(f) << "cannot write fixture " << fixture_path();
-    f << got;
-    GTEST_SKIP() << "fixture regenerated at " << fixture_path();
-  }
-
-  const std::string want = read_file(fixture_path());
-  ASSERT_FALSE(want.empty())
-      << "missing fixture " << fixture_path()
-      << " — run with GENERIC_UPDATE_GOLDEN=1 to create it";
-  EXPECT_EQ(got, want)
-      << "metrics document diverged from the committed fixture; if the "
-         "schema or instrumentation change is intentional, regenerate "
-         "with GENERIC_UPDATE_GOLDEN=1";
+  golden::expect_golden(run_pinned_metrics(), fixture_path());
+  if (golden::updating()) GTEST_SKIP() << "fixture regenerated";
 #endif
 }
 
@@ -122,7 +96,7 @@ TEST(ObsGolden, FixtureDeclaresSchemaAndCoreSections) {
   // Independent of the byte comparison: the committed fixture itself must
   // carry the v1 schema, the scrub marker, and the instrumented stages a
   // pipeline run is expected to produce.
-  const std::string want = read_file(fixture_path());
+  const std::string want = golden::read_file(fixture_path());
   ASSERT_FALSE(want.empty()) << "missing fixture " << fixture_path();
   EXPECT_NE(want.find("\"schema\": \"generic.metrics.v1\""),
             std::string::npos);

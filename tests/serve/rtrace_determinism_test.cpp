@@ -5,19 +5,16 @@
 // every event is emitted on the virtual-time control thread, so seq
 // numbers included, SIMD selection and lane count can never show. The
 // stream is additionally pinned byte-for-byte by a committed golden
-// fixture; to regenerate after an INTENTIONAL change run test_serve with
-// GENERIC_UPDATE_GOLDEN=1 and --gtest_filter='RtraceGolden.*'.
+// fixture (tests/golden.h says how to regenerate it).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "golden.h"
 #include "hdc/kernels.h"
 #include "obs/rtrace.h"
 #include "serve/engine.h"
@@ -102,14 +99,6 @@ Capture run_once(const test::TinyWorkload& w,
   return c;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return {};
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
 #if GENERIC_OBS_ENABLED
 
 TEST(RtraceDeterminism, StreamsByteIdenticalAcrossLaneCounts) {
@@ -174,25 +163,10 @@ TEST(RtraceGolden, StreamsMatchCommittedFixtures) {
       {"serve_rtrace.json", got.rtrace},
       {"serve_flight.json", got.flight},
   };
-  for (const auto& fx : fixtures) {
-    const std::string path = std::string(GENERIC_GOLDEN_DIR) + "/" + fx.file;
-    if (std::getenv("GENERIC_UPDATE_GOLDEN") != nullptr) {
-      std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(f) << "cannot write fixture " << path;
-      f << fx.content;
-      continue;
-    }
-    const std::string want = read_file(path);
-    ASSERT_FALSE(want.empty())
-        << "missing fixture " << path
-        << " — run with GENERIC_UPDATE_GOLDEN=1 to create it";
-    EXPECT_EQ(fx.content, want)
-        << fx.file
-        << " diverged from its committed fixture; if the change is "
-           "intentional, regenerate with GENERIC_UPDATE_GOLDEN=1";
-  }
-  if (std::getenv("GENERIC_UPDATE_GOLDEN") != nullptr)
-    GTEST_SKIP() << "fixtures regenerated under " << GENERIC_GOLDEN_DIR;
+  for (const auto& fx : fixtures)
+    golden::expect_golden(fx.content,
+                          std::string(GENERIC_GOLDEN_DIR) + "/" + fx.file);
+  if (golden::updating()) GTEST_SKIP() << "fixtures regenerated";
 }
 
 // The report's burn-rate alerts are part of the same determinism contract:
