@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    resilience::write_campaign_json(out_path, result);
+    obs::write_file(out_path, resilience::campaign_to_json(result));
     std::printf("\nJSON written to %s\n", out_path.c_str());
   } else {
     std::printf("\n%s", resilience::campaign_to_json(result).c_str());

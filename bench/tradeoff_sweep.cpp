@@ -18,7 +18,6 @@
 //        --serve-rate=RPS, --serve-requests=N, --threads=N
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,9 +34,9 @@ using namespace generic;
 namespace {
 
 std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+  std::string out;
+  obs::json::append_double(out, v);
+  return out;
 }
 
 struct SweepRow {
@@ -47,9 +46,7 @@ struct SweepRow {
   double latency_s = 0.0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::string csv = flags.value("--datasets", "");
@@ -202,15 +199,11 @@ int main(int argc, char** argv) {
                         r.latency.percentile(0.99)));
   }
 
-  if (!out_path.empty()) {
-    json += "\n  ]\n}\n";
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("\ntrade-off JSON written to %s\n", out_path.c_str());
-  }
+  json += "\n  ]\n}\n";
+  bench::write_output(out_path, "trade-off JSON", json);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_tool(run, argc, argv); }

@@ -3,34 +3,27 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ranges>
 #include <stdexcept>
 #include <utility>
 
 #include "chaos/encoder_chaos.h"
+#include "chaos/tenant_storm.h"
 #include "common/thread_pool.h"
 #include "data/drift.h"
 #include "encoding/encoders.h"
 #include "lifecycle/checkpoint_store.h"
 #include "model/pipeline.h"
-#include "obs/export.h"
+#include "obs/json.h"
 
 namespace generic::chaos {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 bool in_flash(const ScenarioSpec& spec, std::uint64_t vt) {
   return spec.flash_single_class && vt >= spec.load.flash_start_us &&
@@ -55,19 +48,10 @@ bool served_outcome(serve::Outcome o) {
          o == serve::Outcome::kDegraded;
 }
 
-}  // namespace
-
-ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
+/// One edge deployment (serve engine + lifecycle) through the spec's
+/// failure timeline.
+ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt) {
   ThreadPool pool(opt.threads);
-
-  // Arm the black box: every scenario records into the flight ring so an
-  // invariant failure can be dumped post mortem; the full trace log is
-  // opt-in (RunOptions::rtrace) because it keeps every event of the run.
-  const bool prev_trace = obs::rtrace::trace_enabled();
-  const bool prev_flight = obs::rtrace::flight_enabled();
-  obs::rtrace::reset();
-  obs::rtrace::set_flight(true);
-  obs::rtrace::set_trace(opt.rtrace);
 
   ChaosReport report;
   report.scenario = spec.name;
@@ -98,8 +82,8 @@ ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
   if (spec.corrupt_boot) {
     const fs::path dir =
         opt.work_dir.empty()
-            ? fs::temp_directory_path() /
-                  ("generic-chaos-" + spec.name + "-" + u64(opt.seed))
+            ? fs::temp_directory_path() / ("generic-chaos-" + spec.name +
+                                           "-" + std::to_string(opt.seed))
             : fs::path(opt.work_dir);
     fs::remove_all(dir);
     store = std::make_unique<lifecycle::CheckpointStore>(dir.string(), 4);
@@ -428,6 +412,23 @@ ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
   report.passed = true;
   for (const auto& inv : report.invariants)
     if (!inv.passed) report.passed = false;
+  return report;
+}
+
+}  // namespace
+
+ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
+  // Arm the black box: every scenario records into the flight ring so an
+  // invariant failure can be dumped post mortem; the full trace log is
+  // opt-in (RunOptions::rtrace) because it keeps every event of the run.
+  const bool prev_trace = obs::rtrace::trace_enabled();
+  const bool prev_flight = obs::rtrace::flight_enabled();
+  obs::rtrace::reset();
+  obs::rtrace::set_flight(true);
+  obs::rtrace::set_trace(opt.rtrace);
+
+  ChaosReport report =
+      spec.fleet ? run_tenant_storm(spec, opt) : run_edge(spec, opt);
 
   report.rtrace = obs::rtrace::trace_log();
   report.flight = obs::rtrace::flight_log();
@@ -436,164 +437,153 @@ ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
   return report;
 }
 
+namespace {
+
+namespace json = obs::json;
+
+/// `doc` is the open top-level object writing into `out`.
+void append_edge_sections(std::string& out, json::Object& doc,
+                          const ChaosReport& report) {
+  doc.u64("requests", report.requests).u64("dims", report.dims);
+  json::Object(doc.key("boot"))
+      .boolean("from_checkpoint", report.boot.from_checkpoint)
+      .u64("version", report.boot.version)
+      .u64("quarantined", report.boot.quarantined)
+      .u64("store_versions_seeded", report.boot.store_versions_seeded)
+      .close();
+  json::list(doc.key("bursts"), report.bursts, 4, [&](const BurstRecord& b) {
+    json::Object o(out);
+    o.u64("scheduled_vt_us", b.scheduled_vt_us)
+        .u64("fired_vt_us", b.fired_vt_us)
+        .u64("version", b.version)
+        .str("kind", resilience::fault_kind_name(b.fault.kind))
+        .dbl("rate", b.fault.rate)
+        .dbl("burst_rate", b.fault.burst_rate);
+    json::list(o.key("banks"), b.banks, 0,
+               [&](std::size_t bank) { out += std::to_string(bank); });
+    o.close();
+  });
+
+  const serve::ServeReport& s = report.serve;
+  json::Object serve(doc.key("serve"), 4);
+  serve.u64("requests", s.requests)
+      .u64("makespan_us", s.makespan_us)
+      .dbl("throughput_rps", s.throughput_rps);
+  serve::append_outcomes_json(serve.key("outcomes"), s.outcomes);
+  serve.u64("served", s.served)
+      .u64("correct", s.correct)
+      .dbl("accuracy", s.served == 0 ? 0.0
+                                     : static_cast<double>(s.correct) /
+                                           static_cast<double>(s.served))
+      .u64("steps_down", s.steps_down)
+      .u64("steps_up", s.steps_up)
+      .u64("final_rung", s.final_rung);
+  json::list(serve.key("slo_alerts"), s.slo_alerts, 0,
+             [&](const serve::BurnAlert& a) {
+               serve::append_alert_json(out, a);
+             });
+  json::list(serve.key("swaps"), s.swaps, 0, [&](const serve::SwapEvent& e) {
+    json::Object(out)
+        .u64("vt_us", e.vt)
+        .u64("version", e.version)
+        .boolean("rollback", e.rollback)
+        .close();
+  });
+  json::list(serve.key("versions"), s.versions, 0,
+             [&](const serve::VersionStats& v) {
+               json::Object(out)
+                   .u64("version", v.version)
+                   .u64("served", v.served)
+                   .u64("correct", v.correct)
+                   .close();
+             });
+  json::list(serve.key("encoder_faults"), s.encoder_faults, 0,
+             [&](const serve::EncoderFaultEvent& e) {
+               serve::append_encoder_fault_json(out, e);
+             });
+  serve.u64("scrubbed_rows", s.scrubbed_rows);
+  serve.close();
+
+  const lifecycle::LifecycleReport& l = report.lifecycle;
+  json::Object lifecycle(doc.key("lifecycle"));
+  lifecycle.u64("alarms", l.alarms)
+      .u64("triggered", l.triggered)
+      .u64("swapped", l.swapped)
+      .u64("rolled_back", l.rolled_back)
+      .u64("replay_size", l.replay_size)
+      .dbl("final_accuracy_ewma", l.final_accuracy_ewma);
+  json::Object(lifecycle.key("checkpoints"))
+      .u64("saved", l.checkpoints_saved)
+      .u64("pruned", l.checkpoints_pruned)
+      .u64("quarantined", l.checkpoints_quarantined)
+      .close();
+  lifecycle.close();
+
+  json::list(doc.key("replay_class_histogram"), report.replay_class_histogram,
+             0, [&](std::size_t n) { out += std::to_string(n); });
+  doc.u64("window_us", report.window_us);
+  json::list(doc.key("windows"), report.windows, 4, [&](const WindowStats& w) {
+    json::Object(out)
+        .u64("t0_us", w.t0_us)
+        .u64("arrivals", w.arrivals)
+        .u64("served", w.served)
+        .u64("shed", w.shed)
+        .u64("timeout", w.timeout)
+        .u64("failed", w.failed)
+        .u64("canary_total", w.canary_total)
+        .u64("canary_correct", w.canary_correct)
+        .close();
+  });
+}
+
+void append_fleet_sections(std::string& out, json::Object& doc,
+                           const ChaosReport& report) {
+  const fleet::FleetReport& f = *report.fleet;
+  doc.boolean("quick", report.quick)
+      .str("flood_tenant", f.config.tenants.back().name)
+      .u64("requests", f.requests)
+      .u64("makespan_us", f.makespan_us);
+  fleet::append_statuses_json(doc.key("statuses"), f.statuses);
+  json::list(doc.key("tenants"),
+             std::views::iota(std::size_t{0}, f.tenants.size()), 4,
+             [&](std::size_t t) {
+               json::Object o(out);
+               o.str("name", f.config.tenants[t].name)
+                   .str("priority", fleet::priority_name(
+                                        f.config.tenants[t].priority));
+               fleet::append_party_json(o.key("stats"), f.tenants[t]);
+               o.close();
+             });
+}
+
+}  // namespace
+
 std::string chaos_report_to_json(const ChaosReport& report) {
   // Field order is part of the schema: equal reports render to equal
   // bytes. threads and filesystem paths are deliberately absent.
-  std::string out = "{\n";
-  out += "  \"schema\": \"generic.chaos.v1\",\n";
-  out += "  \"scenario\": " + obs::json_escape(report.scenario) + ",\n";
-  out += "  \"seed\": " + u64(report.seed) + ",\n";
-  out += "  \"requests\": " + u64(report.requests) + ",\n";
-  out += "  \"dims\": " + u64(report.dims) + ",\n";
-  out += "  \"boot\": {\"from_checkpoint\": ";
-  out += report.boot.from_checkpoint ? "true" : "false";
-  out += ", \"version\": " + u64(report.boot.version) +
-         ", \"quarantined\": " + u64(report.boot.quarantined) +
-         ", \"store_versions_seeded\": " +
-         u64(report.boot.store_versions_seeded) + "},\n";
-  out += "  \"bursts\": [";
-  for (std::size_t i = 0; i < report.bursts.size(); ++i) {
-    const BurstRecord& b = report.bursts[i];
-    out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"scheduled_vt_us\": " + u64(b.scheduled_vt_us) +
-           ", \"fired_vt_us\": " + u64(b.fired_vt_us) +
-           ", \"version\": " + u64(b.version) + ", \"kind\": \"" +
-           std::string(resilience::fault_kind_name(b.fault.kind)) +
-           "\", \"rate\": " + fmt(b.fault.rate) +
-           ", \"burst_rate\": " + fmt(b.fault.burst_rate) + ", \"banks\": [";
-    for (std::size_t k = 0; k < b.banks.size(); ++k) {
-      if (k != 0) out += ", ";
-      out += u64(b.banks[k]);
-    }
-    out += "]}";
-  }
-  out += report.bursts.empty() ? "],\n" : "\n  ],\n";
-
-  const serve::ServeReport& s = report.serve;
-  out += "  \"serve\": {\n";
-  out += "    \"requests\": " + u64(s.requests) +
-         ",\n    \"makespan_us\": " + u64(s.makespan_us) +
-         ",\n    \"throughput_rps\": " + fmt(s.throughput_rps) +
-         ",\n    \"outcomes\": {";
-  for (std::size_t i = 0; i < serve::kNumOutcomes; ++i) {
-    if (i != 0) out += ", ";
-    out += "\"" +
-           std::string(serve::outcome_name(
-               static_cast<serve::Outcome>(i))) +
-           "\": " + u64(s.outcomes[i]);
-  }
-  out += "},\n";
-  const double accuracy =
-      s.served == 0 ? 0.0
-                    : static_cast<double>(s.correct) /
-                          static_cast<double>(s.served);
-  out += "    \"served\": " + u64(s.served) +
-         ",\n    \"correct\": " + u64(s.correct) +
-         ",\n    \"accuracy\": " + fmt(accuracy) +
-         ",\n    \"steps_down\": " + u64(s.steps_down) +
-         ",\n    \"steps_up\": " + u64(s.steps_up) +
-         ",\n    \"final_rung\": " + u64(s.final_rung) + ",\n";
-  out += "    \"slo_alerts\": [";
-  for (std::size_t i = 0; i < s.slo_alerts.size(); ++i) {
-    const serve::BurnAlert& a = s.slo_alerts[i];
-    if (i != 0) out += ", ";
-    out += "{\"vt_us\": " + u64(a.vt);
-    out += ", \"kind\": \"";
-    out += a.fired ? "fire" : "clear";
-    out += "\", \"fast_burn\": " + fmt(a.fast_burn);
-    out += ", \"slow_burn\": " + fmt(a.slow_burn) + "}";
-  }
-  out += "],\n";
-  out += "    \"swaps\": [";
-  for (std::size_t i = 0; i < s.swaps.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "{\"vt_us\": " + u64(s.swaps[i].vt) +
-           ", \"version\": " + u64(s.swaps[i].version) + ", \"rollback\": " +
-           (s.swaps[i].rollback ? "true" : "false") + "}";
-  }
-  out += "],\n";
-  out += "    \"versions\": [";
-  for (std::size_t i = 0; i < s.versions.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += "{\"version\": " + u64(s.versions[i].version) +
-           ", \"served\": " + u64(s.versions[i].served) +
-           ", \"correct\": " + u64(s.versions[i].correct) + "}";
-  }
-  out += "],\n";
-  out += "    \"encoder_faults\": [";
-  for (std::size_t i = 0; i < s.encoder_faults.size(); ++i) {
-    const serve::EncoderFaultEvent& e = s.encoder_faults[i];
-    if (i != 0) out += ", ";
-    out += "{\"vt_us\": " + u64(e.vt) + ", \"phase\": \"" +
-           std::string(serve::encoder_phase_name(e.phase)) +
-           "\", \"faulty_rows\": " + u64(e.faulty_rows) +
-           ", \"id_seed_faulty\": ";
-    out += e.id_seed_faulty ? "true" : "false";
-    out += ", \"scrubbed_rows\": " + u64(e.scrubbed_rows) +
-           ", \"scrub_verified\": ";
-    out += e.scrub_verified ? "true" : "false";
-    out += ", \"stepped_ladder\": ";
-    out += e.stepped_ladder ? "true" : "false";
-    out += "}";
-  }
-  out += "],\n";
-  out += "    \"scrubbed_rows\": " + u64(s.scrubbed_rows) + "\n  },\n";
-
-  const lifecycle::LifecycleReport& l = report.lifecycle;
-  out += "  \"lifecycle\": {\"alarms\": " + u64(l.alarms) +
-         ", \"triggered\": " + u64(l.triggered) +
-         ", \"swapped\": " + u64(l.swapped) +
-         ", \"rolled_back\": " + u64(l.rolled_back) +
-         ", \"replay_size\": " + u64(l.replay_size) +
-         ", \"final_accuracy_ewma\": " + fmt(l.final_accuracy_ewma) +
-         ", \"checkpoints\": {\"saved\": " + u64(l.checkpoints_saved) +
-         ", \"pruned\": " + u64(l.checkpoints_pruned) +
-         ", \"quarantined\": " + u64(l.checkpoints_quarantined) + "}},\n";
-
-  out += "  \"replay_class_histogram\": [";
-  for (std::size_t i = 0; i < report.replay_class_histogram.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += u64(report.replay_class_histogram[i]);
-  }
-  out += "],\n";
-
-  out += "  \"window_us\": " + u64(report.window_us) + ",\n";
-  out += "  \"windows\": [";
-  for (std::size_t i = 0; i < report.windows.size(); ++i) {
-    const WindowStats& w = report.windows[i];
-    out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"t0_us\": " + u64(w.t0_us) +
-           ", \"arrivals\": " + u64(w.arrivals) +
-           ", \"served\": " + u64(w.served) + ", \"shed\": " + u64(w.shed) +
-           ", \"timeout\": " + u64(w.timeout) +
-           ", \"failed\": " + u64(w.failed) +
-           ", \"canary_total\": " + u64(w.canary_total) +
-           ", \"canary_correct\": " + u64(w.canary_correct) + "}";
-  }
-  out += report.windows.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"invariants\": [";
-  for (std::size_t i = 0; i < report.invariants.size(); ++i) {
-    const InvariantResult& inv = report.invariants[i];
-    out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"name\": " + obs::json_escape(inv.name) + ", \"enabled\": ";
-    out += inv.enabled ? "true" : "false";
-    out += ", \"passed\": ";
-    out += inv.passed ? "true" : "false";
-    out += ", \"value\": " + fmt(inv.value) +
-           ", \"bound\": " + fmt(inv.bound) + "}";
-  }
-  out += report.invariants.empty() ? "],\n" : "\n  ],\n";
-  out += std::string("  \"passed\": ") + (report.passed ? "true" : "false") +
-         "\n";
-  out += "}\n";
+  std::string out;
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.chaos.v1")
+      .str("scenario", report.scenario)
+      .u64("seed", report.seed);
+  if (report.fleet)
+    append_fleet_sections(out, doc, report);
+  else
+    append_edge_sections(out, doc, report);
+  json::list(doc.key("invariants"), report.invariants, 4,
+             [&](const InvariantResult& inv) {
+               json::Object(out)
+                   .str("name", inv.name)
+                   .boolean("enabled", inv.enabled)
+                   .boolean("passed", inv.passed)
+                   .dbl("value", inv.value)
+                   .dbl("bound", inv.bound)
+                   .close();
+             });
+  doc.boolean("passed", report.passed);
+  doc.close();
+  out += '\n';
   return out;
-}
-
-void write_chaos_json(const std::string& path, const ChaosReport& report) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << chaos_report_to_json(report);
 }
 
 }  // namespace generic::chaos

@@ -5,7 +5,9 @@
 // booted from a CheckpointStore), ChaosHook, serve::ServeEngine — drives it
 // through the scenario's failure timeline, and distills the run into one
 // generic.chaos.v1 report: boot record, fired bursts, serve and lifecycle
-// summaries, windowed timelines, and a verdict per invariant.
+// summaries, windowed timelines, and a verdict per invariant. Fleet
+// campaigns (ScenarioSpec::fleet) run a multi-tenant fleet instead and
+// report its tenant tallies in place of the edge sections.
 //
 // Determinism contract: the report is a pure function of (spec, seed) —
 // byte-identical across RunOptions::threads and independent of work_dir
@@ -14,11 +16,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "chaos/chaos_hook.h"
 #include "chaos/scenario.h"
+#include "fleet/engine.h"
 #include "lifecycle/manager.h"
 #include "obs/rtrace.h"
 #include "serve/engine.h"
@@ -72,6 +76,7 @@ struct InvariantResult {
 struct ChaosReport {
   std::string scenario;
   std::uint64_t seed = 0;
+  bool quick = false;  ///< rendered by fleet campaigns only
   std::size_t requests = 0;
   std::size_t dims = 0;
   BootRecord boot;
@@ -81,6 +86,10 @@ struct ChaosReport {
   std::vector<std::size_t> replay_class_histogram;
   std::uint64_t window_us = 100'000;
   std::vector<WindowStats> windows;
+  /// Fleet campaigns only: the whole fleet's tallies, which replace every
+  /// edge section above in the rendered report. The flood is the last
+  /// tenant.
+  std::optional<fleet::FleetReport> fleet;
   std::vector<InvariantResult> invariants;
   bool passed = false;  ///< every enabled invariant held
   /// Observability captures, NOT rendered into generic.chaos.v1 (the report
@@ -96,9 +105,8 @@ struct ChaosReport {
 /// reported, not thrown.
 ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt);
 
-/// Render as schema `generic.chaos.v1`: fixed field order, "%.9g" doubles,
-/// no wall-clock, thread-count or filesystem-path fields.
+/// Render as schema `generic.chaos.v1`: fixed field order (obs/json.h), no
+/// wall-clock, thread-count or filesystem-path fields.
 std::string chaos_report_to_json(const ChaosReport& report);
-void write_chaos_json(const std::string& path, const ChaosReport& report);
 
 }  // namespace generic::chaos

@@ -7,7 +7,7 @@
 // failure script it carries the invariant bounds the run must satisfy —
 // the scenario is both the attack and the acceptance test.
 //
-// The registry (all_scenarios) ships the eight named campaigns:
+// The registry (all_scenarios) ships the nine named campaigns:
 //
 //   diurnal                — day/night sine across the capacity line; the
 //                            ladder must absorb the crest (bounded shed).
@@ -30,6 +30,10 @@
 //   shadow_fault_under_load— every retrained shadow is corrupted before
 //                            validation; the holdout gate must reject them
 //                            all and roll back instead of swapping garbage.
+//   tenant_storm           — the fleet campaign (chaos/tenant_storm.h): one
+//                            tenant floods a multi-model fleet at ~10x its
+//                            quota; admission must refuse it and protect
+//                            the other tenants.
 //
 // Every spec is a pure value: (spec, seed) fully determines the run and its
 // generic.chaos.v1 report, byte-identical across --threads.
@@ -41,6 +45,7 @@
 #include <vector>
 
 #include "chaos/load_shape.h"
+#include "fleet/types.h"
 #include "resilience/encoder_guard.h"
 #include "resilience/fault_model.h"
 
@@ -121,9 +126,16 @@ struct ScenarioSpec {
   std::size_t min_fresh = 160;
 
   InvariantSpec invariants;
+
+  /// Sizing the registry built this spec at (all_scenarios(quick)).
+  bool quick = false;
+  /// Set for fleet campaigns, which attack this multi-tenant fleet instead
+  /// of one edge deployment: run_scenario() hands them to
+  /// run_tenant_storm() and reads none of the edge knobs above.
+  std::optional<fleet::FleetConfig> fleet;
 };
 
-/// The eight named campaigns. `quick` shrinks requests/dims for tests and CI
+/// The nine named campaigns. `quick` shrinks requests/dims for tests and CI
 /// smoke runs; golden fixtures are generated from the quick specs.
 std::vector<ScenarioSpec> all_scenarios(bool quick);
 

@@ -1,5 +1,9 @@
 #include "chaos/scenario.h"
 
+#include <algorithm>
+
+#include "chaos/tenant_storm.h"
+
 namespace generic::chaos {
 namespace {
 
@@ -12,6 +16,7 @@ ScenarioSpec base(bool quick) {
   s.dims = quick ? 512 : 1024;
   s.train_samples = quick ? 600 : 1200;
   s.canary_every = 2;
+  s.quick = quick;
   return s;
 }
 
@@ -192,6 +197,23 @@ ScenarioSpec shadow_fault_under_load(bool quick) {
   return s;
 }
 
+ScenarioSpec tenant_storm(bool quick) {
+  ScenarioSpec s;
+  s.name = "tenant_storm";
+  s.description =
+      "fleet campaign: one batch tenant floods at ~10x its quota; the "
+      "admission pipeline must refuse the flood and protect the rest";
+  s.quick = quick;
+  s.fleet = tenant_storm_config(quick);
+  // Sizing for --list: every client request, the widest model.
+  s.requests = 0;
+  for (const auto& t : s.fleet->tenants)
+    s.requests += t.clients * t.requests_per_client;
+  s.dims = 0;
+  for (const auto& m : s.fleet->models) s.dims = std::max(s.dims, m.dims);
+  return s;
+}
+
 }  // namespace
 
 std::vector<ScenarioSpec> all_scenarios(bool quick) {
@@ -202,7 +224,8 @@ std::vector<ScenarioSpec> all_scenarios(bool quick) {
           corrupt_checkpoint_boot(quick),
           encoder_corruption(quick),
           multi_burst(quick),
-          shadow_fault_under_load(quick)};
+          shadow_fault_under_load(quick),
+          tenant_storm(quick)};
 }
 
 std::optional<ScenarioSpec> find_scenario(const std::string& name,

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
+#include <ranges>
 #include <stdexcept>
 
 #include "data/drift.h"
 #include "encoding/encoders.h"
 #include "model/pipeline.h"
+#include "obs/json.h"
 #include "obs/rtrace.h"
 
 namespace generic::fleet {
@@ -306,160 +306,116 @@ FleetReport FleetEngine::finish() {
 
 // ---- generic.fleet.v1 -----------------------------------------------------
 
-namespace {
+namespace json = obs::json;
 
-/// Shortest lossless %.9g rendering, matching every other generic.*.v1
-/// exporter so goldens stay byte-stable across platforms.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
+void append_statuses_json(
+    std::string& out,
+    const std::array<std::uint64_t, kNumFleetStatuses>& n) {
+  json::Object o(out);
+  for (std::size_t i = 0; i < kNumFleetStatuses; ++i)
+    o.u64(fleet_status_name(static_cast<FleetStatus>(i)), n[i]);
+  o.close();
 }
 
-}  // namespace
-
-void append_party_json(std::string& out, const PartyStats& s,
-                       const char* indent) {
-  out += "{\"requests\": " + std::to_string(s.requests);
-  out += ", \"statuses\": {";
-  for (std::size_t i = 0; i < kNumFleetStatuses; ++i) {
-    out += i == 0 ? "" : ", ";
-    out += '"';
-    out += fleet_status_name(static_cast<FleetStatus>(i));
-    out += "\": " + std::to_string(s.statuses[i]);
-  }
-  out += "},\n";
-  out += indent;
-  out += " \"served\": " + std::to_string(s.served);
-  out += ", \"correct\": " + std::to_string(s.correct);
-  out += ", \"accuracy\": ";
-  append_double(out, s.served == 0 ? 0.0
-                                   : static_cast<double>(s.correct) /
-                                         static_cast<double>(s.served));
-  out += ", \"latency_us\": {\"count\": " + std::to_string(s.latency.count);
-  out += ", \"p50\": " + std::to_string(s.latency.percentile(0.50));
-  out += ", \"p95\": " + std::to_string(s.latency.percentile(0.95));
-  out += ", \"p99\": " + std::to_string(s.latency.percentile(0.99));
-  out += "}}";
+void append_party_json(std::string& out, const PartyStats& s) {
+  json::Object o(out);
+  o.u64("requests", s.requests);
+  append_statuses_json(o.key("statuses"), s.statuses);
+  o.wrap(5)
+      .u64("served", s.served)
+      .u64("correct", s.correct)
+      .dbl("accuracy", s.served == 0 ? 0.0
+                                     : static_cast<double>(s.correct) /
+                                           static_cast<double>(s.served));
+  json::Object(o.key("latency_us"))
+      .u64("count", s.latency.count)
+      .u64("p50", s.latency.percentile(0.50))
+      .u64("p95", s.latency.percentile(0.95))
+      .u64("p99", s.latency.percentile(0.99))
+      .close();
+  o.close();
 }
-
-
 
 std::string fleet_report_to_json(const FleetReport& rep) {
   std::string out;
   out.reserve(1 << 14);
-  out += "{\n  \"schema\": \"generic.fleet.v1\",\n";
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.fleet.v1");
 
-  out += "  \"config\": {\n";
-  out += "    \"seed\": " + std::to_string(rep.config.seed) + ",\n";
-  out += "    \"shed_budget_us\": {";
-  for (std::size_t p = 0; p < kNumPriorities; ++p) {
-    out += p == 0 ? "" : ", ";
-    out += '"';
-    out += priority_name(static_cast<PriorityClass>(p));
-    out += "\": " + std::to_string(rep.config.shed_budget_us[p]);
-  }
-  out += "},\n";
-  out += "    \"models\": [";
-  for (std::size_t m = 0; m < rep.config.models.size(); ++m) {
-    const ModelSpec& s = rep.config.models[m];
-    out += m == 0 ? "\n" : ",\n";
-    out += "      {\"id\": \"" + s.id + "\"";
-    out += ", \"dims\": " + std::to_string(s.dims);
-    out += ", \"classes\": " + std::to_string(s.classes);
-    out += ", \"queries\": " + std::to_string(s.queries);
-    out += ", \"servers\": " + std::to_string(s.serve.servers);
-    out += ", \"service_base_us\": " + std::to_string(s.serve.service_base_us);
-    out += ", \"deadline_us\": " + std::to_string(s.serve.deadline_us);
-    out += ", \"slo_us\": " + std::to_string(s.serve.slo_us);
-    out += "}";
-  }
-  out += rep.config.models.empty() ? "],\n" : "\n    ],\n";
-  out += "    \"tenants\": [";
-  for (std::size_t t = 0; t < rep.config.tenants.size(); ++t) {
-    const TenantSpec& s = rep.config.tenants[t];
-    out += t == 0 ? "\n" : ",\n";
-    out += "      {\"name\": \"" + s.name + "\"";
-    out += ", \"priority\": \"";
-    out += priority_name(s.priority);
-    out += "\", \"quota_rps\": " + std::to_string(s.quota_rps);
-    out += ", \"quota_burst\": " + std::to_string(s.quota_burst);
-    out += ", \"clients\": " + std::to_string(s.clients);
-    out += ", \"think_mean_us\": " + std::to_string(s.think_mean_us);
-    out += ", \"requests_per_client\": " +
-           std::to_string(s.requests_per_client);
-    out += ", \"model_pin\": " + std::to_string(s.model_pin);
-    out += "}";
-  }
-  out += rep.config.tenants.empty() ? "]\n" : "\n    ]\n";
-  out += "  },\n";
+  json::Object config(doc.key("config"), 4);
+  config.u64("seed", rep.config.seed);
+  json::Object budgets(config.key("shed_budget_us"));
+  for (std::size_t p = 0; p < kNumPriorities; ++p)
+    budgets.u64(priority_name(static_cast<PriorityClass>(p)),
+                rep.config.shed_budget_us[p]);
+  budgets.close();
+  json::list(config.key("models"), rep.config.models, 6,
+             [&](const ModelSpec& s) {
+               json::Object(out)
+                   .str("id", s.id)
+                   .u64("dims", s.dims)
+                   .u64("classes", s.classes)
+                   .u64("queries", s.queries)
+                   .u64("servers", s.serve.servers)
+                   .u64("service_base_us", s.serve.service_base_us)
+                   .u64("deadline_us", s.serve.deadline_us)
+                   .u64("slo_us", s.serve.slo_us)
+                   .close();
+             });
+  json::list(config.key("tenants"), rep.config.tenants, 6,
+             [&](const TenantSpec& s) {
+               json::Object o(out);
+               o.str("name", s.name)
+                   .str("priority", priority_name(s.priority))
+                   .u64("quota_rps", s.quota_rps)
+                   .u64("quota_burst", s.quota_burst)
+                   .u64("clients", s.clients)
+                   .u64("think_mean_us", s.think_mean_us)
+                   .u64("requests_per_client", s.requests_per_client);
+               o.key("model_pin") += std::to_string(s.model_pin);
+               o.close();
+             });
+  config.close();
 
-  out += "  \"requests\": " + std::to_string(rep.requests) + ",\n";
-  out += "  \"makespan_us\": " + std::to_string(rep.makespan_us) + ",\n";
-  out += "  \"statuses\": {";
-  for (std::size_t i = 0; i < kNumFleetStatuses; ++i) {
-    out += i == 0 ? "" : ", ";
-    out += '"';
-    out += fleet_status_name(static_cast<FleetStatus>(i));
-    out += "\": " + std::to_string(rep.statuses[i]);
-  }
-  out += "},\n";
-
-  out += "  \"tenants\": [";
-  for (std::size_t t = 0; t < rep.tenants.size(); ++t) {
-    out += t == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + rep.config.tenants[t].name + "\", \"stats\": ";
-    append_party_json(out, rep.tenants[t], "    ");
-    out += "}";
-  }
-  out += rep.tenants.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"models\": [";
-  for (std::size_t m = 0; m < rep.models.size(); ++m) {
-    out += m == 0 ? "\n" : ",\n";
-    out += "    {\"id\": \"" + rep.config.models[m].id + "\", \"stats\": ";
-    append_party_json(out, rep.models[m], "    ");
-    if (m < rep.model_reports.size()) {
-      const serve::ServeReport& sr = rep.model_reports[m];
-      out += ",\n     \"engine\": {\"requests\": " +
-             std::to_string(sr.requests);
-      out += ", \"served\": " + std::to_string(sr.served);
-      out += ", \"correct\": " + std::to_string(sr.correct);
-      out += ", \"attempts\": " + std::to_string(sr.attempts);
-      out += ", \"retries\": " + std::to_string(sr.retries);
-      out += ", \"steps_down\": " + std::to_string(sr.steps_down);
-      out += ", \"steps_up\": " + std::to_string(sr.steps_up);
-      out += ", \"final_rung\": " + std::to_string(sr.final_rung);
-      out += ", \"makespan_us\": " + std::to_string(sr.makespan_us);
-      out += "}";
-    }
-    out += "}";
-  }
-  out += rep.models.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"slo_alerts\": [";
-  for (std::size_t i = 0; i < rep.slo_alerts.size(); ++i) {
-    const serve::BurnAlert& a = rep.slo_alerts[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"vt_us\": " + std::to_string(a.vt);
-    out += ", \"kind\": \"";
-    out += a.fired ? "fire" : "clear";
-    out += "\", \"fast_burn\": ";
-    append_double(out, a.fast_burn);
-    out += ", \"slow_burn\": ";
-    append_double(out, a.slow_burn);
-    out += "}";
-  }
-  out += rep.slo_alerts.empty() ? "]\n" : "\n  ]\n";
-
-  out += "}\n";
+  doc.u64("requests", rep.requests).u64("makespan_us", rep.makespan_us);
+  append_statuses_json(doc.key("statuses"), rep.statuses);
+  json::list(doc.key("tenants"),
+             std::views::iota(std::size_t{0}, rep.tenants.size()), 4,
+             [&](std::size_t t) {
+               json::Object o(out);
+               o.str("name", rep.config.tenants[t].name);
+               append_party_json(o.key("stats"), rep.tenants[t]);
+               o.close();
+             });
+  json::list(doc.key("models"),
+             std::views::iota(std::size_t{0}, rep.models.size()), 4,
+             [&](std::size_t m) {
+               json::Object o(out);
+               o.str("id", rep.config.models[m].id);
+               append_party_json(o.key("stats"), rep.models[m]);
+               if (m < rep.model_reports.size()) {
+                 const serve::ServeReport& sr = rep.model_reports[m];
+                 json::Object(o.wrap(5).key("engine"))
+                     .u64("requests", sr.requests)
+                     .u64("served", sr.served)
+                     .u64("correct", sr.correct)
+                     .u64("attempts", sr.attempts)
+                     .u64("retries", sr.retries)
+                     .u64("steps_down", sr.steps_down)
+                     .u64("steps_up", sr.steps_up)
+                     .u64("final_rung", sr.final_rung)
+                     .u64("makespan_us", sr.makespan_us)
+                     .close();
+               }
+               o.close();
+             });
+  json::list(doc.key("slo_alerts"), rep.slo_alerts, 4,
+             [&](const serve::BurnAlert& a) {
+               serve::append_alert_json(out, a);
+             });
+  doc.close();
+  out += '\n';
   return out;
-}
-
-void write_fleet_json(const std::string& path, const FleetReport& report) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("write_fleet_json: cannot open " + path);
-  f << fleet_report_to_json(report);
 }
 
 }  // namespace generic::fleet

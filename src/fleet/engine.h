@@ -75,15 +75,17 @@ struct FleetReport {
   std::vector<serve::BurnAlert> slo_alerts;  ///< fleet-level burn edges
 };
 
-/// Render as schema `generic.fleet.v1`: fixed field order, "%.9g" doubles.
+/// Render as schema `generic.fleet.v1`: fixed field order (obs/json.h).
 std::string fleet_report_to_json(const FleetReport& report);
-void write_fleet_json(const std::string& path, const FleetReport& report);
 
-/// Shared exporter fragment: one PartyStats object (statuses, accuracy,
-/// latency percentiles). Used by the fleet and tenant_storm renderers so
-/// the two schemas never drift.
-void append_party_json(std::string& out, const PartyStats& s,
-                       const char* indent);
+/// Shared exporter fragments: the per-status tally object, and one
+/// PartyStats object (statuses, accuracy, latency percentiles) laid out
+/// for an element of a block list at indent 4. Used by the fleet and
+/// tenant_storm renderers so the two schemas never drift.
+void append_statuses_json(
+    std::string& out,
+    const std::array<std::uint64_t, kNumFleetStatuses>& statuses);
+void append_party_json(std::string& out, const PartyStats& s);
 
 class FleetEngine {
  public:

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
+#include <ranges>
 #include <stdexcept>
 #include <utility>
 
 #include "common/rng.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/rtrace.h"
 #include "resilience/fault_model.h"
@@ -22,14 +22,6 @@ namespace {
 std::int64_t milli(double v) {
   return static_cast<std::int64_t>(std::llround(v * 1000.0));
 }
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 }  // namespace
 
@@ -316,87 +308,88 @@ std::string lifecycle_report_to_json(const LifecycleReport& report) {
   // Field order is part of the schema: equal reports render to equal bytes.
   // cfg.threads is deliberately NOT echoed — the report must be
   // byte-identical across --threads.
+  namespace json = obs::json;
   const LifecycleConfig& c = report.config;
-  std::string out = "{\n";
-  out += "  \"schema\": \"generic.lifecycle.v1\",\n";
-  out += "  \"config\": {\n";
-  out += "    \"drift\": {\"margin_alpha\": " + fmt(c.drift.margin_alpha) +
-         ", \"accuracy_alpha\": " + fmt(c.drift.accuracy_alpha) +
-         ", \"warmup\": " + u64(c.drift.warmup) +
-         ", \"canary_warmup\": " + u64(c.drift.canary_warmup) +
-         ", \"ph_delta\": " + fmt(c.drift.ph_delta) +
-         ", \"ph_lambda\": " + fmt(c.drift.ph_lambda) +
-         ", \"accuracy_drop\": " + fmt(c.drift.accuracy_drop) + "},\n";
-  out += "    \"replay_capacity\": " + u64(c.replay_capacity) +
-         ",\n    \"replay_class_cap\": " + u64(c.replay_class_cap) +
-         ",\n    \"holdout\": " + u64(c.holdout) +
-         ",\n    \"min_replay\": " + u64(c.min_replay) +
-         ",\n    \"min_fresh\": " + u64(c.min_fresh) +
-         ",\n    \"retrain_epochs\": " + u64(c.retrain_epochs) +
-         ",\n    \"retrain_cost_us\": " + u64(c.retrain_cost_us) +
-         ",\n    \"cooldown_us\": " + u64(c.cooldown_us) +
-         ",\n    \"epsilon\": " + fmt(c.epsilon) +
-         ",\n    \"min_dims\": " + u64(c.min_dims) +
-         ",\n    \"initial_version\": " + u64(c.initial_version) +
-         ",\n    \"seed\": " + u64(c.seed) +
-         ",\n    \"shadow_fault_rate\": " + fmt(c.shadow_fault_rate) + "\n";
-  out += "  },\n";
-  out += "  \"drift\": {\n";
-  out += "    \"observations\": " + u64(report.observations) +
-         ",\n    \"canaries\": " + u64(report.canaries) +
-         ",\n    \"replay_size\": " + u64(report.replay_size) +
-         ",\n    \"margin_ewma\": " + fmt(report.margin_ewma) +
-         ",\n    \"accuracy_ewma\": " + fmt(report.accuracy_ewma) +
-         ",\n    \"peak_accuracy\": " + fmt(report.peak_accuracy) +
-         ",\n    \"drift_score\": " + fmt(report.drift_score) +
-         ",\n    \"alarms\": " + u64(report.alarms) +
-         ",\n    \"accuracy_ewma_at_trigger\": " +
-         fmt(report.accuracy_ewma_at_trigger) +
-         ",\n    \"final_accuracy_ewma\": " + fmt(report.final_accuracy_ewma) +
-         "\n  },\n";
-  out += "  \"retrains\": {\"triggered\": " + u64(report.triggered) +
-         ", \"swapped\": " + u64(report.swapped) +
-         ", \"rolled_back\": " + u64(report.rolled_back) + "},\n";
-  out += "  \"events\": [";
-  for (std::size_t i = 0; i < report.events.size(); ++i) {
-    const LifecycleEvent& e = report.events[i];
-    out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"vt_us\": " + u64(e.vt) + ", \"kind\": \"" +
-           std::string(event_kind_name(e.kind)) +
-           "\", \"version\": " + u64(e.version) +
-           ", \"drift_score\": " + fmt(e.drift_score) + "}";
-  }
-  out += report.events.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"versions\": [";
-  for (std::size_t i = 0; i < report.versions.size(); ++i) {
-    const VersionRecord& v = report.versions[i];
-    out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"version\": " + u64(v.version) + ", \"source\": \"" +
-           (v.from_retrain ? "retrain" : "initial") +
-           "\", \"installed\": " + (v.installed ? "true" : "false") +
-           ", \"vt_us\": " + u64(v.vt) + ", \"updates\": " + u64(v.updates) +
-           ", \"rungs\": [";
-    for (std::size_t r = 0; r < v.rung_dims.size(); ++r) {
-      if (r != 0) out += ", ";
-      out += "{\"dims\": " + u64(v.rung_dims[r]) +
-             ", \"holdout_accuracy\": " + fmt(v.holdout_accuracy[r]) +
-             ", \"baseline_accuracy\": " + fmt(v.baseline_accuracy[r]) + "}";
-    }
-    out += "]}";
-  }
-  out += report.versions.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"checkpoints\": {\"saved\": " + u64(report.checkpoints_saved) +
-         ", \"pruned\": " + u64(report.checkpoints_pruned) +
-         ", \"quarantined\": " + u64(report.checkpoints_quarantined) + "}\n";
-  out += "}\n";
+  std::string out;
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.lifecycle.v1");
+  json::Object config(doc.key("config"), 4);
+  json::Object(config.key("drift"))
+      .dbl("margin_alpha", c.drift.margin_alpha)
+      .dbl("accuracy_alpha", c.drift.accuracy_alpha)
+      .u64("warmup", c.drift.warmup)
+      .u64("canary_warmup", c.drift.canary_warmup)
+      .dbl("ph_delta", c.drift.ph_delta)
+      .dbl("ph_lambda", c.drift.ph_lambda)
+      .dbl("accuracy_drop", c.drift.accuracy_drop)
+      .close();
+  config.u64("replay_capacity", c.replay_capacity)
+      .u64("replay_class_cap", c.replay_class_cap)
+      .u64("holdout", c.holdout)
+      .u64("min_replay", c.min_replay)
+      .u64("min_fresh", c.min_fresh)
+      .u64("retrain_epochs", c.retrain_epochs)
+      .u64("retrain_cost_us", c.retrain_cost_us)
+      .u64("cooldown_us", c.cooldown_us)
+      .dbl("epsilon", c.epsilon)
+      .u64("min_dims", c.min_dims)
+      .u64("initial_version", c.initial_version)
+      .u64("seed", c.seed)
+      .dbl("shadow_fault_rate", c.shadow_fault_rate)
+      .close();
+  json::Object(doc.key("drift"), 4)
+      .u64("observations", report.observations)
+      .u64("canaries", report.canaries)
+      .u64("replay_size", report.replay_size)
+      .dbl("margin_ewma", report.margin_ewma)
+      .dbl("accuracy_ewma", report.accuracy_ewma)
+      .dbl("peak_accuracy", report.peak_accuracy)
+      .dbl("drift_score", report.drift_score)
+      .u64("alarms", report.alarms)
+      .dbl("accuracy_ewma_at_trigger", report.accuracy_ewma_at_trigger)
+      .dbl("final_accuracy_ewma", report.final_accuracy_ewma)
+      .close();
+  json::Object(doc.key("retrains"))
+      .u64("triggered", report.triggered)
+      .u64("swapped", report.swapped)
+      .u64("rolled_back", report.rolled_back)
+      .close();
+  json::list(doc.key("events"), report.events, 4,
+             [&](const LifecycleEvent& e) {
+               json::Object(out)
+                   .u64("vt_us", e.vt)
+                   .str("kind", event_kind_name(e.kind))
+                   .u64("version", e.version)
+                   .dbl("drift_score", e.drift_score)
+                   .close();
+             });
+  json::list(doc.key("versions"), report.versions, 4,
+             [&](const VersionRecord& v) {
+               json::Object o(out);
+               o.u64("version", v.version)
+                   .str("source", v.from_retrain ? "retrain" : "initial")
+                   .boolean("installed", v.installed)
+                   .u64("vt_us", v.vt)
+                   .u64("updates", v.updates);
+               const auto rungs =
+                   std::views::iota(std::size_t{0}, v.rung_dims.size());
+               json::list(o.key("rungs"), rungs, 0, [&](std::size_t r) {
+                 json::Object(out)
+                     .u64("dims", v.rung_dims[r])
+                     .dbl("holdout_accuracy", v.holdout_accuracy[r])
+                     .dbl("baseline_accuracy", v.baseline_accuracy[r])
+                     .close();
+               });
+               o.close();
+             });
+  json::Object(doc.key("checkpoints"))
+      .u64("saved", report.checkpoints_saved)
+      .u64("pruned", report.checkpoints_pruned)
+      .u64("quarantined", report.checkpoints_quarantined)
+      .close();
+  doc.close();
+  out += '\n';
   return out;
-}
-
-void write_lifecycle_json(const std::string& path,
-                          const LifecycleReport& report) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << lifecycle_report_to_json(report);
 }
 
 }  // namespace generic::lifecycle

@@ -11,13 +11,7 @@
 namespace generic::obs {
 namespace {
 
-/// Same fixed-format doubles as the campaign JSON: round-trippable,
-/// locale-independent.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
+using json::append_double;
 
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
@@ -73,40 +67,6 @@ std::uint64_t find_counter(const MetricsSnapshot& snap,
 }
 
 }  // namespace
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          // The cast matters: a plain (possibly signed) char sign-extends
-          // through %x and renders 8-digit garbage instead of \u00XX.
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  append_json_escaped(out, s);
-  out += '"';
-  return out;
-}
 
 MetricsSnapshot collect_metrics() {
   Registry& reg = Registry::instance();
@@ -336,17 +296,6 @@ std::string trace_to_json() {
          std::to_string(reg.dropped_spans()) + "}\n}\n";
   return out;
 }
-
-namespace {
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f << content;
-  if (!f) throw std::runtime_error("write failed: " + path);
-}
-
-}  // namespace
 
 void write_metrics_json(const std::string& path,
                         const MetricsSnapshot& snapshot) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace generic::obs {
@@ -39,14 +40,6 @@ struct MetricsSnapshot {
   /// ASIC-model accounting, when the harness injected it.
   std::optional<HardwareStats> hardware;
 };
-
-/// Append `s` escaped for use inside a JSON string literal (no surrounding
-/// quotes): quotes, backslashes and all control characters < 0x20 are
-/// encoded; other bytes pass through so UTF-8 survives.
-void append_json_escaped(std::string& out, std::string_view s);
-
-/// `s` as a complete JSON string literal, quotes included.
-std::string json_escape(std::string_view s);
 
 /// Collect a snapshot from the process-wide registry.
 MetricsSnapshot collect_metrics();

@@ -1,9 +1,7 @@
 #include "obs/rtrace.h"
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -209,13 +207,6 @@ void append_event_array(std::string& out, const std::vector<Event>& events) {
   out += events.empty() ? "]\n" : "\n  ]\n";
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f << content;
-  if (!f) throw std::runtime_error("write failed: " + path);
-}
-
 }  // namespace
 
 std::string rtrace_to_json(const TraceLog& log) {
@@ -333,18 +324,6 @@ std::string rtrace_to_chrome_json(const TraceLog& log) {
 
 std::string rtrace_to_chrome_json() {
   return rtrace_to_chrome_json(trace_log());
-}
-
-void write_rtrace_json(const std::string& path, const TraceLog& log) {
-  write_file(path, rtrace_to_json(log));
-}
-
-void write_rtrace_chrome_json(const std::string& path, const TraceLog& log) {
-  write_file(path, rtrace_to_chrome_json(log));
-}
-
-void write_flight_json(const std::string& path, const FlightLog& log) {
-  write_file(path, flight_to_json(log));
 }
 
 }  // namespace generic::obs::rtrace

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "resilience/block_guard.h"
 
@@ -41,14 +40,6 @@ double evaluate_masked(const model::HdcClassifier& clf,
   for (std::size_t i = 0; i < encoded.size(); ++i)
     hits += clf.predict_masked(encoded[i], ok) == labels[i];
   return static_cast<double>(hits) / static_cast<double>(encoded.size());
-}
-
-/// Fixed-format double for the JSON output: enough digits to round-trip
-/// an accuracy, no locale dependence.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
 }
 
 /// Per-trial outcome collected by the Monte Carlo fan-out.
@@ -257,61 +248,44 @@ CampaignResult run_encoder_campaign(enc::GenericEncoder& encoder,
 }
 
 std::string campaign_to_json(const CampaignResult& result) {
+  namespace json = obs::json;
   std::string out;
   out.reserve(1024 + result.cells.size() * 192);
-  out += "{\n";
-  out += "  \"schema\": \"generic.fault_campaign.v1\",\n";
-  out += "  \"seed\": " + std::to_string(result.seed) + ",\n";
-  out += "  \"trials\": " + std::to_string(result.trials) + ",\n";
-  out += "  \"dims\": " + std::to_string(result.dims) + ",\n";
-  out += "  \"classes\": " + std::to_string(result.classes) + ",\n";
-  out += "  \"chunk\": " + std::to_string(result.chunk) + ",\n";
-  out += "  \"bit_width\": " + std::to_string(result.bit_width) + ",\n";
-  out += std::string("  \"degrade\": ") +
-         (result.degrade ? "true" : "false") + ",\n";
-  out += "  \"target\": \"";
-  out += fault_target_name(result.target);
-  out += "\",\n";
-  out += "  \"samples\": " + std::to_string(result.samples) + ",\n";
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.fault_campaign.v1")
+      .u64("seed", result.seed)
+      .u64("trials", result.trials)
+      .u64("dims", result.dims)
+      .u64("classes", result.classes)
+      .u64("chunk", result.chunk)
+      .u64("bit_width", result.bit_width)
+      .boolean("degrade", result.degrade)
+      .str("target", fault_target_name(result.target))
+      .u64("samples", result.samples);
   if (result.target != FaultTarget::kClassMemory) {
     // Encoder-only block, absent from class-memory reports so their
     // committed goldens keep rendering byte-identically.
-    out += std::string("  \"encoder\": {\"remat\": ") +
-           (result.encoder_remat ? "true" : "false") +
-           ", \"footprint_bytes\": " +
-           std::to_string(result.encoder_footprint_bytes) + "},\n";
+    json::Object(doc.key("encoder"))
+        .boolean("remat", result.encoder_remat)
+        .u64("footprint_bytes", result.encoder_footprint_bytes)
+        .close();
   }
-  out += "  \"baseline_accuracy\": ";
-  append_double(out, result.baseline_accuracy);
-  out += ",\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const auto& c = result.cells[i];
-    out += "    {\"fault\": \"";
-    out += fault_kind_name(c.kind);
-    out += "\", \"rate\": ";
-    append_double(out, c.rate);
-    out += ", \"mean_accuracy\": ";
-    append_double(out, c.mean_accuracy);
-    out += ", \"stddev_accuracy\": ";
-    append_double(out, c.stddev_accuracy);
-    out += ", \"min_accuracy\": ";
-    append_double(out, c.min_accuracy);
-    out += ", \"max_accuracy\": ";
-    append_double(out, c.max_accuracy);
-    out += ", \"mean_blocks_masked\": ";
-    append_double(out, c.mean_blocks_masked);
-    out += i + 1 < result.cells.size() ? "},\n" : "}\n";
-  }
-  out += "  ]\n}\n";
+  doc.dbl("baseline_accuracy", result.baseline_accuracy);
+  // run_campaign rejects an empty sweep, so cells is never "[]".
+  json::list(doc.key("cells"), result.cells, 4, [&](const CampaignCell& c) {
+    json::Object(out)
+        .str("fault", fault_kind_name(c.kind))
+        .dbl("rate", c.rate)
+        .dbl("mean_accuracy", c.mean_accuracy)
+        .dbl("stddev_accuracy", c.stddev_accuracy)
+        .dbl("min_accuracy", c.min_accuracy)
+        .dbl("max_accuracy", c.max_accuracy)
+        .dbl("mean_blocks_masked", c.mean_blocks_masked)
+        .close();
+  });
+  doc.close();
+  out += '\n';
   return out;
-}
-
-void write_campaign_json(const std::string& path,
-                         const CampaignResult& result) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f << campaign_to_json(result);
-  if (!f) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace generic::resilience

@@ -133,9 +133,4 @@ CampaignResult run_encoder_campaign(enc::GenericEncoder& encoder,
 /// same result, byte-identical string.
 std::string campaign_to_json(const CampaignResult& result);
 
-/// Write campaign_to_json() to a file; throws std::runtime_error on I/O
-/// failure.
-void write_campaign_json(const std::string& path,
-                         const CampaignResult& result);
-
 }  // namespace generic::resilience

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
+#include "obs/json.h"
 #include "obs/rtrace.h"
 #include "resilience/fault_model.h"
 
@@ -601,201 +600,159 @@ void ServeEngine::flush_rung(std::size_t rung) {
 
 // ---- generic.serve.v1 -----------------------------------------------------
 
+namespace json = obs::json;
+
 namespace {
 
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
+double ratio(std::uint64_t correct, std::uint64_t served) {
+  return served == 0 ? 0.0
+                     : static_cast<double>(correct) /
+                           static_cast<double>(served);
+}
+
+void append_percentiles(json::Object& o, const obs::HistogramSnapshot& h) {
+  o.u64("p50", h.percentile(0.50))
+      .u64("p95", h.percentile(0.95))
+      .u64("p99", h.percentile(0.99));
 }
 
 }  // namespace
+
+void append_outcomes_json(std::string& out,
+                          const std::array<std::uint64_t, kNumOutcomes>& n) {
+  json::Object o(out);
+  for (std::size_t i = 0; i < kNumOutcomes; ++i)
+    o.u64(outcome_name(static_cast<Outcome>(i)), n[i]);
+  o.close();
+}
+
+void append_alert_json(std::string& out, const BurnAlert& a) {
+  json::Object(out)
+      .u64("vt_us", a.vt)
+      .str("kind", a.fired ? "fire" : "clear")
+      .dbl("fast_burn", a.fast_burn)
+      .dbl("slow_burn", a.slow_burn)
+      .close();
+}
+
+void append_encoder_fault_json(std::string& out, const EncoderFaultEvent& e) {
+  json::Object(out)
+      .u64("vt_us", e.vt)
+      .str("phase", encoder_phase_name(e.phase))
+      .u64("faulty_rows", e.faulty_rows)
+      .boolean("id_seed_faulty", e.id_seed_faulty)
+      .u64("scrubbed_rows", e.scrubbed_rows)
+      .boolean("scrub_verified", e.scrub_verified)
+      .boolean("stepped_ladder", e.stepped_ladder)
+      .close();
+}
 
 std::string serve_report_to_json(const ServeReport& rep) {
   const ServeConfig& c = rep.config;
   std::string out;
   out.reserve(4096);
-  out += "{\n";
-  out += "  \"schema\": \"generic.serve.v1\",\n";
-  out += "  \"config\": {\n";
-  out += "    \"servers\": " + std::to_string(c.servers) + ",\n";
-  out += "    \"queue_capacity\": " + std::to_string(c.queue_capacity) + ",\n";
-  out += "    \"high_water\": " + std::to_string(c.high_water) + ",\n";
-  out += "    \"low_water\": " + std::to_string(c.low_water) + ",\n";
-  out += "    \"deadline_us\": " + std::to_string(c.deadline_us) + ",\n";
-  out += "    \"slo_us\": " + std::to_string(c.slo_us) + ",\n";
-  out += "    \"max_attempts\": " + std::to_string(c.max_attempts) + ",\n";
-  out += "    \"backoff_base_us\": " + std::to_string(c.backoff_base_us) +
-         ",\n";
-  out += "    \"backoff_jitter\": ";
-  append_double(out, c.backoff_jitter);
-  out += ",\n    \"min_dims\": " + std::to_string(c.min_dims) + ",\n";
-  out += "    \"service_base_us\": " + std::to_string(c.service_base_us) +
-         ",\n";
-  out += "    \"service_jitter\": ";
-  append_double(out, c.service_jitter);
-  out += ",\n    \"fault_rate\": ";
-  append_double(out, c.fault_rate);
-  out += ",\n    \"fault_bit_rate\": ";
-  append_double(out, c.fault_bit_rate);
-  out += ",\n    \"seed\": " + std::to_string(c.seed) + ",\n";
-  out += "    \"compute_batch\": " + std::to_string(c.compute_batch) + ",\n";
-  out += "    \"ewma_alpha\": ";
-  append_double(out, c.ewma_alpha);
-  out += ",\n    \"cooldown\": " + std::to_string(c.cooldown) + ",\n";
-  out += "    \"step_up_frac\": ";
-  append_double(out, c.step_up_frac);
-  out += ",\n    \"slo_target\": ";
-  append_double(out, c.slo_target);
-  out += ",\n    \"burn_fast_window_us\": " +
-         std::to_string(c.burn_fast_window_us) + ",\n";
-  out += "    \"burn_slow_window_us\": " +
-         std::to_string(c.burn_slow_window_us) + ",\n";
-  out += "    \"burn_fast_threshold\": ";
-  append_double(out, c.burn_fast_threshold);
-  out += ",\n    \"burn_slow_threshold\": ";
-  append_double(out, c.burn_slow_threshold);
-  out += ",\n    \"burn_min_events\": " + std::to_string(c.burn_min_events);
-  out += "\n  },\n";
-  out += "  \"requests\": " + std::to_string(rep.requests) + ",\n";
-  out += "  \"makespan_us\": " + std::to_string(rep.makespan_us) + ",\n";
-  out += "  \"throughput_rps\": ";
-  append_double(out, rep.throughput_rps);
-  out += ",\n  \"outcomes\": {";
-  for (std::size_t i = 0; i < kNumOutcomes; ++i) {
-    out += i == 0 ? "" : ", ";
-    out += "\"";
-    out += outcome_name(static_cast<Outcome>(i));
-    out += "\": " + std::to_string(rep.outcomes[i]);
-  }
-  out += "},\n";
-  out += "  \"served\": " + std::to_string(rep.served) + ",\n";
-  out += "  \"attempts\": " + std::to_string(rep.attempts) + ",\n";
-  out += "  \"retries\": " + std::to_string(rep.retries) + ",\n";
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.serve.v1");
+  json::Object(doc.key("config"), 4)
+      .u64("servers", c.servers)
+      .u64("queue_capacity", c.queue_capacity)
+      .u64("high_water", c.high_water)
+      .u64("low_water", c.low_water)
+      .u64("deadline_us", c.deadline_us)
+      .u64("slo_us", c.slo_us)
+      .u64("max_attempts", c.max_attempts)
+      .u64("backoff_base_us", c.backoff_base_us)
+      .dbl("backoff_jitter", c.backoff_jitter)
+      .u64("min_dims", c.min_dims)
+      .u64("service_base_us", c.service_base_us)
+      .dbl("service_jitter", c.service_jitter)
+      .dbl("fault_rate", c.fault_rate)
+      .dbl("fault_bit_rate", c.fault_bit_rate)
+      .u64("seed", c.seed)
+      .u64("compute_batch", c.compute_batch)
+      .dbl("ewma_alpha", c.ewma_alpha)
+      .u64("cooldown", c.cooldown)
+      .dbl("step_up_frac", c.step_up_frac)
+      .dbl("slo_target", c.slo_target)
+      .u64("burn_fast_window_us", c.burn_fast_window_us)
+      .u64("burn_slow_window_us", c.burn_slow_window_us)
+      .dbl("burn_fast_threshold", c.burn_fast_threshold)
+      .dbl("burn_slow_threshold", c.burn_slow_threshold)
+      .u64("burn_min_events", c.burn_min_events)
+      .close();
+  doc.u64("requests", rep.requests)
+      .u64("makespan_us", rep.makespan_us)
+      .dbl("throughput_rps", rep.throughput_rps);
+  append_outcomes_json(doc.key("outcomes"), rep.outcomes);
+  doc.u64("served", rep.served)
+      .u64("attempts", rep.attempts)
+      .u64("retries", rep.retries);
 
   const obs::HistogramSnapshot& h = rep.latency;
-  out += "  \"latency_us\": {\"count\": " + std::to_string(h.count);
-  out += ", \"sum\": " + std::to_string(h.sum);
-  out += ", \"p50\": " + std::to_string(h.percentile(0.50));
-  out += ", \"p95\": " + std::to_string(h.percentile(0.95));
-  out += ", \"p99\": " + std::to_string(h.percentile(0.99));
-  out += ", \"buckets\": {";
-  bool first_b = true;
-  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-    if (h.buckets[i] == 0) continue;
-    out += first_b ? "" : ", ";
-    first_b = false;
-    out += '"';
-    out += std::to_string(i);
-    out += "\": ";
-    out += std::to_string(h.buckets[i]);
-  }
-  out += "}},\n";
+  json::Object latency(doc.key("latency_us"));
+  latency.u64("count", h.count).u64("sum", h.sum);
+  append_percentiles(latency, h);
+  json::Object buckets(latency.key("buckets"));
+  for (std::size_t i = 0; i < h.buckets.size(); ++i)
+    if (h.buckets[i] != 0) buckets.u64(std::to_string(i), h.buckets[i]);
+  buckets.close();
+  latency.close();
 
-  out += "  \"accuracy\": {\"served\": " + std::to_string(rep.served);
-  out += ", \"correct\": " + std::to_string(rep.correct);
-  out += ", \"value\": ";
-  append_double(out, rep.served == 0 ? 0.0
-                                     : static_cast<double>(rep.correct) /
-                                           static_cast<double>(rep.served));
-  out += "},\n";
+  json::Object(doc.key("accuracy"))
+      .u64("served", rep.served)
+      .u64("correct", rep.correct)
+      .dbl("value", ratio(rep.correct, rep.served))
+      .close();
 
-  out += "  \"degradation\": {\n";
-  out += "    \"steps_down\": " + std::to_string(rep.steps_down) + ",\n";
-  out += "    \"steps_up\": " + std::to_string(rep.steps_up) + ",\n";
-  out += "    \"final_rung\": " + std::to_string(rep.final_rung) + ",\n";
-  out += "    \"rungs\": [";
-  for (std::size_t r = 0; r < rep.rungs.size(); ++r) {
-    const RungStats& s = rep.rungs[r];
-    out += r == 0 ? "\n" : ",\n";
-    out += "      {\"dims\": " + std::to_string(s.dims);
-    out += ", \"active_chunks\": " + std::to_string(s.active_chunks);
-    out += ", \"served\": " + std::to_string(s.served);
-    out += ", \"correct\": " + std::to_string(s.correct);
-    out += ", \"accuracy\": ";
-    append_double(out, s.served == 0 ? 0.0
-                                     : static_cast<double>(s.correct) /
-                                           static_cast<double>(s.served));
-    out += ", \"latency_us\": {\"count\": " + std::to_string(s.latency.count);
-    out += ", \"p50\": " + std::to_string(s.latency.percentile(0.50));
-    out += ", \"p95\": " + std::to_string(s.latency.percentile(0.95));
-    out += ", \"p99\": " + std::to_string(s.latency.percentile(0.99));
-    out += "}}";
-  }
-  out += rep.rungs.empty() ? "]" : "\n    ]";
-  out += "\n  },\n";
+  json::Object degradation(doc.key("degradation"), 4);
+  degradation.u64("steps_down", rep.steps_down)
+      .u64("steps_up", rep.steps_up)
+      .u64("final_rung", rep.final_rung);
+  json::list(degradation.key("rungs"), rep.rungs, 6, [&](const RungStats& s) {
+    json::Object o(out);
+    o.u64("dims", s.dims)
+        .u64("active_chunks", s.active_chunks)
+        .u64("served", s.served)
+        .u64("correct", s.correct)
+        .dbl("accuracy", ratio(s.correct, s.served));
+    json::Object rung_latency(o.key("latency_us"));
+    rung_latency.u64("count", s.latency.count);
+    append_percentiles(rung_latency, s.latency);
+    rung_latency.close();
+    o.close();
+  });
+  degradation.close();
 
-  out += "  \"slo_alerts\": [";
-  for (std::size_t i = 0; i < rep.slo_alerts.size(); ++i) {
-    const BurnAlert& a = rep.slo_alerts[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"vt_us\": " + std::to_string(a.vt);
-    out += ", \"kind\": \"";
-    out += a.fired ? "fire" : "clear";
-    out += "\", \"fast_burn\": ";
-    append_double(out, a.fast_burn);
-    out += ", \"slow_burn\": ";
-    append_double(out, a.slow_burn);
-    out += "}";
-  }
-  out += rep.slo_alerts.empty() ? "],\n" : "\n  ],\n";
+  json::list(doc.key("slo_alerts"), rep.slo_alerts, 4,
+             [&](const BurnAlert& a) { append_alert_json(out, a); });
 
-  out += "  \"lifecycle\": {\n";
-  out += "    \"swaps\": [";
-  for (std::size_t i = 0; i < rep.swaps.size(); ++i) {
-    const SwapEvent& e = rep.swaps[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "      {\"vt_us\": " + std::to_string(e.vt);
-    out += ", \"version\": " + std::to_string(e.version);
-    out += ", \"kind\": \"";
-    out += e.rollback ? "rollback" : "swap";
-    out += "\"}";
-  }
-  out += rep.swaps.empty() ? "]" : "\n    ]";
-  out += ",\n    \"versions\": [";
-  for (std::size_t i = 0; i < rep.versions.size(); ++i) {
-    const VersionStats& v = rep.versions[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "      {\"version\": " + std::to_string(v.version);
-    out += ", \"served\": " + std::to_string(v.served);
-    out += ", \"correct\": " + std::to_string(v.correct);
-    out += ", \"accuracy\": ";
-    append_double(out, v.served == 0 ? 0.0
-                                     : static_cast<double>(v.correct) /
-                                           static_cast<double>(v.served));
-    out += "}";
-  }
-  out += rep.versions.empty() ? "]" : "\n    ]";
-  out += "\n  },\n";
+  json::Object lifecycle(doc.key("lifecycle"), 4);
+  json::list(lifecycle.key("swaps"), rep.swaps, 6, [&](const SwapEvent& e) {
+    json::Object(out)
+        .u64("vt_us", e.vt)
+        .u64("version", e.version)
+        .str("kind", e.rollback ? "rollback" : "swap")
+        .close();
+  });
+  json::list(lifecycle.key("versions"), rep.versions, 6,
+             [&](const VersionStats& v) {
+               json::Object(out)
+                   .u64("version", v.version)
+                   .u64("served", v.served)
+                   .u64("correct", v.correct)
+                   .dbl("accuracy", ratio(v.correct, v.served))
+                   .close();
+             });
+  lifecycle.close();
 
-  out += "  \"encoder_faults\": [";
-  for (std::size_t i = 0; i < rep.encoder_faults.size(); ++i) {
-    const EncoderFaultEvent& e = rep.encoder_faults[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"vt_us\": " + std::to_string(e.vt);
-    out += ", \"phase\": \"";
-    out += encoder_phase_name(e.phase);
-    out += "\", \"faulty_rows\": " + std::to_string(e.faulty_rows);
-    out += ", \"id_seed_faulty\": ";
-    out += e.id_seed_faulty ? "true" : "false";
-    out += ", \"scrubbed_rows\": " + std::to_string(e.scrubbed_rows);
-    out += ", \"scrub_verified\": ";
-    out += e.scrub_verified ? "true" : "false";
-    out += ", \"stepped_ladder\": ";
-    out += e.stepped_ladder ? "true" : "false";
-    out += "}";
-  }
-  out += rep.encoder_faults.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"scrubbed_rows\": " + std::to_string(rep.scrubbed_rows) + "\n";
-  out += "}\n";
+  json::list(doc.key("encoder_faults"), rep.encoder_faults, 4,
+             [&](const EncoderFaultEvent& e) {
+               append_encoder_fault_json(out, e);
+             });
+  doc.u64("scrubbed_rows", rep.scrubbed_rows);
+  doc.close();
+  out += '\n';
   return out;
-}
-
-void write_serve_json(const std::string& path, const ServeReport& report) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f << serve_report_to_json(report);
-  if (!f) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace generic::serve

@@ -112,9 +112,16 @@ struct ServeReport {
   std::uint64_t scrubbed_rows = 0;     ///< encoder rows rematerialized, total
 };
 
-/// Render as schema `generic.serve.v1`: fixed field order, "%.9g" doubles.
+/// Render as schema `generic.serve.v1`: fixed field order (obs/json.h).
 std::string serve_report_to_json(const ServeReport& report);
-void write_serve_json(const std::string& path, const ServeReport& report);
+
+/// Inline fragments of generic.serve.v1 that the chaos and fleet schemas
+/// embed as well, so the three never drift apart.
+void append_outcomes_json(std::string& out,
+                          const std::array<std::uint64_t, kNumOutcomes>& n);
+void append_alert_json(std::string& out, const BurnAlert& alert);
+void append_encoder_fault_json(std::string& out,
+                               const EncoderFaultEvent& event);
 
 class ServeEngine {
  public:

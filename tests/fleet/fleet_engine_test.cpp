@@ -6,10 +6,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "chaos/orchestrator.h"
 #include "common/thread_pool.h"
 #include "fleet/engine.h"
 #include "fleet/simulator.h"
-#include "fleet/tenant_storm.h"
 #include "fleet/types.h"
 
 namespace generic::fleet {
@@ -201,13 +201,21 @@ TEST(FleetEngineTest, TalliesCrossCheckAcrossTenantsModelsAndTotals) {
 // weighted shedding keeps the high-priority tenants' service and accuracy
 // untouched.
 TEST(FleetEngineTest, TenantStormShedsTheFloodAndProtectsTheVictims) {
-  const StormReport rep = run_tenant_storm(true, kSeed, 2);
+  const auto spec = chaos::find_scenario("tenant_storm", true);
+  ASSERT_TRUE(spec.has_value());
+  chaos::RunOptions opt;
+  opt.seed = kSeed;
+  opt.threads = 2;
+  const chaos::ChaosReport rep = chaos::run_scenario(*spec, opt);
   EXPECT_TRUE(rep.passed);
-  for (const StormInvariant& inv : rep.invariants)
+  for (const chaos::InvariantResult& inv : rep.invariants)
     EXPECT_TRUE(inv.passed) << inv.name << " value=" << inv.value
                             << " bound=" << inv.bound;
 
-  const PartyStats& flood = rep.fleet.tenants[rep.flood_tenant];
+  ASSERT_TRUE(rep.fleet.has_value());
+  const std::vector<PartyStats>& tenants = rep.fleet->tenants;
+  const std::size_t flood_tenant = tenants.size() - 1;
+  const PartyStats& flood = tenants[flood_tenant];
   EXPECT_GT(flood.statuses[static_cast<std::size_t>(
                 FleetStatus::kQuotaRejected)],
             0u);
@@ -217,14 +225,13 @@ TEST(FleetEngineTest, TenantStormShedsTheFloodAndProtectsTheVictims) {
 
   // Victims: every non-flood tenant keeps >= 90% service; the critical
   // tenant is never shed at all.
-  for (std::size_t t = 0; t < rep.fleet.tenants.size(); ++t) {
-    if (t == rep.flood_tenant) continue;
-    const PartyStats& victim = rep.fleet.tenants[t];
+  for (std::size_t t = 0; t < flood_tenant; ++t) {
+    const PartyStats& victim = tenants[t];
     EXPECT_GE(static_cast<double>(victim.served),
               0.9 * static_cast<double>(victim.requests))
-        << rep.fleet.config.tenants[t].name;
+        << rep.fleet->config.tenants[t].name;
   }
-  const PartyStats& gold = rep.fleet.tenants[0];
+  const PartyStats& gold = tenants[0];
   EXPECT_EQ(
       gold.statuses[static_cast<std::size_t>(FleetStatus::kPriorityShed)], 0u);
   EXPECT_EQ(

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/obs.h"
 
@@ -333,6 +336,71 @@ TEST(JsonEscape, AppendVariantAppendsWithoutQuotes) {
   std::string out = "prefix:";
   append_json_escaped(out, "a\"b");
   EXPECT_EQ(out, "prefix:a\\\"b");
+}
+
+TEST(JsonWriter, BlockAndInlineLayouts) {
+  std::string out;
+  json::Object doc(out, 2);
+  doc.str("name", "a\"b").u64("n", 7).dbl("x", 0.1).boolean("ok", true);
+  json::list(doc.key("empty"), std::vector<int>{}, 4, [](int) {});
+  json::list(doc.key("rows"), std::vector<int>{1, 2}, 4, [&](int v) {
+    json::Object(out).u64("v", static_cast<std::uint64_t>(v)).close();
+  });
+  json::list(doc.key("flat"), std::vector<int>{3, 4}, 0,
+             [&](int v) { out += std::to_string(v); });
+  json::Object wrapped(doc.key("wrapped"));
+  wrapped.u64("a", 1).wrap(3).u64("b", 2).close();
+  doc.close();
+  EXPECT_EQ(out,
+            "{\n"
+            "  \"name\": \"a\\\"b\",\n"
+            "  \"n\": 7,\n"
+            "  \"x\": 0.1,\n"
+            "  \"ok\": true,\n"
+            "  \"empty\": [],\n"
+            "  \"rows\": [\n"
+            "    {\"v\": 1},\n"
+            "    {\"v\": 2}\n"
+            "  ],\n"
+            "  \"flat\": [3, 4],\n"
+            "  \"wrapped\": {\"a\": 1,\n"
+            "   \"b\": 2}\n"
+            "}");
+}
+
+TEST(JsonWriter, DoublesUseNineSignificantDigits) {
+  std::string out;
+  json::append_double(out, 1.0 / 3.0);
+  out += ' ';
+  json::append_double(out, 1e-12);
+  out += ' ';
+  json::append_double(out, 4095.0);
+  EXPECT_EQ(out, "0.333333333 1e-12 4095");
+}
+
+TEST(WriteFile, ReplacesTheFileWithTheExactBytes) {
+  const std::string path = testing::TempDir() + "obs_write_file_test.json";
+  write_file(path, "a much longer first document\n");
+  write_file(path, std::string("{}\n\0x", 5));
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  EXPECT_EQ(ss.str(), std::string("{}\n\0x", 5));
+  std::remove(path.c_str());
+}
+
+TEST(WriteFile, FullDeviceIsAnErrorEvenForSmallDocuments) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this system";
+  // Far below the stream buffer size: every byte is accepted into the
+  // buffer and the device refuses them only at the final flush.
+  EXPECT_THROW(write_file("/dev/full", std::string(512, 'x')),
+               std::runtime_error);
+}
+
+TEST(WriteFile, UnopenablePathIsAnError) {
+  EXPECT_THROW(write_file(testing::TempDir() + "no/such/dir/x.json", "{}"),
+               std::runtime_error);
 }
 
 TEST_F(ObsExport, CollectMetricsReportsProcessFacts) {

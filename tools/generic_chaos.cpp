@@ -1,17 +1,19 @@
 // generic_chaos — named end-to-end chaos campaigns (docs/chaos.md).
 //
 // Runs one (or every) registered scenario through the chaos orchestrator:
-// shaped traffic, concept shifts, correlated class-memory fault bursts and
-// corrupted checkpoints, all seeded and on virtual time, with a
-// generic.chaos.v1 report per scenario and a per-invariant verdict.
+// shaped traffic, concept shifts, correlated class-memory fault bursts,
+// corrupted checkpoints and a tenant flood on the multi-model fleet, all
+// seeded and on virtual time, with a generic.chaos.v1 report per scenario
+// and a per-invariant verdict.
 //
 //   generic_chaos [--scenario=all|NAME] [--quick] [--seed=S] [--threads=N]
 //                 [--out=DIR] [--work-dir=DIR] [--list] [--rtrace=DIR]
 //                 [--flight-dump=DIR]
 //
-// --out writes <DIR>/<scenario>.json per scenario. --list prints the
-// registry and exits. Exit code: 0 when every run passed its invariants,
-// 1 otherwise.
+// Every registered scenario, the fleet campaign tenant_storm included, runs
+// through the same loop. --out writes <DIR>/<scenario>.json per scenario.
+// --list prints the registry and exits. Exit code: 0 when every run passed
+// its invariants, 1 otherwise (an unwritable output path included).
 //
 // Black box: every scenario records into the rtrace flight ring. A failed
 // invariant auto-dumps the ring as <scenario>.flight.json (into
@@ -31,11 +33,12 @@
 
 #include "bench/bench_util.h"
 #include "chaos/orchestrator.h"
-#include "fleet/tenant_storm.h"
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const bool list = flags.has("--list");
@@ -53,20 +56,13 @@ int main(int argc, char** argv) {
     for (const auto& s : chaos::all_scenarios(quick))
       std::printf("%-24s %zu requests, D=%zu — %s\n", s.name.c_str(),
                   s.requests, s.dims, s.description.c_str());
-    std::printf("%-24s fleet campaign — one batch tenant floods at ~10x "
-                "its quota; the admission pipeline must protect the rest\n",
-                "tenant_storm");
     return 0;
   }
-
-  // The fleet campaign lives beside the serve-layer registry: it runs a
-  // whole multi-model fleet (src/fleet) rather than one ServeEngine.
-  const bool run_storm = which == "all" || which == "tenant_storm";
 
   std::vector<chaos::ScenarioSpec> specs;
   if (which == "all") {
     specs = chaos::all_scenarios(quick);
-  } else if (!run_storm) {
+  } else {
     auto s = chaos::find_scenario(which, quick);
     if (!s.has_value()) {
       std::fprintf(stderr, "error: unknown scenario '%s' (try --list)\n",
@@ -85,15 +81,14 @@ int main(int argc, char** argv) {
     chaos::RunOptions opt;
     opt.seed = seed;
     opt.threads = threads;
-    opt.work_dir =
-        work_dir.empty() ? "" : work_dir + "/" + spec.name;
+    opt.work_dir = work_dir.empty() ? "" : work_dir + "/" + spec.name;
     opt.rtrace = !rtrace_dir.empty();
 
     const chaos::ChaosReport report = chaos::run_scenario(spec, opt);
     all_passed = all_passed && report.passed;
 
     std::printf("%-24s %s  (%zu requests", spec.name.c_str(),
-                report.passed ? "PASS" : "FAIL", spec.requests);
+                report.passed ? "PASS" : "FAIL", report.requests);
     if (report.boot.from_checkpoint)
       std::printf(", booted v%llu, %llu quarantined",
                   static_cast<unsigned long long>(report.boot.version),
@@ -105,17 +100,15 @@ int main(int argc, char** argv) {
                   inv.passed ? "ok" : "VIOLATED", inv.value, inv.bound);
     }
 
-    if (!out_dir.empty()) {
-      const std::string path = out_dir + "/" + spec.name + ".json";
-      chaos::write_chaos_json(path, report);
-      std::printf("  report written to %s\n", path.c_str());
-    }
+    if (!out_dir.empty())
+      bench::write_output(out_dir + "/" + spec.name + ".json", "report",
+                          chaos::chaos_report_to_json(report));
     if (!rtrace_dir.empty()) {
       const std::string base = rtrace_dir + "/" + spec.name;
-      obs::rtrace::write_rtrace_json(base + ".rtrace.json", report.rtrace);
-      obs::rtrace::write_rtrace_chrome_json(base + ".rtrace.chrome.json",
-                                            report.rtrace);
-      std::printf("  rtrace written to %s.rtrace.json\n", base.c_str());
+      bench::write_output(base + ".rtrace.json", "rtrace",
+                          obs::rtrace::rtrace_to_json(report.rtrace));
+      bench::write_output(base + ".rtrace.chrome.json", "rtrace chrome trace",
+                          obs::rtrace::rtrace_to_chrome_json(report.rtrace));
     }
     // The black box: always dumped on demand, and automatically on any
     // invariant failure so the postmortem ships with the verdict.
@@ -123,32 +116,14 @@ int main(int argc, char** argv) {
       const std::string dir = !flight_dir.empty() ? flight_dir
                               : !out_dir.empty()  ? out_dir
                                                   : std::string(".");
-      const std::string path = dir + "/" + spec.name + ".flight.json";
-      obs::rtrace::write_flight_json(path, report.flight);
-      std::printf("  flight recorder %s to %s\n",
-                  report.passed ? "dumped" : "auto-dumped on failure",
-                  path.c_str());
+      bench::write_output(dir + "/" + spec.name + ".flight.json",
+                          "flight recorder",
+                          obs::rtrace::flight_to_json(report.flight));
     }
   }
-  if (run_storm) {
-    const fleet::StormReport storm =
-        fleet::run_tenant_storm(quick, seed, threads);
-    all_passed = all_passed && storm.passed;
-    std::printf("%-24s %s  (%llu requests, flood tenant %s)\n",
-                "tenant_storm", storm.passed ? "PASS" : "FAIL",
-                static_cast<unsigned long long>(storm.fleet.requests),
-                storm.fleet.config.tenants[storm.flood_tenant].name.c_str());
-    for (const auto& inv : storm.invariants) {
-      if (!inv.enabled) continue;
-      std::printf("  %-22s %s  value=%.4g bound=%.4g\n", inv.name.c_str(),
-                  inv.passed ? "ok" : "VIOLATED", inv.value, inv.bound);
-    }
-    if (!out_dir.empty()) {
-      const std::string path = out_dir + "/tenant_storm.json";
-      fleet::write_storm_json(path, storm);
-      std::printf("  report written to %s\n", path.c_str());
-    }
-  }
-
   return all_passed ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_tool(run, argc, argv); }

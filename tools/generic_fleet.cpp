@@ -29,7 +29,6 @@
 // error, timeout, or early disconnect (the report of a failed socket run
 // is not comparable).
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -40,11 +39,12 @@
 #include "fleet/socket_driver.h"
 #include "net/server.h"
 #include "obs/export.h"
-#include "obs/rtrace.h"
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const bool listen = flags.has("--listen");
@@ -57,16 +57,11 @@ int main(int argc, char** argv) {
   const std::size_t max_conns = flags.positive_size("--max-connections", 64);
   const int io_timeout_ms =
       static_cast<int>(flags.positive_size("--io-timeout-ms", 30000));
-  const std::string rtrace_path = flags.value("--rtrace", "");
-  const std::string rtrace_chrome = flags.value("--rtrace-chrome", "");
-  const std::string flight_path = flags.value("--flight-dump", "");
+  const bench::RtraceOutputs rtrace(flags);
   obs::Session obs_session(flags.value("--trace", ""),
                            flags.value("--metrics", ""));
   bench::apply_kernel_backend(flags);
   flags.done();
-
-  obs::rtrace::set_trace(!rtrace_path.empty() || !rtrace_chrome.empty());
-  obs::rtrace::set_flight(!flight_path.empty());
 
   fleet::FleetConfig cfg = fleet::default_fleet_config(quick);
   cfg.seed = seed;
@@ -105,10 +100,8 @@ int main(int argc, char** argv) {
     }
     std::printf("listening on 127.0.0.1:%u\n",
                 static_cast<unsigned>(server.port()));
-    if (!port_file.empty()) {
-      std::ofstream f(port_file, std::ios::binary);
-      f << server.port() << "\n";
-    }
+    if (!port_file.empty())
+      obs::write_file(port_file, std::to_string(server.port()) + "\n");
     fleet::SocketFleetDriver driver(server, cfg, io_timeout_ms);
     if (!driver.wait_ready(io_timeout_ms)) {
       std::fprintf(stderr,
@@ -160,26 +153,16 @@ int main(int argc, char** argv) {
                                     static_cast<double>(s.served));
   }
 
-  if (!out_path.empty()) {
-    fleet::write_fleet_json(out_path, report);
-    std::printf("fleet report written to %s\n", out_path.c_str());
-  }
-  if (!rtrace_path.empty()) {
-    obs::rtrace::write_rtrace_json(rtrace_path, obs::rtrace::trace_log());
-    std::printf("rtrace written to %s\n", rtrace_path.c_str());
-  }
-  if (!rtrace_chrome.empty()) {
-    obs::rtrace::write_rtrace_chrome_json(rtrace_chrome,
-                                          obs::rtrace::trace_log());
-    std::printf("chrome trace written to %s\n", rtrace_chrome.c_str());
-  }
-  if (!flight_path.empty()) {
-    obs::rtrace::write_flight_json(flight_path, obs::rtrace::flight_log());
-    std::printf("flight recorder dumped to %s\n", flight_path.c_str());
-  }
+  bench::write_output(out_path, "fleet report",
+                      fleet::fleet_report_to_json(report));
+  rtrace.write();
   if (!ok) {
     std::fprintf(stderr, "error: socket run failed (see above)\n");
     return 1;
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_tool(run, argc, argv); }

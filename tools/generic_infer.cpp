@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       if (out.empty()) {
         std::fputs(resilience::campaign_to_json(result).c_str(), stdout);
       } else {
-        resilience::write_campaign_json(out, result);
+        obs::write_file(out, resilience::campaign_to_json(result));
         std::fprintf(stderr, "campaign JSON written to %s\n", out.c_str());
       }
       return 0;

@@ -36,12 +36,13 @@
 #include "lifecycle/manager.h"
 #include "model/pipeline.h"
 #include "obs/export.h"
-#include "obs/rtrace.h"
 #include "serve/engine.h"
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::size_t dims = quick ? 1024 : 2048;
@@ -61,9 +62,7 @@ int main(int argc, char** argv) {
   const std::string ckpt_dir = flags.value("--ckpt-dir", "");
   const std::string out_path = flags.value("--out", "");
   const std::string lifecycle_out = flags.value("--lifecycle-out", "");
-  const std::string rtrace_path = flags.value("--rtrace", "");
-  const std::string rtrace_chrome = flags.value("--rtrace-chrome", "");
-  const std::string flight_path = flags.value("--flight-dump", "");
+  const bench::RtraceOutputs rtrace(flags);
   obs::Session obs_session(flags.value("--trace", ""),
                            flags.value("--metrics", ""));
   bench::apply_kernel_backend(flags);
@@ -73,9 +72,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: need --shift-at < --requests\n");
     return 2;
   }
-
-  obs::rtrace::set_trace(!rtrace_path.empty() || !rtrace_chrome.empty());
-  obs::rtrace::set_flight(!flight_path.empty());
 
   set_global_threads(threads);
   ThreadPool& pool = global_pool();
@@ -240,26 +236,14 @@ int main(int argc, char** argv) {
                 store->dir().c_str());
 
   obs_session.set_pool_stats(pool.stats());
-  if (!out_path.empty()) {
-    serve::write_serve_json(out_path, report);
-    std::printf("serve report written to %s\n", out_path.c_str());
-  }
-  if (!lifecycle_out.empty()) {
-    lifecycle::write_lifecycle_json(lifecycle_out, lreport);
-    std::printf("lifecycle report written to %s\n", lifecycle_out.c_str());
-  }
-  if (!rtrace_path.empty()) {
-    obs::rtrace::write_rtrace_json(rtrace_path, obs::rtrace::trace_log());
-    std::printf("rtrace written to %s\n", rtrace_path.c_str());
-  }
-  if (!rtrace_chrome.empty()) {
-    obs::rtrace::write_rtrace_chrome_json(rtrace_chrome,
-                                          obs::rtrace::trace_log());
-    std::printf("rtrace chrome trace written to %s\n", rtrace_chrome.c_str());
-  }
-  if (!flight_path.empty()) {
-    obs::rtrace::write_flight_json(flight_path, obs::rtrace::flight_log());
-    std::printf("flight recorder dumped to %s\n", flight_path.c_str());
-  }
+  bench::write_output(out_path, "serve report",
+                      serve::serve_report_to_json(report));
+  bench::write_output(lifecycle_out, "lifecycle report",
+                      lifecycle::lifecycle_report_to_json(lreport));
+  rtrace.write();
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_tool(run, argc, argv); }

@@ -64,14 +64,15 @@
 #include "lifecycle/checkpoint_store.h"
 #include "model/pipeline.h"
 #include "obs/export.h"
-#include "obs/rtrace.h"
 #include "resilience/encoder_guard.h"
 #include "resilience/fault_model.h"
 #include "serve/engine.h"
 
 using namespace generic;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::string name = flags.value("--dataset", "FACE");
@@ -117,18 +118,13 @@ int main(int argc, char** argv) {
   const std::size_t threads = flags.threads();
   const std::string ckpt_dir = flags.value("--checkpoint-dir", "");
   const std::string out_path = flags.value("--out", "");
-  const std::string rtrace_path = flags.value("--rtrace", "");
-  const std::string rtrace_chrome = flags.value("--rtrace-chrome", "");
-  const std::string flight_path = flags.value("--flight-dump", "");
+  const bench::RtraceOutputs rtrace(flags);
   const double metrics_every = flags.positive_real("--metrics-every", 0.0);
   obs::Session obs_session(flags.value("--trace", ""),
                            flags.value("--metrics", ""));
   obs_session.stream_metrics_every(metrics_every);
   bench::apply_kernel_backend(flags);
   flags.done();
-
-  obs::rtrace::set_trace(!rtrace_path.empty() || !rtrace_chrome.empty());
-  obs::rtrace::set_flight(!flight_path.empty());
 
   set_global_threads(threads);
   ThreadPool& pool = global_pool();
@@ -312,22 +308,12 @@ int main(int argc, char** argv) {
   }
 
   obs_session.set_pool_stats(pool.stats());
-  if (!out_path.empty()) {
-    serve::write_serve_json(out_path, report);
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  if (!rtrace_path.empty()) {
-    obs::rtrace::write_rtrace_json(rtrace_path, obs::rtrace::trace_log());
-    std::printf("rtrace written to %s\n", rtrace_path.c_str());
-  }
-  if (!rtrace_chrome.empty()) {
-    obs::rtrace::write_rtrace_chrome_json(rtrace_chrome,
-                                          obs::rtrace::trace_log());
-    std::printf("rtrace chrome trace written to %s\n", rtrace_chrome.c_str());
-  }
-  if (!flight_path.empty()) {
-    obs::rtrace::write_flight_json(flight_path, obs::rtrace::flight_log());
-    std::printf("flight recorder dumped to %s\n", flight_path.c_str());
-  }
+  bench::write_output(out_path, "report",
+                      serve::serve_report_to_json(report));
+  rtrace.write();
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_tool(run, argc, argv); }
