@@ -15,7 +15,9 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "golden.h"
 #include "hdc/kernels.h"
+#include "resilience/fault_model.h"
 #include "serve/engine.h"
 #include "serve_test_util.h"
 
@@ -65,9 +67,10 @@ std::vector<Request> make_trace(const ServeConfig& cfg, std::size_t n,
 
 std::string run_once(const test::TinyWorkload& w,
                      const std::vector<Request>& trace,
-                     const ServeConfig& cfg, std::size_t lanes) {
+                     const ServeConfig& cfg, std::size_t lanes,
+                     const std::vector<bool>& chunk_ok = {}) {
   ThreadPool pool(lanes);
-  ServeEngine engine(w.clf, w.queries, w.labels, cfg, pool);
+  ServeEngine engine(w.clf, w.queries, w.labels, cfg, pool, chunk_ok);
   std::vector<ResponseFuture> futures;
   for (const Request& r : trace) futures.push_back(engine.submit(r));
   const ServeReport rep = engine.finish();
@@ -92,6 +95,24 @@ TEST(ServeDeterminismTest, ReportByteIdenticalAcrossLaneCounts) {
     EXPECT_EQ(baseline, run_once(w, trace, cfg, lanes))
         << "report differs at lanes=" << lanes;
   }
+}
+
+// Serving around dead dimension blocks: chunks 1 and 3 of the model are
+// zeroed and masked, so every rung scores through the chunk mask. The
+// report is pinned byte-for-byte and must not depend on the lane count.
+TEST(ServeDeterminismTest, DeadChunksReportMatchesGolden) {
+  test::TinyWorkload w = test::make_workload(96);
+  resilience::inject_dead_blocks(w.clf, {1, 3});
+  const std::vector<bool> chunk_ok = {true, false, true, false};
+  const ServeConfig cfg = stress_config();
+  const auto trace = make_trace(cfg, 400, w.queries.size());
+
+  const std::string report = run_once(w, trace, cfg, 1, chunk_ok);
+  EXPECT_EQ(report.find("\"degraded\": 0,"), std::string::npos);
+  EXPECT_EQ(report, run_once(w, trace, cfg, 7, chunk_ok));
+  golden::expect_golden(report, std::string(GENERIC_GOLDEN_DIR) +
+                                    "/serve_dead_chunks.json");
+  if (golden::updating()) GTEST_SKIP() << "fixtures regenerated";
 }
 
 TEST(ServeDeterminismTest, SameLaneCountReproducesItself) {
