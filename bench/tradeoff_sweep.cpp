@@ -16,7 +16,6 @@
 //
 // Flags: --quick, --datasets=NAME1,NAME2, --out=FILE,
 //        --serve-rate=RPS, --serve-requests=N, --threads=N
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -138,22 +137,12 @@ int run(int argc, char** argv) {
                                    0x100000001b3ULL;
     cfg.seed = 0x5EB7EULL ^ h;
     serve::ServeEngine engine(trained, queries, ds.test_y, cfg, pool);
-    Rng gen(cfg.seed ^ 0x0A11CE5ULL);
-    const double mean_gap_us = 1e6 / static_cast<double>(serve_rate);
-    std::uint64_t vt = 0;
     std::vector<serve::ResponseFuture> futures;
     futures.reserve(serve_requests);
-    for (std::size_t id = 0; id < serve_requests; ++id) {
-      const double gap = -std::log(1.0 - gen.uniform()) * mean_gap_us;
-      vt += static_cast<std::uint64_t>(
-          std::max<long long>(std::llround(gap), 1));
-      serve::Request req;
-      req.id = id;
-      req.arrival_us = vt;
-      req.deadline_us = vt + cfg.deadline_us;
-      req.query = static_cast<std::size_t>(gen.below(queries.size()));
+    for (const serve::Request& req :
+         serve::poisson_trace(cfg.seed, serve_requests, serve_rate,
+                              cfg.deadline_us, queries.size()))
       futures.push_back(engine.submit(req));
-    }
     const serve::ServeReport report = engine.finish();
 
     json += first_dataset ? "\n" : ",\n";

@@ -182,18 +182,8 @@ int GenericAsic::best_class(const hdc::IntHV& encoded) const {
   const auto& model = require_model();
   const auto mode = constant_norms_ ? model::NormMode::kConstant
                                     : model::NormMode::kUpdated;
-  if (exact_divider_) {
-    int best = 0;
-    double best_score = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < model.num_classes(); ++c) {
-      const double s = model.score(encoded, c, active_dims_, mode);
-      if (s > best_score) {
-        best_score = s;
-        best = static_cast<int>(c);
-      }
-    }
-    return best;
-  }
+  if (exact_divider_)
+    return model.predict_reduced(encoded, active_dims_, mode);
   // Hardware path: rank sign(dot) * dot^2 / norm entirely in the log
   // domain — 2 log2|dot| - log2(norm) with the corrected Mitchell
   // approximation (§4.2.1, [18]); negative dots rank below zero dots,

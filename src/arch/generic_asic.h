@@ -102,7 +102,8 @@ class GenericAsic {
  private:
   const model::HdcClassifier& require_model() const;
   /// Class index with the best (dot^2 / norm) score, compared in the log
-  /// domain via Mitchell (or exactly when exact_divider_ is set).
+  /// domain via Mitchell, or exactly through the classifier's
+  /// predict_reduced() when exact_divider_ is set.
   int best_class(const hdc::IntHV& encoded) const;
 
   AppSpec spec_;

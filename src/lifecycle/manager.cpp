@@ -258,14 +258,16 @@ void Manager::run_retrain(RetrainJob* job,
   job->rung_dims = serve::dims_ladder(baseline->dims(), chunk, cfg_.min_dims);
   bool passed = true;
   for (const std::size_t dims : job->rung_dims) {
-    const std::vector<int> sp = shadow->predict_reduced_batch(
-        hold_x, dims, model::NormMode::kUpdated, pool_);
-    const std::vector<int> bp = baseline->predict_reduced_batch(
-        hold_x, dims, model::NormMode::kUpdated, pool_);
+    const std::vector<bool> mask =
+        serve::rung_mask(dims, chunk, baseline->num_chunks(), {});
+    const std::vector<model::Prediction> sp =
+        shadow->predict_masked_margin_batch(hold_x, mask, pool_);
+    const std::vector<model::Prediction> bp =
+        baseline->predict_masked_margin_batch(hold_x, mask, pool_);
     std::size_t s_ok = 0, b_ok = 0;
     for (std::size_t i = 0; i < hold_y.size(); ++i) {
-      if (sp[i] == hold_y[i]) ++s_ok;
-      if (bp[i] == hold_y[i]) ++b_ok;
+      if (sp[i].cls == hold_y[i]) ++s_ok;
+      if (bp[i].cls == hold_y[i]) ++b_ok;
     }
     const double n = static_cast<double>(hold_y.size());
     const double s_acc = static_cast<double>(s_ok) / n;

@@ -3,11 +3,44 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <string>
 #include <stdexcept>
 
 #include "obs/obs.h"
 
 namespace generic::model {
+namespace {
+
+/// The one fixed-order argmax (first maximum wins) with runner-up
+/// tracking, shared by the scan and retrain_epoch_parallel. The margin is
+/// NORMALIZED: (best - second) / (|best| + |second|), which lands in
+/// [0, 1] regardless of dims, bit width or norm magnitudes — so
+/// downstream consumers (the lifecycle drift detector) can use scale-free
+/// thresholds. 0 with fewer than two classes or two zero scores.
+template <typename Scorer>
+Prediction argmax_with_margin(std::size_t num_classes, Scorer&& scorer) {
+  Prediction p;
+  double best = -std::numeric_limits<double>::infinity();
+  double second = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    const double s = scorer(c);
+    if (s > best) {
+      second = best;
+      best = s;
+      p.cls = static_cast<int>(c);
+    } else if (s > second) {
+      second = s;
+    }
+  }
+  if (num_classes >= 2) {
+    const double denom = std::abs(best) + std::abs(second);
+    p.margin = denom > 0.0 ? (best - second) / denom : 0.0;
+  }
+  return p;
+}
+
+}  // namespace
 
 HdcClassifier::HdcClassifier(std::size_t dims, std::size_t num_classes,
                              std::size_t chunk)
@@ -24,39 +57,28 @@ HdcClassifier::HdcClassifier(std::size_t dims, std::size_t num_classes,
 void HdcClassifier::train_init(std::span<const hdc::IntHV> encoded,
                                std::span<const int> labels) {
   GENERIC_SPAN("train.init");
-  if (encoded.size() != labels.size())
-    throw std::invalid_argument("train_init: size mismatch");
+  check_samples(encoded, labels, "train_init");
   for (auto& c : classes_) std::fill(c.begin(), c.end(), 0);
   for (std::size_t i = 0; i < encoded.size(); ++i)
-    hdc::add_into(classes_.at(static_cast<std::size_t>(labels[i])), encoded[i]);
+    hdc::add_into(classes_[static_cast<std::size_t>(labels[i])], encoded[i]);
   recompute_norms();
 }
 
 std::size_t HdcClassifier::retrain_epoch(std::span<const hdc::IntHV> encoded,
                                          std::span<const int> labels) {
   GENERIC_SPAN("train.epoch");
-  if (encoded.size() != labels.size())
-    throw std::invalid_argument("retrain_epoch: size mismatch");
+  check_samples(encoded, labels, "retrain_epoch");
   std::size_t updates = 0;
   for (std::size_t i = 0; i < encoded.size(); ++i) {
     const int pred = predict(encoded[i]);
     const int truth = labels[i];
     if (pred == truth) continue;
     ++updates;
-    auto& wrong = classes_.at(static_cast<std::size_t>(pred));
-    auto& right = classes_.at(static_cast<std::size_t>(truth));
-    hdc::add_into(wrong, encoded[i], -1);
-    hdc::add_into(right, encoded[i], +1);
+    hdc::add_into(classes_[static_cast<std::size_t>(pred)], encoded[i], -1);
+    hdc::add_into(classes_[static_cast<std::size_t>(truth)], encoded[i], +1);
     // Only the two touched classes need their norms refreshed.
-    for (std::size_t k = 0; k < num_chunks_; ++k) {
-      std::int64_t nw = 0, nr = 0;
-      for (std::size_t j = k * chunk_; j < (k + 1) * chunk_; ++j) {
-        nw += static_cast<std::int64_t>(wrong[j]) * wrong[j];
-        nr += static_cast<std::int64_t>(right[j]) * right[j];
-      }
-      chunk_norms_[static_cast<std::size_t>(pred)][k] = nw;
-      chunk_norms_[static_cast<std::size_t>(truth)][k] = nr;
-    }
+    recompute_norms(static_cast<std::size_t>(pred));
+    recompute_norms(static_cast<std::size_t>(truth));
   }
   GENERIC_COUNTER_ADD("train.updates", updates);
   return updates;
@@ -115,8 +137,7 @@ void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
                                 std::span<const int> labels,
                                 ThreadPool& pool) {
   GENERIC_SPAN("train.batch");
-  if (encoded.size() != labels.size())
-    throw std::invalid_argument("train_batch: size mismatch");
+  check_samples(encoded, labels, "train_batch");
   GENERIC_COUNTER_ADD("train.samples", encoded.size());
   const auto grid = ThreadPool::chunk_grid(encoded.size(), pool.lanes());
   // One private set of class accumulators per chunk; parallel_for hands
@@ -129,7 +150,7 @@ void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
                       auto& local = partials[c];
                       for (std::size_t i = begin; i < end; ++i)
                         hdc::add_into(
-                            local.at(static_cast<std::size_t>(labels[i])),
+                            local[static_cast<std::size_t>(labels[i])],
                             encoded[i]);
                     });
   for (auto& cls : classes_) std::fill(cls.begin(), cls.end(), 0);
@@ -145,33 +166,27 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
     std::span<const hdc::IntHV> encoded, std::span<const int> labels,
     ThreadPool& pool) {
   GENERIC_SPAN("train.epoch");
-  if (encoded.size() != labels.size())
-    throw std::invalid_argument("retrain_epoch_parallel: size mismatch");
+  check_samples(encoded, labels, "retrain_epoch_parallel");
+  const ChunkSet all{num_chunks_};
   std::vector<double> scores(num_classes_, 0.0);
   std::size_t updates = 0;
   for (std::size_t i = 0; i < encoded.size(); ++i) {
-    // Fan the per-class scoring out; each class's score is computed by the
-    // exact expression predict() uses, so the fixed-order argmax below
-    // reproduces predict(encoded[i]) bit-for-bit.
+    // Fan the per-class scoring out; each score is the one predict()'s scan
+    // computes, so the shared argmax reproduces predict(encoded[i])
+    // bit-for-bit.
     pool.parallel_for(num_classes_,
                       [&](std::size_t begin, std::size_t end, std::size_t) {
                         for (std::size_t c = begin; c < end; ++c)
-                          scores[c] =
-                              score(encoded[i], c, dims_, NormMode::kUpdated);
+                          scores[c] = class_score(encoded[i], c, all);
                       });
-    int pred = 0;
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      if (scores[c] > best) {
-        best = scores[c];
-        pred = static_cast<int>(c);
-      }
-    }
+    const int pred = argmax_with_margin(num_classes_, [&](std::size_t c) {
+                       return scores[c];
+                     }).cls;
     const int truth = labels[i];
     if (pred == truth) continue;
     ++updates;
-    hdc::add_into(classes_.at(static_cast<std::size_t>(pred)), encoded[i], -1);
-    hdc::add_into(classes_.at(static_cast<std::size_t>(truth)), encoded[i], +1);
+    hdc::add_into(classes_[static_cast<std::size_t>(pred)], encoded[i], -1);
+    hdc::add_into(classes_[static_cast<std::size_t>(truth)], encoded[i], +1);
     recompute_norms(static_cast<std::size_t>(pred));
     recompute_norms(static_cast<std::size_t>(truth));
   }
@@ -190,120 +205,17 @@ void HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
 
 std::vector<int> HdcClassifier::predict_batch(
     std::span<const hdc::IntHV> queries, ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  std::vector<int> out(queries.size(), 0);
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i)
-                        out[i] = predict(queries[i]);
-                    });
-  return out;
-}
-
-std::vector<int> HdcClassifier::predict_reduced_batch(
-    std::span<const hdc::IntHV> queries, std::size_t dims_used, NormMode mode,
-    ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  std::vector<int> out(queries.size(), 0);
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = predict_reduced(queries[i], dims_used, mode);
-                      }
-                    });
-  return out;
-}
-
-std::vector<int> HdcClassifier::predict_masked_batch(
-    std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
-    ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  std::vector<int> out(queries.size(), 0);
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = predict_masked(queries[i], chunk_ok);
-                      }
-                    });
-  return out;
-}
-
-namespace {
-
-/// Fixed-order argmax with runner-up tracking. `scorer(c)` must be the
-/// exact score expression the plain predict path uses so cls matches it
-/// bit-for-bit. The margin is NORMALIZED: (best - second) / (|best| +
-/// |second|), which lands in [0, 1] regardless of dims, bit width or norm
-/// magnitudes — so downstream consumers (the lifecycle drift detector) can
-/// use scale-free thresholds. 0 with fewer than two classes or two zero
-/// scores.
-template <typename Scorer>
-Prediction argmax_with_margin(std::size_t num_classes, Scorer&& scorer) {
-  Prediction p;
-  double best = -std::numeric_limits<double>::infinity();
-  double second = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    const double s = scorer(c);
-    if (s > best) {
-      second = best;
-      best = s;
-      p.cls = static_cast<int>(c);
-    } else if (s > second) {
-      second = s;
-    }
-  }
-  if (num_classes >= 2) {
-    const double denom = std::abs(best) + std::abs(second);
-    p.margin = denom > 0.0 ? (best - second) / denom : 0.0;
-  }
-  return p;
-}
-
-}  // namespace
-
-std::vector<Prediction> HdcClassifier::predict_reduced_margin_batch(
-    std::span<const hdc::IntHV> queries, std::size_t dims_used, NormMode mode,
-    ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  std::vector<Prediction> out(queries.size());
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = argmax_with_margin(
-                            num_classes_, [&](std::size_t c) {
-                              return score(queries[i], c, dims_used, mode);
-                            });
-                      }
-                    });
+  const std::vector<Prediction> preds =
+      scan_batch(queries, ChunkSet{num_chunks_}, pool);
+  std::vector<int> out(preds.size(), 0);
+  for (std::size_t i = 0; i < preds.size(); ++i) out[i] = preds[i].cls;
   return out;
 }
 
 std::vector<Prediction> HdcClassifier::predict_masked_margin_batch(
     std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
     ThreadPool& pool) const {
-  GENERIC_SPAN("predict.batch");
-  if (std::find(chunk_ok.begin(), chunk_ok.end(), true) == chunk_ok.end())
-    throw std::invalid_argument("predict_masked_margin_batch: all masked");
-  std::vector<Prediction> out(queries.size());
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = argmax_with_margin(
-                            num_classes_, [&](std::size_t c) {
-                              return score_masked(queries[i], c, chunk_ok);
-                            });
-                      }
-                    });
-  return out;
+  return scan_batch(queries, masked_chunks(chunk_ok), pool);
 }
 
 void HdcClassifier::recompute_norms() {
@@ -320,86 +232,110 @@ void HdcClassifier::recompute_norms(std::size_t cls) {
   }
 }
 
-std::int64_t HdcClassifier::reduced_norm(std::size_t c, std::size_t dims_used,
-                                         NormMode mode) const {
-  const std::size_t chunks =
-      mode == NormMode::kConstant ? num_chunks_ : dims_used / chunk_;
-  std::int64_t acc = 0;
-  for (std::size_t k = 0; k < chunks; ++k) acc += chunk_norms_[c][k];
-  return acc;
+int HdcClassifier::predict(const hdc::IntHV& query) const {
+  GENERIC_COUNTER_ADD("predict.queries", 1);
+  return scan(query, ChunkSet{num_chunks_}).cls;
 }
 
-double HdcClassifier::score(const hdc::IntHV& query, std::size_t cls,
-                            std::size_t dims_used, NormMode mode) const {
-  if (query.size() != dims_)
-    throw std::invalid_argument("score: query dimension mismatch");
+int HdcClassifier::predict_reduced(const hdc::IntHV& query,
+                                   std::size_t dims_used,
+                                   NormMode mode) const {
+  return scan(query, prefix_chunks(dims_used, mode)).cls;
+}
+
+Prediction HdcClassifier::predict_reduced_margin(const hdc::IntHV& query,
+                                                 std::size_t dims_used,
+                                                 NormMode mode) const {
+  return scan(query, prefix_chunks(dims_used, mode));
+}
+
+int HdcClassifier::predict_masked(const hdc::IntHV& query,
+                                  const std::vector<bool>& chunk_ok) const {
+  return scan(query, masked_chunks(chunk_ok)).cls;
+}
+
+HdcClassifier::ChunkSet HdcClassifier::prefix_chunks(std::size_t dims_used,
+                                                     NormMode mode) const {
   if (dims_used == 0 || dims_used > dims_ || dims_used % chunk_ != 0)
-    throw std::invalid_argument("score: dims_used must be a chunk multiple");
-  const auto& c = classes_.at(cls);
-  std::int64_t dot = 0;
-  for (std::size_t j = 0; j < dims_used; ++j)
-    dot += static_cast<std::int64_t>(query[j]) * c[j];
-  const std::int64_t n2 = reduced_norm(cls, dims_used, mode);
-  if (n2 == 0) return 0.0;
-  const double num = static_cast<double>(dot) * static_cast<double>(std::abs(dot));
-  return num / static_cast<double>(n2);
+    throw std::invalid_argument(
+        "predict_reduced: dims_used must be a chunk multiple");
+  return ChunkSet{dims_used / chunk_, nullptr, mode};
 }
 
-double HdcClassifier::score_masked(const hdc::IntHV& query, std::size_t cls,
-                                   const std::vector<bool>& chunk_ok) const {
-  if (query.size() != dims_)
-    throw std::invalid_argument("score_masked: query dimension mismatch");
+HdcClassifier::ChunkSet HdcClassifier::masked_chunks(
+    const std::vector<bool>& chunk_ok) const {
   if (chunk_ok.size() != num_chunks_)
-    throw std::invalid_argument("score_masked: mask size mismatch");
-  const auto& c = classes_.at(cls);
+    throw std::invalid_argument("predict_masked: mask size mismatch");
+  if (std::find(chunk_ok.begin(), chunk_ok.end(), true) == chunk_ok.end())
+    throw std::invalid_argument("predict_masked: all chunks masked");
+  return ChunkSet{num_chunks_, &chunk_ok};
+}
+
+double HdcClassifier::class_score(const hdc::IntHV& query, std::size_t cls,
+                                  const ChunkSet& on) const {
+  const auto& c = classes_[cls];
+  const auto& norms = chunk_norms_[cls];
+  auto enabled = [&](std::size_t k) {
+    return on.mask == nullptr || (*on.mask)[k];
+  };
   std::int64_t dot = 0;
   std::int64_t n2 = 0;
-  for (std::size_t k = 0; k < num_chunks_; ++k) {
-    if (!chunk_ok[k]) continue;
-    for (std::size_t j = k * chunk_; j < (k + 1) * chunk_; ++j)
+  // One flat dot loop per maximal run of enabled chunks.
+  for (std::size_t k = 0; k < on.prefix;) {
+    if (!enabled(k)) {
+      ++k;
+      continue;
+    }
+    const std::size_t run = k;
+    for (; k < on.prefix && enabled(k); ++k) n2 += norms[k];
+    for (std::size_t j = run * chunk_; j < k * chunk_; ++j)
       dot += static_cast<std::int64_t>(query[j]) * c[j];
-    n2 += chunk_norms_[cls][k];
   }
+  if (on.mode == NormMode::kConstant)
+    n2 = std::accumulate(norms.begin(), norms.end(), std::int64_t{0});
   if (n2 == 0) return 0.0;
   const double num =
       static_cast<double>(dot) * static_cast<double>(std::abs(dot));
   return num / static_cast<double>(n2);
 }
 
-int HdcClassifier::predict_masked(const hdc::IntHV& query,
-                                  const std::vector<bool>& chunk_ok) const {
-  if (std::find(chunk_ok.begin(), chunk_ok.end(), true) == chunk_ok.end())
-    throw std::invalid_argument("predict_masked: all chunks masked");
-  int best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    const double s = score_masked(query, c, chunk_ok);
-    if (s > best_score) {
-      best_score = s;
-      best = static_cast<int>(c);
-    }
-  }
-  return best;
+Prediction HdcClassifier::scan(const hdc::IntHV& query,
+                               const ChunkSet& on) const {
+  if (query.size() != dims_)
+    throw std::invalid_argument("predict: query dimension mismatch");
+  return argmax_with_margin(num_classes_, [&](std::size_t c) {
+    return class_score(query, c, on);
+  });
 }
 
-int HdcClassifier::predict(const hdc::IntHV& query) const {
-  GENERIC_COUNTER_ADD("predict.queries", 1);
-  return predict_reduced(query, dims_, NormMode::kUpdated);
+std::vector<Prediction> HdcClassifier::scan_batch(
+    std::span<const hdc::IntHV> queries, const ChunkSet& on,
+    ThreadPool& pool) const {
+  GENERIC_SPAN("predict.batch");
+  std::vector<Prediction> out(queries.size());
+  pool.parallel_for(queries.size(),
+                    [&](std::size_t begin, std::size_t end, std::size_t) {
+                      GENERIC_SPAN("predict.chunk");
+                      for (std::size_t i = begin; i < end; ++i) {
+                        GENERIC_COUNTER_ADD("predict.queries", 1);
+                        out[i] = scan(queries[i], on);
+                      }
+                    });
+  return out;
 }
 
-int HdcClassifier::predict_reduced(const hdc::IntHV& query,
-                                   std::size_t dims_used,
-                                   NormMode mode) const {
-  int best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    const double s = score(query, c, dims_used, mode);
-    if (s > best_score) {
-      best_score = s;
-      best = static_cast<int>(c);
-    }
+void HdcClassifier::check_samples(std::span<const hdc::IntHV> encoded,
+                                  std::span<const int> labels,
+                                  const char* who) const {
+  const std::string prefix = std::string(who) + ": ";
+  if (encoded.size() != labels.size())
+    throw std::invalid_argument(prefix + "size mismatch");
+  for (std::size_t i = 0; i < encoded.size(); ++i) {
+    if (labels[i] < 0 || static_cast<std::size_t>(labels[i]) >= num_classes_)
+      throw std::invalid_argument(prefix + "label out of range");
+    if (encoded[i].size() != dims_)
+      throw std::invalid_argument(prefix + "sample dimension mismatch");
   }
-  return best;
 }
 
 void HdcClassifier::quantize(int bit_width) {

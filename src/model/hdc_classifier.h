@@ -4,7 +4,10 @@
 //   train_init()     bundle encoded train vectors into class accumulators
 //   retrain_epoch()  perceptron-style update: on a misprediction subtract
 //                    the encoding from the wrong class, add to the right one
-//   predict()        signed squared-cosine score argmax
+//   predict*()       signed squared-cosine score argmax. Every variant —
+//                    full dims, a reduced ladder rung, a chunk mask, and
+//                    their batches — is one scan over a set of enabled
+//                    chunks with one fixed-order argmax.
 //
 // The model mirrors three ASIC features:
 //  * sub-norms — the norm2 memory stores the squared L2 norm of every
@@ -102,29 +105,12 @@ class HdcClassifier {
   std::vector<int> predict_batch(std::span<const hdc::IntHV> queries,
                                  ThreadPool& pool) const;
 
-  /// Batched reduced-dimension inference:
-  /// out[i] == predict_reduced(queries[i], dims_used, mode). The serving
-  /// engine's degradation rungs flush through this so degraded batches keep
-  /// the predict_batch determinism contract.
-  std::vector<int> predict_reduced_batch(std::span<const hdc::IntHV> queries,
-                                         std::size_t dims_used, NormMode mode,
-                                         ThreadPool& pool) const;
-
-  /// Batched masked inference: out[i] == predict_masked(queries[i], chunk_ok).
-  std::vector<int> predict_masked_batch(std::span<const hdc::IntHV> queries,
-                                        const std::vector<bool>& chunk_ok,
-                                        ThreadPool& pool) const;
-
-  /// Batched reduced-dimension inference with confidence margins:
-  /// out[i].cls == predict_reduced(queries[i], dims_used, mode) and
-  /// out[i].margin is the normalized top1-vs-top2 margin of that same scan.
-  /// Queries fan out across the pool into indexed slots, so the result is
-  /// bit-identical for any lane count (same contract as predict_batch).
-  std::vector<Prediction> predict_reduced_margin_batch(
-      std::span<const hdc::IntHV> queries, std::size_t dims_used,
-      NormMode mode, ThreadPool& pool) const;
-
-  /// Masked counterpart: out[i].cls == predict_masked(queries[i], chunk_ok).
+  /// Batched masked inference with confidence margins: out[i].cls ==
+  /// predict_masked(queries[i], chunk_ok) and out[i].margin is the
+  /// normalized top1-vs-top2 margin of that same scan. A ladder rung is the
+  /// mask of its chunk prefix, so the serving engine flushes every rung
+  /// through this. Queries fan out across the pool into indexed slots, so
+  /// the result is bit-identical for any lane count.
   std::vector<Prediction> predict_masked_margin_batch(
       std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
       ThreadPool& pool) const;
@@ -151,10 +137,10 @@ class HdcClassifier {
   int predict_reduced(const hdc::IntHV& query, std::size_t dims_used,
                       NormMode mode) const;
 
-  /// Signed squared-cosine-numerator score of one class:
-  /// sign(H.C) * (H.C)^2 / ||C||^2 over the first dims_used dimensions.
-  double score(const hdc::IntHV& query, std::size_t cls,
-               std::size_t dims_used, NormMode mode) const;
+  /// predict_reduced() with the confidence margin of the same scan.
+  Prediction predict_reduced_margin(const hdc::IntHV& query,
+                                    std::size_t dims_used,
+                                    NormMode mode) const;
 
   /// Predicted class using only the chunks whose `chunk_ok` entry is true
   /// (size num_chunks()). The generalization of predict_reduced() to an
@@ -165,10 +151,6 @@ class HdcClassifier {
   /// enabled.
   int predict_masked(const hdc::IntHV& query,
                      const std::vector<bool>& chunk_ok) const;
-
-  /// Masked-score of one class over the enabled chunks only.
-  double score_masked(const hdc::IntHV& query, std::size_t cls,
-                      const std::vector<bool>& chunk_ok) const;
 
   /// Quantize class elements to `bit_width` bits (two's complement),
   /// rescaling by the model's max magnitude; recomputes norms.
@@ -205,8 +187,35 @@ class HdcClassifier {
   void recompute_norms(std::size_t cls);
 
  private:
-  std::int64_t reduced_norm(std::size_t c, std::size_t dims_used,
-                            NormMode mode) const;
+  /// The chunks one similarity search reads: the first `prefix` chunks,
+  /// less those `mask` (when set) switches off. The norm is the sum of the
+  /// read chunks' sub-norms (Updated) or the full-model norm (Constant).
+  struct ChunkSet {
+    std::size_t prefix;
+    const std::vector<bool>* mask = nullptr;
+    NormMode mode = NormMode::kUpdated;
+  };
+  ChunkSet prefix_chunks(std::size_t dims_used, NormMode mode) const;
+  ChunkSet masked_chunks(const std::vector<bool>& chunk_ok) const;
+
+  /// Signed squared-cosine-numerator score of one class,
+  /// sign(H.C) * (H.C)^2 / ||C||^2 over the chunk set; the query is
+  /// assumed checked.
+  double class_score(const hdc::IntHV& query, std::size_t cls,
+                     const ChunkSet& on) const;
+
+  /// The similarity search every predict variant is: check the query once,
+  /// score each class over the chunk set, fixed-order argmax with margin.
+  Prediction scan(const hdc::IntHV& query, const ChunkSet& on) const;
+  std::vector<Prediction> scan_batch(std::span<const hdc::IntHV> queries,
+                                     const ChunkSet& on,
+                                     ThreadPool& pool) const;
+
+  /// Training-input check run before any class memory is written: equal
+  /// sample and label counts, labels in [0, num_classes), dims() elements
+  /// per sample. Throws std::invalid_argument prefixed with `who`.
+  void check_samples(std::span<const hdc::IntHV> encoded,
+                     std::span<const int> labels, const char* who) const;
 
   std::size_t dims_;
   std::size_t num_classes_;

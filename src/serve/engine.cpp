@@ -72,8 +72,6 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
 
   if (!chunk_ok.empty() && chunk_ok.size() != model_->num_chunks())
     throw std::invalid_argument("ServeEngine: chunk_ok size mismatch");
-  any_faulty_ =
-      std::find(chunk_ok.begin(), chunk_ok.end(), false) != chunk_ok.end();
   rung_mask_.resize(ladder_.size());
   rung_active_.resize(ladder_.size());
   report_.rungs.resize(ladder_.size());
@@ -81,22 +79,13 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
   rung_latency_ = std::vector<obs::Histogram>(ladder_.size());
   report_.versions.push_back(VersionStats{0, 0, 0});
   for (std::size_t r = 0; r < ladder_.size(); ++r) {
-    const std::size_t prefix = ladder_[r] / chunk;
-    if (any_faulty_) {
-      std::vector<bool> mask(model_->num_chunks(), false);
-      std::size_t active = 0;
-      for (std::size_t k = 0; k < prefix; ++k) {
-        mask[k] = chunk_ok[k];
-        if (mask[k]) ++active;
-      }
-      if (active == 0)
-        throw std::invalid_argument(
-            "ServeEngine: ladder rung has no healthy chunk");
-      rung_mask_[r] = std::move(mask);
-      rung_active_[r] = active;
-    } else {
-      rung_active_[r] = prefix;
-    }
+    rung_mask_[r] =
+        rung_mask(ladder_[r], chunk, model_->num_chunks(), chunk_ok);
+    rung_active_[r] = static_cast<std::size_t>(
+        std::count(rung_mask_[r].begin(), rung_mask_[r].end(), true));
+    if (rung_active_[r] == 0)
+      throw std::invalid_argument(
+          "ServeEngine: ladder rung has no healthy chunk");
     report_.rungs[r].dims = ladder_[r];
     report_.rungs[r].active_chunks = rung_active_[r];
   }
@@ -516,8 +505,7 @@ void ServeEngine::resolve_unserved(InFlight* f, Outcome o, std::uint64_t now) {
 void ServeEngine::defer_served(InFlight* f, std::uint64_t now) {
   f->finish_us = now;
   f->epoch = model_epoch_;
-  const bool reduced =
-      ladder_[f->rung] < model_->dims() || !rung_mask_[f->rung].empty();
+  const bool reduced = rung_active_[f->rung] < model_->num_chunks();
   f->outcome = reduced ? Outcome::kDegraded
                : f->attempts > 1 ? Outcome::kRetried
                                  : Outcome::kOk;
@@ -549,10 +537,7 @@ void ServeEngine::flush_rung(std::size_t rung) {
     qs.push_back(queries_[f->req.query]);
   }
   const std::vector<model::Prediction> preds =
-      rung_mask_[rung].empty()
-          ? model_->predict_reduced_margin_batch(
-                qs, ladder_[rung], model::NormMode::kUpdated, pool_)
-          : model_->predict_masked_margin_batch(qs, rung_mask_[rung], pool_);
+      model_->predict_masked_margin_batch(qs, rung_mask_[rung], pool_);
   VersionStats& vstats = report_.versions.back();
   for (std::size_t i = 0; i < b.size(); ++i) {
     InFlight* f = b[i];

@@ -6,11 +6,11 @@
 // retry with backoff, and the SLO-driven degradation ladder — and makes
 // them all on the VIRTUAL clock carried by the requests plus the
 // deterministic service-cost model, never the wall clock. Heavy compute
-// (the actual predictions) is deferred into fixed-size per-rung batches
-// flushed through HdcClassifier::predict_reduced_batch /
-// predict_masked_batch, whose results are bit-identical at any pool lane
-// count. Consequence: the generic.serve.v1 report is byte-identical for a
-// fixed (trace, config, seed) regardless of --threads.
+// (the actual predictions) is deferred into fixed-size per-rung batches,
+// each flushed through one HdcClassifier::predict_masked_margin_batch call
+// on the rung's chunk mask, whose results are bit-identical at any pool
+// lane count. Consequence: the generic.serve.v1 report is byte-identical
+// for a fixed (trace, config, seed) regardless of --threads.
 //
 // Virtual-time model:
 //  * cfg.servers service lanes; a request in service occupies one lane for
@@ -129,7 +129,7 @@ class ServeEngine {
   /// used only for the accuracy tallies in the report. `chunk_ok` (size
   /// model.num_chunks(), empty == all ok) marks faulty dimension blocks:
   /// serving then scores only ok chunks inside the active rung prefix
-  /// (predict_masked), the graceful-degradation path of
+  /// (the rung's chunk mask), the graceful-degradation path of
   /// resilience::BlockGuard. Throws if any ladder rung would have no ok
   /// chunk to score.
   ///
@@ -243,12 +243,11 @@ class ServeEngine {
   EncoderMemory* encoder_ = nullptr;
 
   std::vector<std::size_t> ladder_;
-  /// Per rung: combined chunk mask (ok AND inside the rung prefix) plus the
-  /// count of active chunks; masks_[r] is empty when the whole prefix is ok
-  /// (the cheaper predict_reduced path applies).
+  /// Per rung: the chunk mask every flush of the rung scores with (ok AND
+  /// inside the rung prefix; see rung_mask()) and its count of active
+  /// chunks.
   std::vector<std::vector<bool>> rung_mask_;
   std::vector<std::size_t> rung_active_;
-  bool any_faulty_ = false;
 
   BoundedQueue<Item> ingress_;
   std::thread control_;

@@ -40,6 +40,35 @@ std::vector<std::size_t> dims_ladder(std::size_t dims, std::size_t chunk,
   return ladder;
 }
 
+std::vector<bool> rung_mask(std::size_t dims, std::size_t chunk,
+                            std::size_t num_chunks,
+                            const std::vector<bool>& chunk_ok) {
+  std::vector<bool> mask(num_chunks, false);
+  for (std::size_t k = 0; k < dims / chunk; ++k)
+    mask[k] = chunk_ok.empty() || chunk_ok[k];
+  return mask;
+}
+
+std::vector<Request> poisson_trace(std::uint64_t seed, std::size_t n,
+                                   std::size_t rate_rps,
+                                   std::uint64_t deadline_us,
+                                   std::size_t num_queries) {
+  Rng gen(seed ^ 0x0A11CE5ULL);
+  const double mean_gap_us = 1e6 / static_cast<double>(rate_rps);
+  std::vector<Request> trace(n);
+  std::uint64_t vt = 0;
+  for (std::size_t id = 0; id < n; ++id) {
+    const double gap = -std::log(1.0 - gen.uniform()) * mean_gap_us;
+    vt += static_cast<std::uint64_t>(std::max<long long>(std::llround(gap), 1));
+    Request& r = trace[id];
+    r.id = id;
+    r.arrival_us = vt;
+    r.deadline_us = vt + deadline_us;
+    r.query = static_cast<std::size_t>(gen.below(num_queries));
+  }
+  return trace;
+}
+
 std::uint64_t BackoffPolicy::delay_us(std::uint32_t attempt, Rng& rng) const {
   if (attempt == 0) throw std::invalid_argument("backoff: attempt is 1-based");
   const double exp = static_cast<double>(base_us_) *

@@ -23,6 +23,24 @@ namespace generic::serve {
 std::vector<std::size_t> dims_ladder(std::size_t dims, std::size_t chunk,
                                      std::size_t min_dims);
 
+/// Chunk mask one ladder rung scores with: the first dims / chunk of
+/// `num_chunks` chunks, AND `chunk_ok` when it is non-empty (size
+/// num_chunks). A full-dims rung of a healthy model is all true.
+std::vector<bool> rung_mask(std::size_t dims, std::size_t chunk,
+                            std::size_t num_chunks,
+                            const std::vector<bool>& chunk_ok);
+
+/// Seeded open-loop Poisson load: `n` requests (ids 0..n-1) whose
+/// inter-arrival gaps on the virtual clock are exponential with mean
+/// 1e6 / rate_rps us (at least 1 us), each querying a uniform draw from
+/// [0, num_queries) with deadline arrival + deadline_us. The draws come
+/// from Rng(seed ^ 0x0A11CE5), so a trace is a pure function of its
+/// arguments.
+std::vector<Request> poisson_trace(std::uint64_t seed, std::size_t n,
+                                   std::size_t rate_rps,
+                                   std::uint64_t deadline_us,
+                                   std::size_t num_queries);
+
 /// Exponential backoff with deterministic jitter:
 ///   delay(attempt) = base * 2^(attempt-1) * (1 + jitter * (2u - 1))
 /// where u is drawn from the caller's per-request rng stream. attempt is

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
 #include "model/pipeline.h"
@@ -149,11 +153,60 @@ TEST(HdcClassifier, ReducedDimsUpdatedBeatsConstant) {
 TEST(HdcClassifier, ScoreValidation) {
   HdcClassifier clf(256, 2, 64);
   hdc::IntHV q(256, 0);
-  EXPECT_THROW(clf.score(q, 0, 100, NormMode::kUpdated), std::invalid_argument);
-  EXPECT_THROW(clf.score(q, 0, 0, NormMode::kUpdated), std::invalid_argument);
-  hdc::IntHV bad(128, 0);
-  EXPECT_THROW(clf.score(bad, 0, 128, NormMode::kUpdated),
+  EXPECT_THROW(clf.predict_reduced(q, 100, NormMode::kUpdated),
                std::invalid_argument);
+  EXPECT_THROW(clf.predict_reduced(q, 0, NormMode::kUpdated),
+               std::invalid_argument);
+  EXPECT_THROW(clf.predict_reduced(q, 320, NormMode::kUpdated),
+               std::invalid_argument);
+  hdc::IntHV bad(128, 0);
+  EXPECT_THROW(clf.predict_reduced(bad, 128, NormMode::kUpdated),
+               std::invalid_argument);
+  EXPECT_THROW(clf.predict(bad), std::invalid_argument);
+  EXPECT_THROW(clf.predict_masked(q, {true, true}), std::invalid_argument);
+  EXPECT_THROW(clf.predict_masked(q, {false, false, false, false}),
+               std::invalid_argument);
+}
+
+// A label outside [0, num_classes) must be rejected before any class
+// vector or sub-norm is written: a half-applied update would leave the
+// norm2 memory disagreeing with the class vectors, which BlockGuard reads
+// as corruption.
+TEST(HdcClassifier, BadLabelLeavesClassMemoryUntouched) {
+  const auto s = make_synth(512, 3, 10, 0.45, 23);
+  HdcClassifier trained(512, 3);
+  trained.train_init(s.train, s.train_y);
+  ThreadPool pool(2);
+  for (const int bad : {3, -1}) {
+    // Every earlier sample is valid, so a late check would already have
+    // bundled or updated before reaching the bad one.
+    std::vector<int> labels = s.train_y;
+    labels.back() = bad;
+    using Step = std::function<void(HdcClassifier&)>;
+    const std::pair<const char*, Step> steps[] = {
+        {"train_init",
+         [&](HdcClassifier& m) { m.train_init(s.train, labels); }},
+        {"retrain_epoch",
+         [&](HdcClassifier& m) { m.retrain_epoch(s.train, labels); }},
+        {"train_batch",
+         [&](HdcClassifier& m) { m.train_batch(s.train, labels, pool); }},
+        {"retrain_epoch_parallel",
+         [&](HdcClassifier& m) {
+           m.retrain_epoch_parallel(s.train, labels, pool);
+         }},
+    };
+    for (const auto& [name, step] : steps) {
+      HdcClassifier m = trained;
+      EXPECT_THROW(step(m), std::invalid_argument) << name << " label=" << bad;
+      for (std::size_t c = 0; c < m.num_classes(); ++c) {
+        EXPECT_EQ(m.class_vector(c), trained.class_vector(c))
+            << name << " label=" << bad << " class=" << c;
+        for (std::size_t k = 0; k < m.num_chunks(); ++k)
+          EXPECT_EQ(m.chunk_norm(c, k), trained.chunk_norm(c, k))
+              << name << " label=" << bad << " class=" << c;
+      }
+    }
+  }
 }
 
 class QuantizeTest : public ::testing::TestWithParam<int> {};

@@ -80,12 +80,14 @@ std::vector<bool> prefix_mask(std::size_t chunks, std::size_t on) {
   return m;
 }
 
-/// Predictions with margins of one ladder rung.
+/// Predictions with margins of one ladder rung, one query at a time.
 std::vector<Prediction> rung_scan(const HdcClassifier& clf,
                                   const std::vector<hdc::IntHV>& queries,
-                                  std::size_t dims, NormMode mode,
-                                  ThreadPool& pool) {
-  return clf.predict_reduced_margin_batch(queries, dims, mode, pool);
+                                  std::size_t dims, NormMode mode) {
+  std::vector<Prediction> out;
+  for (const auto& q : queries)
+    out.push_back(clf.predict_reduced_margin(q, dims, mode));
+  return out;
 }
 
 void render(std::string& out, const char* tag,
@@ -109,7 +111,7 @@ std::string render_model(const HdcClassifier& clf,
     for (const NormMode mode : {NormMode::kUpdated, NormMode::kConstant}) {
       std::snprintf(tag, sizeof tag, "rung=%zu %s", dims,
                     mode == NormMode::kUpdated ? "updated" : "constant");
-      render(out, tag, rung_scan(clf, queries, dims, mode, pool));
+      render(out, tag, rung_scan(clf, queries, dims, mode));
     }
   }
   const std::size_t n = clf.num_chunks();
@@ -223,19 +225,19 @@ TEST(ScoringGolden, MarginBatchesMatchSerial) {
   clf.quantize(8);
   ThreadPool serial_pool(1);
   ThreadPool wide(7);
-  for (const std::size_t dims : {kDims, 3 * kChunk}) {
-    for (const NormMode mode : {NormMode::kUpdated, NormMode::kConstant}) {
-      const auto one = rung_scan(clf, f.queries, dims, mode, serial_pool);
-      const auto many = clf.predict_reduced_margin_batch(f.queries, dims,
-                                                         mode, wide);
-      ASSERT_EQ(many.size(), f.queries.size());
-      for (std::size_t i = 0; i < f.queries.size(); ++i) {
-        EXPECT_EQ(many[i].cls, clf.predict_reduced(f.queries[i], dims, mode));
-        EXPECT_EQ(many[i].cls, one[i].cls);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(many[i].margin),
-                  std::bit_cast<std::uint64_t>(one[i].margin))
-            << "dims=" << dims << " q=" << i;
-      }
+  for (std::size_t k = 1; k <= clf.num_chunks(); ++k) {
+    const std::size_t dims = k * kChunk;
+    const auto one = rung_scan(clf, f.queries, dims, NormMode::kUpdated);
+    const auto many = clf.predict_masked_margin_batch(
+        f.queries, prefix_mask(clf.num_chunks(), k), wide);
+    ASSERT_EQ(many.size(), f.queries.size());
+    for (std::size_t i = 0; i < f.queries.size(); ++i) {
+      EXPECT_EQ(many[i].cls,
+                clf.predict_reduced(f.queries[i], dims, NormMode::kUpdated));
+      EXPECT_EQ(many[i].cls, one[i].cls);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(many[i].margin),
+                std::bit_cast<std::uint64_t>(one[i].margin))
+          << "dims=" << dims << " q=" << i;
     }
   }
   std::vector<bool> holes(clf.num_chunks(), true);

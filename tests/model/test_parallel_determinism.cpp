@@ -205,16 +205,25 @@ TEST_P(ParallelDeterminismTest, PredictReducedBatchMatchesSerial) {
   HdcClassifier clf(512, ds.num_classes);
   clf.fit(train, ds.train_y, 5);
 
+  // A ladder rung is the mask of its chunk prefix; the serving engine
+  // flushes every rung through the masked margin batch.
   for (const std::size_t dims_used : {512ul, 256ul, 128ul}) {
-    std::vector<int> serial;
+    std::vector<Prediction> serial;
     for (const auto& q : test)
-      serial.push_back(clf.predict_reduced(q, dims_used, NormMode::kUpdated));
+      serial.push_back(
+          clf.predict_reduced_margin(q, dims_used, NormMode::kUpdated));
+    std::vector<bool> prefix(clf.num_chunks(), false);
+    for (std::size_t k = 0; k < dims_used / 128; ++k) prefix[k] = true;
     for (std::size_t lanes : kLaneCounts) {
       ThreadPool pool(lanes);
-      EXPECT_EQ(clf.predict_reduced_batch(test, dims_used, NormMode::kUpdated,
-                                          pool),
-                serial)
-          << "dims=" << dims_used << " lanes=" << lanes;
+      const auto batch = clf.predict_masked_margin_batch(test, prefix, pool);
+      ASSERT_EQ(batch.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(batch[i].cls, serial[i].cls)
+            << "dims=" << dims_used << " lanes=" << lanes << " i=" << i;
+        EXPECT_EQ(batch[i].margin, serial[i].margin)
+            << "dims=" << dims_used << " lanes=" << lanes << " i=" << i;
+      }
     }
   }
 }
@@ -233,8 +242,10 @@ TEST_P(ParallelDeterminismTest, PredictMaskedBatchMatchesSerial) {
   for (const auto& q : test) serial.push_back(clf.predict_masked(q, chunk_ok));
   for (std::size_t lanes : kLaneCounts) {
     ThreadPool pool(lanes);
-    EXPECT_EQ(clf.predict_masked_batch(test, chunk_ok, pool), serial)
-        << "lanes=" << lanes;
+    const auto batch = clf.predict_masked_margin_batch(test, chunk_ok, pool);
+    std::vector<int> cls;
+    for (const Prediction& p : batch) cls.push_back(p.cls);
+    EXPECT_EQ(cls, serial) << "lanes=" << lanes;
   }
 }
 

@@ -9,11 +9,9 @@
 // at any lane count.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "golden.h"
 #include "hdc/kernels.h"
@@ -48,21 +46,7 @@ ServeConfig stress_config() {
 /// queueing, shedding, degradation, timeouts, retries).
 std::vector<Request> make_trace(const ServeConfig& cfg, std::size_t n,
                                 std::size_t num_queries) {
-  Rng gen(cfg.seed ^ 0x0A11CE5ull);
-  std::vector<Request> trace;
-  std::uint64_t vt = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double gap = -std::log(1.0 - gen.uniform()) * 400.0;
-    vt += static_cast<std::uint64_t>(
-        std::max<long long>(std::llround(gap), 1));
-    Request r;
-    r.id = i;
-    r.arrival_us = vt;
-    r.deadline_us = vt + cfg.deadline_us;
-    r.query = static_cast<std::size_t>(gen.below(num_queries));
-    trace.push_back(r);
-  }
-  return trace;
+  return poisson_trace(cfg.seed, n, 2500, cfg.deadline_us, num_queries);
 }
 
 std::string run_once(const test::TinyWorkload& w,

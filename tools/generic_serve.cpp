@@ -50,7 +50,6 @@
 // then rematerializes the rows from their seeds (CRC-verified, the
 // docs/resilience.md self-healing path).
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -222,23 +221,12 @@ int run(int argc, char** argv) {
   serve::ServeEngine engine(clf, test, ds.test_y, cfg, pool, chunk_ok,
                             nullptr, encoder_hook.get());
 
-  // Seeded open-loop Poisson load: exponential inter-arrival gaps on the
-  // virtual clock, query drawn uniformly from the test set.
-  Rng gen(cfg.seed ^ 0x0A11CE5ULL);
-  const double mean_gap_us = 1e6 / static_cast<double>(rate_rps);
-  std::uint64_t vt = 0;
+  // Seeded open-loop Poisson load over the test set.
   std::vector<serve::ResponseFuture> futures;
   futures.reserve(requests);
-  for (std::size_t id = 0; id < requests; ++id) {
-    const double gap = -std::log(1.0 - gen.uniform()) * mean_gap_us;
-    vt += static_cast<std::uint64_t>(std::max<long long>(std::llround(gap), 1));
-    serve::Request req;
-    req.id = id;
-    req.arrival_us = vt;
-    req.deadline_us = vt + cfg.deadline_us;
-    req.query = static_cast<std::size_t>(gen.below(test.size()));
+  for (const serve::Request& req : serve::poisson_trace(
+           cfg.seed, requests, rate_rps, cfg.deadline_us, test.size()))
     futures.push_back(engine.submit(req));
-  }
   const serve::ServeReport report = engine.finish();
 
   // Cross-check: the futures the callers hold must tell the same story as
