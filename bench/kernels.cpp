@@ -1,14 +1,19 @@
-// Microbenchmark for the runtime-dispatched XOR+popcount kernel backends
-// (hdc/kernels.h) and the stored-vs-rematerialized item/level memory trade
+// Microbenchmark for the runtime-dispatched kernel backends (hdc/kernels.h)
+// and the stored-vs-rematerialized item/level memory trade
 // (hdc/item_memory.h).
 //
 // For every backend available on this host it measures:
 //   * hamming_blocked  — one query vs one reference (1v1 span kernel)
-//   * nearest_hamming  — one query vs `--classes` rows (the tile×rows
-//                        kernel that dominates classification/serving)
-// and reports Mwords/s plus speedup vs the forced-scalar reference. Every
-// measured distance is cross-checked against scalar before timing: a
-// backend that is fast but wrong fails loudly here, not in production.
+//   * nearest_hamming  — one query vs `--classes` rows (the binary
+//                        model's tile×rows kernel)
+//   * dot_tile         — 32-query blocks (the serving engine's flush size)
+//                        × 26 int32 classes over a prefix of `--dims`
+//                        halved down to 512: every HdcClassifier
+//                        prediction's tile, one serving rung per row
+// and reports throughput plus speedup vs the forced-scalar reference.
+// Every measured distance and dot product is cross-checked against scalar
+// before timing: a backend that is fast but wrong fails loudly here, not in
+// production.
 //
 // The remat section times GenericEncoder encode throughput with stored vs
 // rematerialized level memory and reports both footprints — the
@@ -18,6 +23,8 @@
 //   kernels.<backend>.blocked_mwords_per_s
 //   kernels.<backend>.nearest_mwords_per_s
 //   kernels.<backend>.nearest_speedup_milli   (1000 = scalar parity)
+//   kernels.<backend>.dot_tile_ns_per_query.<dims>
+//   kernels.<backend>.dot_tile_speedup_milli.<dims>
 //   remat.encode_stored_ns_per_sample / remat.encode_remat_ns_per_sample
 //   remat.recompute_overhead_milli
 //   remat.footprint.stored_payload_bytes / remat.footprint.remat_payload_bytes
@@ -76,6 +83,35 @@ double measure_mwords(F&& body, double words_per_rep, double target_s) {
 void set_gauge(const std::string& name, double v) {
   obs::Registry::instance().gauge(name).set(
       v < 0 ? 0 : static_cast<std::uint64_t>(v + 0.5));
+}
+
+/// Serving-shaped int32 operands for the dot tile: queries and classes at
+/// the magnitudes a trained ISOLET-sized model holds (|q| <= 60, |c| <=
+/// 3000), so backends take the narrow path the serving engine takes.
+struct TileWorkload {
+  static constexpr std::size_t kClasses = 26;
+  static constexpr std::size_t kQueries = 32;
+  std::vector<hdc::IntHV> queries;
+  std::vector<hdc::IntHV> classes;
+  std::vector<const std::int32_t*> query_rows;
+  std::vector<const std::int32_t*> class_rows;
+};
+
+TileWorkload make_tile_workload(std::size_t dims) {
+  Rng rng(0xD07711E);
+  TileWorkload w;
+  auto fill = [&](std::vector<hdc::IntHV>& rows, std::size_t n,
+                  std::int64_t bound) {
+    rows.assign(n, hdc::IntHV(dims));
+    for (auto& row : rows)
+      for (auto& v : row)
+        v = static_cast<std::int32_t>(rng.range(-bound, bound));
+  };
+  fill(w.queries, TileWorkload::kQueries, 60);
+  fill(w.classes, TileWorkload::kClasses, 3000);
+  for (const auto& q : w.queries) w.query_rows.push_back(q.data());
+  for (const auto& c : w.classes) w.class_rows.push_back(c.data());
+  return w;
 }
 
 }  // namespace
@@ -147,6 +183,58 @@ int main(int argc, char** argv) {
     set_gauge("kernels." + name + ".blocked_mwords_per_s", blocked);
     set_gauge("kernels." + name + ".nearest_mwords_per_s", nearest);
     set_gauge("kernels." + name + ".nearest_speedup_milli", speedup * 1000.0);
+  }
+
+  // ---- query x class dot tile, one serving rung per row --------------------
+  const TileWorkload tw = make_tile_workload(dims);
+  std::vector<std::size_t> rungs;
+  for (std::size_t d = dims; d >= 512; d /= 2) rungs.push_back(d);
+  const std::size_t tile_out = TileWorkload::kQueries * TileWorkload::kClasses;
+  auto run_tile = [&](const k::Kernels& table, std::size_t rung,
+                      std::int64_t* out) {
+    const k::DimRun run{0, rung};
+    table.dot_tile(tw.query_rows.data(), TileWorkload::kQueries,
+                   tw.class_rows.data(), TileWorkload::kClasses, &run, 1, out);
+  };
+  std::vector<std::vector<std::int64_t>> want_tile(rungs.size());
+  for (std::size_t r = 0; r < rungs.size(); ++r) {
+    want_tile[r].resize(tile_out);
+    run_tile(k::get(k::Backend::kScalar), rungs[r], want_tile[r].data());
+  }
+
+  std::printf("\ndot_tile: %zu queries x %zu classes, ns per query\n",
+              TileWorkload::kQueries, TileWorkload::kClasses);
+  std::printf("%-8s", "backend");
+  for (std::size_t rung : rungs) std::printf(" %10zu", rung);
+  std::printf("\n");
+  bench::print_rule(9 + 11 * rungs.size());
+  std::vector<double> scalar_ns(rungs.size(), 0.0);
+  for (k::Backend backend : k::compiled_backends()) {
+    if (!k::available(backend)) continue;
+    const k::Kernels& table = k::get(backend);
+    const std::string name(k::to_string(backend));
+    std::vector<std::int64_t> got(tile_out);
+    std::printf("%-8s", name.c_str());
+    for (std::size_t r = 0; r < rungs.size(); ++r) {
+      run_tile(table, rungs[r], got.data());
+      if (got != want_tile[r]) {
+        std::fprintf(stderr, "%s: dot_tile diverged from scalar at %zu dims\n",
+                     name.c_str(), rungs[r]);
+        return 1;
+      }
+      // measure_mwords counts calls here: Mcalls/s -> ns per query.
+      const double mcalls = measure_mwords(
+          [&] { run_tile(table, rungs[r], got.data()); }, 1.0, target_s);
+      const double ns = 1e3 / mcalls / TileWorkload::kQueries;
+      if (backend == k::Backend::kScalar) scalar_ns[r] = ns;
+      const double speedup = ns > 0 ? scalar_ns[r] / ns : 0;
+      std::printf(" %10.0f", ns);
+      const std::string dims_tag = "." + std::to_string(rungs[r]);
+      set_gauge("kernels." + name + ".dot_tile_ns_per_query" + dims_tag, ns);
+      set_gauge("kernels." + name + ".dot_tile_speedup_milli" + dims_tag,
+                speedup * 1000.0);
+    }
+    std::printf("\n");
   }
 
   // ---- stored vs rematerialized memories ---------------------------------

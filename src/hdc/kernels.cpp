@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "hdc/kernels_detail.h"
 
@@ -24,6 +25,12 @@ std::string available_names() {
 }
 
 }  // namespace
+
+std::int16_t* detail::i16_scratch(std::size_t n) {
+  thread_local std::vector<std::int16_t> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
 
 std::string_view to_string(Backend backend) {
   switch (backend) {
@@ -70,6 +77,7 @@ bool cpu_supports(Backend backend) {
     case Backend::kAvx512:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512vpopcntdq") != 0;
 #else
       return false;

@@ -1,17 +1,21 @@
-// Runtime-dispatched XOR+popcount kernels — the one place every binary
-// similarity search bottoms out (docs/kernels.md).
+// Runtime-dispatched integer kernels — the one place every similarity
+// search bottoms out (docs/kernels.md): XOR+popcount for binary models and
+// the query×class int32 dot tile every HdcClassifier prediction scores
+// through.
 //
-// The blocked scalar kernels in hdc/ops.h are exact integer reductions, so
-// any backend that computes the same sums is bit-identical by construction:
-// vectorization here can never disturb the determinism contract of
-// docs/parallelism.md. What the dispatch layer adds is the choice of HOW
-// the popcounts are computed:
+// Both are exact integer reductions, so any backend that computes the same
+// sums is bit-identical by construction: vectorization here can never
+// disturb the determinism contract of docs/parallelism.md. What the
+// dispatch layer adds is the choice of HOW the sums are computed:
 //
-//   scalar  portable reference: 4-way unrolled hardware popcount, compiled
-//           with vectorization disabled so it stays the honest baseline
-//   avx2    pshufb nibble-lookup popcount, 8-bit lane accumulation (x86)
-//   avx512  vpopcntq over 512-bit lanes, 2-row interleave (x86 + VPOPCNTDQ)
-//   neon    vcnt + widening pairwise accumulation (aarch64)
+//   scalar  portable reference: 4-way unrolled hardware popcount and a
+//           plain int64 dot loop, compiled with vectorization disabled so
+//           it stays the honest baseline
+//   avx2    pshufb nibble-lookup popcount; dot tile on _mm256_mul_epi32,
+//           or _mm256_madd_epi16 when an operand bound proves int16 exact
+//   avx512  vpopcntq over 512-bit lanes; the same dot tile on 512-bit
+//           lanes (x86 + VPOPCNTDQ + BW)
+//   neon    vcnt + widening pairwise accumulation (aarch64); scalar tile
 //
 // Selection is runtime CPU-feature detection ("auto" picks the best
 // available), overridable by the GENERIC_KERNEL_BACKEND environment
@@ -20,8 +24,8 @@
 // a clear error rather than silently falling back.
 //
 // Every backend must be byte-identical to scalar — same distances, same
-// argmin winners — which tests/hdc/kernel_equivalence_test.cpp asserts for
-// every compiled backend across ragged dimension sweeps.
+// dot products, same winners — which tests/hdc/kernel_equivalence_test.cpp
+// asserts for every compiled backend across ragged shapes.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +43,15 @@ enum class Backend {
   kNeon,
 };
 
-/// The dispatch table one backend fills in. Both entry points are exact:
-/// they return the same integers the scalar reference computes.
+/// A half-open run [begin, end) of dimensions a dot tile sums over — the
+/// dims of one maximal run of enabled 128-dim chunks.
+struct DimRun {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The dispatch table one backend fills in. Every entry point is exact: it
+/// returns the same integers the scalar reference computes.
 struct Kernels {
   Backend backend = Backend::kScalar;
   const char* name = "scalar";
@@ -55,6 +66,18 @@ struct Kernels {
   void (*xor_popcount_many)(const std::uint64_t* q,
                             const std::uint64_t* const* refs, std::size_t rows,
                             std::size_t words, std::size_t* out) = nullptr;
+
+  /// out[q * nc + c] = Σ queries[q][j] * classes[c][j] over every j of the
+  /// `nruns` runs: int32 products summed in int64, for `nq` query rows ×
+  /// `nc` class rows. Exact for any int32 operands — the true sum whenever
+  /// it fits in int64, the scalar reference's two's-complement wrap when it
+  /// does not. A backend may narrow operands to int16 only when a bound
+  /// computed from this call's operands proves the narrow sums exact
+  /// (docs/kernels.md); nothing about the operands is cached between calls.
+  void (*dot_tile)(const std::int32_t* const* queries, std::size_t nq,
+                   const std::int32_t* const* classes, std::size_t nc,
+                   const DimRun* runs, std::size_t nruns,
+                   std::int64_t* out) = nullptr;
 };
 
 /// Canonical lower-case name: "scalar", "avx2", "avx512", "neon".

@@ -1,4 +1,5 @@
-// AVX2 backend: Muła pshufb nibble-lookup popcount.
+// AVX2 backend: Muła pshufb nibble-lookup popcount, and the dot tile of
+// hdc/kernels_tile.h on 256-bit lanes.
 //
 // Each 256-bit lane of a ^ b is split into nibbles, counted through a
 // 16-entry shuffle table, and accumulated in 8-bit lanes. Blocks are capped
@@ -11,6 +12,8 @@
 #include "hdc/kernels_detail.h"
 
 #if defined(GENERIC_KERNELS_HAVE_AVX2)
+
+#include "hdc/kernels_tile.h"
 
 #include <immintrin.h>
 
@@ -132,11 +135,36 @@ void avx2_xor_popcount_many(const std::uint64_t* q,
   for (; r < rows; ++r) out[r] += avx2_xor_popcount(q, refs[r], words);
 }
 
+/// The vector ops kernels_tile.h is written over, on 256-bit lanes.
+struct Avx2 {
+  using V = __m256i;
+  static constexpr std::size_t kInt32Lanes = 8;
+  static constexpr std::size_t kInt16Lanes = 16;
+  static V zero() { return _mm256_setzero_si256(); }
+  static V load(const void* p) {
+    return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+  }
+  static V add32(V a, V b) { return _mm256_add_epi32(a, b); }
+  static V add64(V a, V b) { return _mm256_add_epi64(a, b); }
+  /// Odd int32 lanes moved into the even slots mul_even reads.
+  static V odd(V a) { return _mm256_srli_epi64(a, 32); }
+  /// Signed products of the even int32 lanes, as int64 lanes.
+  static V mul_even(V a, V b) { return _mm256_mul_epi32(a, b); }
+  static V madd16(V a, V b) { return _mm256_madd_epi16(a, b); }
+  /// Eight int32 lanes summed pairwise into four int64 lanes.
+  static V widen(V a) {
+    return _mm256_add_epi64(
+        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(a)),
+        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(a, 1)));
+  }
+  static std::uint64_t hsum64(V a) { return fold_u64(a); }
+};
+
 }  // namespace
 
 const Kernels& avx2_table() {
   static const Kernels k{Backend::kAvx2, "avx2", &avx2_xor_popcount,
-                         &avx2_xor_popcount_many};
+                         &avx2_xor_popcount_many, &dot_tile<Avx2>};
   return k;
 }
 

@@ -1,17 +1,21 @@
-// AVX-512 backend: native vpopcntq over 512-bit lanes.
+// AVX-512 backend: native vpopcntq over 512-bit lanes, and the dot tile of
+// hdc/kernels_tile.h on 512-bit lanes.
 //
-// Requires AVX512F + AVX512VPOPCNTDQ (Ice Lake and later; dispatch checks
-// both at runtime). The many-rows kernel interleaves two reference rows per
-// pass so each 512-bit query load is amortized across two XOR+popcount
-// chains — that, not the popcount itself, is where the wins over scalar
-// come from at typical 64-word (4096-dim) rows. Exact integer sums, so
+// Requires AVX512F + AVX512BW + AVX512VPOPCNTDQ (Ice Lake and later;
+// dispatch checks all three at runtime; BW is the tile's vpmaddwd). The
+// many-rows kernel interleaves two reference rows per pass so each 512-bit
+// query load is amortized across two XOR+popcount chains — that, not the
+// popcount itself, is where the wins over scalar come from at typical
+// 64-word (4096-dim) rows. Exact integer sums, so
 // bit-identical to the scalar reference by construction.
 //
-// This TU is compiled with -mavx512f -mavx512vpopcntdq (see
+// This TU is compiled with -mavx512f -mavx512bw -mavx512vpopcntdq (see
 // src/hdc/CMakeLists.txt).
 #include "hdc/kernels_detail.h"
 
 #if defined(GENERIC_KERNELS_HAVE_AVX512)
+
+#include "hdc/kernels_tile.h"
 
 #include <immintrin.h>
 
@@ -80,11 +84,36 @@ void avx512_xor_popcount_many(const std::uint64_t* q,
   for (; r < rows; ++r) out[r] += avx512_xor_popcount(q, refs[r], words);
 }
 
+/// The vector ops kernels_tile.h is written over, on 512-bit lanes.
+struct Avx512 {
+  using V = __m512i;
+  static constexpr std::size_t kInt32Lanes = 16;
+  static constexpr std::size_t kInt16Lanes = 32;
+  static V zero() { return _mm512_setzero_si512(); }
+  static V load(const void* p) { return _mm512_loadu_si512(p); }
+  static V add32(V a, V b) { return _mm512_add_epi32(a, b); }
+  static V add64(V a, V b) { return _mm512_add_epi64(a, b); }
+  /// Odd int32 lanes moved into the even slots mul_even reads.
+  static V odd(V a) { return _mm512_srli_epi64(a, 32); }
+  /// Signed products of the even int32 lanes, as int64 lanes.
+  static V mul_even(V a, V b) { return _mm512_mul_epi32(a, b); }
+  static V madd16(V a, V b) { return _mm512_madd_epi16(a, b); }
+  /// Sixteen int32 lanes summed pairwise into eight int64 lanes.
+  static V widen(V a) {
+    return _mm512_add_epi64(
+        _mm512_cvtepi32_epi64(_mm512_castsi512_si256(a)),
+        _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(a, 1)));
+  }
+  static std::uint64_t hsum64(V a) {
+    return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a));
+  }
+};
+
 }  // namespace
 
 const Kernels& avx512_table() {
   static const Kernels k{Backend::kAvx512, "avx512", &avx512_xor_popcount,
-                         &avx512_xor_popcount_many};
+                         &avx512_xor_popcount_many, &dot_tile<Avx512>};
   return k;
 }
 

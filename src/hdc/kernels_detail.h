@@ -6,11 +6,25 @@
 // compiled in (GENERIC_KERNELS_HAVE_*).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
 #include "hdc/kernels.h"
 
 namespace generic::hdc::kernels::detail {
 
 const Kernels& scalar_table();
+
+/// The reference dot tile; backends without a tile of their own point at it.
+void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
+                     const std::int32_t* const* classes, std::size_t nc,
+                     const DimRun* runs, std::size_t nruns, std::int64_t* out);
+
+/// Per-thread int16 scratch of at least `n` elements for the narrow dot
+/// tile's operand pack. Defined in kernels.cpp, which no ISA flag reaches,
+/// so the buffer's allocation code is never built for a wider ISA than the
+/// host has. Contents are garbage on entry; the buffer only ever grows.
+std::int16_t* i16_scratch(std::size_t n);
 
 #if defined(GENERIC_KERNELS_HAVE_AVX2)
 const Kernels& avx2_table();

@@ -4,7 +4,8 @@
 // compile-time gate. vaddlvq_u8 folds the 16 per-byte counts of each
 // 128-bit XOR into one u16 (max 128, no saturation possible), keeping the
 // kernel simple and exactly equal to the scalar reference. The many-rows
-// kernel shares each query load across two rows.
+// kernel shares each query load across two rows. The dot tile is the
+// scalar reference's until an aarch64 host can test a NEON one.
 #include "hdc/kernels_detail.h"
 
 #if defined(GENERIC_KERNELS_HAVE_NEON)
@@ -66,7 +67,7 @@ void neon_xor_popcount_many(const std::uint64_t* q,
 
 const Kernels& neon_table() {
   static const Kernels k{Backend::kNeon, "neon", &neon_xor_popcount,
-                         &neon_xor_popcount_many};
+                         &neon_xor_popcount_many, &scalar_dot_tile};
   return k;
 }
 

@@ -6,7 +6,7 @@
 // "scalar" silently depend on the build machine and turn every
 // scalar-vs-SIMD benchmark into a lie. Disabling vectorization keeps it the
 // honest portable baseline: 4-way unrolled hardware popcount, one word at a
-// time.
+// time — and a plain int64 dot loop for the query×class tile.
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -43,9 +43,28 @@ void scalar_xor_popcount_many(const std::uint64_t* q,
 
 }  // namespace
 
+void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
+                     const std::int32_t* const* classes, std::size_t nc,
+                     const DimRun* runs, std::size_t nruns,
+                     std::int64_t* out) {
+  for (std::size_t q = 0; q < nq; ++q)
+    for (std::size_t c = 0; c < nc; ++c) {
+      const std::int32_t* qr = queries[q];
+      const std::int32_t* cr = classes[c];
+      // Unsigned accumulation: each int32 product is exact in int64, and
+      // the sum wraps (instead of overflowing) for operands no model holds.
+      std::uint64_t acc = 0;
+      for (std::size_t r = 0; r < nruns; ++r)
+        for (std::size_t j = runs[r].begin; j < runs[r].end; ++j)
+          acc += static_cast<std::uint64_t>(static_cast<std::int64_t>(qr[j]) *
+                                            cr[j]);
+      out[q * nc + c] = static_cast<std::int64_t>(acc);
+    }
+}
+
 const Kernels& scalar_table() {
   static const Kernels k{Backend::kScalar, "scalar", &scalar_xor_popcount,
-                         &scalar_xor_popcount_many};
+                         &scalar_xor_popcount_many, &scalar_dot_tile};
   return k;
 }
 

@@ -7,13 +7,31 @@
 #include <string>
 #include <stdexcept>
 
+#include "hdc/kernels.h"
 #include "obs/obs.h"
 
 namespace generic::model {
 namespace {
 
+/// Signed squared-cosine numerator of one class, sign(H.C) * (H.C)^2 /
+/// ||C||^2 over the chunks read; 0 for a class whose read chunks are all
+/// zero.
+double signed_square_score(std::int64_t dot, std::int64_t n2) {
+  if (n2 == 0) return 0.0;
+  const double num =
+      static_cast<double>(dot) * static_cast<double>(std::abs(dot));
+  return num / static_cast<double>(n2);
+}
+
+std::vector<const hdc::IntHV*> row_pointers(
+    std::span<const hdc::IntHV> queries) {
+  std::vector<const hdc::IntHV*> rows(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) rows[i] = &queries[i];
+  return rows;
+}
+
 /// The one fixed-order argmax (first maximum wins) with runner-up
-/// tracking, shared by the scan and retrain_epoch_parallel. The margin is
+/// tracking every similarity search ends in. The margin is
 /// NORMALIZED: (best - second) / (|best| + |second|), which lands in
 /// [0, 1] regardless of dims, bit width or norm magnitudes — so
 /// downstream consumers (the lifecycle drift detector) can use scale-free
@@ -71,17 +89,20 @@ std::size_t HdcClassifier::retrain_epoch(std::span<const hdc::IntHV> encoded,
   std::size_t updates = 0;
   for (std::size_t i = 0; i < encoded.size(); ++i) {
     const int pred = predict(encoded[i]);
-    const int truth = labels[i];
-    if (pred == truth) continue;
+    if (pred == labels[i]) continue;
     ++updates;
-    hdc::add_into(classes_[static_cast<std::size_t>(pred)], encoded[i], -1);
-    hdc::add_into(classes_[static_cast<std::size_t>(truth)], encoded[i], +1);
-    // Only the two touched classes need their norms refreshed.
-    recompute_norms(static_cast<std::size_t>(pred));
-    recompute_norms(static_cast<std::size_t>(truth));
+    move_sample(encoded[i], pred, labels[i]);
   }
   GENERIC_COUNTER_ADD("train.updates", updates);
   return updates;
+}
+
+void HdcClassifier::move_sample(const hdc::IntHV& encoded, int from, int to) {
+  hdc::add_into(classes_[static_cast<std::size_t>(from)], encoded, -1);
+  hdc::add_into(classes_[static_cast<std::size_t>(to)], encoded, +1);
+  // Only the two touched classes need their norms refreshed.
+  recompute_norms(static_cast<std::size_t>(from));
+  recompute_norms(static_cast<std::size_t>(to));
 }
 
 bool HdcClassifier::online_update(const hdc::IntHV& encoded, int label) {
@@ -89,10 +110,7 @@ bool HdcClassifier::online_update(const hdc::IntHV& encoded, int label) {
     throw std::invalid_argument("online_update: label out of range");
   const int pred = predict(encoded);
   if (pred == label) return false;
-  hdc::add_into(classes_[static_cast<std::size_t>(pred)], encoded, -1);
-  hdc::add_into(classes_[static_cast<std::size_t>(label)], encoded, +1);
-  recompute_norms(static_cast<std::size_t>(pred));
-  recompute_norms(static_cast<std::size_t>(label));
+  move_sample(encoded, pred, label);
   return true;
 }
 
@@ -168,27 +186,21 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
   GENERIC_SPAN("train.epoch");
   check_samples(encoded, labels, "retrain_epoch_parallel");
   const ChunkSet all{num_chunks_};
-  std::vector<double> scores(num_classes_, 0.0);
   std::size_t updates = 0;
   for (std::size_t i = 0; i < encoded.size(); ++i) {
-    // Fan the per-class scoring out; each score is the one predict()'s scan
-    // computes, so the shared argmax reproduces predict(encoded[i])
-    // bit-for-bit.
-    pool.parallel_for(num_classes_,
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-                        for (std::size_t c = begin; c < end; ++c)
-                          scores[c] = class_score(encoded[i], c, all);
-                      });
-    const int pred = argmax_with_margin(num_classes_, [&](std::size_t c) {
-                       return scores[c];
-                     }).cls;
-    const int truth = labels[i];
-    if (pred == truth) continue;
+    // Each update feeds the next prediction, so samples stay sequential,
+    // and one sample is a single-query dot tile: too little work to split.
+    // It runs as a one-chunk job, which the pool executes inline on the
+    // caller, so the pool's job accounting is one job per sample for any
+    // lane count. The scan is predict()'s, so the result is
+    // retrain_epoch()'s bit for bit.
+    int pred = 0;
+    pool.parallel_for(1, [&](std::size_t, std::size_t, std::size_t) {
+      pred = scan(encoded[i], all).cls;
+    });
+    if (pred == labels[i]) continue;
     ++updates;
-    hdc::add_into(classes_[static_cast<std::size_t>(pred)], encoded[i], -1);
-    hdc::add_into(classes_[static_cast<std::size_t>(truth)], encoded[i], +1);
-    recompute_norms(static_cast<std::size_t>(pred));
-    recompute_norms(static_cast<std::size_t>(truth));
+    move_sample(encoded[i], pred, labels[i]);
   }
   GENERIC_COUNTER_ADD("train.updates", updates);
   return updates;
@@ -206,7 +218,7 @@ void HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
 std::vector<int> HdcClassifier::predict_batch(
     std::span<const hdc::IntHV> queries, ThreadPool& pool) const {
   const std::vector<Prediction> preds =
-      scan_batch(queries, ChunkSet{num_chunks_}, pool);
+      scan_batch(row_pointers(queries), ChunkSet{num_chunks_}, pool);
   std::vector<int> out(preds.size(), 0);
   for (std::size_t i = 0; i < preds.size(); ++i) out[i] = preds[i].cls;
   return out;
@@ -215,6 +227,12 @@ std::vector<int> HdcClassifier::predict_batch(
 std::vector<Prediction> HdcClassifier::predict_masked_margin_batch(
     std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
     ThreadPool& pool) const {
+  return predict_masked_margin_batch(row_pointers(queries), chunk_ok, pool);
+}
+
+std::vector<Prediction> HdcClassifier::predict_masked_margin_batch(
+    std::span<const hdc::IntHV* const> queries,
+    const std::vector<bool>& chunk_ok, ThreadPool& pool) const {
   return scan_batch(queries, masked_chunks(chunk_ok), pool);
 }
 
@@ -271,55 +289,87 @@ HdcClassifier::ChunkSet HdcClassifier::masked_chunks(
   return ChunkSet{num_chunks_, &chunk_ok};
 }
 
-double HdcClassifier::class_score(const hdc::IntHV& query, std::size_t cls,
-                                  const ChunkSet& on) const {
-  const auto& c = classes_[cls];
-  const auto& norms = chunk_norms_[cls];
+struct HdcClassifier::Scoring {
+  std::vector<hdc::kernels::DimRun> runs;  ///< one per run of read chunks
+  std::vector<std::int64_t> norms;         ///< per class, over the runs
+  std::vector<const std::int32_t*> classes;
+};
+
+HdcClassifier::Scoring HdcClassifier::prepare(const ChunkSet& on) const {
+  Scoring s;
   auto enabled = [&](std::size_t k) {
     return on.mask == nullptr || (*on.mask)[k];
   };
-  std::int64_t dot = 0;
-  std::int64_t n2 = 0;
-  // One flat dot loop per maximal run of enabled chunks.
   for (std::size_t k = 0; k < on.prefix;) {
     if (!enabled(k)) {
       ++k;
       continue;
     }
     const std::size_t run = k;
-    for (; k < on.prefix && enabled(k); ++k) n2 += norms[k];
-    for (std::size_t j = run * chunk_; j < k * chunk_; ++j)
-      dot += static_cast<std::int64_t>(query[j]) * c[j];
+    while (k < on.prefix && enabled(k)) ++k;
+    s.runs.push_back({run * chunk_, k * chunk_});
   }
-  if (on.mode == NormMode::kConstant)
-    n2 = std::accumulate(norms.begin(), norms.end(), std::int64_t{0});
-  if (n2 == 0) return 0.0;
-  const double num =
-      static_cast<double>(dot) * static_cast<double>(std::abs(dot));
-  return num / static_cast<double>(n2);
+  s.norms.assign(num_classes_, 0);
+  s.classes.resize(num_classes_);
+  for (std::size_t c = 0; c < num_classes_; ++c) {
+    const auto& norms = chunk_norms_[c];
+    if (on.mode == NormMode::kConstant) {
+      s.norms[c] = std::accumulate(norms.begin(), norms.end(), std::int64_t{0});
+    } else {
+      for (const auto& r : s.runs)
+        for (std::size_t k = r.begin / chunk_; k < r.end / chunk_; ++k)
+          s.norms[c] += norms[k];
+    }
+    s.classes[c] = classes_[c].data();
+  }
+  return s;
+}
+
+void HdcClassifier::scan_block(const Scoring& s,
+                               const hdc::IntHV* const* queries, std::size_t n,
+                               Prediction* out) const {
+  std::vector<const std::int32_t*> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = queries[i]->data();
+  std::vector<std::int64_t> dots(n * num_classes_);
+  hdc::kernels::active().dot_tile(rows.data(), n, s.classes.data(),
+                                  num_classes_, s.runs.data(), s.runs.size(),
+                                  dots.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t* dot = dots.data() + i * num_classes_;
+    out[i] = argmax_with_margin(num_classes_, [&](std::size_t c) {
+      return signed_square_score(dot[c], s.norms[c]);
+    });
+  }
+}
+
+void HdcClassifier::check_query(const hdc::IntHV& query) const {
+  if (query.size() != dims_)
+    throw std::invalid_argument("predict: query dimension mismatch");
 }
 
 Prediction HdcClassifier::scan(const hdc::IntHV& query,
                                const ChunkSet& on) const {
-  if (query.size() != dims_)
-    throw std::invalid_argument("predict: query dimension mismatch");
-  return argmax_with_margin(num_classes_, [&](std::size_t c) {
-    return class_score(query, c, on);
-  });
+  check_query(query);
+  const hdc::IntHV* row = &query;
+  Prediction p;
+  scan_block(prepare(on), &row, 1, &p);
+  return p;
 }
 
 std::vector<Prediction> HdcClassifier::scan_batch(
-    std::span<const hdc::IntHV> queries, const ChunkSet& on,
+    std::span<const hdc::IntHV* const> queries, const ChunkSet& on,
     ThreadPool& pool) const {
   GENERIC_SPAN("predict.batch");
+  for (const hdc::IntHV* q : queries) check_query(*q);
+  const Scoring s = prepare(on);
   std::vector<Prediction> out(queries.size());
+  // One dot tile per pool chunk: the chunk's queries against every class.
   pool.parallel_for(queries.size(),
                     [&](std::size_t begin, std::size_t end, std::size_t) {
                       GENERIC_SPAN("predict.chunk");
-                      for (std::size_t i = begin; i < end; ++i) {
-                        GENERIC_COUNTER_ADD("predict.queries", 1);
-                        out[i] = scan(queries[i], on);
-                      }
+                      GENERIC_COUNTER_ADD("predict.queries", end - begin);
+                      scan_block(s, queries.data() + begin, end - begin,
+                                 out.data() + begin);
                     });
   return out;
 }

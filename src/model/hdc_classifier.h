@@ -7,7 +7,11 @@
 //   predict*()       signed squared-cosine score argmax. Every variant —
 //                    full dims, a reduced ladder rung, a chunk mask, and
 //                    their batches — is one scan over a set of enabled
-//                    chunks with one fixed-order argmax.
+//                    chunks: the integer dots come from one
+//                    hdc::kernels dot_tile call per block of queries
+//                    (the one dot over class memory; SIMD backends are
+//                    bit-identical to scalar), the norms and the
+//                    fixed-order argmax stay here.
 //
 // The model mirrors three ASIC features:
 //  * sub-norms — the norm2 memory stores the squared L2 norm of every
@@ -88,9 +92,8 @@ class HdcClassifier {
                    std::span<const int> labels, ThreadPool& pool);
 
   /// One retraining epoch equal to retrain_epoch(): samples stay strictly
-  /// sequential (each update feeds the next prediction), but the per-class
-  /// scoring of every sample fans out across the pool with a fixed-order
-  /// argmax on the caller.
+  /// sequential (each update feeds the next prediction) and each is scored
+  /// with one single-query dot tile on the caller, as a one-chunk pool job.
   std::size_t retrain_epoch_parallel(std::span<const hdc::IntHV> encoded,
                                      std::span<const int> labels,
                                      ThreadPool& pool);
@@ -109,11 +112,17 @@ class HdcClassifier {
   /// predict_masked(queries[i], chunk_ok) and out[i].margin is the
   /// normalized top1-vs-top2 margin of that same scan. A ladder rung is the
   /// mask of its chunk prefix, so the serving engine flushes every rung
-  /// through this. Queries fan out across the pool into indexed slots, so
-  /// the result is bit-identical for any lane count.
+  /// through this. Queries fan out across the pool in chunks, one dot tile
+  /// per chunk, into indexed slots, so the result is bit-identical for any
+  /// lane count.
   std::vector<Prediction> predict_masked_margin_batch(
       std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
       ThreadPool& pool) const;
+  /// The same over pointers to the query rows, for callers that score rows
+  /// of a table they own without copying them.
+  std::vector<Prediction> predict_masked_margin_batch(
+      std::span<const hdc::IntHV* const> queries,
+      const std::vector<bool>& chunk_ok, ThreadPool& pool) const;
 
   /// Online adaptation: score one labelled encoding and, on a
   /// misprediction, apply the same subtract/add update as retraining.
@@ -198,18 +207,27 @@ class HdcClassifier {
   ChunkSet prefix_chunks(std::size_t dims_used, NormMode mode) const;
   ChunkSet masked_chunks(const std::vector<bool>& chunk_ok) const;
 
-  /// Signed squared-cosine-numerator score of one class,
-  /// sign(H.C) * (H.C)^2 / ||C||^2 over the chunk set; the query is
-  /// assumed checked.
-  double class_score(const hdc::IntHV& query, std::size_t cls,
-                     const ChunkSet& on) const;
+  /// A chunk set resolved for one search: the dimension runs of the read
+  /// chunks, each class's norm over them, and the class rows.
+  struct Scoring;
+  Scoring prepare(const ChunkSet& on) const;
 
-  /// The similarity search every predict variant is: check the query once,
-  /// score each class over the chunk set, fixed-order argmax with margin.
+  /// Score `n` checked queries against every class with one dot tile and
+  /// take each query's fixed-order argmax with margin.
+  void scan_block(const Scoring& s, const hdc::IntHV* const* queries,
+                  std::size_t n, Prediction* out) const;
+
+  /// The similarity search every predict variant is: check the queries
+  /// once, resolve the chunk set once, score through scan_block.
   Prediction scan(const hdc::IntHV& query, const ChunkSet& on) const;
-  std::vector<Prediction> scan_batch(std::span<const hdc::IntHV> queries,
+  std::vector<Prediction> scan_batch(std::span<const hdc::IntHV* const> queries,
                                      const ChunkSet& on,
                                      ThreadPool& pool) const;
+  void check_query(const hdc::IntHV& query) const;
+
+  /// The retraining update: subtract `encoded` from class `from`, add it
+  /// to class `to`, refresh both classes' norms.
+  void move_sample(const hdc::IntHV& encoded, int from, int to);
 
   /// Training-input check run before any class memory is written: equal
   /// sample and label counts, labels in [0, num_classes), dims() elements

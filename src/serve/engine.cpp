@@ -525,7 +525,7 @@ void ServeEngine::flush_rung(std::size_t rung) {
                     {"rung", static_cast<std::int64_t>(rung)},
                     {"batch", static_cast<std::int64_t>(b.size())},
                     {"version", static_cast<std::int64_t>(model_version_)});
-  std::vector<hdc::IntHV> qs;
+  std::vector<const hdc::IntHV*> qs;
   qs.reserve(b.size());
   for (const InFlight* f : b) {
     // Swap invariant: every deferred request in this batch was admitted to
@@ -534,7 +534,7 @@ void ServeEngine::flush_rung(std::size_t rung) {
     // not an input condition.
     if (f->epoch != model_epoch_)
       throw std::logic_error("ServeEngine: prediction batch spans a swap");
-    qs.push_back(queries_[f->req.query]);
+    qs.push_back(&queries_[f->req.query]);
   }
   const std::vector<model::Prediction> preds =
       model_->predict_masked_margin_batch(qs, rung_mask_[rung], pool_);

@@ -16,6 +16,7 @@
 #include "chaos/orchestrator.h"
 #include "golden.h"
 #include "hdc/kernels.h"
+#include "kernel_backends.h"
 #include "serve/encoder_hook.h"
 
 #ifndef GENERIC_GOLDEN_DIR
@@ -102,16 +103,14 @@ void expect_golden_on_every_backend(const std::string& name) {
   const std::string want = golden::read_file(std::string(GENERIC_GOLDEN_DIR) +
                                              "/" + name + ".json");
   ASSERT_FALSE(want.empty()) << "missing " << name << " fixture";
-  const k::Backend saved = k::active_backend();
-  for (k::Backend backend : k::compiled_backends()) {
-    if (!k::available(backend)) continue;
+  test::BackendGuard guard;
+  for (k::Backend backend : test::available_backends()) {
     k::set_backend(backend);
     const std::string tag = "kb-" + std::string(k::to_string(backend));
     EXPECT_EQ(chaos_report_to_json(run(*spec, 2, tag)), want)
         << "backend " << k::to_string(backend)
         << " leaked into the chaos report";
   }
-  k::set_backend(saved);
 }
 
 // bank_faults is the pointiest class-memory scenario: fault bursts,

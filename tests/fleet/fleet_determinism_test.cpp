@@ -17,6 +17,7 @@
 #include "fleet/simulator.h"
 #include "golden.h"
 #include "hdc/kernels.h"
+#include "kernel_backends.h"
 
 #ifndef GENERIC_GOLDEN_DIR
 #error "GENERIC_GOLDEN_DIR must be defined by the build"
@@ -93,15 +94,13 @@ TEST(FleetKernelInvariance, QuickGoldenByteIdenticalOnEveryBackend) {
   const std::string want =
       golden::read_file(std::string(GENERIC_GOLDEN_DIR) + "/fleet_quick.json");
   ASSERT_FALSE(want.empty()) << "missing fleet_quick.json fixture";
-  const k::Backend saved = k::active_backend();
-  for (k::Backend backend : k::compiled_backends()) {
-    if (!k::available(backend)) continue;
+  test::BackendGuard guard;
+  for (k::Backend backend : test::available_backends()) {
     k::set_backend(backend);
     EXPECT_EQ(run_quick_fleet(2), want)
         << "backend " << k::to_string(backend)
         << " leaked into the fleet report";
   }
-  k::set_backend(saved);
 }
 
 }  // namespace

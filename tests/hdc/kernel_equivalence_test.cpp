@@ -1,11 +1,15 @@
-// Differential equivalence suite for the runtime-dispatched XOR+popcount
-// kernels (hdc/kernels.h): every compiled backend must be BYTE-IDENTICAL to
-// the scalar reference — same raw span sums, same hamming_many orders, same
-// nearest_hamming winners including ties — across ragged dimension sweeps.
+// Differential equivalence suite for the runtime-dispatched kernels
+// (hdc/kernels.h): every compiled backend must be BYTE-IDENTICAL to the
+// scalar reference — same raw span sums, same hamming_many orders, same
+// nearest_hamming winners including ties, same dot tiles — across ragged
+// dimension sweeps, run lists and operand ranges.
 // This is the contract that lets golden `generic.*.v1` fixtures stay
 // byte-stable no matter which backend dispatch picks (docs/kernels.md).
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 #include "hdc/hypervector.h"
 #include "hdc/kernels.h"
 #include "hdc/ops.h"
+#include "kernel_backends.h"
 
 namespace generic::hdc {
 namespace {
@@ -25,15 +30,7 @@ namespace k = kernels;
 const std::vector<std::size_t> kDimsSweep = {64,   127,  128,  512,
                                              4095, 4096, 10000};
 
-/// Restore the process-wide backend after a test forced it.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(k::active_backend()) {}
-  ~BackendGuard() { k::set_backend(saved_); }
-
- private:
-  k::Backend saved_;
-};
+using test::BackendGuard;
 
 std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
   std::vector<std::uint64_t> w(n);
@@ -42,9 +39,8 @@ std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
 }
 
 std::vector<k::Backend> simd_backends() {
-  std::vector<k::Backend> out;
-  for (k::Backend b : k::compiled_backends())
-    if (b != k::Backend::kScalar && k::available(b)) out.push_back(b);
+  std::vector<k::Backend> out = test::available_backends();
+  out.erase(out.begin());  // scalar
   return out;
 }
 
@@ -108,8 +104,7 @@ TEST(KernelEquivalence, HammingBlockedMatchesNaiveOnEveryBackend) {
     const auto a = BinaryHV::random(dims, rng);
     const auto b = BinaryHV::random(dims, rng);
     const std::size_t naive = a.hamming(b);  // word-at-a-time reference
-    for (k::Backend backend : k::compiled_backends()) {
-      if (!k::available(backend)) continue;
+    for (k::Backend backend : test::available_backends()) {
       k::set_backend(backend);
       EXPECT_EQ(hamming_blocked(a, b), naive)
           << k::to_string(backend) << " dims=" << dims;
@@ -171,11 +166,177 @@ TEST(KernelEquivalence, TiesResolveToLowestIndexOnEveryBackend) {
     tied_b.set(dims - 1, true);
     for (std::size_t i = 0; i < 7; ++i) worse.set(i, true);
     const std::vector<BinaryHV> refs = {worse, tied_a, tied_b};
-    for (k::Backend backend : k::compiled_backends()) {
-      if (!k::available(backend)) continue;
+    for (k::Backend backend : test::available_backends()) {
       k::set_backend(backend);
       EXPECT_EQ(nearest_hamming(query, refs), 1u)
           << k::to_string(backend) << " dims=" << dims;
+    }
+  }
+}
+
+// ---- Query x class dot tile -------------------------------------------------
+
+/// Rows of `dims` int32 values drawn uniformly from [-bound, bound].
+std::vector<std::vector<std::int32_t>> random_rows(std::size_t n,
+                                                   std::size_t dims,
+                                                   std::int64_t bound,
+                                                   Rng& rng) {
+  std::vector<std::vector<std::int32_t>> rows(
+      n, std::vector<std::int32_t>(dims));
+  for (auto& row : rows)
+    for (auto& v : row) v = static_cast<std::int32_t>(rng.range(-bound, bound));
+  return rows;
+}
+
+std::vector<const std::int32_t*> pointers(
+    const std::vector<std::vector<std::int32_t>>& rows) {
+  std::vector<const std::int32_t*> out;
+  for (const auto& r : rows) out.push_back(r.data());
+  return out;
+}
+
+/// One table's tile over the runs, as a flat q * nc + c vector.
+std::vector<std::int64_t> tile(const k::Kernels& table,
+                               const std::vector<std::vector<std::int32_t>>& q,
+                               const std::vector<std::vector<std::int32_t>>& c,
+                               const std::vector<k::DimRun>& runs) {
+  const auto qp = pointers(q);
+  const auto cp = pointers(c);
+  // Pre-filled so a backend that skips an output cannot pass by accident.
+  std::vector<std::int64_t> out(q.size() * c.size(), 0x5EED);
+  table.dot_tile(qp.data(), q.size(), cp.data(), c.size(), runs.data(),
+                 runs.size(), out.data());
+  return out;
+}
+
+/// The exact sum in 128-bit arithmetic, for checking the reference itself.
+std::vector<__int128> exact_tile(
+    const std::vector<std::vector<std::int32_t>>& q,
+    const std::vector<std::vector<std::int32_t>>& c,
+    const std::vector<k::DimRun>& runs) {
+  std::vector<__int128> out;
+  for (const auto& qr : q)
+    for (const auto& cr : c) {
+      __int128 acc = 0;
+      for (const auto& r : runs)
+        for (std::size_t j = r.begin; j < r.end; ++j)
+          acc += static_cast<__int128>(qr[j]) * cr[j];
+      out.push_back(acc);
+    }
+  return out;
+}
+
+/// Every available backend's tile equals scalar, and scalar equals the
+/// exact sum (which the operands keep inside int64).
+void expect_tiles_exact(const std::vector<std::vector<std::int32_t>>& q,
+                        const std::vector<std::vector<std::int32_t>>& c,
+                        const std::vector<k::DimRun>& runs,
+                        const std::string& what) {
+  const auto want = tile(k::get(k::Backend::kScalar), q, c, runs);
+  const auto exact = exact_tile(q, c, runs);
+  ASSERT_EQ(want.size(), exact.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(static_cast<__int128>(want[i]), exact[i]) << what << " i=" << i;
+  for (k::Backend b : simd_backends())
+    EXPECT_EQ(tile(k::get(b), q, c, runs), want)
+        << k::to_string(b) << " " << what;
+}
+
+/// Full, prefix, holed and single-chunk run lists over 1024 dims (eight
+/// 128-dim chunks), plus ragged runs that start and end off vector width.
+const std::vector<std::pair<const char*, std::vector<k::DimRun>>>&
+run_lists() {
+  static const std::vector<std::pair<const char*, std::vector<k::DimRun>>>
+      lists = {
+          {"full", {{0, 1024}}},
+          {"prefix", {{0, 512}}},
+          {"holed", {{0, 128}, {256, 640}, {768, 1024}}},
+          {"single", {{896, 1024}}},
+          {"ragged", {{3, 70}, {101, 102}, {130, 333}, {1000, 1024}}},
+          {"empty", {}},
+      };
+  return lists;
+}
+
+TEST(KernelEquivalence, DotTileMatchesScalarAcrossShapes) {
+  Rng rng(0x7113);
+  std::vector<std::size_t> query_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 33};
+  // Serving magnitudes (the narrow path) and wide ones (the int32 path).
+  for (const std::int64_t bound : {std::int64_t{60}, std::int64_t{1} << 20}) {
+    for (std::size_t nc : {std::size_t{1}, std::size_t{2}, std::size_t{26}}) {
+      const auto classes = random_rows(nc, 1024, bound * 50, rng);
+      for (std::size_t nq : query_counts) {
+        const auto queries = random_rows(nq, 1024, bound, rng);
+        for (const auto& [name, runs] : run_lists())
+          expect_tiles_exact(queries, classes, runs,
+                             std::string(name) + " nq=" + std::to_string(nq) +
+                                 " nc=" + std::to_string(nc) +
+                                 " bound=" + std::to_string(bound));
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, DotTileExtremeInt32OperandsStayExact) {
+  // INT32_MIN / INT32_MAX cannot be narrowed, so every backend must take
+  // the int32 path even with enough queries to pack. Each aligned pair of
+  // products nearly cancels, so the exact sums stay inside int64.
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::size_t kDims = 256;
+  std::vector<std::vector<std::int32_t>> q(5,
+                                           std::vector<std::int32_t>(kDims));
+  std::vector<std::vector<std::int32_t>> c(3,
+                                           std::vector<std::int32_t>(kDims));
+  for (std::size_t j = 0; j < kDims; ++j) {
+    for (std::size_t i = 0; i < q.size(); ++i)
+      q[i][j] = (j + i) % 2 == 0 ? kMin : kMax;
+    c[0][j] = kMin;
+    c[1][j] = (j / 2) % 2 == 0 ? kMin : kMax;
+    c[2][j] = kMax;
+  }
+  for (const std::vector<k::DimRun>& runs :
+       {std::vector<k::DimRun>{{0, kDims}}, std::vector<k::DimRun>{{0, 3}},
+        std::vector<k::DimRun>{{0, 2}, {2, 40}, {64, 130}}})
+    expect_tiles_exact(q, c, runs, "extreme");
+  // Past int64 the sum wraps, identically on every backend: 256 products
+  // of 2^62 are 2^70, which is 0 modulo 2^64.
+  const std::vector<std::vector<std::int32_t>> all_min(
+      5, std::vector<std::int32_t>(kDims, kMin));
+  const std::vector<k::DimRun> all = {{0, kDims}};
+  const auto want = tile(k::get(k::Backend::kScalar), all_min, all_min, all);
+  EXPECT_EQ(want, std::vector<std::int64_t>(25, 0));
+  for (k::Backend b : simd_backends())
+    EXPECT_EQ(tile(k::get(b), all_min, all_min, all), want)
+        << k::to_string(b);
+}
+
+TEST(KernelEquivalence, DotTileExactAtAndPastTheInt16Bound) {
+  // All operands at one magnitude and one sign drive every int32 lane of
+  // the narrow path to the largest sum the bound admits before widening.
+  struct Case {
+    std::int32_t q, c;
+    std::size_t dims;
+  };
+  const Case cases[] = {
+      {32767, 32767, 256},    // at the int16 limit: widen every madd
+      {-32767, 32767, 256},   // same magnitude, negative sums
+      {32768, 32767, 256},    // one past: the int32 path
+      {32767, -32768, 256},   // one past on the class side
+      {1000, 1073, 40000},    // 1000 madds per widen: 2146000000 < 2^31
+      {1000, 1074, 40000},    // 999 madds per widen
+      {-1000, -1073, 40000},
+  };
+  for (const Case& cs : cases) {
+    for (std::size_t nq : {std::size_t{4}, std::size_t{9}}) {
+      const std::vector<std::vector<std::int32_t>> q(
+          nq, std::vector<std::int32_t>(cs.dims, cs.q));
+      const std::vector<std::vector<std::int32_t>> c(
+          3, std::vector<std::int32_t>(cs.dims, cs.c));
+      expect_tiles_exact(q, c, {{0, cs.dims}},
+                         "q=" + std::to_string(cs.q) +
+                             " c=" + std::to_string(cs.c) +
+                             " nq=" + std::to_string(nq));
     }
   }
 }
@@ -203,13 +364,13 @@ TEST(KernelDispatch, ScalarAlwaysCompiledAndAvailable) {
 }
 
 TEST(KernelDispatch, TablesAreSelfConsistent) {
-  for (k::Backend b : k::compiled_backends()) {
-    if (!k::available(b)) continue;
+  for (k::Backend b : test::available_backends()) {
     const k::Kernels& table = k::get(b);
     EXPECT_EQ(table.backend, b);
     EXPECT_EQ(table.name, k::to_string(b));
     EXPECT_NE(table.xor_popcount, nullptr);
     EXPECT_NE(table.xor_popcount_many, nullptr);
+    EXPECT_NE(table.dot_tile, nullptr);
   }
 }
 
@@ -242,8 +403,7 @@ TEST(KernelDispatch, ActiveBackendDrivesOps) {
   const auto a = BinaryHV::random(4096, rng);
   const auto b = BinaryHV::random(4096, rng);
   const std::size_t want = a.hamming(b);
-  for (k::Backend backend : k::compiled_backends()) {
-    if (!k::available(backend)) continue;
+  for (k::Backend backend : test::available_backends()) {
     k::set_backend(backend);
     EXPECT_EQ(k::active_backend(), backend);
     EXPECT_EQ(k::active().backend, backend);

@@ -4,8 +4,9 @@
 // norms, a prefix mask, a mask with holes, a single-chunk mask — over a
 // seeded model quantized to 16, 8, 2 and 1 bits (one class left all-zero)
 // plus a single-class model, and the exact-divider GenericAsic at two
-// active dimension counts. Any change to the scan's integer sums, its
-// norm source or its tie-breaking shows up here as a byte diff.
+// active dimension counts, under every available kernel backend. Any
+// change to the scan's integer sums, its norm source or its tie-breaking
+// shows up here as a byte diff.
 // tests/golden.h says how to regenerate the fixture.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "common/thread_pool.h"
 #include "golden.h"
 #include "hdc/hypervector.h"
+#include "hdc/kernels.h"
+#include "kernel_backends.h"
 #include "model/hdc_classifier.h"
 
 #ifndef GENERIC_GOLDEN_DIR
@@ -175,7 +178,9 @@ std::string render_asic() {
   return out;
 }
 
-TEST(ScoringGolden, EveryScoringViewMatchesFixture) {
+/// The pinned document: every scoring view of the fixture at each bit
+/// width, of a single-class model, and of the exact-divider ASIC.
+std::string scoring_document() {
   const Fixture f = make_fixture();
   ThreadPool pool(3);
   std::string doc;
@@ -201,9 +206,19 @@ TEST(ScoringGolden, EveryScoringViewMatchesFixture) {
   doc += render_model(one, one_queries, pool);
   doc += "# asic exact divider\n";
   doc += render_asic();
+  return doc;
+}
 
-  golden::expect_golden(doc, std::string(GENERIC_GOLDEN_DIR) +
-                                 "/scoring_views.txt");
+// Trained and scored under every available kernel backend: whichever dot
+// tile runs, every byte must match the one fixture.
+TEST(ScoringGolden, EveryScoringViewMatchesFixture) {
+  test::BackendGuard guard;
+  for (const hdc::kernels::Backend b : test::available_backends()) {
+    SCOPED_TRACE(std::string(hdc::kernels::to_string(b)));
+    hdc::kernels::set_backend(b);
+    golden::expect_golden(scoring_document(), std::string(GENERIC_GOLDEN_DIR) +
+                                                  "/scoring_views.txt");
+  }
   if (golden::updating()) GTEST_SKIP() << "fixtures regenerated";
 }
 

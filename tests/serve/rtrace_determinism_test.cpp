@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "golden.h"
 #include "hdc/kernels.h"
+#include "kernel_backends.h"
 #include "obs/rtrace.h"
 #include "serve/engine.h"
 #include "serve_test_util.h"
@@ -116,11 +117,10 @@ TEST(RtraceDeterminism, StreamsByteIdenticalAcrossKernelBackends) {
   const ServeConfig cfg = stress_config();
   const auto trace = make_trace(cfg, 250, w.queries.size());
 
-  const k::Backend saved = k::active_backend();
+  generic::test::BackendGuard guard;
   k::set_backend(k::Backend::kScalar);
   const Capture baseline = run_once(w, trace, cfg, 2);
-  for (k::Backend backend : k::compiled_backends()) {
-    if (!k::available(backend) || backend == k::Backend::kScalar) continue;
+  for (k::Backend backend : generic::test::available_backends()) {
     k::set_backend(backend);
     const Capture got = run_once(w, trace, cfg, 2);
     EXPECT_EQ(baseline.rtrace, got.rtrace)
@@ -128,7 +128,6 @@ TEST(RtraceDeterminism, StreamsByteIdenticalAcrossKernelBackends) {
     EXPECT_EQ(baseline.flight, got.flight)
         << "backend " << k::to_string(backend) << " leaked into the flight log";
   }
-  k::set_backend(saved);
 }
 
 // Byte-for-byte pin of the rtrace and flight documents for a fixed

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "golden.h"
 #include "hdc/kernels.h"
+#include "kernel_backends.h"
 #include "resilience/fault_model.h"
 #include "serve/engine.h"
 #include "serve_test_util.h"
@@ -83,7 +84,8 @@ TEST(ServeDeterminismTest, ReportByteIdenticalAcrossLaneCounts) {
 
 // Serving around dead dimension blocks: chunks 1 and 3 of the model are
 // zeroed and masked, so every rung scores through the chunk mask. The
-// report is pinned byte-for-byte and must not depend on the lane count.
+// report is pinned byte-for-byte and must depend on neither the lane count
+// nor the kernel backend whose dot tile scores the flushes.
 TEST(ServeDeterminismTest, DeadChunksReportMatchesGolden) {
   test::TinyWorkload w = test::make_workload(96);
   resilience::inject_dead_blocks(w.clf, {1, 3});
@@ -91,11 +93,16 @@ TEST(ServeDeterminismTest, DeadChunksReportMatchesGolden) {
   const ServeConfig cfg = stress_config();
   const auto trace = make_trace(cfg, 400, w.queries.size());
 
-  const std::string report = run_once(w, trace, cfg, 1, chunk_ok);
-  EXPECT_EQ(report.find("\"degraded\": 0,"), std::string::npos);
-  EXPECT_EQ(report, run_once(w, trace, cfg, 7, chunk_ok));
-  golden::expect_golden(report, std::string(GENERIC_GOLDEN_DIR) +
-                                    "/serve_dead_chunks.json");
+  generic::test::BackendGuard guard;
+  for (const hdc::kernels::Backend b : generic::test::available_backends()) {
+    SCOPED_TRACE(std::string(hdc::kernels::to_string(b)));
+    hdc::kernels::set_backend(b);
+    const std::string report = run_once(w, trace, cfg, 1, chunk_ok);
+    EXPECT_EQ(report.find("\"degraded\": 0,"), std::string::npos);
+    EXPECT_EQ(report, run_once(w, trace, cfg, 7, chunk_ok));
+    golden::expect_golden(report, std::string(GENERIC_GOLDEN_DIR) +
+                                      "/serve_dead_chunks.json");
+  }
   if (golden::updating()) GTEST_SKIP() << "fixtures regenerated";
 }
 
@@ -107,28 +114,26 @@ TEST(ServeDeterminismTest, SameLaneCountReproducesItself) {
 }
 
 // End-to-end backend invariance: the generic.serve.v1 report must be
-// byte-identical no matter which XOR+popcount kernel backend
-// (hdc/kernels.h) serves the predictions — SIMD selection can never be
-// observable in a report, only in wall-clock.
+// byte-identical no matter which kernel backend (hdc/kernels.h) scores the
+// predictions — SIMD selection can never be observable in a report, only
+// in wall-clock.
 TEST(ServeKernelInvariance, ReportByteIdenticalAcrossKernelBackends) {
   namespace k = hdc::kernels;
   const test::TinyWorkload w = test::make_workload(64);
   const ServeConfig cfg = stress_config();
   const auto trace = make_trace(cfg, 250, w.queries.size());
 
-  const k::Backend saved = k::active_backend();
+  generic::test::BackendGuard guard;
   k::set_backend(k::Backend::kScalar);
   const std::string baseline = run_once(w, trace, cfg, 2);
   EXPECT_NE(baseline.find("\"schema\": \"generic.serve.v1\""),
             std::string::npos);
-  for (k::Backend backend : k::compiled_backends()) {
-    if (!k::available(backend) || backend == k::Backend::kScalar) continue;
+  for (k::Backend backend : generic::test::available_backends()) {
     k::set_backend(backend);
     EXPECT_EQ(run_once(w, trace, cfg, 2), baseline)
         << "backend " << k::to_string(backend)
         << " leaked into the serve report";
   }
-  k::set_backend(saved);
 }
 
 TEST(ServeDeterminismTest, ReportCountsAreConsistent) {
