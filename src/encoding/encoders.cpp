@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "hdc/ops.h"
 #include "obs/obs.h"
 
 namespace generic::enc {
@@ -13,23 +14,63 @@ hdc::ItemStorage storage_of(const EncoderConfig& cfg) {
                    : hdc::ItemStorage::kStored;
 }
 
-/// Row of an item memory as a const reference regardless of storage mode:
-/// stored rows are referenced in place, rematerialized rows land in
-/// `scratch`. The reference is invalidated by the next call with the same
-/// scratch — callers copy or consume it before the next lookup.
-const hdc::BinaryHV& item_row(const hdc::ItemMemory& mem, std::size_t key,
-                              hdc::BinaryHV& scratch) {
-  if (mem.storage() == hdc::ItemStorage::kStored) return mem.get(key);
-  scratch = mem.materialize(key);
-  return scratch;
+/// Words of one row regardless of storage mode: stored rows in place,
+/// rematerialized rows rebuilt into `slot` (valid until the slot is reused).
+const std::uint64_t* row_words(const hdc::ItemMemory& mem, std::size_t key,
+                               hdc::BinaryHV& slot) {
+  if (mem.storage() == hdc::ItemStorage::kStored)
+    return mem.get(key).words().data();
+  slot = mem.materialize(key);
+  return slot.words().data();
 }
 
-/// Same contract for level memories.
-const hdc::BinaryHV& level_row(const hdc::LevelMemory& mem, std::size_t bin,
-                               hdc::BinaryHV& scratch) {
-  if (mem.storage() == hdc::ItemStorage::kStored) return mem.level(bin);
-  scratch = mem.materialize(bin);
-  return scratch;
+const std::uint64_t* row_words(const hdc::LevelMemory& mem, std::size_t bin,
+                               hdc::BinaryHV& slot) {
+  if (mem.storage() == hdc::ItemStorage::kStored)
+    return mem.level(bin).words().data();
+  slot = mem.materialize(bin);
+  return slot.words().data();
+}
+
+/// Per-thread scratch of the bundling encoders: one row per feature
+/// position, a rematerialization slot per row, and the terms of every
+/// window. encode() is const and runs concurrently under encode_batch, so
+/// the buffers are per thread; they only grow.
+struct Scratch {
+  std::vector<const std::uint64_t*> rows;
+  std::vector<hdc::BinaryHV> remat;
+  std::vector<hdc::kernels::RotatedRow> terms;
+};
+
+Scratch& scratch(std::size_t slots) {
+  thread_local Scratch s;
+  if (s.remat.size() < slots) s.remat.resize(slots);
+  s.rows.clear();
+  s.terms.clear();
+  return s;
+}
+
+/// Scratch holding the row of every bin, in feature order.
+template <class Memory>
+Scratch& rows_of(const Memory& mem, std::span<const std::uint16_t> bins) {
+  Scratch& s = scratch(bins.size());
+  for (std::size_t i = 0; i < bins.size(); ++i)
+    s.rows.push_back(row_words(mem, bins[i], s.remat[i]));
+  return s;
+}
+
+/// Terms of every n-row sliding window: window i XORs rho^j(rows[i + j]).
+void sliding_windows(Scratch& s, std::size_t n) {
+  for (std::size_t i = 0; i + n <= s.rows.size(); ++i)
+    for (std::size_t j = 0; j < n; ++j) s.terms.push_back({s.rows[i + j], j});
+}
+
+/// The bipolar sum of the scratch's windows of `per_window` terms.
+hdc::IntHV bundle(const Scratch& s, std::size_t per_window,
+                  std::size_t dims) {
+  hdc::IntHV acc(dims, 0);
+  hdc::bundle_windows(s.terms, per_window, acc);
+  return acc;
 }
 
 }  // namespace
@@ -92,15 +133,15 @@ std::size_t RpEncoder::memory_footprint_bytes() const {
 hdc::IntHV RpEncoder::encode(std::span<const float> sample) const {
   const auto bins = quantize(sample);
   hdc::IntHV acc(cfg_.dims, 0);
-  hdc::BinaryHV scratch;
+  hdc::BinaryHV slot;
   for (std::size_t i = 0; i < bins.size(); ++i) {
-    const hdc::BinaryHV& id = item_row(ids_, i, scratch);
     const auto value = static_cast<std::int32_t>(bins[i]);
     if (value == 0) continue;
+    const std::uint64_t* id = row_words(ids_, i, slot);
     // acc += value * bipolar(id): split into set/unset bits via two passes
     // over the packed words to stay branch-light.
-    for (std::size_t w = 0; w < id.num_words(); ++w) {
-      std::uint64_t word = id.words()[w];
+    for (std::size_t w = 0; w < words_for_bits(cfg_.dims); ++w) {
+      std::uint64_t word = id[w];
       const std::size_t base = w * kWordBits;
       const std::size_t n = std::min(kWordBits, cfg_.dims - base);
       for (std::size_t b = 0; b < n; ++b) {
@@ -126,14 +167,13 @@ std::size_t LevelIdEncoder::memory_footprint_bytes() const {
 
 hdc::IntHV LevelIdEncoder::encode(std::span<const float> sample) const {
   const auto bins = quantize(sample);
-  hdc::IntHV acc(cfg_.dims, 0);
-  hdc::BinaryHV bound(cfg_.dims);
-  for (std::size_t i = 0; i < bins.size(); ++i) {
-    bound = level_row(levels_, bins[i], bound);
-    ids_.xor_row_into(i, bound);
-    bound.accumulate_into(acc);
+  const std::size_t n = bins.size();
+  Scratch& s = scratch(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.terms.push_back({row_words(levels_, bins[i], s.remat[i]), 0});
+    s.terms.push_back({row_words(ids_, i, s.remat[n + i]), 0});
   }
-  return acc;
+  return bundle(s, 2, cfg_.dims);
 }
 
 // ---------------------------------------------------------------- permutation
@@ -147,12 +187,10 @@ std::size_t PermutationEncoder::memory_footprint_bytes() const {
 }
 
 hdc::IntHV PermutationEncoder::encode(std::span<const float> sample) const {
-  const auto bins = quantize(sample);
-  hdc::IntHV acc(cfg_.dims, 0);
-  hdc::BinaryHV scratch;
-  for (std::size_t i = 0; i < bins.size(); ++i)
-    level_row(levels_, bins[i], scratch).rotated(i).accumulate_into(acc);
-  return acc;
+  Scratch& s = rows_of(levels_, quantize(sample));
+  for (std::size_t i = 0; i < s.rows.size(); ++i)
+    s.terms.push_back({s.rows[i], i});
+  return bundle(s, 1, cfg_.dims);
 }
 
 // ---------------------------------------------------------------- ngram
@@ -168,19 +206,9 @@ std::size_t NgramEncoder::memory_footprint_bytes() const {
 }
 
 hdc::IntHV NgramEncoder::encode(std::span<const float> sample) const {
-  const auto bins = quantize(sample);
-  const std::size_t n = cfg_.window;
-  hdc::IntHV acc(cfg_.dims, 0);
-  if (bins.size() < n) return acc;
-  hdc::BinaryHV window_hv(cfg_.dims);
-  hdc::BinaryHV scratch;
-  for (std::size_t i = 0; i + n <= bins.size(); ++i) {
-    window_hv = level_row(levels_, bins[i], scratch);
-    for (std::size_t j = 1; j < n; ++j)
-      window_hv ^= level_row(levels_, bins[i + j], scratch).rotated(j);
-    window_hv.accumulate_into(acc);
-  }
-  return acc;
+  Scratch& s = rows_of(levels_, quantize(sample));
+  sliding_windows(s, cfg_.window);
+  return bundle(s, cfg_.window, cfg_.dims);
 }
 
 // ---------------------------------------------------------------- generic
@@ -188,7 +216,8 @@ hdc::IntHV NgramEncoder::encode(std::span<const float> sample) const {
 GenericEncoder::GenericEncoder(const EncoderConfig& cfg)
     : Encoder(cfg),
       ids_(cfg.dims, cfg.seed ^ 0x6E2E21CULL),
-      levels_(cfg.dims, cfg.levels, cfg.seed ^ 0x11EE1ULL, storage_of(cfg)) {
+      levels_(cfg.dims, cfg.levels, cfg.seed ^ 0x11EE1ULL, storage_of(cfg)),
+      all_levels_ok_(cfg.levels, true) {
   if (cfg.window == 0) throw std::invalid_argument("generic: window == 0");
 }
 
@@ -198,24 +227,7 @@ std::size_t GenericEncoder::memory_footprint_bytes() const {
 }
 
 hdc::IntHV GenericEncoder::encode(std::span<const float> sample) const {
-  const auto bins = quantize(sample);
-  const std::size_t n = cfg_.window;
-  hdc::IntHV acc(cfg_.dims, 0);
-  if (bins.size() < n) return acc;
-  hdc::BinaryHV window_hv(cfg_.dims);
-  hdc::BinaryHV scratch;
-  // id_i is the seed id rotated by i, matching the hardware tmp-register
-  // scheme; rotate incrementally instead of re-deriving per window.
-  hdc::BinaryHV id = ids_.seed_id();
-  for (std::size_t i = 0; i + n <= bins.size(); ++i) {
-    window_hv = level_row(levels_, bins[i], scratch);
-    for (std::size_t j = 1; j < n; ++j)
-      window_hv ^= level_row(levels_, bins[i + j], scratch).rotated(j);
-    if (cfg_.use_ids) window_hv ^= id;
-    window_hv.accumulate_into(acc);
-    if (cfg_.use_ids) id = id.rotated(1);
-  }
-  return acc;
+  return encode_masked(sample, all_levels_ok_, true);
 }
 
 hdc::IntHV GenericEncoder::encode_masked(std::span<const float> sample,
@@ -226,26 +238,19 @@ hdc::IntHV GenericEncoder::encode_masked(std::span<const float> sample,
         "encode_masked: level_ok must have one flag per level row");
   const auto bins = quantize(sample);
   const std::size_t n = cfg_.window;
-  hdc::IntHV acc(cfg_.dims, 0);
-  if (bins.size() < n) return acc;
-  hdc::BinaryHV window_hv(cfg_.dims);
-  hdc::BinaryHV scratch;
   const bool bind_ids = cfg_.use_ids && id_ok;
-  hdc::BinaryHV id = bind_ids ? ids_.seed_id() : hdc::BinaryHV();
+  Scratch& s = rows_of(levels_, bins);
+  const std::uint64_t* seed_id = ids_.seed_id().words().data();
   for (std::size_t i = 0; i + n <= bins.size(); ++i) {
     bool ok = true;
     for (std::size_t j = 0; j < n && ok; ++j) ok = level_ok[bins[i + j]];
-    if (ok) {
-      window_hv = level_row(levels_, bins[i], scratch);
-      for (std::size_t j = 1; j < n; ++j)
-        window_hv ^= level_row(levels_, bins[i + j], scratch).rotated(j);
-      if (bind_ids) window_hv ^= id;
-      window_hv.accumulate_into(acc);
-    }
-    // Skipped or not, id_i must track the window index i.
-    if (bind_ids) id = id.rotated(1);
+    if (!ok) continue;
+    for (std::size_t j = 0; j < n; ++j) s.terms.push_back({s.rows[i + j], j});
+    // id_i = rho^i(seed id), the hardware's rotating tmp register: bound
+    // by the window index, so a skipped window shifts no later id.
+    if (bind_ids) s.terms.push_back({seed_id, i});
   }
-  return acc;
+  return bundle(s, bind_ids ? n + 1 : n, cfg_.dims);
 }
 
 hdc::BinaryHV GenericEncoder::materialize_id_seed() const {
@@ -264,19 +269,9 @@ std::size_t SymbolNgramEncoder::memory_footprint_bytes() const {
 }
 
 hdc::IntHV SymbolNgramEncoder::encode(std::span<const float> sample) const {
-  const auto bins = quantize(sample);
-  const std::size_t n = cfg_.window;
-  hdc::IntHV acc(cfg_.dims, 0);
-  if (bins.size() < n) return acc;
-  hdc::BinaryHV window_hv(cfg_.dims);
-  hdc::BinaryHV scratch;
-  for (std::size_t i = 0; i + n <= bins.size(); ++i) {
-    window_hv = item_row(items_, bins[i], scratch);
-    for (std::size_t j = 1; j < n; ++j)
-      window_hv ^= item_row(items_, bins[i + j], scratch).rotated(j);
-    window_hv.accumulate_into(acc);
-  }
-  return acc;
+  Scratch& s = rows_of(items_, quantize(sample));
+  sliding_windows(s, cfg_.window);
+  return bundle(s, cfg_.window, cfg_.dims);
 }
 
 }  // namespace generic::enc

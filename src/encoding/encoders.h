@@ -1,4 +1,12 @@
 // Concrete encoder implementations; see encoder.h for the scheme overview.
+//
+// Every encoder that bundles binary rows — level-id, permutation, ngram,
+// generic and sym-ngram — lists each window's rows with their rotations
+// and bundles all windows of a sample in one call to the window-bundle
+// kernel (hdc::bundle_windows, docs/kernels.md), which rotates rows as it
+// reads them: no encoder materializes a rotated row or a per-window
+// hypervector. Rematerialized rows are rebuilt once per feature position
+// into per-thread scratch.
 #pragma once
 
 #include "encoding/encoder.h"
@@ -21,8 +29,9 @@ class RpEncoder final : public Encoder {
   hdc::ItemMemory ids_;
 };
 
-/// Level-id encoding: H = sum_i level(x_i) XOR id_i. Non-linear through the
-/// level quantization; ids give global position but no local context.
+/// Level-id encoding: H = sum_i level(x_i) XOR id_i — two-term windows, no
+/// rotation. Non-linear through the level quantization; ids give global
+/// position but no local context.
 class LevelIdEncoder final : public Encoder {
  public:
   explicit LevelIdEncoder(const EncoderConfig& cfg);
@@ -35,7 +44,8 @@ class LevelIdEncoder final : public Encoder {
   hdc::LevelMemory levels_;
 };
 
-/// Permutation encoding (Fig. 2(b)): H = sum_i rho^i(level(x_i)).
+/// Permutation encoding (Fig. 2(b)): H = sum_i rho^i(level(x_i)) — one-term
+/// windows, rotated by the feature index.
 /// Binds position by shift amount; a pattern that moves by one position
 /// maps to an unrelated hypervector, so order-free data (LANG) defeats it.
 class PermutationEncoder final : public Encoder {
@@ -69,6 +79,9 @@ class NgramEncoder final : public Encoder {
 /// single rotating seed id, §4.3.1) restore global order. Setting
 /// cfg.use_ids = false zeroes the ids, reducing to pure subsequence
 /// statistics for order-free applications such as language identification.
+/// Each window is n level rows rotated by j < n plus the seed id rotated by
+/// i; encode() is encode_masked() with every row ok, so both share one
+/// window loop.
 class GenericEncoder final : public Encoder {
  public:
   explicit GenericEncoder(const EncoderConfig& cfg);
@@ -105,6 +118,7 @@ class GenericEncoder final : public Encoder {
  private:
   hdc::SeededItemMemory ids_;
   hdc::LevelMemory levels_;
+  std::vector<bool> all_levels_ok_;  ///< encode()'s mask: every row ok
 };
 
 /// Categorical n-gram encoding (extension; see EncoderKind::kSymbolNgram):

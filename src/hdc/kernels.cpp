@@ -32,6 +32,18 @@ std::int16_t* detail::i16_scratch(std::size_t n) {
   return buf.data();
 }
 
+std::uint64_t* detail::u64_scratch(std::size_t n) {
+  thread_local std::vector<std::uint64_t> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+std::uint16_t* detail::u16_scratch(std::size_t n) {
+  thread_local std::vector<std::uint16_t> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
 std::string_view to_string(Backend backend) {
   switch (backend) {
     case Backend::kScalar: return "scalar";

@@ -1,21 +1,26 @@
 // Runtime-dispatched integer kernels — the one place every similarity
-// search bottoms out (docs/kernels.md): XOR+popcount for binary models and
-// the query×class int32 dot tile every HdcClassifier prediction scores
-// through.
+// search and every binary encoder bottoms out (docs/kernels.md):
+// XOR+popcount for binary models, the query×class int32 dot tile every
+// HdcClassifier prediction scores through, and the window bundle every
+// encoder that bundles binary rows (Eq. 1, Fig. 2(d)) encodes through.
 //
-// Both are exact integer reductions, so any backend that computes the same
-// sums is bit-identical by construction: vectorization here can never
+// All three are exact integer reductions, so any backend that computes the
+// same sums is bit-identical by construction: vectorization here can never
 // disturb the determinism contract of docs/parallelism.md. What the
 // dispatch layer adds is the choice of HOW the sums are computed:
 //
-//   scalar  portable reference: 4-way unrolled hardware popcount and a
-//           plain int64 dot loop, compiled with vectorization disabled so
-//           it stays the honest baseline
+//   scalar  portable reference: 4-way unrolled hardware popcount, a plain
+//           int64 dot loop, and one 16-bit counter add per window bit,
+//           compiled with vectorization disabled so it stays the honest
+//           baseline
 //   avx2    pshufb nibble-lookup popcount; dot tile on _mm256_mul_epi32,
-//           or _mm256_madd_epi16 when an operand bound proves int16 exact
+//           or _mm256_madd_epi16 when an operand bound proves int16 exact;
+//           window bits expanded by shuffle/cmpeq into register counters
 //   avx512  vpopcntq over 512-bit lanes; the same dot tile on 512-bit
-//           lanes (x86 + VPOPCNTDQ + BW)
+//           lanes; window bits as the masks of _mm512_mask_add_epi16
+//           (x86 + VPOPCNTDQ + BW)
 //   neon    vcnt + widening pairwise accumulation (aarch64); scalar tile
+//           and scalar window bundle
 //
 // Selection is runtime CPU-feature detection ("auto" picks the best
 // available), overridable by the GENERIC_KERNEL_BACKEND environment
@@ -24,8 +29,9 @@
 // a clear error rather than silently falling back.
 //
 // Every backend must be byte-identical to scalar — same distances, same
-// dot products, same winners — which tests/hdc/kernel_equivalence_test.cpp
-// asserts for every compiled backend across ragged shapes.
+// dot products, same winners, same bundled counts — which
+// tests/hdc/kernel_equivalence_test.cpp asserts for every compiled backend
+// across ragged shapes.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +55,19 @@ struct DimRun {
   std::size_t begin = 0;
   std::size_t end = 0;
 };
+
+/// One term of a window: a bit-packed row (ceil(dims/64) words, unused
+/// tail bits zero) and the rotation rho^rot applied before it is XORed in.
+/// rot may exceed dims; it is taken modulo dims.
+struct RotatedRow {
+  const std::uint64_t* words = nullptr;
+  std::size_t rot = 0;
+};
+
+/// Most windows a bundle_windows call counts in 16-bit per-dimension
+/// counters before it flushes them into the int32 accumulator: a counter
+/// then never exceeds 32767, so it is exact in int16 as well as uint16.
+inline constexpr std::size_t kMaxWindowsPerFlush = 32767;
 
 /// The dispatch table one backend fills in. Every entry point is exact: it
 /// returns the same integers the scalar reference computes.
@@ -78,6 +97,22 @@ struct Kernels {
                    const std::int32_t* const* classes, std::size_t nc,
                    const DimRun* runs, std::size_t nruns,
                    std::int64_t* out) = nullptr;
+
+  /// Bundle `windows` windows of `per_window` terms each into `acc`:
+  ///   v_w    = XOR_{t < per_window} rho^{rot}(row) over terms
+  ///            [w * per_window, (w + 1) * per_window)
+  ///   acc[d] += Σ_w (2 · v_w[d] − 1)        for every d < dims
+  /// — the bipolar sum of the windows, GENERIC's Eq. 1 when a window's
+  /// terms are its n level rows rotated by j < n and the seed id rotated
+  /// by the window index. Rotation is toward higher indices, as
+  /// BinaryHV::rotated. Each bit is added into 16-bit counters that are
+  /// flushed (acc[d] += 2 · count[d] − counted) at most every
+  /// kMaxWindowsPerFlush windows, so the sum is exact for any window
+  /// count. Rows are read, never cached, on every call: fault injection and
+  /// scrubbing rewrite them in place between calls.
+  void (*bundle_windows)(const RotatedRow* terms, std::size_t per_window,
+                         std::size_t windows, std::size_t dims,
+                         std::int32_t* acc) = nullptr;
 };
 
 /// Canonical lower-case name: "scalar", "avx2", "avx512", "neon".

@@ -1,5 +1,7 @@
-// AVX2 backend: Muła pshufb nibble-lookup popcount, and the dot tile of
-// hdc/kernels_tile.h on 256-bit lanes.
+// AVX2 backend: Muła pshufb nibble-lookup popcount, the dot tile of
+// hdc/kernels_tile.h on 256-bit lanes, and the window bundle of
+// hdc/kernels_bundle.h with window bits expanded into 16-bit lanes by
+// shuffle/cmpeq.
 //
 // Each 256-bit lane of a ^ b is split into nibbles, counted through a
 // 16-entry shuffle table, and accumulated in 8-bit lanes. Blocks are capped
@@ -13,6 +15,7 @@
 
 #if defined(GENERIC_KERNELS_HAVE_AVX2)
 
+#include "hdc/kernels_bundle.h"
 #include "hdc/kernels_tile.h"
 
 #include <immintrin.h>
@@ -158,13 +161,55 @@ struct Avx2 {
         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(a, 1)));
   }
   static std::uint64_t hsum64(V a) { return fold_u64(a); }
+
+  /// Window-bundle block: 2 words = 128 dims = 8 vectors of 16 uint16
+  /// counters. The word is broadcast; for each 16-bit quarter a byte
+  /// shuffle gives lanes 0-7 its low byte and lanes 8-15 its high byte,
+  /// and cmpeq against each lane's bit yields 0xFFFF (-1) where the bit is
+  /// set, which subtracting adds as +1.
+  static constexpr std::size_t kBlockWords = 2;
+  static void count_block(const std::uint64_t* words, std::size_t stride,
+                          std::size_t n, std::int32_t* acc) {
+    __m256i pick[4];
+    for (int q = 0; q < 4; ++q)
+      pick[q] = _mm256_setr_m128i(_mm_set1_epi8(static_cast<char>(2 * q)),
+                                  _mm_set1_epi8(static_cast<char>(2 * q + 1)));
+    const __m256i lane_bit = _mm256_setr_epi16(1, 2, 4, 8, 16, 32, 64, 128, 1,
+                                               2, 4, 8, 16, 32, 64, 128);
+    __m256i c[4 * kBlockWords];
+    for (auto& v : c) v = _mm256_setzero_si256();
+    for (std::size_t w = 0; w < n; ++w, words += stride)
+      for (std::size_t k = 0; k < kBlockWords; ++k) {
+        const __m256i word =
+            _mm256_set1_epi64x(static_cast<long long>(words[k]));
+        for (std::size_t q = 0; q < 4; ++q) {
+          const __m256i bits = _mm256_and_si256(
+              _mm256_shuffle_epi8(word, pick[q]), lane_bit);
+          c[4 * k + q] = _mm256_sub_epi16(c[4 * k + q],
+                                          _mm256_cmpeq_epi16(bits, lane_bit));
+        }
+      }
+    const __m256i neg_n = _mm256_set1_epi32(-static_cast<std::int32_t>(n));
+    for (std::size_t k = 0; k < 4 * kBlockWords; ++k)
+      for (std::size_t h = 0; h < 2; ++h) {
+        const __m256i count = _mm256_cvtepu16_epi32(
+            h == 0 ? _mm256_castsi256_si128(c[k])
+                   : _mm256_extracti128_si256(c[k], 1));
+        auto* a = reinterpret_cast<__m256i*>(acc + 16 * k + 8 * h);
+        const __m256i bipolar =
+            _mm256_add_epi32(_mm256_add_epi32(count, count), neg_n);
+        _mm256_storeu_si256(a,
+                            _mm256_add_epi32(_mm256_loadu_si256(a), bipolar));
+      }
+  }
 };
 
 }  // namespace
 
 const Kernels& avx2_table() {
-  static const Kernels k{Backend::kAvx2, "avx2", &avx2_xor_popcount,
-                         &avx2_xor_popcount_many, &dot_tile<Avx2>};
+  static const Kernels k{Backend::kAvx2,        "avx2",
+                         &avx2_xor_popcount,    &avx2_xor_popcount_many,
+                         &dot_tile<Avx2>,       &bundle_windows<Avx2>};
   return k;
 }
 

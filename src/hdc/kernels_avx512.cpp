@@ -1,5 +1,7 @@
-// AVX-512 backend: native vpopcntq over 512-bit lanes, and the dot tile of
-// hdc/kernels_tile.h on 512-bit lanes.
+// AVX-512 backend: native vpopcntq over 512-bit lanes, the dot tile of
+// hdc/kernels_tile.h on 512-bit lanes, and the window bundle of
+// hdc/kernels_bundle.h with each 32-bit half of a window word as the mask
+// of one _mm512_mask_add_epi16 into 32 register counters.
 //
 // Requires AVX512F + AVX512BW + AVX512VPOPCNTDQ (Ice Lake and later;
 // dispatch checks all three at runtime; BW is the tile's vpmaddwd). The
@@ -15,6 +17,7 @@
 
 #if defined(GENERIC_KERNELS_HAVE_AVX512)
 
+#include "hdc/kernels_bundle.h"
 #include "hdc/kernels_tile.h"
 
 #include <immintrin.h>
@@ -107,13 +110,45 @@ struct Avx512 {
   static std::uint64_t hsum64(V a) {
     return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a));
   }
+
+  /// Window-bundle block: 8 words = 512 dims = 16 vectors of 32 uint16
+  /// counters. Bit b of a 32-bit half-word is lane b's add mask.
+  static constexpr std::size_t kBlockWords = 8;
+  static void count_block(const std::uint64_t* words, std::size_t stride,
+                          std::size_t n, std::int32_t* acc) {
+    const __m512i one = _mm512_set1_epi16(1);
+    __m512i c[2 * kBlockWords];
+    for (auto& v : c) v = _mm512_setzero_si512();
+    for (std::size_t w = 0; w < n; ++w, words += stride)
+      for (std::size_t k = 0; k < kBlockWords; ++k) {
+        const std::uint64_t bits = words[k];
+        c[2 * k] = _mm512_mask_add_epi16(
+            c[2 * k], _cvtu32_mask32(static_cast<std::uint32_t>(bits)),
+            c[2 * k], one);
+        c[2 * k + 1] = _mm512_mask_add_epi16(
+            c[2 * k + 1], _cvtu32_mask32(static_cast<std::uint32_t>(bits >> 32)),
+            c[2 * k + 1], one);
+      }
+    const __m512i neg_n = _mm512_set1_epi32(-static_cast<std::int32_t>(n));
+    auto flush = [&](__m256i counts, std::int32_t* a) {
+      const __m512i c32 = _mm512_cvtepu16_epi32(counts);
+      const __m512i bipolar = _mm512_add_epi32(_mm512_add_epi32(c32, c32),
+                                               neg_n);
+      _mm512_storeu_si512(a, _mm512_add_epi32(_mm512_loadu_si512(a), bipolar));
+    };
+    for (std::size_t k = 0; k < 2 * kBlockWords; ++k) {
+      flush(_mm512_castsi512_si256(c[k]), acc + 32 * k);
+      flush(_mm512_extracti64x4_epi64(c[k], 1), acc + 32 * k + 16);
+    }
+  }
 };
 
 }  // namespace
 
 const Kernels& avx512_table() {
-  static const Kernels k{Backend::kAvx512, "avx512", &avx512_xor_popcount,
-                         &avx512_xor_popcount_many, &dot_tile<Avx512>};
+  static const Kernels k{Backend::kAvx512,         "avx512",
+                         &avx512_xor_popcount,     &avx512_xor_popcount_many,
+                         &dot_tile<Avx512>,        &bundle_windows<Avx512>};
   return k;
 }
 

@@ -20,11 +20,23 @@ void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
                      const std::int32_t* const* classes, std::size_t nc,
                      const DimRun* runs, std::size_t nruns, std::int64_t* out);
 
+/// The reference window bundle; backends without one of their own point at
+/// it.
+void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,
+                           std::size_t windows, std::size_t dims,
+                           std::int32_t* acc);
+
 /// Per-thread int16 scratch of at least `n` elements for the narrow dot
 /// tile's operand pack. Defined in kernels.cpp, which no ISA flag reaches,
 /// so the buffer's allocation code is never built for a wider ISA than the
 /// host has. Contents are garbage on entry; the buffer only ever grows.
 std::int16_t* i16_scratch(std::size_t n);
+
+/// Per-thread scratch of the window bundle, under the same rules as
+/// i16_scratch: packed window words, and the scalar reference's 16-bit
+/// per-dimension counters.
+std::uint64_t* u64_scratch(std::size_t n);
+std::uint16_t* u16_scratch(std::size_t n);
 
 #if defined(GENERIC_KERNELS_HAVE_AVX2)
 const Kernels& avx2_table();

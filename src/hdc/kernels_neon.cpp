@@ -4,8 +4,9 @@
 // compile-time gate. vaddlvq_u8 folds the 16 per-byte counts of each
 // 128-bit XOR into one u16 (max 128, no saturation possible), keeping the
 // kernel simple and exactly equal to the scalar reference. The many-rows
-// kernel shares each query load across two rows. The dot tile is the
-// scalar reference's until an aarch64 host can test a NEON one.
+// kernel shares each query load across two rows. The dot tile and the
+// window bundle are the scalar reference's until an aarch64 host can test
+// NEON ones.
 #include "hdc/kernels_detail.h"
 
 #if defined(GENERIC_KERNELS_HAVE_NEON)
@@ -66,8 +67,9 @@ void neon_xor_popcount_many(const std::uint64_t* q,
 }  // namespace
 
 const Kernels& neon_table() {
-  static const Kernels k{Backend::kNeon, "neon", &neon_xor_popcount,
-                         &neon_xor_popcount_many, &scalar_dot_tile};
+  static const Kernels k{Backend::kNeon,         "neon",
+                         &neon_xor_popcount,     &neon_xor_popcount_many,
+                         &scalar_dot_tile,       &scalar_bundle_windows};
   return k;
 }
 

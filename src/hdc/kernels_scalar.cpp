@@ -6,11 +6,14 @@
 // "scalar" silently depend on the build machine and turn every
 // scalar-vs-SIMD benchmark into a lie. Disabling vectorization keeps it the
 // honest portable baseline: 4-way unrolled hardware popcount, one word at a
-// time — and a plain int64 dot loop for the query×class tile.
+// time, a plain int64 dot loop for the query×class tile, and one 16-bit
+// counter add per window bit for the window bundle.
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 
+#include "hdc/kernels_bundle.h"
 #include "hdc/kernels_detail.h"
 
 namespace generic::hdc::kernels::detail {
@@ -62,9 +65,33 @@ void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
     }
 }
 
+void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,
+                           std::size_t windows, std::size_t dims,
+                           std::int32_t* acc) {
+  if (dims == 0 || windows == 0) return;
+  std::uint64_t* win = u64_scratch(row_words(dims));
+  std::uint16_t* counts = u16_scratch(dims);
+  std::fill(counts, counts + dims, std::uint16_t{0});
+  std::size_t counted = 0;
+  for (std::size_t w = 0; w < windows; ++w) {
+    window_words(terms + w * per_window, per_window, dims, win);
+    for (std::size_t d = 0; d < dims; ++d)
+      counts[d] = static_cast<std::uint16_t>(counts[d] + bit_of(win, d));
+    if (++counted == kMaxWindowsPerFlush || w + 1 == windows) {
+      for (std::size_t d = 0; d < dims; ++d) {
+        acc[d] += 2 * static_cast<std::int32_t>(counts[d]) -
+                  static_cast<std::int32_t>(counted);
+        counts[d] = 0;
+      }
+      counted = 0;
+    }
+  }
+}
+
 const Kernels& scalar_table() {
-  static const Kernels k{Backend::kScalar, "scalar", &scalar_xor_popcount,
-                         &scalar_xor_popcount_many, &scalar_dot_tile};
+  static const Kernels k{Backend::kScalar,       "scalar",
+                         &scalar_xor_popcount,   &scalar_xor_popcount_many,
+                         &scalar_dot_tile,       &scalar_bundle_windows};
   return k;
 }
 
