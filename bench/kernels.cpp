@@ -10,8 +10,11 @@
 //                        × 26 int32 classes over a prefix of `--dims`
 //                        halved down to 512: every HdcClassifier
 //                        prediction's tile, one serving rung per row
+//   * bundle_windows   — one ISOLET-shaped GENERIC sample per call (128
+//                        features, 64 levels, n = 3, ids bound: 126
+//                        windows of four rotated rows at `--dims`)
 // and reports throughput plus speedup vs the forced-scalar reference.
-// Every measured distance and dot product is cross-checked against scalar
+// Every measured distance, dot product and bundle is cross-checked against scalar
 // before timing: a backend that is fast but wrong fails loudly here, not in
 // production.
 //
@@ -25,9 +28,12 @@
 //   kernels.<backend>.nearest_speedup_milli   (1000 = scalar parity)
 //   kernels.<backend>.dot_tile_ns_per_query.<dims>
 //   kernels.<backend>.dot_tile_speedup_milli.<dims>
+//   kernels.<backend>.encode_ns_per_sample
+//   kernels.<backend>.encode_speedup_milli    (1000 = scalar parity)
 //   remat.encode_stored_ns_per_sample / remat.encode_remat_ns_per_sample
 //   remat.recompute_overhead_milli
 //   remat.footprint.stored_payload_bytes / remat.footprint.remat_payload_bytes
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,6 +42,7 @@
 #include "common/rng.h"
 #include "encoding/encoders.h"
 #include "hdc/hypervector.h"
+#include "hdc/item_memory.h"
 #include "hdc/kernels.h"
 #include "hdc/ops.h"
 #include "obs/export.h"
@@ -235,6 +242,56 @@ int main(int argc, char** argv) {
                 speedup * 1000.0);
     }
     std::printf("\n");
+  }
+
+  // ---- window bundle: one ISOLET-shaped GENERIC sample per call ------------
+  // The terms GenericEncoder hands the kernel: window i is the level rows
+  // of features i..i+n-1 rotated by 0..n-1 and the seed id rotated by i.
+  constexpr std::size_t kFeatures = 128, kLevels = 64, kWindow = 3;
+  const hdc::LevelMemory levels(dims, kLevels, 0x11EE1);
+  const hdc::SeededItemMemory ids(dims, 0x6E2E21C);
+  Rng bins_rng(0xB1D5);
+  std::vector<std::size_t> bins(kFeatures);
+  for (auto& b : bins) b = bins_rng.below(kLevels);
+  std::vector<k::RotatedRow> terms;
+  for (std::size_t i = 0; i + kWindow <= kFeatures; ++i) {
+    for (std::size_t j = 0; j < kWindow; ++j)
+      terms.push_back({levels.level(bins[i + j]).words().data(), j});
+    terms.push_back({ids.seed_id().words().data(), i});
+  }
+  const std::size_t per_window = kWindow + 1;
+  const std::size_t windows = terms.size() / per_window;
+  auto run_bundle = [&](const k::Kernels& table, hdc::IntHV& acc) {
+    std::fill(acc.begin(), acc.end(), 0);
+    table.bundle_windows(terms.data(), per_window, windows, dims, acc.data());
+  };
+  hdc::IntHV want_bundle(dims);
+  run_bundle(k::get(k::Backend::kScalar), want_bundle);
+
+  std::printf("\nbundle_windows: %zu windows x %zu rows, dims=%zu\n", windows,
+              per_window, dims);
+  std::printf("%-8s %16s %10s\n", "backend", "ns/sample", "speedup");
+  bench::print_rule(36);
+  double scalar_encode_ns = 0.0;
+  for (k::Backend backend : k::compiled_backends()) {
+    if (!k::available(backend)) continue;
+    const k::Kernels& table = k::get(backend);
+    const std::string name(k::to_string(backend));
+    hdc::IntHV got(dims);
+    run_bundle(table, got);
+    if (got != want_bundle) {
+      std::fprintf(stderr, "%s: bundle_windows diverged from scalar\n",
+                   name.c_str());
+      return 1;
+    }
+    // measure_mwords counts calls here: Msamples/s -> ns per sample.
+    const double ns =
+        1e3 / measure_mwords([&] { run_bundle(table, got); }, 1.0, target_s);
+    if (backend == k::Backend::kScalar) scalar_encode_ns = ns;
+    const double speedup = ns > 0 ? scalar_encode_ns / ns : 0;
+    std::printf("%-8s %16.0f %9.2fx\n", name.c_str(), ns, speedup);
+    set_gauge("kernels." + name + ".encode_ns_per_sample", ns);
+    set_gauge("kernels." + name + ".encode_speedup_milli", speedup * 1000.0);
   }
 
   // ---- stored vs rematerialized memories ---------------------------------

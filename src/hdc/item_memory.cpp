@@ -35,13 +35,6 @@ BinaryHV ItemMemory::materialize(std::size_t key) const {
   return BinaryHV::random(dims_, rng);
 }
 
-void ItemMemory::xor_row_into(std::size_t key, BinaryHV& acc) const {
-  if (storage_ == ItemStorage::kStored)
-    acc ^= get(key);
-  else
-    acc ^= materialize(key);
-}
-
 std::size_t ItemMemory::footprint_bytes() const {
   if (storage_ == ItemStorage::kRematerialized) return 0;
   std::lock_guard<std::mutex> lock(mu_);

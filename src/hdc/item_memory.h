@@ -60,10 +60,6 @@ class ItemMemory {
   /// bit-identical to what get() returns / would return.
   BinaryHV materialize(std::size_t key) const;
 
-  /// acc ^= row(key), without requiring a stable stored row. The binding
-  /// step every id-using encoder performs, mode-agnostic.
-  void xor_row_into(std::size_t key, BinaryHV& acc) const;
-
   /// Bytes of hypervector payload currently held (stored rows so far);
   /// zero in rematerialized mode.
   std::size_t footprint_bytes() const;
@@ -121,13 +117,12 @@ class LevelMemory {
 };
 
 /// The ASIC's compressed id scheme: id_k = rho^k(seed_id). Always
-/// rematerialized by construction — only the seed row is stored.
+/// rematerialized by construction — only the seed row is stored, and
+/// encoders bind id_k by handing the window-bundle kernel the seed row
+/// with rotation k (hdc/kernels.h); no rotated id is ever built.
 class SeededItemMemory {
  public:
   SeededItemMemory(std::size_t dims, std::uint64_t seed);
-
-  /// id for window index k, generated by rotating the seed id.
-  BinaryHV get(std::size_t k) const { return seed_id_.rotated(k); }
 
   /// Bytes held: the one seed row.
   std::size_t footprint_bytes() const {

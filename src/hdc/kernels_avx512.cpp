@@ -119,16 +119,13 @@ struct Avx512 {
     const __m512i one = _mm512_set1_epi16(1);
     __m512i c[2 * kBlockWords];
     for (auto& v : c) v = _mm512_setzero_si512();
-    for (std::size_t w = 0; w < n; ++w, words += stride)
-      for (std::size_t k = 0; k < kBlockWords; ++k) {
-        const std::uint64_t bits = words[k];
-        c[2 * k] = _mm512_mask_add_epi16(
-            c[2 * k], _cvtu32_mask32(static_cast<std::uint32_t>(bits)),
-            c[2 * k], one);
-        c[2 * k + 1] = _mm512_mask_add_epi16(
-            c[2 * k + 1], _cvtu32_mask32(static_cast<std::uint32_t>(bits >> 32)),
-            c[2 * k + 1], one);
-      }
+    for (std::size_t w = 0; w < n; ++w, words += stride) {
+      // Little-endian: half-word h of the block is mask h, loaded straight
+      // into a mask register.
+      auto* masks = reinterpret_cast<__mmask32*>(const_cast<std::uint64_t*>(words));
+      for (std::size_t h = 0; h < 2 * kBlockWords; ++h)
+        c[h] = _mm512_mask_add_epi16(c[h], _load_mask32(masks + h), c[h], one);
+    }
     const __m512i neg_n = _mm512_set1_epi32(-static_cast<std::int32_t>(n));
     auto flush = [&](__m256i counts, std::int32_t* a) {
       const __m512i c32 = _mm512_cvtepu16_epi32(counts);

@@ -69,14 +69,20 @@ void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,
                            std::size_t windows, std::size_t dims,
                            std::int32_t* acc) {
   if (dims == 0 || windows == 0) return;
-  std::uint64_t* win = u64_scratch(row_words(dims));
+  const std::size_t nw = row_words(dims);
+  std::uint64_t* win = u64_scratch(nw);
   std::uint16_t* counts = u16_scratch(dims);
   std::fill(counts, counts + dims, std::uint16_t{0});
   std::size_t counted = 0;
   for (std::size_t w = 0; w < windows; ++w) {
     window_words(terms + w * per_window, per_window, dims, win);
-    for (std::size_t d = 0; d < dims; ++d)
-      counts[d] = static_cast<std::uint16_t>(counts[d] + bit_of(win, d));
+    for (std::size_t o = 0; o < nw; ++o) {
+      std::uint16_t* c = counts + o * kWord;
+      const std::size_t len = std::min(kWord, dims - o * kWord);
+      std::uint64_t bits = win[o];
+      for (std::size_t b = 0; b < len; ++b, bits >>= 1)
+        c[b] = static_cast<std::uint16_t>(c[b] + (bits & 1u));
+    }
     if (++counted == kMaxWindowsPerFlush || w + 1 == windows) {
       for (std::size_t d = 0; d < dims; ++d) {
         acc[d] += 2 * static_cast<std::int32_t>(counts[d]) -

@@ -1,8 +1,9 @@
 // Differential equivalence suite for the runtime-dispatched kernels
 // (hdc/kernels.h): every compiled backend must be BYTE-IDENTICAL to the
 // scalar reference — same raw span sums, same hamming_many orders, same
-// nearest_hamming winners including ties, same dot tiles — across ragged
-// dimension sweeps, run lists and operand ranges.
+// nearest_hamming winners including ties, same dot tiles, same window
+// bundles — across ragged dimension sweeps, run lists, operand ranges,
+// rotations and window counts.
 // This is the contract that lets golden `generic.*.v1` fixtures stay
 // byte-stable no matter which backend dispatch picks (docs/kernels.md).
 #include <cstdint>
@@ -16,6 +17,7 @@
 
 #include "common/rng.h"
 #include "hdc/hypervector.h"
+#include "hdc/item_memory.h"
 #include "hdc/kernels.h"
 #include "hdc/ops.h"
 #include "kernel_backends.h"
@@ -341,6 +343,137 @@ TEST(KernelEquivalence, DotTileExactAtAndPastTheInt16Bound) {
   }
 }
 
+// ---- Window bundle ----------------------------------------------------------
+
+/// Rows and terms of a window-bundle call; term t points into
+/// rows[row_of[t]].
+struct Windows {
+  std::vector<BinaryHV> rows;
+  std::vector<k::RotatedRow> terms;
+  std::vector<std::size_t> row_of;
+  std::size_t per_window = 0;
+  std::size_t count() const { return terms.size() / per_window; }
+};
+
+/// The bundle the kernel must equal, built from BinaryHV::rotated, XOR and
+/// accumulate_into one window at a time.
+IntHV rotated_reference(const Windows& w, std::size_t dims) {
+  IntHV acc(dims, 0);
+  for (std::size_t i = 0; i < w.count(); ++i) {
+    BinaryHV v(dims);
+    for (std::size_t t = i * w.per_window; t < (i + 1) * w.per_window; ++t)
+      v ^= w.rows[w.row_of[t]].rotated(w.terms[t].rot);
+    v.accumulate_into(acc);
+  }
+  return acc;
+}
+
+/// One table's bundle, added onto a non-zero accumulator so a backend that
+/// assigns instead of accumulating fails.
+IntHV bundled(const k::Kernels& table, const Windows& w, std::size_t dims) {
+  IntHV acc(dims, 7);
+  table.bundle_windows(w.terms.data(), w.per_window, w.count(), dims,
+                       acc.data());
+  for (auto& v : acc) v -= 7;
+  return acc;
+}
+
+/// `windows` GENERIC-shaped windows over random rows: n level rows rotated
+/// by k + j, plus (with_id) one id row rotated by k + window index.
+Windows generic_windows(std::size_t dims, std::size_t n, std::size_t rot,
+                        bool with_id, std::size_t windows, Rng& rng) {
+  Windows w;
+  w.per_window = n + (with_id ? 1 : 0);
+  for (int r = 0; r < 9; ++r) w.rows.push_back(BinaryHV::random(dims, rng));
+  auto add = [&](std::size_t row, std::size_t r) {
+    w.terms.push_back({w.rows[row].words().data(), r});
+    w.row_of.push_back(row);
+  };
+  for (std::size_t i = 0; i < windows; ++i) {
+    for (std::size_t j = 0; j < n; ++j) add((i + j * 3) % 8, rot + j);
+    if (with_id) add(8, rot + i);  // row 8 is the id
+  }
+  return w;
+}
+
+TEST(KernelEquivalence, WindowBundleMatchesScalarAcrossShapes) {
+  const k::Kernels& scalar = k::get(k::Backend::kScalar);
+  Rng rng(0xB0DD1E);
+  for (std::size_t dims : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                           std::size_t{65}, std::size_t{1000},
+                           std::size_t{4096}}) {
+    for (std::size_t rot : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                            std::size_t{64}, std::size_t{65}, dims - 1, dims,
+                            2 * dims + 3}) {
+      for (std::size_t n = 1; n <= 5; ++n)
+        for (const bool with_id : {false, true}) {
+          // 70 windows: more than one SIMD chunk at 4096 dims.
+          const Windows w = generic_windows(dims, n, rot, with_id, 70, rng);
+          const IntHV want = bundled(scalar, w, dims);
+          ASSERT_EQ(want, rotated_reference(w, dims))
+              << "scalar dims=" << dims << " rot=" << rot << " n=" << n
+              << " id=" << with_id;
+          for (k::Backend b : simd_backends())
+            EXPECT_EQ(bundled(k::get(b), w, dims), want)
+                << k::to_string(b) << " dims=" << dims << " rot=" << rot
+                << " n=" << n << " id=" << with_id;
+        }
+    }
+  }
+}
+
+TEST(KernelEquivalence, WindowRotationOfTheSeedIdMatchesRotated) {
+  // The ASIC's ids are rho^k(seed id) (§4.3.1), generated by the kernel's
+  // rotation: one single-term window per k must bundle to exactly the
+  // bipolar expansion of seed_id().rotated(k).
+  for (std::size_t dims : {std::size_t{512}, std::size_t{4096},
+                           std::size_t{1000}}) {
+    const SeededItemMemory ids(dims, 77);
+    for (std::size_t rot : {std::size_t{0}, std::size_t{5}, std::size_t{64},
+                            std::size_t{777}, dims + 1}) {
+      const k::RotatedRow term{ids.seed_id().words().data(), rot};
+      for (k::Backend b : test::available_backends()) {
+        IntHV acc(dims, 0);
+        k::get(b).bundle_windows(&term, 1, 1, dims, acc.data());
+        EXPECT_EQ(acc, ids.seed_id().rotated(rot).to_int())
+            << k::to_string(b) << " dims=" << dims << " rot=" << rot;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, WindowBundleExactAtAndPastTheCounterBound) {
+  // One all-ones row per window drives every 16-bit counter to the window
+  // count: at kMaxWindowsPerFlush, one past it, and past uint16 range, the
+  // bundle must equal a plain int32 accumulation.
+  constexpr std::size_t kDims = 64;
+  BinaryHV ones(kDims);
+  for (std::size_t d = 0; d < kDims; ++d) ones.set(d, d % 5 != 0);
+  for (std::size_t windows :
+       {k::kMaxWindowsPerFlush, k::kMaxWindowsPerFlush + 1,
+        std::size_t{65537}}) {
+    const std::vector<k::RotatedRow> terms(windows,
+                                           {ones.words().data(), 0});
+    IntHV want(kDims, 0);
+    for (std::size_t w = 0; w < windows; ++w) ones.accumulate_into(want);
+    for (k::Backend b : test::available_backends()) {
+      IntHV acc(kDims, 0);
+      k::get(b).bundle_windows(terms.data(), 1, windows, kDims, acc.data());
+      EXPECT_EQ(acc, want) << k::to_string(b) << " windows=" << windows;
+    }
+  }
+}
+
+TEST(KernelEquivalence, BundleWindowsOpRejectsRaggedTermLists) {
+  IntHV acc(64, 0);
+  const BinaryHV row(64);
+  const std::vector<k::RotatedRow> terms(5, {row.words().data(), 0});
+  EXPECT_THROW(bundle_windows(terms, 2, acc), std::invalid_argument);
+  EXPECT_THROW(bundle_windows(terms, 0, acc), std::invalid_argument);
+  EXPECT_NO_THROW(bundle_windows(terms, 5, acc));
+  EXPECT_EQ(acc, IntHV(64, -1));
+}
+
 // ---- Dispatch plumbing ----------------------------------------------------
 
 TEST(KernelDispatch, NamesRoundTrip) {
@@ -371,6 +504,7 @@ TEST(KernelDispatch, TablesAreSelfConsistent) {
     EXPECT_NE(table.xor_popcount, nullptr);
     EXPECT_NE(table.xor_popcount_many, nullptr);
     EXPECT_NE(table.dot_tile, nullptr);
+    EXPECT_NE(table.bundle_windows, nullptr);
   }
 }
 

@@ -15,6 +15,8 @@
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
 #include "hdc/item_memory.h"
+#include "hdc/kernels.h"
+#include "kernel_backends.h"
 #include "model/pipeline.h"
 #include "obs/export.h"
 
@@ -37,24 +39,6 @@ TEST(RematItemMemory, MaterializeMatchesStoredRowsAcrossSeedsAndKeys) {
             << "stored-mode materialize diverged at key " << key;
       }
     }
-  }
-}
-
-TEST(RematItemMemory, XorRowIntoMatchesExplicitXorInBothModes) {
-  Rng rng(0x5EED);
-  const std::size_t dims = 513;  // ragged tail
-  ItemMemory stored(dims, 42);
-  ItemMemory remat(dims, 42, ItemStorage::kRematerialized);
-  for (std::size_t key = 0; key < 5; ++key) {
-    const auto acc0 = BinaryHV::random(dims, rng);
-    BinaryHV want = acc0;
-    want ^= stored.get(key);
-    BinaryHV via_stored = acc0;
-    stored.xor_row_into(key, via_stored);
-    BinaryHV via_remat = acc0;
-    remat.xor_row_into(key, via_remat);
-    EXPECT_EQ(via_stored, want) << key;
-    EXPECT_EQ(via_remat, want) << key;
   }
 }
 
@@ -123,26 +107,42 @@ std::vector<std::vector<float>> synth_samples(std::size_t n, std::size_t f) {
 }
 
 TEST(RematEncoder, EveryKindEncodesBitIdenticallyInBothModes) {
+  // Under every kernel backend, at a ragged dims (257: the bit-wise
+  // rotation and tail paths) and a register-block-aligned one (4096),
+  // both modes reproduce the scalar stored encoding.
+  test::BackendGuard guard;
   const auto xs = synth_samples(6, 24);
-  for (enc::EncoderKind kind :
-       {enc::EncoderKind::kRp, enc::EncoderKind::kLevelId,
-        enc::EncoderKind::kNgram, enc::EncoderKind::kPermutation,
-        enc::EncoderKind::kGeneric, enc::EncoderKind::kSymbolNgram}) {
-    enc::EncoderConfig cfg;
-    cfg.dims = 257;  // ragged tail through every bind/rotate path
-    cfg.levels = 16;
-    auto stored = enc::make_encoder(kind, cfg);
-    cfg.remat = true;
-    auto remat = enc::make_encoder(kind, cfg);
-    stored->fit(xs);
-    remat->fit(xs);
-    for (const auto& x : xs)
-      EXPECT_EQ(remat->encode(x), stored->encode(x))
-          << "encoder " << enc::to_string(kind);
-    EXPECT_LT(remat->memory_footprint_bytes(),
-              stored->memory_footprint_bytes() + 1)
-        << "remat footprint must never exceed stored";
-  }
+  for (std::size_t dims : {std::size_t{257}, std::size_t{4096}})
+    for (enc::EncoderKind kind :
+         {enc::EncoderKind::kRp, enc::EncoderKind::kLevelId,
+          enc::EncoderKind::kNgram, enc::EncoderKind::kPermutation,
+          enc::EncoderKind::kGeneric, enc::EncoderKind::kSymbolNgram}) {
+      enc::EncoderConfig cfg;
+      cfg.dims = dims;
+      cfg.levels = 16;
+      auto stored = enc::make_encoder(kind, cfg);
+      cfg.remat = true;
+      auto remat = enc::make_encoder(kind, cfg);
+      stored->fit(xs);
+      remat->fit(xs);
+      kernels::set_backend(kernels::Backend::kScalar);
+      std::vector<IntHV> want;
+      for (const auto& x : xs) want.push_back(stored->encode(x));
+      for (kernels::Backend b : test::available_backends()) {
+        kernels::set_backend(b);
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          EXPECT_EQ(stored->encode(xs[i]), want[i])
+              << "encoder " << enc::to_string(kind) << " stored "
+              << kernels::to_string(b) << " dims=" << dims;
+          EXPECT_EQ(remat->encode(xs[i]), want[i])
+              << "encoder " << enc::to_string(kind) << " remat "
+              << kernels::to_string(b) << " dims=" << dims;
+        }
+      }
+      EXPECT_LT(remat->memory_footprint_bytes(),
+                stored->memory_footprint_bytes() + 1)
+          << "remat footprint must never exceed stored";
+    }
 }
 
 TEST(RematEncoder, FootprintDropsToSeedRowsOnly) {

@@ -20,6 +20,8 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "encoding/encoders.h"
+#include "hdc/kernels.h"
+#include "kernel_backends.h"
 #include "model/hdc_classifier.h"
 #include "model/pipeline.h"
 
@@ -110,13 +112,22 @@ TEST_P(ParallelDeterminismTest, EncodeBatchMatchesSerialEncode) {
   const auto ds = dataset();
   enc::GenericEncoder encoder(small_config(GetParam()));
   encoder.fit(ds.train_x);
+  // The serial scalar encoding is the reference for every lane count
+  // under every kernel backend.
+  test::BackendGuard guard;
+  hdc::kernels::set_backend(hdc::kernels::Backend::kScalar);
   const auto serial = encode_all(encoder, ds.train_x);
-  for (std::size_t lanes : kLaneCounts) {
-    ThreadPool pool(lanes);
-    const auto batched = encoder.encode_batch(ds.train_x, pool);
-    ASSERT_EQ(batched.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-      EXPECT_EQ(batched[i], serial[i]) << "sample " << i << " lanes=" << lanes;
+  for (hdc::kernels::Backend b : test::available_backends()) {
+    hdc::kernels::set_backend(b);
+    for (std::size_t lanes : kLaneCounts) {
+      ThreadPool pool(lanes);
+      const auto batched = encoder.encode_batch(ds.train_x, pool);
+      ASSERT_EQ(batched.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i)
+        EXPECT_EQ(batched[i], serial[i])
+            << "sample " << i << " lanes=" << lanes << " "
+            << hdc::kernels::to_string(b);
+    }
   }
 }
 

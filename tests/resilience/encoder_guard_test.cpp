@@ -12,6 +12,8 @@
 
 #include "common/rng.h"
 #include "encoding/encoders.h"
+#include "hdc/kernels.h"
+#include "kernel_backends.h"
 #include "resilience/fault_model.h"
 
 namespace generic::resilience {
@@ -126,17 +128,27 @@ TEST(EncoderGuard, MaskedEncodeIgnoresCorruptRowContents) {
   const auto scan = guard.scan(encoder);
   ASSERT_EQ(scan.num_faulty(), 3u);
 
-  for (const auto& x : make_samples())
-    EXPECT_EQ(encoder.encode_masked(x, scan.level_ok, scan.id_ok),
-              clean_encoder.encode_masked(x, scan.level_ok, scan.id_ok));
+  test::BackendGuard backend;
+  for (hdc::kernels::Backend b : test::available_backends()) {
+    hdc::kernels::set_backend(b);
+    for (const auto& x : make_samples())
+      EXPECT_EQ(encoder.encode_masked(x, scan.level_ok, scan.id_ok),
+                clean_encoder.encode_masked(x, scan.level_ok, scan.id_ok))
+          << hdc::kernels::to_string(b);
+  }
 }
 
 TEST(EncoderGuard, MaskedEncodeWithAllRowsOkEqualsPlainEncode) {
   const auto encoder_p = make_encoder();
   auto& encoder = *encoder_p;
   const std::vector<bool> all_ok(encoder.level_memory().num_levels(), true);
-  for (const auto& x : make_samples())
-    EXPECT_EQ(encoder.encode_masked(x, all_ok, true), encoder.encode(x));
+  test::BackendGuard backend;
+  for (hdc::kernels::Backend b : test::available_backends()) {
+    hdc::kernels::set_backend(b);
+    for (const auto& x : make_samples())
+      EXPECT_EQ(encoder.encode_masked(x, all_ok, true), encoder.encode(x))
+          << hdc::kernels::to_string(b);
+  }
 }
 
 TEST(EncoderGuard, MaskedEncodeWithoutIdEqualsNoIdEncoder) {
@@ -149,8 +161,13 @@ TEST(EncoderGuard, MaskedEncodeWithoutIdEqualsNoIdEncoder) {
   enc::GenericEncoder no_ids(cfg);
   no_ids.fit_range(0.0f, 1.0f);
   const std::vector<bool> all_ok(encoder.level_memory().num_levels(), true);
-  for (const auto& x : make_samples())
-    EXPECT_EQ(encoder.encode_masked(x, all_ok, false), no_ids.encode(x));
+  test::BackendGuard backend;
+  for (hdc::kernels::Backend b : test::available_backends()) {
+    hdc::kernels::set_backend(b);
+    for (const auto& x : make_samples())
+      EXPECT_EQ(encoder.encode_masked(x, all_ok, false), no_ids.encode(x))
+          << hdc::kernels::to_string(b);
+  }
 }
 
 TEST(EncoderGuard, SeedlessGuardRefusesScrubButStillScans) {
