@@ -11,6 +11,13 @@
 //   permutation -- level permuted by the feature's index    (Fig. 2(b))
 //   ngram       -- XOR of permuted levels over sliding windows, no ids
 //   generic     -- ngram windows + per-window id binding    (Fig. 2(d), Eq. 1)
+//
+// Every scheme but rp is a sum of windows, each the XOR of a few rotated
+// binary rows (level-id: level and id; permutation: one level rotated by
+// its index; ngram/generic: n levels rotated by 0..n-1, plus generic's
+// rotated id). Those encoders bundle a whole sample with one call to the
+// exact window-bundle kernel (hdc::bundle_windows, docs/kernels.md), so
+// every kernel backend yields the same encoding bytes.
 #pragma once
 
 #include <cstdint>

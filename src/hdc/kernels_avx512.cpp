@@ -25,6 +25,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace generic::hdc::kernels::detail {
 
@@ -120,11 +121,14 @@ struct Avx512 {
     __m512i c[2 * kBlockWords];
     for (auto& v : c) v = _mm512_setzero_si512();
     for (std::size_t w = 0; w < n; ++w, words += stride) {
-      // Little-endian: half-word h of the block is mask h, loaded straight
-      // into a mask register.
-      auto* masks = reinterpret_cast<__mmask32*>(const_cast<std::uint64_t*>(words));
-      for (std::size_t h = 0; h < 2 * kBlockWords; ++h)
-        c[h] = _mm512_mask_add_epi16(c[h], _load_mask32(masks + h), c[h], one);
+      // Little-endian: 32-bit half h of the block is mask h. Copying it
+      // out of memory lets the compiler load it straight into a mask
+      // register (kmovd k, m32) instead of moving it through a GPR.
+      for (std::size_t h = 0; h < 2 * kBlockWords; ++h) {
+        std::uint32_t mask = 0;
+        std::memcpy(&mask, reinterpret_cast<const char*>(words) + 4 * h, 4);
+        c[h] = _mm512_mask_add_epi16(c[h], _cvtu32_mask32(mask), c[h], one);
+      }
     }
     const __m512i neg_n = _mm512_set1_epi32(-static_cast<std::int32_t>(n));
     auto flush = [&](__m256i counts, std::int32_t* a) {
