@@ -16,8 +16,8 @@
 // binary rows (level-id: level and id; permutation: one level rotated by
 // its index; ngram/generic: n levels rotated by 0..n-1, plus generic's
 // rotated id). Those encoders bundle a whole sample with one call to the
-// exact window-bundle kernel (hdc::bundle_windows, docs/kernels.md), so
-// every kernel backend yields the same encoding bytes.
+// exact window-bundle kernel (Kernels::bundle_windows in hdc/kernels.h,
+// docs/kernels.md), so every kernel backend yields the same encoding bytes.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "hdc/ops.h"
+#include "hdc/kernels.h"
 #include "obs/obs.h"
 
 namespace generic::enc {
@@ -65,11 +65,14 @@ void sliding_windows(Scratch& s, std::size_t n) {
     for (std::size_t j = 0; j < n; ++j) s.terms.push_back({s.rows[i + j], j});
 }
 
-/// The bipolar sum of the scratch's windows of `per_window` terms.
+/// The bipolar sum of the scratch's windows of `per_window` terms, on the
+/// active kernel backend.
 hdc::IntHV bundle(const Scratch& s, std::size_t per_window,
                   std::size_t dims) {
   hdc::IntHV acc(dims, 0);
-  hdc::bundle_windows(s.terms, per_window, acc);
+  hdc::kernels::active().bundle_windows(s.terms.data(), per_window,
+                                        s.terms.size() / per_window, dims,
+                                        acc.data());
   return acc;
 }
 

@@ -3,8 +3,8 @@
 // Every encoder that bundles binary rows — level-id, permutation, ngram,
 // generic and sym-ngram — lists each window's rows with their rotations
 // and bundles all windows of a sample in one call to the window-bundle
-// kernel (hdc::bundle_windows, docs/kernels.md), which rotates rows as it
-// reads them: no encoder materializes a rotated row or a per-window
+// kernel (Kernels::bundle_windows, docs/kernels.md), which rotates rows as
+// it reads them: no encoder materializes a rotated row or a per-window
 // hypervector. Rematerialized rows are rebuilt once per feature position
 // into per-thread scratch.
 #pragma once

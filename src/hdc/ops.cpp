@@ -17,25 +17,9 @@ BinaryHV threshold(const IntHV& v, std::int32_t thresh) {
 
 BinaryHV majority(std::span<const BinaryHV> members) {
   if (members.empty()) throw std::invalid_argument("majority: empty set");
-  std::vector<kernels::RotatedRow> terms;
-  for (const auto& m : members) {
-    if (m.dims() != members.front().dims())
-      throw std::invalid_argument("majority: dimension mismatch");
-    terms.push_back({m.words().data(), 0});
-  }
   IntHV acc(members.front().dims(), 0);
-  bundle_windows(terms, 1, acc);
+  for (const auto& m : members) m.accumulate_into(acc);
   return threshold(acc, 0);
-}
-
-void bundle_windows(std::span<const kernels::RotatedRow> terms,
-                    std::size_t per_window, IntHV& acc) {
-  if (per_window == 0 || terms.size() % per_window != 0)
-    throw std::invalid_argument(
-        "bundle_windows: terms must split into windows of per_window");
-  kernels::active().bundle_windows(terms.data(), per_window,
-                                   terms.size() / per_window, acc.size(),
-                                   acc.data());
 }
 
 void weighted_accumulate(IntHV& acc, const BinaryHV& hv, std::int32_t weight) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "hdc/hypervector.h"
-#include "hdc/kernels.h"
 
 namespace generic::hdc {
 
@@ -19,14 +18,6 @@ BinaryHV threshold(const IntHV& v, std::int32_t threshold = 0);
 /// matching threshold()'s >= convention). Equivalent to bundling all
 /// members and thresholding at zero.
 BinaryHV majority(std::span<const BinaryHV> members);
-
-/// acc += the bipolar sum of terms.size() / per_window windows, window w
-/// the XOR of terms [w * per_window, (w + 1) * per_window), each row
-/// rotated by its rot — kernels::Kernels::bundle_windows on the active
-/// backend, the bundling step of every encoder that bundles binary rows.
-/// Every row must hold acc.size() bits.
-void bundle_windows(std::span<const kernels::RotatedRow> terms,
-                    std::size_t per_window, IntHV& acc);
 
 /// Accumulate with an integer weight: acc += weight * bipolar(hv).
 /// weight = +-1 reproduces BinaryHV::accumulate_into.

@@ -464,16 +464,6 @@ TEST(KernelEquivalence, WindowBundleExactAtAndPastTheCounterBound) {
   }
 }
 
-TEST(KernelEquivalence, BundleWindowsOpRejectsRaggedTermLists) {
-  IntHV acc(64, 0);
-  const BinaryHV row(64);
-  const std::vector<k::RotatedRow> terms(5, {row.words().data(), 0});
-  EXPECT_THROW(bundle_windows(terms, 2, acc), std::invalid_argument);
-  EXPECT_THROW(bundle_windows(terms, 0, acc), std::invalid_argument);
-  EXPECT_NO_THROW(bundle_windows(terms, 5, acc));
-  EXPECT_EQ(acc, IntHV(64, -1));
-}
-
 // ---- Dispatch plumbing ----------------------------------------------------
 
 TEST(KernelDispatch, NamesRoundTrip) {
