@@ -190,17 +190,17 @@ struct Avx2 {
         }
       }
     const __m256i neg_n = _mm256_set1_epi32(-static_cast<std::int32_t>(n));
-    for (std::size_t k = 0; k < 4 * kBlockWords; ++k)
-      for (std::size_t h = 0; h < 2; ++h) {
-        const __m256i count = _mm256_cvtepu16_epi32(
-            h == 0 ? _mm256_castsi256_si128(c[k])
-                   : _mm256_extracti128_si256(c[k], 1));
-        auto* a = reinterpret_cast<__m256i*>(acc + 16 * k + 8 * h);
-        const __m256i bipolar =
-            _mm256_add_epi32(_mm256_add_epi32(count, count), neg_n);
-        _mm256_storeu_si256(a,
-                            _mm256_add_epi32(_mm256_loadu_si256(a), bipolar));
-      }
+    auto flush = [&](__m128i counts, std::int32_t* a) {
+      const __m256i c32 = _mm256_cvtepu16_epi32(counts);
+      const __m256i bipolar = _mm256_add_epi32(_mm256_add_epi32(c32, c32),
+                                               neg_n);
+      auto* v = reinterpret_cast<__m256i*>(a);
+      _mm256_storeu_si256(v, _mm256_add_epi32(_mm256_loadu_si256(v), bipolar));
+    };
+    for (std::size_t k = 0; k < 4 * kBlockWords; ++k) {
+      flush(_mm256_castsi256_si128(c[k]), acc + 16 * k);
+      flush(_mm256_extracti128_si256(c[k], 1), acc + 16 * k + 8);
+    }
   }
 };
 

@@ -4,12 +4,12 @@
 // of one _mm512_mask_add_epi16 into 32 register counters.
 //
 // Requires AVX512F + AVX512BW + AVX512VPOPCNTDQ (Ice Lake and later;
-// dispatch checks all three at runtime; BW is the tile's vpmaddwd). The
-// many-rows kernel interleaves two reference rows per pass so each 512-bit
-// query load is amortized across two XOR+popcount chains — that, not the
-// popcount itself, is where the wins over scalar come from at typical
-// 64-word (4096-dim) rows. Exact integer sums, so
-// bit-identical to the scalar reference by construction.
+// dispatch checks all three at runtime; BW is the tile's vpmaddwd and the
+// bundle's 16-bit mask-add). The many-rows kernel interleaves two reference
+// rows per pass so each 512-bit query load is amortized across two
+// XOR+popcount chains — that, not the popcount itself, is where the wins
+// over scalar come from at typical 64-word (4096-dim) rows. Exact integer
+// sums, so bit-identical to the scalar reference by construction.
 //
 // This TU is compiled with -mavx512f -mavx512bw -mavx512vpopcntdq (see
 // src/hdc/CMakeLists.txt).
