@@ -9,7 +9,12 @@
 //   * dot_tile         — 32-query blocks (the serving engine's flush size)
 //                        × 26 int32 classes over a prefix of `--dims`
 //                        halved down to 512: every HdcClassifier
-//                        prediction's tile, one serving rung per row
+//                        prediction's tile, one serving rung per row. The
+//                        classes' int16 copy is stored once before timing,
+//                        as HdcClassifier keeps it, so no call packs classes
+//   * dot_tile 1q      — one query × the same 26 classes at `--dims`: the
+//                        tile of predict(), edge inference and every
+//                        retraining sample
 //   * bundle_windows   — one ISOLET-shaped GENERIC sample per call (128
 //                        features, 64 levels, n = 3, ids bound: 126
 //                        windows of four rotated rows at `--dims`)
@@ -28,6 +33,8 @@
 //   kernels.<backend>.nearest_speedup_milli   (1000 = scalar parity)
 //   kernels.<backend>.dot_tile_ns_per_query.<dims>
 //   kernels.<backend>.dot_tile_speedup_milli.<dims>
+//   kernels.<backend>.dot_tile_1q_ns_per_query.<dims>
+//   kernels.<backend>.dot_tile_1q_speedup_milli.<dims>
 //   kernels.<backend>.encode_ns_per_sample
 //   kernels.<backend>.encode_speedup_milli    (1000 = scalar parity)
 //   remat.encode_stored_ns_per_sample / remat.encode_remat_ns_per_sample
@@ -94,14 +101,21 @@ void set_gauge(const std::string& name, double v) {
 
 /// Serving-shaped int32 operands for the dot tile: queries and classes at
 /// the magnitudes a trained ISOLET-sized model holds (|q| <= 60, |c| <=
-/// 3000), so backends take the narrow path the serving engine takes.
+/// 3000), so backends take the narrow path the serving engine takes. The
+/// classes' int16 copy and bound are stored up front, like HdcClassifier's.
 struct TileWorkload {
   static constexpr std::size_t kClasses = 26;
   static constexpr std::size_t kQueries = 32;
   std::vector<hdc::IntHV> queries;
   std::vector<hdc::IntHV> classes;
+  std::vector<std::vector<std::int16_t>> classes16;
   std::vector<const std::int32_t*> query_rows;
   std::vector<const std::int32_t*> class_rows;
+  std::vector<const std::int16_t*> class16_rows;
+  std::int64_t max_abs = 0;
+  k::ClassRows class_side() const {
+    return {class_rows.data(), kClasses, class16_rows.data(), max_abs};
+  }
 };
 
 TileWorkload make_tile_workload(std::size_t dims) {
@@ -117,7 +131,13 @@ TileWorkload make_tile_workload(std::size_t dims) {
   fill(w.queries, TileWorkload::kQueries, 60);
   fill(w.classes, TileWorkload::kClasses, 3000);
   for (const auto& q : w.queries) w.query_rows.push_back(q.data());
-  for (const auto& c : w.classes) w.class_rows.push_back(c.data());
+  for (const auto& c : w.classes) {
+    w.class_rows.push_back(c.data());
+    w.classes16.emplace_back(c.begin(), c.end());
+    for (std::int32_t v : c)
+      w.max_abs = std::max<std::int64_t>(w.max_abs, v < 0 ? -v : v);
+  }
+  for (const auto& c : w.classes16) w.class16_rows.push_back(c.data());
   return w;
 }
 
@@ -198,10 +218,9 @@ int main(int argc, char** argv) {
   for (std::size_t d = dims; d >= 512; d /= 2) rungs.push_back(d);
   const std::size_t tile_out = TileWorkload::kQueries * TileWorkload::kClasses;
   auto run_tile = [&](const k::Kernels& table, std::size_t rung,
-                      std::int64_t* out) {
+                      std::int64_t* out, std::size_t nq = TileWorkload::kQueries) {
     const k::DimRun run{0, rung};
-    table.dot_tile(tw.query_rows.data(), TileWorkload::kQueries,
-                   tw.class_rows.data(), TileWorkload::kClasses, &run, 1, out);
+    table.dot_tile(tw.query_rows.data(), nq, tw.class_side(), &run, 1, out);
   };
   std::vector<std::vector<std::int64_t>> want_tile(rungs.size());
   for (std::size_t r = 0; r < rungs.size(); ++r) {
@@ -242,6 +261,36 @@ int main(int argc, char** argv) {
                 speedup * 1000.0);
     }
     std::printf("\n");
+  }
+
+  // ---- one query x every class at full dims: predict()'s tile -------------
+  std::vector<std::int64_t> want_1q(TileWorkload::kClasses);
+  run_tile(k::get(k::Backend::kScalar), dims, want_1q.data(), 1);
+  std::printf("\ndot_tile: 1 query x %zu classes at %zu dims, ns per query\n",
+              TileWorkload::kClasses, dims);
+  bench::print_rule(30);
+  double scalar_1q_ns = 0.0;
+  for (k::Backend backend : k::compiled_backends()) {
+    if (!k::available(backend)) continue;
+    const k::Kernels& table = k::get(backend);
+    const std::string name(k::to_string(backend));
+    std::vector<std::int64_t> got(TileWorkload::kClasses);
+    run_tile(table, dims, got.data(), 1);
+    if (got != want_1q) {
+      std::fprintf(stderr, "%s: one-query dot_tile diverged from scalar\n",
+                   name.c_str());
+      return 1;
+    }
+    const double ns = 1e3 / measure_mwords(
+                                [&] { run_tile(table, dims, got.data(), 1); },
+                                1.0, target_s);
+    if (backend == k::Backend::kScalar) scalar_1q_ns = ns;
+    const double speedup = ns > 0 ? scalar_1q_ns / ns : 0;
+    std::printf("%-8s %10.0f %9.2fx\n", name.c_str(), ns, speedup);
+    const std::string dims_tag = "." + std::to_string(dims);
+    set_gauge("kernels." + name + ".dot_tile_1q_ns_per_query" + dims_tag, ns);
+    set_gauge("kernels." + name + ".dot_tile_1q_speedup_milli" + dims_tag,
+              speedup * 1000.0);
   }
 
   // ---- window bundle: one ISOLET-shaped GENERIC sample per call ------------

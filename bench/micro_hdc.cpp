@@ -8,6 +8,7 @@
 #include "encoding/encoders.h"
 #include "hdc/hypervector.h"
 #include "hdc/item_memory.h"
+#include "hdc/kernels.h"
 #include "model/binary_model.h"
 #include "model/hdc_classifier.h"
 
@@ -62,7 +63,14 @@ void BM_IntDot(benchmark::State& state) {
     a[i] = static_cast<std::int32_t>(rng.range(-100, 100));
     b[i] = static_cast<std::int32_t>(rng.range(-30000, 30000));
   }
-  for (auto _ : state) benchmark::DoNotOptimize(hdc::dot(a, b));
+  const std::int32_t* q = a.data();
+  const std::int32_t* row = b.data();
+  const hdc::kernels::DimRun all{0, dims};
+  std::int64_t out = 0;
+  for (auto _ : state) {
+    hdc::kernels::active().dot_tile(&q, 1, {&row, 1}, &all, 1, &out);
+    benchmark::DoNotOptimize(out);
+  }
 }
 BENCHMARK(BM_IntDot)->Arg(4096);
 

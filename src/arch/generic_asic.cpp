@@ -66,14 +66,9 @@ std::size_t GenericAsic::train(const std::vector<std::vector<float>>& x,
       if (pred == y[i]) continue;
       ++updates;
       counts_ += cycles_.retrain_update(spec_);
-      hdc::add_into(model_->mutable_class_vector(static_cast<std::size_t>(pred)),
-                    encoded[i], -1);
-      hdc::add_into(model_->mutable_class_vector(static_cast<std::size_t>(y[i])),
-                    encoded[i], +1);
       // Norm2 rows of the two touched classes refresh with the write-back
       // (§4.2.2), so the very next prediction already sees them.
-      model_->recompute_norms(static_cast<std::size_t>(pred));
-      model_->recompute_norms(static_cast<std::size_t>(y[i]));
+      model_->move_sample(encoded[i], pred, y[i]);
     }
     if (updates == 0) break;
   }
@@ -99,12 +94,7 @@ int GenericAsic::online_update(std::span<const float> sample, int label) {
   const int pred = best_class(encoded);
   if (pred != label) {
     counts_ += cycles_.retrain_update(spec_);
-    hdc::add_into(model_->mutable_class_vector(static_cast<std::size_t>(pred)),
-                  encoded, -1);
-    hdc::add_into(model_->mutable_class_vector(static_cast<std::size_t>(label)),
-                  encoded, +1);
-    model_->recompute_norms(static_cast<std::size_t>(pred));
-    model_->recompute_norms(static_cast<std::size_t>(label));
+    model_->move_sample(encoded, pred, label);
   }
   return pred;
 }
@@ -142,7 +132,7 @@ std::vector<int> GenericAsic::cluster(const std::vector<std::vector<float>>& x,
     }
     if (!changed) break;
     for (std::size_t c = 0; c < k; ++c)
-      if (members[c] != 0) model_->mutable_class_vector(c) = std::move(copy[c]);
+      if (members[c] != 0) model_->set_class_vector(c, std::move(copy[c]));
     model_->recompute_norms();
   }
   return labels;

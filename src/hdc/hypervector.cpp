@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hdc/kernels.h"
+
 namespace generic::hdc {
 
 BinaryHV BinaryHV::random(std::size_t dims, Rng& rng) {
@@ -94,14 +96,6 @@ IntHV BinaryHV::to_int() const {
   return out;
 }
 
-std::int64_t dot(const IntHV& a, const IntHV& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    acc += static_cast<std::int64_t>(a[i]) * b[i];
-  return acc;
-}
-
 std::int64_t dot(const IntHV& a, const BinaryHV& b) {
   if (a.size() != b.dims())
     throw std::invalid_argument("dot(int,binary): size mismatch");
@@ -122,10 +116,17 @@ std::int64_t norm2(const IntHV& a) {
 }
 
 double cosine(const IntHV& a, const IntHV& b) {
+  if (a.size() != b.size())
+    throw std::invalid_argument("cosine: size mismatch");
   const std::int64_t na = norm2(a);
   const std::int64_t nb = norm2(b);
   if (na == 0 || nb == 0) return 0.0;
-  return static_cast<double>(dot(a, b)) /
+  const std::int32_t* q = a.data();
+  const std::int32_t* row = b.data();
+  const kernels::DimRun all{0, a.size()};
+  std::int64_t dot = 0;
+  kernels::active().dot_tile(&q, 1, {&row, 1}, &all, 1, &dot);
+  return static_cast<double>(dot) /
          (std::sqrt(static_cast<double>(na)) * std::sqrt(static_cast<double>(nb)));
 }
 

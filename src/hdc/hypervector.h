@@ -82,9 +82,6 @@ class BinaryHV {
   std::vector<std::uint64_t> words_;
 };
 
-/// Dot product of two bundled hypervectors.
-std::int64_t dot(const IntHV& a, const IntHV& b);
-
 /// Dot product of a bundled hypervector with a binary hypervector's
 /// bipolar expansion, without materializing the expansion.
 std::int64_t dot(const IntHV& a, const BinaryHV& b);
@@ -92,7 +89,8 @@ std::int64_t dot(const IntHV& a, const BinaryHV& b);
 /// Squared L2 norm.
 std::int64_t norm2(const IntHV& a);
 
-/// Cosine similarity; 0 when either vector is all-zero.
+/// Cosine similarity; 0 when either vector is all-zero. The dot product
+/// comes from the active kernels' dot_tile (hdc/kernels.h).
 double cosine(const IntHV& a, const IntHV& b);
 
 /// Element-wise sum / difference helpers for bundling in the int domain.

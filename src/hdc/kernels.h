@@ -14,7 +14,8 @@
 //           compiled with vectorization disabled so it stays the honest
 //           baseline
 //   avx2    pshufb nibble-lookup popcount; dot tile on _mm256_mul_epi32,
-//           or _mm256_madd_epi16 when an operand bound proves int16 exact;
+//           or _mm256_madd_epi16 over the caller's int16 class rows when
+//           an operand bound proves int16 exact;
 //           window bits expanded by shuffle/cmpeq into register counters
 //   avx512  vpopcntq over 512-bit lanes; the same dot tile on 512-bit
 //           lanes; window bits as the masks of _mm512_mask_add_epi16
@@ -56,6 +57,21 @@ struct DimRun {
   std::size_t end = 0;
 };
 
+/// The class side of a dot tile: `n` int32 rows, the values the tile is
+/// exact for, and optionally the same rows stored as int16. When `rows16`
+/// is set, `max_abs` must bound |v| over every value of `rows` the runs
+/// cover, and whenever max_abs <= 32767, rows16[c][j] == rows[c][j] at
+/// every covered j (the rows share offsets). The caller keeps that copy
+/// (HdcClassifier refreshes it on every class-memory write); the scalar
+/// reference never reads it, so a stale copy shows up as a mismatch
+/// against scalar.
+struct ClassRows {
+  const std::int32_t* const* rows = nullptr;
+  std::size_t n = 0;
+  const std::int16_t* const* rows16 = nullptr;
+  std::int64_t max_abs = 0;
+};
+
 /// One term of a window: a bit-packed row (ceil(dims/64) words, unused
 /// tail bits zero) and the rotation rho^rot applied before it is XORed in.
 /// rot may exceed dims; it is taken modulo dims.
@@ -86,17 +102,17 @@ struct Kernels {
                             const std::uint64_t* const* refs, std::size_t rows,
                             std::size_t words, std::size_t* out) = nullptr;
 
-  /// out[q * nc + c] = Σ queries[q][j] * classes[c][j] over every j of the
-  /// `nruns` runs: int32 products summed in int64, for `nq` query rows ×
-  /// `nc` class rows. Exact for any int32 operands — the true sum whenever
-  /// it fits in int64, the scalar reference's two's-complement wrap when it
-  /// does not. A backend may narrow operands to int16 only when a bound
-  /// computed from this call's operands proves the narrow sums exact
-  /// (docs/kernels.md); nothing about the operands is cached between calls.
+  /// out[q * nc + c] = Σ queries[q][j] * classes.rows[c][j] over every j
+  /// of the `nruns` runs: int32 products summed in int64, for `nq` query
+  /// rows × `nc` = classes.n class rows. Exact for any int32 operands — the
+  /// true sum whenever it fits in int64, the scalar reference's
+  /// two's-complement wrap when it does not. A backend may score
+  /// classes.rows16 instead only when max|q|, measured from this call's
+  /// queries, and classes.max_abs prove the int16 sums exact
+  /// (docs/kernels.md); otherwise it reads the int32 rows.
   void (*dot_tile)(const std::int32_t* const* queries, std::size_t nq,
-                   const std::int32_t* const* classes, std::size_t nc,
-                   const DimRun* runs, std::size_t nruns,
-                   std::int64_t* out) = nullptr;
+                   const ClassRows& classes, const DimRun* runs,
+                   std::size_t nruns, std::int64_t* out) = nullptr;
 
   /// Bundle `windows` windows of `per_window` terms each into `acc`:
   ///   v_w    = XOR_{t < per_window} rho^{rot}(row) over terms

@@ -17,8 +17,8 @@ const Kernels& scalar_table();
 
 /// The reference dot tile; backends without a tile of their own point at it.
 void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
-                     const std::int32_t* const* classes, std::size_t nc,
-                     const DimRun* runs, std::size_t nruns, std::int64_t* out);
+                     const ClassRows& classes, const DimRun* runs,
+                     std::size_t nruns, std::int64_t* out);
 
 /// The reference window bundle; backends without one of their own point at
 /// it.
@@ -27,7 +27,7 @@ void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,
                            std::int32_t* acc);
 
 /// Per-thread int16 scratch of at least `n` elements for the narrow dot
-/// tile's operand pack. Defined in kernels.cpp, which no ISA flag reaches,
+/// tile's query pack. Defined in kernels.cpp, which no ISA flag reaches,
 /// so the buffer's allocation code is never built for a wider ISA than the
 /// host has. Contents are garbage on entry; the buffer only ever grows.
 std::int16_t* i16_scratch(std::size_t n);

@@ -47,13 +47,15 @@ void scalar_xor_popcount_many(const std::uint64_t* q,
 }  // namespace
 
 void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
-                     const std::int32_t* const* classes, std::size_t nc,
-                     const DimRun* runs, std::size_t nruns,
-                     std::int64_t* out) {
+                     const ClassRows& classes, const DimRun* runs,
+                     std::size_t nruns, std::int64_t* out) {
+  // Only the int32 rows: the int16 copy is what the SIMD tiles are checked
+  // against, never a source of the reference's sums.
+  const std::size_t nc = classes.n;
   for (std::size_t q = 0; q < nq; ++q)
     for (std::size_t c = 0; c < nc; ++c) {
       const std::int32_t* qr = queries[q];
-      const std::int32_t* cr = classes[c];
+      const std::int32_t* cr = classes.rows[c];
       // Unsigned accumulation: each int32 product is exact in int64, and
       // the sum wraps (instead of overflowing) for operands no model holds.
       std::uint64_t acc = 0;

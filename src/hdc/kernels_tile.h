@@ -7,20 +7,22 @@
 //          lanes and multiplied with the signed 32x32->64 multiply
 //          (_mm*_mul_epi32), accumulating in int64 lanes. Any int32
 //          operands; the sum wraps exactly like the scalar reference's.
-//   int16  the dims the runs cover are packed, back to back, into int16
-//          rows; madd_epi16 multiplies int16 pairs and adds adjacent
-//          products into int32 lanes, which are widened into int64 lanes
-//          before they can overflow. Taken only when this call's operands
-//          prove it exact: max|q| and max|c| <= 32767, and every int32 lane
-//          holds at most `i16_steps` * 2 products of magnitude
-//          <= max|q| * max|c| before widening, a bound below 2^31.
+//   int16  madd_epi16 over the caller's int16 class rows (ClassRows::rows16)
+//          and the queries packed to int16: it multiplies int16 pairs and
+//          adds adjacent products into int32 lanes, which are widened into
+//          int64 lanes before they can overflow. Taken only when the bounds
+//          prove it exact: max|q| (measured while packing each query block)
+//          and the caller's max|c| <= 32767, and every int32 lane holds at
+//          most `i16_steps` * 2 products of magnitude <= max|q| * max|c|
+//          before widening, a bound below 2^31.
 //
-// The class rows are packed once per call and shared by every query block;
-// each block of kQueryBlock queries is packed, bound-checked and scored
+// Each block of kQueryBlock queries is packed, bound-checked and scored
 // against every class (kQueryBlock x kClassBlock accumulators per pass, so
-// every class load serves several queries). The pack reads only the dims
-// the runs cover and nothing survives the call: class memory may be
-// rewritten in place (fault injection, mutable_class_vector) between calls.
+// every class load serves several queries). Both int16 sides are read at
+// the runs' own offsets, so a prefix rung or a dead-chunk mask reads only
+// the dims it covers; a run end off the vector width is finished one
+// product at a time. Only the query pack lives in scratch: the class rows'
+// int16 copy is the caller's, kept exact on every write to class memory.
 //
 // Everything below has internal linkage on purpose: each ISA translation
 // unit compiles its own copy under its own flags, so a copy built for a
@@ -35,17 +37,16 @@
 namespace generic::hdc::kernels::detail {
 namespace {
 
-/// Queries packed and scored together, and classes per accumulator block.
+/// Queries packed and scored together, and classes per accumulator block
+/// (doubled for a lone query).
 constexpr std::size_t kQueryBlock = 4;
-constexpr std::size_t kClassBlock = 2;
-/// Below this many queries the class pack costs more than int16 saves.
-constexpr std::size_t kPackMinQueries = kQueryBlock;
+constexpr int kClassBlock = 2;
 /// Largest operand magnitude the int16 path takes.
 constexpr std::int64_t kI16Max = 32767;
 
 /// Copy the dims `runs` cover of each of `n` rows into `dst`, one row per
-/// `stride` int16 (zero-padded), truncating each value to int16, and
-/// return max |v| over the values read. The copy is exact iff that is
+/// `stride` int16 at the dims' own offsets, truncating each value to int16,
+/// and return max |v| over the values read. The copy is exact iff that is
 /// <= 32767.
 inline std::int64_t pack_i16(const std::int32_t* const* rows, std::size_t n,
                              const DimRun* runs, std::size_t nruns,
@@ -60,9 +61,8 @@ inline std::int64_t pack_i16(const std::int32_t* const* rows, std::size_t n,
         const std::int32_t v = row[j];
         lo = v < lo ? v : lo;
         hi = v > hi ? v : hi;
-        *d++ = static_cast<std::int16_t>(v);
+        d[j] = static_cast<std::int16_t>(v);
       }
-    while (d < dst + (r + 1) * stride) *d++ = 0;
   }
   const std::int64_t neg = -static_cast<std::int64_t>(lo);
   return neg > hi ? neg : hi;
@@ -120,123 +120,124 @@ void tile32(const std::int32_t* const* q, const std::int32_t* const* c,
           static_cast<std::int64_t>(tail[i][k] + Isa::hsum64(acc[i][k]));
 }
 
-/// int16 path for NQ packed queries x NC packed classes over `len` dims
-/// (a multiple of Isa::kInt16Lanes), widening every `steps` madds.
+/// int16 path for NQ packed queries (one per `qs` int16) x NC int16 class
+/// rows over the runs, widening every `steps` madds.
 template <typename Isa, int NQ, int NC>
-void tile16(const std::int16_t* q, std::size_t qs, const std::int16_t* c,
-            std::size_t cs, std::size_t len, std::size_t steps,
-            std::int64_t* out, std::size_t ldo) {
+void tile16(const std::int16_t* q, std::size_t qs,
+            const std::int16_t* const* c, const DimRun* runs,
+            std::size_t nruns, std::size_t steps, std::int64_t* out,
+            std::size_t ldo) {
   using V = typename Isa::V;
   constexpr std::size_t kStep = Isa::kInt16Lanes;
   V wide[NQ][NC];
+  V acc[NQ][NC];
+  std::uint64_t tail[NQ][NC] = {};
   for (int i = 0; i < NQ; ++i)
-    for (int k = 0; k < NC; ++k) wide[i][k] = Isa::zero();
-  for (std::size_t j = 0; j < len;) {
-    const std::size_t seg =
-        (len - j) / kStep <= steps ? len : j + steps * kStep;
-    V acc[NQ][NC];
+    for (int k = 0; k < NC; ++k) wide[i][k] = acc[i][k] = Isa::zero();
+  auto flush = [&] {
     for (int i = 0; i < NQ; ++i)
-      for (int k = 0; k < NC; ++k) acc[i][k] = Isa::zero();
-    for (; j < seg; j += kStep) {
-      V cv[NC];
-      for (int k = 0; k < NC; ++k)
-        cv[k] = Isa::load(c + static_cast<std::size_t>(k) * cs + j);
-      for (int i = 0; i < NQ; ++i) {
-        const V qv = Isa::load(q + static_cast<std::size_t>(i) * qs + j);
-        for (int k = 0; k < NC; ++k)
-          acc[i][k] = Isa::add32(acc[i][k], Isa::madd16(qv, cv[k]));
+      for (int k = 0; k < NC; ++k) {
+        wide[i][k] = Isa::add64(wide[i][k], Isa::widen(acc[i][k]));
+        acc[i][k] = Isa::zero();
+      }
+  };
+  std::size_t left = steps;  // madds before the next widen
+  for (std::size_t r = 0; r < nruns; ++r) {
+    std::size_t j = runs[r].begin;
+    const std::size_t end = runs[r].end;
+    while (j + kStep <= end) {
+      std::size_t n = (end - j) / kStep;
+      n = n < left ? n : left;
+      left -= n;
+      for (const std::size_t seg = j + n * kStep; j < seg; j += kStep) {
+        V cv[NC];
+        for (int k = 0; k < NC; ++k) cv[k] = Isa::load(c[k] + j);
+        for (int i = 0; i < NQ; ++i) {
+          const V qv = Isa::load(q + static_cast<std::size_t>(i) * qs + j);
+          for (int k = 0; k < NC; ++k)
+            acc[i][k] = Isa::add32(acc[i][k], Isa::madd16(qv, cv[k]));
+        }
+      }
+      if (left == 0) {
+        flush();
+        left = steps;
       }
     }
-    for (int i = 0; i < NQ; ++i)
-      for (int k = 0; k < NC; ++k)
-        wide[i][k] = Isa::add64(wide[i][k], Isa::widen(acc[i][k]));
+    for (; j < end; ++j)
+      for (int i = 0; i < NQ; ++i)
+        for (int k = 0; k < NC; ++k)
+          tail[i][k] += static_cast<std::uint64_t>(
+              static_cast<std::int64_t>(q[static_cast<std::size_t>(i) * qs + j]) *
+              c[k][j]);
   }
+  flush();
   for (int i = 0; i < NQ; ++i)
     for (int k = 0; k < NC; ++k)
       out[static_cast<std::size_t>(i) * ldo + static_cast<std::size_t>(k)] =
-          static_cast<std::int64_t>(Isa::hsum64(wide[i][k]));
+          static_cast<std::int64_t>(tail[i][k] + Isa::hsum64(wide[i][k]));
 }
 
-/// What every query block of one dot_tile call scores against.
-struct ClassSide {
-  const std::int32_t* const* rows;
-  std::size_t n;
-  const DimRun* runs;
-  std::size_t nruns;
-  const std::int16_t* packed;  ///< int16 rows of `stride`, or null
-  std::size_t stride;
-};
-
-/// One block of NQ queries against every class: the int16 path over the
-/// packed queries `q16` when set, the int32 path otherwise.
-template <typename Isa, int NQ>
-void score_block(const ClassSide& cls, const std::int32_t* const* q,
-                 const std::int16_t* q16, std::size_t steps,
+/// One block of NQ queries against classes [c, cls.n), NC classes per
+/// accumulator block and the rest in halving blocks: the int16 path over
+/// the queries packed into `q16` (one per `qs` int16) when set, the int32
+/// path otherwise.
+template <typename Isa, int NQ, int NC>
+void score_block(const ClassRows& cls, std::size_t c, const DimRun* runs,
+                 std::size_t nruns, const std::int32_t* const* q,
+                 const std::int16_t* q16, std::size_t qs, std::size_t steps,
                  std::int64_t* out) {
-  constexpr int NC = static_cast<int>(kClassBlock);
-  const std::size_t st = cls.stride;
-  std::size_t c = 0;
-  for (; c + kClassBlock <= cls.n; c += kClassBlock) {
+  constexpr auto kNc = static_cast<std::size_t>(NC);
+  for (; c + kNc <= cls.n; c += kNc) {
     if (q16 != nullptr)
-      tile16<Isa, NQ, NC>(q16, st, cls.packed + c * st, st, st, steps,
+      tile16<Isa, NQ, NC>(q16, qs, cls.rows16 + c, runs, nruns, steps,
                           out + c, cls.n);
     else
-      tile32<Isa, NQ, NC>(q, cls.rows + c, cls.runs, cls.nruns, out + c,
-                          cls.n);
+      tile32<Isa, NQ, NC>(q, cls.rows + c, runs, nruns, out + c, cls.n);
   }
-  for (; c < cls.n; ++c) {
-    if (q16 != nullptr)
-      tile16<Isa, NQ, 1>(q16, st, cls.packed + c * st, st, st, steps,
-                         out + c, cls.n);
-    else
-      tile32<Isa, NQ, 1>(q, cls.rows + c, cls.runs, cls.nruns, out + c,
-                         cls.n);
-  }
+  if constexpr (NC > 1)
+    score_block<Isa, NQ, NC / 2>(cls, c, runs, nruns, q, q16, qs, steps, out);
 }
 
 /// Kernels::dot_tile over an ISA's vector ops.
 template <typename Isa>
 void dot_tile(const std::int32_t* const* queries, std::size_t nq,
-              const std::int32_t* const* classes, std::size_t nc,
-              const DimRun* runs, std::size_t nruns, std::int64_t* out) {
+              const ClassRows& cls, const DimRun* runs, std::size_t nruns,
+              std::int64_t* out) {
   static_assert(kQueryBlock == 4, "score_block dispatch below");
-  if (nq == 0 || nc == 0) return;
-  std::size_t dims = 0;
-  for (std::size_t r = 0; r < nruns; ++r) dims += runs[r].end - runs[r].begin;
-  const std::size_t stride =
-      (dims + Isa::kInt16Lanes - 1) / Isa::kInt16Lanes * Isa::kInt16Lanes;
-
-  ClassSide cls{classes, nc, runs, nruns, nullptr, stride};
+  if (nq == 0 || cls.n == 0) return;
+  // The query pack shares the class rows' offsets up to the last run end.
+  std::size_t stride = 0;
+  for (std::size_t r = 0; r < nruns; ++r)
+    stride = runs[r].end > stride ? runs[r].end : stride;
   std::int16_t* q16 = nullptr;
-  std::int64_t max_c = 0;
-  if (nq >= kPackMinQueries) {
-    std::int16_t* scratch = i16_scratch((nc + kQueryBlock) * stride);
-    max_c = pack_i16(classes, nc, runs, nruns, stride, scratch);
-    if (max_c <= kI16Max) {
-      cls.packed = scratch;
-      q16 = scratch + nc * stride;
-    }
-  }
+  if (cls.rows16 != nullptr && cls.max_abs <= kI16Max && stride != 0)
+    q16 = i16_scratch(kQueryBlock * stride);
   for (std::size_t q = 0; q < nq; q += kQueryBlock) {
     const std::size_t n = nq - q < kQueryBlock ? nq - q : kQueryBlock;
     std::size_t steps = 0;
     if (q16 != nullptr)
       steps = i16_steps(pack_i16(queries + q, n, runs, nruns, stride, q16),
-                        max_c);
+                        cls.max_abs);
     const std::int16_t* narrow = steps != 0 ? q16 : nullptr;
-    std::int64_t* block_out = out + q * nc;
+    std::int64_t* block_out = out + q * cls.n;
     switch (n) {
       case 4:
-        score_block<Isa, 4>(cls, queries + q, narrow, steps, block_out);
+        score_block<Isa, 4, kClassBlock>(cls, 0, runs, nruns, queries + q,
+                                         narrow, stride, steps, block_out);
         break;
       case 3:
-        score_block<Isa, 3>(cls, queries + q, narrow, steps, block_out);
+        score_block<Isa, 3, kClassBlock>(cls, 0, runs, nruns, queries + q,
+                                         narrow, stride, steps, block_out);
         break;
       case 2:
-        score_block<Isa, 2>(cls, queries + q, narrow, steps, block_out);
+        score_block<Isa, 2, kClassBlock>(cls, 0, runs, nruns, queries + q,
+                                         narrow, stride, steps, block_out);
         break;
       default:
-        score_block<Isa, 1>(cls, queries + q, narrow, steps, block_out);
+        // One query: twice the classes per block keep more loads in
+        // flight, which is what a single query's tile is bound by.
+        score_block<Isa, 1, 2 * kClassBlock>(cls, 0, runs, nruns, queries + q,
+                                             narrow, stride, steps, block_out);
         break;
     }
   }

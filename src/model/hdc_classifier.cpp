@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <stdexcept>
 
 #include "hdc/kernels.h"
@@ -69,6 +70,8 @@ HdcClassifier::HdcClassifier(std::size_t dims, std::size_t num_classes,
     throw std::invalid_argument("HdcClassifier: dims must be a chunk multiple");
   num_chunks_ = dims / chunk;
   classes_.assign(num_classes, hdc::IntHV(dims, 0));
+  narrow_.assign(num_classes * dims, 0);
+  narrow_max_.assign(num_classes, 0);
   chunk_norms_.assign(num_classes, std::vector<std::int64_t>(num_chunks_, 0));
 }
 
@@ -80,6 +83,7 @@ void HdcClassifier::train_init(std::span<const hdc::IntHV> encoded,
   for (std::size_t i = 0; i < encoded.size(); ++i)
     hdc::add_into(classes_[static_cast<std::size_t>(labels[i])], encoded[i]);
   recompute_norms();
+  refresh_narrow();
 }
 
 std::size_t HdcClassifier::retrain_epoch(std::span<const hdc::IntHV> encoded,
@@ -98,11 +102,15 @@ std::size_t HdcClassifier::retrain_epoch(std::span<const hdc::IntHV> encoded,
 }
 
 void HdcClassifier::move_sample(const hdc::IntHV& encoded, int from, int to) {
-  hdc::add_into(classes_[static_cast<std::size_t>(from)], encoded, -1);
-  hdc::add_into(classes_[static_cast<std::size_t>(to)], encoded, +1);
-  // Only the two touched classes need their norms refreshed.
-  recompute_norms(static_cast<std::size_t>(from));
-  recompute_norms(static_cast<std::size_t>(to));
+  const auto f = static_cast<std::size_t>(from);
+  const auto t = static_cast<std::size_t>(to);
+  hdc::add_into(classes_.at(f), encoded, -1);
+  hdc::add_into(classes_.at(t), encoded, +1);
+  // Only the two touched classes need their norms and copies refreshed.
+  for (std::size_t c : {f, t}) {
+    recompute_norms(c);
+    refresh_narrow(c);
+  }
 }
 
 bool HdcClassifier::online_update(const hdc::IntHV& encoded, int label) {
@@ -120,26 +128,36 @@ bool HdcClassifier::online_update_adaptive(const hdc::IntHV& encoded,
     throw std::invalid_argument("online_update_adaptive: label out of range");
   const int pred = predict(encoded);
   if (pred == label) return false;
-  auto cos_to = [&](std::size_t c) {
-    const auto& cls = classes_[c];
-    const std::int64_t n2 = hdc::norm2(cls);
+  const auto right_c = static_cast<std::size_t>(label);
+  const auto wrong_c = static_cast<std::size_t>(pred);
+  // Both dots from one tile; each norm2 is computed fresh from the row, not
+  // read from the chunk norms (which fault injection may have left stale).
+  const std::int32_t* query = encoded.data();
+  const std::int32_t* rows[2] = {classes_[right_c].data(),
+                                 classes_[wrong_c].data()};
+  const hdc::kernels::DimRun all{0, dims_};
+  std::int64_t dots[2];
+  hdc::kernels::active().dot_tile(&query, 1, {rows, 2}, &all, 1, dots);
+  auto cos_to = [&](std::size_t c, std::int64_t dot) {
+    const std::int64_t n2 = hdc::norm2(classes_[c]);
     if (n2 == 0) return 0.0;
-    return static_cast<double>(hdc::dot(encoded, cls)) /
+    return static_cast<double>(dot) /
            (std::sqrt(static_cast<double>(hdc::norm2(encoded))) *
             std::sqrt(static_cast<double>(n2)));
   };
-  const double w_in = std::clamp(1.0 - cos_to(static_cast<std::size_t>(label)),
-                                 0.0, 2.0);
-  const double w_out = std::clamp(
-      0.5 * (1.0 + cos_to(static_cast<std::size_t>(pred))), 0.0, 1.0);
-  auto& right = classes_[static_cast<std::size_t>(label)];
-  auto& wrong = classes_[static_cast<std::size_t>(pred)];
+  const double w_in = std::clamp(1.0 - cos_to(right_c, dots[0]), 0.0, 2.0);
+  const double w_out =
+      std::clamp(0.5 * (1.0 + cos_to(wrong_c, dots[1])), 0.0, 1.0);
+  auto& right = classes_[right_c];
+  auto& wrong = classes_[wrong_c];
   for (std::size_t j = 0; j < dims_; ++j) {
     right[j] += static_cast<std::int32_t>(std::lround(w_in * encoded[j]));
     wrong[j] -= static_cast<std::int32_t>(std::lround(w_out * encoded[j]));
   }
-  recompute_norms(static_cast<std::size_t>(label));
-  recompute_norms(static_cast<std::size_t>(pred));
+  for (std::size_t c : {right_c, wrong_c}) {
+    recompute_norms(c);
+    refresh_narrow(c);
+  }
   return true;
 }
 
@@ -178,6 +196,7 @@ void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
     for (std::size_t c = 0; c < num_classes_; ++c)
       hdc::add_into(classes_[c], local[c]);
   recompute_norms();
+  refresh_narrow();
 }
 
 std::size_t HdcClassifier::retrain_epoch_parallel(
@@ -234,6 +253,35 @@ std::vector<Prediction> HdcClassifier::predict_masked_margin_batch(
     std::span<const hdc::IntHV* const> queries,
     const std::vector<bool>& chunk_ok, ThreadPool& pool) const {
   return scan_batch(queries, masked_chunks(chunk_ok), pool);
+}
+
+void HdcClassifier::set_class_vector(std::size_t c, hdc::IntHV row) {
+  if (row.size() != dims_)
+    throw std::invalid_argument("set_class_vector: dimension mismatch");
+  classes_.at(c) = std::move(row);
+  refresh_narrow(c);
+}
+
+std::int64_t HdcClassifier::class_max_abs() const {
+  return *std::max_element(narrow_max_.begin(), narrow_max_.end());
+}
+
+void HdcClassifier::refresh_narrow() {
+  for (std::size_t c = 0; c < num_classes_; ++c) refresh_narrow(c);
+}
+
+void HdcClassifier::refresh_narrow(std::size_t c) {
+  const std::int32_t* row = classes_[c].data();
+  std::int16_t* dst = narrow_.data() + c * dims_;
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+  for (std::size_t j = 0; j < dims_; ++j) {
+    lo = std::min(lo, row[j]);
+    hi = std::max(hi, row[j]);
+    dst[j] = static_cast<std::int16_t>(row[j]);
+  }
+  narrow_max_[c] = std::max(-static_cast<std::int64_t>(lo),
+                            static_cast<std::int64_t>(hi));
 }
 
 void HdcClassifier::recompute_norms() {
@@ -293,6 +341,8 @@ struct HdcClassifier::Scoring {
   std::vector<hdc::kernels::DimRun> runs;  ///< one per run of read chunks
   std::vector<std::int64_t> norms;         ///< per class, over the runs
   std::vector<const std::int32_t*> classes;
+  std::vector<const std::int16_t*> narrow;  ///< the rows' int16 copies
+  std::int64_t max_abs = 0;                 ///< max |c| over every row
 };
 
 HdcClassifier::Scoring HdcClassifier::prepare(const ChunkSet& on) const {
@@ -311,16 +361,21 @@ HdcClassifier::Scoring HdcClassifier::prepare(const ChunkSet& on) const {
   }
   s.norms.assign(num_classes_, 0);
   s.classes.resize(num_classes_);
+  s.narrow.resize(num_classes_);
+  s.max_abs = class_max_abs();
   for (std::size_t c = 0; c < num_classes_; ++c) {
     const auto& norms = chunk_norms_[c];
     if (on.mode == NormMode::kConstant) {
       s.norms[c] = std::accumulate(norms.begin(), norms.end(), std::int64_t{0});
     } else {
+      std::int64_t n2 = 0;  // a register, not s.norms[c], carries the sum
       for (const auto& r : s.runs)
         for (std::size_t k = r.begin / chunk_; k < r.end / chunk_; ++k)
-          s.norms[c] += norms[k];
+          n2 += norms[k];
+      s.norms[c] = n2;
     }
     s.classes[c] = classes_[c].data();
+    s.narrow[c] = narrow_.data() + c * dims_;
   }
   return s;
 }
@@ -331,9 +386,10 @@ void HdcClassifier::scan_block(const Scoring& s,
   std::vector<const std::int32_t*> rows(n);
   for (std::size_t i = 0; i < n; ++i) rows[i] = queries[i]->data();
   std::vector<std::int64_t> dots(n * num_classes_);
-  hdc::kernels::active().dot_tile(rows.data(), n, s.classes.data(),
-                                  num_classes_, s.runs.data(), s.runs.size(),
-                                  dots.data());
+  hdc::kernels::active().dot_tile(
+      rows.data(), n,
+      {s.classes.data(), num_classes_, s.narrow.data(), s.max_abs},
+      s.runs.data(), s.runs.size(), dots.data());
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t* dot = dots.data() + i * num_classes_;
     out[i] = argmax_with_margin(num_classes_, [&](std::size_t c) {
@@ -423,6 +479,7 @@ void HdcClassifier::quantize(int bit_width) {
   }
   bit_width_ = bit_width;
   recompute_norms();
+  refresh_narrow();
 }
 
 void HdcClassifier::inject_bit_flips(double rate, Rng& rng) {
@@ -451,6 +508,7 @@ void HdcClassifier::inject_bit_flips(double rate, Rng& rng) {
       v = out;
     }
   }
+  refresh_narrow();  // the scored copy, unlike the norms, never goes stale
 }
 
 }  // namespace generic::model

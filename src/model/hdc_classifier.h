@@ -13,6 +13,20 @@
 //                    bit-identical to scalar), the norms and the
 //                    fixed-order argmax stay here.
 //
+// Class memory is written only through this class: training, the
+// retraining update (move_sample), online updates, quantize(), fault
+// injection, and set_class_vector()/edit_class_vector() for everything
+// outside it (fault models, scrubbing, deserialization). The int32 rows
+// are the source of truth — serialization, class_vector() and the scalar
+// kernel read only them. Every write also refreshes an int16 copy of the
+// rows it touched and each row's exact max |c|, so that copy is ALWAYS
+// exact: the SIMD dot tile scores it whenever max|q| and max|c| prove the
+// int16 sums exact, and falls back to the int32 rows otherwise (a fault
+// that pushes a value past 32767 costs speed, never exactness). Norms are
+// different: only training, move_sample, online updates and quantize()
+// refresh them; everything else calls recompute_norms() explicitly, and
+// fault injection leaves them stale on purpose (below).
+//
 // The model mirrors three ASIC features:
 //  * sub-norms — the norm2 memory stores the squared L2 norm of every
 //    128-dimension chunk of every class so inference with a reduced number
@@ -167,11 +181,33 @@ class HdcClassifier {
 
   /// Flip each stored class-memory bit independently with probability
   /// `rate`. Operates on the current bit-width representation. Norms stay
-  /// untouched (see header comment).
+  /// untouched (see header comment); the int16 copy is refreshed.
   void inject_bit_flips(double rate, Rng& rng);
 
   const hdc::IntHV& class_vector(std::size_t c) const { return classes_.at(c); }
-  hdc::IntHV& mutable_class_vector(std::size_t c) { return classes_.at(c); }
+
+  /// Replace class `c`'s row with `row` (dims() elements). Refreshes the
+  /// row's int16 copy; norms are left for recompute_norms().
+  void set_class_vector(std::size_t c, hdc::IntHV row);
+
+  /// Rewrite class `c`'s row in place: `edit` is called with a
+  /// std::span<std::int32_t> over its dims() values, then the row's int16
+  /// copy is refreshed. Norms are left for recompute_norms().
+  template <typename Edit>
+  void edit_class_vector(std::size_t c, Edit&& edit) {
+    edit(std::span<std::int32_t>(classes_.at(c)));
+    refresh_narrow(c);
+  }
+
+  /// The retraining update: subtract `encoded` from class `from`, add it
+  /// to class `to`, and refresh both classes' norms and int16 copies.
+  /// Throws std::out_of_range for a class outside [0, num_classes()).
+  void move_sample(const hdc::IntHV& encoded, int from, int to);
+
+  /// max |c| over every stored class value: the bound the int16 copy is
+  /// scored under (exact, so it shrinks when a large value is written
+  /// back down).
+  std::int64_t class_max_abs() const;
 
   /// Record the bit-width of externally provided (already quantized) class
   /// values — used by model deserialization; quantize() is the normal path.
@@ -225,9 +261,10 @@ class HdcClassifier {
                                      ThreadPool& pool) const;
   void check_query(const hdc::IntHV& query) const;
 
-  /// The retraining update: subtract `encoded` from class `from`, add it
-  /// to class `to`, refresh both classes' norms.
-  void move_sample(const hdc::IntHV& encoded, int from, int to);
+  /// Refresh the int16 copy and max |c| of class `c` (or of every class)
+  /// from its int32 row; called after every write to class memory.
+  void refresh_narrow(std::size_t c);
+  void refresh_narrow();
 
   /// Training-input check run before any class memory is written: equal
   /// sample and label counts, labels in [0, num_classes), dims() elements
@@ -241,6 +278,10 @@ class HdcClassifier {
   std::size_t num_chunks_;
   int bit_width_ = 16;
   std::vector<hdc::IntHV> classes_;
+  /// classes_ truncated to int16, row c at c * dims_, and each row's
+  /// max |c|: exact after every write (see header).
+  std::vector<std::int16_t> narrow_;
+  std::vector<std::int64_t> narrow_max_;
   std::vector<std::vector<std::int64_t>> chunk_norms_;
 };
 

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "hdc/kernels.h"
+
 namespace generic::model {
 
 HdcCluster::HdcCluster(std::size_t dims, std::size_t k) : dims_(dims), k_(k) {
@@ -21,15 +23,24 @@ void HdcCluster::refresh_norms() {
 int HdcCluster::assign(const hdc::IntHV& query) const {
   if (query.size() != dims_)
     throw std::invalid_argument("HdcCluster::assign: dimension mismatch");
+  // Every centroid's dot from one tile over all dims.
+  const std::size_t k = centroids_.size();
+  std::vector<const std::int32_t*> rows(k);
+  for (std::size_t c = 0; c < k; ++c) rows[c] = centroids_[c].data();
+  std::vector<std::int64_t> dots(k);
+  const std::int32_t* q = query.data();
+  const hdc::kernels::DimRun all{0, dims_};
+  hdc::kernels::active().dot_tile(&q, 1, {rows.data(), k}, &all, 1,
+                                  dots.data());
   int best = 0;
   double best_score = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < centroids_.size(); ++c) {
+  for (std::size_t c = 0; c < k; ++c) {
     const double n2 = centroid_norms_[c];
     double s;
     if (n2 == 0.0) {
       s = -std::numeric_limits<double>::infinity();
     } else {
-      const auto d = static_cast<double>(hdc::dot(query, centroids_[c]));
+      const auto d = static_cast<double>(dots[c]);
       s = d * std::abs(d) / n2;  // signed squared cosine numerator
     }
     if (s > best_score) {

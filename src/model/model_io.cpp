@@ -140,10 +140,10 @@ SavedModel deserialize_model(const std::vector<std::uint8_t>& blob) {
     throw std::invalid_argument("model blob payload size mismatch");
 
   out.classifier = HdcClassifier(dims, classes, chunk);
-  for (std::size_t c = 0; c < classes; ++c) {
-    auto& vec = out.classifier.mutable_class_vector(c);
-    for (std::size_t j = 0; j < dims; ++j) vec[j] = r.get<std::int32_t>();
-  }
+  for (std::size_t c = 0; c < classes; ++c)
+    out.classifier.edit_class_vector(c, [&](std::span<std::int32_t> row) {
+      for (auto& v : row) v = r.get<std::int32_t>();
+    });
   out.classifier.set_bit_width(static_cast<int>(bit_width));
   out.classifier.recompute_norms();
   if (r.position() != body)
@@ -203,10 +203,10 @@ HdcClassifier deserialize_classifier(const std::vector<std::uint8_t>& blob) {
     throw std::invalid_argument("classifier blob payload size mismatch");
 
   HdcClassifier out(dims, classes, chunk);
-  for (std::size_t c = 0; c < classes; ++c) {
-    auto& vec = out.mutable_class_vector(c);
-    for (std::size_t j = 0; j < dims; ++j) vec[j] = r.get<std::int32_t>();
-  }
+  for (std::size_t c = 0; c < classes; ++c)
+    out.edit_class_vector(c, [&](std::span<std::int32_t> row) {
+      for (auto& v : row) v = r.get<std::int32_t>();
+    });
   out.set_bit_width(static_cast<int>(bit_width));
   out.recompute_norms();
   if (r.position() != body)

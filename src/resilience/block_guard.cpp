@@ -1,5 +1,6 @@
 #include "resilience/block_guard.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace generic::resilience {
@@ -65,19 +66,20 @@ std::size_t BlockGuard::scrub(model::HdcClassifier& clf,
       golden.num_chunks() != num_chunks_)
     throw std::invalid_argument("BlockGuard::scrub: golden geometry mismatch");
   const auto ok = scan(clf);
-  std::size_t repaired = 0;
-  for (std::size_t k = 0; k < num_chunks_; ++k) {
-    if (ok[k]) continue;
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      auto& vec = clf.mutable_class_vector(c);
-      const auto& gold = golden.class_vector(c);
-      for (std::size_t j = k * chunk_; j < (k + 1) * chunk_; ++j)
-        vec[j] = gold[j];
-    }
-    ++repaired;
+  const auto repaired = static_cast<std::size_t>(
+      std::count(ok.begin(), ok.end(), false));
+  if (repaired == 0) return 0;
+  for (std::size_t c = 0; c < num_classes_; ++c) {
+    const auto& gold = golden.class_vector(c);
+    clf.edit_class_vector(c, [&](std::span<std::int32_t> row) {
+      for (std::size_t k = 0; k < num_chunks_; ++k) {
+        if (ok[k]) continue;
+        const auto at = static_cast<std::ptrdiff_t>(k * chunk_);
+        std::copy_n(gold.begin() + at, chunk_, row.begin() + at);
+      }
+    });
+    clf.recompute_norms(c);
   }
-  if (repaired > 0)
-    for (std::size_t c = 0; c < num_classes_; ++c) clf.recompute_norms(c);
   return repaired;
 }
 

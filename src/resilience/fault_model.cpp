@@ -139,24 +139,25 @@ void inject(model::HdcClassifier& clf, const FaultSpec& spec, Rng& rng) {
     return;
   }
   const int bw = clf.bit_width();
-  for (std::size_t c = 0; c < clf.num_classes(); ++c) {
-    auto& vec = clf.mutable_class_vector(c);
-    for (auto& v : vec) v = corrupt_element(v, bw, spec.kind, spec.rate, rng);
-  }
+  for (std::size_t c = 0; c < clf.num_classes(); ++c)
+    clf.edit_class_vector(c, [&](std::span<std::int32_t> row) {
+      for (auto& v : row) v = corrupt_element(v, bw, spec.kind, spec.rate, rng);
+    });
   // Norms stay stale on purpose (see header).
 }
 
 void inject_dead_blocks(model::HdcClassifier& clf,
                         const std::vector<std::size_t>& chunks) {
   const std::size_t chunk = clf.dims() / clf.num_chunks();
-  for (std::size_t k : chunks) {
+  for (std::size_t k : chunks)
     if (k >= clf.num_chunks())
       throw std::out_of_range("inject_dead_blocks: chunk index");
-    for (std::size_t c = 0; c < clf.num_classes(); ++c) {
-      auto& vec = clf.mutable_class_vector(c);
-      for (std::size_t j = k * chunk; j < (k + 1) * chunk; ++j) vec[j] = 0;
-    }
-  }
+  for (std::size_t c = 0; c < clf.num_classes(); ++c)
+    clf.edit_class_vector(c, [&](std::span<std::int32_t> row) {
+      for (std::size_t k : chunks)
+        std::fill_n(row.begin() + static_cast<std::ptrdiff_t>(k * chunk),
+                    chunk, 0);
+    });
 }
 
 std::vector<std::size_t> sample_dead_chunks(std::size_t num_chunks,
@@ -182,9 +183,10 @@ void inject_bank_correlated(model::HdcClassifier& clf,
   for (std::size_t c = 0; c < clf.num_classes(); ++c) {
     const std::size_t bank = c % kClassMemoryBanks;
     if (std::find(banks.begin(), banks.end(), bank) == banks.end()) continue;
-    auto& vec = clf.mutable_class_vector(c);
-    for (auto& v : vec)
-      v = corrupt_element(v, bw, FaultKind::kTransient, bit_rate, rng);
+    clf.edit_class_vector(c, [&](std::span<std::int32_t> row) {
+      for (auto& v : row)
+        v = corrupt_element(v, bw, FaultKind::kTransient, bit_rate, rng);
+    });
   }
   // Norms stay stale on purpose, like every class-memory injector.
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "hdc/kernels.h"
 
 namespace generic::hdc {
 namespace {
@@ -120,10 +121,20 @@ TEST(BinaryHV, AccumulateMatchesToInt) {
   for (auto v : acc) EXPECT_EQ(v, 0);
 }
 
+/// a . b through the active kernels' one-query dot tile, the one int dot.
+std::int64_t tile_dot(const IntHV& a, const IntHV& b) {
+  const std::int32_t* q = a.data();
+  const std::int32_t* row = b.data();
+  const kernels::DimRun all{0, a.size()};
+  std::int64_t out = 0;
+  kernels::active().dot_tile(&q, 1, {&row, 1}, &all, 1, &out);
+  return out;
+}
+
 TEST(IntHV, DotAndNorm) {
   const IntHV a{1, -2, 3};
   const IntHV b{4, 5, -6};
-  EXPECT_EQ(dot(a, b), 4 - 10 - 18);
+  EXPECT_EQ(tile_dot(a, b), 4 - 10 - 18);
   EXPECT_EQ(norm2(a), 1 + 4 + 9);
 }
 
@@ -132,7 +143,7 @@ TEST(IntHV, DotWithBinaryMatchesExpansion) {
   const BinaryHV b = BinaryHV::random(300, rng);
   IntHV a(300);
   for (auto& v : a) v = static_cast<std::int32_t>(rng.range(-50, 50));
-  EXPECT_EQ(dot(a, b), dot(a, b.to_int()));
+  EXPECT_EQ(dot(a, b), tile_dot(a, b.to_int()));
 }
 
 TEST(IntHV, CosineBounds) {

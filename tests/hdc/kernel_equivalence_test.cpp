@@ -6,7 +6,9 @@
 // rotations and window counts.
 // This is the contract that lets golden `generic.*.v1` fixtures stay
 // byte-stable no matter which backend dispatch picks (docs/kernels.md).
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -197,17 +199,43 @@ std::vector<const std::int32_t*> pointers(
   return out;
 }
 
-/// One table's tile over the runs, as a flat q * nc + c vector.
+/// Class rows stored as int16 the way a caller supplies them to the tile:
+/// each value truncated, at its own offset, with a bound on |v|.
+struct Int16Rows {
+  std::vector<std::vector<std::int16_t>> rows;
+  std::int64_t max_abs = 0;
+};
+
+/// The exact int16 copy of `c` and its true max |c|.
+Int16Rows int16_copy(const std::vector<std::vector<std::int32_t>>& c) {
+  Int16Rows out;
+  for (const auto& row : c) {
+    out.rows.emplace_back(row.begin(), row.end());  // truncates past int16
+    for (std::int32_t v : row)
+      out.max_abs = std::max(out.max_abs, std::abs(std::int64_t{v}));
+  }
+  return out;
+}
+
+/// One table's tile over the runs, as a flat q * nc + c vector; the class
+/// side carries `narrow` as its int16 rows when given.
 std::vector<std::int64_t> tile(const k::Kernels& table,
                                const std::vector<std::vector<std::int32_t>>& q,
                                const std::vector<std::vector<std::int32_t>>& c,
-                               const std::vector<k::DimRun>& runs) {
+                               const std::vector<k::DimRun>& runs,
+                               const Int16Rows* narrow = nullptr) {
   const auto qp = pointers(q);
   const auto cp = pointers(c);
+  std::vector<const std::int16_t*> np;
+  if (narrow != nullptr)
+    for (const auto& r : narrow->rows) np.push_back(r.data());
+  const k::ClassRows cls{cp.data(), c.size(),
+                         narrow != nullptr ? np.data() : nullptr,
+                         narrow != nullptr ? narrow->max_abs : 0};
   // Pre-filled so a backend that skips an output cannot pass by accident.
   std::vector<std::int64_t> out(q.size() * c.size(), 0x5EED);
-  table.dot_tile(qp.data(), q.size(), cp.data(), c.size(), runs.data(),
-                 runs.size(), out.data());
+  table.dot_tile(qp.data(), q.size(), cls, runs.data(), runs.size(),
+                 out.data());
   return out;
 }
 
@@ -229,7 +257,9 @@ std::vector<__int128> exact_tile(
 }
 
 /// Every available backend's tile equals scalar, and scalar equals the
-/// exact sum (which the operands keep inside int64).
+/// exact sum (which the operands keep inside int64) — with the class rows
+/// alone (the int32 path) and with their exact int16 copy supplied (the
+/// int16 path wherever the bounds admit it).
 void expect_tiles_exact(const std::vector<std::vector<std::int32_t>>& q,
                         const std::vector<std::vector<std::int32_t>>& c,
                         const std::vector<k::DimRun>& runs,
@@ -239,9 +269,13 @@ void expect_tiles_exact(const std::vector<std::vector<std::int32_t>>& q,
   ASSERT_EQ(want.size(), exact.size());
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(static_cast<__int128>(want[i]), exact[i]) << what << " i=" << i;
-  for (k::Backend b : simd_backends())
+  const Int16Rows narrow = int16_copy(c);
+  for (k::Backend b : test::available_backends()) {
     EXPECT_EQ(tile(k::get(b), q, c, runs), want)
         << k::to_string(b) << " " << what;
+    EXPECT_EQ(tile(k::get(b), q, c, runs, &narrow), want)
+        << k::to_string(b) << " int16 rows " << what;
+  }
 }
 
 /// Full, prefix, holed and single-chunk run lists over 1024 dims (eight
@@ -255,6 +289,7 @@ run_lists() {
           {"holed", {{0, 128}, {256, 640}, {768, 1024}}},
           {"single", {{896, 1024}}},
           {"ragged", {{3, 70}, {101, 102}, {130, 333}, {1000, 1024}}},
+          {"chunk100", {{0, 100}, {200, 300}, {300, 400}, {900, 1000}}},
           {"empty", {}},
       };
   return lists;
@@ -330,7 +365,7 @@ TEST(KernelEquivalence, DotTileExactAtAndPastTheInt16Bound) {
       {-1000, -1073, 40000},
   };
   for (const Case& cs : cases) {
-    for (std::size_t nq : {std::size_t{4}, std::size_t{9}}) {
+    for (std::size_t nq : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
       const std::vector<std::vector<std::int32_t>> q(
           nq, std::vector<std::int32_t>(cs.dims, cs.q));
       const std::vector<std::vector<std::int32_t>> c(
@@ -339,6 +374,58 @@ TEST(KernelEquivalence, DotTileExactAtAndPastTheInt16Bound) {
                          "q=" + std::to_string(cs.q) +
                              " c=" + std::to_string(cs.c) +
                              " nq=" + std::to_string(nq));
+    }
+  }
+}
+
+TEST(KernelEquivalence, DotTileScoresStoredInt16RowsOnlyUnderTheBound) {
+  // A caller's int16 class rows are scored for any query count, one query
+  // included, at the runs' own offsets, and only while the caller's row
+  // bound admits int16. A poisoned copy (every value off by one) shows
+  // which rows a tile read: under bound 32767 every output of a SIMD tile
+  // moves; under 32768, or with no copy, none does.
+  Rng rng(0x1616);
+  const k::Kernels& scalar = k::get(k::Backend::kScalar);
+  const std::vector<std::size_t> query_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 33};
+  for (const std::int32_t peak : {32767, 32768}) {
+    for (std::size_t nc : {std::size_t{1}, std::size_t{2}, std::size_t{26}}) {
+      auto classes = random_rows(nc, 1024, 3000, rng);
+      classes[0][rng.below(1024)] = peak;
+      const Int16Rows exact16 = int16_copy(classes);
+      ASSERT_EQ(exact16.max_abs, peak);
+      Int16Rows poisoned = exact16;
+      for (auto& row : poisoned.rows)
+        for (auto& v : row) v = static_cast<std::int16_t>(v + 1);
+      for (std::size_t nq : query_counts) {
+        // Positive queries: the poison then moves every nonempty sum.
+        std::vector<std::vector<std::int32_t>> queries(
+            nq, std::vector<std::int32_t>(1024));
+        for (auto& row : queries)
+          for (auto& v : row) v = static_cast<std::int32_t>(rng.range(1, 60));
+        for (const auto& [name, runs] : run_lists()) {
+          const std::string what = std::string(name) +
+                                   " nq=" + std::to_string(nq) +
+                                   " nc=" + std::to_string(nc) +
+                                   " peak=" + std::to_string(peak);
+          const auto want = tile(scalar, queries, classes, runs);
+          for (k::Backend b : test::available_backends()) {
+            const k::Kernels& table = k::get(b);
+            const std::string where = std::string(k::to_string(b)) + " " + what;
+            EXPECT_EQ(tile(table, queries, classes, runs), want) << where;
+            EXPECT_EQ(tile(table, queries, classes, runs, &exact16), want)
+                << where;
+            const auto got = tile(table, queries, classes, runs, &poisoned);
+            if (table.dot_tile == scalar.dot_tile || peak > 32767 ||
+                runs.empty()) {
+              EXPECT_EQ(got, want) << "poisoned copy read: " << where;
+              continue;
+            }
+            for (std::size_t i = 0; i < want.size(); ++i)
+              EXPECT_NE(got[i], want[i])
+                  << "int16 rows not read: " << where << " i=" << i;
+          }
+        }
+      }
     }
   }
 }

@@ -11,10 +11,10 @@ model::HdcClassifier small_model(std::size_t dims = 256,
                                  std::size_t classes = 3) {
   model::HdcClassifier clf(dims, classes);
   Rng rng(99);
-  for (std::size_t c = 0; c < classes; ++c) {
-    auto& v = clf.mutable_class_vector(c);
-    for (auto& x : v) x = static_cast<std::int32_t>(rng.range(-100, 100));
-  }
+  for (std::size_t c = 0; c < classes; ++c)
+    clf.edit_class_vector(c, [&](std::span<std::int32_t> row) {
+      for (auto& x : row) x = static_cast<std::int32_t>(rng.range(-100, 100));
+    });
   clf.recompute_norms();
   return clf;
 }

@@ -301,7 +301,8 @@ class ScriptedLifecycle : public ModelLifecycle {
 /// are distinguishable from pre-swap ones.
 model::HdcClassifier make_swapped_classes(const model::HdcClassifier& clf) {
   model::HdcClassifier other = clf;
-  std::swap(other.mutable_class_vector(0), other.mutable_class_vector(1));
+  other.set_class_vector(0, clf.class_vector(1));
+  other.set_class_vector(1, clf.class_vector(0));
   other.recompute_norms();
   return other;
 }
