@@ -15,9 +15,11 @@
 //   * dot_tile 1q      — one query × the same 26 classes at `--dims`: the
 //                        tile of predict(), edge inference and every
 //                        retraining sample
-//   * bundle_windows   — one ISOLET-shaped GENERIC sample per call (128
-//                        features, 64 levels, n = 3, ids bound: 126
-//                        windows of four rotated rows at `--dims`)
+//   * bundle_windows   — one GENERIC sample per call (64 levels, n = 3,
+//                        ids bound: windows of four rotated rows at
+//                        `--dims`), ISOLET-shaped (128 features, 126
+//                        windows) and CARDIO-shaped (21 features, 19
+//                        windows)
 // and reports throughput plus speedup vs the forced-scalar reference.
 // Every measured distance, dot product and bundle is cross-checked against scalar
 // before timing: a backend that is fast but wrong fails loudly here, not in
@@ -35,8 +37,10 @@
 //   kernels.<backend>.dot_tile_speedup_milli.<dims>
 //   kernels.<backend>.dot_tile_1q_ns_per_query.<dims>
 //   kernels.<backend>.dot_tile_1q_speedup_milli.<dims>
-//   kernels.<backend>.encode_ns_per_sample
-//   kernels.<backend>.encode_speedup_milli    (1000 = scalar parity)
+//   kernels.<backend>.encode_ns_per_sample          (ISOLET shape)
+//   kernels.<backend>.encode_speedup_milli          (1000 = scalar parity)
+//   kernels.<backend>.encode_short_ns_per_sample    (CARDIO shape)
+//   kernels.<backend>.encode_short_speedup_milli
 //   remat.encode_stored_ns_per_sample / remat.encode_remat_ns_per_sample
 //   remat.recompute_overhead_milli
 //   remat.footprint.stored_payload_bytes / remat.footprint.remat_payload_bytes
@@ -293,55 +297,67 @@ int main(int argc, char** argv) {
               speedup * 1000.0);
   }
 
-  // ---- window bundle: one ISOLET-shaped GENERIC sample per call ------------
+  // ---- window bundle: one GENERIC sample per call, two shapes -------------
   // The terms GenericEncoder hands the kernel: window i is the level rows
   // of features i..i+n-1 rotated by 0..n-1 and the seed id rotated by i.
-  constexpr std::size_t kFeatures = 128, kLevels = 64, kWindow = 3;
+  // ISOLET (128 features: 126 windows) is edge_infer's sample; CARDIO (21
+  // features: 19 windows) is learn_rounds', where a group of 16 windows
+  // leaves a short one.
+  constexpr std::size_t kLevels = 64, kWindow = 3;
   const hdc::LevelMemory levels(dims, kLevels, 0x11EE1);
   const hdc::SeededItemMemory ids(dims, 0x6E2E21C);
-  Rng bins_rng(0xB1D5);
-  std::vector<std::size_t> bins(kFeatures);
-  for (auto& b : bins) b = bins_rng.below(kLevels);
-  std::vector<k::RotatedRow> terms;
-  for (std::size_t i = 0; i + kWindow <= kFeatures; ++i) {
-    for (std::size_t j = 0; j < kWindow; ++j)
-      terms.push_back({levels.level(bins[i + j]).words().data(), j});
-    terms.push_back({ids.seed_id().words().data(), i});
-  }
-  const std::size_t per_window = kWindow + 1;
-  const std::size_t windows = terms.size() / per_window;
-  auto run_bundle = [&](const k::Kernels& table, hdc::IntHV& acc) {
-    std::fill(acc.begin(), acc.end(), 0);
-    table.bundle_windows(terms.data(), per_window, windows, dims, acc.data());
-  };
-  hdc::IntHV want_bundle(dims);
-  run_bundle(k::get(k::Backend::kScalar), want_bundle);
-
-  std::printf("\nbundle_windows: %zu windows x %zu rows, dims=%zu\n", windows,
-              per_window, dims);
-  std::printf("%-8s %16s %10s\n", "backend", "ns/sample", "speedup");
-  bench::print_rule(36);
-  double scalar_encode_ns = 0.0;
-  for (k::Backend backend : k::compiled_backends()) {
-    if (!k::available(backend)) continue;
-    const k::Kernels& table = k::get(backend);
-    const std::string name(k::to_string(backend));
-    hdc::IntHV got(dims);
-    run_bundle(table, got);
-    if (got != want_bundle) {
-      std::fprintf(stderr, "%s: bundle_windows diverged from scalar\n",
-                   name.c_str());
-      return 1;
+  auto bench_bundle = [&](const char* shape, std::size_t features,
+                          const std::string& gauge) {
+    Rng bins_rng(0xB1D5);
+    std::vector<std::size_t> bins(features);
+    for (auto& b : bins) b = bins_rng.below(kLevels);
+    std::vector<k::RotatedRow> terms;
+    for (std::size_t i = 0; i + kWindow <= features; ++i) {
+      for (std::size_t j = 0; j < kWindow; ++j)
+        terms.push_back({levels.level(bins[i + j]).words().data(), j});
+      terms.push_back({ids.seed_id().words().data(), i});
     }
-    // measure_mwords counts calls here: Msamples/s -> ns per sample.
-    const double ns =
-        1e3 / measure_mwords([&] { run_bundle(table, got); }, 1.0, target_s);
-    if (backend == k::Backend::kScalar) scalar_encode_ns = ns;
-    const double speedup = ns > 0 ? scalar_encode_ns / ns : 0;
-    std::printf("%-8s %16.0f %9.2fx\n", name.c_str(), ns, speedup);
-    set_gauge("kernels." + name + ".encode_ns_per_sample", ns);
-    set_gauge("kernels." + name + ".encode_speedup_milli", speedup * 1000.0);
-  }
+    const std::size_t per_window = kWindow + 1;
+    const std::size_t windows = terms.size() / per_window;
+    auto run_bundle = [&](const k::Kernels& table, hdc::IntHV& acc) {
+      std::fill(acc.begin(), acc.end(), 0);
+      table.bundle_windows(terms.data(), per_window, windows, dims,
+                           acc.data());
+    };
+    hdc::IntHV want_bundle(dims);
+    run_bundle(k::get(k::Backend::kScalar), want_bundle);
+
+    std::printf("\nbundle_windows (%s): %zu windows x %zu rows, dims=%zu\n",
+                shape, windows, per_window, dims);
+    std::printf("%-8s %16s %10s\n", "backend", "ns/sample", "speedup");
+    bench::print_rule(36);
+    double scalar_ns = 0.0;
+    for (k::Backend backend : k::compiled_backends()) {
+      if (!k::available(backend)) continue;
+      const k::Kernels& table = k::get(backend);
+      const std::string name(k::to_string(backend));
+      hdc::IntHV got(dims);
+      run_bundle(table, got);
+      if (got != want_bundle) {
+        std::fprintf(stderr, "%s: bundle_windows (%s) diverged from scalar\n",
+                     name.c_str(), shape);
+        return false;
+      }
+      // measure_mwords counts calls here: Msamples/s -> ns per sample.
+      const double ns =
+          1e3 / measure_mwords([&] { run_bundle(table, got); }, 1.0, target_s);
+      if (backend == k::Backend::kScalar) scalar_ns = ns;
+      const double speedup = ns > 0 ? scalar_ns / ns : 0;
+      std::printf("%-8s %16.0f %9.2fx\n", name.c_str(), ns, speedup);
+      set_gauge("kernels." + name + "." + gauge + "_ns_per_sample", ns);
+      set_gauge("kernels." + name + "." + gauge + "_speedup_milli",
+                speedup * 1000.0);
+    }
+    return true;
+  };
+  if (!bench_bundle("ISOLET", 128, "encode") ||
+      !bench_bundle("CARDIO", 21, "encode_short"))
+    return 1;
 
   // ---- stored vs rematerialized memories ---------------------------------
   Rng rng(0x5A17);

@@ -1,5 +1,6 @@
 #include "encoding/encoders.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "hdc/kernels.h"
@@ -32,30 +33,64 @@ const std::uint64_t* row_words(const hdc::LevelMemory& mem, std::size_t bin,
   return slot.words().data();
 }
 
-/// Per-thread scratch of the bundling encoders: one row per feature
-/// position, a rematerialization slot per row, and the terms of every
-/// window. encode() is const and runs concurrently under encode_batch, so
-/// the buffers are per thread; they only grow.
+/// Per-thread scratch of the bundling encoders: the row of every feature
+/// position, rematerialization slots, and the terms of every window.
+/// encode() is const and runs concurrently under encode_batch, so the
+/// buffers are per thread; they only grow.
 struct Scratch {
   std::vector<const std::uint64_t*> rows;
   std::vector<hdc::BinaryHV> remat;
+  /// rows_of's marks of the keys a sample uses; clear between calls.
+  std::vector<char> wanted;
   std::vector<hdc::kernels::RotatedRow> terms;
 };
 
 Scratch& scratch(std::size_t slots) {
   thread_local Scratch s;
-  if (s.remat.size() < slots) s.remat.resize(slots);
+  if (s.remat.size() < slots) {
+    s.remat.resize(slots);
+    s.wanted.resize(slots, 0);
+  }
   s.rows.clear();
   s.terms.clear();
   return s;
 }
 
-/// Scratch holding the row of every bin, in feature order.
+/// Rebuild remat[k] for every wanted key k < keys.
+void materialize_wanted(const hdc::ItemMemory& mem, std::size_t keys,
+                        Scratch& s) {
+  for (std::size_t k = 0; k < keys; ++k)
+    if (s.wanted[k]) s.remat[k] = mem.materialize(k);
+}
+
+/// Level rows come out of one replay of the level construction, however
+/// many bins the sample uses.
+void materialize_wanted(const hdc::LevelMemory& mem, std::size_t keys,
+                        Scratch& s) {
+  mem.replay(keys - 1, [&](std::size_t bin, const hdc::BinaryHV& row) {
+    if (s.wanted[bin]) s.remat[bin] = row;
+  });
+}
+
+/// Scratch holding the row of every bin, in feature order. A
+/// rematerialized memory rebuilds each distinct bin's row once per sample,
+/// into the per-thread slot of that bin.
 template <class Memory>
 Scratch& rows_of(const Memory& mem, std::span<const std::uint16_t> bins) {
-  Scratch& s = scratch(bins.size());
-  for (std::size_t i = 0; i < bins.size(); ++i)
-    s.rows.push_back(row_words(mem, bins[i], s.remat[i]));
+  std::size_t keys = 0;
+  for (std::uint16_t bin : bins) keys = std::max<std::size_t>(keys, bin + 1u);
+  Scratch& s = scratch(keys);
+  if (mem.storage() == hdc::ItemStorage::kStored) {
+    for (std::uint16_t bin : bins)
+      s.rows.push_back(row_words(mem, bin, s.remat[bin]));
+    return s;
+  }
+  for (std::uint16_t bin : bins) s.wanted[bin] = 1;
+  if (keys != 0) materialize_wanted(mem, keys, s);
+  for (std::uint16_t bin : bins) {
+    s.rows.push_back(s.remat[bin].words().data());
+    s.wanted[bin] = 0;
+  }
   return s;
 }
 

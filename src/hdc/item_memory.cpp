@@ -48,23 +48,32 @@ LevelMemory::LevelMemory(std::size_t dims, std::size_t levels,
     : dims_(dims), num_levels_(levels), seed_(seed), storage_(storage) {
   if (levels == 0) throw std::invalid_argument("LevelMemory: levels == 0");
   if (storage_ == ItemStorage::kRematerialized) return;
-  Rng rng(seed);
   levels_.reserve(levels);
-  levels_.push_back(BinaryHV::random(dims, rng));
-  if (levels == 1) return;
+  replay(levels - 1,
+         [&](std::size_t, const BinaryHV& row) { levels_.push_back(row); });
+}
+
+void LevelMemory::replay(
+    std::size_t last,
+    const std::function<void(std::size_t, const BinaryHV&)>& visit) const {
+  if (last >= num_levels_)
+    throw std::out_of_range("LevelMemory::replay: bin out of range");
+  Rng rng(seed_);
+  BinaryHV row = BinaryHV::random(dims_, rng);
+  visit(0, row);
+  if (last == 0) return;
   // Flip a disjoint batch of positions per step; after L-1 steps exactly
   // dims/2 positions have flipped, making the extreme levels ~orthogonal.
-  std::vector<std::size_t> order(dims);
-  for (std::size_t i = 0; i < dims; ++i) order[i] = i;
+  std::vector<std::size_t> order(dims_);
+  for (std::size_t i = 0; i < dims_; ++i) order[i] = i;
   rng.shuffle(order);
-  const std::size_t total_flips = dims / 2;
+  const std::size_t total_flips = dims_ / 2;
   std::size_t cursor = 0;
-  for (std::size_t l = 1; l < levels; ++l) {
-    BinaryHV next = levels_.back();
+  for (std::size_t l = 1; l <= last; ++l) {
     // Distribute total_flips as evenly as possible across the steps.
-    const std::size_t target = total_flips * l / (levels - 1);
-    for (; cursor < target && cursor < dims; ++cursor) next.flip(order[cursor]);
-    levels_.push_back(std::move(next));
+    const std::size_t target = total_flips * l / (num_levels_ - 1);
+    for (; cursor < target && cursor < dims_; ++cursor) row.flip(order[cursor]);
+    visit(l, row);
   }
 }
 
@@ -87,20 +96,11 @@ BinaryHV& LevelMemory::mutable_level(std::size_t bin) {
 BinaryHV LevelMemory::materialize(std::size_t bin) const {
   if (bin >= num_levels_)
     throw std::out_of_range("LevelMemory::materialize: bin out of range");
-  // Replay the construction rule up to `bin`: same rng stream, same shuffled
-  // flip order, same flip count, so the row is bit-identical to what the
-  // stored table holds for this (seed, dims, levels).
-  Rng rng(seed_);
-  BinaryHV row = BinaryHV::random(dims_, rng);
-  if (bin == 0 || num_levels_ == 1) return row;
-  std::vector<std::size_t> order(dims_);
-  for (std::size_t i = 0; i < dims_; ++i) order[i] = i;
-  rng.shuffle(order);
-  const std::size_t total_flips = dims_ / 2;
-  const std::size_t target = total_flips * bin / (num_levels_ - 1);
-  for (std::size_t cursor = 0; cursor < target && cursor < dims_; ++cursor)
-    row.flip(order[cursor]);
-  return row;
+  BinaryHV out;
+  replay(bin, [&](std::size_t l, const BinaryHV& row) {
+    if (l == bin) out = row;
+  });
+  return out;
 }
 
 std::size_t LevelMemory::footprint_bytes() const {

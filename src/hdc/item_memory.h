@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -97,6 +98,14 @@ class LevelMemory {
   /// first total_flips*bin/(levels-1) flips of the shuffled flip order.
   /// Bit-identical to the stored row in either mode.
   BinaryHV materialize(std::size_t bin) const;
+
+  /// One pass of the construction rule over levels 0..last (last <
+  /// num_levels()): visit(bin, row) for each in ascending order, row being
+  /// exactly materialize(bin). Any number of levels for the cost of
+  /// materialize(last).
+  void replay(std::size_t last,
+              const std::function<void(std::size_t, const BinaryHV&)>& visit)
+      const;
 
   /// Bytes of level payload held; zero in rematerialized mode.
   std::size_t footprint_bytes() const;

@@ -90,7 +90,8 @@ bool cpu_supports(Backend backend) {
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
-             __builtin_cpu_supports("avx512vpopcntdq") != 0;
+             __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
+             __builtin_cpu_supports("avx512vbmi2") != 0;
 #else
       return false;
 #endif

@@ -15,11 +15,12 @@
 //           baseline
 //   avx2    pshufb nibble-lookup popcount; dot tile on _mm256_mul_epi32,
 //           or _mm256_madd_epi16 over the caller's int16 class rows when
-//           an operand bound proves int16 exact;
-//           window bits expanded by shuffle/cmpeq into register counters
-//   avx512  vpopcntq over 512-bit lanes; the same dot tile on 512-bit
-//           lanes; window bits as the masks of _mm512_mask_add_epi16
-//           (x86 + VPOPCNTDQ + BW)
+//           an operand bound proves int16 exact; windows rotated in
+//           registers and counted in carry-save bit-planes
+//   avx512  vpopcntq over 512-bit lanes; the same dot tile and the same
+//           bit-sliced window bundle on 512-bit lanes, with vpshldvq
+//           funnel shifts and vpternlogq adders
+//           (x86 + VPOPCNTDQ + BW + VBMI2)
 //   neon    vcnt + widening pairwise accumulation (aarch64); scalar tile
 //           and scalar window bundle
 //
@@ -80,9 +81,11 @@ struct RotatedRow {
   std::size_t rot = 0;
 };
 
-/// Most windows a bundle_windows call counts in 16-bit per-dimension
-/// counters before it flushes them into the int32 accumulator: a counter
-/// then never exceeds 32767, so it is exact in int16 as well as uint16.
+/// Most windows a bundle_windows call counts before it flushes the counts
+/// into the int32 accumulator: the scalar reference's 16-bit counters and
+/// the SIMD backends' bit-planes (which flush every 32752 windows, whole
+/// groups of 16) then never hold more than 32767, so a count is exact in
+/// int16 as well as uint16.
 inline constexpr std::size_t kMaxWindowsPerFlush = 32767;
 
 /// The dispatch table one backend fills in. Every entry point is exact: it
@@ -121,8 +124,8 @@ struct Kernels {
   /// — the bipolar sum of the windows, GENERIC's Eq. 1 when a window's
   /// terms are its n level rows rotated by j < n and the seed id rotated
   /// by the window index. Rotation is toward higher indices, as
-  /// BinaryHV::rotated. Each bit is added into 16-bit counters that are
-  /// flushed (acc[d] += 2 · count[d] − counted) at most every
+  /// BinaryHV::rotated. Window bits are counted per dimension and
+  /// flushed (acc[d] += 2 · count[d] − counted) at least every
   /// kMaxWindowsPerFlush windows, so the sum is exact for any window
   /// count. Rows are read, never cached, on every call: fault injection and
   /// scrubbing rewrite them in place between calls.

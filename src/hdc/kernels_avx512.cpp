@@ -1,18 +1,19 @@
 // AVX-512 backend: native vpopcntq over 512-bit lanes, the dot tile of
-// hdc/kernels_tile.h on 512-bit lanes, and the window bundle of
-// hdc/kernels_bundle.h with each 32-bit half of a window word as the mask
-// of one _mm512_mask_add_epi16 into 32 register counters.
+// hdc/kernels_tile.h on 512-bit lanes, and the bit-sliced window bundle of
+// hdc/kernels_bundle.h: vpshldvq funnel shifts, vpternlogq carry-save
+// adders, and _mm512_mask_add_epi16 to turn bit-planes into counts.
 //
-// Requires AVX512F + AVX512BW + AVX512VPOPCNTDQ (Ice Lake and later;
-// dispatch checks all three at runtime; BW is the tile's vpmaddwd and the
-// bundle's 16-bit mask-add). The many-rows kernel interleaves two reference
+// Requires AVX512F + AVX512BW + AVX512VPOPCNTDQ + AVX512VBMI2 (Ice Lake,
+// Sapphire Rapids, Zen 4 and later; dispatch checks all four at runtime;
+// BW is the tile's vpmaddwd and the bundle's 16-bit mask-add, VBMI2 the
+// bundle's vpshldvq). The many-rows kernel interleaves two reference
 // rows per pass so each 512-bit query load is amortized across two
 // XOR+popcount chains — that, not the popcount itself, is where the wins
 // over scalar come from at typical 64-word (4096-dim) rows. Exact integer
 // sums, so bit-identical to the scalar reference by construction.
 //
-// This TU is compiled with -mavx512f -mavx512bw -mavx512vpopcntdq (see
-// src/hdc/CMakeLists.txt).
+// This TU is compiled with -mavx512f -mavx512bw -mavx512vpopcntdq
+// -mavx512vbmi2 (see src/hdc/CMakeLists.txt).
 #include "hdc/kernels_detail.h"
 
 #if defined(GENERIC_KERNELS_HAVE_AVX512)
@@ -112,34 +113,64 @@ struct Avx512 {
     return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a));
   }
 
-  /// Window-bundle block: 8 words = 512 dims = 16 vectors of 32 uint16
-  /// counters. Bit b of a 32-bit half-word is lane b's add mask.
-  static constexpr std::size_t kBlockWords = 8;
-  static void count_block(const std::uint64_t* words, std::size_t stride,
-                          std::size_t n, std::int32_t* acc) {
+  static void store(void* p, V a) { _mm512_storeu_si512(p, a); }
+  static V xor_(V a, V b) { return _mm512_xor_si512(a, b); }
+  static V and_(V a, V b) { return _mm512_and_si512(a, b); }
+
+  /// Window bundle (kernels_bundle.h): 8 words = 512 dims per block, 8
+  /// blocks (4096 dims) of a window in registers at once.
+  static constexpr std::size_t kWords = 8;
+  static constexpr std::size_t kTile = 8;
+  static V shift(unsigned bs) { return _mm512_set1_epi64(bs); }
+  /// The upper half of lo:prev << bs, one vpshldvq.
+  static V funnel(V lo, V prev, V bs) {
+    return _mm512_shldv_epi64(lo, prev, bs);
+  }
+  /// [last[7], lo[0..6]]: one valignq instead of a second split load.
+  static V back(const std::uint64_t*, V lo, V last) {
+    return _mm512_alignr_epi64(lo, last, 7);
+  }
+  /// Lanes r..r+7 of the row's last vector followed by its first.
+  static V wrap(const std::uint64_t* in, std::size_t nw, std::size_t r) {
+    const V idx =
+        _mm512_add_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                         _mm512_set1_epi64(static_cast<long long>(r)));
+    return _mm512_permutex2var_epi64(load(in + nw - kWords), idx, load(in));
+  }
+  /// Carry-save adder: h = majority(a, b, c), l = a ^ b ^ c.
+  static void csa(V& h, V& l, V a, V b, V c) {
+    h = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+    l = _mm512_ternarylogic_epi64(a, b, c, 0x96);
+  }
+  /// Bit-planes to counts, 32 dims at a time: Horner over the planes from
+  /// the top, c = 2c + bit, the bit being a 32-bit half-word of the plane
+  /// used as the mask of one _mm512_mask_add_epi16.
+  static void flush_block(const std::uint64_t* planes, std::size_t stride,
+                          std::size_t nplanes, std::int32_t n,
+                          std::int32_t* acc) {
     const __m512i one = _mm512_set1_epi16(1);
-    __m512i c[2 * kBlockWords];
-    for (auto& v : c) v = _mm512_setzero_si512();
-    for (std::size_t w = 0; w < n; ++w, words += stride) {
-      // Little-endian: 32-bit half h of the block is mask h. Copying it
-      // out of memory lets the compiler load it straight into a mask
-      // register (kmovd k, m32) instead of moving it through a GPR.
-      for (std::size_t h = 0; h < 2 * kBlockWords; ++h) {
-        std::uint32_t mask = 0;
-        std::memcpy(&mask, reinterpret_cast<const char*>(words) + 4 * h, 4);
-        c[h] = _mm512_mask_add_epi16(c[h], _cvtu32_mask32(mask), c[h], one);
-      }
-    }
-    const __m512i neg_n = _mm512_set1_epi32(-static_cast<std::int32_t>(n));
-    auto flush = [&](__m256i counts, std::int32_t* a) {
+    const __m512i neg_n = _mm512_set1_epi32(-n);
+    auto add = [&](__m256i counts, std::int32_t* a) {
       const __m512i c32 = _mm512_cvtepu16_epi32(counts);
       const __m512i bipolar = _mm512_add_epi32(_mm512_add_epi32(c32, c32),
                                                neg_n);
       _mm512_storeu_si512(a, _mm512_add_epi32(_mm512_loadu_si512(a), bipolar));
     };
-    for (std::size_t k = 0; k < 2 * kBlockWords; ++k) {
-      flush(_mm512_castsi512_si256(c[k]), acc + 32 * k);
-      flush(_mm512_extracti64x4_epi64(c[k], 1), acc + 32 * k + 16);
+    for (std::size_t h = 0; h < 2 * kWords; ++h) {
+      __m512i c = _mm512_setzero_si512();
+      for (std::size_t k = nplanes; k-- > 0;) {
+        // Little-endian: half-word h of the plane is dims 32h..32h+31.
+        // Copying it out of memory lets the compiler load it straight into
+        // a mask register (kmovd k, m32).
+        std::uint32_t mask = 0;
+        std::memcpy(&mask,
+                    reinterpret_cast<const char*>(planes + k * stride) + 4 * h,
+                    4);
+        c = _mm512_add_epi16(c, c);
+        c = _mm512_mask_add_epi16(c, _cvtu32_mask32(mask), c, one);
+      }
+      add(_mm512_castsi512_si256(c), acc + 32 * h);
+      add(_mm512_extracti64x4_epi64(c, 1), acc + 32 * h + 16);
     }
   }
 };

@@ -33,8 +33,8 @@ void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,
 std::int16_t* i16_scratch(std::size_t n);
 
 /// Per-thread scratch of the window bundle, under the same rules as
-/// i16_scratch: packed window words, and the scalar reference's 16-bit
-/// per-dimension counters.
+/// i16_scratch: packed window words plus the SIMD driver's bit-planes, and
+/// the scalar reference's 16-bit per-dimension counters.
 std::uint64_t* u64_scratch(std::size_t n);
 std::uint16_t* u16_scratch(std::size_t n);
 

@@ -494,7 +494,7 @@ TEST(KernelEquivalence, WindowBundleMatchesScalarAcrossShapes) {
                             2 * dims + 3}) {
       for (std::size_t n = 1; n <= 5; ++n)
         for (const bool with_id : {false, true}) {
-          // 70 windows: more than one SIMD chunk at 4096 dims.
+          // 70 windows: four full Harley–Seal groups and a short one.
           const Windows w = generic_windows(dims, n, rot, with_id, 70, rng);
           const IntHV want = bundled(scalar, w, dims);
           ASSERT_EQ(want, rotated_reference(w, dims))
@@ -507,6 +507,52 @@ TEST(KernelEquivalence, WindowBundleMatchesScalarAcrossShapes) {
         }
     }
   }
+}
+
+/// `w` bundled by scalar equals the BinaryHV::rotated reference, and every
+/// SIMD backend equals scalar.
+void expect_bundles_agree(const Windows& w, std::size_t dims,
+                          const std::string& where) {
+  const IntHV want = bundled(k::get(k::Backend::kScalar), w, dims);
+  ASSERT_EQ(want, rotated_reference(w, dims)) << "scalar " << where;
+  for (k::Backend b : simd_backends())
+    EXPECT_EQ(bundled(k::get(b), w, dims), want)
+        << k::to_string(b) << " " << where;
+}
+
+TEST(KernelEquivalence, WindowBundleMatchesScalarAcrossGroupsAndWraps) {
+  // The SIMD driver counts windows 16 to a Harley–Seal group into
+  // bit-planes and builds register blocks (512 dims on avx512, 256 on
+  // avx2) with the rotation's wrap in one of them. Word-aligned dims off
+  // the block size leave a tail of words; window counts around 16 and the
+  // powers of two cross the group and plane boundaries.
+  Rng rng(0x5B1CED);
+  for (std::size_t dims : {std::size_t{128}, std::size_t{512},
+                           std::size_t{576}, std::size_t{4160}}) {
+    for (std::size_t windows :
+         {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+          std::size_t{31}, std::size_t{32}, std::size_t{33},
+          std::size_t{127}, std::size_t{128}, std::size_t{129},
+          std::size_t{255}, std::size_t{256}}) {
+      for (std::size_t rot : {std::size_t{0}, std::size_t{37}, dims - 1}) {
+        const Windows w = generic_windows(dims, 3, rot, true, windows, rng);
+        expect_bundles_agree(w, dims,
+                             "dims=" + std::to_string(dims) +
+                                 " windows=" + std::to_string(windows) +
+                                 " rot=" + std::to_string(rot));
+      }
+    }
+  }
+  // Every word shift at 4096 dims, with and without a bit shift, lands the
+  // wrap at every word position of every block.
+  constexpr std::size_t kDims = 4096;
+  for (std::size_t ws = 0; ws < kDims / 64; ++ws)
+    for (std::size_t bs : {std::size_t{0}, std::size_t{37}}) {
+      const Windows w = generic_windows(kDims, 2, 64 * ws + bs, true, 17, rng);
+      expect_bundles_agree(w, kDims,
+                           "ws=" + std::to_string(ws) +
+                               " bs=" + std::to_string(bs));
+    }
 }
 
 TEST(KernelEquivalence, WindowRotationOfTheSeedIdMatchesRotated) {
@@ -532,21 +578,26 @@ TEST(KernelEquivalence, WindowRotationOfTheSeedIdMatchesRotated) {
 TEST(KernelEquivalence, WindowBundleExactAtAndPastTheCounterBound) {
   // One all-ones row per window drives every 16-bit counter to the window
   // count: at kMaxWindowsPerFlush, one past it, and past uint16 range, the
-  // bundle must equal a plain int32 accumulation.
-  constexpr std::size_t kDims = 64;
-  BinaryHV ones(kDims);
-  for (std::size_t d = 0; d < kDims; ++d) ones.set(d, d % 5 != 0);
-  for (std::size_t windows :
-       {k::kMaxWindowsPerFlush, k::kMaxWindowsPerFlush + 1,
-        std::size_t{65537}}) {
-    const std::vector<k::RotatedRow> terms(windows,
-                                           {ones.words().data(), 0});
-    IntHV want(kDims, 0);
-    for (std::size_t w = 0; w < windows; ++w) ones.accumulate_into(want);
-    for (k::Backend b : test::available_backends()) {
-      IntHV acc(kDims, 0);
-      k::get(b).bundle_windows(terms.data(), 1, windows, kDims, acc.data());
-      EXPECT_EQ(acc, want) << k::to_string(b) << " windows=" << windows;
+  // bundle must equal a plain int32 accumulation. 64 dims stay below every
+  // SIMD block; 512, 576 and 4096 reach the SIMD backends' bit-planes and
+  // their flushes (576 with a word past the last 512-dim block).
+  for (std::size_t dims : {std::size_t{64}, std::size_t{512},
+                           std::size_t{576}, std::size_t{4096}}) {
+    BinaryHV ones(dims);
+    for (std::size_t d = 0; d < dims; ++d) ones.set(d, d % 5 != 0);
+    for (std::size_t windows :
+         {k::kMaxWindowsPerFlush, k::kMaxWindowsPerFlush + 1,
+          std::size_t{65537}}) {
+      const std::vector<k::RotatedRow> terms(windows,
+                                             {ones.words().data(), 0});
+      IntHV want(dims, 0);
+      for (std::size_t w = 0; w < windows; ++w) ones.accumulate_into(want);
+      for (k::Backend b : test::available_backends()) {
+        IntHV acc(dims, 0);
+        k::get(b).bundle_windows(terms.data(), 1, windows, dims, acc.data());
+        EXPECT_EQ(acc, want) << k::to_string(b) << " dims=" << dims
+                             << " windows=" << windows;
+      }
     }
   }
 }
@@ -606,6 +657,25 @@ TEST(KernelDispatch, UnavailableBackendThrowsInsteadOfFallingBack) {
   EXPECT_THROW(k::set_backend(missing), std::invalid_argument);
   // The active table is untouched by the failed set.
   EXPECT_TRUE(k::available(k::active_backend()));
+}
+
+TEST(KernelDispatch, Avx512RequiresEveryFeatureItUses) {
+  // F + BW + VPOPCNTDQ for the popcount and the tile, VBMI2 for the
+  // bundle's funnel shift: a CPU missing any of them must not get avx512,
+  // and forcing it there is an error, never a fallback.
+#if defined(__x86_64__) || defined(__i386__)
+  const bool every = __builtin_cpu_supports("avx512f") &&
+                     __builtin_cpu_supports("avx512bw") &&
+                     __builtin_cpu_supports("avx512vpopcntdq") &&
+                     __builtin_cpu_supports("avx512vbmi2");
+#else
+  const bool every = false;
+#endif
+  EXPECT_EQ(k::cpu_supports(k::Backend::kAvx512), every);
+  if (!k::available(k::Backend::kAvx512)) {
+    EXPECT_THROW(k::get(k::Backend::kAvx512), std::invalid_argument);
+    EXPECT_THROW(k::set_backend_from_string("avx512"), std::invalid_argument);
+  }
 }
 
 TEST(KernelDispatch, ActiveBackendDrivesOps) {

@@ -80,6 +80,23 @@ TEST(RematLevelMemory, MaterializeMatchesStoredLevelsForAllBins) {
   }
 }
 
+TEST(RematLevelMemory, ReplayVisitsEveryLevelUpToTheLastInOrder) {
+  // The one-pass rebuild the rematerialized encoders use: levels 0..last,
+  // ascending, each equal to materialize(bin).
+  const LevelMemory remat(4096, 64, 0x11EE1, ItemStorage::kRematerialized);
+  for (std::size_t last : {std::size_t{0}, std::size_t{1}, std::size_t{40},
+                           std::size_t{63}}) {
+    std::size_t next = 0;
+    remat.replay(last, [&](std::size_t bin, const BinaryHV& row) {
+      ASSERT_EQ(bin, next++);
+      EXPECT_EQ(row, remat.materialize(bin)) << "last=" << last;
+    });
+    EXPECT_EQ(next, last + 1);
+  }
+  EXPECT_THROW(remat.replay(64, [](std::size_t, const BinaryHV&) {}),
+               std::out_of_range);
+}
+
 TEST(RematLevelMemory, AccessorsThrowAppropriately) {
   LevelMemory remat(128, 8, 5, ItemStorage::kRematerialized);
   EXPECT_THROW(remat.level(0), std::logic_error);
