@@ -5,10 +5,22 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
+#include "golden.h"
+#include "lifecycle/checkpoint_store.h"
 #include "model/pipeline.h"
+
+#ifndef GENERIC_GOLDEN_DIR
+#error "GENERIC_GOLDEN_DIR must be defined by the build"
+#endif
 
 namespace generic::model {
 namespace {
@@ -214,6 +226,151 @@ TEST(ModelIo, Crc32KnownVector) {
   // CRC-32("123456789") == 0xCBF43926 — the classic check value.
   const char* s = "123456789";
   EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s), 9), 0xCBF43926u);
+}
+
+// ---- Byte pin of the three persistence formats -------------------------
+//
+// tests/model/golden/blobs.txt holds a hex dump of the GHDC
+// (serialize_model), GCLS (serialize_classifier) and GCKP (the file
+// CheckpointStore::save writes) blobs of one fixed small model. Any change
+// to a format's bytes, its field order or its CRC footer shows up here as a
+// byte diff; tests/golden.h says how to regenerate the fixture.
+
+constexpr std::size_t kPinDims = 256;
+constexpr std::size_t kPinClasses = 3;
+constexpr std::uint64_t kPinVersion = 3;
+constexpr std::uint64_t kPinVt = 123456789;
+
+/// Seeded rows in ±2^27, so every byte lane of every element takes varied
+/// values while each chunk's sum of squares still fits the int64 norms,
+/// plus a non-default bit width.
+HdcClassifier pinned_classifier() {
+  HdcClassifier clf(kPinDims, kPinClasses, 128);
+  Rng rng(0xB10B5ull);
+  for (std::size_t c = 0; c < kPinClasses; ++c) {
+    hdc::IntHV row(kPinDims);
+    for (auto& v : row)
+      v = static_cast<std::int32_t>(rng.range(-(1 << 27), 1 << 27));
+    clf.set_class_vector(c, std::move(row));
+  }
+  clf.set_bit_width(12);
+  clf.recompute_norms();
+  return clf;
+}
+
+enc::EncoderConfig pinned_encoder_config() {
+  enc::EncoderConfig cfg;
+  cfg.dims = kPinDims;
+  cfg.levels = 16;
+  cfg.window = 4;
+  cfg.seed = 0x5EEDull;
+  return cfg;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  const std::string s = golden::read_file(path);
+  return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
+/// The GCKP file CheckpointStore::save writes for `clf` in a fresh dir.
+std::vector<std::uint8_t> checkpoint_bytes(const HdcClassifier& clf,
+                                           const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  lifecycle::CheckpointStore store(dir, 1);
+  return read_bytes(store.save(clf, kPinVersion, kPinVt));
+}
+
+using NamedBlobs = std::vector<std::pair<std::string, std::vector<std::uint8_t>>>;
+
+/// "<name> <size>" then the bytes as hex, 32 per line.
+std::string render_blobs(const NamedBlobs& blobs) {
+  std::string out;
+  char hex[3];
+  for (const auto& [name, blob] : blobs) {
+    out += name + " " + std::to_string(blob.size()) + "\n";
+    for (std::size_t i = 0; i < blob.size(); ++i) {
+      std::snprintf(hex, sizeof(hex), "%02x", blob[i]);
+      out += hex;
+      if (i % 32 == 31 || i + 1 == blob.size()) out += "\n";
+    }
+  }
+  return out;
+}
+
+NamedBlobs parse_blobs(const std::string& text) {
+  NamedBlobs out;
+  std::istringstream in(text);
+  std::string name;
+  std::size_t size = 0;
+  while (in >> name >> size) {
+    std::vector<std::uint8_t> blob;
+    std::string line;
+    while (blob.size() < size && in >> line)
+      for (std::size_t i = 0; i + 1 < line.size(); i += 2)
+        blob.push_back(
+            static_cast<std::uint8_t>(std::stoul(line.substr(i, 2), nullptr, 16)));
+    out.emplace_back(name, std::move(blob));
+  }
+  return out;
+}
+
+void expect_same_rows(const HdcClassifier& got, const HdcClassifier& want) {
+  ASSERT_EQ(got.dims(), want.dims());
+  ASSERT_EQ(got.num_classes(), want.num_classes());
+  EXPECT_EQ(got.num_chunks(), want.num_chunks());
+  EXPECT_EQ(got.bit_width(), want.bit_width());
+  for (std::size_t c = 0; c < want.num_classes(); ++c)
+    EXPECT_EQ(got.class_vector(c), want.class_vector(c)) << "class " << c;
+}
+
+TEST(ModelIo, BlobBytesMatchCommittedFixture) {
+  const HdcClassifier clf = pinned_classifier();
+  enc::GenericEncoder encoder(pinned_encoder_config());
+  encoder.fit_range(-1.5f, 2.25f);
+  const std::string dir =
+      (std::filesystem::path(testing::TempDir()) / "ghdc-blob-pin").string();
+  const NamedBlobs blobs = {
+      {"GHDC", serialize_model(encoder, clf)},
+      {"GCLS", serialize_classifier(clf)},
+      {"GCKP", checkpoint_bytes(clf, dir)},
+  };
+  const std::string path = std::string(GENERIC_GOLDEN_DIR) + "/blobs.txt";
+  golden::expect_golden(render_blobs(blobs), path);
+  if (golden::updating()) GTEST_SKIP() << "fixtures regenerated";
+
+  // Every committed blob still decodes to the pinned rows.
+  const NamedBlobs fixture = parse_blobs(golden::read_file(path));
+  ASSERT_EQ(fixture.size(), 3u);
+  for (std::size_t i = 0; i < fixture.size(); ++i) {
+    EXPECT_EQ(fixture[i].first, blobs[i].first);
+    EXPECT_EQ(fixture[i].second, blobs[i].second) << fixture[i].first;
+  }
+  const SavedModel saved = deserialize_model(fixture[0].second);
+  EXPECT_EQ(saved.encoder_config.dims, kPinDims);
+  EXPECT_EQ(saved.encoder_config.levels, 16u);
+  EXPECT_EQ(saved.encoder_config.window, 4u);
+  EXPECT_EQ(saved.encoder_config.seed, 0x5EEDull);
+  EXPECT_TRUE(saved.quantizer_fitted);
+  EXPECT_EQ(saved.quantizer_lo, -1.5f);
+  EXPECT_EQ(saved.quantizer_hi, 2.25f);
+  expect_same_rows(saved.classifier, clf);
+  expect_same_rows(deserialize_classifier(fixture[1].second), clf);
+
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream f(std::filesystem::path(dir) / "ckpt-00000003.gckp",
+                    std::ios::binary);
+    f.write(reinterpret_cast<const char*>(fixture[2].second.data()),
+            static_cast<std::streamsize>(fixture[2].second.size()));
+  }
+  lifecycle::CheckpointStore store(dir, 1);
+  const auto loaded = store.load_latest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->version, kPinVersion);
+  EXPECT_EQ(loaded->vt, kPinVt);
+  expect_same_rows(loaded->model, clf);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
