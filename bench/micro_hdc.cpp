@@ -1,16 +1,21 @@
 // Micro-benchmarks (google-benchmark) of the HDC primitive operations that
 // dominate the software stack: random generation, binding, permutation,
 // bundling, encoding and similarity search. Useful for spotting regressions
-// in the kernels the Table 1 harness spends its time in.
+// in the kernels the Table 1 harness spends its time in, plus the
+// checkpoint path's CRC and blob round trips.
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
 
 #include "common/rng.h"
 #include "encoding/encoders.h"
 #include "hdc/hypervector.h"
 #include "hdc/item_memory.h"
 #include "hdc/kernels.h"
+#include "lifecycle/checkpoint_store.h"
 #include "model/binary_model.h"
 #include "model/hdc_classifier.h"
+#include "model/model_io.h"
 
 namespace {
 
@@ -123,6 +128,54 @@ void BM_BinaryModelPredict(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(fast.predict_packed(q));
 }
 BENCHMARK(BM_BinaryModelPredict);
+
+/// 10 classes x 4096 dims of seeded values: the learn_rounds checkpoint.
+model::HdcClassifier checkpoint_sized_model() {
+  const std::size_t dims = 4096, classes = 10;
+  Rng rng(9);
+  model::HdcClassifier clf(dims, classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    hdc::IntHV row(dims);
+    for (auto& v : row) v = static_cast<std::int32_t>(rng.range(-2000, 2000));
+    clf.set_class_vector(c, std::move(row));
+  }
+  clf.recompute_norms();
+  return clf;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  // 163916 bytes is one GCKP file at 10 x 4096.
+  Rng rng(10);
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(model::crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(163916);
+
+void BM_ClassifierBlobRoundTrip(benchmark::State& state) {
+  const auto clf = checkpoint_sized_model();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        model::deserialize_classifier(model::serialize_classifier(clf)));
+}
+BENCHMARK(BM_ClassifierBlobRoundTrip);
+
+void BM_CheckpointSaveLoad(benchmark::State& state) {
+  const auto clf = checkpoint_sized_model();
+  const auto dir = std::filesystem::temp_directory_path() / "micro_hdc_ckpt";
+  std::filesystem::remove_all(dir);
+  lifecycle::CheckpointStore store(dir.string(), 1);
+  std::uint64_t version = 0;
+  for (auto _ : state) {
+    ++version;
+    store.save(clf, version, version);
+    benchmark::DoNotOptimize(store.load_latest());
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointSaveLoad)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

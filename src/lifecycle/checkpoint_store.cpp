@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -32,7 +32,7 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 
 class Reader {
  public:
-  explicit Reader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
+  explicit Reader(std::span<const std::uint8_t> buf) : buf_(buf) {}
 
   std::uint32_t get_u32() {
     need(4);
@@ -52,10 +52,9 @@ class Reader {
     return v;
   }
 
-  std::vector<std::uint8_t> get_bytes(std::size_t n) {
+  std::span<const std::uint8_t> get_bytes(std::size_t n) {
     need(n);
-    std::vector<std::uint8_t> out(buf_.begin() + static_cast<long>(pos_),
-                                  buf_.begin() + static_cast<long>(pos_ + n));
+    const auto out = buf_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
@@ -68,23 +67,17 @@ class Reader {
     if (buf_.size() - pos_ < n)
       throw std::invalid_argument("checkpoint truncated");
   }
-  const std::vector<std::uint8_t>& buf_;
+  std::span<const std::uint8_t> buf_;
   std::size_t pos_ = 0;
 };
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::invalid_argument("cannot open checkpoint: " + path);
-  std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  return buf;
-}
 
 /// Parse one checkpoint file. Error contract mirrors model_io: any
 /// corruption is std::invalid_argument; an intact file from a newer writer
 /// (outer header or inner classifier blob) is UnsupportedVersionError.
 LoadedCheckpoint parse_checkpoint(const std::string& path) {
-  const std::vector<std::uint8_t> buf = read_file(path);
+  const auto file = model::read_file_bytes(path);
+  if (!file) throw std::invalid_argument("cannot open checkpoint: " + path);
+  const std::vector<std::uint8_t>& buf = *file;
   if (buf.size() < kMagic.size() + 4 + 8 + 8 + 8 + 4)
     throw std::invalid_argument("checkpoint truncated");
   // Outer CRC first: distinguishes corruption from every other complaint.
@@ -96,7 +89,7 @@ LoadedCheckpoint parse_checkpoint(const std::string& path) {
     throw std::invalid_argument("checkpoint CRC mismatch");
 
   Reader r(buf);
-  const std::vector<std::uint8_t> magic = r.get_bytes(kMagic.size());
+  const auto magic = r.get_bytes(kMagic.size());
   if (!std::equal(magic.begin(), magic.end(), kMagic.begin()))
     throw std::invalid_argument("checkpoint bad magic");
   const std::uint32_t version = r.get_u32();
@@ -111,9 +104,8 @@ LoadedCheckpoint parse_checkpoint(const std::string& path) {
   const std::uint64_t payload_size = r.get_u64();
   if (payload_size != r.remaining() - 4)
     throw std::invalid_argument("checkpoint payload size mismatch");
-  const std::vector<std::uint8_t> payload =
-      r.get_bytes(static_cast<std::size_t>(payload_size));
-  out.model = model::deserialize_classifier(payload);
+  out.model = model::deserialize_classifier(
+      r.get_bytes(static_cast<std::size_t>(payload_size)));
   return out;
 }
 

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -59,9 +61,10 @@ std::vector<std::uint8_t> serialize_model(const enc::Encoder& encoder,
                                           const HdcClassifier& classifier);
 
 /// Parse a blob; throws std::invalid_argument on any corruption (bad magic,
-/// truncation, CRC mismatch) and UnsupportedVersionError when the blob is
-/// intact but written with a newer schema version than this reader.
-SavedModel deserialize_model(const std::vector<std::uint8_t>& blob);
+/// truncation, CRC mismatch, class values too large for the int64 norms)
+/// and UnsupportedVersionError when the blob is intact but written with a
+/// newer schema version than this reader.
+SavedModel deserialize_model(std::span<const std::uint8_t> blob);
 
 /// Classifier-only image ("GCLS" magic, versioned, CRC footer): geometry,
 /// bit width and class elements without any encoder state. This is the
@@ -71,14 +74,23 @@ SavedModel deserialize_model(const std::vector<std::uint8_t>& blob);
 std::vector<std::uint8_t> serialize_classifier(const HdcClassifier& classifier);
 
 /// Parse a classifier-only blob; same error contract as deserialize_model.
-HdcClassifier deserialize_classifier(const std::vector<std::uint8_t>& blob);
+HdcClassifier deserialize_classifier(std::span<const std::uint8_t> blob);
 
 /// File convenience wrappers.
 void save_model_file(const std::string& path, const enc::Encoder& encoder,
                      const HdcClassifier& classifier);
 SavedModel load_model_file(const std::string& path);
 
-/// CRC-32 (IEEE 802.3) used by the blob footer; exposed for tests.
+/// The whole file at `path` in one sized read, or nullopt when it is not a
+/// regular file or cannot be read in full. load_model_file and the
+/// lifecycle CheckpointStore read through it.
+std::optional<std::vector<std::uint8_t>> read_file_bytes(
+    const std::string& path);
+
+/// CRC-32 (IEEE 802.3) used by every blob footer, the checkpoint footer and
+/// the resilience guards. Table-driven (slicing-by-8: eight 256-entry
+/// tables built at compile time, 8 bytes per step) and bit-identical to the
+/// bitwise definition of the reflected polynomial 0xEDB88320.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 }  // namespace generic::model

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -125,6 +126,48 @@ TEST(LifecycleCheckpointStore, CorruptNewestIsQuarantinedOlderLoads) {
   const auto all = store.list();
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].version, 1u);
+}
+
+TEST(LifecycleCheckpointStore, FlippedNewestIsQuarantinedAndOlderLoads) {
+  // The GCKP corruption sweep: every bit of the 32-byte header and the
+  // 4-byte footer, plus one seeded bit in each of 64 seeded payload bytes.
+  // Each damaged newest file is quarantined, and the walk falls back to the
+  // intact older version.
+  CheckpointStore store(fresh_dir("flipsweep"), 4);
+  const auto m1 = make_model(1);
+  store.save(m1, 1, 100);
+  const std::string p2 = store.save(make_model(2), 2, 200);
+  const std::vector<std::uint8_t> good = slurp(p2);
+  constexpr std::size_t kHeader = 32, kFooter = 4;
+  ASSERT_GT(good.size(), kHeader + kFooter);
+
+  std::vector<std::pair<std::size_t, int>> flips;
+  for (std::size_t i = 0; i < kHeader; ++i)
+    for (int bit = 0; bit < 8; ++bit) flips.emplace_back(i, bit);
+  for (std::size_t i = good.size() - kFooter; i < good.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) flips.emplace_back(i, bit);
+  Rng rng(0xF11Bull);
+  for (int k = 0; k < 64; ++k)
+    flips.emplace_back(
+        kHeader + rng.below(good.size() - kHeader - kFooter),
+        static_cast<int>(rng.below(8)));
+
+  std::uint64_t quarantined = 0;
+  for (const auto& [byte, bit] : flips) {
+    auto buf = good;
+    buf[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    spit(p2, buf);
+    const auto loaded = store.load_latest();
+    ASSERT_TRUE(loaded.has_value()) << "byte " << byte << " bit " << bit;
+    EXPECT_EQ(loaded->version, 1u) << "byte " << byte << " bit " << bit;
+    EXPECT_EQ(loaded->vt, 100u);
+    EXPECT_EQ(loaded->model.class_vector(0), m1.class_vector(0));
+    EXPECT_EQ(store.quarantined(), ++quarantined);
+    EXPECT_FALSE(fs::exists(p2)) << "byte " << byte << " bit " << bit;
+    ASSERT_TRUE(fs::exists(p2 + ".quarantined"));
+    fs::remove(p2 + ".quarantined");
+  }
+  EXPECT_EQ(store.skipped_newer(), 0u);
 }
 
 TEST(LifecycleCheckpointStore, QuarantinedFilesAreCappedAtKeepLast) {

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -220,12 +222,45 @@ TEST(ModelIo, FileRoundTrip) {
   EXPECT_EQ(loaded.classifier.class_vector(0), t.clf.class_vector(0));
   std::remove(path.c_str());
   EXPECT_THROW(load_model_file(path), std::runtime_error);
+  // A directory opens for reading but has no byte size to read.
+  EXPECT_THROW(
+      load_model_file(std::filesystem::temp_directory_path().string()),
+      std::runtime_error);
 }
 
 TEST(ModelIo, Crc32KnownVector) {
   // CRC-32("123456789") == 0xCBF43926 — the classic check value.
   const char* s = "123456789";
   EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s), 9), 0xCBF43926u);
+}
+
+/// The bitwise definition crc32 replaced: one shift/mask step per bit.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int b = 0; b < 8; ++b)
+      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+  }
+  return ~crc;
+}
+
+TEST(ModelIo, Crc32MatchesBitwiseReference) {
+  // Every length around the 8-byte step and its byte tail, at every
+  // alignment of the start, then one checkpoint-sized buffer.
+  Rng rng(0xC4C32ull);
+  std::vector<std::uint8_t> buf(1100 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 1100; ++len)
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                bitwise_crc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+
+  std::vector<std::uint8_t> big(163916);
+  for (auto& b : big) b = static_cast<std::uint8_t>(rng.next_u64());
+  EXPECT_EQ(crc32(big.data(), big.size()),
+            bitwise_crc32(big.data(), big.size()));
 }
 
 // ---- Byte pin of the three persistence formats -------------------------
@@ -280,7 +315,8 @@ std::vector<std::uint8_t> checkpoint_bytes(const HdcClassifier& clf,
   return read_bytes(store.save(clf, kPinVersion, kPinVt));
 }
 
-using NamedBlobs = std::vector<std::pair<std::string, std::vector<std::uint8_t>>>;
+using NamedBlobs =
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>;
 
 /// "<name> <size>" then the bytes as hex, 32 per line.
 std::string render_blobs(const NamedBlobs& blobs) {
@@ -307,8 +343,8 @@ NamedBlobs parse_blobs(const std::string& text) {
     std::string line;
     while (blob.size() < size && in >> line)
       for (std::size_t i = 0; i + 1 < line.size(); i += 2)
-        blob.push_back(
-            static_cast<std::uint8_t>(std::stoul(line.substr(i, 2), nullptr, 16)));
+        blob.push_back(static_cast<std::uint8_t>(
+            std::stoul(line.substr(i, 2), nullptr, 16)));
     out.emplace_back(name, std::move(blob));
   }
   return out;
@@ -371,6 +407,78 @@ TEST(ModelIo, BlobBytesMatchCommittedFixture) {
   EXPECT_EQ(loaded->vt, kPinVt);
   expect_same_rows(loaded->model, clf);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ModelIo, ClassValuesPastTheNormRangeAreATypedError) {
+  // An intact blob whose class values would overflow the int64 chunk and
+  // full-model norms is rejected before any norm is computed. At 256 dims
+  // the largest magnitude whose 256 squares fit is 189812531.
+  auto at = [](std::int32_t value) {
+    HdcClassifier clf = pinned_classifier();
+    clf.edit_class_vector(
+        1, [&](std::span<std::int32_t> row) { row[7] = value; });
+    return serialize_classifier(clf);
+  };
+  const auto message = [](const std::vector<std::uint8_t>& blob) {
+    try {
+      (void)deserialize_classifier(blob);
+      return std::string();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_EQ(message(at(189812531)), "");
+  EXPECT_EQ(message(at(-189812531)), "");
+  EXPECT_EQ(message(at(189812532)),
+            "classifier blob class values out of range");
+  EXPECT_EQ(message(at(std::numeric_limits<std::int32_t>::min())),
+            "classifier blob class values out of range");
+  EXPECT_EQ(message(at(std::numeric_limits<std::int32_t>::max())),
+            "classifier blob class values out of range");
+}
+
+/// Whether `parse` rejects `blob` with a typed error. Anything else it
+/// throws escapes and fails the test.
+template <typename Parse>
+bool rejects(const Parse& parse, std::span<const std::uint8_t> blob) {
+  try {
+    (void)parse(blob);
+    return false;
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+}
+
+TEST(ModelIo, EveryBitFlipAndTruncationIsATypedError) {
+  // The parser corpus for the GHDC and GCLS blobs (the GCKP file is swept
+  // through CheckpointStore in test_lifecycle): every single-bit flip and
+  // every strict prefix of a valid blob is std::invalid_argument, never an
+  // accepted model and never a crash.
+  const HdcClassifier clf = pinned_classifier();
+  enc::GenericEncoder encoder(pinned_encoder_config());
+  encoder.fit_range(-1.5f, 2.25f);
+  const auto parse_model = [](std::span<const std::uint8_t> b) {
+    return deserialize_model(b);
+  };
+  const auto parse_classifier = [](std::span<const std::uint8_t> b) {
+    return deserialize_classifier(b);
+  };
+  const auto sweep = [](auto parse, std::vector<std::uint8_t> blob,
+                        const char* name) {
+    ASSERT_FALSE(rejects(parse, blob)) << name;
+    for (std::size_t i = 0; i < blob.size(); ++i)
+      for (int bit = 0; bit < 8; ++bit) {
+        blob[i] ^= static_cast<std::uint8_t>(1u << bit);
+        ASSERT_TRUE(rejects(parse, blob))
+            << name << " accepted a flip of byte " << i << " bit " << bit;
+        blob[i] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    for (std::size_t len = 0; len < blob.size(); ++len)
+      ASSERT_TRUE(rejects(parse, std::span(blob).first(len)))
+          << name << " accepted a truncation to " << len << " bytes";
+  };
+  sweep(parse_model, serialize_model(encoder, clf), "GHDC");
+  sweep(parse_classifier, serialize_classifier(clf), "GCLS");
 }
 
 }  // namespace
