@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
       cfg.window = n;
       cfg.use_ids = data::generic_config_for(name).use_ids;
       enc::GenericEncoder encoder(cfg);
-      const auto res = model::run_hdc_classification(encoder, ds, epochs);
+      const auto res =
+          model::run_hdc_classification(encoder, ds, epochs, global_pool());
       accs.push_back(100.0 * res.test_accuracy);
       std::printf(" %7.1f%%", accs.back());
     }
@@ -62,7 +63,8 @@ int main(int argc, char** argv) {
       cfg.dims = dims;
       cfg.use_ids = ids == 1;
       enc::GenericEncoder encoder(cfg);
-      acc[ids] = 100.0 * model::run_hdc_classification(encoder, ds, epochs)
+      acc[ids] = 100.0 * model::run_hdc_classification(encoder, ds, epochs,
+                                                       global_pool())
                              .test_accuracy;
     }
     std::printf("%-8s %9.1f%% %9.1f%%\n", name.c_str(), acc[1], acc[0]);
@@ -82,7 +84,8 @@ int main(int argc, char** argv) {
       cfg.levels = levels;
       cfg.use_ids = data::generic_config_for(name).use_ids;
       enc::GenericEncoder encoder(cfg);
-      const auto res = model::run_hdc_classification(encoder, ds, epochs);
+      const auto res =
+          model::run_hdc_classification(encoder, ds, epochs, global_pool());
       std::printf(" %7.1f%%", 100.0 * res.test_accuracy);
     }
     std::printf("\n");
@@ -101,7 +104,8 @@ int main(int argc, char** argv) {
       cfg.dims = dims;
       cfg.use_ids = data::generic_config_for(name).use_ids;
       enc::GenericEncoder encoder(cfg);
-      const auto res = model::run_hdc_classification(encoder, ds, ep);
+      const auto res =
+          model::run_hdc_classification(encoder, ds, ep, global_pool());
       std::printf(" %7.1f%%", 100.0 * res.test_accuracy);
     }
     std::printf("\n");

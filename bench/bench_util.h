@@ -1,11 +1,14 @@
 // Shared helpers for the table/figure harnesses and the CLI tools:
-// fixed-width table printing, strict flag parsing, and the tools' checked
-// output writes. Each bench binary regenerates one table or figure of the
-// paper (see DESIGN.md §2); output is plain text shaped like the paper's
-// rows so runs can be diffed against EXPERIMENTS.md. Wall-clock timing
-// lives in obs::Stopwatch (src/obs).
+// fixed-width table printing, strict flag parsing, the tools' checked
+// output writes and the serving tools' futures-vs-report check. Each bench
+// binary regenerates one table or figure of the paper (see DESIGN.md §2);
+// output is plain text shaped like the paper's rows so runs can be diffed
+// against EXPERIMENTS.md. Wall-clock timing lives in obs::Stopwatch
+// (src/obs).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -13,11 +16,13 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "hdc/kernels.h"
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/rtrace.h"
+#include "serve/types.h"
 
 namespace generic::bench {
 
@@ -203,6 +208,29 @@ class RtraceOutputs {
   std::string chrome_;
   std::string flight_;
 };
+
+/// The serving tools' cross-check that the futures the callers hold tell
+/// the same story as the engine's own tally: every future is resolved and
+/// the per-outcome counts equal `outcomes` (the report's). Prints the
+/// error and returns false otherwise; the tools then exit 1.
+inline bool futures_match_report(
+    const std::vector<serve::ResponseFuture>& futures,
+    const std::array<std::uint64_t, serve::kNumOutcomes>& outcomes) {
+  std::array<std::uint64_t, serve::kNumOutcomes> seen{};
+  for (const auto& f : futures) {
+    const auto r = f.try_get();
+    if (!r.has_value()) {
+      std::fprintf(stderr, "error: unresolved future after finish()\n");
+      return false;
+    }
+    ++seen[static_cast<std::size_t>(r->outcome)];
+  }
+  if (seen != outcomes) {
+    std::fprintf(stderr, "error: future outcomes disagree with report\n");
+    return false;
+  }
+  return true;
+}
 
 /// Run a tool's main body; an exception escaping it (an unwritable report
 /// path, say) prints "error: <what>" on stderr and exits 1.

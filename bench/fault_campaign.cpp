@@ -31,7 +31,7 @@
 #include "bench/bench_util.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "obs/export.h"
 #include "resilience/campaign.h"
 
@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
   const std::size_t epochs = quick ? 5 : 20;
   const int bw = static_cast<int>(flags.size("--bw", 8));
   const std::size_t trials = flags.size("--trials", quick ? 3 : 5);
-  const auto seed = static_cast<std::uint64_t>(
-      std::stoull(flags.value("--seed", "64023")));
+  const auto seed = static_cast<std::uint64_t>(flags.size("--seed", 64023));
   const std::string out_path = flags.value("--out", "");
   const std::string target_name = flags.value("--target", "class");
   const bool remat = flags.has("--remat");
@@ -72,10 +71,10 @@ int main(int argc, char** argv) {
   cfg.remat = remat;
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.train_x);
-  const auto train = model::encode_all(encoder, ds.train_x);
-  const auto test = model::encode_all(encoder, ds.test_x);
+  const auto train = encoder.encode_batch(ds.train_x);
+  const auto test = encoder.encode_batch(ds.test_x);
   model::HdcClassifier clf(dims, ds.num_classes);
-  clf.fit(train, ds.train_y, epochs);
+  clf.fit_parallel(train, ds.train_y, epochs, global_pool());
   clf.quantize(bw);
 
   resilience::CampaignConfig cc;

@@ -11,7 +11,7 @@
 #include "bench/bench_util.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 
 using namespace generic;
 
@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
     cfg.window = gcfg.window;
     enc::GenericEncoder encoder(cfg);
     encoder.fit(ds.train_x);
-    const auto train = model::encode_all(encoder, ds.train_x);
-    const auto test = model::encode_all(encoder, ds.test_x);
+    const auto train = encoder.encode_batch(ds.train_x);
+    const auto test = encoder.encode_batch(ds.test_x);
     model::HdcClassifier clf(full_dims, ds.num_classes);
-    clf.fit(train, ds.train_y, epochs);
+    clf.fit_parallel(train, ds.train_y, epochs, global_pool());
 
     std::printf("\n%s\n%-8s %12s %12s %8s\n", name, "dims", "Constant",
                 "Updated", "gap");

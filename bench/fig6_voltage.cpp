@@ -13,7 +13,7 @@
 #include "common/rng.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 
 using namespace generic;
 
@@ -36,10 +36,10 @@ int main(int argc, char** argv) {
     cfg.dims = dims;
     enc::GenericEncoder encoder(cfg);
     encoder.fit(ds.train_x);
-    const auto train = model::encode_all(encoder, ds.train_x);
-    const auto test = model::encode_all(encoder, ds.test_x);
+    const auto train = encoder.encode_batch(ds.train_x);
+    const auto test = encoder.encode_batch(ds.test_x);
     model::HdcClassifier base(dims, ds.num_classes);
-    base.fit(train, ds.train_y, epochs);
+    base.fit_parallel(train, ds.train_y, epochs, global_pool());
 
     std::printf("\n%s\n%-8s", name, "BER");
     for (int bw : bit_widths) std::printf(" %7db", bw);

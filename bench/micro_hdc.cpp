@@ -104,7 +104,7 @@ void BM_ClassifierPredict(benchmark::State& state) {
       labels.push_back(static_cast<int>(c));
     }
   model::HdcClassifier clf(dims, classes);
-  clf.train_init(train, labels);
+  clf.train_batch(train, labels, global_pool());
   const auto q = hdc::BinaryHV::random(dims, rng).to_int();
   for (auto _ : state) benchmark::DoNotOptimize(clf.predict(q));
 }
@@ -122,7 +122,7 @@ void BM_BinaryModelPredict(benchmark::State& state) {
       labels.push_back(static_cast<int>(c));
     }
   model::HdcClassifier clf(dims, classes);
-  clf.train_init(train, labels);
+  clf.train_batch(train, labels, global_pool());
   const model::BinaryModel fast(clf);
   const auto q = hdc::BinaryHV::random(dims, rng);
   for (auto _ : state) benchmark::DoNotOptimize(fast.predict_packed(q));

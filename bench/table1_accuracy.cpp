@@ -107,7 +107,8 @@ int main(int argc, char** argv) {
           cfg.window = gcfg.window;
           if (kind == enc::EncoderKind::kGeneric) cfg.use_ids = gcfg.use_ids;
           auto encoder = enc::make_encoder(kind, cfg);
-          const auto res = model::run_hdc_classification(*encoder, ds, epochs);
+          const auto res = model::run_hdc_classification(*encoder, ds, epochs,
+                                                         global_pool());
           const double pct = 100.0 * res.test_accuracy;
           row.hdc_pcts.push_back(pct);
           std::snprintf(cell, sizeof(cell), " %8.1f%%", pct);

@@ -14,7 +14,6 @@
 #include "ml/kmeans.h"
 #include "ml/metrics.h"
 #include "model/hdc_cluster.h"
-#include "model/pipeline.h"
 
 using namespace generic;
 
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
     cfg.window = std::min<std::size_t>(3, ds.num_features());
     enc::GenericEncoder encoder(cfg);
     encoder.fit(ds.points);
-    const auto encoded = model::encode_all(encoder, ds.points);
+    const auto encoded = encoder.encode_batch(ds.points);
     model::HdcCluster hc(dims, ds.num_clusters);
     hc.fit(encoded);
     const double hdc_nmi =

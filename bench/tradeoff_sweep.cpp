@@ -25,7 +25,7 @@
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "data/benchmarks.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "serve/engine.h"
 
 using namespace generic;
@@ -128,7 +128,7 @@ int run(int argc, char** argv) {
     // Serve the SAME trained model under overload so the degradation ladder
     // exercises its rungs; per-rung served-latency percentiles land next to
     // the ASIC sweep in the JSON.
-    const auto queries = model::encode_all(asic.encoder(), ds.test_x, pool);
+    const auto queries = asic.encoder().encode_batch(ds.test_x, pool);
     serve::ServeConfig cfg;
     // Per-dataset seed via FNV-1a over the name: stable across platforms
     // (std::hash would not be).

@@ -10,7 +10,6 @@
 #include "ml/kmeans.h"
 #include "ml/metrics.h"
 #include "model/hdc_cluster.h"
-#include "model/pipeline.h"
 
 using namespace generic;
 
@@ -32,7 +31,7 @@ int main() {
     cfg.window = std::min<std::size_t>(3, ds.num_features());
     enc::GenericEncoder encoder(cfg);
     encoder.fit(ds.points);
-    const auto encoded = model::encode_all(encoder, ds.points);
+    const auto encoded = encoder.encode_batch(ds.points);
     model::HdcCluster hc(cfg.dims, ds.num_clusters);
     const std::size_t epochs = hc.fit(encoded);
 

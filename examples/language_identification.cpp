@@ -21,7 +21,9 @@ double run(enc::EncoderKind kind, bool use_ids, const data::Dataset& ds) {
   cfg.window = 3;
   cfg.use_ids = use_ids;
   auto encoder = enc::make_encoder(kind, cfg);
-  return 100.0 * model::run_hdc_classification(*encoder, ds, 20).test_accuracy;
+  return 100.0 *
+         model::run_hdc_classification(*encoder, ds, 20, global_pool())
+             .test_accuracy;
 }
 
 }  // namespace

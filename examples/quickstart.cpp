@@ -10,7 +10,6 @@
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
 #include "model/hdc_classifier.h"
-#include "model/pipeline.h"
 
 using namespace generic;
 
@@ -29,12 +28,16 @@ int main() {
   enc::GenericEncoder encoder(cfg);
 
   // 3. Fit the quantizer, encode both splits once, train with retraining.
+  //    Batch work runs on a pool: the process-wide one has one lane unless
+  //    set_global_threads() widens it, and every lane count gives the same
+  //    bytes.
   encoder.fit(ds.train_x);
-  const auto train_hv = model::encode_all(encoder, ds.train_x);
-  const auto test_hv = model::encode_all(encoder, ds.test_x);
+  ThreadPool& pool = global_pool();
+  const auto train_hv = encoder.encode_batch(ds.train_x, pool);
+  const auto test_hv = encoder.encode_batch(ds.test_x, pool);
 
   model::HdcClassifier clf(cfg.dims, ds.num_classes);
-  clf.fit(train_hv, ds.train_y, /*epochs=*/20);
+  clf.fit_parallel(train_hv, ds.train_y, /*epochs=*/20, pool);
 
   auto accuracy = [&](auto predict) {
     std::size_t hits = 0;

@@ -46,14 +46,11 @@ std::size_t GenericAsic::train(const std::vector<std::vector<float>>& x,
   spec_.mode = Mode::kTraining;
   encoder_.fit(x);
   // Encode the stream once and bundle into class rows (§4.2.2 round one).
-  std::vector<hdc::IntHV> encoded;
-  encoded.reserve(x.size());
-  for (const auto& sample : x) {
-    encoded.push_back(encoder_.encode(sample));
+  const auto encoded = encoder_.encode_batch(x);
+  for (std::size_t i = 0; i < x.size(); ++i)
     counts_ += cycles_.train_init_input(spec_);
-  }
   model_.emplace(spec_.dims, spec_.classes, hw_.chunk);
-  model_->train_init(encoded, y);
+  model_->train_batch(encoded, y, global_pool());
 
   // Retraining epochs: inference over the train stream (encodings stashed
   // in temporary class rows) plus an update per misprediction.
@@ -105,9 +102,7 @@ std::vector<int> GenericAsic::cluster(const std::vector<std::vector<float>>& x,
     throw std::invalid_argument("GenericAsic::cluster: fewer inputs than k");
   spec_.mode = Mode::kClustering;
   encoder_.fit(x);
-  std::vector<hdc::IntHV> encoded;
-  encoded.reserve(x.size());
-  for (const auto& sample : x) encoded.push_back(encoder_.encode(sample));
+  const auto encoded = encoder_.encode_batch(x);
 
   const std::size_t k = spec_.classes;
   // First k encodings seed the centroids (§4.2.3); store them in the model
@@ -115,7 +110,8 @@ std::vector<int> GenericAsic::cluster(const std::vector<std::vector<float>>& x,
   model_.emplace(spec_.dims, k, hw_.chunk);
   std::vector<int> seed_labels(k);
   for (std::size_t c = 0; c < k; ++c) seed_labels[c] = static_cast<int>(c);
-  model_->train_init(std::span(encoded.data(), k), seed_labels);
+  model_->train_batch(std::span(encoded.data(), k), seed_labels,
+                      global_pool());
 
   std::vector<int> labels(encoded.size(), -1);
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {

@@ -17,7 +17,7 @@
 #include "data/drift.h"
 #include "encoding/encoders.h"
 #include "lifecycle/checkpoint_store.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "obs/json.h"
 
 namespace generic::chaos {
@@ -71,7 +71,7 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt) {
   ecfg.dims = spec.dims;
   enc::GenericEncoder encoder(ecfg);
   encoder.fit(ds.train_x);
-  const auto train = model::encode_all(encoder, ds.train_x, pool);
+  const auto train = encoder.encode_batch(ds.train_x, pool);
   auto fresh = std::make_shared<model::HdcClassifier>(spec.dims,
                                                       dspec.classes);
   fresh->fit_parallel(train, ds.train_y, epochs, pool);
@@ -140,7 +140,7 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt) {
     xs.push_back(std::move(s.x));
     labels.push_back(s.label);
   }
-  const auto queries = model::encode_all(encoder, xs, pool);
+  const auto queries = encoder.encode_batch(xs, pool);
 
   // ---- Lifecycle + chaos hook + engine ----
   serve::ServeConfig scfg;

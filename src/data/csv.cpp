@@ -108,10 +108,12 @@ LabeledSamples load_labeled_csv(const std::string& path, int label_column) {
     for (std::size_t c = 0; c < cols; ++c) {
       const float v = parse_cell(row.fields[c], row.line, c, path);
       if (c == label_idx) {
-        label = static_cast<int>(v);
+        // Range-check before the cast: a float outside int's range (say
+        // 3e9) has no defined conversion to int.
+        label = v >= 0.0f && v < 2147483648.0f ? static_cast<int>(v) : -1;
         if (label < 0 || static_cast<float>(label) != v)
           throw std::invalid_argument(
-              "labels must be non-negative integers (line " +
+              "labels must be integers in [0, 2^31) (line " +
               std::to_string(row.line) + "): " + path);
       } else {
         x.push_back(v);

@@ -7,7 +7,7 @@
 
 #include "data/drift.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "obs/json.h"
 #include "obs/rtrace.h"
 
@@ -122,11 +122,11 @@ ModelWorld build_world(const ModelSpec& spec, ThreadPool& pool) {
   encoder.fit(ds.train_x);
 
   ModelWorld world;
-  const auto train = model::encode_all(encoder, ds.train_x, pool);
+  const auto train = encoder.encode_batch(ds.train_x, pool);
   world.classifier =
       std::make_shared<model::HdcClassifier>(spec.dims, spec.classes);
   world.classifier->fit_parallel(train, ds.train_y, spec.epochs, pool);
-  world.queries = model::encode_all(encoder, ds.test_x, pool);
+  world.queries = encoder.encode_batch(ds.test_x, pool);
   world.labels = ds.test_y;
   return world;
 }

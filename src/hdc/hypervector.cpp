@@ -96,19 +96,6 @@ IntHV BinaryHV::to_int() const {
   return out;
 }
 
-std::int64_t dot(const IntHV& a, const BinaryHV& b) {
-  if (a.size() != b.dims())
-    throw std::invalid_argument("dot(int,binary): size mismatch");
-  // sum_i a_i * (2 b_i - 1) = 2 * sum_{i: b_i=1} a_i - sum_i a_i.
-  std::int64_t sum_all = 0;
-  std::int64_t sum_set = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    sum_all += a[i];
-    if (b.bit(i)) sum_set += a[i];
-  }
-  return 2 * sum_set - sum_all;
-}
-
 std::int64_t norm2(const IntHV& a) {
   std::int64_t acc = 0;
   for (std::int32_t v : a) acc += static_cast<std::int64_t>(v) * v;

@@ -82,10 +82,6 @@ class BinaryHV {
   std::vector<std::uint64_t> words_;
 };
 
-/// Dot product of a bundled hypervector with a binary hypervector's
-/// bipolar expansion, without materializing the expansion.
-std::int64_t dot(const IntHV& a, const BinaryHV& b);
-
 /// Squared L2 norm.
 std::int64_t norm2(const IntHV& a);
 

@@ -2,7 +2,6 @@
 
 #include "hdc/ops.h"
 
-#include <limits>
 #include <stdexcept>
 
 namespace generic::model {
@@ -28,22 +27,6 @@ int BinaryModel::predict_packed(const hdc::BinaryHV& query) const {
 
 int BinaryModel::predict(const hdc::IntHV& query) const {
   return predict_packed(binarize(query));
-}
-
-int BinaryModel::predict_mixed(const hdc::IntHV& query) const {
-  if (query.size() != dims_)
-    throw std::invalid_argument("BinaryModel: query dimension mismatch");
-  int best = 0;
-  std::int64_t best_dot = std::numeric_limits<std::int64_t>::min();
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    // All sign vectors share ||C||^2 == D, so max-dot == max-cosine.
-    const std::int64_t d = hdc::dot(query, classes_[c]);
-    if (d > best_dot) {
-      best_dot = d;
-      best = static_cast<int>(c);
-    }
-  }
-  return best;
 }
 
 }  // namespace generic::model

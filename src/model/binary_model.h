@@ -12,6 +12,10 @@
 // path (see bench/micro_hdc). Norms are constant across classes (every
 // sign vector has ||C||^2 = D), so the cosine argmax reduces to a plain
 // max-dot — no divider at all.
+//
+// The mixed-precision point (an integer query against the sign model) is
+// HdcClassifier::quantize(1) followed by predict(), which scores through
+// the kernel dot tile like every other prediction.
 #pragma once
 
 #include <cstddef>
@@ -37,11 +41,6 @@ class BinaryModel {
 
   /// Fully binary from a bundled integer query (binarized internally).
   int predict(const hdc::IntHV& query) const;
-
-  /// Mixed precision: integer query against the sign model — still
-  /// multiplier-free (adds/subtracts selected by class bits) and
-  /// equivalent to HdcClassifier::quantize(1) with a full-precision query.
-  int predict_mixed(const hdc::IntHV& query) const;
 
   /// Sign-binarize a bundled hypervector (>= 0 -> bit 1).
   static hdc::BinaryHV binarize(const hdc::IntHV& v);

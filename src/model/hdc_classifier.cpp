@@ -75,32 +75,6 @@ HdcClassifier::HdcClassifier(std::size_t dims, std::size_t num_classes,
   chunk_norms_.assign(num_classes, std::vector<std::int64_t>(num_chunks_, 0));
 }
 
-void HdcClassifier::train_init(std::span<const hdc::IntHV> encoded,
-                               std::span<const int> labels) {
-  GENERIC_SPAN("train.init");
-  check_samples(encoded, labels, "train_init");
-  for (auto& c : classes_) std::fill(c.begin(), c.end(), 0);
-  for (std::size_t i = 0; i < encoded.size(); ++i)
-    hdc::add_into(classes_[static_cast<std::size_t>(labels[i])], encoded[i]);
-  recompute_norms();
-  refresh_narrow();
-}
-
-std::size_t HdcClassifier::retrain_epoch(std::span<const hdc::IntHV> encoded,
-                                         std::span<const int> labels) {
-  GENERIC_SPAN("train.epoch");
-  check_samples(encoded, labels, "retrain_epoch");
-  std::size_t updates = 0;
-  for (std::size_t i = 0; i < encoded.size(); ++i) {
-    const int pred = predict(encoded[i]);
-    if (pred == labels[i]) continue;
-    ++updates;
-    move_sample(encoded[i], pred, labels[i]);
-  }
-  GENERIC_COUNTER_ADD("train.updates", updates);
-  return updates;
-}
-
 void HdcClassifier::move_sample(const hdc::IntHV& encoded, int from, int to) {
   const auto f = static_cast<std::size_t>(from);
   const auto t = static_cast<std::size_t>(to);
@@ -161,14 +135,6 @@ bool HdcClassifier::online_update_adaptive(const hdc::IntHV& encoded,
   return true;
 }
 
-void HdcClassifier::fit(std::span<const hdc::IntHV> encoded,
-                        std::span<const int> labels, std::size_t epochs) {
-  GENERIC_SPAN("train.fit");
-  train_init(encoded, labels);
-  for (std::size_t e = 0; e < epochs; ++e)
-    if (retrain_epoch(encoded, labels) == 0) break;
-}
-
 void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
                                 std::span<const int> labels,
                                 ThreadPool& pool) {
@@ -191,7 +157,7 @@ void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
                     });
   for (auto& cls : classes_) std::fill(cls.begin(), cls.end(), 0);
   // Fixed chunk-index merge order; integer addition makes the result
-  // independent of the split anyway — byte-identical to train_init().
+  // independent of the split anyway.
   for (const auto& local : partials)
     for (std::size_t c = 0; c < num_classes_; ++c)
       hdc::add_into(classes_[c], local[c]);
@@ -211,8 +177,7 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
     // and one sample is a single-query dot tile: too little work to split.
     // It runs as a one-chunk job, which the pool executes inline on the
     // caller, so the pool's job accounting is one job per sample for any
-    // lane count. The scan is predict()'s, so the result is
-    // retrain_epoch()'s bit for bit.
+    // lane count. The scan is predict()'s.
     int pred = 0;
     pool.parallel_for(1, [&](std::size_t, std::size_t, std::size_t) {
       pred = scan(encoded[i], all).cls;

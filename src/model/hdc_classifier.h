@@ -1,8 +1,10 @@
 // HDC classification model (paper §2.1, §4.2.2, §4.3.3, §4.3.4).
 //
-// Lifecycle:
-//   train_init()     bundle encoded train vectors into class accumulators
-//   retrain_epoch()  perceptron-style update: on a misprediction subtract
+// Lifecycle (one datapath: every caller passes a pool, global_pool() when
+// it has none; one lane runs inline on the caller):
+//   train_batch()    bundle encoded train vectors into class accumulators
+//   retrain_epoch_parallel()
+//                    perceptron-style update: on a misprediction subtract
 //                    the encoding from the wrong class, add to the right one
 //   predict*()       signed squared-cosine score argmax. Every variant —
 //                    full dims, a reduced ladder rung, a chunk mask, and
@@ -78,41 +80,30 @@ class HdcClassifier {
   std::size_t num_classes() const { return num_classes_; }
   int bit_width() const { return bit_width_; }
 
-  /// One-shot training: bundle each encoding into its class accumulator.
-  void train_init(std::span<const hdc::IntHV> encoded,
-                  std::span<const int> labels);
-
-  /// One retraining epoch over the encoded training set; returns the number
-  /// of model updates (mispredictions).
-  std::size_t retrain_epoch(std::span<const hdc::IntHV> encoded,
-                            std::span<const int> labels);
-
-  /// Convenience: train_init + at most `epochs` retraining epochs, stopping
-  /// early when an epoch makes no update.
-  void fit(std::span<const hdc::IntHV> encoded, std::span<const int> labels,
-           std::size_t epochs);
-
-  // ---- Batched / parallel engine (docs/parallelism.md) ----
+  // ---- Training and batched inference (docs/parallelism.md) ----
   //
-  // Every method below is bit-identical to its serial counterpart for any
-  // pool lane count: sample fan-out writes indexed slots, and integer
-  // accumulator merges happen on the caller in fixed chunk order. The
-  // determinism contract is asserted by tests/model/test_parallel_determinism.
+  // Every method below gives the same bytes for any pool lane count:
+  // sample fan-out writes indexed slots, and integer accumulator merges
+  // happen on the caller in fixed chunk order. Lane invariance and a
+  // test-local reference are asserted by tests/model/test_parallel_determinism.
 
-  /// Parallel train_init: samples fan out in chunks, each chunk bundles
-  /// into its own per-class partial accumulators, and the partials are
-  /// merged in chunk-index order (integer adds — exact for any split).
+  /// One-shot training: bundle each encoding into its class accumulator.
+  /// Samples fan out in chunks, each chunk bundles into its own per-class
+  /// partial accumulators, and the partials are merged in chunk-index
+  /// order (integer adds — exact for any split).
   void train_batch(std::span<const hdc::IntHV> encoded,
                    std::span<const int> labels, ThreadPool& pool);
 
-  /// One retraining epoch equal to retrain_epoch(): samples stay strictly
-  /// sequential (each update feeds the next prediction) and each is scored
-  /// with one single-query dot tile on the caller, as a one-chunk pool job.
+  /// One retraining epoch over the encoded training set; returns the number
+  /// of model updates (mispredictions). Samples stay strictly sequential
+  /// (each update feeds the next prediction) and each is scored with one
+  /// single-query dot tile on the caller, as a one-chunk pool job.
   std::size_t retrain_epoch_parallel(std::span<const hdc::IntHV> encoded,
                                      std::span<const int> labels,
                                      ThreadPool& pool);
 
-  /// Parallel fit(): train_batch + retrain_epoch_parallel epochs.
+  /// train_batch + at most `epochs` retraining epochs, stopping early when
+  /// an epoch makes no update.
   void fit_parallel(std::span<const hdc::IntHV> encoded,
                     std::span<const int> labels, std::size_t epochs,
                     ThreadPool& pool);

@@ -4,59 +4,6 @@
 
 namespace generic::model {
 
-std::vector<hdc::IntHV> encode_all(
-    const enc::Encoder& enc, const std::vector<std::vector<float>>& xs) {
-  std::vector<hdc::IntHV> out;
-  out.reserve(xs.size());
-  for (const auto& x : xs) out.push_back(enc.encode(x));
-  return out;
-}
-
-std::vector<hdc::IntHV> encode_all(const enc::Encoder& enc,
-                                   const std::vector<std::vector<float>>& xs,
-                                   ThreadPool& pool) {
-  return enc.encode_batch(xs, pool);
-}
-
-HdcRunResult run_hdc_classification(enc::Encoder& enc,
-                                    const data::Dataset& ds,
-                                    std::size_t epochs) {
-  GENERIC_SPAN("pipeline.run");
-  {
-    GENERIC_SPAN("pipeline.fit_quantizer");
-    enc.fit(ds.train_x);
-  }
-  std::vector<hdc::IntHV> train_enc, test_enc;
-  {
-    GENERIC_SPAN("pipeline.encode");
-    train_enc = encode_all(enc, ds.train_x);
-    test_enc = encode_all(enc, ds.test_x);
-  }
-
-  HdcClassifier model(enc.dims(), ds.num_classes);
-  std::size_t epoch = 0;
-  {
-    GENERIC_SPAN("pipeline.train");
-    model.train_init(train_enc, ds.train_y);
-    for (; epoch < epochs; ++epoch)
-      if (model.retrain_epoch(train_enc, ds.train_y) == 0) break;
-  }
-
-  GENERIC_SPAN("pipeline.predict");
-  HdcRunResult res;
-  res.epochs_run = epoch;
-  res.predictions.reserve(test_enc.size());
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < test_enc.size(); ++i) {
-    const int p = model.predict(test_enc[i]);
-    res.predictions.push_back(p);
-    hits += p == ds.test_y[i];
-  }
-  res.test_accuracy =
-      static_cast<double>(hits) / static_cast<double>(test_enc.size());
-  return res;
-}
-
 HdcRunResult run_hdc_classification(enc::Encoder& enc, const data::Dataset& ds,
                                     std::size_t epochs, ThreadPool& pool) {
   GENERIC_SPAN("pipeline.run");

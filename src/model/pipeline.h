@@ -1,4 +1,4 @@
-// End-to-end helpers tying encoder + model together: encode a whole dataset
+// The end-to-end run tying encoder + model together: encode a whole dataset
 // once (encodings are reused across retrain epochs, as the ASIC stores them
 // in temporary class-memory rows, §4.2.2) and run the full train/evaluate
 // loop the Table 1 harness and tests share.
@@ -14,15 +14,6 @@
 
 namespace generic::model {
 
-/// Encode every sample of `xs` with `enc` (already fitted).
-std::vector<hdc::IntHV> encode_all(
-    const enc::Encoder& enc, const std::vector<std::vector<float>>& xs);
-
-/// Pooled variant: fan samples across `pool`; bit-identical output.
-std::vector<hdc::IntHV> encode_all(const enc::Encoder& enc,
-                                   const std::vector<std::vector<float>>& xs,
-                                   ThreadPool& pool);
-
 struct HdcRunResult {
   double test_accuracy = 0.0;
   std::size_t epochs_run = 0;
@@ -30,14 +21,11 @@ struct HdcRunResult {
 };
 
 /// Fit encoder on train data, encode both splits, train with retraining,
-/// and score on the test split. `epochs` matches the paper's constant 20.
-HdcRunResult run_hdc_classification(enc::Encoder& enc,
-                                    const data::Dataset& ds,
-                                    std::size_t epochs = 20);
-
-/// Pooled end-to-end run: encode_batch + train_batch/retrain_epoch_parallel
-/// + predict_batch. Produces byte-identical HdcRunResult (accuracy, epoch
-/// count and every prediction) to the serial overload for any lane count.
+/// and score on the test split: encode_batch + fit_parallel's steps +
+/// predict_batch through `pool`. `epochs` is the paper's constant 20 in
+/// the Table 1 harness. The result (accuracy, epoch count and every
+/// prediction) is the same for any lane count; callers without a pool of
+/// their own pass global_pool().
 HdcRunResult run_hdc_classification(enc::Encoder& enc, const data::Dataset& ds,
                                     std::size_t epochs, ThreadPool& pool);
 

@@ -7,8 +7,8 @@
 #include "data/benchmarks.h"
 #include "data/fcps.h"
 #include "ml/metrics.h"
+#include "model/hdc_classifier.h"
 #include "model/hdc_cluster.h"
-#include "model/pipeline.h"
 
 namespace generic::arch {
 namespace {
@@ -92,7 +92,7 @@ TEST(AsicState, ClusteringAgreesWithSoftwareClusterer) {
   cfg.seed = 21;  // same encoder stream as the ASIC
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.points);
-  const auto encoded = model::encode_all(encoder, ds.points);
+  const auto encoded = encoder.encode_batch(ds.points);
   model::HdcCluster hc(spec.dims, spec.classes);
   hc.fit(encoded, 10);
   const auto sw_labels = hc.labels(encoded);

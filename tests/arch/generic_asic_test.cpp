@@ -7,7 +7,7 @@
 #include "data/benchmarks.h"
 #include "data/fcps.h"
 #include "ml/metrics.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 
 namespace generic::arch {
 namespace {
@@ -54,11 +54,9 @@ TEST(GenericAsic, ExactDividerMatchesGoldenModelExactly) {
   cfg.seed = 7;
   enc::GenericEncoder golden_enc(cfg);
   golden_enc.fit(ds.train_x);
-  const auto train_enc = model::encode_all(golden_enc, ds.train_x);
+  const auto train_enc = golden_enc.encode_batch(ds.train_x);
   model::HdcClassifier golden(spec.dims, ds.num_classes);
-  golden.train_init(train_enc, ds.train_y);
-  for (int e = 0; e < 5; ++e)
-    if (golden.retrain_epoch(train_enc, ds.train_y) == 0) break;
+  golden.fit_parallel(train_enc, ds.train_y, 5, global_pool());
 
   for (std::size_t i = 0; i < ds.test_x.size(); ++i) {
     const int hw = asic.infer(ds.test_x[i]);

@@ -10,7 +10,7 @@
 #include "data/benchmarks.h"
 #include "data/fcps.h"
 #include "ml/metrics.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 
 namespace generic::arch {
 namespace {
@@ -36,9 +36,9 @@ struct Rig {
     cfg.use_ids = spec.use_ids;
     encoder = std::make_unique<enc::GenericEncoder>(cfg);
     encoder->fit(ds.train_x);
-    const auto train = model::encode_all(*encoder, ds.train_x);
+    const auto train = encoder->encode_batch(ds.train_x);
     model = std::make_unique<model::HdcClassifier>(dims, ds.num_classes);
-    model->fit(train, ds.train_y, epochs);
+    model->fit_parallel(train, ds.train_y, epochs, global_pool());
   }
 };
 
@@ -251,9 +251,9 @@ TEST(MicroArchTrain, UpdatesConvergeLikeSoftwareRetraining) {
         sim.train_step(rig.ds.train_x[i], rig.ds.train_y[i]).label !=
         rig.ds.train_y[i];
   // Software epoch from the same starting model.
-  const auto train_enc = model::encode_all(*rig.encoder, rig.ds.train_x);
-  const std::size_t sw_updates =
-      rig.model->retrain_epoch(train_enc, rig.ds.train_y);
+  const auto train_enc = rig.encoder->encode_batch(rig.ds.train_x);
+  const std::size_t sw_updates = rig.model->retrain_epoch_parallel(
+      train_enc, rig.ds.train_y, global_pool());
   // Same data, same start: the corrected-Mitchell trajectory may diverge
   // slightly but the update volume must be close.
   EXPECT_NEAR(static_cast<double>(hw_updates),
@@ -313,7 +313,7 @@ TEST(MicroArchCluster, EpochProtocolRefinesPartitions) {
     first_k.push_back(encoder.encode(fc.points[c]));
     seed_labels.push_back(static_cast<int>(c));
   }
-  seeds.train_init(first_k, seed_labels);
+  seeds.train_batch(first_k, seed_labels, global_pool());
 
   MicroArchSim sim(spec, encoder, seeds);
   std::vector<int> labels(fc.points.size(), -1);

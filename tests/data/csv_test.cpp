@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 namespace generic::data {
 namespace {
@@ -62,12 +64,46 @@ TEST_F(CsvTest, MalformedContentRejected) {
                std::invalid_argument);  // negative label
   EXPECT_THROW(load_labeled_csv(make("r4.csv", "1,2,0.5\n")),
                std::invalid_argument);  // fractional label
+  EXPECT_THROW(load_labeled_csv(make("r7.csv", "1,2,3e9\n")),
+               std::invalid_argument);  // label beyond int's range
+  EXPECT_THROW(load_labeled_csv(make("r8.csv", "1,2,-3e9\n")),
+               std::invalid_argument);  // label below int's range
   EXPECT_THROW(load_labeled_csv(make("r5.csv", "5\n")),
                std::invalid_argument);  // single column
   EXPECT_THROW(load_labeled_csv(make("r6.csv", "a,b,c\n")),
                std::invalid_argument);  // header only
   EXPECT_THROW(load_labeled_csv(path("missing_file.csv")),
                std::runtime_error);
+}
+
+TEST_F(CsvTest, EveryBitFlipAndTruncationIsATypedError) {
+  // A file cut short or with one flipped bit either still parses or is
+  // rejected with a typed error: never a crash, never undefined behaviour
+  // (the sanitize build runs this sweep under ASan/UBSan).
+  const std::string good = "f0,f1,label\n0.5,1.25,0\n2,3e1,1\n-4.5,6,2\n";
+  ASSERT_EQ(load_labeled_csv(make("sweep_good.csv", good.c_str())).y.size(),
+            3u);
+  const std::string p = path("sweep_variant.csv");
+  created_.push_back(p);
+  auto expect_typed = [&](const std::string& bytes, const std::string& what) {
+    std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+      (void)load_labeled_csv(p);
+    } catch (const std::invalid_argument&) {
+    } catch (const std::runtime_error&) {
+    } catch (...) {
+      ADD_FAILURE() << what << ": untyped exception";
+    }
+  };
+  for (std::size_t n = 0; n < good.size(); ++n)
+    expect_typed(good.substr(0, n), "truncated to " + std::to_string(n));
+  for (std::size_t i = 0; i < good.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+      expect_typed(bad, "byte " + std::to_string(i) + " bit " +
+                            std::to_string(bit));
+    }
 }
 
 TEST_F(CsvTest, NonFiniteValuesRejected) {

@@ -11,7 +11,6 @@
 #include "data/drift.h"
 #include "encoding/encoders.h"
 #include "model/hdc_classifier.h"
-#include "model/pipeline.h"
 
 namespace generic::data {
 namespace {
@@ -90,12 +89,12 @@ TEST(DriftStreamTest, ShiftDegradesAFrozenModel) {
   ecfg.dims = 1024;
   enc::GenericEncoder encoder(ecfg);
   encoder.fit(pre.train_x);
-  const auto train = model::encode_all(encoder, pre.train_x, pool);
+  const auto train = encoder.encode_batch(pre.train_x, pool);
   model::HdcClassifier clf(ecfg.dims, spec.classes);
   clf.fit_parallel(train, pre.train_y, 5, pool);
 
   auto accuracy = [&](const Dataset& ds) {
-    const auto qs = model::encode_all(encoder, ds.test_x, pool);
+    const auto qs = encoder.encode_batch(ds.test_x, pool);
     std::size_t hits = 0;
     for (std::size_t i = 0; i < qs.size(); ++i)
       hits += clf.predict(qs[i]) == ds.test_y[i];

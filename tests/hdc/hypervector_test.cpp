@@ -143,7 +143,14 @@ TEST(IntHV, DotWithBinaryMatchesExpansion) {
   const BinaryHV b = BinaryHV::random(300, rng);
   IntHV a(300);
   for (auto& v : a) v = static_cast<std::int32_t>(rng.range(-50, 50));
-  EXPECT_EQ(dot(a, b), tile_dot(a, b.to_int()));
+  // sum_i a_i * (2 b_i - 1) = 2 * sum_{i: b_i=1} a_i - sum_i a_i.
+  std::int64_t sum_all = 0;
+  std::int64_t sum_set = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    sum_all += a[i];
+    if (b.bit(i)) sum_set += a[i];
+  }
+  EXPECT_EQ(tile_dot(a, b.to_int()), 2 * sum_set - sum_all);
 }
 
 TEST(IntHV, CosineBounds) {

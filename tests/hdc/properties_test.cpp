@@ -75,8 +75,11 @@ TEST_P(HvDimsTest, BundlePreservesSimilarityToMembers) {
     members.back().accumulate_into(bundle);
   }
   const BinaryHV outsider = BinaryHV::random(dims, rng);
+  // Every bipolar vector has norm sqrt(D), so comparing cosines compares
+  // the dots.
   for (const auto& m : members)
-    EXPECT_GT(dot(bundle, m), 2 * std::abs(dot(bundle, outsider)));
+    EXPECT_GT(cosine(bundle, m.to_int()),
+              2 * std::abs(cosine(bundle, outsider.to_int())));
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, HvDimsTest,

@@ -18,7 +18,7 @@
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
 #include "golden.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "resilience/campaign.h"
 
 #ifndef GENERIC_GOLDEN_DIR
@@ -40,10 +40,10 @@ std::string run_pinned_pipeline() {
   cfg.dims = 1024;
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.train_x);
-  const auto train = model::encode_all(encoder, ds.train_x);
-  const auto test = model::encode_all(encoder, ds.test_x);
+  const auto train = encoder.encode_batch(ds.train_x);
+  const auto test = encoder.encode_batch(ds.test_x);
   model::HdcClassifier clf(1024, ds.num_classes);
-  clf.fit(train, ds.train_y, 5);
+  clf.fit_parallel(train, ds.train_y, 5, global_pool());
   clf.quantize(8);
 
   resilience::CampaignConfig cc;

@@ -39,7 +39,8 @@ class Table1Shape : public ::testing::Test {
         if (kind == enc::EncoderKind::kGeneric) cfg.use_ids = g.use_ids;
         auto encoder = enc::make_encoder(kind, cfg);
         (*results_)[std::string(enc::to_string(kind))][name] =
-            model::run_hdc_classification(*encoder, ds, 5).test_accuracy;
+            model::run_hdc_classification(*encoder, ds, 5, global_pool())
+                .test_accuracy;
       }
     }
   }

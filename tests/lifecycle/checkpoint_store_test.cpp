@@ -45,7 +45,7 @@ model::HdcClassifier make_model(std::uint64_t salt) {
     }
   }
   model::HdcClassifier clf(dims, classes);
-  clf.fit(train, labels, 3);
+  clf.fit_parallel(train, labels, 3, global_pool());
   return clf;
 }
 

@@ -58,7 +58,7 @@ Scenario make_scenario() {
     train_y.push_back(c);
   }
   s.initial = std::make_shared<model::HdcClassifier>(kDims, kClasses);
-  s.initial->fit(train, train_y, 3);
+  s.initial->fit_parallel(train, train_y, 3, global_pool());
 
   for (std::size_t i = 0; i < kTotal; ++i) {
     const int c = static_cast<int>(i % kClasses);

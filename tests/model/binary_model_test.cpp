@@ -5,7 +5,7 @@
 #include "common/rng.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 
 namespace generic::model {
 namespace {
@@ -33,7 +33,7 @@ TEST(BinaryModel, MatchesOneBitQuantizedClassifier) {
       enc.push_back(hdc::BinaryHV::random(1024, rng).to_int());
       labels.push_back(c);
     }
-  clf.train_init(enc, labels);
+  clf.train_batch(enc, labels, global_pool());
   BinaryModel fast(clf);
   clf.quantize(1);
   for (int i = 0; i < 40; ++i) {
@@ -59,45 +59,26 @@ TEST(BinaryModel, AccuracyAtBothOperatingPoints) {
   cfg.dims = 2048;
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.train_x);
-  const auto train = encode_all(encoder, ds.train_x);
-  const auto test = encode_all(encoder, ds.test_x);
+  const auto train = encoder.encode_batch(ds.train_x);
+  const auto test = encoder.encode_batch(ds.test_x);
   HdcClassifier clf(2048, ds.num_classes);
-  clf.fit(train, ds.train_y, 5);
+  clf.fit_parallel(train, ds.train_y, 5, global_pool());
   BinaryModel fast(clf);
-  std::size_t full_hits = 0, mixed_hits = 0, binary_hits = 0;
+  // The sign model with full-precision queries is the quantize(1) route.
+  HdcClassifier sign = clf;
+  sign.quantize(1);
+  std::size_t full_hits = 0, sign_hits = 0, binary_hits = 0;
   for (std::size_t i = 0; i < test.size(); ++i) {
     full_hits += clf.predict(test[i]) == ds.test_y[i];
-    mixed_hits += fast.predict_mixed(test[i]) == ds.test_y[i];
+    sign_hits += sign.predict(test[i]) == ds.test_y[i];
     binary_hits += fast.predict(test[i]) == ds.test_y[i];
   }
   const auto n = static_cast<double>(test.size());
   const double full = static_cast<double>(full_hits) / n;
-  EXPECT_GT(static_cast<double>(mixed_hits) / n, full - 0.08);
+  EXPECT_GT(static_cast<double>(sign_hits) / n, full - 0.08);
   EXPECT_GT(static_cast<double>(binary_hits) / n, full - 0.20);
   EXPECT_GT(static_cast<double>(binary_hits) / n,
             2.0 / static_cast<double>(ds.num_classes));
-}
-
-TEST(BinaryModel, MixedMatchesOneBitQuantizedClassifier) {
-  Rng rng(9);
-  HdcClassifier clf(512, 3, 128);
-  std::vector<hdc::IntHV> enc;
-  std::vector<int> labels;
-  for (int c = 0; c < 3; ++c)
-    for (int i = 0; i < 8; ++i) {
-      enc.push_back(hdc::BinaryHV::random(512, rng).to_int());
-      labels.push_back(c);
-    }
-  clf.train_init(enc, labels);
-  BinaryModel fast(clf);
-  clf.quantize(1);
-  for (int i = 0; i < 30; ++i) {
-    hdc::IntHV q(512);
-    for (auto& v : q) v = static_cast<std::int32_t>(rng.range(-20, 20));
-    // Same sign model; quantize(1) scoring normalizes by the shared norm,
-    // so the argmax agrees whenever the top dot is unique.
-    EXPECT_EQ(fast.predict_mixed(q), clf.predict(q)) << i;
-  }
 }
 
 TEST(BinaryModel, GeometryPreserved) {

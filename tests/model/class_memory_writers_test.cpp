@@ -20,7 +20,6 @@
 #include "kernel_backends.h"
 #include "model/hdc_classifier.h"
 #include "model/model_io.h"
-#include "model/pipeline.h"
 #include "resilience/block_guard.h"
 #include "resilience/fault_model.h"
 
@@ -44,11 +43,11 @@ struct Rig {
     cfg.dims = kDims;
     encoder = std::make_unique<enc::GenericEncoder>(cfg);
     encoder->fit(ds.train_x);
-    train = encode_all(*encoder, ds.train_x);
-    probes = encode_all(*encoder, ds.test_x);
+    train = encoder->encode_batch(ds.train_x);
+    probes = encoder->encode_batch(ds.test_x);
     probes.resize(40);
     clf = HdcClassifier(kDims, ds.num_classes);
-    clf.train_init(train, ds.train_y);
+    clf.train_batch(train, ds.train_y, global_pool());
   }
 };
 
@@ -103,7 +102,7 @@ void expect_scored_copy_exact(const HdcClassifier& clf,
 
 TEST(ClassMemoryWriters, Training) {
   const Rig& r = rig();
-  expect_scored_copy_exact(r.clf, "train_init");
+  expect_scored_copy_exact(r.clf, "train_batch, one lane");
   HdcClassifier batched(kDims, r.ds.num_classes);
   ThreadPool pool(3);
   batched.train_batch(r.train, r.ds.train_y, pool);
@@ -113,8 +112,9 @@ TEST(ClassMemoryWriters, Training) {
 TEST(ClassMemoryWriters, RetrainingMovesSamples) {
   const Rig& r = rig();
   HdcClassifier clf = r.clf;
-  ASSERT_GT(clf.retrain_epoch(r.train, r.ds.train_y), 0u);
-  expect_scored_copy_exact(clf, "retrain_epoch");
+  ASSERT_GT(clf.retrain_epoch_parallel(r.train, r.ds.train_y, global_pool()),
+            0u);
+  expect_scored_copy_exact(clf, "retrain_epoch_parallel, one lane");
   ThreadPool pool(2);
   HdcClassifier par = r.clf;
   ASSERT_GT(par.retrain_epoch_parallel(r.train, r.ds.train_y, pool), 0u);

@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
 
 namespace generic::model {
 namespace {
@@ -57,7 +56,7 @@ TEST(HdcClassifier, ConstructorValidation) {
 TEST(HdcClassifier, OneShotTrainingSeparatesCleanPrototypes) {
   const auto s = make_synth(1024, 4, 20, 0.1, 5);
   HdcClassifier clf(1024, 4);
-  clf.train_init(s.train, s.train_y);
+  clf.train_batch(s.train, s.train_y, global_pool());
   std::size_t hits = 0;
   for (std::size_t i = 0; i < s.test.size(); ++i)
     hits += clf.predict(s.test[i]) == s.test_y[i];
@@ -67,25 +66,27 @@ TEST(HdcClassifier, OneShotTrainingSeparatesCleanPrototypes) {
 TEST(HdcClassifier, RetrainingReducesTrainErrors) {
   const auto s = make_synth(1024, 6, 30, 0.35, 7);
   HdcClassifier clf(1024, 6);
-  clf.train_init(s.train, s.train_y);
-  const std::size_t e1 = clf.retrain_epoch(s.train, s.train_y);
+  clf.train_batch(s.train, s.train_y, global_pool());
+  ThreadPool& pool = global_pool();
+  const std::size_t e1 = clf.retrain_epoch_parallel(s.train, s.train_y, pool);
   std::size_t last = e1;
-  for (int i = 0; i < 10; ++i) last = clf.retrain_epoch(s.train, s.train_y);
+  for (int i = 0; i < 10; ++i)
+    last = clf.retrain_epoch_parallel(s.train, s.train_y, pool);
   EXPECT_LE(last, e1);
 }
 
 TEST(HdcClassifier, FitStopsEarlyWhenConverged) {
   const auto s = make_synth(1024, 3, 10, 0.05, 9);
   HdcClassifier clf(1024, 3);
-  clf.fit(s.train, s.train_y, 50);
+  clf.fit_parallel(s.train, s.train_y, 50, global_pool());
   // Converged model: one more epoch makes zero updates.
-  EXPECT_EQ(clf.retrain_epoch(s.train, s.train_y), 0u);
+  EXPECT_EQ(clf.retrain_epoch_parallel(s.train, s.train_y, global_pool()), 0u);
 }
 
 TEST(HdcClassifier, TrainInitMatchesManualBundling) {
   const auto s = make_synth(256, 2, 5, 0.2, 11);
   HdcClassifier clf(256, 2, 64);
-  clf.train_init(s.train, s.train_y);
+  clf.train_batch(s.train, s.train_y, global_pool());
   hdc::IntHV manual(256, 0);
   for (std::size_t i = 0; i < s.train.size(); ++i)
     if (s.train_y[i] == 0) hdc::add_into(manual, s.train[i]);
@@ -95,7 +96,7 @@ TEST(HdcClassifier, TrainInitMatchesManualBundling) {
 TEST(HdcClassifier, ChunkNormsSumToFullNorm) {
   const auto s = make_synth(512, 3, 8, 0.3, 13);
   HdcClassifier clf(512, 3, 128);
-  clf.train_init(s.train, s.train_y);
+  clf.train_batch(s.train, s.train_y, global_pool());
   for (std::size_t c = 0; c < 3; ++c) {
     std::int64_t sum = 0;
     for (std::size_t k = 0; k < clf.num_chunks(); ++k)
@@ -105,12 +106,12 @@ TEST(HdcClassifier, ChunkNormsSumToFullNorm) {
 }
 
 TEST(HdcClassifier, ChunkNormsStayExactAfterRetraining) {
-  // The incremental norm maintenance in retrain_epoch must agree with a
+  // The incremental norm maintenance in retraining must agree with a
   // full recomputation.
   const auto s = make_synth(512, 4, 25, 0.4, 15);
   HdcClassifier clf(512, 4, 128);
-  clf.train_init(s.train, s.train_y);
-  clf.retrain_epoch(s.train, s.train_y);
+  clf.train_batch(s.train, s.train_y, global_pool());
+  clf.retrain_epoch_parallel(s.train, s.train_y, global_pool());
   std::vector<std::vector<std::int64_t>> saved;
   for (std::size_t c = 0; c < 4; ++c) {
     saved.emplace_back();
@@ -132,10 +133,10 @@ TEST(HdcClassifier, ReducedDimsUpdatedBeatsConstant) {
   cfg.dims = 2048;
   auto encoder = enc::make_encoder(enc::EncoderKind::kGeneric, cfg);
   encoder->fit(ds.train_x);
-  const auto train = encode_all(*encoder, ds.train_x);
-  const auto test = encode_all(*encoder, ds.test_x);
+  const auto train = encoder->encode_batch(ds.train_x);
+  const auto test = encoder->encode_batch(ds.test_x);
   HdcClassifier clf(2048, ds.num_classes);
-  clf.fit(train, ds.train_y, 10);
+  clf.fit_parallel(train, ds.train_y, 10, global_pool());
   auto acc = [&](std::size_t dims_used, NormMode mode) {
     std::size_t hits = 0;
     for (std::size_t i = 0; i < test.size(); ++i)
@@ -175,7 +176,7 @@ TEST(HdcClassifier, ScoreValidation) {
 TEST(HdcClassifier, BadLabelLeavesClassMemoryUntouched) {
   const auto s = make_synth(512, 3, 10, 0.45, 23);
   HdcClassifier trained(512, 3);
-  trained.train_init(s.train, s.train_y);
+  trained.train_batch(s.train, s.train_y, global_pool());
   ThreadPool pool(2);
   for (const int bad : {3, -1}) {
     // Every earlier sample is valid, so a late check would already have
@@ -184,10 +185,6 @@ TEST(HdcClassifier, BadLabelLeavesClassMemoryUntouched) {
     labels.back() = bad;
     using Step = std::function<void(HdcClassifier&)>;
     const std::pair<const char*, Step> steps[] = {
-        {"train_init",
-         [&](HdcClassifier& m) { m.train_init(s.train, labels); }},
-        {"retrain_epoch",
-         [&](HdcClassifier& m) { m.retrain_epoch(s.train, labels); }},
         {"train_batch",
          [&](HdcClassifier& m) { m.train_batch(s.train, labels, pool); }},
         {"retrain_epoch_parallel",
@@ -215,7 +212,7 @@ TEST_P(QuantizeTest, ValuesFitBitWidthAndAccuracySurvives) {
   const int bw = GetParam();
   const auto s = make_synth(1024, 4, 30, 0.25, 17);
   HdcClassifier clf(1024, 4);
-  clf.fit(s.train, s.train_y, 5);
+  clf.fit_parallel(s.train, s.train_y, 5, global_pool());
   clf.quantize(bw);
   EXPECT_EQ(clf.bit_width(), bw);
   const std::int32_t lim = bw == 1 ? 1 : (1 << (bw - 1)) - 1;
@@ -245,7 +242,7 @@ TEST(HdcClassifier, QuantizeRejectsBadWidth) {
 TEST(HdcClassifier, BitFlipsDegradeGracefully) {
   const auto s = make_synth(2048, 4, 30, 0.2, 19);
   HdcClassifier clf(2048, 4);
-  clf.fit(s.train, s.train_y, 5);
+  clf.fit_parallel(s.train, s.train_y, 5, global_pool());
   clf.quantize(8);
   auto acc = [&] {
     std::size_t hits = 0;
@@ -258,7 +255,7 @@ TEST(HdcClassifier, BitFlipsDegradeGracefully) {
   clf.inject_bit_flips(0.005, rng);  // 0.5% flips: HDC shrugs this off
   EXPECT_GT(acc(), clean - 0.15);
   HdcClassifier wrecked(2048, 4);
-  wrecked.train_init(s.train, s.train_y);
+  wrecked.train_batch(s.train, s.train_y, global_pool());
   wrecked.quantize(8);
   Rng rng2(35);
   wrecked.inject_bit_flips(0.5, rng2);  // memory is now noise
@@ -268,7 +265,7 @@ TEST(HdcClassifier, BitFlipsDegradeGracefully) {
 TEST(HdcClassifier, ZeroRateInjectionIsIdentity) {
   const auto s = make_synth(512, 2, 10, 0.2, 21);
   HdcClassifier clf(512, 2, 128);
-  clf.fit(s.train, s.train_y, 3);
+  clf.fit_parallel(s.train, s.train_y, 3, global_pool());
   const auto before = clf.class_vector(0);
   Rng rng(1);
   clf.inject_bit_flips(0.0, rng);
@@ -278,7 +275,7 @@ TEST(HdcClassifier, ZeroRateInjectionIsIdentity) {
 TEST(HdcClassifier, OneBitModelStaysBipolarUnderFlips) {
   const auto s = make_synth(512, 2, 10, 0.2, 23);
   HdcClassifier clf(512, 2, 128);
-  clf.fit(s.train, s.train_y, 3);
+  clf.fit_parallel(s.train, s.train_y, 3, global_pool());
   clf.quantize(1);
   Rng rng(3);
   clf.inject_bit_flips(0.3, rng);

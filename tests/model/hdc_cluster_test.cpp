@@ -6,7 +6,6 @@
 #include "data/fcps.h"
 #include "encoding/encoders.h"
 #include "ml/metrics.h"
-#include "model/pipeline.h"
 
 namespace generic::model {
 namespace {
@@ -87,7 +86,7 @@ TEST(HdcCluster, EndToEndFcpsHeptaMatchesGroundTruth) {
   cfg.dims = 2048;
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.points);
-  const auto encoded = encode_all(encoder, ds.points);
+  const auto encoded = encoder.encode_batch(ds.points);
   HdcCluster hc(2048, ds.num_clusters);
   hc.fit(encoded);
   const double nmi =

@@ -18,7 +18,7 @@
 #include "encoding/encoders.h"
 #include "golden.h"
 #include "lifecycle/checkpoint_store.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 
 #ifndef GENERIC_GOLDEN_DIR
 #error "GENERIC_GOLDEN_DIR must be defined by the build"
@@ -40,9 +40,9 @@ struct Trained {
         }()),
         clf(1024, 5) {
     encoder.fit(ds.train_x);
-    const auto train = encode_all(encoder, ds.train_x);
+    const auto train = encoder.encode_batch(ds.train_x);
     clf = HdcClassifier(1024, ds.num_classes);
-    clf.fit(train, ds.train_y, 5);
+    clf.fit_parallel(train, ds.train_y, 5, global_pool());
   }
 };
 

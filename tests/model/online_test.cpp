@@ -5,7 +5,7 @@
 #include "arch/generic_asic.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 
 namespace generic::model {
 namespace {
@@ -17,7 +17,7 @@ TEST(OnlineUpdate, CorrectPredictionLeavesModelUntouched) {
   b[1] = 10;
   const std::vector<hdc::IntHV> enc{a, b};
   const std::vector<int> labels{0, 1};
-  clf.train_init(enc, labels);
+  clf.train_batch(enc, labels, global_pool());
   const auto before = clf.class_vector(0);
   EXPECT_FALSE(clf.online_update(a, 0));
   EXPECT_EQ(clf.class_vector(0), before);
@@ -30,7 +30,7 @@ TEST(OnlineUpdate, MispredictionMovesBoundary) {
   b[1] = 10;
   const std::vector<hdc::IntHV> enc{a, b};
   const std::vector<int> labels{0, 1};
-  clf.train_init(enc, labels);
+  clf.train_batch(enc, labels, global_pool());
   // Claim `a` belongs to class 1: the model must update both classes and
   // keep its norms exact.
   EXPECT_TRUE(clf.online_update(a, 1));
@@ -56,13 +56,13 @@ TEST(OnlineUpdate, StreamAdaptationRecoversFromDrift) {
   cfg.dims = 2048;
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.train_x);
-  const auto train = encode_all(encoder, ds.train_x);
-  const auto test = encode_all(encoder, ds.test_x);
+  const auto train = encoder.encode_batch(ds.train_x);
+  const auto test = encoder.encode_batch(ds.test_x);
 
   const std::size_t half = train.size() / 2;
   HdcClassifier clf(2048, ds.num_classes);
-  clf.train_init(std::span(train.data(), half),
-                 std::span(ds.train_y.data(), half));
+  clf.train_batch(std::span(train.data(), half),
+                 std::span(ds.train_y.data(), half), global_pool());
   auto acc = [&] {
     std::size_t hits = 0;
     for (std::size_t i = 0; i < test.size(); ++i)
@@ -84,14 +84,14 @@ TEST(OnlineUpdateAdaptive, ConvergesAtLeastAsWellAsUnitUpdates) {
   cfg.dims = 2048;
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.train_x);
-  const auto train = encode_all(encoder, ds.train_x);
-  const auto test = encode_all(encoder, ds.test_x);
+  const auto train = encoder.encode_batch(ds.train_x);
+  const auto test = encoder.encode_batch(ds.test_x);
   const std::size_t half = train.size() / 2;
 
   auto run = [&](bool adaptive) {
     HdcClassifier clf(2048, ds.num_classes);
-    clf.train_init(std::span(train.data(), half),
-                   std::span(ds.train_y.data(), half));
+    clf.train_batch(std::span(train.data(), half),
+                   std::span(ds.train_y.data(), half), global_pool());
     for (std::size_t i = half; i < train.size(); ++i) {
       if (adaptive)
         clf.online_update_adaptive(train[i], ds.train_y[i]);
@@ -113,7 +113,7 @@ TEST(OnlineUpdateAdaptive, NoChangeOnCorrectPrediction) {
   b[1] = 10;
   const std::vector<hdc::IntHV> enc{a, b};
   const std::vector<int> labels{0, 1};
-  clf.train_init(enc, labels);
+  clf.train_batch(enc, labels, global_pool());
   const auto before = clf.class_vector(0);
   EXPECT_FALSE(clf.online_update_adaptive(a, 0));
   EXPECT_EQ(clf.class_vector(0), before);
@@ -131,7 +131,7 @@ TEST(OnlineUpdateAdaptive, UpdateMagnitudeBoundedByEncoding) {
   }
   const std::vector<hdc::IntHV> enc{a, b};
   const std::vector<int> labels{0, 1};
-  clf.train_init(enc, labels);
+  clf.train_batch(enc, labels, global_pool());
   const auto before0 = clf.class_vector(0);
   EXPECT_TRUE(clf.online_update_adaptive(b, 0));  // force a misprediction
   for (std::size_t j = 0; j < 256; ++j) {

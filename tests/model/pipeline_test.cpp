@@ -14,7 +14,7 @@ TEST(Pipeline, EncodeAllShapes) {
   cfg.dims = 1024;
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.train_x);
-  const auto enc = encode_all(encoder, ds.train_x);
+  const auto enc = encoder.encode_batch(ds.train_x);
   ASSERT_EQ(enc.size(), ds.train_x.size());
   for (const auto& h : enc) EXPECT_EQ(h.size(), 1024u);
 }
@@ -29,7 +29,7 @@ TEST(Pipeline, GenericBeatsChanceOnEveryBenchmark) {
     cfg.use_ids = gcfg.use_ids;
     cfg.window = gcfg.window;
     enc::GenericEncoder encoder(cfg);
-    const auto res = run_hdc_classification(encoder, ds, 5);
+    const auto res = run_hdc_classification(encoder, ds, 5, global_pool());
     const double chance = 1.0 / static_cast<double>(ds.num_classes);
     // "Clearly above chance": double it, but cap so 2-class sets don't
     // demand the impossible 100%.
@@ -44,11 +44,13 @@ TEST(Pipeline, MoreDimsDoNotHurtMuch) {
   enc::EncoderConfig small_cfg;
   small_cfg.dims = 512;
   enc::GenericEncoder small_enc(small_cfg);
-  const double small = run_hdc_classification(small_enc, ds, 5).test_accuracy;
+  const double small =
+      run_hdc_classification(small_enc, ds, 5, global_pool()).test_accuracy;
   enc::EncoderConfig big_cfg;
   big_cfg.dims = 4096;
   enc::GenericEncoder big_enc(big_cfg);
-  const double big = run_hdc_classification(big_enc, ds, 5).test_accuracy;
+  const double big =
+      run_hdc_classification(big_enc, ds, 5, global_pool()).test_accuracy;
   EXPECT_GE(big + 0.05, small);
 }
 

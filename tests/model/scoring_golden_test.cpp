@@ -65,8 +65,9 @@ Fixture make_fixture() {
       train.push_back(noisy(base[c], 0.3, rng));
       train_y.push_back(static_cast<int>(c));
     }
-  f.clf.train_init(train, train_y);
-  for (int e = 0; e < 2; ++e) f.clf.retrain_epoch(train, train_y);
+  f.clf.train_batch(train, train_y, global_pool());
+  for (int e = 0; e < 2; ++e)
+    f.clf.retrain_epoch_parallel(train, train_y, global_pool());
   for (int i = 0; i < 10; ++i)
     f.queries.push_back(noisy(base[static_cast<std::size_t>(i) % base.size()],
                               0.4, rng));
@@ -201,7 +202,8 @@ std::string scoring_document() {
     one_queries.push_back(h);
     one_train.push_back(std::move(h));
   }
-  one.train_init(one_train, std::vector<int>(one_train.size(), 0));
+  one.train_batch(one_train, std::vector<int>(one_train.size(), 0),
+                  global_pool());
   doc += "# single-class\n";
   doc += render_model(one, one_queries, pool);
   doc += "# asic exact divider\n";

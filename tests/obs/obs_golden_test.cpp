@@ -119,10 +119,10 @@ std::string run_pinned_campaign(std::size_t threads) {
   cfg.dims = 1024;
   enc::GenericEncoder encoder(cfg);
   encoder.fit(ds.train_x);
-  const auto test = model::encode_all(encoder, ds.test_x);
-  const auto train = model::encode_all(encoder, ds.train_x);
+  const auto test = encoder.encode_batch(ds.test_x);
+  const auto train = encoder.encode_batch(ds.train_x);
   model::HdcClassifier clf(1024, ds.num_classes);
-  clf.fit(train, ds.train_y, 5);
+  clf.fit_parallel(train, ds.train_y, 5, global_pool());
   clf.quantize(8);
 
   resilience::CampaignConfig cc;

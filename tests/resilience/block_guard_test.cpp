@@ -12,7 +12,7 @@
 #include "arch/microarch.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "resilience/fault_model.h"
 
 namespace generic::resilience {
@@ -31,10 +31,10 @@ struct Rig {
     cfg.dims = dims;
     encoder = std::make_unique<enc::GenericEncoder>(cfg);
     encoder->fit(ds.train_x);
-    const auto train = model::encode_all(*encoder, ds.train_x);
+    const auto train = encoder->encode_batch(ds.train_x);
     clf = model::HdcClassifier(dims, ds.num_classes);
-    clf.fit(train, ds.train_y, 5);
-    test = model::encode_all(*encoder, ds.test_x);
+    clf.fit_parallel(train, ds.train_y, 5, global_pool());
+    test = encoder->encode_batch(ds.test_x);
   }
 
   double accuracy(const model::HdcClassifier& m) const {

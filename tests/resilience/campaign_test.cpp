@@ -12,7 +12,7 @@
 
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "obs/json.h"
 
 namespace generic::resilience {
@@ -29,11 +29,11 @@ struct Rig {
     cfg.dims = 1024;
     encoder = std::make_unique<enc::GenericEncoder>(cfg);
     encoder->fit(ds.train_x);
-    const auto train = model::encode_all(*encoder, ds.train_x);
+    const auto train = encoder->encode_batch(ds.train_x);
     clf = model::HdcClassifier(1024, ds.num_classes);
-    clf.fit(train, ds.train_y, 5);
+    clf.fit_parallel(train, ds.train_y, 5, global_pool());
     clf.quantize(8);  // the deployed operating point of Figure 6
-    test = model::encode_all(*encoder, ds.test_x);
+    test = encoder->encode_batch(ds.test_x);
   }
 };
 
@@ -207,13 +207,13 @@ TEST(EncoderCampaign, RestoresEncoderStateAfterSweep) {
   // The sweep corrupts the shared encoder in place; after it returns the
   // commissioned memories must be back, so a fresh encoding matches one
   // taken before the campaign.
-  const auto before = model::encode_all(*rig().encoder, rig().ds.test_x);
+  const auto before = rig().encoder->encode_batch(rig().ds.test_x);
   auto cfg = encoder_cfg();
   (void)run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
                              rig().ds.test_y, cfg, FaultTarget::kLevelMemory);
   (void)run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
                              rig().ds.test_y, cfg, FaultTarget::kIdSeed);
-  const auto after = model::encode_all(*rig().encoder, rig().ds.test_x);
+  const auto after = rig().encoder->encode_batch(rig().ds.test_x);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_EQ(before[i], after[i]) << "sample " << i;

@@ -37,7 +37,7 @@ inline TinyWorkload make_workload(std::size_t n_queries = 64) {
       train_y.push_back(c);
     }
   }
-  w.clf.train_init(train, train_y);
+  w.clf.train_batch(train, train_y, global_pool());
   for (std::size_t i = 0; i < n_queries; ++i) {
     const int c = static_cast<int>(i % classes);
     hdc::IntHV h = base[static_cast<std::size_t>(c)];

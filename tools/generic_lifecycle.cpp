@@ -22,7 +22,6 @@
 // --shadow-fault-rate corrupts the retrained shadow before validation (the
 // rejection-gate demo): the validator must refuse it and the engine must
 // record a rollback instead of a swap.
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -34,7 +33,7 @@
 #include "data/drift.h"
 #include "encoding/encoders.h"
 #include "lifecycle/manager.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "obs/export.h"
 #include "serve/engine.h"
 
@@ -89,7 +88,7 @@ int run(int argc, char** argv) {
   ecfg.dims = dims;
   enc::GenericEncoder encoder(ecfg);
   encoder.fit(ds.train_x);
-  const auto train = model::encode_all(encoder, ds.train_x, pool);
+  const auto train = encoder.encode_batch(ds.train_x, pool);
   auto initial = std::make_shared<model::HdcClassifier>(dims, dspec.classes);
   initial->fit_parallel(train, ds.train_y, epochs, pool);
 
@@ -105,7 +104,7 @@ int run(int argc, char** argv) {
     xs.push_back(std::move(s.x));
     labels.push_back(s.label);
   }
-  const auto queries = model::encode_all(encoder, xs, pool);
+  const auto queries = encoder.encode_batch(xs, pool);
 
   serve::ServeConfig cfg;
   cfg.seed = seed ^ 0x5EB7EULL;
@@ -177,19 +176,7 @@ int run(int argc, char** argv) {
 
   // Invariants the scenario stands on: every future resolved, and the
   // per-version tallies account for every served request exactly once.
-  std::array<std::uint64_t, serve::kNumOutcomes> seen{};
-  for (const auto& f : futures) {
-    const auto r = f.try_get();
-    if (!r.has_value()) {
-      std::fprintf(stderr, "error: unresolved future after finish()\n");
-      return 1;
-    }
-    ++seen[static_cast<std::size_t>(r->outcome)];
-  }
-  if (seen != report.outcomes) {
-    std::fprintf(stderr, "error: future outcomes disagree with report\n");
-    return 1;
-  }
+  if (!bench::futures_match_report(futures, report.outcomes)) return 1;
   std::uint64_t version_served = 0;
   for (const auto& v : report.versions) version_served += v.served;
   if (version_served != report.served) {

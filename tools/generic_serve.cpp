@@ -61,7 +61,7 @@
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
 #include "lifecycle/checkpoint_store.h"
-#include "model/pipeline.h"
+#include "model/hdc_classifier.h"
 #include "obs/export.h"
 #include "resilience/encoder_guard.h"
 #include "resilience/fault_model.h"
@@ -133,8 +133,8 @@ int run(int argc, char** argv) {
   ecfg.dims = dims;
   enc::GenericEncoder encoder(ecfg);
   encoder.fit(ds.train_x);
-  const auto train = model::encode_all(encoder, ds.train_x);
-  const auto test = model::encode_all(encoder, ds.test_x);
+  const auto train = encoder.encode_batch(ds.train_x, pool);
+  const auto test = encoder.encode_batch(ds.test_x, pool);
   model::HdcClassifier clf(dims, ds.num_classes);
 
   // Restart-from-checkpoint: boot from the newest verifying checkpoint
@@ -229,21 +229,7 @@ int run(int argc, char** argv) {
     futures.push_back(engine.submit(req));
   const serve::ServeReport report = engine.finish();
 
-  // Cross-check: the futures the callers hold must tell the same story as
-  // the engine's own tally.
-  std::array<std::uint64_t, serve::kNumOutcomes> seen{};
-  for (const auto& f : futures) {
-    const auto r = f.try_get();
-    if (!r.has_value()) {
-      std::fprintf(stderr, "error: unresolved future after finish()\n");
-      return 1;
-    }
-    ++seen[static_cast<std::size_t>(r->outcome)];
-  }
-  if (seen != report.outcomes) {
-    std::fprintf(stderr, "error: future outcomes disagree with report\n");
-    return 1;
-  }
+  if (!bench::futures_match_report(futures, report.outcomes)) return 1;
 
   std::printf("generic_serve: %s, D=%zu, %zu requests at %zu rps "
               "(capacity ~%.0f rps), %zu threads\n",
