@@ -1,5 +1,5 @@
 // Tests for the exporters (src/obs/export.h): the generic.metrics.v1 JSON
-// field order, the Chrome trace-event shape, derived-throughput emission
+// bytes and field order, the Chrome trace-event shape, derived-throughput emission
 // rules, and Session file writing / flag lifecycle.
 #include "obs/export.h"
 
@@ -78,6 +78,103 @@ TEST_F(ObsExport, MetricsJsonHasStableSchemaAndFieldOrder) {
   // No pool stats attached => explicit null, not an empty object.
   EXPECT_NE(json.find("\"thread_pool\": null"), std::string::npos) << json;
 }
+
+#if GENERIC_OBS_ENABLED
+#define OBS_ENABLED_LINE "  \"obs_enabled\": true,\n"
+#else
+#define OBS_ENABLED_LINE "  \"obs_enabled\": false,\n"
+#endif
+
+TEST_F(ObsExport, EmptySnapshotRendersExactBytes) {
+  // Empty maps render {}, an empty stage list [], absent pool and
+  // hardware null.
+  EXPECT_EQ(metrics_to_json(MetricsSnapshot{}),
+            "{\n"
+            "  \"schema\": \"generic.metrics.v1\",\n"
+            OBS_ENABLED_LINE
+            "  \"wall_time_s\": 0,\n"
+            "  \"peak_rss_bytes\": 0,\n"
+            "  \"dropped_spans\": 0,\n"
+            "  \"counters\": {},\n"
+            "  \"gauges\": {},\n"
+            "  \"histograms\": {},\n"
+            "  \"stages\": [],\n"
+            "  \"derived\": {},\n"
+            "  \"thread_pool\": null,\n"
+            "  \"hardware\": null\n"
+            "}\n");
+}
+
+TEST_F(ObsExport, FullSnapshotRendersExactBytes) {
+  MetricsSnapshot snap;
+  snap.wall_time_s = 2.5;
+  snap.peak_rss_bytes = 4096;
+  snap.dropped_spans = 1;
+  snap.counters = {{"encode.samples", 200}};
+  snap.gauges = {{"g", 9}};
+  HistogramSnapshot h;
+  h.count = 2;
+  h.sum = 300;
+  h.buckets[8] = 2;
+  snap.histograms = {{"h.us", h}};
+  StageStats st;
+  st.calls = 4;
+  st.total_ns = 2'000'000'000ull;
+  st.min_ns = 250'000'000ull;
+  st.max_ns = 750'000'000ull;
+  snap.stages = {{"encode.batch", st}};
+  PoolStats pool;
+  pool.lanes = 2;
+  pool.wall_ns = 1'000'000'000ull;
+  pool.jobs = 3;
+  pool.chunks = 6;
+  pool.max_chunks_per_job = 2;
+  pool.per_lane = {{750'000'000ull, 4}, {250'000'000ull, 2}};
+  snap.pool = pool;
+  snap.hardware = HardwareStats{0.5, 0.125, 64};
+  EXPECT_EQ(metrics_to_json(snap),
+            "{\n"
+            "  \"schema\": \"generic.metrics.v1\",\n"
+            OBS_ENABLED_LINE
+            "  \"wall_time_s\": 2.5,\n"
+            "  \"peak_rss_bytes\": 4096,\n"
+            "  \"dropped_spans\": 1,\n"
+            "  \"counters\": {\n"
+            "    \"encode.samples\": 200\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"g\": 9\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"h.us\": {\"count\": 2, \"sum\": 300, \"p50\": 255, "
+            "\"p95\": 255, \"p99\": 255, \"buckets\": {\"8\": 2}}\n"
+            "  },\n"
+            "  \"stages\": [\n"
+            "    {\"name\": \"encode.batch\", \"calls\": 4, \"total_s\": 2, "
+            "\"mean_s\": 0.5, \"min_s\": 0.25, \"max_s\": 0.75}\n"
+            "  ],\n"
+            "  \"derived\": {\n"
+            "    \"encode.samples_per_s\": 100\n"
+            "  },\n"
+            "  \"thread_pool\": {\n"
+            "    \"lanes\": 2,\n"
+            "    \"wall_s\": 1,\n"
+            "    \"jobs\": 3,\n"
+            "    \"chunks_executed\": 6,\n"
+            "    \"max_chunks_per_job\": 2,\n"
+            "    \"workers\": [\n"
+            "      {\"lane\": 0, \"busy_s\": 0.75, \"idle_s\": 0.25, "
+            "\"chunks\": 4},\n"
+            "      {\"lane\": 1, \"busy_s\": 0.25, \"idle_s\": 0.75, "
+            "\"chunks\": 2}\n"
+            "    ]\n"
+            "  },\n"
+            "  \"hardware\": {\"energy_j\": 0.5, \"elapsed_s\": 0.125, "
+            "\"cycles\": 64}\n"
+            "}\n");
+}
+
+#undef OBS_ENABLED_LINE
 
 TEST_F(ObsExport, DerivedRatesOnlyEmittedWhenBothSidesPresent) {
   MetricsSnapshot snap;

@@ -8,7 +8,10 @@
 // _per_s (wall times, stage durations, RSS, throughput) — everything else
 // in the document is deterministic under a fixed seed and one pool lane.
 //
-// tests/golden.h says how to regenerate the fixture after an INTENTIONAL
+// The generic.trace.v1 Chrome document is pinned the same way: two named
+// tracks and their spans, with the wall-clock "ts"/"dur" values scrubbed.
+//
+// tests/golden.h says how to regenerate the fixtures after an INTENTIONAL
 // schema or instrumentation change.
 //
 // A second suite pins the behavioural contract the exporters ride on:
@@ -17,6 +20,7 @@
 
 #include <regex>
 #include <string>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "data/benchmarks.h"
@@ -107,6 +111,43 @@ TEST(ObsGolden, FixtureDeclaresSchemaAndCoreSections) {
         "\"pipeline.run\"", "\"predict.batch\"", "\"thread_pool\"",
         "\"lanes\": 1"})
     EXPECT_NE(want.find(marker), std::string::npos) << "missing " << marker;
+}
+
+/// Replace every trace-event "ts"/"dur" value (wall microseconds, %.3f)
+/// with "<num>", the way scrub_volatile treats wall times.
+std::string scrub_trace_times(const std::string& json) {
+  static const std::regex wall_time(R"re(("(?:ts|dur)": )[0-9]+\.[0-9]{3})re");
+  return std::regex_replace(json, wall_time, "$1\"<num>\"");
+}
+
+TEST(ObsGolden, ScrubbedTraceMatchesCommittedFixture) {
+  // Track ids are process-wide and every live thread that ever recorded
+  // owns one, so the bytes are defined only in a process where no thread
+  // has touched the registry yet — which is how ctest runs each test.
+  obs::Registry& reg = obs::Registry::instance();
+  if (!reg.track_names().empty())
+    GTEST_SKIP() << "another test already registered a trace track; run "
+                    "this test in its own process (ctest does)";
+  obs::set_tracing(true);
+  // Two named tracks, recorded one after the other: track 0 carries a
+  // span with args, track 1 a plain one.
+  std::thread([&] {
+    obs::set_current_thread_name("golden \"a\"");
+    const std::uint64_t t0 = reg.now_ns();
+    reg.record_span("golden.args", t0, t0 + 2500,
+                    {{"version", 3}, {"delta", -2}});
+  }).join();
+  std::thread([&] {
+    obs::set_current_thread_name("golden-b");
+    const std::uint64_t t0 = reg.now_ns();
+    reg.record_span("golden.plain", t0, t0 + 1000);
+  }).join();
+  const std::string got = scrub_trace_times(obs::trace_to_json());
+  obs::set_tracing(false);
+  reg.reset();
+  golden::expect_golden(got, std::string(GENERIC_GOLDEN_DIR) +
+                                 "/trace_scrubbed.json");
+  if (golden::updating()) GTEST_SKIP() << "fixture regenerated";
 }
 
 /// Acceptance contract of the whole layer: enabling collection must not

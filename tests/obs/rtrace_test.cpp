@@ -1,13 +1,15 @@
 // Recorder-level tests for the request tracer (obs/rtrace.h): flight-ring
-// wrap/dropped accounting, trace-log capture, switch gating, and the
+// wrap/dropped accounting, trace-log capture, switch gating, the
 // empty-but-valid exporter contract that -DGENERIC_OBS=OFF builds (and
-// runs without --rtrace) rely on.
+// runs without --rtrace) rely on, and the byte pin of the Chrome view.
 #include "obs/rtrace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+
+#include "golden.h"
 
 namespace generic::obs::rtrace {
 namespace {
@@ -177,6 +179,33 @@ TEST_F(RtraceTest, ObsOffRecordIsInertButSwitchesStillWork) {
 }
 
 #endif  // GENERIC_OBS_ENABLED
+
+TEST(RtraceChromeGolden, HandBuiltLogMatchesCommittedFixture) {
+  // Every row shape the Chrome view has: an engine-scoped event, a
+  // one-event request (a slice, no span or flow rows), a multi-event
+  // request (the b/s/t/f/e phases, "bp": "e" on the last arrow), and a
+  // nonzero dropped count.
+  TraceLog log;
+  log.events = {
+      {0, 5, EventKind::kDriftAlarm, kNoRequest, 1, 0, 1250},
+      {1, 10, EventKind::kAdmit, 1, 1, 0, 0},
+      {2, 12, EventKind::kShed, 2, 1, 0, 0},
+      {3, 20, EventKind::kEncode, 1, 1, 1, 2048},
+      {4, 30, EventKind::kPredict, 1, 1, 1, 3},
+      {5, 40, EventKind::kSwapInstall, kNoRequest, 2, 1, -1},
+  };
+  log.dropped = 7;
+  std::string got = rtrace_to_chrome_json(log);
+#if !GENERIC_OBS_ENABLED
+  // The one byte that depends on the build: the fixture is rendered with
+  // obs on.
+  const std::string off = "\"obs_enabled\": false";
+  got.replace(got.find(off), off.size(), "\"obs_enabled\": true");
+#endif
+  golden::expect_golden(
+      got, std::string(GENERIC_GOLDEN_DIR) + "/rtrace_chrome.json");
+  if (golden::updating()) GTEST_SKIP() << "fixture regenerated";
+}
 
 // Empty logs must still render complete, schema-stamped documents — this
 // is what --rtrace/--flight-dump emit under -DGENERIC_OBS=OFF (and what
