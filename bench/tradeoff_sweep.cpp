@@ -32,17 +32,22 @@ using namespace generic;
 
 namespace {
 
-std::string fmt(double v) {
-  std::string out;
-  obs::json::append_double(out, v);
-  return out;
-}
+namespace json = obs::json;
 
 struct SweepRow {
   std::size_t dims = 0;
   double accuracy_pct = 0.0;
   double energy_j = 0.0;
   double latency_s = 0.0;
+};
+
+/// One application's entry in the JSON: the ASIC sweep and the served
+/// rungs of the same trained model.
+struct DatasetResult {
+  std::string name;
+  double full_energy_j = 0.0;
+  std::vector<SweepRow> sweep;
+  std::vector<serve::RungStats> rungs;
 };
 
 int run(int argc, char** argv) {
@@ -68,11 +73,7 @@ int run(int argc, char** argv) {
   set_global_threads(threads);
   ThreadPool& pool = global_pool();
 
-  std::string json = "{\n  \"schema\": \"generic.tradeoff.v1\",\n";
-  json += "  \"serve_rate_rps\": " + std::to_string(serve_rate) +
-          ",\n  \"serve_requests\": " + std::to_string(serve_requests) +
-          ",\n  \"datasets\": [";
-  bool first_dataset = true;
+  std::vector<DatasetResult> results;
 
   for (const auto& name : datasets) {
     const auto ds = data::make_benchmark(name);
@@ -145,36 +146,8 @@ int run(int argc, char** argv) {
       futures.push_back(engine.submit(req));
     const serve::ServeReport report = engine.finish();
 
-    json += first_dataset ? "\n" : ",\n";
-    first_dataset = false;
-    json += "    {\"name\": \"" + name + "\", \"sweep\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const SweepRow& r = rows[i];
-      json += (i == 0 ? "\n" : ",\n");
-      json += "      {\"dims\": " + std::to_string(r.dims) +
-              ", \"accuracy_pct\": " + fmt(r.accuracy_pct) +
-              ", \"energy_j\": " + fmt(r.energy_j) +
-              ", \"asic_latency_s\": " + fmt(r.latency_s) +
-              ", \"energy_gain\": " + fmt(full_e / r.energy_j) + "}";
-    }
-    json += "\n    ], \"serve_rungs\": [";
-    for (std::size_t i = 0; i < report.rungs.size(); ++i) {
-      const serve::RungStats& r = report.rungs[i];
-      json += (i == 0 ? "\n" : ",\n");
-      json += "      {\"dims\": " + std::to_string(r.dims) +
-              ", \"served\": " + std::to_string(r.served) +
-              ", \"accuracy\": " +
-              fmt(r.served == 0 ? 0.0
-                                : static_cast<double>(r.correct) /
-                                      static_cast<double>(r.served)) +
-              ", \"latency_us\": {\"count\": " +
-              std::to_string(r.latency.count) +
-              ", \"p50\": " + std::to_string(r.latency.percentile(0.50)) +
-              ", \"p95\": " + std::to_string(r.latency.percentile(0.95)) +
-              ", \"p99\": " + std::to_string(r.latency.percentile(0.99)) +
-              "}}";
-    }
-    json += "\n    ]}";
+    results.push_back(
+        DatasetResult{name, full_e, std::move(rows), report.rungs});
 
     std::printf("serving under overload (%zu rps): per-rung latency p50/p95/"
                 "p99 (virtual us)\n", serve_rate);
@@ -188,8 +161,40 @@ int run(int argc, char** argv) {
                         r.latency.percentile(0.99)));
   }
 
-  json += "\n  ]\n}\n";
-  bench::write_output(out_path, "trade-off JSON", json);
+  std::string out;
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.tradeoff.v1")
+      .u64("serve_rate_rps", serve_rate)
+      .u64("serve_requests", serve_requests);
+  json::list(doc.key("datasets"), results, 4, [&](const DatasetResult& d) {
+    json::Object o(out);
+    o.str("name", d.name);
+    json::list(o.key("sweep"), d.sweep, 6, [&](const SweepRow& r) {
+      json::Object(out)
+          .u64("dims", r.dims)
+          .dbl("accuracy_pct", r.accuracy_pct)
+          .dbl("energy_j", r.energy_j)
+          .dbl("asic_latency_s", r.latency_s)
+          .dbl("energy_gain", d.full_energy_j / r.energy_j)
+          .close();
+    });
+    json::list(o.key("serve_rungs"), d.rungs, 6,
+               [&](const serve::RungStats& r) {
+                 json::Object rung(out);
+                 rung.u64("dims", r.dims)
+                     .u64("served", r.served)
+                     .dbl("accuracy",
+                          r.served == 0 ? 0.0
+                                        : static_cast<double>(r.correct) /
+                                              static_cast<double>(r.served));
+                 json::histogram_summary(rung.key("latency_us"), r.latency);
+                 rung.close();
+               });
+    o.close();
+  });
+  doc.close();
+  out += '\n';
+  bench::write_output(out_path, "trade-off JSON", out);
   return 0;
 }
 

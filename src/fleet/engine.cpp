@@ -327,12 +327,7 @@ void append_party_json(std::string& out, const PartyStats& s) {
       .dbl("accuracy", s.served == 0 ? 0.0
                                      : static_cast<double>(s.correct) /
                                            static_cast<double>(s.served));
-  json::Object(o.key("latency_us"))
-      .u64("count", s.latency.count)
-      .u64("p50", s.latency.percentile(0.50))
-      .u64("p95", s.latency.percentile(0.95))
-      .u64("p99", s.latency.percentile(0.99))
-      .close();
+  json::histogram_summary(o.key("latency_us"), s.latency);
   o.close();
 }
 

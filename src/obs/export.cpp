@@ -1,7 +1,7 @@
 #include "obs/export.h"
 
 #include <cstdio>
-#include <fstream>
+#include <ranges>
 #include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -10,14 +10,6 @@
 
 namespace generic::obs {
 namespace {
-
-using json::append_double;
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  append_json_escaped(out, s);
-  out += '"';
-}
 
 double ns_to_s(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
@@ -35,23 +27,6 @@ std::uint64_t peak_rss_bytes() {
 #endif
 }
 
-/// `"key": value` map body from sorted (name, value) pairs.
-void append_u64_map(
-    std::string& out,
-    const std::vector<std::pair<std::string, std::uint64_t>>& values) {
-  out += "{";
-  bool first = true;
-  for (const auto& [name, v] : values) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    append_json_string(out, name);
-    out += ": " + std::to_string(v);
-  }
-  if (!first) out += "\n  ";
-  out += "}";
-}
-
 const StageStats* find_stage(const MetricsSnapshot& snap,
                              std::string_view name) {
   for (const auto& [n, s] : snap.stages)
@@ -64,6 +39,13 @@ std::uint64_t find_counter(const MetricsSnapshot& snap,
   for (const auto& [n, v] : snap.counters)
     if (n == name) return v;
   return 0;
+}
+
+/// Nanoseconds as the trace format's microseconds, three decimals.
+void append_us(std::string& out, std::uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) * 1e-3);
+  out += buf;
 }
 
 }  // namespace
@@ -84,73 +66,41 @@ MetricsSnapshot collect_metrics() {
 std::string metrics_to_json(const MetricsSnapshot& snap) {
   std::string out;
   out.reserve(2048);
-  out += "{\n";
-  out += "  \"schema\": \"generic.metrics.v1\",\n";
-  out += std::string("  \"obs_enabled\": ") +
-         (snap.enabled ? "true" : "false") + ",\n";
-  out += "  \"wall_time_s\": ";
-  append_double(out, snap.wall_time_s);
-  out += ",\n  \"peak_rss_bytes\": " + std::to_string(snap.peak_rss_bytes);
-  out += ",\n  \"dropped_spans\": " + std::to_string(snap.dropped_spans);
-
-  out += ",\n  \"counters\": ";
-  append_u64_map(out, snap.counters);
-  out += ",\n  \"gauges\": ";
-  append_u64_map(out, snap.gauges);
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.metrics.v1")
+      .boolean("obs_enabled", snap.enabled)
+      .dbl("wall_time_s", snap.wall_time_s)
+      .u64("peak_rss_bytes", snap.peak_rss_bytes)
+      .u64("dropped_spans", snap.dropped_spans);
+  auto u64_map = [&](std::string_view key, const auto& values) {
+    json::Object map(doc.key(key), 4);
+    for (const auto& [name, v] : values) map.u64(name, v);
+    map.close();
+  };
+  u64_map("counters", snap.counters);
+  u64_map("gauges", snap.gauges);
 
   // Histograms render their summary first (count/sum/percentiles) and then
   // only the occupied buckets as {"bit_width": count}, so sparse
   // distributions stay compact while the full shape remains recoverable.
-  out += ",\n  \"histograms\": {";
-  {
-    bool first_h = true;
-    for (const auto& [name, h] : snap.histograms) {
-      out += first_h ? "\n" : ",\n";
-      first_h = false;
-      out += "    ";
-      append_json_string(out, name);
-      out += ": {\"count\": " + std::to_string(h.count);
-      out += ", \"sum\": " + std::to_string(h.sum);
-      out += ", \"p50\": " + std::to_string(h.percentile(0.50));
-      out += ", \"p95\": " + std::to_string(h.percentile(0.95));
-      out += ", \"p99\": " + std::to_string(h.percentile(0.99));
-      out += ", \"buckets\": {";
-      bool first_b = true;
-      for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-        if (h.buckets[i] == 0) continue;
-        out += first_b ? "" : ", ";
-        first_b = false;
-        out += '"';
-        out += std::to_string(i);
-        out += "\": ";
-        out += std::to_string(h.buckets[i]);
-      }
-      out += "}}";
-    }
-    if (!first_h) out += "\n  ";
-  }
-  out += "}";
+  json::Object histograms(doc.key("histograms"), 4);
+  for (const auto& [name, h] : snap.histograms)
+    json::histogram(histograms.key(name), h);
+  histograms.close();
 
-  out += ",\n  \"stages\": [";
-  for (std::size_t i = 0; i < snap.stages.size(); ++i) {
-    const auto& [name, s] = snap.stages[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
-    append_json_string(out, name);
-    out += ", \"calls\": " + std::to_string(s.calls);
-    out += ", \"total_s\": ";
-    append_double(out, ns_to_s(s.total_ns));
-    out += ", \"mean_s\": ";
-    append_double(out, s.calls == 0 ? 0.0
+  json::list(doc.key("stages"), snap.stages, 4, [&](const auto& stage) {
+    const auto& [name, s] = stage;
+    json::Object(out)
+        .str("name", name)
+        .u64("calls", s.calls)
+        .dbl("total_s", ns_to_s(s.total_ns))
+        .dbl("mean_s", s.calls == 0 ? 0.0
                                     : ns_to_s(s.total_ns) /
-                                          static_cast<double>(s.calls));
-    out += ", \"min_s\": ";
-    append_double(out, ns_to_s(s.min_ns));
-    out += ", \"max_s\": ";
-    append_double(out, ns_to_s(s.max_ns));
-    out += "}";
-  }
-  out += snap.stages.empty() ? "]" : "\n  ]";
+                                          static_cast<double>(s.calls))
+        .dbl("min_s", ns_to_s(s.min_ns))
+        .dbl("max_s", ns_to_s(s.max_ns))
+        .close();
+  });
 
   // Derived throughput: emitted only when both the counter and the stage
   // that times it are present, so consumers can rely on presence == valid.
@@ -165,65 +115,52 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
       {"train.samples_per_s", "train.samples", "train.batch"},
       {"campaign.trials_per_s", "campaign.trials", "campaign.trial"},
   };
-  out += ",\n  \"derived\": {";
-  bool first = true;
+  json::Object derived(doc.key("derived"), 4);
   for (const auto& d : kDerived) {
     const StageStats* s = find_stage(snap, d.stage);
     const std::uint64_t c = find_counter(snap, d.counter);
     if (s == nullptr || s->total_ns == 0 || c == 0) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    append_json_string(out, d.key);
-    out += ": ";
-    append_double(out, static_cast<double>(c) / ns_to_s(s->total_ns));
+    derived.dbl(d.key, static_cast<double>(c) / ns_to_s(s->total_ns));
   }
-  out += first ? "}" : "\n  }";
+  derived.close();
 
-  out += ",\n  \"thread_pool\": ";
   if (!snap.pool.has_value()) {
-    out += "null";
+    doc.key("thread_pool") += "null";
   } else {
     const PoolStats& p = *snap.pool;
-    out += "{\n";
-    out += "    \"lanes\": " + std::to_string(p.lanes) + ",\n";
-    out += "    \"wall_s\": ";
-    append_double(out, ns_to_s(p.wall_ns));
-    out += ",\n    \"jobs\": " + std::to_string(p.jobs) + ",\n";
-    out += "    \"chunks_executed\": " + std::to_string(p.chunks) + ",\n";
-    out += "    \"max_chunks_per_job\": " +
-           std::to_string(p.max_chunks_per_job) + ",\n";
-    out += "    \"workers\": [";
-    for (std::size_t i = 0; i < p.per_lane.size(); ++i) {
-      const auto& lane = p.per_lane[i];
-      out += i == 0 ? "\n" : ",\n";
-      out += "      {\"lane\": " + std::to_string(i);
-      out += ", \"busy_s\": ";
-      append_double(out, ns_to_s(lane.busy_ns));
-      out += ", \"idle_s\": ";
-      append_double(out, ns_to_s(p.wall_ns > lane.busy_ns
-                                     ? p.wall_ns - lane.busy_ns
-                                     : 0));
-      out += ", \"chunks\": " + std::to_string(lane.chunks);
-      out += "}";
-    }
-    out += p.per_lane.empty() ? "]" : "\n    ]";
-    out += "\n  }";
+    json::Object pool(doc.key("thread_pool"), 4);
+    pool.u64("lanes", p.lanes)
+        .dbl("wall_s", ns_to_s(p.wall_ns))
+        .u64("jobs", p.jobs)
+        .u64("chunks_executed", p.chunks)
+        .u64("max_chunks_per_job", p.max_chunks_per_job);
+    json::list(pool.key("workers"),
+               std::views::iota(std::size_t{0}, p.per_lane.size()), 6,
+               [&](std::size_t i) {
+                 const auto& lane = p.per_lane[i];
+                 json::Object(out)
+                     .u64("lane", i)
+                     .dbl("busy_s", ns_to_s(lane.busy_ns))
+                     .dbl("idle_s", ns_to_s(p.wall_ns > lane.busy_ns
+                                                ? p.wall_ns - lane.busy_ns
+                                                : 0))
+                     .u64("chunks", lane.chunks)
+                     .close();
+               });
+    pool.close();
   }
 
-  out += ",\n  \"hardware\": ";
   if (!snap.hardware.has_value()) {
-    out += "null";
+    doc.key("hardware") += "null";
   } else {
-    const HardwareStats& hw = *snap.hardware;
-    out += "{\"energy_j\": ";
-    append_double(out, hw.energy_j);
-    out += ", \"elapsed_s\": ";
-    append_double(out, hw.elapsed_s);
-    out += ", \"cycles\": " + std::to_string(hw.cycles);
-    out += "}";
+    json::Object(doc.key("hardware"))
+        .dbl("energy_j", snap.hardware->energy_j)
+        .dbl("elapsed_s", snap.hardware->elapsed_s)
+        .u64("cycles", snap.hardware->cycles)
+        .close();
   }
-  out += "\n}\n";
+  doc.close();
+  out += '\n';
   return out;
 }
 
@@ -252,58 +189,34 @@ std::string metrics_to_json_line(const MetricsSnapshot& snapshot) {
 std::string trace_to_json() {
   Registry& reg = Registry::instance();
   const auto events = reg.trace_events();
-  const auto tracks = reg.track_names();
   std::string out;
   out.reserve(256 + events.size() * 96);
-  out += "{\n\"traceEvents\": [\n";
-  bool first = true;
-  for (const auto& [track, name] : tracks) {
-    out += first ? "" : ",\n";
-    first = false;
-    out += "{\"ph\": \"M\", \"pid\": 1, \"tid\": " + std::to_string(track) +
-           ", \"name\": \"thread_name\", \"args\": {\"name\": ";
-    append_json_string(out, name);
-    out += "}}";
-  }
-  char buf[64];
+  json::ChromeTrace doc(out);
+  for (const auto& [track, name] : reg.track_names())
+    doc.thread_name(track, name);
   for (const auto& e : events) {
-    out += first ? "" : ",\n";
-    first = false;
-    out += "{\"ph\": \"X\", \"pid\": 1, \"tid\": " + std::to_string(e.track) +
-           ", \"name\": ";
-    append_json_string(out, e.name);
-    out += ", \"cat\": \"generic\", \"ts\": ";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.start_ns) * 1e-3);
-    out += buf;
-    out += ", \"dur\": ";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.end_ns - e.start_ns) * 1e-3);
-    out += buf;
+    json::Object o(doc.row());
+    o.str("ph", "X")
+        .u64("pid", 1)
+        .u64("tid", e.track)
+        .str("name", e.name)
+        .str("cat", "generic");
+    append_us(o.key("ts"), e.start_ns);
+    append_us(o.key("dur"), e.end_ns - e.start_ns);
     if (e.num_args > 0) {
-      out += ", \"args\": {";
-      for (std::uint32_t i = 0; i < e.num_args; ++i) {
-        if (i != 0) out += ", ";
-        append_json_string(out, e.args[i].key);
-        out += ": " + std::to_string(e.args[i].value);
-      }
-      out += "}";
+      json::Object args(o.key("args"));
+      for (std::uint32_t i = 0; i < e.num_args; ++i)
+        args.key(e.args[i].key) += std::to_string(e.args[i].value);
+      args.close();
     }
-    out += "}";
+    o.close();
   }
-  out += "\n],\n\"displayTimeUnit\": \"ms\",\n";
-  out += "\"otherData\": {\"schema\": \"generic.trace.v1\", \"dropped_spans\": " +
-         std::to_string(reg.dropped_spans()) + "}\n}\n";
+  json::Object(doc.other_data())
+      .str("schema", "generic.trace.v1")
+      .u64("dropped_spans", reg.dropped_spans())
+      .close();
+  doc.close();
   return out;
-}
-
-void write_metrics_json(const std::string& path,
-                        const MetricsSnapshot& snapshot) {
-  write_file(path, metrics_to_json(snapshot));
-}
-
-void write_trace_json(const std::string& path) {
-  write_file(path, trace_to_json());
 }
 
 Session::Session(std::string trace_path, std::string metrics_path)
@@ -341,8 +254,7 @@ void Session::periodic_loop(double period_s) {
       break;
     lock.unlock();
     try {
-      std::ofstream f(metrics_path_, std::ios::app);
-      if (f) f << metrics_to_json_line(collect_metrics());
+      append_file(metrics_path_, metrics_to_json_line(collect_metrics()));
     } catch (const std::exception&) {
       // Keep streaming; the final snapshot still reports at destruction.
     }
@@ -361,7 +273,7 @@ Session::~Session() {
   }
   try {
     if (!trace_path_.empty()) {
-      write_trace_json(trace_path_);
+      write_file(trace_path_, trace_to_json());
       std::fprintf(stderr, "trace written to %s\n", trace_path_.c_str());
     }
     if (!metrics_path_.empty()) {
@@ -372,12 +284,9 @@ Session::~Session() {
         // In streaming mode the file is a JSONL stream: append the final
         // snapshot as one more line instead of replacing it with the
         // pretty single-object document.
-        std::ofstream f(metrics_path_, std::ios::app);
-        if (!f) throw std::runtime_error("cannot append: " + metrics_path_);
-        f << metrics_to_json_line(snap);
-        if (!f) throw std::runtime_error("write failed: " + metrics_path_);
+        append_file(metrics_path_, metrics_to_json_line(snap));
       } else {
-        write_metrics_json(metrics_path_, snap);
+        write_file(metrics_path_, metrics_to_json(snap));
       }
       std::fprintf(stderr, "metrics written to %s\n", metrics_path_.c_str());
     }

@@ -58,10 +58,6 @@ std::string metrics_to_json_line(const MetricsSnapshot& snapshot);
 /// one track per recording thread.
 std::string trace_to_json();
 
-void write_metrics_json(const std::string& path,
-                        const MetricsSnapshot& snapshot);
-void write_trace_json(const std::string& path);
-
 /// RAII harness hook: construction turns collection on for the outputs that
 /// were requested (empty path == not requested); destruction writes the
 /// files. Usage:

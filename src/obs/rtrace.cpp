@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "obs/json.h"
+
 namespace generic::obs::rtrace {
 
 std::string_view event_kind_name(EventKind kind) {
@@ -185,26 +187,22 @@ namespace {
 
 constexpr bool kObsEnabled = GENERIC_OBS_ENABLED != 0;
 
-void append_event(std::string& out, const Event& e) {
-  out += "    {\"seq\": " + std::to_string(e.seq);
-  out += ", \"vt_us\": " + std::to_string(e.vt_us);
-  out += ", \"kind\": \"";
-  out += event_kind_name(e.kind);
-  out += "\", \"request\": ";
-  out += e.request == kNoRequest ? "null" : std::to_string(e.request);
-  out += ", \"version\": " + std::to_string(e.version);
-  out += ", \"rung\": " + std::to_string(e.rung);
-  out += ", \"detail\": " + std::to_string(e.detail);
-  out += "}";
-}
+namespace json = obs::json;
 
-void append_event_array(std::string& out, const std::vector<Event>& events) {
-  out += "  \"events\": [";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    append_event(out, events[i]);
-  }
-  out += events.empty() ? "]\n" : "\n  ]\n";
+void append_events(json::Object& doc, const std::vector<Event>& events) {
+  std::string& out = doc.key("events");
+  json::list(out, events, 4, [&](const Event& e) {
+    json::Object o(out);
+    o.u64("seq", e.seq).u64("vt_us", e.vt_us).str("kind",
+                                                  event_kind_name(e.kind));
+    if (e.request == kNoRequest)
+      o.key("request") += "null";
+    else
+      o.u64("request", e.request);
+    o.u64("version", e.version).u64("rung", e.rung);
+    o.key("detail") += std::to_string(e.detail);
+    o.close();
+  });
 }
 
 }  // namespace
@@ -212,14 +210,14 @@ void append_event_array(std::string& out, const std::vector<Event>& events) {
 std::string rtrace_to_json(const TraceLog& log) {
   std::string out;
   out.reserve(128 + log.events.size() * 112);
-  out += "{\n";
-  out += "  \"schema\": \"generic.rtrace.v1\",\n";
-  out += std::string("  \"obs_enabled\": ") +
-         (kObsEnabled ? "true" : "false") + ",\n";
-  out += "  \"recorded\": " + std::to_string(log.events.size()) + ",\n";
-  out += "  \"dropped\": " + std::to_string(log.dropped) + ",\n";
-  append_event_array(out, log.events);
-  out += "}\n";
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.rtrace.v1")
+      .boolean("obs_enabled", kObsEnabled)
+      .u64("recorded", log.events.size())
+      .u64("dropped", log.dropped);
+  append_events(doc, log.events);
+  doc.close();
+  out += '\n';
   return out;
 }
 
@@ -228,15 +226,15 @@ std::string rtrace_to_json() { return rtrace_to_json(trace_log()); }
 std::string flight_to_json(const FlightLog& log) {
   std::string out;
   out.reserve(160 + log.events.size() * 112);
-  out += "{\n";
-  out += "  \"schema\": \"generic.flight.v1\",\n";
-  out += std::string("  \"obs_enabled\": ") +
-         (kObsEnabled ? "true" : "false") + ",\n";
-  out += "  \"capacity\": " + std::to_string(log.capacity) + ",\n";
-  out += "  \"recorded\": " + std::to_string(log.recorded) + ",\n";
-  out += "  \"dropped\": " + std::to_string(log.dropped) + ",\n";
-  append_event_array(out, log.events);
-  out += "}\n";
+  json::Object doc(out, 2);
+  doc.str("schema", "generic.flight.v1")
+      .boolean("obs_enabled", kObsEnabled)
+      .u64("capacity", log.capacity)
+      .u64("recorded", log.recorded)
+      .u64("dropped", log.dropped);
+  append_events(doc, log.events);
+  doc.close();
+  out += '\n';
   return out;
 }
 
@@ -249,16 +247,10 @@ std::string rtrace_to_chrome_json(const TraceLog& log) {
   // VIRTUAL microseconds — the document is deterministic by construction.
   std::string out;
   out.reserve(512 + log.events.size() * 224);
-  out += "{\n\"traceEvents\": [\n";
-  bool first = true;
-  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-    out += first ? "" : ",\n";
-    first = false;
-    out += "{\"ph\": \"M\", \"pid\": 1, \"tid\": " + std::to_string(k) +
-           ", \"name\": \"thread_name\", \"args\": {\"name\": \"rtrace.";
-    out += event_kind_name(static_cast<EventKind>(k));
-    out += "\"}}";
-  }
+  json::ChromeTrace doc(out);
+  for (std::size_t k = 0; k < kNumEventKinds; ++k)
+    doc.thread_name(k, "rtrace." + std::string(event_kind_name(
+                                       static_cast<EventKind>(k))));
 
   // First/last seq per request: the async request span and the flow arrow
   // phases (s = first, t = middle, f = last) hang off them.
@@ -274,51 +266,53 @@ std::string rtrace_to_chrome_json(const TraceLog& log) {
   }
 
   for (const Event& e : log.events) {
-    const std::string tid = std::to_string(static_cast<std::size_t>(e.kind));
-    const std::string ts = std::to_string(e.vt_us);
-    out += first ? "" : ",\n";
-    first = false;
-    out += "{\"ph\": \"X\", \"pid\": 1, \"tid\": " + tid + ", \"name\": \"";
-    out += event_kind_name(e.kind);
-    out += "\", \"cat\": \"rtrace\", \"ts\": " + ts + ", \"dur\": 1";
-    out += ", \"args\": {\"seq\": " + std::to_string(e.seq);
-    if (e.request != kNoRequest)
-      out += ", \"request\": " + std::to_string(e.request);
-    out += ", \"version\": " + std::to_string(e.version);
-    out += ", \"rung\": " + std::to_string(e.rung);
-    out += ", \"detail\": " + std::to_string(e.detail) + "}}";
+    const auto tid = static_cast<std::uint64_t>(e.kind);
+    json::Object o(doc.row());
+    o.str("ph", "X")
+        .u64("pid", 1)
+        .u64("tid", tid)
+        .str("name", event_kind_name(e.kind))
+        .str("cat", "rtrace")
+        .u64("ts", e.vt_us)
+        .u64("dur", 1);
+    json::Object args(o.key("args"));
+    args.u64("seq", e.seq);
+    if (e.request != kNoRequest) args.u64("request", e.request);
+    args.u64("version", e.version).u64("rung", e.rung);
+    args.key("detail") += std::to_string(e.detail);
+    args.close();
+    o.close();
 
     if (e.request == kNoRequest) continue;
     const auto& [first_seq, last_seq] = bounds.at(e.request);
-    const std::string id = std::to_string(e.request);
-    if (e.seq == first_seq && first_seq != last_seq) {
-      out += ",\n{\"ph\": \"b\", \"pid\": 1, \"tid\": " + tid +
-             ", \"name\": \"request\", \"cat\": \"rtrace.request\", \"id\": " +
-             id + ", \"ts\": " + ts + "}";
-    }
-    if (first_seq != last_seq) {
-      const char* ph = e.seq == first_seq ? "s"
-                       : e.seq == last_seq ? "f"
-                                           : "t";
-      out += ",\n{\"ph\": \"";
-      out += ph;
-      out += "\", \"pid\": 1, \"tid\": " + tid +
-             ", \"name\": \"request\", \"cat\": \"rtrace.flow\", \"id\": " +
-             id + ", \"ts\": " + ts;
-      if (*ph == 'f') out += ", \"bp\": \"e\"";
-      out += "}";
-    }
-    if (e.seq == last_seq && first_seq != last_seq) {
-      out += ",\n{\"ph\": \"e\", \"pid\": 1, \"tid\": " + tid +
-             ", \"name\": \"request\", \"cat\": \"rtrace.request\", \"id\": " +
-             id + ", \"ts\": " + ts + "}";
+    if (first_seq == last_seq) continue;
+    auto request_row = [&](std::string_view ph, std::string_view cat) {
+      json::Object row(doc.row());
+      row.str("ph", ph)
+          .u64("pid", 1)
+          .u64("tid", tid)
+          .str("name", "request")
+          .str("cat", cat)
+          .u64("id", e.request)
+          .u64("ts", e.vt_us);
+      return row;
+    };
+    if (e.seq == first_seq) {
+      request_row("b", "rtrace.request").close();
+      request_row("s", "rtrace.flow").close();
+    } else if (e.seq == last_seq) {
+      request_row("f", "rtrace.flow").str("bp", "e").close();
+      request_row("e", "rtrace.request").close();
+    } else {
+      request_row("t", "rtrace.flow").close();
     }
   }
-  out += "\n],\n\"displayTimeUnit\": \"ms\",\n";
-  out += "\"otherData\": {\"schema\": \"generic.rtrace.chrome.v1\", ";
-  out += "\"obs_enabled\": ";
-  out += kObsEnabled ? "true" : "false";
-  out += ", \"dropped\": " + std::to_string(log.dropped) + "}\n}\n";
+  json::Object(doc.other_data())
+      .str("schema", "generic.rtrace.chrome.v1")
+      .boolean("obs_enabled", kObsEnabled)
+      .u64("dropped", log.dropped)
+      .close();
+  doc.close();
   return out;
 }
 

@@ -595,12 +595,6 @@ double ratio(std::uint64_t correct, std::uint64_t served) {
                            static_cast<double>(served);
 }
 
-void append_percentiles(json::Object& o, const obs::HistogramSnapshot& h) {
-  o.u64("p50", h.percentile(0.50))
-      .u64("p95", h.percentile(0.95))
-      .u64("p99", h.percentile(0.99));
-}
-
 }  // namespace
 
 void append_outcomes_json(std::string& out,
@@ -673,15 +667,7 @@ std::string serve_report_to_json(const ServeReport& rep) {
       .u64("attempts", rep.attempts)
       .u64("retries", rep.retries);
 
-  const obs::HistogramSnapshot& h = rep.latency;
-  json::Object latency(doc.key("latency_us"));
-  latency.u64("count", h.count).u64("sum", h.sum);
-  append_percentiles(latency, h);
-  json::Object buckets(latency.key("buckets"));
-  for (std::size_t i = 0; i < h.buckets.size(); ++i)
-    if (h.buckets[i] != 0) buckets.u64(std::to_string(i), h.buckets[i]);
-  buckets.close();
-  latency.close();
+  json::histogram(doc.key("latency_us"), rep.latency);
 
   json::Object(doc.key("accuracy"))
       .u64("served", rep.served)
@@ -700,10 +686,7 @@ std::string serve_report_to_json(const ServeReport& rep) {
         .u64("served", s.served)
         .u64("correct", s.correct)
         .dbl("accuracy", ratio(s.correct, s.served));
-    json::Object rung_latency(o.key("latency_us"));
-    rung_latency.u64("count", s.latency.count);
-    append_percentiles(rung_latency, s.latency);
-    rung_latency.close();
+    json::histogram_summary(o.key("latency_us"), s.latency);
     o.close();
   });
   degradation.close();

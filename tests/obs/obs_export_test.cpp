@@ -408,15 +408,20 @@ TEST_F(ObsExport, StreamingIgnoredWithoutMetricsPath) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
 }
 
+/// `s` escaped by append_json_escaped, on its own.
+std::string escaped(std::string_view s) {
+  std::string out;
+  append_json_escaped(out, s);
+  return out;
+}
+
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(json_escape("plain"), "\"plain\"");
-  EXPECT_EQ(json_escape("a\"b"), "\"a\\\"b\"");
-  EXPECT_EQ(json_escape("a\\b"), "\"a\\\\b\"");
-  EXPECT_EQ(json_escape("line\nbreak\ttab\rret"),
-            "\"line\\nbreak\\ttab\\rret\"");
-  EXPECT_EQ(json_escape(std::string("bell\x07") + "\x1f"),
-            "\"bell\\u0007\\u001f\"");
-  EXPECT_EQ(json_escape("\b\f"), "\"\\b\\f\"");
+  EXPECT_EQ(escaped("plain"), "plain");
+  EXPECT_EQ(escaped("a\"b"), "a\\\"b");
+  EXPECT_EQ(escaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(escaped("line\nbreak\ttab\rret"), "line\\nbreak\\ttab\\rret");
+  EXPECT_EQ(escaped(std::string("bell\x07") + "\x1f"), "bell\\u0007\\u001f");
+  EXPECT_EQ(escaped("\b\f"), "\\b\\f");
 }
 
 TEST(JsonEscape, HighBytesDoNotSignExtend) {
@@ -425,7 +430,7 @@ TEST(JsonEscape, HighBytesDoNotSignExtend) {
   // (valid UTF-8 continuation bytes pass through) or a 4-digit escape.
   std::string s;
   s.push_back(static_cast<char>(0xff));
-  const std::string out = json_escape(s);
+  const std::string out = escaped(s);
   EXPECT_EQ(out.find("ffffff"), std::string::npos) << out;
 }
 
@@ -465,6 +470,26 @@ TEST(JsonWriter, BlockAndInlineLayouts) {
             "}");
 }
 
+TEST(JsonWriter, EmptyBlockObjectClosesAsBraces) {
+  // The same rule json::list keeps for []: no field, no line break.
+  std::string out;
+  json::Object doc(out, 2);
+  json::Object(doc.key("empty"), 4).close();
+  json::Object one(doc.key("one"), 4);
+  one.u64("a", 1).close();
+  doc.close();
+  EXPECT_EQ(out,
+            "{\n"
+            "  \"empty\": {},\n"
+            "  \"one\": {\n"
+            "    \"a\": 1\n"
+            "  }\n"
+            "}");
+  std::string empty;
+  json::Object(empty, 2).close();
+  EXPECT_EQ(empty, "{}");
+}
+
 TEST(JsonWriter, DoublesUseNineSignificantDigits) {
   std::string out;
   json::append_double(out, 1.0 / 3.0);
@@ -486,12 +511,26 @@ TEST(WriteFile, ReplacesTheFileWithTheExactBytes) {
   std::remove(path.c_str());
 }
 
+TEST(WriteFile, AppendAddsToTheEndAndCreatesTheFile) {
+  const std::string path = testing::TempDir() + "obs_append_file_test.jsonl";
+  std::remove(path.c_str());
+  append_file(path, "{\"a\": 1}\n");
+  append_file(path, "{\"a\": 2}\n");
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  EXPECT_EQ(ss.str(), "{\"a\": 1}\n{\"a\": 2}\n");
+  std::remove(path.c_str());
+}
+
 TEST(WriteFile, FullDeviceIsAnErrorEvenForSmallDocuments) {
   if (!std::filesystem::exists("/dev/full"))
     GTEST_SKIP() << "no /dev/full on this system";
   // Far below the stream buffer size: every byte is accepted into the
   // buffer and the device refuses them only at the final flush.
   EXPECT_THROW(write_file("/dev/full", std::string(512, 'x')),
+               std::runtime_error);
+  EXPECT_THROW(append_file("/dev/full", std::string(512, 'x')),
                std::runtime_error);
 }
 
