@@ -7,8 +7,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "arch/spec.h"
+
 namespace generic::data {
 namespace {
+
+constexpr std::size_t kMaxClasses = arch::ArchConstants{}.max_classes;
 
 std::vector<std::string> split_fields(const std::string& line) {
   std::vector<std::string> out;
@@ -108,13 +112,17 @@ LabeledSamples load_labeled_csv(const std::string& path, int label_column) {
     for (std::size_t c = 0; c < cols; ++c) {
       const float v = parse_cell(row.fields[c], row.line, c, path);
       if (c == label_idx) {
-        // Range-check before the cast: a float outside int's range (say
-        // 3e9) has no defined conversion to int.
-        label = v >= 0.0f && v < 2147483648.0f ? static_cast<int>(v) : -1;
+        // The class count is max label + 1 and sizes the model, so labels
+        // stop at the class memory's row count (§4.1). Range-check before
+        // the cast: a float outside int's range (say 3e9) has no defined
+        // conversion to int.
+        label = v >= 0.0f && v < static_cast<float>(kMaxClasses)
+                    ? static_cast<int>(v)
+                    : -1;
         if (label < 0 || static_cast<float>(label) != v)
           throw std::invalid_argument(
-              "labels must be integers in [0, 2^31) (line " +
-              std::to_string(row.line) + "): " + path);
+              "labels must be integers in [0, " + std::to_string(kMaxClasses) +
+              ") (line " + std::to_string(row.line) + "): " + path);
       } else {
         x.push_back(v);
       }

@@ -23,8 +23,8 @@ struct LabeledSamples {
 /// column. Throws std::runtime_error on I/O failure and
 /// std::invalid_argument on malformed content — rows whose field count
 /// differs from the header/first row, non-numeric or non-finite (NaN/Inf)
-/// cells, negative labels — with the offending 1-based file line in the
-/// message.
+/// cells, labels outside [0, 32) (the class memory's 32 rows, arch/spec.h)
+/// — with the offending 1-based file line in the message.
 LabeledSamples load_labeled_csv(const std::string& path,
                                 int label_column = -1);
 

@@ -68,6 +68,12 @@ TEST_F(CsvTest, MalformedContentRejected) {
                std::invalid_argument);  // label beyond int's range
   EXPECT_THROW(load_labeled_csv(make("r8.csv", "1,2,-3e9\n")),
                std::invalid_argument);  // label below int's range
+  EXPECT_THROW(load_labeled_csv(make("r9.csv", "1,2,32\n")),
+               std::invalid_argument);  // one past the 32 class rows
+  EXPECT_THROW(load_labeled_csv(make("r10.csv", "1,2,1e9\n")),
+               std::invalid_argument);  // would size 10^9 classes
+  EXPECT_EQ(load_labeled_csv(make("r11.csv", "1,2,31\n")).num_classes,
+            32u);  // the last class row is still a class
   EXPECT_THROW(load_labeled_csv(make("r5.csv", "5\n")),
                std::invalid_argument);  // single column
   EXPECT_THROW(load_labeled_csv(make("r6.csv", "a,b,c\n")),
@@ -145,6 +151,14 @@ TEST_F(CsvTest, ErrorsCarryFileLineNumbers) {
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+        << e.what();
+  }
+  try {
+    load_labeled_csv(make("e4.csv", "1,2,0\n3,4,1000000000\n"));
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("[0, 32) (line 2)"),
+              std::string::npos)
         << e.what();
   }
 }
