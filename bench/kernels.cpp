@@ -3,7 +3,6 @@
 // (hdc/item_memory.h).
 //
 // For every backend available on this host it measures:
-//   * hamming_blocked  — one query vs one reference (1v1 span kernel)
 //   * nearest_hamming  — one query vs `--classes` rows (the binary
 //                        model's tile×rows kernel)
 //   * dot_tile         — 32-query blocks (the serving engine's flush size)
@@ -30,7 +29,6 @@
 // Schmuck/Benini/Rahimi memory/recompute trade, quantified.
 //
 // All numbers land in generic.metrics.v1 gauges when --metrics is given:
-//   kernels.<backend>.blocked_mwords_per_s
 //   kernels.<backend>.nearest_mwords_per_s
 //   kernels.<backend>.nearest_speedup_milli   (1000 = scalar parity)
 //   kernels.<backend>.dot_tile_ns_per_query.<dims>
@@ -65,7 +63,6 @@ namespace k = hdc::kernels;
 namespace {
 
 struct Workload {
-  hdc::BinaryHV query;
   std::vector<hdc::BinaryHV> refs;
   std::vector<hdc::BinaryHV> queries;
 };
@@ -74,7 +71,6 @@ Workload make_workload(std::size_t dims, std::size_t classes,
                        std::size_t queries) {
   Rng rng(0xBE7C8);
   Workload w;
-  w.query = hdc::BinaryHV::random(dims, rng);
   for (std::size_t c = 0; c < classes; ++c)
     w.refs.push_back(hdc::BinaryHV::random(dims, rng));
   for (std::size_t q = 0; q < queries; ++q)
@@ -161,11 +157,10 @@ int main(int argc, char** argv) {
 
   const double target_s = quick ? 0.05 : 0.4;
   const Workload w = make_workload(dims, classes, queries);
-  const double words = static_cast<double>(w.query.num_words());
+  const double words = static_cast<double>(w.refs.front().num_words());
 
   // Scalar truths every backend is diffed against before it is timed.
   k::set_backend(k::Backend::kScalar);
-  const std::size_t want_blocked = hdc::hamming_blocked(w.query, w.refs[0]);
   std::vector<std::size_t> want_nearest;
   for (const auto& q : w.queries)
     want_nearest.push_back(hdc::nearest_hamming(q, w.refs));
@@ -173,9 +168,8 @@ int main(int argc, char** argv) {
   std::printf("kernels: dims=%zu classes=%zu queries=%zu active=%s\n", dims,
               classes, queries,
               std::string(k::to_string(session_backend)).c_str());
-  std::printf("%-8s %22s %22s %10s\n", "backend", "blocked Mwords/s",
-              "nearest Mwords/s", "speedup");
-  bench::print_rule(66);
+  std::printf("%-8s %22s %10s\n", "backend", "nearest Mwords/s", "speedup");
+  bench::print_rule(43);
 
   double scalar_nearest = 0.0;
   for (k::Backend backend : k::compiled_backends()) {
@@ -183,12 +177,7 @@ int main(int argc, char** argv) {
     k::set_backend(backend);
     const std::string name(k::to_string(backend));
 
-    // Correctness gate: bit-identical distances and winners or abort.
-    if (hdc::hamming_blocked(w.query, w.refs[0]) != want_blocked) {
-      std::fprintf(stderr, "%s: blocked distance diverged from scalar\n",
-                   name.c_str());
-      return 1;
-    }
+    // Correctness gate: bit-identical winners or abort.
     for (std::size_t q = 0; q < w.queries.size(); ++q)
       if (hdc::nearest_hamming(w.queries[q], w.refs) != want_nearest[q]) {
         std::fprintf(stderr, "%s: nearest winner diverged from scalar\n",
@@ -197,9 +186,6 @@ int main(int argc, char** argv) {
       }
 
     std::size_t sink = 0;
-    const double blocked = measure_mwords(
-        [&] { sink += hdc::hamming_blocked(w.query, w.refs[0]); }, words,
-        target_s);
     const double nearest = measure_mwords(
         [&] {
           for (const auto& q : w.queries)
@@ -209,9 +195,8 @@ int main(int argc, char** argv) {
     if (backend == k::Backend::kScalar) scalar_nearest = nearest;
     const double speedup = scalar_nearest > 0 ? nearest / scalar_nearest : 0;
 
-    std::printf("%-8s %22.0f %22.0f %9.2fx%s\n", name.c_str(), blocked,
-                nearest, speedup, sink == 0 ? " " : "");
-    set_gauge("kernels." + name + ".blocked_mwords_per_s", blocked);
+    std::printf("%-8s %22.0f %9.2fx%s\n", name.c_str(), nearest, speedup,
+                sink == 0 ? " " : "");
     set_gauge("kernels." + name + ".nearest_mwords_per_s", nearest);
     set_gauge("kernels." + name + ".nearest_speedup_milli", speedup * 1000.0);
   }

@@ -94,10 +94,6 @@ struct Kernels {
   Backend backend = Backend::kScalar;
   const char* name = "scalar";
 
-  /// popcount(a[i] ^ b[i]) summed over n words.
-  std::size_t (*xor_popcount)(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t n) = nullptr;
-
   /// out[r] += popcount(q[i] ^ refs[r][i]) over `words` words for each of
   /// `rows` reference rows — the hamming_many/nearest_hamming inner tile,
   /// shaped so a backend can amortize query loads across rows.

@@ -244,9 +244,8 @@ struct Avx2 {
 }  // namespace
 
 const Kernels& avx2_table() {
-  static const Kernels k{Backend::kAvx2,        "avx2",
-                         &avx2_xor_popcount,    &avx2_xor_popcount_many,
-                         &dot_tile<Avx2>,       &bundle_windows<Avx2>};
+  static const Kernels k{Backend::kAvx2, "avx2", &avx2_xor_popcount_many,
+                         &dot_tile<Avx2>, &bundle_windows<Avx2>};
   return k;
 }
 

@@ -178,9 +178,9 @@ struct Avx512 {
 }  // namespace
 
 const Kernels& avx512_table() {
-  static const Kernels k{Backend::kAvx512,         "avx512",
-                         &avx512_xor_popcount,     &avx512_xor_popcount_many,
-                         &dot_tile<Avx512>,        &bundle_windows<Avx512>};
+  static const Kernels k{Backend::kAvx512, "avx512",
+                         &avx512_xor_popcount_many, &dot_tile<Avx512>,
+                         &bundle_windows<Avx512>};
   return k;
 }
 

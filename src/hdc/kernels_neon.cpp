@@ -67,9 +67,8 @@ void neon_xor_popcount_many(const std::uint64_t* q,
 }  // namespace
 
 const Kernels& neon_table() {
-  static const Kernels k{Backend::kNeon,         "neon",
-                         &neon_xor_popcount,     &neon_xor_popcount_many,
-                         &scalar_dot_tile,       &scalar_bundle_windows};
+  static const Kernels k{Backend::kNeon, "neon", &neon_xor_popcount_many,
+                         &scalar_dot_tile, &scalar_bundle_windows};
   return k;
 }
 

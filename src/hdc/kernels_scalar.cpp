@@ -97,9 +97,9 @@ void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,
 }
 
 const Kernels& scalar_table() {
-  static const Kernels k{Backend::kScalar,       "scalar",
-                         &scalar_xor_popcount,   &scalar_xor_popcount_many,
-                         &scalar_dot_tile,       &scalar_bundle_windows};
+  static const Kernels k{Backend::kScalar, "scalar",
+                         &scalar_xor_popcount_many, &scalar_dot_tile,
+                         &scalar_bundle_windows};
   return k;
 }
 

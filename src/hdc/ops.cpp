@@ -45,22 +45,6 @@ BinaryHV bind_sequence(std::span<const BinaryHV> symbols) {
   return out;
 }
 
-std::size_t hamming_blocked(const BinaryHV& a, const BinaryHV& b) {
-  if (a.dims() != b.dims())
-    throw std::invalid_argument("hamming_blocked: dimension mismatch");
-  GENERIC_COUNTER_ADD("ops.hamming.calls", 1);
-  GENERIC_COUNTER_ADD("ops.hamming.rows", 1);
-  const kernels::Kernels& k = kernels::active();
-  const auto wa = a.words();
-  const auto wb = b.words();
-  std::size_t total = 0;
-  for (std::size_t t = 0; t < wa.size(); t += kHammingTileWords) {
-    const std::size_t len = std::min(kHammingTileWords, wa.size() - t);
-    total += k.xor_popcount(wa.data() + t, wb.data() + t, len);
-  }
-  return total;
-}
-
 std::vector<std::size_t> hamming_many(const BinaryHV& query,
                                       std::span<const BinaryHV> refs) {
   // Validate before touching any row: a mismatched ref list must throw up

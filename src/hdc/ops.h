@@ -45,9 +45,6 @@ BinaryHV bind_sequence(std::span<const BinaryHV> symbols);
 /// Words per tile of the blocked kernels: 32 KiB of packed bits.
 inline constexpr std::size_t kHammingTileWords = 4096;
 
-/// Tiled XOR+popcount Hamming distance; == a.hamming(b) for all dims.
-std::size_t hamming_blocked(const BinaryHV& a, const BinaryHV& b);
-
 /// Hamming distance of `query` against every reference row, tiled so each
 /// query tile is reused across all rows before moving on. out[i] ==
 /// query.hamming(refs[i]).
