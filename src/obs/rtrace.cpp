@@ -193,8 +193,9 @@ void append_events(json::Object& doc, const std::vector<Event>& events) {
   std::string& out = doc.key("events");
   json::list(out, events, 4, [&](const Event& e) {
     json::Object o(out);
-    o.u64("seq", e.seq).u64("vt_us", e.vt_us).str("kind",
-                                                  event_kind_name(e.kind));
+    o.u64("seq", e.seq)
+        .u64("vt_us", e.vt_us)
+        .str("kind", event_kind_name(e.kind));
     if (e.request == kNoRequest)
       o.key("request") += "null";
     else

@@ -445,6 +445,7 @@ TEST(JsonWriter, BlockAndInlineLayouts) {
   json::Object doc(out, 2);
   doc.str("name", "a\"b").u64("n", 7).dbl("x", 0.1).boolean("ok", true);
   json::list(doc.key("empty"), std::vector<int>{}, 4, [](int) {});
+  json::Object(doc.key("no_fields"), 4).close();
   json::list(doc.key("rows"), std::vector<int>{1, 2}, 4, [&](int v) {
     json::Object(out).u64("v", static_cast<std::uint64_t>(v)).close();
   });
@@ -460,6 +461,7 @@ TEST(JsonWriter, BlockAndInlineLayouts) {
             "  \"x\": 0.1,\n"
             "  \"ok\": true,\n"
             "  \"empty\": [],\n"
+            "  \"no_fields\": {},\n"
             "  \"rows\": [\n"
             "    {\"v\": 1},\n"
             "    {\"v\": 2}\n"
@@ -468,26 +470,6 @@ TEST(JsonWriter, BlockAndInlineLayouts) {
             "  \"wrapped\": {\"a\": 1,\n"
             "   \"b\": 2}\n"
             "}");
-}
-
-TEST(JsonWriter, EmptyBlockObjectClosesAsBraces) {
-  // The same rule json::list keeps for []: no field, no line break.
-  std::string out;
-  json::Object doc(out, 2);
-  json::Object(doc.key("empty"), 4).close();
-  json::Object one(doc.key("one"), 4);
-  one.u64("a", 1).close();
-  doc.close();
-  EXPECT_EQ(out,
-            "{\n"
-            "  \"empty\": {},\n"
-            "  \"one\": {\n"
-            "    \"a\": 1\n"
-            "  }\n"
-            "}");
-  std::string empty;
-  json::Object(empty, 2).close();
-  EXPECT_EQ(empty, "{}");
 }
 
 TEST(JsonWriter, DoublesUseNineSignificantDigits) {
