@@ -49,24 +49,43 @@ std::vector<k::Backend> simd_backends() {
   return out;
 }
 
+TEST(KernelEquivalence, RawSpanSumsMatchScalarForRaggedLengths) {
+  // One row runs each backend's one-reference span kernel (what
+  // xor_popcount_many scores after its row pairs); the word counts are
+  // ragged around every unroll and block width.
+  const k::Kernels& scalar = k::get(k::Backend::kScalar);
+  Rng rng(0xA11CE);
+  for (k::Backend b : simd_backends()) {
+    const k::Kernels& simd = k::get(b);
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                          std::size_t{3}, std::size_t{4}, std::size_t{5},
+                          std::size_t{7}, std::size_t{8}, std::size_t{15},
+                          std::size_t{16}, std::size_t{27}, std::size_t{28},
+                          std::size_t{29}, std::size_t{63}, std::size_t{64},
+                          std::size_t{65}, std::size_t{112}, std::size_t{113},
+                          std::size_t{127}, std::size_t{128},
+                          std::size_t{156}, std::size_t{200}}) {
+      const auto a = random_words(n, rng);
+      const auto c = random_words(n, rng);
+      const std::uint64_t* ref = c.data();
+      std::size_t want = 0, got = 0;
+      scalar.xor_popcount_many(a.data(), &ref, 1, n, &want);
+      simd.xor_popcount_many(a.data(), &ref, 1, n, &got);
+      EXPECT_EQ(got, want) << k::to_string(b) << " diverged at n=" << n;
+    }
+  }
+}
+
 TEST(KernelEquivalence, RawManyAccumulatesIdenticallyToScalar) {
   const k::Kernels& scalar = k::get(k::Backend::kScalar);
   Rng rng(0xBEE5);
   for (k::Backend b : simd_backends()) {
     const k::Kernels& simd = k::get(b);
-    // One row and odd row counts run each backend's one-reference span
-    // kernel (the remainder after its row pairs); the word counts are
-    // ragged around every unroll and block width.
     for (std::size_t rows : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                              std::size_t{3}, std::size_t{5}, std::size_t{8}}) {
       for (std::size_t words :
-           {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
-            std::size_t{4}, std::size_t{5}, std::size_t{7}, std::size_t{8},
-            std::size_t{15}, std::size_t{16}, std::size_t{27},
-            std::size_t{28}, std::size_t{29}, std::size_t{63},
-            std::size_t{64}, std::size_t{65}, std::size_t{112},
-            std::size_t{113}, std::size_t{127}, std::size_t{128},
-            std::size_t{156}, std::size_t{200}}) {
+           {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+            std::size_t{63}, std::size_t{64}, std::size_t{65}}) {
         const auto q = random_words(words, rng);
         std::vector<std::vector<std::uint64_t>> store(rows);
         std::vector<const std::uint64_t*> refs(rows);
@@ -107,11 +126,21 @@ TEST(KernelEquivalence, HammingManyOrdersIdenticalAcrossBackends) {
       EXPECT_EQ(hamming_many(query, refs), baseline)
           << k::to_string(backend) << " dims=" << dims;
     }
-    // One reference: the distance itself, on every backend.
+  }
+}
+
+TEST(KernelEquivalence, HammingBlockedMatchesNaiveOnEveryBackend) {
+  // One reference through the blocked kernels is the distance itself.
+  BackendGuard guard;
+  Rng rng(0xD1FF);
+  for (std::size_t dims : kDimsSweep) {
+    const auto a = BinaryHV::random(dims, rng);
+    const auto b = BinaryHV::random(dims, rng);
+    const std::size_t naive = a.hamming(b);  // word-at-a-time reference
     for (k::Backend backend : test::available_backends()) {
       k::set_backend(backend);
-      EXPECT_EQ(hamming_many(query, std::span(&refs[0], 1)),
-                std::vector<std::size_t>{query.hamming(refs[0])})
+      EXPECT_EQ(hamming_many(a, std::span(&b, 1)),
+                std::vector<std::size_t>{naive})
           << k::to_string(backend) << " dims=" << dims;
     }
   }
