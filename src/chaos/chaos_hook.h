@@ -1,13 +1,13 @@
 // Mid-run fault injection through the lifecycle seam (docs/chaos.md).
 //
 // The serving engine's model pointer is immutable between hot-swaps by
-// design — mutating class memory under a running control thread would be a
-// data race AND would break the byte-identical-report contract. The chaos
-// campaigns therefore corrupt the model the same way real updates arrive:
-// ChaosHook interposes on the engine's ModelLifecycle seam, and when a
-// scheduled burst comes due it clones the CURRENTLY SERVING model, injects
-// the burst's fault into the clone, and hands it back as a regular
-// ModelUpdate. The engine installs it with the normal swap protocol (flush
+// design — mutating class memory behind the engine's back would let one
+// prediction batch span two models AND would break the byte-identical-report
+// contract. The chaos campaigns therefore corrupt the model the same way
+// real updates arrive: ChaosHook interposes on the engine's ModelLifecycle
+// seam, and when a scheduled burst comes due it clones the CURRENTLY
+// SERVING model, injects the burst's fault into the clone, and hands it
+// back as a regular ModelUpdate. The engine installs it with the normal swap protocol (flush
 // every deferred batch first), so the corruption lands at one exact virtual
 // time with no request ever served from a half-written model.
 //

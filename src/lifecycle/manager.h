@@ -10,7 +10,7 @@
 //   accumulated), poll() triggers a background retrain: a shadow copy of
 //   the current model runs retrain_epoch_parallel over the replay buffer
 //   minus its newest `holdout` entries, on the manager's OWN ThreadPool —
-//   the serving control thread never blocks on training compute.
+//   serving never blocks on training compute.
 // * The shadow is then validated on the held-out slice at EVERY rung of the
 //   serving dimension ladder: it must not regress accuracy by more than
 //   epsilon at any rung (a model that only wins at full dimensions but

@@ -8,6 +8,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "arch/spec.h"
+
 namespace generic::model {
 namespace {
 
@@ -18,6 +20,8 @@ static_assert(std::endian::native == std::endian::little,
 
 constexpr std::array<std::uint8_t, 4> kMagic{'G', 'H', 'D', 'C'};
 constexpr std::uint32_t kVersion = 1;
+
+constexpr std::size_t kMaxLevels = arch::ArchConstants{}.levels;
 
 constexpr std::array<std::uint8_t, 4> kClassifierMagic{'G', 'C', 'L', 'S'};
 constexpr std::uint32_t kClassifierVersion = 1;
@@ -228,7 +232,18 @@ SavedModel deserialize_model(std::span<const std::uint8_t> blob) {
   out.quantizer_fitted = r.get<std::uint8_t>() != 0;
   out.quantizer_lo = r.get<float>();
   out.quantizer_hi = r.get<float>();
+  const enc::EncoderConfig& e = out.encoder_config;
+  if (e.window == 0)
+    throw std::invalid_argument("model blob encoder window is 0");
+  // The level memory holds ArchConstants::levels rows; more levels would
+  // size a level table no GENERIC device can load.
+  if (e.levels == 0 || e.levels > kMaxLevels)
+    throw std::invalid_argument("model blob encoder levels outside [1, " +
+                                std::to_string(kMaxLevels) + "]");
   out.classifier = get_classifier(r, body, "model blob");
+  if (e.dims != out.classifier.dims())
+    throw std::invalid_argument(
+        "model blob encoder dims differ from classifier dims");
   return out;
 }
 

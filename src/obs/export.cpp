@@ -1,6 +1,7 @@
 #include "obs/export.h"
 
 #include <cstdio>
+#include <map>
 #include <ranges>
 #include <stdexcept>
 
@@ -192,13 +193,23 @@ std::string trace_to_json() {
   std::string out;
   out.reserve(256 + events.size() * 96);
   json::ChromeTrace doc(out);
-  for (const auto& [track, name] : reg.track_names())
-    doc.thread_name(track, name);
+  // Only tracks that carry a span appear, numbered densely in track order,
+  // so the document does not depend on which threads the process ran
+  // before (idle pool workers, earlier tests). Events come sorted by track.
+  std::vector<std::uint32_t> tids;  // dense tid -> registry track
+  for (const auto& e : events)
+    if (tids.empty() || tids.back() != e.track) tids.push_back(e.track);
+  const auto named = reg.track_names();
+  std::map<std::uint32_t, std::string> names(named.begin(), named.end());
+  for (std::size_t t = 0; t < tids.size(); ++t)
+    doc.thread_name(t, names[tids[t]]);
+  std::size_t tid = 0;
   for (const auto& e : events) {
+    while (tids[tid] != e.track) ++tid;
     json::Object o(doc.row());
     o.str("ph", "X")
         .u64("pid", 1)
-        .u64("tid", e.track)
+        .u64("tid", tid)
         .str("name", e.name)
         .str("cat", "generic");
     append_us(o.key("ts"), e.start_ns);

@@ -55,7 +55,8 @@ std::string metrics_to_json(const MetricsSnapshot& snapshot);
 std::string metrics_to_json_line(const MetricsSnapshot& snapshot);
 
 /// Render every recorded span as a Chrome trace-event JSON document with
-/// one track per recording thread.
+/// one track per thread that carries a span, tids numbered densely in
+/// track order (idle threads get no track).
 std::string trace_to_json();
 
 /// RAII harness hook: construction turns collection on for the outputs that

@@ -1,8 +1,8 @@
 // Request-level causal tracing (docs/observability.md): typed lifecycle
 // events stamped with virtual time, request id, model version and ladder
 // rung, recorded by the serving stack at every decision point ON THE
-// CONTROL THREAD. Because every emission site sits on the deterministic
-// virtual-time path (serve::ServeEngine's control loop, lifecycle::Manager
+// CALLER'S THREAD. Because every emission site sits on the deterministic
+// virtual-time path (serve::ServeEngine's event loop, lifecycle::Manager
 // observe/poll, chaos::ChaosHook poll), the event stream — seq numbers
 // included — is byte-identical across --threads and kernel backends, which
 // is what makes generic.rtrace.v1 documents golden-testable artifacts.

@@ -5,7 +5,7 @@
 // thing that actually changes from the engine's point of view is the query
 // table itself — every request encoded through a damaged level row scores
 // differently. This seam mirrors lifecycle_hook.h for that axis: an
-// EncoderMemory is polled by the control thread at the same deterministic
+// EncoderMemory is polled by the engine at the same deterministic
 // virtual-time points as the model lifecycle and hands back timeline
 // entries that swap in a re-encoded query table (corrupt, masked, or
 // scrubbed-clean) plus the bookkeeping the report and rtrace need.

@@ -54,7 +54,6 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
       pool_(pool),
       lifecycle_(lifecycle),
       encoder_(encoder),
-      ingress_(cfg.queue_capacity),
       free_servers_(cfg.servers),
       backoff_(cfg.backoff_base_us, cfg.backoff_jitter),
       controller_({1}, cfg),  // placeholder; rebuilt below with the ladder
@@ -107,47 +106,53 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
         &reg.histogram(metric_name(cfg_.model_id, "latency_us"));
   }
 #endif
-
-  control_ = std::thread([this] {
-    obs::set_current_thread_name("serve-control");
-    control_loop();
-  });
-}
-
-ServeEngine::~ServeEngine() {
-  if (!finished_) {
-    ingress_.close();
-    if (control_.joinable()) control_.join();
-  }
 }
 
 ResponseFuture ServeEngine::submit(const Request& req) {
   ResponseFuture future;
-  if (!ingress_.push(Item{req, future, false})) {
-    // Closed engine: resolve as shed so no caller ever blocks forever.
+  if (finished_) {
+    // Finished engine: resolve as shed, so every future handed out resolves.
     Response r;
     r.outcome = Outcome::kShed;
     r.finish_us = req.arrival_us;
     future.resolve(r);
+    return future;
   }
+  // Deterministic interleave: everything already scheduled up to and
+  // including the arrival instant happens before the arrival itself.
+  advance_to(req.arrival_us);
+  // Lifecycle installs happen at arrival boundaries: a deterministic trace
+  // point with a deterministic virtual clock, so the swap position in the
+  // served stream is identical for any --threads. Encoder-memory incidents
+  // land at the same points for the same reason.
+  poll_lifecycle(std::max(clock_us_, req.arrival_us));
+  poll_encoder(std::max(clock_us_, req.arrival_us));
+  on_arrival(req, future);
   return future;
 }
 
 std::uint64_t ServeEngine::tick(std::uint64_t vt) {
-  ResponseFuture future;
-  Request req;
-  req.arrival_us = vt;
-  if (!ingress_.push(Item{req, future, true})) return kNoEvent;
-  // The control thread smuggles the next scheduled event's virtual time in
-  // finish_us (kNoEvent when its event heap is empty).
-  return future.get().finish_us;
+  if (finished_) return kNoEvent;
+  // Same deterministic ordering as an arrival at `vt`, minus the arrival:
+  // run every event scheduled <= vt, poll the hooks there, then flush every
+  // deferred batch so any future finishing <= vt resolves before the
+  // coordinator regains control.
+  advance_to(vt);
+  clock_us_ = std::max(clock_us_, vt);
+  poll_lifecycle(clock_us_);
+  poll_encoder(clock_us_);
+  for (std::size_t r = 0; r < batch_.size(); ++r) flush_rung(r);
+  // events_ is a min-heap on (vt, seq): front() is the next scheduled event.
+  return events_.empty() ? kNoEvent : events_.front().vt;
 }
 
 ServeReport ServeEngine::finish() {
   if (finished_) throw std::logic_error("ServeEngine::finish called twice");
-  ingress_.close();
-  control_.join();
   finished_ = true;
+  advance_to(~0ull);  // drain every scheduled completion and retry
+  poll_lifecycle(clock_us_);
+  poll_encoder(clock_us_);
+  for (std::size_t r = 0; r < batch_.size(); ++r) flush_rung(r);
 
   report_.config = cfg_;
   report_.latency = latency_.snapshot();
@@ -162,49 +167,6 @@ ServeReport ServeEngine::finish() {
           : static_cast<double>(report_.served) * 1e6 /
                 static_cast<double>(report_.makespan_us);
   return report_;
-}
-
-// ---- Control thread -------------------------------------------------------
-
-void ServeEngine::control_loop() {
-  GENERIC_SPAN("serve.control_loop");
-  while (auto item = ingress_.pop()) {
-    if (item->tick) {
-      on_tick(item->req.arrival_us, item->future);
-      continue;
-    }
-    // Deterministic interleave: everything already scheduled up to and
-    // including the arrival instant happens before the arrival itself.
-    advance_to(item->req.arrival_us);
-    // Lifecycle installs happen at arrival boundaries: a deterministic
-    // trace point with a deterministic virtual clock, so the swap position
-    // in the served stream is identical for any --threads. Encoder-memory
-    // incidents land at the same points for the same reason.
-    poll_lifecycle(std::max(clock_us_, item->req.arrival_us));
-    poll_encoder(std::max(clock_us_, item->req.arrival_us));
-    on_arrival(std::move(*item));
-  }
-  advance_to(~0ull);  // drain every scheduled completion and retry
-  poll_lifecycle(clock_us_);
-  poll_encoder(clock_us_);
-  for (std::size_t r = 0; r < batch_.size(); ++r) flush_rung(r);
-}
-
-void ServeEngine::on_tick(std::uint64_t vt, ResponseFuture& future) {
-  // Same deterministic ordering as an arrival at `vt`, minus the arrival:
-  // run every event scheduled <= vt, poll the hooks there, then flush every
-  // deferred batch so any future finishing <= vt resolves before the
-  // coordinator regains control.
-  advance_to(vt);
-  clock_us_ = std::max(clock_us_, vt);
-  poll_lifecycle(clock_us_);
-  poll_encoder(clock_us_);
-  for (std::size_t r = 0; r < batch_.size(); ++r) flush_rung(r);
-  Response r;
-  r.outcome = Outcome::kOk;
-  // events_ is a min-heap on (vt, seq): front() is the next scheduled event.
-  r.finish_us = events_.empty() ? kNoEvent : events_.front().vt;
-  future.resolve(r);
 }
 
 void ServeEngine::poll_encoder(std::uint64_t now) {
@@ -335,14 +297,14 @@ void ServeEngine::advance_to(std::uint64_t vt_limit) {
   }
 }
 
-void ServeEngine::on_arrival(Item&& item) {
+void ServeEngine::on_arrival(const Request& req, ResponseFuture future) {
   count(metrics_.requests);
-  clock_us_ = std::max(clock_us_, item.req.arrival_us);
+  clock_us_ = std::max(clock_us_, req.arrival_us);
   ++report_.requests;
   auto owned = std::make_unique<InFlight>();
-  owned->req = item.req;
-  owned->future = std::move(item.future);
-  owned->rng = request_rng(cfg_.seed, item.req.id);
+  owned->req = req;
+  owned->future = std::move(future);
+  owned->rng = request_rng(cfg_.seed, req.id);
   InFlight* f = owned.get();
   inflight_.push_back(std::move(owned));
 

@@ -1,16 +1,17 @@
 // Resilient in-process serving engine (docs/serving.md).
 //
-// Architecture: producers push requests (in arrival order) through a
-// BoundedQueue into a single control thread. The control thread owns every
-// serving decision — admission / shedding, deadline expiry, transient-fault
-// retry with backoff, and the SLO-driven degradation ladder — and makes
-// them all on the VIRTUAL clock carried by the requests plus the
-// deterministic service-cost model, never the wall clock. Heavy compute
-// (the actual predictions) is deferred into fixed-size per-rung batches,
-// each flushed through one HdcClassifier::predict_masked_margin_batch call
-// on the rung's chunk mask, whose results are bit-identical at any pool
-// lane count. Consequence: the generic.serve.v1 report is byte-identical
-// for a fixed (trace, config, seed) regardless of --threads.
+// Architecture: the engine is a discrete-event loop that runs on the
+// caller's thread. submit() feeds it one request (in arrival order), tick()
+// advances its clock, finish() drains it. Every serving decision —
+// admission / shedding, deadline expiry, transient-fault retry with backoff,
+// and the SLO-driven degradation ladder — is made on the VIRTUAL clock
+// carried by the requests plus the deterministic service-cost model, never
+// the wall clock. Heavy compute (the actual predictions) is deferred into
+// fixed-size per-rung batches, each flushed through one
+// HdcClassifier::predict_masked_margin_batch call on the rung's chunk mask,
+// whose results are bit-identical at any pool lane count. Consequence: the
+// generic.serve.v1 report is byte-identical for a fixed (trace, config,
+// seed) regardless of --threads.
 //
 // Virtual-time model:
 //  * cfg.servers service lanes; a request in service occupies one lane for
@@ -35,7 +36,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -43,7 +43,6 @@
 #include "hdc/hypervector.h"
 #include "model/hdc_classifier.h"
 #include "obs/obs.h"
-#include "serve/bounded_queue.h"
 #include "serve/burn_monitor.h"
 #include "serve/encoder_hook.h"
 #include "serve/lifecycle_hook.h"
@@ -76,7 +75,7 @@ struct VersionStats {
 };
 
 /// One encoder-memory incident phase on the virtual timeline, as applied
-/// by the control thread (the report-side mirror of EncoderUpdate).
+/// by the engine (the report-side mirror of EncoderUpdate).
 struct EncoderFaultEvent {
   std::uint64_t vt = 0;
   EncoderUpdate::Phase phase = EncoderUpdate::Phase::kDetect;
@@ -141,34 +140,37 @@ class ServeEngine {
   /// `encoder` (optional, not owned, must outlive the engine) is polled at
   /// the same virtual-time points for encoder-memory incidents; a delivered
   /// update may swap the serving query table (corrupt / masked / scrubbed
-  /// re-encodings of the same query set; see encoder_hook.h).
+  /// re-encodings of the same query set; see encoder_hook.h). An update
+  /// whose geometry or table size does not match throws
+  /// std::invalid_argument out of the submit(), tick() or finish() call
+  /// that polled it; the engine is then only safe to destroy.
   ServeEngine(const model::HdcClassifier& model,
               std::span<const hdc::IntHV> queries, std::span<const int> labels,
               const ServeConfig& cfg, ThreadPool& pool,
               std::vector<bool> chunk_ok = {},
               ModelLifecycle* lifecycle = nullptr,
               EncoderMemory* encoder = nullptr);
-  ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Enqueue one request; blocks while the admission queue is at capacity
-  /// (backpressure). Requests must be submitted in non-decreasing
-  /// arrival_us order with distinct ids. The future resolves when the
-  /// request reaches a terminal outcome.
+  /// Admit one request: run every event scheduled at or before its
+  /// arrival, poll the lifecycle/encoder hooks there, then admit, shed or
+  /// queue it. Requests must be submitted in non-decreasing arrival_us
+  /// order with distinct ids. The future resolves when the request reaches
+  /// a terminal outcome; after finish() it comes back already resolved as
+  /// kShed.
   ResponseFuture submit(const Request& req);
 
-  /// Close admission, drain everything in flight, join the control thread
-  /// and return the final report. Call exactly once, after the last
-  /// submit(); every future is resolved when this returns.
+  /// Drain everything in flight and return the final report. Call exactly
+  /// once, after the last submit(); every future is resolved when this
+  /// returns.
   ServeReport finish();
 
-  /// Synchronously advance the engine's virtual clock to `vt`: every
-  /// completion/retry scheduled at or before `vt` is processed, the
-  /// lifecycle/encoder hooks are polled, and every deferred prediction
-  /// batch is flushed (so futures of requests finishing <= vt resolve
-  /// before this returns). Returns the virtual time of the next scheduled
+  /// Advance the engine's virtual clock to `vt`: every completion/retry
+  /// scheduled at or before `vt` is processed, the lifecycle/encoder hooks
+  /// are polled, and every deferred prediction batch is flushed (so
+  /// futures of requests finishing <= vt resolve before this returns). Returns the virtual time of the next scheduled
   /// internal event, or kNoEvent when the engine is idle — the handle a
   /// discrete-event coordinator (fleet::run_closed_loop) needs to
   /// interleave several engines deterministically. Requests submitted
@@ -205,19 +207,8 @@ class ServeEngine {
       return a.seq > b.seq;  // min-heap on (vt, seq)
     }
   };
-  /// One ingress item: a request, or a synchronous tick barrier whose
-  /// future the control thread resolves with the next-event time
-  /// (smuggled in Response::finish_us).
-  struct Item {
-    Request req;
-    ResponseFuture future;
-    bool tick = false;
-  };
-
-  void control_loop();
-  void on_tick(std::uint64_t vt, ResponseFuture& future);
   void advance_to(std::uint64_t vt_limit);
-  void on_arrival(Item&& item);
+  void on_arrival(const Request& req, ResponseFuture future);
   void start_service(InFlight* f, std::uint64_t now);
   void on_completion(InFlight* f, std::uint64_t now);
   void on_retry_timer(InFlight* f, std::uint64_t now);
@@ -249,10 +240,7 @@ class ServeEngine {
   std::vector<std::vector<bool>> rung_mask_;
   std::vector<std::size_t> rung_active_;
 
-  BoundedQueue<Item> ingress_;
-  std::thread control_;
-
-  // ---- Control-thread state (touched only by control_loop) ----
+  // ---- Discrete-event state ----
   std::vector<std::unique_ptr<InFlight>> inflight_;
   std::vector<Event> events_;  // heap ordered by EventAfter
   std::uint64_t next_seq_ = 0;

@@ -3,14 +3,14 @@
 // ServeEngine does not know how drift is detected or models are retrained;
 // it only exposes the two deterministic touch points a lifecycle needs:
 //
-//   observe() — called by the control thread for every SERVED request, in
+//   observe() — called by the engine for every SERVED request, in
 //     batch-flush order, with the request's virtual completion time, its
 //     normalized prediction margin and — for labeled canary
 //     requests — whether the prediction was correct. Flush order is a pure
 //     function of (trace, config, seed), so the observation stream is
 //     byte-identical across --threads.
 //
-//   poll() — called by the control thread at deterministic virtual-time
+//   poll() — called by the engine at deterministic virtual-time
 //     points (each arrival, and once at final drain) to ask whether a new
 //     model is ready to install. An implementation must answer from
 //     VIRTUAL time alone: a retrain that triggers at virtual time T with a

@@ -8,11 +8,9 @@
 // generic.serve.v1 report byte-identical for any --threads value.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,7 +37,7 @@ std::string_view outcome_name(Outcome o);
 
 /// One inference request on the virtual timeline. The query itself is an
 /// index into the query set the engine was constructed over, so requests
-/// stay cheap to copy through the admission queue.
+/// stay cheap to copy.
 struct Request {
   std::uint64_t id = 0;           ///< trace-order id (also the rng stream)
   std::uint64_t arrival_us = 0;   ///< virtual arrival time
@@ -64,42 +62,20 @@ struct Response {
   double margin = 0.0;         ///< winning-class margin (confidence signal)
 };
 
-/// Write-once future the engine resolves when a request reaches a terminal
-/// outcome. get() blocks; try_get() polls. Shared-state futures (not
-/// std::future) so the engine can hold the producer side in its own
-/// bookkeeping without a promise object per request.
+/// Write-once result slot the engine resolves when a request reaches a
+/// terminal outcome; try_get() reads it. Copies share one slot, so the
+/// engine keeps the producer side in its own bookkeeping without a promise
+/// object per request.
 class ResponseFuture {
  public:
-  ResponseFuture() : state_(std::make_shared<State>()) {}
-
-  /// Block until the engine resolves this request.
-  Response get() const {
-    std::unique_lock<std::mutex> lock(state_->mu);
-    state_->cv.wait(lock, [&] { return state_->value.has_value(); });
-    return *state_->value;
-  }
-
-  std::optional<Response> try_get() const {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    return state_->value;
-  }
+  std::optional<Response> try_get() const { return *value_; }
 
   /// Producer side; the engine calls this exactly once per request.
-  void resolve(const Response& r) {
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      state_->value = r;
-    }
-    state_->cv.notify_all();
-  }
+  void resolve(const Response& r) { *value_ = r; }
 
  private:
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::optional<Response> value;
-  };
-  std::shared_ptr<State> state_;
+  std::shared_ptr<std::optional<Response>> value_ =
+      std::make_shared<std::optional<Response>>();
 };
 
 /// Engine configuration. Defaults describe a small edge node: two virtual
@@ -114,7 +90,9 @@ struct ServeConfig {
   /// rendered into generic.serve.v1.
   std::string model_id;
   std::size_t servers = 2;          ///< virtual service lanes
-  std::size_t queue_capacity = 64;  ///< admission queue bound
+  /// Rendered into generic.serve.v1 for compatibility; no serving decision
+  /// reads it (shedding is high_water's job).
+  std::size_t queue_capacity = 64;
   std::size_t high_water = 48;      ///< shed arrivals at depth >= high_water
   std::size_t low_water = 8;        ///< rung step-up needs depth <= low_water
   std::uint64_t deadline_us = 4000; ///< per-request budget after arrival

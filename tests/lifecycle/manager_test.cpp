@@ -91,7 +91,7 @@ struct RunResult {
   LifecycleReport report;
 };
 
-/// Drive the manager the way the engine's control thread would: one canary
+/// Drive the manager the way the serving engine would: one canary
 /// observation per 1000 virtual us, poll after each, then keep polling past
 /// the end until any in-flight retrain publishes. Margins are scripted
 /// (confident pre-shift, collapsed post-shift).

@@ -145,6 +145,36 @@ TEST(ModelIo, BadMagicDetected) {
   EXPECT_EQ(failure_message(blob), "model blob bad magic");
 }
 
+TEST(ModelIo, EncoderHeaderOutOfRangeIsATypedError) {
+  // Each encoder header field rewritten behind a valid CRC: an encoder
+  // whose dims do not match the classifier, an empty window, or more
+  // levels than the level memory holds (ArchConstants::levels) is refused.
+  Trained t;
+  const auto golden = serialize_model(t.encoder, t.clf);
+  struct Case {
+    std::size_t offset;  // after the 4-byte magic and the u32 version
+    std::uint64_t value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {8, 2048, "model blob encoder dims differ from classifier dims"},
+      {16, 0, "model blob encoder levels outside [1, 64]"},
+      {16, 65, "model blob encoder levels outside [1, 64]"},
+      {16, std::numeric_limits<std::uint64_t>::max(),
+       "model blob encoder levels outside [1, 64]"},
+      {24, 0, "model blob encoder window is 0"},
+      {16, 1, ""},   // the smallest level memory loads
+      {16, 64, ""},  // the full level memory loads
+  };
+  for (const Case& c : cases) {
+    auto blob = golden;
+    std::memcpy(blob.data() + c.offset, &c.value, sizeof(c.value));
+    reseal(blob);
+    EXPECT_EQ(failure_message(blob), c.message)
+        << "offset " << c.offset << " value " << c.value;
+  }
+}
+
 TEST(ModelIo, NewerSchemaVersionIsATypedError) {
   // An intact blob from a NEWER writer is not corruption: the reader must
   // raise UnsupportedVersionError (so deployment code can say "upgrade the

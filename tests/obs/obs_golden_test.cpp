@@ -18,6 +18,7 @@
 // collection on vs off must not change pipeline results by a single byte.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <regex>
 #include <string>
 #include <thread>
@@ -121,14 +122,19 @@ std::string scrub_trace_times(const std::string& json) {
 }
 
 TEST(ObsGolden, ScrubbedTraceMatchesCommittedFixture) {
-  // Track ids are process-wide and every live thread that ever recorded
-  // owns one, so the bytes are defined only in a process where no thread
-  // has touched the registry yet — which is how ctest runs each test.
   obs::Registry& reg = obs::Registry::instance();
-  if (!reg.track_names().empty())
-    GTEST_SKIP() << "another test already registered a trace track; run "
-                    "this test in its own process (ctest does)";
+  reg.reset();
   obs::set_tracing(true);
+  // An idle named thread registered before the golden tracks: it records
+  // nothing, so it must neither appear nor shift the golden tids.
+  std::promise<void> named;
+  std::promise<void> release;
+  std::thread idle([&] {
+    obs::set_current_thread_name("idle");
+    named.set_value();
+    release.get_future().wait();
+  });
+  named.get_future().wait();
   // Two named tracks, recorded one after the other: track 0 carries a
   // span with args, track 1 a plain one.
   std::thread([&] {
@@ -143,6 +149,8 @@ TEST(ObsGolden, ScrubbedTraceMatchesCommittedFixture) {
     reg.record_span("golden.plain", t0, t0 + 1000);
   }).join();
   const std::string got = scrub_trace_times(obs::trace_to_json());
+  release.set_value();
+  idle.join();
   obs::set_tracing(false);
   reg.reset();
   golden::expect_golden(got, std::string(GENERIC_GOLDEN_DIR) +

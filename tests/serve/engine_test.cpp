@@ -396,6 +396,43 @@ TEST(ServeEngineTest, RollbackIsRecordedWithoutInstalling) {
     EXPECT_EQ(futures[i].try_get()->predicted, w.clf.predict(w.queries[i]));
 }
 
+// A swap the engine cannot honour is a caller error: the engine runs on the
+// caller's thread, so the typed exception reaches the submit()/finish()
+// that polled it, and the engine is still safe to destroy afterwards.
+TEST(ServeEngineTest, MismatchedSwapThrowsOnTheCaller) {
+  const TinyWorkload w = make_workload(8);
+  ThreadPool pool(1);
+  const ServeConfig cfg = base_config();
+  {
+    // Lifecycle update with one class too many, due at the second arrival.
+    ScriptedLifecycle lc;
+    lc.pending = ModelUpdate{
+        std::make_shared<const model::HdcClassifier>(
+            w.clf.dims(), w.clf.num_classes() + 1, 128),
+        1, 2000, false};
+    ServeEngine engine(w.clf, w.queries, w.labels, cfg, pool, {}, &lc);
+    (void)engine.submit(make_request(0, 1000, cfg.deadline_us, 0));
+    EXPECT_THROW((void)engine.submit(make_request(1, 2000, cfg.deadline_us, 1)),
+                 std::invalid_argument);
+  }
+  {
+    // Encoder table one query short, due only at the final drain.
+    const std::vector<hdc::IntHV> short_table(w.queries.begin(),
+                                              w.queries.end() - 1);
+    ScriptedEncoderFaults::Entry entry;
+    entry.meta.phase = EncoderUpdate::Phase::kCorrupt;
+    entry.meta.vt = 1500;
+    entry.table = short_table;
+    ScriptedEncoderFaults enc({entry});
+    ServeEngine engine(w.clf, w.queries, w.labels, cfg, pool, {}, nullptr,
+                       &enc);
+    const ResponseFuture f =
+        engine.submit(make_request(0, 1000, cfg.deadline_us, 0));
+    EXPECT_THROW((void)engine.finish(), std::invalid_argument);
+    EXPECT_FALSE(f.try_get().has_value());
+  }
+}
+
 TEST(ServeEngineTest, SubmitAfterFinishResolvesShed) {
   const TinyWorkload w = make_workload(4);
   ThreadPool pool(1);

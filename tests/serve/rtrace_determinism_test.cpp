@@ -2,8 +2,9 @@
 // generic.rtrace.v1 stream, the flight ring, and the Chrome view recorded
 // while the engine serves a stressed trace must render to byte-identical
 // JSON at pool widths {1, 2, 7} and on every compiled kernel backend —
-// every event is emitted on the virtual-time control thread, so seq
-// numbers included, SIMD selection and lane count can never show. The
+// every event is emitted by the engine's virtual-time event loop on the
+// caller's thread, so seq numbers included, SIMD selection and lane count
+// can never show. The
 // stream is additionally pinned byte-for-byte by a committed golden
 // fixture (tests/golden.h says how to regenerate it).
 #include <gtest/gtest.h>

@@ -4,7 +4,7 @@
 // byte-identical JSON for pool widths {1, 2, 7}, and re-running the same
 // width must reproduce itself. This extends the seed-equivalence contract
 // of tests/model/test_parallel_determinism.cpp up through the serving
-// layer: the virtual-time control loop is the only decision maker, and the
+// layer: the virtual-time event loop is the only decision maker, and the
 // pool only executes prediction batches that are themselves bit-identical
 // at any lane count.
 #include <gtest/gtest.h>

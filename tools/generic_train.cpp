@@ -9,9 +9,10 @@
 // the last column (or --label-col). A header line is auto-skipped. The
 // saved model file loads back with generic_infer or model::load_model_file.
 // Flags are strict (bench::Flags): an unknown flag, an empty value or a
-// non-number exits 2.
+// non-number exits 2, and so does --levels outside [1, 64] or --window=0.
 #include <cstdio>
 
+#include "arch/spec.h"
 #include "bench/bench_util.h"
 #include "data/csv.h"
 #include "encoding/encoders.h"
@@ -49,6 +50,16 @@ int run(int argc, char** argv) {
         "       [--trace=out.json] [--metrics=out.json]\n"
         "       [--kernel-backend=auto|scalar|avx2|avx512|neon]\n",
         stderr);
+    return 2;
+  }
+  // Same envelope deserialize_model enforces: a model this tool writes must
+  // load back, and the level memory holds ArchConstants::levels rows.
+  const std::size_t max_levels = arch::ArchConstants{}.levels;
+  if (cfg.levels == 0 || cfg.levels > max_levels || cfg.window == 0) {
+    std::fprintf(stderr,
+                 "generic_train: error: --levels must be in [1, %zu] and "
+                 "--window at least 1\n",
+                 max_levels);
     return 2;
   }
 
