@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
   obs::Session obs_session(flags.value("--trace", ""),
                            flags.value("--metrics", ""));
   flags.done();
+  set_global_threads(threads);
 
   resilience::FaultTarget target = resilience::FaultTarget::kClassMemory;
   if (target_name == "level") {
@@ -81,14 +82,15 @@ int main(int argc, char** argv) {
   cc.trials = trials;
   cc.seed = seed;
   cc.degrade = degrade;
-  cc.threads = threads;
   cc.rates = {0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 0.03, 0.07};
 
   const auto result =
       target == resilience::FaultTarget::kClassMemory
-          ? resilience::run_campaign(clf, test, ds.test_y, cc)
+          ? resilience::run_campaign(clf, test, ds.test_y, cc,
+                                     global_pool())
           : resilience::run_encoder_campaign(encoder, clf, ds.test_x,
-                                             ds.test_y, cc, target);
+                                             ds.test_y, cc, target,
+                                             global_pool());
 
   std::printf("Fault campaign: %s, D=%zu, %db model, %zu trials/cell, "
               "target=%s%s%s\n",

@@ -50,9 +50,8 @@ bool served_outcome(serve::Outcome o) {
 
 /// One edge deployment (serve engine + lifecycle) through the spec's
 /// failure timeline.
-ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt) {
-  ThreadPool pool(opt.threads);
-
+ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt,
+                     ThreadPool& pool) {
   ChaosReport report;
   report.scenario = spec.name;
   report.seed = opt.seed;
@@ -157,7 +156,6 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt) {
   lcfg.retrain_cost_us = spec.retrain_cost_us;
   lcfg.cooldown_us = 50000;
   lcfg.min_dims = scfg.min_dims;
-  lcfg.threads = opt.threads;
   lcfg.initial_version = report.boot.version;
   lcfg.seed = opt.seed ^ 0xC1F3ULL;
   lcfg.shadow_fault_rate = spec.shadow_fault_rate;
@@ -177,7 +175,8 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt) {
         script_encoder_incident(encoder, xs, queries, espec, pool));
   }
 
-  lifecycle::Manager manager(serving, queries, labels, lcfg, store.get());
+  lifecycle::Manager manager(serving, queries, labels, lcfg, pool,
+                             store.get());
   ChaosHook hook(&manager, serving, spec.bursts, opt.seed ^ 0xFA017ULL);
   serve::ServeEngine engine(*serving, queries, labels, scfg, pool, {},
                             &hook, encoder_faults.get());
@@ -417,7 +416,8 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt) {
 
 }  // namespace
 
-ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
+ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt,
+                         ThreadPool& pool) {
   // Arm the black box: every scenario records into the flight ring so an
   // invariant failure can be dumped post mortem; the full trace log is
   // opt-in (RunOptions::rtrace) because it keeps every event of the run.
@@ -428,7 +428,8 @@ ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
   obs::rtrace::set_trace(opt.rtrace);
 
   ChaosReport report =
-      spec.fleet ? run_tenant_storm(spec, opt) : run_edge(spec, opt);
+      spec.fleet ? run_tenant_storm(spec, opt, pool)
+                 : run_edge(spec, opt, pool);
 
   report.rtrace = obs::rtrace::trace_log();
   report.flight = obs::rtrace::flight_log();

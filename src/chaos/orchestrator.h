@@ -9,8 +9,11 @@
 // campaigns (ScenarioSpec::fleet) run a multi-tenant fleet instead and
 // report its tenant tallies in place of the edge sections.
 //
+// Everything — encoding, training, serving and lifecycle retrains — runs
+// on the one pool the caller passes; the orchestrator starts no thread.
+//
 // Determinism contract: the report is a pure function of (spec, seed) —
-// byte-identical across RunOptions::threads and independent of work_dir
+// byte-identical across pool widths and independent of work_dir
 // (paths never appear in the report). That is what lets the golden fixtures
 // under tests/chaos/golden/ pin every scenario end to end.
 #pragma once
@@ -31,7 +34,6 @@ namespace generic::chaos {
 
 struct RunOptions {
   std::uint64_t seed = 0xC4A05;
-  std::size_t threads = 0;  ///< worker lanes (0 = hardware); report-invariant
   /// Scratch directory for scenarios that need a checkpoint store. Created
   /// (and wiped) by the run; empty = a per-(scenario, seed) directory under
   /// the system temp dir. Never rendered into the report.
@@ -100,10 +102,11 @@ struct ChaosReport {
   obs::rtrace::FlightLog flight;
 };
 
-/// Run one scenario end to end. Throws std::runtime_error only on
-/// infrastructure failures (unwritable work_dir); invariant violations are
-/// reported, not thrown.
-ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt);
+/// Run one scenario end to end on `pool` (the caller's; report-invariant in
+/// its width). Throws std::runtime_error only on infrastructure failures
+/// (unwritable work_dir); invariant violations are reported, not thrown.
+ChaosReport run_scenario(const ScenarioSpec& spec, const RunOptions& opt,
+                         ThreadPool& pool);
 
 /// Render as schema `generic.chaos.v1`: fixed field order (obs/json.h), no
 /// wall-clock, thread-count or filesystem-path fields.

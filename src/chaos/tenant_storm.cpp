@@ -64,11 +64,11 @@ InvariantResult check_le(const std::string& name, double value, double bound) {
 
 }  // namespace
 
-ChaosReport run_tenant_storm(const ScenarioSpec& spec, const RunOptions& opt) {
+ChaosReport run_tenant_storm(const ScenarioSpec& spec, const RunOptions& opt,
+                             ThreadPool& pool) {
   fleet::FleetConfig cfg = *spec.fleet;
   cfg.seed = opt.seed;
 
-  ThreadPool pool(opt.threads);
   std::vector<fleet::ModelWorld> worlds;
   worlds.reserve(cfg.models.size());
   for (const fleet::ModelSpec& m : cfg.models)

@@ -29,6 +29,7 @@ fleet::FleetConfig tenant_storm_config(bool quick);
 
 /// Run a fleet campaign (spec.fleet set) on the simulated ingress path and
 /// judge the storm invariants; run_scenario() dispatches here.
-ChaosReport run_tenant_storm(const ScenarioSpec& spec, const RunOptions& opt);
+ChaosReport run_tenant_storm(const ScenarioSpec& spec, const RunOptions& opt,
+                             ThreadPool& pool);
 
 }  // namespace generic::chaos

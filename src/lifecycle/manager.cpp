@@ -38,13 +38,13 @@ std::string_view event_kind_name(EventKind kind) {
 Manager::Manager(std::shared_ptr<const model::HdcClassifier> initial,
                  std::span<const hdc::IntHV> queries,
                  std::span<const int> labels, const LifecycleConfig& cfg,
-                 CheckpointStore* store)
+                 ThreadPool& pool, CheckpointStore* store)
     : current_(std::move(initial)),
       queries_(queries),
       labels_(labels),
       cfg_(cfg),
+      pool_(pool),
       store_(store),
-      pool_(cfg.threads),
       detector_(cfg.drift),
       next_version_(cfg.initial_version + 1) {
   if (!current_) throw std::invalid_argument("Manager: initial model is null");
@@ -73,12 +73,7 @@ Manager::Manager(std::shared_ptr<const model::HdcClassifier> initial,
   versions_.push_back(std::move(rec));
 }
 
-Manager::~Manager() {
-  if (job_ && job_->worker.joinable()) job_->worker.join();
-}
-
 void Manager::observe(const serve::ServedObservation& obs) {
-  last_vt_ = obs.vt;
   const bool was_alarmed = detector_.alarmed();
   detector_.observe_margin(obs.margin);
   if (obs.canary) {
@@ -130,7 +125,6 @@ void Manager::bank_canary(std::uint64_t query) {
 
 std::optional<serve::ModelUpdate> Manager::poll(std::uint64_t now) {
   if (job_ && now >= job_->ready_vt) {
-    job_->worker.join();
     std::unique_ptr<RetrainJob> job = std::move(job_);
     const double score = detector_.drift_score();
     detector_.reset();
@@ -185,65 +179,41 @@ void Manager::start_retrain(std::uint64_t now) {
   GENERIC_COUNTER_ADD("lifecycle.retrains", 1);
   if (triggered_ == 1) accuracy_ewma_at_trigger_ = detector_.accuracy_ewma();
 
-  auto job = std::make_unique<RetrainJob>();
-  job->trigger_vt = now;
-  job->ready_vt = now + cfg_.retrain_cost_us;
-  job->version = next_version_++;
+  job_ = std::make_unique<RetrainJob>();
+  job_->ready_vt = now + cfg_.retrain_cost_us;
+  job_->version = next_version_++;
   rtrace::record(rtrace::EventKind::kRetrainStart, now, rtrace::kNoRequest,
-                 job->version, 0, milli(detector_.drift_score()));
-  events_.push_back(LifecycleEvent{now, EventKind::kRetrainStart, job->version,
-                                   detector_.drift_score()});
-
-  std::vector<std::uint64_t> snapshot(replay_.begin(), replay_.end());
-  RetrainJob* raw = job.get();
-  job->worker = std::thread(
-      [this, raw, baseline = current_, snap = std::move(snapshot)]() mutable {
-        run_retrain(raw, std::move(baseline), std::move(snap));
-      });
-  job_ = std::move(job);
+                 job_->version, 0, milli(detector_.drift_score()));
+  events_.push_back(LifecycleEvent{now, EventKind::kRetrainStart,
+                                   job_->version, detector_.drift_score()});
+  run_retrain(*job_);
 }
 
-void Manager::run_retrain(RetrainJob* job,
-                          std::shared_ptr<const model::HdcClassifier> baseline,
-                          std::vector<std::uint64_t> replay_snapshot) {
+void Manager::run_retrain(RetrainJob& job) {
   GENERIC_SPAN("lifecycle.retrain");
   // Newest `holdout` canaries validate; everything older trains. The split
   // is by recency so validation measures the model on the CURRENT regime.
-  const std::size_t holdout_n = cfg_.holdout;
-  const std::size_t train_n = replay_snapshot.size() - holdout_n;
-
-  std::vector<hdc::IntHV> train_x;
-  std::vector<int> train_y;
-  train_x.reserve(train_n);
-  train_y.reserve(train_n);
-  for (std::size_t i = 0; i < train_n; ++i) {
-    const std::uint64_t q = replay_snapshot[i];
-    train_x.push_back(queries_[q]);
-    train_y.push_back(static_cast<int>(labels_[q]));
-  }
-  std::vector<hdc::IntHV> hold_x;
-  std::vector<int> hold_y;
-  hold_x.reserve(holdout_n);
-  hold_y.reserve(holdout_n);
-  for (std::size_t i = train_n; i < replay_snapshot.size(); ++i) {
-    const std::uint64_t q = replay_snapshot[i];
-    hold_x.push_back(queries_[q]);
-    hold_y.push_back(static_cast<int>(labels_[q]));
+  const model::HdcClassifier& baseline = *current_;
+  const std::size_t train_n = replay_.size() - cfg_.holdout;
+  std::vector<hdc::IntHV> train_x, hold_x;
+  std::vector<int> train_y, hold_y;
+  for (std::size_t i = 0; i < replay_.size(); ++i) {
+    const std::uint64_t q = replay_[i];
+    (i < train_n ? train_x : hold_x).push_back(queries_[q]);
+    (i < train_n ? train_y : hold_y).push_back(labels_[q]);
   }
 
-  auto shadow = std::make_shared<model::HdcClassifier>(*baseline);
-  std::size_t updates = 0;
+  auto shadow = std::make_shared<model::HdcClassifier>(baseline);
   for (std::size_t e = 0; e < cfg_.retrain_epochs; ++e) {
     const std::size_t u = shadow->retrain_epoch_parallel(train_x, train_y, pool_);
-    updates += u;
+    job.updates += u;
     if (u == 0) break;
   }
-  job->updates = updates;
 
   if (cfg_.shadow_fault_rate > 0.0) {
     // Test hook for the validation gate: corrupt the freshly retrained
     // shadow the way voltage over-scaling would, then let validation decide.
-    Rng rng(cfg_.seed ^ (0x9E3779B97F4A7C15ULL * job->version));
+    Rng rng(cfg_.seed ^ (0x9E3779B97F4A7C15ULL * job.version));
     resilience::inject(
         *shadow,
         resilience::FaultSpec{resilience::FaultKind::kTransient,
@@ -254,16 +224,16 @@ void Manager::run_retrain(RetrainJob* job,
   // Validate on the holdout at EVERY serving rung: the shadow must hold up
   // under dimension reduction too, or the SLO ladder would trade accuracy
   // it does not know it lost.
-  const std::size_t chunk = baseline->dims() / baseline->num_chunks();
-  job->rung_dims = serve::dims_ladder(baseline->dims(), chunk, cfg_.min_dims);
-  bool passed = true;
-  for (const std::size_t dims : job->rung_dims) {
+  const std::size_t chunk = baseline.dims() / baseline.num_chunks();
+  job.rung_dims = serve::dims_ladder(baseline.dims(), chunk, cfg_.min_dims);
+  job.passed = true;
+  for (const std::size_t dims : job.rung_dims) {
     const std::vector<bool> mask =
-        serve::rung_mask(dims, chunk, baseline->num_chunks(), {});
+        serve::rung_mask(dims, chunk, baseline.num_chunks(), {});
     const std::vector<model::Prediction> sp =
         shadow->predict_masked_margin_batch(hold_x, mask, pool_);
     const std::vector<model::Prediction> bp =
-        baseline->predict_masked_margin_batch(hold_x, mask, pool_);
+        baseline.predict_masked_margin_batch(hold_x, mask, pool_);
     std::size_t s_ok = 0, b_ok = 0;
     for (std::size_t i = 0; i < hold_y.size(); ++i) {
       if (sp[i].cls == hold_y[i]) ++s_ok;
@@ -272,12 +242,11 @@ void Manager::run_retrain(RetrainJob* job,
     const double n = static_cast<double>(hold_y.size());
     const double s_acc = static_cast<double>(s_ok) / n;
     const double b_acc = static_cast<double>(b_ok) / n;
-    job->shadow_accuracy.push_back(s_acc);
-    job->baseline_accuracy.push_back(b_acc);
-    if (s_acc + cfg_.epsilon < b_acc) passed = false;
+    job.shadow_accuracy.push_back(s_acc);
+    job.baseline_accuracy.push_back(b_acc);
+    if (s_acc + cfg_.epsilon < b_acc) job.passed = false;
   }
-  job->passed = passed;
-  job->shadow = std::move(shadow);
+  job.shadow = std::move(shadow);
 }
 
 LifecycleReport Manager::report() const {
@@ -308,8 +277,6 @@ LifecycleReport Manager::report() const {
 
 std::string lifecycle_report_to_json(const LifecycleReport& report) {
   // Field order is part of the schema: equal reports render to equal bytes.
-  // cfg.threads is deliberately NOT echoed — the report must be
-  // byte-identical across --threads.
   namespace json = obs::json;
   const LifecycleConfig& c = report.config;
   std::string out;

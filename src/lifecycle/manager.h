@@ -7,20 +7,18 @@
 // * observe() feeds every served request's margin into the DriftDetector
 //   and banks labeled canaries into a bounded replay buffer.
 // * When the detector alarms (and the cooldown allows and enough replay has
-//   accumulated), poll() triggers a background retrain: a shadow copy of
-//   the current model runs retrain_epoch_parallel over the replay buffer
-//   minus its newest `holdout` entries, on the manager's OWN ThreadPool —
-//   serving never blocks on training compute.
+//   accumulated), poll() triggers a retrain: a shadow copy of the current
+//   model runs retrain_epoch_parallel over the replay buffer minus its
+//   newest `holdout` entries, right away, on the pool the caller passed.
 // * The shadow is then validated on the held-out slice at EVERY rung of the
 //   serving dimension ladder: it must not regress accuracy by more than
 //   epsilon at any rung (a model that only wins at full dimensions but
 //   collapses when degraded would sabotage the SLO ladder).
 // * Virtual-time contract: a retrain triggered at virtual time T has a
-//   modeled cost of retrain_cost_us, so poll(now) publishes the verdict
-//   only once now >= T + retrain_cost_us — at which point it joins the
-//   worker (the join may block on the wall clock; the OUTCOME is already a
-//   pure function of (model, replay, config), so the report stays
-//   byte-identical across --threads).
+//   modeled cost of retrain_cost_us, so the manager holds the verdict and
+//   poll(now) publishes it only once now >= T + retrain_cost_us. The
+//   OUTCOME is a pure function of (model, replay, config), so the report
+//   stays byte-identical across pool widths.
 // * A validated shadow is checkpointed (CheckpointStore, when configured)
 //   and returned for hot-swap; a failed one is discarded and reported as a
 //   rollback. Either way the detector re-arms from scratch.
@@ -33,7 +31,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -65,7 +62,6 @@ struct LifecycleConfig {
   std::uint64_t cooldown_us = 50000;  ///< min virtual gap between triggers
   double epsilon = 0.02;       ///< allowed holdout accuracy drop, per rung
   std::size_t min_dims = 512;  ///< validation ladder floor (match serving cfg)
-  std::size_t threads = 1;     ///< lanes of the manager's own pool (0 = hw)
   /// Version of the model the manager starts from: 0 for a fresh boot, or
   /// the checkpoint's version when restarting from CheckpointStore — the
   /// first retrain then becomes initial_version + 1, so version numbering
@@ -133,12 +129,13 @@ class Manager : public serve::ModelLifecycle {
   /// `initial` is the model the engine starts serving (shared so manager
   /// and engine agree on the object). `queries`/`labels` is the SAME query
   /// set (and ground truth) the engine was constructed over — observations
-  /// reference queries by index. `store` (optional, not owned) receives a
-  /// checkpoint per validated version.
+  /// reference queries by index. Retraining and validation run on `pool`
+  /// (not owned, must outlive the manager; usually the engine's). `store`
+  /// (optional, not owned) receives a checkpoint per validated version.
   Manager(std::shared_ptr<const model::HdcClassifier> initial,
           std::span<const hdc::IntHV> queries, std::span<const int> labels,
-          const LifecycleConfig& cfg, CheckpointStore* store = nullptr);
-  ~Manager() override;
+          const LifecycleConfig& cfg, ThreadPool& pool,
+          CheckpointStore* store = nullptr);
 
   Manager(const Manager&) = delete;
   Manager& operator=(const Manager&) = delete;
@@ -157,15 +154,14 @@ class Manager : public serve::ModelLifecycle {
   const std::vector<std::size_t>& replay_class_histogram() const {
     return replay_class_counts_;
   }
+  /// True from a retrain's trigger until poll() publishes its verdict at
+  /// ready_vt (the work itself finished inside the triggering poll()).
   bool retrain_in_flight() const { return job_ != nullptr; }
 
  private:
   struct RetrainJob {
-    std::uint64_t trigger_vt = 0;
     std::uint64_t ready_vt = 0;
     std::uint64_t version = 0;
-    std::thread worker;
-    // Written by the worker, read after join:
     std::shared_ptr<model::HdcClassifier> shadow;
     bool passed = false;
     std::size_t updates = 0;
@@ -175,16 +171,14 @@ class Manager : public serve::ModelLifecycle {
   };
 
   void start_retrain(std::uint64_t now);
-  void run_retrain(RetrainJob* job,
-                   std::shared_ptr<const model::HdcClassifier> baseline,
-                   std::vector<std::uint64_t> replay_snapshot);
+  void run_retrain(RetrainJob& job);
 
   std::shared_ptr<const model::HdcClassifier> current_;
   std::span<const hdc::IntHV> queries_;
   std::span<const int> labels_;
   LifecycleConfig cfg_;
+  ThreadPool& pool_;
   CheckpointStore* store_ = nullptr;
-  ThreadPool pool_;  ///< the manager's own lanes; never the engine's pool
 
   void bank_canary(std::uint64_t query);
 
@@ -195,7 +189,6 @@ class Manager : public serve::ModelLifecycle {
   std::uint64_t next_version_;  ///< first retrain: initial_version + 1
   std::uint64_t cooldown_until_ = 0;
   std::uint64_t fresh_canaries_ = 0;  ///< canaries since the alarm edge
-  std::uint64_t last_vt_ = 0;
 
   // Report accumulation.
   std::uint64_t alarms_ = 0;

@@ -60,7 +60,7 @@ enum class EventKind : std::uint8_t {
   kSwapInstall,    ///< new model version installed
   kRollback,       ///< rejected shadow recorded, nothing installed
   kDriftAlarm,     ///< drift detector alarm edge (detail: milli drift score)
-  kRetrainStart,   ///< background retrain triggered (detail: milli score)
+  kRetrainStart,   ///< lifecycle retrain triggered (detail: milli score)
   kCheckpointSave, ///< validated version checkpointed
   kFaultInject,    ///< chaos burst corrupted the serving model
                    ///< (detail: burst index)

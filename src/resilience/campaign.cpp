@@ -91,7 +91,7 @@ std::string_view fault_target_name(FaultTarget target) {
 CampaignResult run_campaign(const model::HdcClassifier& model,
                             std::span<const hdc::IntHV> encoded,
                             std::span<const int> labels,
-                            const CampaignConfig& cfg) {
+                            const CampaignConfig& cfg, ThreadPool& pool) {
   if (encoded.size() != labels.size() || encoded.empty())
     throw std::invalid_argument("run_campaign: bad evaluation set");
   if (cfg.trials == 0 || cfg.kinds.empty() || cfg.rates.empty())
@@ -118,8 +118,6 @@ CampaignResult run_campaign(const model::HdcClassifier& model,
   // (kind, rate, trial) indices — a private Rng, a private model copy, a
   // read-only evaluation set — so trials spread across the pool freely and
   // aggregate_cell() reduces them in trial-index order.
-  ThreadPool pool(cfg.threads == 0 ? 1 : cfg.threads);
-
   for (std::size_t ki = 0; ki < cfg.kinds.size(); ++ki) {
     for (std::size_t ri = 0; ri < cfg.rates.size(); ++ri) {
       const FaultKind kind = cfg.kinds[ki];
@@ -159,7 +157,7 @@ CampaignResult run_encoder_campaign(enc::GenericEncoder& encoder,
                                     std::span<const std::vector<float>> samples,
                                     std::span<const int> labels,
                                     const CampaignConfig& cfg,
-                                    FaultTarget target) {
+                                    FaultTarget target, ThreadPool& pool) {
   if (samples.size() != labels.size() || samples.empty())
     throw std::invalid_argument("run_encoder_campaign: bad evaluation set");
   if (cfg.trials == 0 || cfg.kinds.empty() || cfg.rates.empty())
@@ -170,8 +168,6 @@ CampaignResult run_encoder_campaign(enc::GenericEncoder& encoder,
   if (cfg.degrade)
     throw std::invalid_argument(
         "run_encoder_campaign: BlockGuard degrades the class memory only");
-
-  ThreadPool pool(cfg.threads == 0 ? 1 : cfg.threads);
 
   CampaignResult res;
   res.seed = cfg.seed;

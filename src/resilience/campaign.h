@@ -65,11 +65,6 @@ struct CampaignConfig {
   std::uint64_t seed = 0xFA17;
   /// Run BlockGuard detection + masked inference inside each trial.
   bool degrade = false;
-  /// Pool lanes for the Monte Carlo fan-out (1 == serial). Results are
-  /// byte-identical for any value: every trial's fault pattern depends on
-  /// its (kind, rate, trial) indices alone and trial statistics are
-  /// reduced in trial-index order.
-  std::size_t threads = 1;
 };
 
 struct CampaignCell {
@@ -106,28 +101,30 @@ struct CampaignResult {
 
 /// Run the campaign. `encoded` / `labels` are the fixed evaluation set
 /// (encode once, reuse across all trials). The input model is never
-/// mutated; every trial works on a copy. With cfg.threads > 1 the trials
-/// of each cell fan out across a pool.
+/// mutated; every trial works on a copy. The trials of each cell fan out
+/// across `pool`; the result is byte-identical for any pool width, since
+/// every trial's fault pattern depends on its (kind, rate, trial) indices
+/// alone and trial statistics are reduced in trial-index order.
 CampaignResult run_campaign(const model::HdcClassifier& model,
                             std::span<const hdc::IntHV> encoded,
                             std::span<const int> labels,
-                            const CampaignConfig& cfg);
+                            const CampaignConfig& cfg, ThreadPool& pool);
 
 /// Encoder-memory campaign: each trial corrupts the encoder's level rows
 /// (kLevelMemory) or its rotating id seed (kIdSeed) with the cell's fault
 /// population, re-encodes the raw evaluation samples through the damaged
 /// memories, scores them against the *fault-free* classifier, then
 /// restores the encoder. Trials run sequentially (they share the encoder)
-/// but each trial's re-encoding fans out across cfg.threads lanes —
-/// byte-identical JSON for any lane count. kDeadBlock kills 128-dim row
-/// spans of every level row / the seed row. The encoder is returned to its
-/// commissioned state on exit.
+/// but each trial's re-encoding fans out across `pool` — byte-identical
+/// JSON for any pool width. kDeadBlock kills 128-dim row spans of every
+/// level row / the seed row. The encoder is returned to its commissioned
+/// state on exit.
 CampaignResult run_encoder_campaign(enc::GenericEncoder& encoder,
                                     const model::HdcClassifier& model,
                                     std::span<const std::vector<float>> samples,
                                     std::span<const int> labels,
                                     const CampaignConfig& cfg,
-                                    FaultTarget target);
+                                    FaultTarget target, ThreadPool& pool);
 
 /// Render a result as pretty-printed JSON. Pure function of the result —
 /// same result, byte-identical string.

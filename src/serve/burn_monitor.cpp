@@ -29,8 +29,8 @@ BurnMonitor::BurnMonitor(const ServeConfig& cfg)
       fast_threshold_(cfg.burn_fast_threshold),
       slow_threshold_(cfg.burn_slow_threshold),
       min_events_(cfg.burn_min_events),
-      fast_{cfg.burn_fast_window_us},
-      slow_{cfg.burn_slow_window_us} {}
+      fast_{cfg.burn_fast_window_us, {}},
+      slow_{cfg.burn_slow_window_us, {}} {}
 
 double BurnMonitor::fast_burn() const { return fast_.burn(budget_); }
 double BurnMonitor::slow_burn() const { return slow_.burn(budget_); }

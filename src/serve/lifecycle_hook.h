@@ -15,7 +15,9 @@
 //     model is ready to install. An implementation must answer from
 //     VIRTUAL time alone: a retrain that triggers at virtual time T with a
 //     modeled cost of C microseconds becomes installable at T + C, however
-//     long the background compute took on the wall clock.
+//     long the compute took on the wall clock. lifecycle::Manager does that
+//     compute inside the triggering poll(), on the pool it was given (the
+//     engine's), and holds the verdict until T + C.
 //
 // On a swap the engine flushes every deferred prediction batch against the
 // outgoing model FIRST, then installs the new pointer and bumps its model

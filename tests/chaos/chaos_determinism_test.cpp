@@ -1,8 +1,8 @@
 // The chaos campaigns' two load-bearing contracts:
 //
 //  1. Determinism — every scenario's generic.chaos.v1 report is a pure
-//     function of (spec, seed): byte-identical across worker thread counts
-//     (1/2/7) and pinned byte-for-byte by the golden fixtures under
+//     function of (spec, seed): byte-identical across pool widths (1/2/7)
+//     and pinned byte-for-byte by the golden fixtures under
 //     tests/chaos/golden/ (tests/golden.h says how to regenerate them).
 //
 //  2. The scenarios actually tell their stories: every invariant passes,
@@ -42,9 +42,9 @@ ChaosReport run(const ScenarioSpec& spec, std::size_t threads,
                 const std::string& tag) {
   RunOptions opt;
   opt.seed = kSeed;
-  opt.threads = threads;
   opt.work_dir = scratch_dir(spec.name, tag);
-  return run_scenario(spec, opt);
+  ThreadPool pool(threads);
+  return run_scenario(spec, opt, pool);
 }
 
 TEST(ChaosScenario, RegistryShipsTheNineCampaigns) {
@@ -250,10 +250,12 @@ TEST(ChaosScenario, ShadowFaultUnderLoadRejectsEveryFaultyShadow) {
   EXPECT_GE(report.lifecycle.triggered, 1u);
   EXPECT_GE(report.lifecycle.rolled_back, 1u);
   EXPECT_EQ(report.lifecycle.swapped, 0u);
-  for (const auto& v : report.lifecycle.versions)
-    if (v.from_retrain)
+  for (const auto& v : report.lifecycle.versions) {
+    if (v.from_retrain) {
       EXPECT_FALSE(v.installed)
           << "faulty shadow v" << v.version << " slipped past the gate";
+    }
+  }
   for (const auto& inv : report.invariants)
     if (inv.name == "rollbacks") {
       EXPECT_TRUE(inv.enabled);

@@ -26,9 +26,9 @@ std::string scratch_dir(const std::string& tag) {
 ChaosReport run(const ScenarioSpec& spec, const std::string& tag) {
   RunOptions opt;
   opt.seed = 0xC4A05;
-  opt.threads = 2;
   opt.work_dir = scratch_dir(tag);
-  return run_scenario(spec, opt);
+  ThreadPool pool(2);
+  return run_scenario(spec, opt, pool);
 }
 
 std::size_t count_kind(const rtrace::FlightLog& log, rtrace::EventKind kind) {
@@ -95,10 +95,10 @@ TEST(ChaosFlightRecorder, RtraceOptionCapturesTheFullStream) {
   ASSERT_TRUE(spec.has_value());
   RunOptions opt;
   opt.seed = 0xC4A05;
-  opt.threads = 2;
   opt.work_dir = scratch_dir("full");
   opt.rtrace = true;
-  const ChaosReport report = run_scenario(*spec, opt);
+  ThreadPool pool(2);
+  const ChaosReport report = run_scenario(*spec, opt, pool);
   ASSERT_FALSE(report.rtrace.events.empty());
   std::size_t slo_events = 0;
   for (const auto& e : report.rtrace.events)

@@ -35,12 +35,12 @@ const char* const kRuns[] = {"corrupt_checkpoint_boot", "diurnal",
 /// `tag` keeps the checkpoint scratch dirs of tests run in parallel apart.
 ChaosReport run(const std::string& name, const std::string& tag) {
   RunOptions opt;
-  opt.threads = 2;
   opt.work_dir = (fs::path(testing::TempDir()) /
                   ("report-" + tag + "-" + name))
                      .string();
   fs::remove_all(opt.work_dir);
-  return run_scenario(find_scenario(name, true).value(), opt);
+  ThreadPool pool(2);
+  return run_scenario(find_scenario(name, true).value(), opt, pool);
 }
 
 std::string fixture(const std::string& run, const char* schema) {

@@ -52,8 +52,8 @@ std::string run_tenant_storm(std::size_t threads) {
   if (!spec.has_value()) return {};
   chaos::RunOptions opt;
   opt.seed = kSeed;
-  opt.threads = threads;
-  return chaos::chaos_report_to_json(chaos::run_scenario(*spec, opt));
+  ThreadPool pool(threads);
+  return chaos::chaos_report_to_json(chaos::run_scenario(*spec, opt, pool));
 }
 
 TEST(FleetDeterminism, ReportByteIdenticalAcrossThreads) {

@@ -205,8 +205,8 @@ TEST(FleetEngineTest, TenantStormShedsTheFloodAndProtectsTheVictims) {
   ASSERT_TRUE(spec.has_value());
   chaos::RunOptions opt;
   opt.seed = kSeed;
-  opt.threads = 2;
-  const chaos::ChaosReport rep = chaos::run_scenario(*spec, opt);
+  ThreadPool pool(2);
+  const chaos::ChaosReport rep = chaos::run_scenario(*spec, opt, pool);
   EXPECT_TRUE(rep.passed);
   for (const chaos::InvariantResult& inv : rep.invariants)
     EXPECT_TRUE(inv.passed) << inv.name << " value=" << inv.value

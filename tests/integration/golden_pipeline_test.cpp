@@ -52,7 +52,8 @@ std::string run_pinned_pipeline() {
   cc.rates = {0.0, 1e-3, 0.05};
   cc.trials = 3;
   cc.seed = 20220722;  // the paper's venue date — fixed forever
-  const auto result = resilience::run_campaign(clf, test, ds.test_y, cc);
+  const auto result =
+      resilience::run_campaign(clf, test, ds.test_y, cc, global_pool());
   return resilience::campaign_to_json(result);
 }
 

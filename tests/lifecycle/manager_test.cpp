@@ -1,7 +1,7 @@
 // lifecycle::Manager end to end against a synthetic concept shift: alarm ->
-// gated trigger -> background retrain -> per-rung validation -> swap (or
-// rollback for a corrupted shadow), with the report byte-stable across the
-// manager's own thread count.
+// gated trigger -> retrain on the caller's pool -> per-rung validation ->
+// swap (or rollback for a corrupted shadow) at ready_vt, with the report
+// byte-stable across pool widths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "lifecycle/manager.h"
 
 namespace generic::lifecycle {
@@ -82,7 +83,6 @@ LifecycleConfig fast_config() {
   cfg.retrain_cost_us = 5000;
   cfg.cooldown_us = 10000;
   cfg.min_dims = 128;  // ladder {512, 256, 128}
-  cfg.threads = 2;
   return cfg;
 }
 
@@ -91,23 +91,30 @@ struct RunResult {
   LifecycleReport report;
 };
 
+/// Feed query i as a canary served at virtual time (i + 1) * 1000 and
+/// return that time. Margins are scripted (confident pre-shift, collapsed
+/// post-shift).
+std::uint64_t observe_canary(const Scenario& s, Manager& manager,
+                             std::size_t i) {
+  serve::ServedObservation obs;
+  obs.vt = (i + 1) * 1000;
+  obs.query = i;
+  obs.margin = i < kShiftAt ? 0.5 : 0.05;
+  obs.canary = true;
+  obs.correct = i < kShiftAt;
+  obs.label = s.labels[i];
+  manager.observe(obs);
+  return obs.vt;
+}
+
 /// Drive the manager the way the serving engine would: one canary
 /// observation per 1000 virtual us, poll after each, then keep polling past
-/// the end until any in-flight retrain publishes. Margins are scripted
-/// (confident pre-shift, collapsed post-shift).
+/// the end until any in-flight retrain publishes.
 RunResult run_scenario(const Scenario& s, Manager& manager) {
   RunResult out;
   std::uint64_t vt = 0;
   for (std::size_t i = 0; i < s.queries.size(); ++i) {
-    vt = (i + 1) * 1000;
-    serve::ServedObservation obs;
-    obs.vt = vt;
-    obs.query = i;
-    obs.margin = i < kShiftAt ? 0.5 : 0.05;
-    obs.canary = true;
-    obs.correct = i < kShiftAt;
-    obs.label = s.labels[i];
-    manager.observe(obs);
+    vt = observe_canary(s, manager, i);
     while (auto upd = manager.poll(vt)) out.updates.push_back(std::move(*upd));
   }
   while (manager.retrain_in_flight()) {
@@ -127,7 +134,7 @@ std::uint64_t event_vt(const LifecycleReport& report, EventKind kind) {
 
 TEST(LifecycleManager, DriftTriggersGatedRetrainAndSwap) {
   const Scenario s = make_scenario();
-  Manager manager(s.initial, s.queries, s.labels, fast_config());
+  Manager manager(s.initial, s.queries, s.labels, fast_config(), global_pool());
   const RunResult run = run_scenario(s, manager);
 
   // Exactly one loop closes: the scripted margins re-baseline after the
@@ -185,7 +192,7 @@ TEST(LifecycleManager, CorruptShadowIsRejectedAsRollback) {
   const Scenario s = make_scenario();
   LifecycleConfig cfg = fast_config();
   cfg.shadow_fault_rate = 0.5;  // fault-inject the shadow before validation
-  Manager manager(s.initial, s.queries, s.labels, cfg);
+  Manager manager(s.initial, s.queries, s.labels, cfg, global_pool());
   const RunResult run = run_scenario(s, manager);
 
   ASSERT_GE(run.updates.size(), 1u);
@@ -206,12 +213,52 @@ TEST(LifecycleManager, ReportIsByteIdenticalAcrossManagerThreads) {
   const Scenario s = make_scenario();
   std::vector<std::string> jsons;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    LifecycleConfig cfg = fast_config();
-    cfg.threads = threads;
-    Manager manager(s.initial, s.queries, s.labels, cfg);
+    ThreadPool pool(threads);
+    Manager manager(s.initial, s.queries, s.labels, fast_config(), pool);
     jsons.push_back(lifecycle_report_to_json(run_scenario(s, manager).report));
   }
   EXPECT_EQ(jsons[0], jsons[1]);
+}
+
+TEST(LifecycleManager, RetrainRunsOnTheCallersPool) {
+  // The retrain and its per-rung validation run inside the triggering
+  // poll(), on the pool the manager was given. The verdict is still held
+  // until ready_vt: nothing is published early and no later poll() runs
+  // more work on the pool.
+  const Scenario s = make_scenario();
+  const LifecycleConfig cfg = fast_config();
+  ThreadPool pool(2);
+  Manager manager(s.initial, s.queries, s.labels, cfg, pool);
+
+  std::uint64_t vt = 0;
+  for (std::size_t i = 0; i < s.queries.size(); ++i) {
+    vt = observe_canary(s, manager, i);
+    const std::uint64_t jobs_before = pool.stats().jobs;
+    EXPECT_FALSE(manager.poll(vt).has_value());
+    if (manager.retrain_in_flight()) {
+      EXPECT_GT(pool.stats().jobs, jobs_before)
+          << "the triggering poll() must retrain on the passed pool";
+      break;
+    }
+    EXPECT_EQ(pool.stats().jobs, jobs_before);
+  }
+  ASSERT_TRUE(manager.retrain_in_flight());
+
+  const std::uint64_t ready_vt = vt + cfg.retrain_cost_us;
+  const std::uint64_t jobs_after_trigger = pool.stats().jobs;
+  for (std::uint64_t t = vt; t < ready_vt; t += 1000) {
+    EXPECT_FALSE(manager.poll(t).has_value()) << "published early at " << t;
+    EXPECT_TRUE(manager.retrain_in_flight());
+  }
+  EXPECT_FALSE(manager.poll(ready_vt - 1).has_value());
+  EXPECT_TRUE(manager.retrain_in_flight());
+  EXPECT_EQ(pool.stats().jobs, jobs_after_trigger);
+
+  const auto upd = manager.poll(ready_vt);
+  ASSERT_TRUE(upd.has_value());
+  EXPECT_EQ(upd->vt, ready_vt);
+  EXPECT_EQ(upd->version, 1u);
+  EXPECT_FALSE(manager.retrain_in_flight());
 }
 
 TEST(LifecycleManager, ValidatedSwapIsCheckpointed) {
@@ -220,7 +267,8 @@ TEST(LifecycleManager, ValidatedSwapIsCheckpointed) {
       std::filesystem::path(testing::TempDir()) / "lifecycle-manager-ckpt";
   std::filesystem::remove_all(dir);
   CheckpointStore store(dir.string(), 4);
-  Manager manager(s.initial, s.queries, s.labels, fast_config(), &store);
+  Manager manager(s.initial, s.queries, s.labels, fast_config(), global_pool(),
+                  &store);
   const RunResult run = run_scenario(s, manager);
 
   ASSERT_EQ(run.updates.size(), 1u);
@@ -242,7 +290,7 @@ TEST(LifecycleManager, ReplayClassCapBoundsFloodedClass) {
   const Scenario s = make_scenario();
   LifecycleConfig cfg = fast_config();
   cfg.replay_class_cap = 8;
-  Manager manager(s.initial, s.queries, s.labels, cfg);
+  Manager manager(s.initial, s.queries, s.labels, cfg, global_pool());
 
   // A single-class flash crowd: 90 class-0 canaries, then a trickle of
   // class 1. Labels follow i % 3, so query 3k is class 0, 3k+1 is class 1.
@@ -270,7 +318,7 @@ TEST(LifecycleManager, ReplayClassCapBoundsFloodedClass) {
   EXPECT_EQ(manager.replay_size(), cfg.replay_class_cap + 5);
 
   // Without the cap the same flood owns the whole buffer.
-  Manager greedy(s.initial, s.queries, s.labels, fast_config());
+  Manager greedy(s.initial, s.queries, s.labels, fast_config(), global_pool());
   for (std::uint64_t k = 0; k < 90; ++k) {
     vt += 1000;
     serve::ServedObservation obs;
@@ -292,7 +340,7 @@ TEST(LifecycleManager, InitialVersionContinuesNumberingAcrossRestart) {
   const Scenario s = make_scenario();
   LifecycleConfig cfg = fast_config();
   cfg.initial_version = 5;
-  Manager manager(s.initial, s.queries, s.labels, cfg);
+  Manager manager(s.initial, s.queries, s.labels, cfg, global_pool());
   const RunResult run = run_scenario(s, manager);
 
   ASSERT_EQ(run.updates.size(), 1u);
@@ -306,29 +354,30 @@ TEST(LifecycleManager, InitialVersionContinuesNumberingAcrossRestart) {
 TEST(LifecycleManager, RejectsInvalidConstruction) {
   const Scenario s = make_scenario();
   const LifecycleConfig good = fast_config();
-  EXPECT_THROW(Manager(nullptr, s.queries, s.labels, good),
+  EXPECT_THROW(Manager(nullptr, s.queries, s.labels, good, global_pool()),
                std::invalid_argument);
   {
     LifecycleConfig cfg = good;
     cfg.min_replay = cfg.replay_capacity + 1;
-    EXPECT_THROW(Manager(s.initial, s.queries, s.labels, cfg),
+    EXPECT_THROW(Manager(s.initial, s.queries, s.labels, cfg, global_pool()),
                  std::invalid_argument);
   }
   {
     LifecycleConfig cfg = good;
     cfg.holdout = cfg.min_replay;  // nothing left to train on
-    EXPECT_THROW(Manager(s.initial, s.queries, s.labels, cfg),
+    EXPECT_THROW(Manager(s.initial, s.queries, s.labels, cfg, global_pool()),
                  std::invalid_argument);
   }
   {
     LifecycleConfig cfg = good;
     cfg.retrain_epochs = 0;
-    EXPECT_THROW(Manager(s.initial, s.queries, s.labels, cfg),
+    EXPECT_THROW(Manager(s.initial, s.queries, s.labels, cfg, global_pool()),
                  std::invalid_argument);
   }
   {
     std::vector<int> short_labels(s.labels.begin(), s.labels.end() - 1);
-    EXPECT_THROW(Manager(s.initial, s.queries, short_labels, good),
+    EXPECT_THROW(
+        Manager(s.initial, s.queries, short_labels, good, global_pool()),
                  std::invalid_argument);
   }
 }

@@ -180,9 +180,9 @@ std::string run_pinned_campaign(std::size_t threads) {
   cc.rates = {0.0, 1e-3};
   cc.trials = 2;
   cc.seed = 20220722;
-  cc.threads = threads;
+  ThreadPool pool(threads);
   return resilience::campaign_to_json(
-      resilience::run_campaign(clf, test, ds.test_y, cc));
+      resilience::run_campaign(clf, test, ds.test_y, cc, pool));
 }
 
 class ObsDeterminism : public ::testing::Test {

@@ -48,14 +48,17 @@ TEST(Campaign, SameSeedProducesByteIdenticalJson) {
   cfg.rates = {0.0, 1e-3, 0.05};
   cfg.trials = 3;
   cfg.seed = 77;
-  const auto a = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg);
-  const auto b = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg);
+  const auto a = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg,
+                              global_pool());
+  const auto b = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg,
+                              global_pool());
   EXPECT_EQ(campaign_to_json(a), campaign_to_json(b));
 
   // And a different seed changes at least the sampled accuracies' bytes
   // (rates > 0 make that overwhelmingly likely on this grid).
   cfg.seed = 78;
-  const auto c = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg);
+  const auto c = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg,
+                              global_pool());
   EXPECT_NE(campaign_to_json(a), campaign_to_json(c));
 }
 
@@ -63,7 +66,8 @@ TEST(Campaign, ZeroRateCellsEqualBaseline) {
   CampaignConfig cfg;
   cfg.rates = {0.0};
   cfg.trials = 2;
-  const auto res = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg);
+  const auto res = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg,
+                                global_pool());
   ASSERT_EQ(res.cells.size(), cfg.kinds.size());
   for (const auto& cell : res.cells) {
     EXPECT_DOUBLE_EQ(cell.mean_accuracy, res.baseline_accuracy);
@@ -79,7 +83,8 @@ TEST(Campaign, TransientFaultsDegradeGracefullyUpToBer1e3) {
   cfg.rates = {0.0, 1e-4, 3e-4, 1e-3};
   cfg.trials = 5;
   cfg.seed = 2022;
-  const auto res = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg);
+  const auto res = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg,
+                                global_pool());
   ASSERT_EQ(res.cells.size(), 4u);
   for (const auto& cell : res.cells)
     EXPECT_GE(cell.mean_accuracy, res.baseline_accuracy - 0.02)
@@ -97,9 +102,11 @@ TEST(Campaign, DegradationPolicyRecoversDeadBlockAccuracy) {
   auto masked_cfg = cfg;
   masked_cfg.degrade = true;
   const auto raw =
-      run_campaign(rig().clf, rig().test, rig().ds.test_y, raw_cfg);
+      run_campaign(rig().clf, rig().test, rig().ds.test_y, raw_cfg,
+                   global_pool());
   const auto masked =
-      run_campaign(rig().clf, rig().test, rig().ds.test_y, masked_cfg);
+      run_campaign(rig().clf, rig().test, rig().ds.test_y, masked_cfg,
+                   global_pool());
   // Dead blocks read as zeros, so raw inference is already fairly benign;
   // masking must be at least as good up to trial noise, never a cliff.
   EXPECT_GE(masked.cells[0].mean_accuracy,
@@ -114,7 +121,8 @@ TEST(Campaign, JsonShapeAndFileRoundTrip) {
   cfg.kinds = {FaultKind::kTransient, FaultKind::kStuckAt0};
   cfg.rates = {0.0, 1e-3};
   cfg.trials = 2;
-  const auto res = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg);
+  const auto res = run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg,
+                                global_pool());
   const auto json = campaign_to_json(res);
   EXPECT_NE(json.find("\"schema\": \"generic.fault_campaign.v1\""),
             std::string::npos);
@@ -135,9 +143,11 @@ TEST(Campaign, JsonShapeAndFileRoundTrip) {
 
 TEST(Campaign, RejectsDegenerateInputs) {
   CampaignConfig cfg;
-  EXPECT_THROW(run_campaign(rig().clf, {}, {}, cfg), std::invalid_argument);
+  EXPECT_THROW(run_campaign(rig().clf, {}, {}, cfg, global_pool()),
+               std::invalid_argument);
   cfg.trials = 0;
-  EXPECT_THROW(run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg),
+  EXPECT_THROW(run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg,
+                            global_pool()),
                std::invalid_argument);
 }
 
@@ -150,13 +160,13 @@ TEST(Campaign, ThreadedTrialsProduceByteIdenticalJson) {
   cfg.rates = {0.0, 1e-3, 0.05};
   cfg.trials = 4;
   cfg.seed = 99;
-  cfg.threads = 1;
+  ThreadPool one(1);
   const auto serial = campaign_to_json(
-      run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg));
+      run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg, one));
   for (std::size_t threads : {2u, 7u, 16u}) {
-    cfg.threads = threads;
+    ThreadPool pool(threads);
     const auto threaded = campaign_to_json(
-        run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg));
+        run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg, pool));
     EXPECT_EQ(threaded, serial) << "threads=" << threads;
   }
 }
@@ -168,12 +178,12 @@ TEST(Campaign, ThreadedDegradePathIsDeterministicToo) {
   cfg.trials = 3;
   cfg.seed = 31;
   cfg.degrade = true;
-  cfg.threads = 1;
+  ThreadPool one(1);
   const auto serial = campaign_to_json(
-      run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg));
-  cfg.threads = 5;
+      run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg, one));
+  ThreadPool five(5);
   const auto threaded = campaign_to_json(
-      run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg));
+      run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg, five));
   EXPECT_EQ(threaded, serial);
 }
 
@@ -192,7 +202,8 @@ TEST(EncoderCampaign, LevelMemoryZeroRateEqualsBaseline) {
   auto cfg = encoder_cfg();
   const auto res =
       run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                           rig().ds.test_y, cfg, FaultTarget::kLevelMemory);
+                           rig().ds.test_y, cfg, FaultTarget::kLevelMemory,
+                           global_pool());
   EXPECT_EQ(res.target, FaultTarget::kLevelMemory);
   ASSERT_EQ(res.cells.size(), cfg.kinds.size() * cfg.rates.size());
   for (std::size_t ki = 0; ki < cfg.kinds.size(); ++ki) {
@@ -210,9 +221,11 @@ TEST(EncoderCampaign, RestoresEncoderStateAfterSweep) {
   const auto before = rig().encoder->encode_batch(rig().ds.test_x);
   auto cfg = encoder_cfg();
   (void)run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                             rig().ds.test_y, cfg, FaultTarget::kLevelMemory);
+                             rig().ds.test_y, cfg, FaultTarget::kLevelMemory,
+                             global_pool());
   (void)run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                             rig().ds.test_y, cfg, FaultTarget::kIdSeed);
+                             rig().ds.test_y, cfg, FaultTarget::kIdSeed,
+                             global_pool());
   const auto after = rig().encoder->encode_batch(rig().ds.test_x);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i)
@@ -220,19 +233,19 @@ TEST(EncoderCampaign, RestoresEncoderStateAfterSweep) {
 }
 
 TEST(EncoderCampaign, DeterministicAcrossRunsAndThreads) {
-  auto cfg = encoder_cfg();
-  cfg.threads = 1;
+  const auto cfg = encoder_cfg();
+  ThreadPool one(1);
   const auto a = campaign_to_json(
       run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                           rig().ds.test_y, cfg, FaultTarget::kIdSeed));
+                           rig().ds.test_y, cfg, FaultTarget::kIdSeed, one));
   const auto b = campaign_to_json(
       run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                           rig().ds.test_y, cfg, FaultTarget::kIdSeed));
+                           rig().ds.test_y, cfg, FaultTarget::kIdSeed, one));
   EXPECT_EQ(a, b);
-  cfg.threads = 7;
+  ThreadPool seven(7);
   const auto threaded = campaign_to_json(
       run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                           rig().ds.test_y, cfg, FaultTarget::kIdSeed));
+                           rig().ds.test_y, cfg, FaultTarget::kIdSeed, seven));
   EXPECT_EQ(threaded, a);
 }
 
@@ -246,7 +259,8 @@ TEST(EncoderCampaign, HighRateLevelFaultsHurtAccuracy) {
   cfg.seed = 7;
   const auto res =
       run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                           rig().ds.test_y, cfg, FaultTarget::kLevelMemory);
+                           rig().ds.test_y, cfg, FaultTarget::kLevelMemory,
+                           global_pool());
   EXPECT_LT(res.cells[0].mean_accuracy, res.baseline_accuracy);
 }
 
@@ -256,7 +270,8 @@ TEST(EncoderCampaign, JsonCarriesTargetField) {
   cfg.rates = {1e-3};
   const auto json = campaign_to_json(
       run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                           rig().ds.test_y, cfg, FaultTarget::kLevelMemory));
+                           rig().ds.test_y, cfg, FaultTarget::kLevelMemory,
+                           global_pool()));
   EXPECT_NE(json.find("\"target\": \"level_memory\""), std::string::npos);
   // The class-memory runner stamps its own target name.
   CampaignConfig ccfg;
@@ -264,7 +279,8 @@ TEST(EncoderCampaign, JsonCarriesTargetField) {
   ccfg.rates = {0.0};
   ccfg.trials = 1;
   const auto cjson = campaign_to_json(
-      run_campaign(rig().clf, rig().test, rig().ds.test_y, ccfg));
+      run_campaign(rig().clf, rig().test, rig().ds.test_y, ccfg,
+                   global_pool()));
   EXPECT_NE(cjson.find("\"target\": \"class_memory\""), std::string::npos);
 }
 
@@ -285,7 +301,7 @@ TEST(EncoderCampaign, RematLevelMemoryIsImmuneToLevelFaults) {
   cfg.seed = 7;
   const auto res =
       run_encoder_campaign(remat, rig().clf, rig().ds.test_x, rig().ds.test_y,
-                           cfg, FaultTarget::kLevelMemory);
+                           cfg, FaultTarget::kLevelMemory, global_pool());
   EXPECT_TRUE(res.encoder_remat);
   EXPECT_LT(res.encoder_footprint_bytes,
             rig().encoder->memory_footprint_bytes());
@@ -313,7 +329,7 @@ TEST(EncoderCampaign, RematIdSeedStillBites) {
   cfg.seed = 7;
   const auto res =
       run_encoder_campaign(remat, rig().clf, rig().ds.test_x, rig().ds.test_y,
-                           cfg, FaultTarget::kIdSeed);
+                           cfg, FaultTarget::kIdSeed, global_pool());
   EXPECT_TRUE(res.encoder_remat);
   EXPECT_LT(res.cells[0].mean_accuracy, res.baseline_accuracy);
 }
@@ -326,7 +342,7 @@ TEST(EncoderCampaign, ClassMemoryJsonOmitsEncoderBlock) {
   cfg.rates = {0.0};
   cfg.trials = 1;
   const auto json = campaign_to_json(
-      run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg));
+      run_campaign(rig().clf, rig().test, rig().ds.test_y, cfg, global_pool()));
   EXPECT_EQ(json.find("\"encoder\""), std::string::npos);
 }
 
@@ -334,12 +350,14 @@ TEST(EncoderCampaign, RejectsUnsupportedModes) {
   auto cfg = encoder_cfg();
   EXPECT_THROW(
       run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                           rig().ds.test_y, cfg, FaultTarget::kClassMemory),
+                           rig().ds.test_y, cfg, FaultTarget::kClassMemory,
+                           global_pool()),
       std::invalid_argument);
   cfg.degrade = true;
   EXPECT_THROW(
       run_encoder_campaign(*rig().encoder, rig().clf, rig().ds.test_x,
-                           rig().ds.test_y, cfg, FaultTarget::kLevelMemory),
+                           rig().ds.test_y, cfg, FaultTarget::kLevelMemory,
+                           global_pool()),
       std::invalid_argument);
 }
 

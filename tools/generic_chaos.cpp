@@ -72,6 +72,7 @@ int run(int argc, char** argv) {
     specs.push_back(std::move(*s));
   }
 
+  set_global_threads(threads);
   if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
   if (!rtrace_dir.empty()) std::filesystem::create_directories(rtrace_dir);
   if (!flight_dir.empty()) std::filesystem::create_directories(flight_dir);
@@ -80,11 +81,11 @@ int run(int argc, char** argv) {
   for (const auto& spec : specs) {
     chaos::RunOptions opt;
     opt.seed = seed;
-    opt.threads = threads;
     opt.work_dir = work_dir.empty() ? "" : work_dir + "/" + spec.name;
     opt.rtrace = !rtrace_dir.empty();
 
-    const chaos::ChaosReport report = chaos::run_scenario(spec, opt);
+    const chaos::ChaosReport report =
+        chaos::run_scenario(spec, opt, global_pool());
     all_passed = all_passed && report.passed;
 
     std::printf("%-24s %s  (%zu requests", spec.name.c_str(),

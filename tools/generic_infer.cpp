@@ -47,9 +47,7 @@ int run(int argc, char** argv) {
   cc.trials = flags.size("--fault-trials", 5);
   cc.seed = static_cast<std::uint64_t>(flags.size("--fault-seed", 64023));
   cc.degrade = flags.has("--degrade");
-  // Trials fan out across the pool; the JSON is byte-identical for any
-  // thread count (see docs/parallelism.md).
-  cc.threads = flags.threads();
+  const std::size_t threads = flags.threads();
   const std::string kinds = flags.value("--fault-kinds", "");
   const std::string rates = flags.value("--fault-rates", "");
   const std::string campaign_out = flags.value("--fault-out", "");
@@ -69,6 +67,9 @@ int run(int argc, char** argv) {
         stderr);
     return 2;
   }
+  // Encoding and the campaign's trials fan out across the global pool; the
+  // JSON is byte-identical for any thread count (see docs/parallelism.md).
+  set_global_threads(threads);
   if (!kinds.empty()) {
     cc.kinds.clear();
     std::stringstream ss(kinds);
@@ -98,8 +99,8 @@ int run(int argc, char** argv) {
   if (campaign) {
     const auto samples = data::load_labeled_csv(data_path, label_col);
     const auto encoded = encoder.encode_batch(samples.x);
-    const auto result =
-        resilience::run_campaign(saved.classifier, encoded, samples.y, cc);
+    const auto result = resilience::run_campaign(
+        saved.classifier, encoded, samples.y, cc, global_pool());
     if (campaign_out.empty()) {
       std::fputs(resilience::campaign_to_json(result).c_str(), stdout);
     } else {

@@ -1,7 +1,7 @@
 // generic_lifecycle — the online-lifecycle scenario end to end
 // (docs/lifecycle.md): a model serves a seeded concept-shift stream, the
-// drift detector notices the post-shift margin collapse, a background
-// retrain adapts a shadow on replayed canaries, validation gates it at
+// drift detector notices the post-shift margin collapse, a retrain on the
+// serving pool adapts a shadow on replayed canaries, validation gates it at
 // every ladder rung, and the serving engine hot-swaps it in between batches
 // — zero requests dropped, zero served from a half-installed model.
 //
@@ -119,7 +119,6 @@ int run(int argc, char** argv) {
   lcfg.retrain_cost_us = retrain_cost_us;
   lcfg.cooldown_us = 50000;
   lcfg.min_dims = cfg.min_dims;
-  lcfg.threads = threads == 0 ? 1 : threads;
   lcfg.seed = seed ^ 0xC1F3ULL;
   lcfg.shadow_fault_rate = shadow_fault_rate;
 
@@ -149,7 +148,8 @@ int run(int argc, char** argv) {
     }
   }
 
-  lifecycle::Manager manager(initial, queries, labels, lcfg, store.get());
+  lifecycle::Manager manager(initial, queries, labels, lcfg, pool,
+                             store.get());
   serve::ServeEngine engine(*initial, queries, labels, cfg, pool, {},
                             &manager);
 

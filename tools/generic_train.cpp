@@ -9,7 +9,8 @@
 // the last column (or --label-col). A header line is auto-skipped. The
 // saved model file loads back with generic_infer or model::load_model_file.
 // Flags are strict (bench::Flags): an unknown flag, an empty value or a
-// non-number exits 2, and so does --levels outside [1, 64] or --window=0.
+// non-number exits 2, and so does --dims outside [128, 2^26] or not a
+// multiple of 128, --levels outside [1, 64] or --window=0.
 #include <cstdio>
 
 #include "arch/spec.h"
@@ -52,8 +53,19 @@ int run(int argc, char** argv) {
         stderr);
     return 2;
   }
-  // Same envelope deserialize_model enforces: a model this tool writes must
-  // load back, and the level memory holds ArchConstants::levels rows.
+  // Same envelope deserialize_model and HdcClassifier enforce: a model this
+  // tool writes must load back, its dims split into 128-dim chunks, and the
+  // level memory holds ArchConstants::levels rows. Checked before anything
+  // is built, so a huge --dims fails fast instead of allocating.
+  const std::size_t chunk = arch::ArchConstants{}.chunk;
+  const std::size_t max_dims = std::size_t{1} << 26;
+  if (cfg.dims < chunk || cfg.dims > max_dims || cfg.dims % chunk != 0) {
+    std::fprintf(stderr,
+                 "generic_train: error: --dims must be a multiple of %zu in "
+                 "[%zu, %zu]\n",
+                 chunk, chunk, max_dims);
+    return 2;
+  }
   const std::size_t max_levels = arch::ArchConstants{}.levels;
   if (cfg.levels == 0 || cfg.levels > max_levels || cfg.window == 0) {
     std::fprintf(stderr,
