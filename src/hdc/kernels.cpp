@@ -91,7 +91,8 @@ bool cpu_supports(Backend backend) {
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
-             __builtin_cpu_supports("avx512vbmi2") != 0;
+             __builtin_cpu_supports("avx512vbmi2") != 0 &&
+             __builtin_cpu_supports("avx512vnni") != 0;
 #else
       return false;
 #endif

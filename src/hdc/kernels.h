@@ -17,10 +17,10 @@
 //           or _mm256_madd_epi16 over the caller's int16 class rows when
 //           an operand bound proves int16 exact; windows rotated in
 //           registers and counted in carry-save bit-planes
-//   avx512  vpopcntq over 512-bit lanes; the same dot tile and the same
-//           bit-sliced window bundle on 512-bit lanes, with vpshldvq
-//           funnel shifts and vpternlogq adders
-//           (x86 + VPOPCNTDQ + BW + VBMI2)
+//   avx512  vpopcntq over 512-bit lanes; the same dot tile on 512-bit
+//           lanes with vpdpwssd fusing the int16 multiply-add, and the
+//           same bit-sliced window bundle with vpshldvq funnel shifts and
+//           vpternlogq adders (x86 + VPOPCNTDQ + BW + VBMI2 + VNNI)
 //   neon    vcnt + widening pairwise accumulation (aarch64); scalar tile
 //           and scalar window bundle
 //

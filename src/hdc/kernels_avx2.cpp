@@ -147,13 +147,16 @@ struct Avx2 {
   static V load(const void* p) {
     return _mm256_loadu_si256(static_cast<const __m256i*>(p));
   }
-  static V add32(V a, V b) { return _mm256_add_epi32(a, b); }
   static V add64(V a, V b) { return _mm256_add_epi64(a, b); }
   /// Odd int32 lanes moved into the even slots mul_even reads.
   static V odd(V a) { return _mm256_srli_epi64(a, 32); }
   /// Signed products of the even int32 lanes, as int64 lanes.
   static V mul_even(V a, V b) { return _mm256_mul_epi32(a, b); }
-  static V madd16(V a, V b) { return _mm256_madd_epi16(a, b); }
+  /// acc + the int16 pairs of a and b multiplied and summed into int32
+  /// lanes: vpmaddwd then vpaddd.
+  static V dot16(V acc, V a, V b) {
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
+  }
   /// Eight int32 lanes summed pairwise into four int64 lanes.
   static V widen(V a) {
     return _mm256_add_epi64(

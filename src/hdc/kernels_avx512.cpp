@@ -3,17 +3,18 @@
 // hdc/kernels_bundle.h: vpshldvq funnel shifts, vpternlogq carry-save
 // adders, and _mm512_mask_add_epi16 to turn bit-planes into counts.
 //
-// Requires AVX512F + AVX512BW + AVX512VPOPCNTDQ + AVX512VBMI2 (Ice Lake,
-// Sapphire Rapids, Zen 4 and later; dispatch checks all four at runtime;
-// BW is the tile's vpmaddwd and the bundle's 16-bit mask-add, VBMI2 the
-// bundle's vpshldvq). The many-rows kernel interleaves two reference
+// Requires AVX512F + AVX512BW + AVX512VPOPCNTDQ + AVX512VBMI2 +
+// AVX512_VNNI (Ice Lake, Sapphire Rapids, Zen 4 and later; dispatch checks
+// all five at runtime; BW is the bundle's 16-bit mask-add, VBMI2 the
+// bundle's vpshldvq, VNNI the tile's vpdpwssd). The many-rows kernel
+// interleaves two reference
 // rows per pass so each 512-bit query load is amortized across two
 // XOR+popcount chains — that, not the popcount itself, is where the wins
 // over scalar come from at typical 64-word (4096-dim) rows. Exact integer
 // sums, so bit-identical to the scalar reference by construction.
 //
 // This TU is compiled with -mavx512f -mavx512bw -mavx512vpopcntdq
-// -mavx512vbmi2 (see src/hdc/CMakeLists.txt).
+// -mavx512vbmi2 -mavx512vnni (see src/hdc/CMakeLists.txt).
 #include "hdc/kernels_detail.h"
 
 #if defined(GENERIC_KERNELS_HAVE_AVX512)
@@ -96,13 +97,14 @@ struct Avx512 {
   static constexpr std::size_t kInt16Lanes = 32;
   static V zero() { return _mm512_setzero_si512(); }
   static V load(const void* p) { return _mm512_loadu_si512(p); }
-  static V add32(V a, V b) { return _mm512_add_epi32(a, b); }
   static V add64(V a, V b) { return _mm512_add_epi64(a, b); }
   /// Odd int32 lanes moved into the even slots mul_even reads.
   static V odd(V a) { return _mm512_srli_epi64(a, 32); }
   /// Signed products of the even int32 lanes, as int64 lanes.
   static V mul_even(V a, V b) { return _mm512_mul_epi32(a, b); }
-  static V madd16(V a, V b) { return _mm512_madd_epi16(a, b); }
+  /// acc + the int16 pairs of a and b multiplied and summed into int32
+  /// lanes, one vpdpwssd (it wraps exactly like vpmaddwd + vpaddd).
+  static V dot16(V acc, V a, V b) { return _mm512_dpwssd_epi32(acc, a, b); }
   /// Sixteen int32 lanes summed pairwise into eight int64 lanes.
   static V widen(V a) {
     return _mm512_add_epi64(

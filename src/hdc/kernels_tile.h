@@ -7,10 +7,11 @@
 //          lanes and multiplied with the signed 32x32->64 multiply
 //          (_mm*_mul_epi32), accumulating in int64 lanes. Any int32
 //          operands; the sum wraps exactly like the scalar reference's.
-//   int16  madd_epi16 over the caller's int16 class rows (ClassRows::rows16)
+//   int16  Isa::dot16 over the caller's int16 class rows (ClassRows::rows16)
 //          and the queries packed to int16: it multiplies int16 pairs and
-//          adds adjacent products into int32 lanes, which are widened into
-//          int64 lanes before they can overflow. Taken only when the bounds
+//          adds adjacent products into int32 lanes (vpdpwssd on avx512,
+//          vpmaddwd + vpaddd on avx2), which are widened into int64 lanes
+//          before they can overflow. Taken only when the bounds
 //          prove it exact: max|q| (measured while packing each query block)
 //          and the caller's max|c| <= 32767, and every int32 lane holds at
 //          most `i16_steps` * 2 products of magnitude <= max|q| * max|c|
@@ -68,7 +69,7 @@ inline std::int64_t pack_i16(const std::int32_t* const* rows, std::size_t n,
   return neg > hi ? neg : hi;
 }
 
-/// madd steps (two products per int32 lane each) the int16 path may
+/// dot16 steps (two products per int32 lane each) the int16 path may
 /// accumulate before widening: the largest s with
 /// 2 * s * max_q * max_c < 2^31. 0 when an operand does not fit int16.
 inline std::size_t i16_steps(std::int64_t max_q, std::int64_t max_c) {
@@ -121,7 +122,7 @@ void tile32(const std::int32_t* const* q, const std::int32_t* const* c,
 }
 
 /// int16 path for NQ packed queries (one per `qs` int16) x NC int16 class
-/// rows over the runs, widening every `steps` madds.
+/// rows over the runs, widening every `steps` dot16 steps.
 template <typename Isa, int NQ, int NC>
 void tile16(const std::int16_t* q, std::size_t qs,
             const std::int16_t* const* c, const DimRun* runs,
@@ -141,7 +142,7 @@ void tile16(const std::int16_t* q, std::size_t qs,
         acc[i][k] = Isa::zero();
       }
   };
-  std::size_t left = steps;  // madds before the next widen
+  std::size_t left = steps;  // dot16 steps before the next widen
   for (std::size_t r = 0; r < nruns; ++r) {
     std::size_t j = runs[r].begin;
     const std::size_t end = runs[r].end;
@@ -155,7 +156,7 @@ void tile16(const std::int16_t* q, std::size_t qs,
         for (int i = 0; i < NQ; ++i) {
           const V qv = Isa::load(q + static_cast<std::size_t>(i) * qs + j);
           for (int k = 0; k < NC; ++k)
-            acc[i][k] = Isa::add32(acc[i][k], Isa::madd16(qv, cv[k]));
+            acc[i][k] = Isa::dot16(acc[i][k], qv, cv[k]);
         }
       }
       if (left == 0) {

@@ -24,6 +24,9 @@ double signed_square_score(std::int64_t dot, std::int64_t n2) {
   return num / static_cast<double>(n2);
 }
 
+/// Samples a retraining epoch scores per pooled dot tile.
+constexpr std::size_t kRetrainBlock = 32;
+
 std::vector<const hdc::IntHV*> row_pointers(
     std::span<const hdc::IntHV> queries) {
   std::vector<const hdc::IntHV*> rows(queries.size());
@@ -60,6 +63,47 @@ Prediction argmax_with_margin(std::size_t num_classes, Scorer&& scorer) {
 }
 
 }  // namespace
+
+struct HdcClassifier::Scoring {
+  std::vector<hdc::kernels::DimRun> runs;  ///< one per run of read chunks
+  std::vector<std::int64_t> norms;         ///< per class, over the runs
+  std::vector<const std::int32_t*> classes;
+  std::vector<const std::int16_t*> narrow;  ///< the rows' int16 copies
+  std::int64_t max_abs = 0;                 ///< max |c| over every row
+  NormMode mode = NormMode::kUpdated;
+  std::size_t chunk = 0;
+
+  /// norms[c] from class c's chunk norms: the read chunks' (Updated) or
+  /// every chunk's (Constant).
+  void set_norm(std::size_t c, const std::vector<std::int64_t>& chunk_norms) {
+    std::int64_t n2 = 0;  // a register, not norms[c], carries the sum
+    if (mode == NormMode::kConstant) {
+      n2 = std::accumulate(chunk_norms.begin(), chunk_norms.end(),
+                           std::int64_t{0});
+    } else {
+      for (const auto& r : runs)
+        for (std::size_t k = r.begin / chunk; k < r.end / chunk; ++k)
+          n2 += chunk_norms[k];
+    }
+    norms[c] = n2;
+  }
+
+  /// out[i * classes.size() + c]: the dots of `n` query rows against every
+  /// class over the runs, from one dot tile.
+  void dot(const std::int32_t* const* queries, std::size_t n,
+           std::int64_t* out) const {
+    hdc::kernels::active().dot_tile(
+        queries, n, {classes.data(), classes.size(), narrow.data(), max_abs},
+        runs.data(), runs.size(), out);
+  }
+
+  /// The fixed-order argmax with margin over one query's class dots.
+  Prediction best(const std::int64_t* dot) const {
+    return argmax_with_margin(norms.size(), [&](std::size_t c) {
+      return signed_square_score(dot[c], norms[c]);
+    });
+  }
+};
 
 HdcClassifier::HdcClassifier(std::size_t dims, std::size_t num_classes,
                              std::size_t chunk)
@@ -170,21 +214,50 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
     ThreadPool& pool) {
   GENERIC_SPAN("train.epoch");
   check_samples(encoded, labels, "retrain_epoch_parallel");
-  const ChunkSet all{num_chunks_};
+  // Samples stay sequential (each update feeds the next prediction), but
+  // their dots need not be computed one at a time: a block is scored in one
+  // pooled tile against the memory as it stands, then walked in order. An
+  // update at sample k changes only rows pred and label, so just those two
+  // columns are re-scored for the block's later samples; every other dot
+  // and norm is still current. The dots are exact, so each prediction is
+  // the one predict() returns at that point of the sequential loop.
+  Scoring s = prepare(ChunkSet{num_chunks_});
+  const std::size_t nc = num_classes_;
+  std::vector<const std::int32_t*> rows(kRetrainBlock);
+  std::vector<std::int64_t> dots(kRetrainBlock * nc);
+  std::vector<std::int64_t> moved_dots(2 * kRetrainBlock);
   std::size_t updates = 0;
-  for (std::size_t i = 0; i < encoded.size(); ++i) {
-    // Each update feeds the next prediction, so samples stay sequential,
-    // and one sample is a single-query dot tile: too little work to split.
-    // It runs as a one-chunk job, which the pool executes inline on the
-    // caller, so the pool's job accounting is one job per sample for any
-    // lane count. The scan is predict()'s.
-    int pred = 0;
-    pool.parallel_for(1, [&](std::size_t, std::size_t, std::size_t) {
-      pred = scan(encoded[i], all).cls;
+  for (std::size_t b = 0; b < encoded.size(); b += kRetrainBlock) {
+    const std::size_t n = std::min(kRetrainBlock, encoded.size() - b);
+    for (std::size_t i = 0; i < n; ++i) rows[i] = encoded[b + i].data();
+    // Each pool chunk writes its own queries' rows of `dots`.
+    pool.parallel_for(n, [&](std::size_t begin, std::size_t end, std::size_t) {
+      s.dot(rows.data() + begin, end - begin, dots.data() + begin * nc);
     });
-    if (pred == labels[i]) continue;
-    ++updates;
-    move_sample(encoded[i], pred, labels[i]);
+    for (std::size_t k = 0; k < n; ++k) {
+      const int label = labels[b + k];
+      const int pred = s.best(dots.data() + k * nc).cls;
+      if (pred == label) continue;
+      ++updates;
+      move_sample(encoded[b + k], pred, label);
+      const std::size_t moved[2] = {static_cast<std::size_t>(pred),
+                                    static_cast<std::size_t>(label)};
+      for (std::size_t c : moved) s.set_norm(c, chunk_norms_[c]);
+      // A stale bound could let the tile read a row's int16 copy after the
+      // update pushed it past 32767.
+      s.max_abs = class_max_abs();
+      const std::size_t rest = n - k - 1;
+      if (rest == 0) continue;
+      const std::int32_t* pair[2] = {s.classes[moved[0]], s.classes[moved[1]]};
+      const std::int16_t* pair16[2] = {s.narrow[moved[0]], s.narrow[moved[1]]};
+      hdc::kernels::active().dot_tile(rows.data() + k + 1, rest,
+                                      {pair, 2, pair16, s.max_abs},
+                                      s.runs.data(), s.runs.size(),
+                                      moved_dots.data());
+      for (std::size_t i = 0; i < rest; ++i)
+        for (std::size_t j = 0; j < 2; ++j)
+          dots[(k + 1 + i) * nc + moved[j]] = moved_dots[2 * i + j];
+    }
   }
   GENERIC_COUNTER_ADD("train.updates", updates);
   return updates;
@@ -302,14 +375,6 @@ HdcClassifier::ChunkSet HdcClassifier::masked_chunks(
   return ChunkSet{num_chunks_, &chunk_ok};
 }
 
-struct HdcClassifier::Scoring {
-  std::vector<hdc::kernels::DimRun> runs;  ///< one per run of read chunks
-  std::vector<std::int64_t> norms;         ///< per class, over the runs
-  std::vector<const std::int32_t*> classes;
-  std::vector<const std::int16_t*> narrow;  ///< the rows' int16 copies
-  std::int64_t max_abs = 0;                 ///< max |c| over every row
-};
-
 HdcClassifier::Scoring HdcClassifier::prepare(const ChunkSet& on) const {
   Scoring s;
   auto enabled = [&](std::size_t k) {
@@ -324,21 +389,14 @@ HdcClassifier::Scoring HdcClassifier::prepare(const ChunkSet& on) const {
     while (k < on.prefix && enabled(k)) ++k;
     s.runs.push_back({run * chunk_, k * chunk_});
   }
+  s.mode = on.mode;
+  s.chunk = chunk_;
   s.norms.assign(num_classes_, 0);
   s.classes.resize(num_classes_);
   s.narrow.resize(num_classes_);
   s.max_abs = class_max_abs();
   for (std::size_t c = 0; c < num_classes_; ++c) {
-    const auto& norms = chunk_norms_[c];
-    if (on.mode == NormMode::kConstant) {
-      s.norms[c] = std::accumulate(norms.begin(), norms.end(), std::int64_t{0});
-    } else {
-      std::int64_t n2 = 0;  // a register, not s.norms[c], carries the sum
-      for (const auto& r : s.runs)
-        for (std::size_t k = r.begin / chunk_; k < r.end / chunk_; ++k)
-          n2 += norms[k];
-      s.norms[c] = n2;
-    }
+    s.set_norm(c, chunk_norms_[c]);
     s.classes[c] = classes_[c].data();
     s.narrow[c] = narrow_.data() + c * dims_;
   }
@@ -351,16 +409,9 @@ void HdcClassifier::scan_block(const Scoring& s,
   std::vector<const std::int32_t*> rows(n);
   for (std::size_t i = 0; i < n; ++i) rows[i] = queries[i]->data();
   std::vector<std::int64_t> dots(n * num_classes_);
-  hdc::kernels::active().dot_tile(
-      rows.data(), n,
-      {s.classes.data(), num_classes_, s.narrow.data(), s.max_abs},
-      s.runs.data(), s.runs.size(), dots.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t* dot = dots.data() + i * num_classes_;
-    out[i] = argmax_with_margin(num_classes_, [&](std::size_t c) {
-      return signed_square_score(dot[c], s.norms[c]);
-    });
-  }
+  s.dot(rows.data(), n, dots.data());
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = s.best(dots.data() + i * num_classes_);
 }
 
 void HdcClassifier::check_query(const hdc::IntHV& query) const {

@@ -95,9 +95,11 @@ class HdcClassifier {
                    std::span<const int> labels, ThreadPool& pool);
 
   /// One retraining epoch over the encoded training set; returns the number
-  /// of model updates (mispredictions). Samples stay strictly sequential
-  /// (each update feeds the next prediction) and each is scored with one
-  /// single-query dot tile on the caller, as a one-chunk pool job.
+  /// of model updates (mispredictions). Predictions and updates are those
+  /// of a predict + move_sample loop in sample order: each block of 32
+  /// samples is scored in one dot tile whose queries fan out across the
+  /// pool, then walked in order, and after an update only the two changed
+  /// rows are re-scored for the block's later samples.
   std::size_t retrain_epoch_parallel(std::span<const hdc::IntHV> encoded,
                                      std::span<const int> labels,
                                      ThreadPool& pool);

@@ -668,13 +668,15 @@ TEST(KernelDispatch, UnavailableBackendThrowsInsteadOfFallingBack) {
 
 TEST(KernelDispatch, Avx512RequiresEveryFeatureItUses) {
   // F + BW + VPOPCNTDQ for the popcount and the tile, VBMI2 for the
-  // bundle's funnel shift: a CPU missing any of them must not get avx512,
-  // and forcing it there is an error, never a fallback.
+  // bundle's funnel shift, VNNI for the tile's vpdpwssd: a CPU missing any
+  // of them must not get avx512, and forcing it there is an error, never a
+  // fallback.
 #if defined(__x86_64__) || defined(__i386__)
   const bool every = __builtin_cpu_supports("avx512f") &&
                      __builtin_cpu_supports("avx512bw") &&
                      __builtin_cpu_supports("avx512vpopcntdq") &&
-                     __builtin_cpu_supports("avx512vbmi2");
+                     __builtin_cpu_supports("avx512vbmi2") &&
+                     __builtin_cpu_supports("avx512vnni");
 #else
   const bool every = false;
 #endif

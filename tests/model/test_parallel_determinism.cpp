@@ -16,7 +16,9 @@
 // a markov symbol dataset (windowed n-gram structure).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -384,6 +386,122 @@ TEST_P(ParallelDeterminismTest, RepeatedParallelRunsAreIdentical) {
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_EQ(first[i], second[i]) << "sample " << i;
+}
+
+// ---- Retraining block edges ----
+//
+// retrain_epoch_parallel scores 32 samples per dot tile and, after an
+// update, re-scores the two changed rows for the rest of the block. These
+// cases force updates exactly where that bookkeeping can go wrong: the
+// first and last sample of a block, two consecutive samples (inside a
+// block and across a block edge), the epoch's very last sample, and an
+// update that pushes a row past the int16 copy's range mid-block.
+
+const std::size_t kEdgeLanes[] = {1, 2, 7};
+constexpr std::size_t kEdgeDims = 512;
+constexpr std::size_t kEdgeClasses = 4;
+
+/// Samples scattered around one random prototype per class, and a model
+/// whose rows are the prototypes: rows small enough that one update moves
+/// the predictions of the samples after it. Dimension 0 of every row is
+/// `row0` and of every sample is `sample0`.
+struct EdgeCase {
+  HdcClassifier init{kEdgeDims, kEdgeClasses};
+  std::vector<hdc::IntHV> samples;
+};
+
+EdgeCase make_edge_case(std::size_t n, std::int32_t row0, std::int32_t sample0,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  auto noise = [&] { return static_cast<std::int32_t>(rng.below(17)) - 8; };
+  EdgeCase e;
+  std::vector<hdc::IntHV> protos(kEdgeClasses, hdc::IntHV(kEdgeDims, 0));
+  for (auto& p : protos)
+    for (auto& v : p) v = noise();
+  for (std::size_t i = 0; i < n; ++i) {
+    hdc::IntHV x = protos[rng.below(kEdgeClasses)];
+    for (auto& v : x) v += noise();
+    x[0] = sample0;
+    e.samples.push_back(std::move(x));
+  }
+  for (std::size_t c = 0; c < kEdgeClasses; ++c) {
+    protos[c][0] = row0;
+    e.init.set_class_vector(c, protos[c]);
+  }
+  e.init.recompute_norms();
+  return e;
+}
+
+/// Labels under which the reference epoch updates at exactly the samples
+/// in `forced` (label = the class after its prediction) and nowhere else
+/// (label = its prediction). Runs that epoch on `ref`.
+std::vector<int> forced_labels(HdcClassifier& ref,
+                               std::span<const hdc::IntHV> samples,
+                               const std::vector<std::size_t>& forced) {
+  std::vector<int> labels;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const int pred = ref.predict(samples[i]);
+    const bool force =
+        std::find(forced.begin(), forced.end(), i) != forced.end();
+    labels.push_back(force ? (pred + 1) % static_cast<int>(kEdgeClasses)
+                           : pred);
+    if (force) ref.move_sample(samples[i], pred, labels.back());
+  }
+  return labels;
+}
+
+/// Two epochs at every lane count under every backend against the scalar
+/// reference: the forced epoch, then a free one over the same labels.
+void expect_edges_match(const EdgeCase& e,
+                        const std::vector<std::size_t>& forced,
+                        const char* what) {
+  test::BackendGuard guard;
+  hdc::kernels::set_backend(hdc::kernels::Backend::kScalar);
+  HdcClassifier ref = e.init;
+  const std::vector<int> labels = forced_labels(ref, e.samples, forced);
+  const std::size_t second = reference_epoch(ref, e.samples, labels);
+  for (hdc::kernels::Backend b : test::available_backends()) {
+    hdc::kernels::set_backend(b);
+    for (std::size_t lanes : kEdgeLanes) {
+      ThreadPool pool(lanes);
+      HdcClassifier m = e.init;
+      EXPECT_EQ(m.retrain_epoch_parallel(e.samples, labels, pool),
+                forced.size())
+          << what << " n=" << e.samples.size() << " lanes=" << lanes << " "
+          << hdc::kernels::to_string(b);
+      EXPECT_EQ(m.retrain_epoch_parallel(e.samples, labels, pool), second)
+          << what << " n=" << e.samples.size() << " lanes=" << lanes << " "
+          << hdc::kernels::to_string(b);
+      expect_models_identical(ref, m, what, lanes);
+    }
+  }
+}
+
+TEST(RetrainBlockEdges, ForcedUpdatesMatchReference) {
+  for (const std::size_t n : {1ul, 31ul, 32ul, 33ul, 65ul}) {
+    // Block starts and ends, consecutive pairs inside a block (5, 6) and
+    // across an edge (31, 32, 33), and the epoch's last sample.
+    std::vector<std::size_t> forced;
+    for (const std::size_t i : {0ul, 5ul, 6ul, 31ul, 32ul, 33ul, 63ul, 64ul})
+      if (i < n - 1) forced.push_back(i);
+    forced.push_back(n - 1);
+    expect_edges_match(make_edge_case(n, 0, 0, 0xB10C + n), forced,
+                       "block edges");
+  }
+}
+
+TEST(RetrainBlockEdges, RowPastInt16RangeMidBlock) {
+  // Every row starts at 32740 in dimension 0 and every sample carries 50
+  // there, so the first update (sample 10) takes a row to 32790: from then
+  // on the int16 copy is inexact, and the rest of the block and every later
+  // block must be scored on the int32 rows.
+  const EdgeCase e = make_edge_case(65, 32740, 50, 0x16B17);
+  ASSERT_LE(e.init.class_max_abs(), 32767);
+  HdcClassifier crossed = e.init;
+  const std::vector<std::size_t> forced = {10, 11, 20, 40, 64};
+  forced_labels(crossed, e.samples, {forced.front()});
+  ASSERT_GT(crossed.class_max_abs(), 32767);
+  expect_edges_match(e, forced, "row past int16");
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, ParallelDeterminismTest,
