@@ -7,6 +7,7 @@
 // dimensions shrink (paper: up to 20.1 pts on EEG and 8.5 on ISOLET), and
 // ISOLET holding accuracy down to ~1K dimensions (the §4.3.4 discussion).
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "data/benchmarks.h"
@@ -41,11 +42,15 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n%-8s %12s %12s %8s\n", name, "dims", "Constant",
                 "Updated", "gap");
     bench::print_rule(44);
+    std::vector<const hdc::IntHV*> rows;
+    for (const auto& q : test) rows.push_back(&q);
     for (std::size_t dims = 512; dims <= full_dims; dims += 512) {
+      const std::vector<bool> mask = clf.prefix_mask(dims);
       auto acc = [&](model::NormMode mode) {
+        const auto preds = clf.scan_batch(rows, mask, mode, global_pool());
         std::size_t hits = 0;
-        for (std::size_t i = 0; i < test.size(); ++i)
-          hits += clf.predict_reduced(test[i], dims, mode) == ds.test_y[i];
+        for (std::size_t i = 0; i < preds.size(); ++i)
+          hits += preds[i].cls == ds.test_y[i];
         return 100.0 * static_cast<double>(hits) /
                static_cast<double>(test.size());
       };

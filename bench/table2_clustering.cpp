@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
     encoder.fit(ds.points);
     const auto encoded = encoder.encode_batch(ds.points);
     model::HdcCluster hc(dims, ds.num_clusters);
-    hc.fit(encoded);
-    const double hdc_nmi =
-        ml::normalized_mutual_information(ds.labels, hc.labels(encoded));
+    hc.fit(encoded, /*max_epochs=*/20, global_pool());
+    const double hdc_nmi = ml::normalized_mutual_information(
+        ds.labels, hc.labels(encoded, global_pool()));
 
     km_scores.push_back(km_nmi);
     hdc_scores.push_back(hdc_nmi);

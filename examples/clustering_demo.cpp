@@ -32,14 +32,15 @@ int main() {
     enc::GenericEncoder encoder(cfg);
     encoder.fit(ds.points);
     const auto encoded = encoder.encode_batch(ds.points);
+    ThreadPool& pool = global_pool();
     model::HdcCluster hc(cfg.dims, ds.num_clusters);
-    const std::size_t epochs = hc.fit(encoded);
+    const std::size_t epochs = hc.fit(encoded, /*max_epochs=*/20, pool);
 
     std::printf("%-14s %8zu %10.3f %10.3f %8zu\n", ds.name.c_str(),
                 ds.num_clusters,
                 ml::normalized_mutual_information(ds.labels, km.labels),
                 ml::normalized_mutual_information(ds.labels,
-                                                  hc.labels(encoded)),
+                                                  hc.labels(encoded, pool)),
                 epochs);
   }
   std::printf("\nHDC clusters in hyperspace with add/XOR/popcount only —\n"

@@ -52,9 +52,10 @@ int main() {
 
   // 4. On-demand dimension reduction: trade accuracy for 4x less work by
   //    using the first 1K dimensions with the stored sub-norms.
+  const std::vector<bool> first_1k = clf.prefix_mask(1024);
   std::printf("reduced model (1024 dims):      %.1f%%\n",
               accuracy([&](const hdc::IntHV& q) {
-                return clf.predict_reduced(q, 1024, model::NormMode::kUpdated);
+                return clf.scan(q, first_1k).cls;
               }));
 
   // 5. Aggressive quantization: HDC barely notices 4-bit class elements.

@@ -108,15 +108,6 @@ AccessCounts CycleModel::cluster_input(const AppSpec& spec) const {
   return c;
 }
 
-AccessCounts CycleModel::infer_burst(const AppSpec& spec,
-                                     std::uint64_t count) const {
-  if (count == 0) return {};
-  AccessCounts c = infer_input(spec).scaled(count);
-  // The serial load of the first input cannot be hidden behind anything.
-  c.cycles += spec.features;
-  return c;
-}
-
 double CycleModel::seconds(const AccessCounts& counts) const {
   return static_cast<double>(counts.cycles) / hw_.clock_hz;
 }

@@ -70,12 +70,6 @@ class CycleModel {
   /// encoding in temporary rows, update the copy centroid (§4.2.3).
   AccessCounts cluster_input(const AppSpec& spec) const;
 
-  /// Back-to-back burst of `count` inferences — the IoT-gateway mode the
-  /// paper motivates in §1. The input memory is double-buffered: while
-  /// input i is processed (>= D/m passes x d cycles), input i+1 streams in
-  /// through the serial port (d cycles), so only the first load is exposed.
-  AccessCounts infer_burst(const AppSpec& spec, std::uint64_t count) const;
-
   /// Wall-clock seconds for a count at the architecture's clock.
   double seconds(const AccessCounts& counts) const;
 

@@ -169,7 +169,7 @@ int GenericAsic::best_class(const hdc::IntHV& encoded) const {
   const auto mode = constant_norms_ ? model::NormMode::kConstant
                                     : model::NormMode::kUpdated;
   if (exact_divider_)
-    return model.predict_reduced(encoded, active_dims_, mode);
+    return model.scan(encoded, model.prefix_mask(active_dims_), mode).cls;
   // Hardware path: rank sign(dot) * dot^2 / norm entirely in the log
   // domain — 2 log2|dot| - log2(norm) with the corrected Mitchell
   // approximation (§4.2.1, [18]); negative dots rank below zero dots,

@@ -103,7 +103,7 @@ class GenericAsic {
   const model::HdcClassifier& require_model() const;
   /// Class index with the best (dot^2 / norm) score, compared in the log
   /// domain via Mitchell, or exactly through the classifier's
-  /// predict_reduced() when exact_divider_ is set.
+  /// scan() over the active dims' prefix_mask() when exact_divider_ is set.
   int best_class(const hdc::IntHV& encoded) const;
 
   AppSpec spec_;

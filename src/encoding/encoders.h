@@ -90,7 +90,7 @@ class GenericEncoder final : public Encoder {
   std::size_t memory_footprint_bytes() const override;
 
   /// Degraded encode around corrupted encoder rows, the encoder-side
-  /// mirror of predict_masked: any window that reads a level row with
+  /// mirror of a masked scan: any window that reads a level row with
   /// `level_ok[bin] == false` is skipped entirely (its garbage never
   /// enters the accumulator), and `id_ok == false` drops the id binding —
   /// reducing to pure subsequence statistics, exactly the use_ids = false

@@ -228,8 +228,7 @@ void Manager::run_retrain(RetrainJob& job) {
   job.rung_dims = serve::dims_ladder(baseline.dims(), chunk, cfg_.min_dims);
   job.passed = true;
   for (const std::size_t dims : job.rung_dims) {
-    const std::vector<bool> mask =
-        serve::rung_mask(dims, chunk, baseline.num_chunks(), {});
+    const std::vector<bool> mask = baseline.prefix_mask(dims);
     const std::vector<model::Prediction> sp =
         shadow->predict_masked_margin_batch(hold_x, mask, pool_);
     const std::vector<model::Prediction> bp =

@@ -131,54 +131,6 @@ void HdcClassifier::move_sample(const hdc::IntHV& encoded, int from, int to) {
   }
 }
 
-bool HdcClassifier::online_update(const hdc::IntHV& encoded, int label) {
-  if (label < 0 || static_cast<std::size_t>(label) >= num_classes_)
-    throw std::invalid_argument("online_update: label out of range");
-  const int pred = predict(encoded);
-  if (pred == label) return false;
-  move_sample(encoded, pred, label);
-  return true;
-}
-
-bool HdcClassifier::online_update_adaptive(const hdc::IntHV& encoded,
-                                           int label) {
-  if (label < 0 || static_cast<std::size_t>(label) >= num_classes_)
-    throw std::invalid_argument("online_update_adaptive: label out of range");
-  const int pred = predict(encoded);
-  if (pred == label) return false;
-  const auto right_c = static_cast<std::size_t>(label);
-  const auto wrong_c = static_cast<std::size_t>(pred);
-  // Both dots from one tile; each norm2 is computed fresh from the row, not
-  // read from the chunk norms (which fault injection may have left stale).
-  const std::int32_t* query = encoded.data();
-  const std::int32_t* rows[2] = {classes_[right_c].data(),
-                                 classes_[wrong_c].data()};
-  const hdc::kernels::DimRun all{0, dims_};
-  std::int64_t dots[2];
-  hdc::kernels::active().dot_tile(&query, 1, {rows, 2}, &all, 1, dots);
-  auto cos_to = [&](std::size_t c, std::int64_t dot) {
-    const std::int64_t n2 = hdc::norm2(classes_[c]);
-    if (n2 == 0) return 0.0;
-    return static_cast<double>(dot) /
-           (std::sqrt(static_cast<double>(hdc::norm2(encoded))) *
-            std::sqrt(static_cast<double>(n2)));
-  };
-  const double w_in = std::clamp(1.0 - cos_to(right_c, dots[0]), 0.0, 2.0);
-  const double w_out =
-      std::clamp(0.5 * (1.0 + cos_to(wrong_c, dots[1])), 0.0, 1.0);
-  auto& right = classes_[right_c];
-  auto& wrong = classes_[wrong_c];
-  for (std::size_t j = 0; j < dims_; ++j) {
-    right[j] += static_cast<std::int32_t>(std::lround(w_in * encoded[j]));
-    wrong[j] -= static_cast<std::int32_t>(std::lround(w_out * encoded[j]));
-  }
-  for (std::size_t c : {right_c, wrong_c}) {
-    recompute_norms(c);
-    refresh_narrow(c);
-  }
-  return true;
-}
-
 void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
                                 std::span<const int> labels,
                                 ThreadPool& pool) {
@@ -221,7 +173,7 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
   // columns are re-scored for the block's later samples; every other dot
   // and norm is still current. The dots are exact, so each prediction is
   // the one predict() returns at that point of the sequential loop.
-  Scoring s = prepare(ChunkSet{num_chunks_});
+  Scoring s = prepare(nullptr, NormMode::kUpdated);
   const std::size_t nc = num_classes_;
   std::vector<const std::int32_t*> rows(kRetrainBlock);
   std::vector<std::int64_t> dots(kRetrainBlock * nc);
@@ -275,7 +227,8 @@ void HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
 std::vector<int> HdcClassifier::predict_batch(
     std::span<const hdc::IntHV> queries, ThreadPool& pool) const {
   const std::vector<Prediction> preds =
-      scan_batch(row_pointers(queries), ChunkSet{num_chunks_}, pool);
+      scan_batch(row_pointers(queries), std::vector<bool>(num_chunks_, true),
+                 NormMode::kUpdated, pool);
   std::vector<int> out(preds.size(), 0);
   for (std::size_t i = 0; i < preds.size(); ++i) out[i] = preds[i].cls;
   return out;
@@ -284,13 +237,7 @@ std::vector<int> HdcClassifier::predict_batch(
 std::vector<Prediction> HdcClassifier::predict_masked_margin_batch(
     std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
     ThreadPool& pool) const {
-  return predict_masked_margin_batch(row_pointers(queries), chunk_ok, pool);
-}
-
-std::vector<Prediction> HdcClassifier::predict_masked_margin_batch(
-    std::span<const hdc::IntHV* const> queries,
-    const std::vector<bool>& chunk_ok, ThreadPool& pool) const {
-  return scan_batch(queries, masked_chunks(chunk_ok), pool);
+  return scan_batch(row_pointers(queries), chunk_ok, NormMode::kUpdated, pool);
 }
 
 void HdcClassifier::set_class_vector(std::size_t c, hdc::IntHV row) {
@@ -338,58 +285,45 @@ void HdcClassifier::recompute_norms(std::size_t cls) {
 
 int HdcClassifier::predict(const hdc::IntHV& query) const {
   GENERIC_COUNTER_ADD("predict.queries", 1);
-  return scan(query, ChunkSet{num_chunks_}).cls;
+  return scan_one(query, prepare(nullptr, NormMode::kUpdated)).cls;
 }
 
-int HdcClassifier::predict_reduced(const hdc::IntHV& query,
-                                   std::size_t dims_used,
-                                   NormMode mode) const {
-  return scan(query, prefix_chunks(dims_used, mode)).cls;
-}
-
-Prediction HdcClassifier::predict_reduced_margin(const hdc::IntHV& query,
-                                                 std::size_t dims_used,
-                                                 NormMode mode) const {
-  return scan(query, prefix_chunks(dims_used, mode));
-}
-
-int HdcClassifier::predict_masked(const hdc::IntHV& query,
-                                  const std::vector<bool>& chunk_ok) const {
-  return scan(query, masked_chunks(chunk_ok)).cls;
-}
-
-HdcClassifier::ChunkSet HdcClassifier::prefix_chunks(std::size_t dims_used,
-                                                     NormMode mode) const {
+std::vector<bool> HdcClassifier::prefix_mask(
+    std::size_t dims_used, const std::vector<bool>& chunk_ok) const {
   if (dims_used == 0 || dims_used > dims_ || dims_used % chunk_ != 0)
     throw std::invalid_argument(
-        "predict_reduced: dims_used must be a chunk multiple");
-  return ChunkSet{dims_used / chunk_, nullptr, mode};
+        "prefix_mask: dims_used must be a chunk multiple");
+  if (!chunk_ok.empty() && chunk_ok.size() != num_chunks_)
+    throw std::invalid_argument("prefix_mask: mask size mismatch");
+  std::vector<bool> mask(num_chunks_, false);
+  for (std::size_t k = 0; k < dims_used / chunk_; ++k)
+    mask[k] = chunk_ok.empty() || chunk_ok[k];
+  return mask;
 }
 
-HdcClassifier::ChunkSet HdcClassifier::masked_chunks(
-    const std::vector<bool>& chunk_ok) const {
+void HdcClassifier::check_mask(const std::vector<bool>& chunk_ok) const {
   if (chunk_ok.size() != num_chunks_)
-    throw std::invalid_argument("predict_masked: mask size mismatch");
+    throw std::invalid_argument("scan: mask size mismatch");
   if (std::find(chunk_ok.begin(), chunk_ok.end(), true) == chunk_ok.end())
-    throw std::invalid_argument("predict_masked: all chunks masked");
-  return ChunkSet{num_chunks_, &chunk_ok};
+    throw std::invalid_argument("scan: all chunks masked");
 }
 
-HdcClassifier::Scoring HdcClassifier::prepare(const ChunkSet& on) const {
+HdcClassifier::Scoring HdcClassifier::prepare(
+    const std::vector<bool>* chunk_ok, NormMode mode) const {
   Scoring s;
   auto enabled = [&](std::size_t k) {
-    return on.mask == nullptr || (*on.mask)[k];
+    return chunk_ok == nullptr || (*chunk_ok)[k];
   };
-  for (std::size_t k = 0; k < on.prefix;) {
+  for (std::size_t k = 0; k < num_chunks_;) {
     if (!enabled(k)) {
       ++k;
       continue;
     }
     const std::size_t run = k;
-    while (k < on.prefix && enabled(k)) ++k;
+    while (k < num_chunks_ && enabled(k)) ++k;
     s.runs.push_back({run * chunk_, k * chunk_});
   }
-  s.mode = on.mode;
+  s.mode = mode;
   s.chunk = chunk_;
   s.norms.assign(num_classes_, 0);
   s.classes.resize(num_classes_);
@@ -419,21 +353,29 @@ void HdcClassifier::check_query(const hdc::IntHV& query) const {
     throw std::invalid_argument("predict: query dimension mismatch");
 }
 
-Prediction HdcClassifier::scan(const hdc::IntHV& query,
-                               const ChunkSet& on) const {
+Prediction HdcClassifier::scan_one(const hdc::IntHV& query,
+                                   const Scoring& s) const {
   check_query(query);
   const hdc::IntHV* row = &query;
   Prediction p;
-  scan_block(prepare(on), &row, 1, &p);
+  scan_block(s, &row, 1, &p);
   return p;
 }
 
+Prediction HdcClassifier::scan(const hdc::IntHV& query,
+                               const std::vector<bool>& chunk_ok,
+                               NormMode mode) const {
+  check_mask(chunk_ok);
+  return scan_one(query, prepare(&chunk_ok, mode));
+}
+
 std::vector<Prediction> HdcClassifier::scan_batch(
-    std::span<const hdc::IntHV* const> queries, const ChunkSet& on,
-    ThreadPool& pool) const {
+    std::span<const hdc::IntHV* const> queries,
+    const std::vector<bool>& chunk_ok, NormMode mode, ThreadPool& pool) const {
+  check_mask(chunk_ok);
   GENERIC_SPAN("predict.batch");
   for (const hdc::IntHV* q : queries) check_query(*q);
-  const Scoring s = prepare(on);
+  const Scoring s = prepare(&chunk_ok, mode);
   std::vector<Prediction> out(queries.size());
   // One dot tile per pool chunk: the chunk's queries against every class.
   pool.parallel_for(queries.size(),

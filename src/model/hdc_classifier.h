@@ -6,28 +6,30 @@
 //   retrain_epoch_parallel()
 //                    perceptron-style update: on a misprediction subtract
 //                    the encoding from the wrong class, add to the right one
-//   predict*()       signed squared-cosine score argmax. Every variant —
-//                    full dims, a reduced ladder rung, a chunk mask, and
-//                    their batches — is one scan over a set of enabled
-//                    chunks: the integer dots come from one
-//                    hdc::kernels dot_tile call per block of queries
-//                    (the one dot over class memory; SIMD backends are
-//                    bit-identical to scalar), the norms and the
-//                    fixed-order argmax stay here.
+//   scan()/scan_batch()
+//                    the one similarity search, as the ASIC has one search
+//                    unit: a signed squared-cosine argmax over the chunks a
+//                    mask enables. Full dims, a ladder rung
+//                    (prefix_mask()) and a degraded model's healthy chunks
+//                    are all masks; the integer dots come from one
+//                    hdc::kernels dot_tile call per block of queries (SIMD
+//                    backends are bit-identical to scalar), the norms and
+//                    the fixed-order argmax stay here. predict() and the
+//                    batch wrappers are this search over every chunk.
 //
 // Class memory is written only through this class: training, the
-// retraining update (move_sample), online updates, quantize(), fault
-// injection, and set_class_vector()/edit_class_vector() for everything
-// outside it (fault models, scrubbing, deserialization). The int32 rows
+// retraining update (move_sample), quantize(), fault injection, and
+// set_class_vector()/edit_class_vector() for everything outside it (fault
+// models, scrubbing, deserialization, clustering). The int32 rows
 // are the source of truth — serialization, class_vector() and the scalar
 // kernel read only them. Every write also refreshes an int16 copy of the
 // rows it touched and each row's exact max |c|, so that copy is ALWAYS
 // exact: the SIMD dot tile scores it whenever max|q| and max|c| prove the
 // int16 sums exact, and falls back to the int32 rows otherwise (a fault
 // that pushes a value past 32767 costs speed, never exactness). Norms are
-// different: only training, move_sample, online updates and quantize()
-// refresh them; everything else calls recompute_norms() explicitly, and
-// fault injection leaves them stale on purpose (below).
+// different: only training, move_sample and quantize() refresh them;
+// everything else calls recompute_norms() explicitly, and fault injection
+// leaves them stale on purpose (below).
 //
 // The model mirrors three ASIC features:
 //  * sub-norms — the norm2 memory stores the squared L2 norm of every
@@ -110,63 +112,47 @@ class HdcClassifier {
                     std::span<const int> labels, std::size_t epochs,
                     ThreadPool& pool);
 
-  /// Batched inference: out[i] == predict(queries[i]); queries fan out
-  /// across the pool against the shared read-only model.
+  // ---- The similarity search (§4.2.2, §4.3.3) ----
+  //
+  // A chunk mask has num_chunks() entries, at least one of them true. The
+  // dot reads only the enabled chunks; the norm is the sum of their
+  // sub-norms (Updated) or the full-model norm (Constant). A scan with a
+  // mask that is the wrong size or all false throws std::invalid_argument,
+  // and so does a query that is not dims() long.
+
+  /// Fixed-order argmax (first maximum wins) with margin of one query.
+  Prediction scan(const hdc::IntHV& query, const std::vector<bool>& chunk_ok,
+                  NormMode mode = NormMode::kUpdated) const;
+
+  /// scan() of every query, over pointers to the query rows so callers can
+  /// score rows of a table they own without copying them. Queries fan out
+  /// across the pool in chunks, one dot tile per chunk, into indexed
+  /// slots, so the result is bit-identical for any lane count.
+  std::vector<Prediction> scan_batch(std::span<const hdc::IntHV* const> queries,
+                                     const std::vector<bool>& chunk_ok,
+                                     NormMode mode, ThreadPool& pool) const;
+
+  /// The mask of the first `dims_used` dimensions (a positive chunk
+  /// multiple <= dims(), else std::invalid_argument), AND `chunk_ok` when
+  /// it is non-empty (size num_chunks()). A ladder rung scores through
+  /// this: on-demand dimension reduction reads a chunk prefix (§4.3.3).
+  std::vector<bool> prefix_mask(std::size_t dims_used,
+                                const std::vector<bool>& chunk_ok = {}) const;
+
+  /// Predicted class using all dimensions. Pool-free, with no mask to
+  /// build: the single-sample path an edge caller runs per input.
+  int predict(const hdc::IntHV& query) const;
+
+  /// out[i] == predict(queries[i]): scan_batch() over every chunk. A
+  /// wrapper that stays because the wall-clock benchmark calls it.
   std::vector<int> predict_batch(std::span<const hdc::IntHV> queries,
                                  ThreadPool& pool) const;
 
-  /// Batched masked inference with confidence margins: out[i].cls ==
-  /// predict_masked(queries[i], chunk_ok) and out[i].margin is the
-  /// normalized top1-vs-top2 margin of that same scan. A ladder rung is the
-  /// mask of its chunk prefix, so the serving engine flushes every rung
-  /// through this. Queries fan out across the pool in chunks, one dot tile
-  /// per chunk, into indexed slots, so the result is bit-identical for any
-  /// lane count.
+  /// scan_batch() with Updated norms over a contiguous query array. A
+  /// wrapper that stays because the wall-clock benchmark calls it.
   std::vector<Prediction> predict_masked_margin_batch(
       std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
       ThreadPool& pool) const;
-  /// The same over pointers to the query rows, for callers that score rows
-  /// of a table they own without copying them.
-  std::vector<Prediction> predict_masked_margin_batch(
-      std::span<const hdc::IntHV* const> queries,
-      const std::vector<bool>& chunk_ok, ThreadPool& pool) const;
-
-  /// Online adaptation: score one labelled encoding and, on a
-  /// misprediction, apply the same subtract/add update as retraining.
-  /// Returns true when the model changed. This is the continuous-learning
-  /// mode an always-on edge node runs between full retraining rounds.
-  bool online_update(const hdc::IntHV& encoded, int label);
-
-  /// Similarity-weighted online update (extension, OnlineHD-style): on a
-  /// misprediction the encoding is added/subtracted scaled by how wrong
-  /// the model was — (1 - cos(H, C_label)) into the right class and
-  /// (1 + cos(H, C_wrong))/2 out of the wrong one — which converges faster
-  /// and overshoots less than unit updates on streaming data. Values are
-  /// rounded back into the integer class domain.
-  bool online_update_adaptive(const hdc::IntHV& encoded, int label);
-
-  /// Predicted class using all dimensions.
-  int predict(const hdc::IntHV& query) const;
-
-  /// Predicted class using only the first `dims_used` dimensions (must be a
-  /// multiple of the chunk size, or == dims()).
-  int predict_reduced(const hdc::IntHV& query, std::size_t dims_used,
-                      NormMode mode) const;
-
-  /// predict_reduced() with the confidence margin of the same scan.
-  Prediction predict_reduced_margin(const hdc::IntHV& query,
-                                    std::size_t dims_used,
-                                    NormMode mode) const;
-
-  /// Predicted class using only the chunks whose `chunk_ok` entry is true
-  /// (size num_chunks()). The generalization of predict_reduced() to an
-  /// arbitrary block subset: the degradation path for models with faulty
-  /// 128-dim blocks (see resilience::BlockGuard) skips the damaged blocks
-  /// in both the dot product and the norm, exactly like §4.3.3 on-demand
-  /// dimension reduction with Updated norms. At least one chunk must be
-  /// enabled.
-  int predict_masked(const hdc::IntHV& query,
-                     const std::vector<bool>& chunk_ok) const;
 
   /// Quantize class elements to `bit_width` bits (two's complement),
   /// rescaling by the model's max magnitude; recomputes norms.
@@ -225,33 +211,19 @@ class HdcClassifier {
   void recompute_norms(std::size_t cls);
 
  private:
-  /// The chunks one similarity search reads: the first `prefix` chunks,
-  /// less those `mask` (when set) switches off. The norm is the sum of the
-  /// read chunks' sub-norms (Updated) or the full-model norm (Constant).
-  struct ChunkSet {
-    std::size_t prefix;
-    const std::vector<bool>* mask = nullptr;
-    NormMode mode = NormMode::kUpdated;
-  };
-  ChunkSet prefix_chunks(std::size_t dims_used, NormMode mode) const;
-  ChunkSet masked_chunks(const std::vector<bool>& chunk_ok) const;
-
-  /// A chunk set resolved for one search: the dimension runs of the read
+  /// A chunk mask resolved for one search: the dimension runs of the read
   /// chunks, each class's norm over them, and the class rows.
   struct Scoring;
-  Scoring prepare(const ChunkSet& on) const;
+  /// `chunk_ok` null reads every chunk.
+  Scoring prepare(const std::vector<bool>* chunk_ok, NormMode mode) const;
 
   /// Score `n` checked queries against every class with one dot tile and
   /// take each query's fixed-order argmax with margin.
   void scan_block(const Scoring& s, const hdc::IntHV* const* queries,
                   std::size_t n, Prediction* out) const;
+  Prediction scan_one(const hdc::IntHV& query, const Scoring& s) const;
 
-  /// The similarity search every predict variant is: check the queries
-  /// once, resolve the chunk set once, score through scan_block.
-  Prediction scan(const hdc::IntHV& query, const ChunkSet& on) const;
-  std::vector<Prediction> scan_batch(std::span<const hdc::IntHV* const> queries,
-                                     const ChunkSet& on,
-                                     ThreadPool& pool) const;
+  void check_mask(const std::vector<bool>& chunk_ok) const;
   void check_query(const hdc::IntHV& query) const;
 
   /// Refresh the int16 copy and max |c| of class `c` (or of every class)

@@ -5,13 +5,24 @@
 //     (cosine) while accumulating a *copy* model from the assignments;
 //   * the copy replaces the centroids for the next epoch (the live model
 //     stays fixed within an epoch, unlike classification retraining).
+//
+// The ASIC clusters with the same search unit it classifies with, and so
+// does this model: the centroids are the class rows of an HdcClassifier
+// with one chunk, and every assignment is its similarity search (the same
+// d|d| / |C|^2 score, first maximum wins). An epoch's assignments are one
+// predict_batch() over the fixed model, fanned out across the caller's
+// pool; the copy accumulation then runs in point order, so the result is
+// the same for any lane count.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "hdc/hypervector.h"
+#include "model/hdc_classifier.h"
 
 namespace generic::model {
 
@@ -23,25 +34,29 @@ class HdcCluster {
   std::size_t k() const { return k_; }
 
   /// Run the full algorithm; returns the number of epochs executed (stops
-  /// early once assignments stop changing).
-  std::size_t fit(std::span<const hdc::IntHV> encoded,
-                  std::size_t max_epochs = 20);
+  /// early once assignments stop changing, at most `max_epochs`).
+  std::size_t fit(std::span<const hdc::IntHV> encoded, std::size_t max_epochs,
+                  ThreadPool& pool);
 
-  /// Index of the most similar centroid.
+  /// Index of the most similar centroid. Throws std::logic_error before
+  /// fit(), like every accessor below.
   int assign(const hdc::IntHV& query) const;
 
-  /// Assignments for a whole set.
-  std::vector<int> labels(std::span<const hdc::IntHV> encoded) const;
+  /// Assignments for a whole set: out[i] == assign(encoded[i]).
+  std::vector<int> labels(std::span<const hdc::IntHV> encoded,
+                          ThreadPool& pool) const;
 
-  const std::vector<hdc::IntHV>& centroids() const { return centroids_; }
+  /// Centroid `c`, dims() values.
+  const hdc::IntHV& centroid(std::size_t c) const {
+    return require_fit().class_vector(c);
+  }
 
  private:
+  const HdcClassifier& require_fit() const;
+
   std::size_t dims_;
   std::size_t k_;
-  std::vector<hdc::IntHV> centroids_;
-  std::vector<double> centroid_norms_;  // cached ||C||^2 per epoch
-
-  void refresh_norms();
+  std::optional<HdcClassifier> centroids_;  ///< set by fit()
 };
 
 }  // namespace generic::model

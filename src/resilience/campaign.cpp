@@ -38,7 +38,7 @@ double evaluate_masked(const model::HdcClassifier& clf,
                        std::span<const int> labels) {
   std::size_t hits = 0;
   for (std::size_t i = 0; i < encoded.size(); ++i)
-    hits += clf.predict_masked(encoded[i], ok) == labels[i];
+    hits += clf.scan(encoded[i], ok).cls == labels[i];
   return static_cast<double>(hits) / static_cast<double>(encoded.size());
 }
 

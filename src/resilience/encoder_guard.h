@@ -15,9 +15,10 @@
 //   kDetect — count + report, keep serving through the damage (the
 //             baseline every campaign measures against);
 //   kMask   — GenericEncoder::encode_masked() skips every window that
-//             touches a corrupted row, the encoder-side mirror of
-//             predict_masked(): accuracy degrades by the information the
-//             rows carried instead of being poisoned by garbage bits;
+//             touches a corrupted row, the encoder-side mirror of a
+//             masked HdcClassifier::scan(): accuracy degrades by the
+//             information the rows carried instead of being poisoned by
+//             garbage bits;
 //   kScrub  — scrub() rewrites each faulty row from its seed via
 //             materialize() and verifies the commissioned CRC afterwards.
 //

@@ -78,8 +78,7 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
   rung_latency_ = std::vector<obs::Histogram>(ladder_.size());
   report_.versions.push_back(VersionStats{0, 0, 0});
   for (std::size_t r = 0; r < ladder_.size(); ++r) {
-    rung_mask_[r] =
-        rung_mask(ladder_[r], chunk, model_->num_chunks(), chunk_ok);
+    rung_mask_[r] = model_->prefix_mask(ladder_[r], chunk_ok);
     rung_active_[r] = static_cast<std::size_t>(
         std::count(rung_mask_[r].begin(), rung_mask_[r].end(), true));
     if (rung_active_[r] == 0)
@@ -499,7 +498,8 @@ void ServeEngine::flush_rung(std::size_t rung) {
     qs.push_back(&queries_[f->req.query]);
   }
   const std::vector<model::Prediction> preds =
-      model_->predict_masked_margin_batch(qs, rung_mask_[rung], pool_);
+      model_->scan_batch(qs, rung_mask_[rung], model::NormMode::kUpdated,
+                         pool_);
   VersionStats& vstats = report_.versions.back();
   for (std::size_t i = 0; i < b.size(); ++i) {
     InFlight* f = b[i];

@@ -8,7 +8,7 @@
 // carried by the requests plus the deterministic service-cost model, never
 // the wall clock. Heavy compute (the actual predictions) is deferred into
 // fixed-size per-rung batches, each flushed through one
-// HdcClassifier::predict_masked_margin_batch call on the rung's chunk mask,
+// HdcClassifier::scan_batch call on the rung's chunk mask,
 // whose results are bit-identical at any pool lane count. Consequence: the
 // generic.serve.v1 report is byte-identical for a fixed (trace, config,
 // seed) regardless of --threads.
@@ -235,8 +235,8 @@ class ServeEngine {
 
   std::vector<std::size_t> ladder_;
   /// Per rung: the chunk mask every flush of the rung scores with (ok AND
-  /// inside the rung prefix; see rung_mask()) and its count of active
-  /// chunks.
+  /// inside the rung prefix; see HdcClassifier::prefix_mask()) and its
+  /// count of active chunks.
   std::vector<std::vector<bool>> rung_mask_;
   std::vector<std::size_t> rung_active_;
 

@@ -31,22 +31,13 @@ std::vector<std::size_t> dims_ladder(std::size_t dims, std::size_t chunk,
   std::vector<std::size_t> ladder;
   for (std::size_t d = dims; d > floor_dims; d /= 2) {
     // Halving can leave a non-chunk multiple (e.g. 384/2); round down to
-    // the chunk grid so every rung is predict_reduced-legal.
+    // the chunk grid so every rung is a legal HdcClassifier::prefix_mask.
     const std::size_t rung = (d / chunk) * chunk;
     if (ladder.empty() || ladder.back() != rung) ladder.push_back(rung);
   }
   if (ladder.empty() || ladder.back() != floor_dims)
     ladder.push_back(floor_dims);
   return ladder;
-}
-
-std::vector<bool> rung_mask(std::size_t dims, std::size_t chunk,
-                            std::size_t num_chunks,
-                            const std::vector<bool>& chunk_ok) {
-  std::vector<bool> mask(num_chunks, false);
-  for (std::size_t k = 0; k < dims / chunk; ++k)
-    mask[k] = chunk_ok.empty() || chunk_ok[k];
-  return mask;
 }
 
 std::vector<Request> poisson_trace(std::uint64_t seed, std::size_t n,

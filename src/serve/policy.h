@@ -23,13 +23,6 @@ namespace generic::serve {
 std::vector<std::size_t> dims_ladder(std::size_t dims, std::size_t chunk,
                                      std::size_t min_dims);
 
-/// Chunk mask one ladder rung scores with: the first dims / chunk of
-/// `num_chunks` chunks, AND `chunk_ok` when it is non-empty (size
-/// num_chunks). A full-dims rung of a healthy model is all true.
-std::vector<bool> rung_mask(std::size_t dims, std::size_t chunk,
-                            std::size_t num_chunks,
-                            const std::vector<bool>& chunk_ok);
-
 /// Seeded open-loop Poisson load: `n` requests (ids 0..n-1) whose
 /// inter-arrival gaps on the virtual clock are exponential with mean
 /// 1e6 / rate_rps us (at least 1 us), each querying a uniform draw from

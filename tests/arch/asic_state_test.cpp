@@ -94,8 +94,8 @@ TEST(AsicState, ClusteringAgreesWithSoftwareClusterer) {
   encoder.fit(ds.points);
   const auto encoded = encoder.encode_batch(ds.points);
   model::HdcCluster hc(spec.dims, spec.classes);
-  hc.fit(encoded, 10);
-  const auto sw_labels = hc.labels(encoded);
+  hc.fit(encoded, 10, global_pool());
+  const auto sw_labels = hc.labels(encoded, global_pool());
 
   EXPECT_GT(ml::normalized_mutual_information(hw_labels, sw_labels), 0.85);
 }

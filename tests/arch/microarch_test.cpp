@@ -133,12 +133,12 @@ TEST(MicroArch, ReducedPredictionsTrackSoftwareReducedModel) {
   Rig rig("EMG");
   MicroArchSim sim(rig.spec, *rig.encoder, *rig.model);
   sim.set_active_dims(1024);
+  const std::vector<bool> first_1k = rig.model->prefix_mask(1024);
   std::size_t agree = 0;
   for (std::size_t i = 0; i < 60; ++i) {
     const auto hw = sim.infer(rig.ds.test_x[i]);
-    const int sw = rig.model->predict_reduced(
-        rig.encoder->encode(rig.ds.test_x[i]), 1024,
-        model::NormMode::kUpdated);
+    const int sw =
+        rig.model->scan(rig.encoder->encode(rig.ds.test_x[i]), first_1k).cls;
     agree += hw.label == sw;
   }
   EXPECT_GE(agree, 57u);

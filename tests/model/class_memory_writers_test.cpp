@@ -62,11 +62,12 @@ std::vector<Prediction> observe(const HdcClassifier& clf,
                                 const std::vector<hdc::IntHV>& probes) {
   ThreadPool pool(2);
   std::vector<Prediction> out;
-  for (const auto& q : probes) {
-    out.push_back(clf.predict_reduced_margin(q, kDims, NormMode::kUpdated));
-    out.push_back(clf.predict_reduced_margin(q, 512, NormMode::kConstant));
-  }
   const std::vector<bool> all(clf.num_chunks(), true);
+  const std::vector<bool> half = clf.prefix_mask(512);
+  for (const auto& q : probes) {
+    out.push_back(clf.scan(q, all, NormMode::kUpdated));
+    out.push_back(clf.scan(q, half, NormMode::kConstant));
+  }
   std::vector<bool> with_holes = all;
   with_holes[1] = with_holes[4] = false;
   const std::vector<bool>& holed = with_holes;
@@ -119,23 +120,6 @@ TEST(ClassMemoryWriters, RetrainingMovesSamples) {
   HdcClassifier par = r.clf;
   ASSERT_GT(par.retrain_epoch_parallel(r.train, r.ds.train_y, pool), 0u);
   expect_scored_copy_exact(par, "retrain_epoch_parallel");
-}
-
-TEST(ClassMemoryWriters, OnlineUpdates) {
-  const Rig& r = rig();
-  HdcClassifier unit = r.clf;
-  HdcClassifier adaptive = r.clf;
-  std::size_t unit_moves = 0;
-  std::size_t adaptive_moves = 0;
-  for (std::size_t i = 0; i < r.train.size(); ++i) {
-    unit_moves += unit.online_update(r.train[i], r.ds.train_y[i]) ? 1 : 0;
-    adaptive_moves +=
-        adaptive.online_update_adaptive(r.train[i], r.ds.train_y[i]) ? 1 : 0;
-  }
-  ASSERT_GT(unit_moves, 0u);
-  ASSERT_GT(adaptive_moves, 0u);
-  expect_scored_copy_exact(unit, "online_update");
-  expect_scored_copy_exact(adaptive, "online_update_adaptive");
 }
 
 TEST(ClassMemoryWriters, Quantize) {

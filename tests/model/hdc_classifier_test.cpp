@@ -140,7 +140,8 @@ TEST(HdcClassifier, ReducedDimsUpdatedBeatsConstant) {
   auto acc = [&](std::size_t dims_used, NormMode mode) {
     std::size_t hits = 0;
     for (std::size_t i = 0; i < test.size(); ++i)
-      hits += clf.predict_reduced(test[i], dims_used, mode) == ds.test_y[i];
+      hits += clf.scan(test[i], clf.prefix_mask(dims_used), mode).cls ==
+              ds.test_y[i];
     return static_cast<double>(hits) / static_cast<double>(test.size());
   };
   const double updated = acc(512, NormMode::kUpdated);
@@ -154,18 +155,23 @@ TEST(HdcClassifier, ReducedDimsUpdatedBeatsConstant) {
 TEST(HdcClassifier, ScoreValidation) {
   HdcClassifier clf(256, 2, 64);
   hdc::IntHV q(256, 0);
-  EXPECT_THROW(clf.predict_reduced(q, 100, NormMode::kUpdated),
-               std::invalid_argument);
-  EXPECT_THROW(clf.predict_reduced(q, 0, NormMode::kUpdated),
-               std::invalid_argument);
-  EXPECT_THROW(clf.predict_reduced(q, 320, NormMode::kUpdated),
-               std::invalid_argument);
+  EXPECT_THROW(clf.prefix_mask(100), std::invalid_argument);
+  EXPECT_THROW(clf.prefix_mask(0), std::invalid_argument);
+  EXPECT_THROW(clf.prefix_mask(320), std::invalid_argument);
+  EXPECT_THROW(clf.prefix_mask(128, {true, true}), std::invalid_argument);
   hdc::IntHV bad(128, 0);
-  EXPECT_THROW(clf.predict_reduced(bad, 128, NormMode::kUpdated),
-               std::invalid_argument);
+  EXPECT_THROW(clf.scan(bad, clf.prefix_mask(128)), std::invalid_argument);
   EXPECT_THROW(clf.predict(bad), std::invalid_argument);
-  EXPECT_THROW(clf.predict_masked(q, {true, true}), std::invalid_argument);
-  EXPECT_THROW(clf.predict_masked(q, {false, false, false, false}),
+  EXPECT_THROW(clf.scan(q, {true, true}), std::invalid_argument);
+  EXPECT_THROW(clf.scan(q, {false, false, false, false}),
+               std::invalid_argument);
+  // The batch checks the same mask and every query before scoring any.
+  const hdc::IntHV* rows[] = {&q, &bad};
+  EXPECT_THROW(clf.scan_batch(rows, clf.prefix_mask(256), NormMode::kUpdated,
+                              global_pool()),
+               std::invalid_argument);
+  EXPECT_THROW(clf.scan_batch({rows, 1}, {true, true}, NormMode::kUpdated,
+                              global_pool()),
                std::invalid_argument);
 }
 

@@ -78,19 +78,13 @@ Fixture make_fixture() {
   return f;
 }
 
-std::vector<bool> prefix_mask(std::size_t chunks, std::size_t on) {
-  std::vector<bool> m(chunks, false);
-  for (std::size_t k = 0; k < on; ++k) m[k] = true;
-  return m;
-}
-
 /// Predictions with margins of one ladder rung, one query at a time.
 std::vector<Prediction> rung_scan(const HdcClassifier& clf,
                                   const std::vector<hdc::IntHV>& queries,
                                   std::size_t dims, NormMode mode) {
+  const std::vector<bool> mask = clf.prefix_mask(dims);
   std::vector<Prediction> out;
-  for (const auto& q : queries)
-    out.push_back(clf.predict_reduced_margin(q, dims, mode));
+  for (const auto& q : queries) out.push_back(clf.scan(q, mask, mode));
   return out;
 }
 
@@ -124,12 +118,14 @@ std::string render_model(const HdcClassifier& clf,
   std::vector<bool> single(n, false);
   single[n - 1] = true;
   const std::pair<const char*, std::vector<bool>> masks[] = {
-      {"mask=prefix", prefix_mask(n, (n + 1) / 2)},
+      {"mask=prefix", clf.prefix_mask((n + 1) / 2 * kChunk)},
       {"mask=holes", holes},
       {"mask=single", single},
   };
+  std::vector<const hdc::IntHV*> rows;
+  for (const auto& q : queries) rows.push_back(&q);
   for (const auto& [name, mask] : masks)
-    render(out, name, clf.predict_masked_margin_batch(queries, mask, pool));
+    render(out, name, clf.scan_batch(rows, mask, NormMode::kUpdated, pool));
   return out;
 }
 
@@ -224,15 +220,21 @@ TEST(ScoringGolden, EveryScoringViewMatchesFixture) {
   if (golden::updating()) GTEST_SKIP() << "fixtures regenerated";
 }
 
+// A reduced rung is the mask of its chunk prefix, less any dead chunks:
+// prefix_mask() must build exactly that, written out here chunk by chunk,
+// for every chunk-multiple rung of a healthy and of a degraded model.
 TEST(ScoringGolden, ReducedEqualsMaskedOnPrefix) {
-  const Fixture f = make_fixture();
-  for (std::size_t k = 1; k <= f.clf.num_chunks(); ++k) {
-    const auto mask = prefix_mask(f.clf.num_chunks(), k);
-    for (std::size_t i = 0; i < f.queries.size(); ++i)
-      EXPECT_EQ(f.clf.predict_reduced(f.queries[i], k * kChunk,
-                                      NormMode::kUpdated),
-                f.clf.predict_masked(f.queries[i], mask))
-          << "chunks=" << k << " q=" << i;
+  const HdcClassifier clf(kDims, kClasses, kChunk);
+  const std::size_t n = clf.num_chunks();
+  std::vector<bool> holes(n, true);
+  holes[0] = holes[3] = holes[6] = false;
+  for (const std::vector<bool>& ok : {std::vector<bool>{}, holes}) {
+    for (std::size_t k = 1; k <= n; ++k) {
+      std::vector<bool> want(n, false);
+      for (std::size_t j = 0; j < k; ++j) want[j] = ok.empty() || ok[j];
+      EXPECT_EQ(clf.prefix_mask(k * kChunk, ok), want)
+          << "chunks=" << k << " holes=" << !ok.empty();
+    }
   }
 }
 
@@ -246,11 +248,9 @@ TEST(ScoringGolden, MarginBatchesMatchSerial) {
     const std::size_t dims = k * kChunk;
     const auto one = rung_scan(clf, f.queries, dims, NormMode::kUpdated);
     const auto many = clf.predict_masked_margin_batch(
-        f.queries, prefix_mask(clf.num_chunks(), k), wide);
+        f.queries, clf.prefix_mask(dims), wide);
     ASSERT_EQ(many.size(), f.queries.size());
     for (std::size_t i = 0; i < f.queries.size(); ++i) {
-      EXPECT_EQ(many[i].cls,
-                clf.predict_reduced(f.queries[i], dims, NormMode::kUpdated));
       EXPECT_EQ(many[i].cls, one[i].cls);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(many[i].margin),
                 std::bit_cast<std::uint64_t>(one[i].margin))
@@ -263,7 +263,7 @@ TEST(ScoringGolden, MarginBatchesMatchSerial) {
                                                    serial_pool);
   const auto many = clf.predict_masked_margin_batch(f.queries, holes, wide);
   for (std::size_t i = 0; i < f.queries.size(); ++i) {
-    EXPECT_EQ(many[i].cls, clf.predict_masked(f.queries[i], holes));
+    EXPECT_EQ(many[i].cls, clf.scan(f.queries[i], holes).cls);
     EXPECT_EQ(many[i].cls, one[i].cls);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(many[i].margin),
               std::bit_cast<std::uint64_t>(one[i].margin))

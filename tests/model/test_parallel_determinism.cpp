@@ -1,14 +1,15 @@
 // Lane-invariance suite for the learning and inference engine: every
 // pooled entry point — encode_batch, train_batch, retrain_epoch_parallel,
-// fit_parallel, predict_batch, the masked margin batch and
-// run_hdc_classification — must produce BYTE-IDENTICAL models and
-// predictions for every pool width, including pools far wider than the
-// machine (threads ∈ {1, 2, 7, 16} on a possibly single-core host), and
-// must equal a small test-local reference written from the paper's
-// description rather than from the engine's code: per-sample encode(),
-// one-shot training as a plain per-class hdc::add_into sum, a retraining
-// epoch as a predict + move_sample loop in sample order, and per-query
-// predict(). Parallelism is an execution detail, never an observable one
+// fit_parallel, predict_batch, the masked margin batch, HdcCluster::fit
+// and labels, and run_hdc_classification — must produce BYTE-IDENTICAL
+// models and predictions for every pool width, including pools far wider
+// than the machine (threads ∈ {1, 2, 7, 16} on a possibly single-core
+// host), and must equal a small test-local reference written from the
+// paper's description rather than from the engine's code: per-sample
+// encode(), one-shot training as a plain per-class hdc::add_into sum, a
+// retraining epoch as a predict + move_sample loop in sample order,
+// per-query predict(), and clustering epochs as per-point predict() plus
+// the copy update. Parallelism is an execution detail, never an observable one
 // (docs/parallelism.md).
 //
 // Two synthetic datasets with different structure exercise different
@@ -32,6 +33,7 @@
 #include "hdc/kernels.h"
 #include "kernel_backends.h"
 #include "model/hdc_classifier.h"
+#include "model/hdc_cluster.h"
 #include "model/pipeline.h"
 
 namespace generic::model {
@@ -159,6 +161,50 @@ std::vector<int> noisy_labels(const data::Dataset& ds) {
   for (std::size_t i = 0; i < labels.size(); i += 5)
     labels[i] = (labels[i] + 1) % static_cast<int>(ds.num_classes);
   return labels;
+}
+
+/// The reference clustering (§4.2.3): seed the centroids with the first k
+/// points; each epoch assigns every point by predict() against the fixed
+/// centroids while summing a copy model, stops when no assignment changed,
+/// and otherwise replaces every centroid that drew a point with its copy.
+struct ReferenceClusters {
+  std::size_t epochs = 0;
+  std::vector<int> labels;
+  std::vector<hdc::IntHV> centroids;
+};
+
+ReferenceClusters reference_cluster(std::span<const hdc::IntHV> points,
+                                    std::size_t k, std::size_t max_epochs) {
+  const std::size_t dims = points[0].size();
+  ReferenceClusters r;
+  r.centroids.assign(points.begin(),
+                     points.begin() + static_cast<std::ptrdiff_t>(k));
+  auto model_of = [&] {
+    HdcClassifier m(dims, k, dims);
+    for (std::size_t c = 0; c < k; ++c) m.set_class_vector(c, r.centroids[c]);
+    m.recompute_norms();
+    return m;
+  };
+  std::vector<int> prev(points.size(), -1);
+  for (; r.epochs < max_epochs; ++r.epochs) {
+    const HdcClassifier fixed = model_of();
+    std::vector<hdc::IntHV> copy(k, hdc::IntHV(dims, 0));
+    std::vector<std::size_t> members(k, 0);
+    bool changed = false;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const int c = fixed.predict(points[i]);
+      changed |= c != prev[i];
+      prev[i] = c;
+      hdc::add_into(copy[static_cast<std::size_t>(c)], points[i]);
+      ++members[static_cast<std::size_t>(c)];
+    }
+    if (!changed) break;
+    for (std::size_t c = 0; c < k; ++c)
+      if (members[c] != 0) r.centroids[c] = std::move(copy[c]);
+  }
+  const HdcClassifier final_model = model_of();
+  for (const auto& p : points) r.labels.push_back(final_model.predict(p));
+  return r;
 }
 
 std::vector<hdc::IntHV> reference_encode(
@@ -304,12 +350,9 @@ TEST_P(ParallelDeterminismTest, PredictReducedBatchMatchesSerial) {
   // A ladder rung is the mask of its chunk prefix; the serving engine
   // flushes every rung through the masked margin batch.
   for (const std::size_t dims_used : {512ul, 256ul, 128ul}) {
+    const std::vector<bool> prefix = clf.prefix_mask(dims_used);
     std::vector<Prediction> serial;
-    for (const auto& q : test)
-      serial.push_back(
-          clf.predict_reduced_margin(q, dims_used, NormMode::kUpdated));
-    std::vector<bool> prefix(clf.num_chunks(), false);
-    for (std::size_t k = 0; k < dims_used / 128; ++k) prefix[k] = true;
+    for (const auto& q : test) serial.push_back(clf.scan(q, prefix));
     for (std::size_t lanes : kLaneCounts) {
       ThreadPool pool(lanes);
       const auto batch = clf.predict_masked_margin_batch(test, prefix, pool);
@@ -335,13 +378,45 @@ TEST_P(ParallelDeterminismTest, PredictMaskedBatchMatchesSerial) {
 
   const std::vector<bool> chunk_ok = {true, false, true, false};
   std::vector<int> serial;
-  for (const auto& q : test) serial.push_back(clf.predict_masked(q, chunk_ok));
+  for (const auto& q : test) serial.push_back(clf.scan(q, chunk_ok).cls);
   for (std::size_t lanes : kLaneCounts) {
     ThreadPool pool(lanes);
     const auto batch = clf.predict_masked_margin_batch(test, chunk_ok, pool);
     std::vector<int> cls;
     for (const Prediction& p : batch) cls.push_back(p.cls);
     EXPECT_EQ(cls, serial) << "lanes=" << lanes;
+  }
+}
+
+TEST_P(ParallelDeterminismTest, ClusteringMatchesReferenceAtEveryLaneCount) {
+  const auto ds = dataset();
+  enc::GenericEncoder encoder(small_config(GetParam()));
+  encoder.fit(ds.train_x);
+  const auto encoded = reference_encode(encoder, ds.train_x);
+  // The samples are grouped by class, so the first-k seeds all come from
+  // class 0 and the centroids must move over several epochs.
+  const std::size_t k = ds.num_classes;
+  const ReferenceClusters ref = reference_cluster(encoded, k, 10);
+  ASSERT_GT(ref.epochs, 1u) << "no centroid update to compare";
+
+  ThreadPool one(1);
+  HdcCluster single(512, k);
+  const std::size_t single_epochs = single.fit(encoded, 10, one);
+  const std::vector<int> single_labels = single.labels(encoded, one);
+  EXPECT_EQ(single_epochs, ref.epochs);
+  EXPECT_EQ(single_labels, ref.labels);
+  for (std::size_t c = 0; c < k; ++c)
+    EXPECT_EQ(single.centroid(c), ref.centroids[c]) << "centroid " << c;
+  for (std::size_t lanes : {1ul, 2ul, 7ul}) {
+    ThreadPool pool(lanes);
+    HdcCluster parallel(512, k);
+    EXPECT_EQ(parallel.fit(encoded, 10, pool), single_epochs)
+        << "lanes=" << lanes;
+    EXPECT_EQ(parallel.labels(encoded, pool), single_labels)
+        << "lanes=" << lanes;
+    for (std::size_t c = 0; c < k; ++c)
+      EXPECT_EQ(parallel.centroid(c), single.centroid(c))
+          << "centroid " << c << " lanes=" << lanes;
   }
 }
 

@@ -48,7 +48,7 @@ struct Rig {
                          const std::vector<bool>& ok) const {
     std::size_t hits = 0;
     for (std::size_t i = 0; i < test.size(); ++i)
-      hits += m.predict_masked(test[i], ok) == ds.test_y[i];
+      hits += m.scan(test[i], ok).cls == ds.test_y[i];
     return static_cast<double>(hits) / static_cast<double>(test.size());
   }
 };
@@ -145,8 +145,7 @@ TEST(BlockGuard, ScrubFromCrcVerifiedBlob) {
 TEST(BlockGuard, AllChunksMaskedThrows) {
   Rig rig;
   const std::vector<bool> none(rig.clf.num_chunks(), false);
-  EXPECT_THROW(rig.clf.predict_masked(rig.test[0], none),
-               std::invalid_argument);
+  EXPECT_THROW(rig.clf.scan(rig.test[0], none), std::invalid_argument);
 }
 
 TEST(BlockGuard, MicroArchBlockMaskMatchesSoftwareMasking) {
@@ -173,7 +172,7 @@ TEST(BlockGuard, MicroArchBlockMaskMatchesSoftwareMasking) {
   const std::size_t n = std::min<std::size_t>(rig.ds.test_x.size(), 200);
   for (std::size_t i = 0; i < n; ++i) {
     const auto hw = sim.infer(rig.ds.test_x[i]);
-    agree += hw.label == faulty.predict_masked(rig.test[i], ok);
+    agree += hw.label == faulty.scan(rig.test[i], ok).cls;
   }
   EXPECT_GE(static_cast<double>(agree), 0.9 * static_cast<double>(n));
 

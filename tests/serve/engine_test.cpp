@@ -1,7 +1,7 @@
 // ServeEngine behaviour: deadline expiry (at completion and fail-fast at
 // dequeue), shed ordering at the high-water mark, retry exhaustion,
 // degradation ladder transitions in both directions, and exact agreement
-// of served predictions with the predict_reduced / predict_masked goldens.
+// of served predictions with the classifier's scan over the rung's mask.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -230,16 +230,16 @@ TEST(ServeEngineTest, OverloadWalksLadderDownAndRecovers) {
   EXPECT_GT(rep.outcomes[static_cast<std::size_t>(Outcome::kDegraded)], 0u);
 
   // Accuracy-at-degradation golden: every degraded response equals
-  // predict_reduced at its rung with Updated norms.
+  // the classifier's scan over its rung's prefix mask with Updated norms.
   std::uint64_t checked = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto r = futures[i].try_get();
     ASSERT_TRUE(r.has_value());
     if (r->outcome != Outcome::kDegraded) continue;
     EXPECT_LT(r->dims_used, 512u);
-    EXPECT_EQ(r->predicted,
-              w.clf.predict_reduced(w.queries[requests[i].query],
-                                    r->dims_used, model::NormMode::kUpdated));
+    EXPECT_EQ(r->predicted, w.clf.scan(w.queries[requests[i].query],
+                                       w.clf.prefix_mask(r->dims_used))
+                                .cls);
     ++checked;
   }
   EXPECT_GT(checked, 0u);
@@ -263,7 +263,7 @@ TEST(ServeEngineTest, MaskedServingMatchesPredictMasked) {
   EXPECT_EQ(rep.rungs[0].active_chunks, 3u);
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto r = futures[i].try_get();
-    EXPECT_EQ(r->predicted, w.clf.predict_masked(w.queries[i], chunk_ok));
+    EXPECT_EQ(r->predicted, w.clf.scan(w.queries[i], chunk_ok).cls);
   }
 }
 
