@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -142,6 +143,137 @@ TEST(ProtocolTest, ByteAtATimeFeedStillYieldsFrames) {
   EXPECT_EQ(frames, 2u);
   EXPECT_FALSE(p.failed());
   EXPECT_EQ(p.buffered(), 0u);
+}
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
+TEST(ProtocolTest, FrameBytesMatchFixture) {
+  // One frame of each kind, pinned byte for byte (u32 LE length | kind |
+  // little-endian body), then decoded back from the fixture bytes.
+  const Hello hello{kProtoVersion, 0x0203, 0x0405};
+  const HelloAck ack{{160, 0x01020304}};
+  WireRequest req;
+  req.id = 0x0123456789ABCDEFull;
+  req.send_us = 42000;
+  req.model = 2;
+  req.priority = 1;
+  req.deadline_rel_us = 4000;
+  req.query = 159;
+  WireResponse resp;
+  resp.id = 99;
+  resp.status = kStatusPriorityShed;
+  resp.predicted = -1;
+  resp.margin_micro = -123456789;
+  resp.dims_used = 512;
+  resp.attempts = 3;
+  resp.finish_us = 1000000;
+  resp.latency_us = 2500;
+  resp.version = 4;
+  resp.rung = 2;
+
+  const std::string kHello = "0700000001" "0100" "0302" "0504";
+  const std::string kAck = "0b00000002" "0200" "a0000000" "04030201";
+  const std::string kRequest =
+      "2200000003" "efcdab8967452301" "10a4000000000000" "0200" "01"
+      "a00f000000000000" "0400" "9f000000";
+  const std::string kResponse =
+      "3a00000004" "6300000000000000" "07" "ffffffff" "eb32a4f8ffffffff"
+      "00020000" "03000000" "40420f0000000000" "c409000000000000"
+      "0400000000000000" "02000000";
+  const std::string kBye = "0100000005";
+  const std::string kError = "0200000006" "09";
+
+  std::vector<std::uint8_t> bytes;
+  encode_hello(hello, bytes);
+  EXPECT_EQ(to_hex(bytes), kHello);
+  bytes.clear();
+  encode_hello_ack(ack, bytes);
+  EXPECT_EQ(to_hex(bytes), kAck);
+  bytes.clear();
+  encode_request(req, bytes);
+  EXPECT_EQ(to_hex(bytes), kRequest);
+  bytes.clear();
+  encode_response(resp, bytes);
+  EXPECT_EQ(to_hex(bytes), kResponse);
+  bytes.clear();
+  encode_bye(bytes);
+  EXPECT_EQ(to_hex(bytes), kBye);
+  bytes.clear();
+  encode_error(ProtoError::kUnknownTenant, bytes);
+  EXPECT_EQ(to_hex(bytes), kError);
+
+  FrameParser p;
+  const auto wire =
+      from_hex(kHello + kAck + kRequest + kResponse + kBye + kError);
+  p.feed(wire.data(), wire.size());
+
+  auto f = p.next();
+  ASSERT_TRUE(f.has_value());
+  Hello h;
+  ASSERT_EQ(decode_hello(*f, h), ProtoError::kNone);
+  EXPECT_EQ(h.tenant, hello.tenant);
+  EXPECT_EQ(h.client, hello.client);
+
+  f = p.next();
+  ASSERT_TRUE(f.has_value());
+  HelloAck a;
+  ASSERT_EQ(decode_hello_ack(*f, a), ProtoError::kNone);
+  EXPECT_EQ(a.model_queries, ack.model_queries);
+
+  f = p.next();
+  ASSERT_TRUE(f.has_value());
+  WireRequest rq;
+  ASSERT_EQ(decode_request(*f, rq), ProtoError::kNone);
+  EXPECT_EQ(rq.id, req.id);
+  EXPECT_EQ(rq.send_us, req.send_us);
+  EXPECT_EQ(rq.model, req.model);
+  EXPECT_EQ(rq.priority, req.priority);
+  EXPECT_EQ(rq.deadline_rel_us, req.deadline_rel_us);
+  EXPECT_EQ(rq.query, req.query);
+
+  f = p.next();
+  ASSERT_TRUE(f.has_value());
+  WireResponse rs;
+  ASSERT_EQ(decode_response(*f, rs), ProtoError::kNone);
+  EXPECT_EQ(rs.id, resp.id);
+  EXPECT_EQ(rs.status, resp.status);
+  EXPECT_EQ(rs.predicted, resp.predicted);
+  EXPECT_EQ(rs.margin_micro, resp.margin_micro);
+  EXPECT_EQ(rs.dims_used, resp.dims_used);
+  EXPECT_EQ(rs.attempts, resp.attempts);
+  EXPECT_EQ(rs.finish_us, resp.finish_us);
+  EXPECT_EQ(rs.latency_us, resp.latency_us);
+  EXPECT_EQ(rs.version, resp.version);
+  EXPECT_EQ(rs.rung, resp.rung);
+
+  f = p.next();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->kind, FrameKind::kBye);
+  EXPECT_TRUE(f->body.empty());
+
+  f = p.next();
+  ASSERT_TRUE(f.has_value());
+  ProtoError code = ProtoError::kNone;
+  ASSERT_EQ(decode_error(*f, code), ProtoError::kNone);
+  EXPECT_EQ(code, ProtoError::kUnknownTenant);
+  EXPECT_FALSE(p.next().has_value());
+  EXPECT_FALSE(p.failed());
 }
 
 // ---- The malformed-input corpus (satellite: fuzz-ish typed errors) --------
