@@ -23,6 +23,8 @@ void Quantizer::fit(std::span<const std::vector<float>> samples) {
 }
 
 void Quantizer::fit_range(float lo, float hi) {
+  if (!std::isfinite(lo) || !std::isfinite(hi))
+    throw std::invalid_argument("Quantizer: range must be finite");
   if (!(lo <= hi)) throw std::invalid_argument("Quantizer: lo must be <= hi");
   lo_ = lo;
   hi_ = hi;
@@ -33,10 +35,13 @@ std::size_t Quantizer::bin(float value) const {
   if (!fitted_) throw std::logic_error("Quantizer used before fit");
   if (hi_ == lo_) return 0;
   const float t = (value - lo_) / (hi_ - lo_);
-  const auto idx = static_cast<std::ptrdiff_t>(
+  // Settle the edge bins before the cast: a value far outside the range (or
+  // NaN) would not fit the integer it is cast to.
+  if (!(t > 0.0f)) return 0;
+  if (t >= 1.0f) return bins_ - 1;
+  const auto idx = static_cast<std::size_t>(
       std::floor(static_cast<double>(t) * static_cast<double>(bins_)));
-  return static_cast<std::size_t>(
-      std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(bins_) - 1));
+  return std::min(idx, bins_ - 1);
 }
 
 std::vector<std::uint16_t> Quantizer::transform(

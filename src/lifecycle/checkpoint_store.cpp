@@ -1,12 +1,11 @@
 #include "lifecycle/checkpoint_store.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "model/model_io.h"
@@ -17,59 +16,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::array<char, 4> kMagic = {'G', 'C', 'K', 'P'};
+constexpr std::string_view kMagic = "GCKP";
 constexpr std::uint32_t kStoreVersion = 1;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> buf) : buf_(buf) {}
-
-  std::uint32_t get_u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(buf_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t get_u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(buf_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  std::span<const std::uint8_t> get_bytes(std::size_t n) {
-    need(n);
-    const auto out = buf_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return buf_.size() - pos_; }
-
- private:
-  void need(std::size_t n) const {
-    if (buf_.size() - pos_ < n)
-      throw std::invalid_argument("checkpoint truncated");
-  }
-  std::span<const std::uint8_t> buf_;
-  std::size_t pos_ = 0;
-};
 
 /// Parse one checkpoint file. Error contract mirrors model_io: any
 /// corruption is std::invalid_argument; an intact file from a newer writer
@@ -77,45 +25,23 @@ class Reader {
 LoadedCheckpoint parse_checkpoint(const std::string& path) {
   const auto file = model::read_file_bytes(path);
   if (!file) throw std::invalid_argument("cannot open checkpoint: " + path);
-  const std::vector<std::uint8_t>& buf = *file;
-  if (buf.size() < kMagic.size() + 4 + 8 + 8 + 8 + 4)
-    throw std::invalid_argument("checkpoint truncated");
-  // Outer CRC first: distinguishes corruption from every other complaint.
-  const std::size_t body = buf.size() - 4;
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i)
-    stored |= static_cast<std::uint32_t>(buf[body + i]) << (8 * i);
-  if (model::crc32(buf.data(), body) != stored)
-    throw std::invalid_argument("checkpoint CRC mismatch");
-
-  Reader r(buf);
-  const auto magic = r.get_bytes(kMagic.size());
-  if (!std::equal(magic.begin(), magic.end(), kMagic.begin()))
-    throw std::invalid_argument("checkpoint bad magic");
-  const std::uint32_t version = r.get_u32();
-  if (version > kStoreVersion)
-    throw model::UnsupportedVersionError(version, kStoreVersion);
-  if (version != kStoreVersion)
-    throw std::invalid_argument("checkpoint unsupported format version");
-
+  ByteReader r = model::open_sealed(*file, kMagic, kStoreVersion, "checkpoint");
   LoadedCheckpoint out;
-  out.version = r.get_u64();
-  out.vt = r.get_u64();
-  const std::uint64_t payload_size = r.get_u64();
-  if (payload_size != r.remaining() - 4)
+  std::uint64_t payload_size = 0;
+  if (!r.read(out.version) || !r.read(out.vt) || !r.read(payload_size))
+    throw std::invalid_argument("checkpoint truncated");
+  if (payload_size != r.remaining())
     throw std::invalid_argument("checkpoint payload size mismatch");
-  out.model = model::deserialize_classifier(
-      r.get_bytes(static_cast<std::size_t>(payload_size)));
+  out.model = model::deserialize_classifier(r.rest());
   return out;
 }
 
-std::optional<std::uint64_t> version_from_suffixed(const std::string& name,
-                                                   const std::string& suffix) {
+std::optional<std::uint64_t> version_from(const std::string& name,
+                                         const std::string& suffix) {
   // ckpt-%08llu<suffix> — tolerate more digits than 8.
   const std::string prefix = "ckpt-";
   if (name.size() <= prefix.size() + suffix.size()) return std::nullopt;
-  if (name.compare(0, prefix.size(), prefix) != 0) return std::nullopt;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0)
+  if (!name.starts_with(prefix) || !name.ends_with(suffix))
     return std::nullopt;
   std::uint64_t v = 0;
   for (std::size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
@@ -125,12 +51,20 @@ std::optional<std::uint64_t> version_from_suffixed(const std::string& name,
   return v;
 }
 
-std::optional<std::uint64_t> version_from_name(const std::string& name) {
-  return version_from_suffixed(name, ".gckp");
-}
-
-std::optional<std::uint64_t> version_from_quarantined(const std::string& name) {
-  return version_from_suffixed(name, ".gckp.quarantined");
+/// Files named ckpt-<version><suffix> in `dir`, by ascending version.
+std::vector<CheckpointInfo> scan(const std::string& dir,
+                                 const std::string& suffix) {
+  std::vector<CheckpointInfo> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    const auto version = version_from(entry.path().filename().string(), suffix);
+    if (version) out.push_back(CheckpointInfo{*version, entry.path().string()});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const CheckpointInfo& a, const CheckpointInfo& b) {
+              return a.version < b.version;
+            });
+  return out;
 }
 
 }  // namespace
@@ -159,15 +93,13 @@ std::string CheckpointStore::save(const model::HdcClassifier& model,
                                 std::to_string(version));
 
   const std::vector<std::uint8_t> payload = model::serialize_classifier(model);
-  std::vector<std::uint8_t> buf;
-  buf.reserve(payload.size() + 40);
-  buf.insert(buf.end(), kMagic.begin(), kMagic.end());
-  put_u32(buf, kStoreVersion);
-  put_u64(buf, version);
-  put_u64(buf, vt);
-  put_u64(buf, payload.size());
+  // Header 32 bytes, then the payload, then the 4-byte footer.
+  auto buf = model::start_sealed(kMagic, kStoreVersion, payload.size() + 36);
+  append_le(buf, version);
+  append_le(buf, vt);
+  append_le(buf, static_cast<std::uint64_t>(payload.size()));
   buf.insert(buf.end(), payload.begin(), payload.end());
-  put_u32(buf, model::crc32(buf.data(), buf.size()));
+  model::seal(buf);
 
   const std::string tmp = path + ".tmp";
   {
@@ -214,34 +146,11 @@ void CheckpointStore::prune_quarantined() {
 }
 
 std::vector<CheckpointInfo> CheckpointStore::list() const {
-  std::vector<CheckpointInfo> out;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    if (!entry.is_regular_file()) continue;
-    const auto version = version_from_name(entry.path().filename().string());
-    if (!version) continue;
-    out.push_back(CheckpointInfo{*version, entry.path().string()});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CheckpointInfo& a, const CheckpointInfo& b) {
-              return a.version < b.version;
-            });
-  return out;
+  return scan(dir_, ".gckp");
 }
 
 std::vector<CheckpointInfo> CheckpointStore::list_quarantined() const {
-  std::vector<CheckpointInfo> out;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    if (!entry.is_regular_file()) continue;
-    const auto version =
-        version_from_quarantined(entry.path().filename().string());
-    if (!version) continue;
-    out.push_back(CheckpointInfo{*version, entry.path().string()});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CheckpointInfo& a, const CheckpointInfo& b) {
-              return a.version < b.version;
-            });
-  return out;
+  return scan(dir_, ".gckp.quarantined");
 }
 
 std::optional<LoadedCheckpoint> CheckpointStore::load_latest() {

@@ -9,6 +9,9 @@
 //     u64 model_version, u64 virtual install time,
 //     u64 payload size, payload = model_io classifier blob ("GCLS", its own
 //     CRC footer), u32 crc32 over everything before it.
+//   The envelope (magic, version, CRC footer) is model_io's sealed one:
+//   written with model::start_sealed/seal and checked by model::open_sealed
+//   before the header fields are read through common/bytes.h.
 //
 // Durability and hygiene rules:
 //  * save() writes to a ".tmp" sibling, decodes it back and cross-checks the

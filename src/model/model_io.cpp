@@ -1,7 +1,8 @@
 #include "model/model_io.h"
 
+#include <algorithm>
 #include <array>
-#include <bit>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -13,17 +14,12 @@
 namespace generic::model {
 namespace {
 
-// Every multi-byte field is written and read with memcpy in host order, and
-// the CRC loads its words the same way; the formats are little-endian.
-static_assert(std::endian::native == std::endian::little,
-              "model_io assumes a little-endian host");
-
-constexpr std::array<std::uint8_t, 4> kMagic{'G', 'H', 'D', 'C'};
+constexpr std::string_view kMagic = "GHDC";
 constexpr std::uint32_t kVersion = 1;
 
 constexpr std::size_t kMaxLevels = arch::ArchConstants{}.levels;
 
-constexpr std::array<std::uint8_t, 4> kClassifierMagic{'G', 'C', 'L', 'S'};
+constexpr std::string_view kClassifierMagic = "GCLS";
 constexpr std::uint32_t kClassifierVersion = 1;
 
 /// Slicing-by-8 tables for the reflected IEEE 802.3 polynomial: kCrcTables[0]
@@ -46,61 +42,8 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
-class Writer {
- public:
-  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
-
-  template <typename T>
-  void put(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
-  }
-  void put_row(std::span<const std::int32_t> row) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(row.data());
-    buf_.insert(buf_.end(), p, p + row.size_bytes());
-  }
-  /// Append the CRC of everything written so far and hand the blob over.
-  std::vector<std::uint8_t> seal() {
-    put(crc32(buf_.data(), buf_.size()));
-    return std::move(buf_);
-  }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> buf) : buf_(buf) {}
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T value;
-    std::memcpy(&value, take(sizeof(T)), sizeof(T));
-    return value;
-  }
-  void get_row(std::span<std::int32_t> row) {
-    std::memcpy(row.data(), take(row.size_bytes()), row.size_bytes());
-  }
-  std::size_t position() const { return pos_; }
-
- private:
-  const std::uint8_t* take(std::size_t n) {
-    if (buf_.size() - pos_ < n)
-      throw std::invalid_argument("model blob truncated");
-    const std::uint8_t* p = buf_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  std::span<const std::uint8_t> buf_;
-  std::size_t pos_ = 0;
-};
-
 /// Room for every header field and the footer of either format (82 bytes
-/// for GHDC, the larger), so a writer sized with it never reallocates.
+/// for GHDC, the larger), so a blob sized with it never reallocates.
 constexpr std::size_t kMaxFieldBytes = 128;
 
 std::size_t blob_capacity(const HdcClassifier& classifier) {
@@ -108,50 +51,34 @@ std::size_t blob_capacity(const HdcClassifier& classifier) {
          classifier.num_classes() * classifier.dims() * sizeof(std::int32_t);
 }
 
-void put_classifier(Writer& w, const HdcClassifier& classifier) {
-  w.put(static_cast<std::uint64_t>(classifier.dims()));
-  w.put(static_cast<std::uint64_t>(classifier.num_classes()));
-  w.put(static_cast<std::uint64_t>(classifier.dims() /
-                                   classifier.num_chunks()));
-  w.put(static_cast<std::int32_t>(classifier.bit_width()));
-  for (std::size_t c = 0; c < classifier.num_classes(); ++c)
-    w.put_row(classifier.class_vector(c));
+void put_classifier(std::vector<std::uint8_t>& buf,
+                    const HdcClassifier& classifier) {
+  append_le(buf, static_cast<std::uint64_t>(classifier.dims()));
+  append_le(buf, static_cast<std::uint64_t>(classifier.num_classes()));
+  append_le(buf, static_cast<std::uint64_t>(classifier.dims() /
+                                            classifier.num_chunks()));
+  append_le(buf, static_cast<std::int32_t>(classifier.bit_width()));
+  for (std::size_t c = 0; c < classifier.num_classes(); ++c) {
+    const auto& row = classifier.class_vector(c);
+    const auto* p = reinterpret_cast<const std::uint8_t*>(row.data());
+    buf.insert(buf.end(), p, p + row.size() * sizeof(std::int32_t));
+  }
 }
 
-/// Check the size and CRC footer of a blob, then its magic and version.
-/// Returns the CRC-covered length; `r` is left just past the version.
-/// `what` names the format in every error message.
-std::size_t open_blob(std::span<const std::uint8_t> blob, Reader& r,
-                      const std::array<std::uint8_t, 4>& magic,
-                      std::uint32_t supported, const std::string& what) {
-  if (blob.size() < magic.size() + sizeof(std::uint32_t) * 2)
-    throw std::invalid_argument(what + " too small");
-  // Verify the CRC footer first.
-  const std::size_t body = blob.size() - sizeof(std::uint32_t);
-  std::uint32_t stored;
-  std::memcpy(&stored, blob.data() + body, sizeof(stored));
-  if (crc32(blob.data(), body) != stored)
-    throw std::invalid_argument(what + " CRC mismatch");
-
-  for (auto expected : magic)
-    if (r.get<std::uint8_t>() != expected)
-      throw std::invalid_argument(what + " bad magic");
-  const std::uint32_t version = r.get<std::uint32_t>();
-  // The CRC already passed, so a too-high version means an intact file from
-  // a newer writer, not corruption — report it as such.
-  if (version > supported) throw UnsupportedVersionError(version, supported);
-  if (version != supported)
-    throw std::invalid_argument(what + " unsupported version");
-  return body;
+/// The next field of a `what` blob; running out of bytes is truncation.
+template <typename T>
+T field(ByteReader& r, const std::string& what) {
+  T value{};
+  if (!r.read(value)) throw std::invalid_argument(what + " truncated");
+  return value;
 }
 
 /// Read the classifier section that ends a blob's body.
-HdcClassifier get_classifier(Reader& r, std::size_t body,
-                             const std::string& what) {
-  const auto dims = static_cast<std::size_t>(r.get<std::uint64_t>());
-  const auto classes = static_cast<std::size_t>(r.get<std::uint64_t>());
-  const auto chunk = static_cast<std::size_t>(r.get<std::uint64_t>());
-  const auto bit_width = r.get<std::int32_t>();
+HdcClassifier get_classifier(ByteReader& r, const std::string& what) {
+  const auto dims = static_cast<std::size_t>(field<std::uint64_t>(r, what));
+  const auto classes = static_cast<std::size_t>(field<std::uint64_t>(r, what));
+  const auto chunk = static_cast<std::size_t>(field<std::uint64_t>(r, what));
+  const auto bit_width = field<std::int32_t>(r, what);
   if (dims == 0 || classes == 0 || chunk == 0 || dims % chunk != 0)
     throw std::invalid_argument(what + " inconsistent geometry");
   if (bit_width < 1 || bit_width > 16)
@@ -162,13 +89,14 @@ HdcClassifier get_classifier(Reader& r, std::size_t body,
     throw std::invalid_argument(what + " implausible geometry");
   const std::uint64_t want =
       static_cast<std::uint64_t>(dims) * classes * sizeof(std::int32_t);
-  if (want != body - r.position())
+  if (want != r.remaining())
     throw std::invalid_argument(what + " payload size mismatch");
 
   HdcClassifier out(dims, classes, chunk);
+  // Every row read succeeds: the payload size matched above.
   for (std::size_t c = 0; c < classes; ++c)
     out.edit_class_vector(
-        c, [&](std::span<std::int32_t> row) { r.get_row(row); });
+        c, [&](std::span<std::int32_t> row) { (void)r.read(row); });
   // Every norm is a sum of at most `dims` squares in int64; values that
   // could overflow it come only from a crafted or damaged blob.
   const std::int64_t max_abs = out.class_max_abs();
@@ -198,41 +126,77 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   return ~crc;
 }
 
+std::vector<std::uint8_t> start_sealed(std::string_view magic,
+                                       std::uint32_t version,
+                                       std::size_t capacity) {
+  std::vector<std::uint8_t> buf;
+  buf.reserve(capacity);
+  buf.insert(buf.end(), magic.begin(), magic.end());
+  append_le(buf, version);
+  return buf;
+}
+
+void seal(std::vector<std::uint8_t>& buf) {
+  append_le(buf, crc32(buf.data(), buf.size()));
+}
+
+ByteReader open_sealed(std::span<const std::uint8_t> bytes,
+                       std::string_view magic,
+                       std::uint32_t supported_version,
+                       const std::string& what) {
+  if (bytes.size() < magic.size() + sizeof(std::uint32_t) * 2)
+    throw std::invalid_argument(what + " too small");
+  // Verify the CRC footer first.
+  const auto body = bytes.first(bytes.size() - sizeof(std::uint32_t));
+  if (crc32(body.data(), body.size()) !=
+      load_le<std::uint32_t>(body.data() + body.size()))
+    throw std::invalid_argument(what + " CRC mismatch");
+
+  if (!std::equal(magic.begin(), magic.end(), body.begin()))
+    throw std::invalid_argument(what + " bad magic");
+  const auto version = load_le<std::uint32_t>(body.data() + magic.size());
+  // The CRC already passed, so a too-high version means an intact file from
+  // a newer writer, not corruption — report it as such.
+  if (version > supported_version)
+    throw UnsupportedVersionError(version, supported_version);
+  if (version != supported_version)
+    throw std::invalid_argument(what + " unsupported version");
+  return ByteReader(body.subspan(magic.size() + sizeof(version)));
+}
+
 std::vector<std::uint8_t> serialize_model(const enc::Encoder& encoder,
                                           const HdcClassifier& classifier) {
-  Writer w(blob_capacity(classifier));
-  for (auto b : kMagic) w.put(b);
-  w.put(kVersion);
-
+  auto buf = start_sealed(kMagic, kVersion, blob_capacity(classifier));
   const auto& cfg = encoder.config();
-  w.put(static_cast<std::uint64_t>(cfg.dims));
-  w.put(static_cast<std::uint64_t>(cfg.levels));
-  w.put(static_cast<std::uint64_t>(cfg.window));
-  w.put(static_cast<std::uint8_t>(cfg.use_ids ? 1 : 0));
-  w.put(static_cast<std::uint64_t>(cfg.seed));
+  append_le(buf, static_cast<std::uint64_t>(cfg.dims));
+  append_le(buf, static_cast<std::uint64_t>(cfg.levels));
+  append_le(buf, static_cast<std::uint64_t>(cfg.window));
+  append_le(buf, static_cast<std::uint8_t>(cfg.use_ids ? 1 : 0));
+  append_le(buf, static_cast<std::uint64_t>(cfg.seed));
   const auto& q = encoder.quantizer();
-  w.put(static_cast<std::uint8_t>(q.fitted() ? 1 : 0));
-  w.put(q.fitted() ? q.lo() : 0.0f);
-  w.put(q.fitted() ? q.hi() : 1.0f);
+  append_le(buf, static_cast<std::uint8_t>(q.fitted() ? 1 : 0));
+  append_le(buf, q.fitted() ? q.lo() : 0.0f);
+  append_le(buf, q.fitted() ? q.hi() : 1.0f);
 
-  put_classifier(w, classifier);
-  return w.seal();
+  put_classifier(buf, classifier);
+  seal(buf);
+  return buf;
 }
 
 SavedModel deserialize_model(std::span<const std::uint8_t> blob) {
-  Reader r(blob);
-  const std::size_t body = open_blob(blob, r, kMagic, kVersion, "model blob");
+  const std::string what = "model blob";
+  ByteReader r = open_sealed(blob, kMagic, kVersion, what);
 
   SavedModel out;
-  out.encoder_config.dims = r.get<std::uint64_t>();
-  out.encoder_config.levels = r.get<std::uint64_t>();
-  out.encoder_config.window = r.get<std::uint64_t>();
-  out.encoder_config.use_ids = r.get<std::uint8_t>() != 0;
-  out.encoder_config.seed = r.get<std::uint64_t>();
-  out.quantizer_fitted = r.get<std::uint8_t>() != 0;
-  out.quantizer_lo = r.get<float>();
-  out.quantizer_hi = r.get<float>();
-  const enc::EncoderConfig& e = out.encoder_config;
+  enc::EncoderConfig& e = out.encoder_config;
+  e.dims = field<std::uint64_t>(r, what);
+  e.levels = field<std::uint64_t>(r, what);
+  e.window = field<std::uint64_t>(r, what);
+  e.use_ids = field<std::uint8_t>(r, what) != 0;
+  e.seed = field<std::uint64_t>(r, what);
+  out.quantizer_fitted = field<std::uint8_t>(r, what) != 0;
+  out.quantizer_lo = field<float>(r, what);
+  out.quantizer_hi = field<float>(r, what);
   if (e.window == 0)
     throw std::invalid_argument("model blob encoder window is 0");
   // The level memory holds ArchConstants::levels rows; more levels would
@@ -240,7 +204,13 @@ SavedModel deserialize_model(std::span<const std::uint8_t> blob) {
   if (e.levels == 0 || e.levels > kMaxLevels)
     throw std::invalid_argument("model blob encoder levels outside [1, " +
                                 std::to_string(kMaxLevels) + "]");
-  out.classifier = get_classifier(r, body, "model blob");
+  // An infinite or reversed range would put every feature in one bin.
+  if (out.quantizer_fitted &&
+      !(std::isfinite(out.quantizer_lo) && std::isfinite(out.quantizer_hi) &&
+        out.quantizer_lo <= out.quantizer_hi))
+    throw std::invalid_argument(
+        "model blob quantizer range is not finite with lo <= hi");
+  out.classifier = get_classifier(r, what);
   if (e.dims != out.classifier.dims())
     throw std::invalid_argument(
         "model blob encoder dims differ from classifier dims");
@@ -249,18 +219,17 @@ SavedModel deserialize_model(std::span<const std::uint8_t> blob) {
 
 std::vector<std::uint8_t> serialize_classifier(
     const HdcClassifier& classifier) {
-  Writer w(blob_capacity(classifier));
-  for (auto b : kClassifierMagic) w.put(b);
-  w.put(kClassifierVersion);
-  put_classifier(w, classifier);
-  return w.seal();
+  auto buf = start_sealed(kClassifierMagic, kClassifierVersion,
+                          blob_capacity(classifier));
+  put_classifier(buf, classifier);
+  seal(buf);
+  return buf;
 }
 
 HdcClassifier deserialize_classifier(std::span<const std::uint8_t> blob) {
-  Reader r(blob);
-  const std::size_t body = open_blob(blob, r, kClassifierMagic,
-                                     kClassifierVersion, "classifier blob");
-  return get_classifier(r, body, "classifier blob");
+  const std::string what = "classifier blob";
+  ByteReader r = open_sealed(blob, kClassifierMagic, kClassifierVersion, what);
+  return get_classifier(r, what);
 }
 
 std::optional<std::vector<std::uint8_t>> read_file_bytes(

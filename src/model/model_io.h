@@ -5,13 +5,17 @@
 // binary image, so a model trained off-device (or in a previous run) can
 // be deployed onto a GenericAsic or MicroArchSim without retraining.
 //
-// Format (little-endian, versioned):
+// Format (little-endian, versioned, written and read through
+// common/bytes.h):
 //   magic "GHDC", u32 version,
 //   encoder: u64 dims, u64 levels, u64 window, u8 use_ids, u64 seed,
 //            u8 fitted, f32 lo, f32 hi,
 //   model:   u64 dims, u64 classes, u64 chunk, i32 bit_width,
 //            classes x dims i32 class elements,
 //   crc32 of everything before it.
+// The classifier-only "GCLS" blob and the lifecycle's "GCKP" checkpoint use
+// the same sealed envelope (magic, u32 version, body, crc32 footer), opened
+// by open_sealed.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +23,10 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/bytes.h"
 #include "encoding/encoder.h"
 #include "model/hdc_classifier.h"
 
@@ -56,13 +62,35 @@ class UnsupportedVersionError : public std::invalid_argument {
   std::uint32_t supported_;
 };
 
+/// A buffer with room for `capacity` bytes that holds a sealed blob's
+/// header: the 4-byte `magic` and the u32 `version`.
+std::vector<std::uint8_t> start_sealed(std::string_view magic,
+                                       std::uint32_t version,
+                                       std::size_t capacity);
+
+/// Append the CRC-32 of everything in `buf`: the footer open_sealed checks.
+void seal(std::vector<std::uint8_t>& buf);
+
+/// Check a sealed blob's envelope in this order: its size, the CRC footer,
+/// the 4-byte `magic`, then the u32 version. Returns a reader over the
+/// CRC-covered body, just past the version; it views `bytes`, which must
+/// outlive it. Throws std::invalid_argument ("<what> too small" / "CRC
+/// mismatch" / "bad magic" / "unsupported version"), or
+/// UnsupportedVersionError for an intact blob whose version is above
+/// `supported_version`.
+ByteReader open_sealed(std::span<const std::uint8_t> bytes,
+                       std::string_view magic,
+                       std::uint32_t supported_version,
+                       const std::string& what);
+
 /// Serialize a trained model + the encoder settings it was built with.
 std::vector<std::uint8_t> serialize_model(const enc::Encoder& encoder,
                                           const HdcClassifier& classifier);
 
 /// Parse a blob; throws std::invalid_argument on any corruption (bad magic,
-/// truncation, CRC mismatch, class values too large for the int64 norms)
-/// and UnsupportedVersionError when the blob is intact but written with a
+/// truncation, CRC mismatch, class values too large for the int64 norms, a
+/// fitted quantizer range that is not finite with lo <= hi) and
+/// UnsupportedVersionError when the blob is intact but written with a
 /// newer schema version than this reader.
 SavedModel deserialize_model(std::span<const std::uint8_t> blob);
 

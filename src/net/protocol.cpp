@@ -2,67 +2,24 @@
 
 #include <cstring>
 
+#include "common/bytes.h"
+
 namespace generic::net {
 
 namespace {
 
-// Little-endian scalar append/read. memcpy keeps every access aligned and
-// UB-free regardless of buffer offsets.
-
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T v) {
-  std::uint8_t bytes[sizeof(T)];
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    bytes[i] = static_cast<std::uint8_t>(v & 0xFF);
-    if constexpr (sizeof(T) > 1) v = static_cast<T>(v >> 8);
-  }
-  out.insert(out.end(), bytes, bytes + sizeof(T));
-}
-
-template <typename T>
-T get(const std::uint8_t* p) {
-  T v = 0;
-  for (std::size_t i = sizeof(T); i-- > 0;)
-    v = static_cast<T>((v << (sizeof(T) > 1 ? 8 : 0)) | p[i]);
-  return v;
-}
-
-/// Bounds-checked sequential reader over a frame body.
-class Reader {
- public:
-  Reader(const std::vector<std::uint8_t>& body) : p_(body.data()), n_(body.size()) {}
-
-  template <typename T>
-  bool read(T& out) {
-    if (n_ - off_ < sizeof(T)) return false;
-    out = get<T>(p_ + off_);
-    off_ += sizeof(T);
-    return true;
-  }
-
-  bool done() const { return off_ == n_; }
-
- private:
-  const std::uint8_t* p_;
-  std::size_t n_;
-  std::size_t off_ = 0;
-};
-
 /// Frame header writer: reserves the length prefix, returns the patch
-/// offset; seal() back-fills the length once the body is complete.
+/// offset; seal_frame() back-fills the length once the body is complete.
 std::size_t open_frame(std::vector<std::uint8_t>& out, FrameKind kind) {
   const std::size_t at = out.size();
-  put<std::uint32_t>(out, 0);  // patched by seal_frame
+  append_le<std::uint32_t>(out, 0);  // patched by seal_frame
   out.push_back(static_cast<std::uint8_t>(kind));
   return at;
 }
 
 void seal_frame(std::vector<std::uint8_t>& out, std::size_t at) {
-  const std::uint32_t len = static_cast<std::uint32_t>(out.size() - at - 4);
-  out[at + 0] = static_cast<std::uint8_t>(len & 0xFF);
-  out[at + 1] = static_cast<std::uint8_t>((len >> 8) & 0xFF);
-  out[at + 2] = static_cast<std::uint8_t>((len >> 16) & 0xFF);
-  out[at + 3] = static_cast<std::uint8_t>((len >> 24) & 0xFF);
+  const auto len = static_cast<std::uint32_t>(out.size() - at - 4);
+  std::memcpy(out.data() + at, &len, sizeof(len));
 }
 
 }  // namespace
@@ -88,43 +45,44 @@ std::string_view proto_error_name(ProtoError e) {
 
 void encode_hello(const Hello& h, std::vector<std::uint8_t>& out) {
   const std::size_t at = open_frame(out, FrameKind::kHello);
-  put<std::uint16_t>(out, h.version);
-  put<std::uint16_t>(out, h.tenant);
-  put<std::uint16_t>(out, h.client);
+  append_le<std::uint16_t>(out, h.version);
+  append_le<std::uint16_t>(out, h.tenant);
+  append_le<std::uint16_t>(out, h.client);
   seal_frame(out, at);
 }
 
 void encode_hello_ack(const HelloAck& a, std::vector<std::uint8_t>& out) {
   const std::size_t at = open_frame(out, FrameKind::kHelloAck);
-  put<std::uint16_t>(out, static_cast<std::uint16_t>(a.model_queries.size()));
-  for (std::uint32_t q : a.model_queries) put<std::uint32_t>(out, q);
+  append_le<std::uint16_t>(out,
+                          static_cast<std::uint16_t>(a.model_queries.size()));
+  for (std::uint32_t q : a.model_queries) append_le<std::uint32_t>(out, q);
   seal_frame(out, at);
 }
 
 void encode_request(const WireRequest& r, std::vector<std::uint8_t>& out) {
   const std::size_t at = open_frame(out, FrameKind::kRequest);
-  put<std::uint64_t>(out, r.id);
-  put<std::uint64_t>(out, r.send_us);
-  put<std::uint16_t>(out, r.model);
-  put<std::uint8_t>(out, r.priority);
-  put<std::uint64_t>(out, r.deadline_rel_us);
-  put<std::uint16_t>(out, 4);  // payload v1: one u32 query index
-  put<std::uint32_t>(out, r.query);
+  append_le<std::uint64_t>(out, r.id);
+  append_le<std::uint64_t>(out, r.send_us);
+  append_le<std::uint16_t>(out, r.model);
+  append_le<std::uint8_t>(out, r.priority);
+  append_le<std::uint64_t>(out, r.deadline_rel_us);
+  append_le<std::uint16_t>(out, 4);  // payload v1: one u32 query index
+  append_le<std::uint32_t>(out, r.query);
   seal_frame(out, at);
 }
 
 void encode_response(const WireResponse& r, std::vector<std::uint8_t>& out) {
   const std::size_t at = open_frame(out, FrameKind::kResponse);
-  put<std::uint64_t>(out, r.id);
-  put<std::uint8_t>(out, r.status);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(r.predicted));
-  put<std::uint64_t>(out, static_cast<std::uint64_t>(r.margin_micro));
-  put<std::uint32_t>(out, r.dims_used);
-  put<std::uint32_t>(out, r.attempts);
-  put<std::uint64_t>(out, r.finish_us);
-  put<std::uint64_t>(out, r.latency_us);
-  put<std::uint64_t>(out, r.version);
-  put<std::uint32_t>(out, r.rung);
+  append_le<std::uint64_t>(out, r.id);
+  append_le<std::uint8_t>(out, r.status);
+  append_le<std::int32_t>(out, r.predicted);
+  append_le<std::int64_t>(out, r.margin_micro);
+  append_le<std::uint32_t>(out, r.dims_used);
+  append_le<std::uint32_t>(out, r.attempts);
+  append_le<std::uint64_t>(out, r.finish_us);
+  append_le<std::uint64_t>(out, r.latency_us);
+  append_le<std::uint64_t>(out, r.version);
+  append_le<std::uint32_t>(out, r.rung);
   seal_frame(out, at);
 }
 
@@ -135,14 +93,14 @@ void encode_bye(std::vector<std::uint8_t>& out) {
 
 void encode_error(ProtoError e, std::vector<std::uint8_t>& out) {
   const std::size_t at = open_frame(out, FrameKind::kError);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(e));
+  append_le<std::uint8_t>(out, static_cast<std::uint8_t>(e));
   seal_frame(out, at);
 }
 
 // ---- Decoding -------------------------------------------------------------
 
 ProtoError decode_hello(const Frame& f, Hello& out) {
-  Reader r(f.body);
+  ByteReader r(f.body);
   if (!r.read(out.version) || !r.read(out.tenant) || !r.read(out.client))
     return ProtoError::kShortBody;
   if (!r.done()) return ProtoError::kTrailingBytes;
@@ -151,7 +109,7 @@ ProtoError decode_hello(const Frame& f, Hello& out) {
 }
 
 ProtoError decode_hello_ack(const Frame& f, HelloAck& out) {
-  Reader r(f.body);
+  ByteReader r(f.body);
   std::uint16_t n = 0;
   if (!r.read(n)) return ProtoError::kShortBody;
   out.model_queries.clear();
@@ -166,7 +124,7 @@ ProtoError decode_hello_ack(const Frame& f, HelloAck& out) {
 }
 
 ProtoError decode_request(const Frame& f, WireRequest& out) {
-  Reader r(f.body);
+  ByteReader r(f.body);
   std::uint16_t payload_len = 0;
   if (!r.read(out.id) || !r.read(out.send_us) || !r.read(out.model) ||
       !r.read(out.priority) || !r.read(out.deadline_rel_us) ||
@@ -181,22 +139,18 @@ ProtoError decode_request(const Frame& f, WireRequest& out) {
 }
 
 ProtoError decode_response(const Frame& f, WireResponse& out) {
-  Reader r(f.body);
-  std::uint32_t predicted = 0;
-  std::uint64_t margin = 0;
-  if (!r.read(out.id) || !r.read(out.status) || !r.read(predicted) ||
-      !r.read(margin) || !r.read(out.dims_used) || !r.read(out.attempts) ||
-      !r.read(out.finish_us) || !r.read(out.latency_us) ||
-      !r.read(out.version) || !r.read(out.rung))
+  ByteReader r(f.body);
+  if (!r.read(out.id) || !r.read(out.status) || !r.read(out.predicted) ||
+      !r.read(out.margin_micro) || !r.read(out.dims_used) ||
+      !r.read(out.attempts) || !r.read(out.finish_us) ||
+      !r.read(out.latency_us) || !r.read(out.version) || !r.read(out.rung))
     return ProtoError::kShortBody;
-  out.predicted = static_cast<std::int32_t>(predicted);
-  out.margin_micro = static_cast<std::int64_t>(margin);
   if (!r.done()) return ProtoError::kTrailingBytes;
   return ProtoError::kNone;
 }
 
 ProtoError decode_error(const Frame& f, ProtoError& out) {
-  Reader r(f.body);
+  ByteReader r(f.body);
   std::uint8_t code = 0;
   if (!r.read(code)) return ProtoError::kShortBody;
   if (!r.done()) return ProtoError::kTrailingBytes;
@@ -222,7 +176,7 @@ std::optional<Frame> FrameParser::next() {
   if (failed()) return std::nullopt;
   const std::size_t avail = buf_.size() - consumed_;
   if (avail < 4) return std::nullopt;
-  const std::uint32_t len = get<std::uint32_t>(buf_.data() + consumed_);
+  const auto len = load_le<std::uint32_t>(buf_.data() + consumed_);
   if (len == 0) {
     error_ = ProtoError::kZeroLength;
     return std::nullopt;

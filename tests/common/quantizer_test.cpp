@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace generic {
@@ -19,6 +21,27 @@ TEST(Quantizer, RangeEndpointsClamp) {
   EXPECT_EQ(q.bin(0.0f), 0u);
   EXPECT_EQ(q.bin(1.0f), 63u);
   EXPECT_EQ(q.bin(99.0f), 63u);
+}
+
+TEST(Quantizer, FarOutOfRangeValuesClampToEdgeBins) {
+  // Values whose scaled offset does not fit an integer still land in the
+  // edge bins instead of wrapping to bin 0 through an out-of-range cast.
+  Quantizer q(64);
+  q.fit_range(0.0f, 1.0f);
+  EXPECT_EQ(q.bin(1e17f), 63u);
+  EXPECT_EQ(q.bin(1e18f), 63u);
+  EXPECT_EQ(q.bin(3e38f), 63u);
+  EXPECT_EQ(q.bin(-3e38f), 0u);
+}
+
+TEST(Quantizer, NonFiniteRangeRejected) {
+  Quantizer q(8);
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(q.fit_range(-inf, inf), std::invalid_argument);
+  EXPECT_THROW(q.fit_range(0.0f, inf), std::invalid_argument);
+  EXPECT_THROW(q.fit_range(std::numeric_limits<float>::quiet_NaN(), 1.0f),
+               std::invalid_argument);
+  EXPECT_FALSE(q.fitted());
 }
 
 TEST(Quantizer, BinsAreMonotone) {

@@ -170,6 +170,42 @@ TEST(LifecycleCheckpointStore, FlippedNewestIsQuarantinedAndOlderLoads) {
   EXPECT_EQ(store.skipped_newer(), 0u);
 }
 
+TEST(LifecycleCheckpointStore, TruncatedNewestIsQuarantinedAndOlderLoads) {
+  // The GCKP truncation sweep: every prefix of 0..36 bytes (the 32-byte
+  // header and the 4-byte footer) and 64 seeded longer prefixes. Each cut
+  // newest file is quarantined, never skipped as newer, and the walk falls
+  // back to the intact older version.
+  CheckpointStore store(fresh_dir("truncsweep"), 4);
+  const auto m1 = make_model(1);
+  store.save(m1, 1, 100);
+  const std::string p2 = store.save(make_model(2), 2, 200);
+  const std::vector<std::uint8_t> good = slurp(p2);
+  constexpr std::size_t kEnvelope = 36;
+  ASSERT_GT(good.size(), kEnvelope + 1);
+
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= kEnvelope; ++len) lengths.push_back(len);
+  Rng rng(0x7A11ull);
+  for (int k = 0; k < 64; ++k)
+    lengths.push_back(kEnvelope + 1 + rng.below(good.size() - kEnvelope - 1));
+
+  std::uint64_t quarantined = 0;
+  for (const std::size_t len : lengths) {
+    spit(p2, std::vector<std::uint8_t>(good.begin(), good.begin() +
+                                           static_cast<std::ptrdiff_t>(len)));
+    const auto loaded = store.load_latest();
+    ASSERT_TRUE(loaded.has_value()) << "length " << len;
+    EXPECT_EQ(loaded->version, 1u) << "length " << len;
+    EXPECT_EQ(loaded->vt, 100u);
+    EXPECT_EQ(loaded->model.class_vector(0), m1.class_vector(0));
+    EXPECT_EQ(store.quarantined(), ++quarantined) << "length " << len;
+    EXPECT_FALSE(fs::exists(p2)) << "length " << len;
+    ASSERT_TRUE(fs::exists(p2 + ".quarantined"));
+    fs::remove(p2 + ".quarantined");
+  }
+  EXPECT_EQ(store.skipped_newer(), 0u);
+}
+
 TEST(LifecycleCheckpointStore, QuarantinedFilesAreCappedAtKeepLast) {
   // Repeated corrupt boots must not grow the evidence pile without bound:
   // .quarantined files obey the same keep-last budget as live checkpoints.

@@ -175,6 +175,34 @@ TEST(ModelIo, EncoderHeaderOutOfRangeIsATypedError) {
   }
 }
 
+TEST(ModelIo, NonFiniteQuantizerRangeIsATypedError) {
+  // A fitted quantizer range rewritten behind a valid CRC: an infinite,
+  // NaN or reversed range would drop every feature into one bin, so the
+  // blob is refused instead of loading a model that scores at chance.
+  Trained t;
+  const auto golden = serialize_model(t.encoder, t.clf);
+  constexpr std::size_t kLo = 42, kHi = 46;  // f32 lo, f32 hi after `fitted`
+  ASSERT_EQ(golden[kLo - 1], 1u) << "the fixture's quantizer is fitted";
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::string message =
+      "model blob quantizer range is not finite with lo <= hi";
+  const struct {
+    float lo, hi;
+    std::string message;
+  } cases[] = {
+      {-inf, inf, message}, {nan, 1.0f, message},
+      {2.0f, 1.0f, message}, {-1.0f, 1.0f, ""},
+  };
+  for (const auto& c : cases) {
+    auto blob = golden;
+    std::memcpy(blob.data() + kLo, &c.lo, sizeof(float));
+    std::memcpy(blob.data() + kHi, &c.hi, sizeof(float));
+    reseal(blob);
+    EXPECT_EQ(failure_message(blob), c.message) << c.lo << ", " << c.hi;
+  }
+}
+
 TEST(ModelIo, NewerSchemaVersionIsATypedError) {
   // An intact blob from a NEWER writer is not corruption: the reader must
   // raise UnsupportedVersionError (so deployment code can say "upgrade the
