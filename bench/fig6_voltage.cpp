@@ -14,6 +14,7 @@
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
 #include "model/hdc_classifier.h"
+#include "resilience/fault_model.h"
 
 using namespace generic;
 
@@ -55,7 +56,8 @@ int main(int argc, char** argv) {
           clf.quantize(bw);
           Rng rng(1234 + static_cast<std::uint64_t>(r) * 77 +
                   static_cast<std::uint64_t>(bw));
-          clf.inject_bit_flips(ber, rng);
+          resilience::inject(clf, {resilience::FaultKind::kTransient, ber},
+                             rng);
           std::size_t hits = 0;
           for (std::size_t i = 0; i < test.size(); ++i)
             hits += clf.predict(test[i]) == ds.test_y[i];

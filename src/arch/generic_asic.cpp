@@ -5,6 +5,7 @@
 
 #include "common/mitchell.h"
 #include "hdc/hypervector.h"
+#include "resilience/fault_model.h"
 
 namespace generic::arch {
 namespace {
@@ -161,7 +162,9 @@ void GenericAsic::quantize(int bit_width) {
 void GenericAsic::apply_voltage_scaling(double bit_error_rate) {
   require_model();
   vos_ = vos_for_error_rate(bit_error_rate);
-  model_->inject_bit_flips(bit_error_rate, fault_rng_);
+  resilience::inject(*model_,
+                     {resilience::FaultKind::kTransient, bit_error_rate},
+                     fault_rng_);
 }
 
 int GenericAsic::best_class(const hdc::IntHV& encoded) const {

@@ -75,7 +75,7 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt,
                                                       dspec.classes);
   fresh->fit_parallel(train, ds.train_y, epochs, pool);
 
-  // ---- Boot: fresh weights, or a (sabotaged) checkpoint store walk ----
+  // ---- Boot: fresh weights, or the newest checkpoint in a store ----
   std::shared_ptr<const model::HdcClassifier> serving = fresh;
   std::unique_ptr<lifecycle::CheckpointStore> store;
   if (spec.corrupt_boot) {
@@ -95,14 +95,23 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt,
     newer.fit_parallel(train, ds.train_y, 2, pool);
     corrupt_file(store->save(newer, 2, 0));
     report.boot.store_versions_seeded = 2;
-
-    auto loaded = store->load_latest();
-    if (!loaded.has_value())
+  } else if (!opt.store_dir.empty()) {
+    store = std::make_unique<lifecycle::CheckpointStore>(opt.store_dir, 4);
+  }
+  if (store) {
+    // Corrupt files are quarantined and the walk falls back to older ones.
+    if (auto loaded = store->load_latest()) {
+      report.boot.version = loaded->version;
+      if (loaded->model.dims() == spec.dims &&
+          loaded->model.num_classes() == dspec.classes) {
+        report.boot.from_checkpoint = true;
+        serving =
+            std::make_shared<model::HdcClassifier>(std::move(loaded->model));
+      }
+    } else if (spec.corrupt_boot) {
       throw std::runtime_error("corrupt_boot: no checkpoint survived");
-    report.boot.from_checkpoint = true;
-    report.boot.version = loaded->version;
+    }
     report.boot.quarantined = store->quarantined();
-    serving = std::make_shared<model::HdcClassifier>(std::move(loaded->model));
   }
 
   // ---- The serving trace: shaped arrivals over the drift stream ----

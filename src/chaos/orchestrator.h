@@ -41,6 +41,12 @@ struct RunOptions {
   /// Collect the full request-trace log (ChaosReport::rtrace) in addition
   /// to the always-on flight ring. Off by default: the full log is large.
   bool rtrace = false;
+  /// Persistent checkpoint store (edge runs without corrupt_boot). Created
+  /// if missing and never wiped: the run boots from its newest checkpoint
+  /// of matching geometry and saves every validated version into it, so a
+  /// rerun on the same directory restarts where the last one stopped.
+  /// Empty = no store. Never rendered into the report.
+  std::string store_dir;
 };
 
 /// Outcome/accuracy tallies over one fixed virtual-time window, binned by
@@ -57,7 +63,9 @@ struct WindowStats {
 };
 
 /// How the run booted: fresh weights, or a checkpoint walk (with however
-/// many corrupt files the walk quarantined on the way).
+/// many corrupt files the walk quarantined on the way). A store whose
+/// newest checkpoint has other geometry boots fresh weights, but `version`
+/// still continues past that checkpoint so new saves never collide with it.
 struct BootRecord {
   bool from_checkpoint = false;
   std::uint64_t version = 0;  ///< lifecycle initial_version

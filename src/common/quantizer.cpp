@@ -26,6 +26,10 @@ void Quantizer::fit_range(float lo, float hi) {
   if (!std::isfinite(lo) || !std::isfinite(hi))
     throw std::invalid_argument("Quantizer: range must be finite");
   if (!(lo <= hi)) throw std::invalid_argument("Quantizer: lo must be <= hi");
+  // bin() divides by hi - lo in float: a range wider than FLT_MAX would
+  // make that width inf and every value land in the edge bins.
+  if (!std::isfinite(hi - lo))
+    throw std::invalid_argument("Quantizer: range width must be finite");
   lo_ = lo;
   hi_ = hi;
   fitted_ = true;

@@ -21,7 +21,8 @@ class Quantizer {
   /// scheme the reference HDC implementations use.
   void fit(std::span<const std::vector<float>> samples);
 
-  /// Fit directly from a known range.
+  /// Fit directly from a known range. Throws std::invalid_argument unless
+  /// lo, hi and the width hi - lo are finite with lo <= hi.
   void fit_range(float lo, float hi);
 
   /// Quantize one value to its bin index in [0, bins).

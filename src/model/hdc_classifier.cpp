@@ -137,26 +137,18 @@ void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
   GENERIC_SPAN("train.batch");
   check_samples(encoded, labels, "train_batch");
   GENERIC_COUNTER_ADD("train.samples", encoded.size());
-  const auto grid = ThreadPool::chunk_grid(encoded.size(), pool.lanes());
-  // One private set of class accumulators per chunk; parallel_for hands
-  // chunk c exactly grid[c], so partials[c] is written by a single lane.
-  std::vector<std::vector<hdc::IntHV>> partials(
-      grid.size(), std::vector<hdc::IntHV>(num_classes_, hdc::IntHV(dims_, 0)));
-  pool.parallel_for(encoded.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t c) {
-                      GENERIC_SPAN("train.batch.chunk");
-                      auto& local = partials[c];
-                      for (std::size_t i = begin; i < end; ++i)
-                        hdc::add_into(
-                            local[static_cast<std::size_t>(labels[i])],
-                            encoded[i]);
-                    });
   for (auto& cls : classes_) std::fill(cls.begin(), cls.end(), 0);
-  // Fixed chunk-index merge order; integer addition makes the result
-  // independent of the split anyway.
-  for (const auto& local : partials)
-    for (std::size_t c = 0; c < num_classes_; ++c)
-      hdc::add_into(classes_[c], local[c]);
+  // Each chunk owns a range of class rows and adds, in sample order, the
+  // samples labelled into it: no row has two writers, and the integer sums
+  // are the same for every split.
+  pool.parallel_for(num_classes_, [&](std::size_t begin, std::size_t end,
+                                      std::size_t) {
+    GENERIC_SPAN("train.batch.chunk");
+    for (std::size_t i = 0; i < encoded.size(); ++i) {
+      const auto c = static_cast<std::size_t>(labels[i]);
+      if (c >= begin && c < end) hdc::add_into(classes_[c], encoded[i]);
+    }
+  });
   recompute_norms();
   refresh_narrow();
 }
@@ -438,35 +430,6 @@ void HdcClassifier::quantize(int bit_width) {
   bit_width_ = bit_width;
   recompute_norms();
   refresh_narrow();
-}
-
-void HdcClassifier::inject_bit_flips(double rate, Rng& rng) {
-  if (rate <= 0.0) return;
-  const int bw = bit_width_;
-  const std::int32_t mask =
-      bw >= 32 ? -1 : static_cast<std::int32_t>((1u << bw) - 1u);
-  for (auto& c : classes_) {
-    for (auto& v : c) {
-      if (bw == 1) {
-        // Bipolar 1-bit storage: bit 1 == +1, bit 0 == -1 (NOT two's
-        // complement, where -1 would alias +1 in the low bit).
-        std::uint32_t word = v > 0 ? 1u : 0u;
-        if (rng.bernoulli(rate)) word ^= 1u;
-        v = word ? 1 : -1;
-        continue;
-      }
-      // Interpret the element as a bw-bit two's-complement word, as the
-      // class SRAM stores it.
-      auto word = static_cast<std::uint32_t>(v) & static_cast<std::uint32_t>(mask);
-      for (int b = 0; b < bw; ++b)
-        if (rng.bernoulli(rate)) word ^= (1u << b);
-      // Sign-extend back.
-      std::int32_t out = static_cast<std::int32_t>(word);
-      if (bw < 32 && (word & (1u << (bw - 1)))) out -= (1 << bw);
-      v = out;
-    }
-  }
-  refresh_narrow();  // the scored copy, unlike the norms, never goes stale
 }
 
 }  // namespace generic::model

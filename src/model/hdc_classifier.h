@@ -49,7 +49,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "hdc/hypervector.h"
 
@@ -157,11 +156,6 @@ class HdcClassifier {
   /// Quantize class elements to `bit_width` bits (two's complement),
   /// rescaling by the model's max magnitude; recomputes norms.
   void quantize(int bit_width);
-
-  /// Flip each stored class-memory bit independently with probability
-  /// `rate`. Operates on the current bit-width representation. Norms stay
-  /// untouched (see header comment); the int16 copy is refreshed.
-  void inject_bit_flips(double rate, Rng& rng);
 
   const hdc::IntHV& class_vector(std::size_t c) const { return classes_.at(c); }
 

@@ -204,10 +204,11 @@ SavedModel deserialize_model(std::span<const std::uint8_t> blob) {
   if (e.levels == 0 || e.levels > kMaxLevels)
     throw std::invalid_argument("model blob encoder levels outside [1, " +
                                 std::to_string(kMaxLevels) + "]");
-  // An infinite or reversed range would put every feature in one bin.
+  // An infinite, NaN, reversed or wider-than-FLT_MAX range would put every
+  // feature in one bin. A finite width with lo <= hi rules out all four.
   if (out.quantizer_fitted &&
-      !(std::isfinite(out.quantizer_lo) && std::isfinite(out.quantizer_hi) &&
-        out.quantizer_lo <= out.quantizer_hi))
+      !(out.quantizer_lo <= out.quantizer_hi &&
+        std::isfinite(out.quantizer_hi - out.quantizer_lo)))
     throw std::invalid_argument(
         "model blob quantizer range is not finite with lo <= hi");
   out.classifier = get_classifier(r, what);

@@ -89,7 +89,7 @@ std::vector<std::uint8_t> serialize_model(const enc::Encoder& encoder,
 
 /// Parse a blob; throws std::invalid_argument on any corruption (bad magic,
 /// truncation, CRC mismatch, class values too large for the int64 norms, a
-/// fitted quantizer range that is not finite with lo <= hi) and
+/// fitted quantizer range whose ends or width are not finite, or lo > hi) and
 /// UnsupportedVersionError when the blob is intact but written with a
 /// newer schema version than this reader.
 SavedModel deserialize_model(std::span<const std::uint8_t> blob);

@@ -7,8 +7,8 @@
 // of the stack one seeded, deterministic way to inject those failure modes:
 //
 //   kTransient  — independent bit flips at a per-bit rate, the classic
-//                 voltage-over-scaling upset model (matches
-//                 HdcClassifier::inject_bit_flips / Sram read upsets);
+//                 voltage-over-scaling upset model (GenericAsic's
+//                 apply_voltage_scaling, Figure 6, Sram read upsets);
 //   kStuckAt0 / kStuckAt1
 //               — permanent cell defects: each bit is forced to 0/1 with
 //                 the given per-bit probability (manufacturing faults,
@@ -86,7 +86,7 @@ void inject(hdc::BinaryHV& hv, const FaultSpec& spec, Rng& rng,
 
 /// Corrupt a bundled accumulator. Elements are treated as `bit_width`-bit
 /// two's-complement words exactly as the class SRAM stores them (bipolar
-/// encoding for bit_width == 1, matching HdcClassifier::inject_bit_flips).
+/// encoding for bit_width == 1, as in the classifier inject() below).
 /// kDeadBlock zeroes whole `block`-element spans.
 void inject(hdc::IntHV& acc, const FaultSpec& spec, Rng& rng, int bit_width,
             std::size_t block = 128);

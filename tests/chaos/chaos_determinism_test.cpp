@@ -6,8 +6,9 @@
 //     tests/chaos/golden/ (tests/golden.h says how to regenerate them).
 //
 //  2. The scenarios actually tell their stories: every invariant passes,
-//     the bank burst fires and is healed by a clean hot-swap, and the
-//     corrupt-checkpoint boot quarantines the bad file and falls back.
+//     the bank burst fires and is healed by a clean hot-swap, the
+//     corrupt-checkpoint boot quarantines the bad file and falls back, and
+//     a persistent store restarts a rerun where the last run stopped.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include "golden.h"
 #include "hdc/kernels.h"
 #include "kernel_backends.h"
+#include "lifecycle/checkpoint_store.h"
 #include "serve/encoder_hook.h"
 
 #ifndef GENERIC_GOLDEN_DIR
@@ -262,6 +264,77 @@ TEST(ChaosScenario, ShadowFaultUnderLoadRejectsEveryFaultyShadow) {
       EXPECT_TRUE(inv.passed) << inv.value << " vs " << inv.bound;
     }
   EXPECT_TRUE(report.passed);
+}
+
+/// Quick drift run on a persistent store directory (never wiped).
+ChaosReport run_on_store(const std::string& store_dir) {
+  RunOptions opt;
+  opt.seed = kSeed;
+  opt.store_dir = store_dir;
+  ThreadPool pool(2);
+  return run_scenario(find_scenario("drift_under_overload", true).value(),
+                      opt, pool);
+}
+
+/// Version of the first retrained shadow, or 0 when none was trained.
+std::uint64_t first_retrain_version(const ChaosReport& report) {
+  for (const auto& v : report.lifecycle.versions)
+    if (v.from_retrain) return v.version;
+  return 0;
+}
+
+TEST(ChaosStore, RerunBootsFromTheNewestSavedVersion) {
+  const std::string dir = scratch_dir("store", "restart");
+  const ChaosReport first = run_on_store(dir);
+  EXPECT_FALSE(first.boot.from_checkpoint);
+  ASSERT_GE(first.lifecycle.swapped, 1u);
+  EXPECT_EQ(first.lifecycle.checkpoints_saved, first.lifecycle.swapped);
+  std::uint64_t newest = 0;
+  for (const auto& v : first.lifecycle.versions)
+    if (v.from_retrain && v.installed) newest = std::max(newest, v.version);
+
+  const ChaosReport second = run_on_store(dir);
+  EXPECT_TRUE(second.boot.from_checkpoint);
+  EXPECT_EQ(second.boot.version, newest);
+  EXPECT_EQ(second.boot.quarantined, 0u);
+  EXPECT_EQ(second.lifecycle.versions.at(0).version, newest);
+  EXPECT_EQ(first_retrain_version(second), second.boot.version + 1);
+  EXPECT_TRUE(first.passed);
+  EXPECT_TRUE(second.passed);
+}
+
+TEST(ChaosStore, CheckpointOfOtherGeometryIsNotServed) {
+  const std::string dir = scratch_dir("store", "geometry");
+  {
+    lifecycle::CheckpointStore store(dir, 4);
+    store.save(model::HdcClassifier(256, 4), 7, 0);
+  }
+  const ChaosReport report = run_on_store(dir);
+  EXPECT_FALSE(report.boot.from_checkpoint);
+  // Numbering continues past the foreign file, so no save collides with it.
+  EXPECT_EQ(report.boot.version, 7u);
+  EXPECT_EQ(first_retrain_version(report), 8u);
+  EXPECT_EQ(report.lifecycle.checkpoints_saved, report.lifecycle.swapped);
+  EXPECT_TRUE(report.passed);
+
+  // Until the first swap the fresh weights serve, exactly as in a run with
+  // no store at all.
+  const ChaosReport fresh =
+      run(find_scenario("drift_under_overload", true).value(), 2, "nostore");
+  ASSERT_FALSE(report.serve.swaps.empty());
+  ASSERT_FALSE(fresh.serve.swaps.empty());
+  const std::uint64_t until = std::min(report.serve.swaps[0].vt,
+                                       fresh.serve.swaps[0].vt);
+  std::size_t compared = 0;
+  for (std::size_t w = 0; w < report.windows.size(); ++w) {
+    if (report.windows[w].t0_us + report.window_us > until) break;
+    EXPECT_EQ(report.windows[w].served, fresh.windows.at(w).served) << w;
+    EXPECT_EQ(report.windows[w].canary_correct,
+              fresh.windows.at(w).canary_correct)
+        << w;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 }  // namespace

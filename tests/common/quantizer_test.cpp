@@ -39,6 +39,8 @@ TEST(Quantizer, NonFiniteRangeRejected) {
   const float inf = std::numeric_limits<float>::infinity();
   EXPECT_THROW(q.fit_range(-inf, inf), std::invalid_argument);
   EXPECT_THROW(q.fit_range(0.0f, inf), std::invalid_argument);
+  // Finite ends whose width overflows float.
+  EXPECT_THROW(q.fit_range(-3e38f, 3e38f), std::invalid_argument);
   EXPECT_THROW(q.fit_range(std::numeric_limits<float>::quiet_NaN(), 1.0f),
                std::invalid_argument);
   EXPECT_FALSE(q.fitted());

@@ -142,8 +142,8 @@ TEST(ClassMemoryWriters, FaultInjection) {
     {
       HdcClassifier clf = base;
       Rng rng(11);
-      clf.inject_bit_flips(0.002, rng);
-      expect_scored_copy_exact(clf, "inject_bit_flips" + at, narrow);
+      resilience::inject(clf, {resilience::FaultKind::kTransient, 0.002}, rng);
+      expect_scored_copy_exact(clf, "inject transient, seed 11" + at, narrow);
     }
     for (auto kind : {resilience::FaultKind::kTransient,
                       resilience::FaultKind::kStuckAt0,
@@ -176,7 +176,7 @@ TEST(ClassMemoryWriters, FaultInjection) {
 }
 
 TEST(ClassMemoryWriters, Scrubbing) {
-  // The faults go in through inject_bit_flips, whose own refresh puts them
+  // The faults go in through resilience::inject, whose row edits put them
   // in the copy, so only the scrub's writes can take them out again. At 8
   // bits the faulty model stays inside the int16 bound.
   const Rig& r = rig();
@@ -185,12 +185,13 @@ TEST(ClassMemoryWriters, Scrubbing) {
   const auto guard = resilience::BlockGuard::commission(golden);
   HdcClassifier clf = golden;
   Rng rng(14);
-  clf.inject_bit_flips(0.002, rng);
+  resilience::inject(clf, {resilience::FaultKind::kTransient, 0.002}, rng);
   ASSERT_GT(guard.scrub(clf, golden), 0u);
   expect_scored_copy_exact(clf, "scrub");
 
   HdcClassifier from_blob = golden;
-  from_blob.inject_bit_flips(0.002, rng);
+  resilience::inject(from_blob, {resilience::FaultKind::kTransient, 0.002},
+                     rng);
   ASSERT_GT(guard.scrub_from_blob(from_blob,
                                   serialize_model(*r.encoder, golden)),
             0u);

@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
+#include "resilience/fault_model.h"
 
 namespace generic::model {
 namespace {
@@ -258,13 +259,15 @@ TEST(HdcClassifier, BitFlipsDegradeGracefully) {
   };
   const double clean = acc();
   Rng rng(33);
-  clf.inject_bit_flips(0.005, rng);  // 0.5% flips: HDC shrugs this off
+  // 0.5% flips: HDC shrugs this off
+  resilience::inject(clf, {resilience::FaultKind::kTransient, 0.005}, rng);
   EXPECT_GT(acc(), clean - 0.15);
   HdcClassifier wrecked(2048, 4);
   wrecked.train_batch(s.train, s.train_y, global_pool());
   wrecked.quantize(8);
   Rng rng2(35);
-  wrecked.inject_bit_flips(0.5, rng2);  // memory is now noise
+  resilience::inject(wrecked, {resilience::FaultKind::kTransient, 0.5},
+                     rng2);  // memory is now noise
   EXPECT_LT(acc(), 1.01);               // sanity; wrecked model is separate
 }
 
@@ -274,7 +277,7 @@ TEST(HdcClassifier, ZeroRateInjectionIsIdentity) {
   clf.fit_parallel(s.train, s.train_y, 3, global_pool());
   const auto before = clf.class_vector(0);
   Rng rng(1);
-  clf.inject_bit_flips(0.0, rng);
+  resilience::inject(clf, {resilience::FaultKind::kTransient, 0.0}, rng);
   EXPECT_EQ(clf.class_vector(0), before);
 }
 
@@ -284,7 +287,7 @@ TEST(HdcClassifier, OneBitModelStaysBipolarUnderFlips) {
   clf.fit_parallel(s.train, s.train_y, 3, global_pool());
   clf.quantize(1);
   Rng rng(3);
-  clf.inject_bit_flips(0.3, rng);
+  resilience::inject(clf, {resilience::FaultKind::kTransient, 0.3}, rng);
   for (std::size_t c = 0; c < 2; ++c)
     for (auto v : clf.class_vector(c)) EXPECT_TRUE(v == 1 || v == -1);
 }

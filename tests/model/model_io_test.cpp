@@ -192,7 +192,8 @@ TEST(ModelIo, NonFiniteQuantizerRangeIsATypedError) {
     std::string message;
   } cases[] = {
       {-inf, inf, message}, {nan, 1.0f, message},
-      {2.0f, 1.0f, message}, {-1.0f, 1.0f, ""},
+      {2.0f, 1.0f, message}, {-3e38f, 3e38f, message},
+      {-1.0f, 1.0f, ""},
   };
   for (const auto& c : cases) {
     auto blob = golden;

@@ -14,6 +14,12 @@
 //                     [--rtrace=out.json] [--rtrace-chrome=out.json]
 //                     [--flight-dump=out.json]
 //
+// The run is one edge chaos scenario with no attack (docs/chaos.md): the
+// flags become a chaos::ScenarioSpec — Poisson arrivals at --rate, a concept
+// shift at --shift-at — and chaos::run_scenario assembles and drives the
+// deployment. Exit 1 when an always-on invariant fails (an unresolved
+// future, an outcome or per-version tally that does not add up).
+//
 // Determinism: the whole run — every arrival, margin, alarm, retrain
 // trigger, validation verdict and swap, and both JSON reports — is a pure
 // function of (flags, seed). --threads only changes wall-clock speed;
@@ -22,20 +28,18 @@
 // --shadow-fault-rate corrupts the retrained shadow before validation (the
 // rejection-gate demo): the validator must refuse it and the engine must
 // record a rollback instead of a swap.
-#include <cmath>
+//
+// --ckpt-dir both saves validated versions AND restarts from disk: when
+// the store already holds a checkpoint of matching geometry, boot serves
+// from it (corrupt files are quarantined, the walk falls back to older
+// versions) and version numbering continues where the last run stopped.
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
+#include "chaos/orchestrator.h"
 #include "common/thread_pool.h"
-#include "data/drift.h"
-#include "encoding/encoders.h"
-#include "lifecycle/manager.h"
-#include "model/hdc_classifier.h"
 #include "obs/export.h"
-#include "serve/engine.h"
 
 using namespace generic;
 
@@ -44,21 +48,25 @@ namespace {
 int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
-  const std::size_t dims = quick ? 1024 : 2048;
-  const std::size_t epochs = quick ? 5 : 10;
-  const std::size_t requests =
-      flags.positive_size("--requests", quick ? 2000 : 4000);
-  const std::size_t rate_rps = flags.positive_size("--rate", 1200);
-  const std::size_t shift_at =
-      flags.size("--shift-at", quick ? 600 : 1000);
-  const std::size_t canary_every = flags.positive_size("--canary-every", 2);
-  const double severity = flags.real("--severity", 0.75);
-  const std::uint64_t seed = flags.size("--seed", 0xD21F7);
+  chaos::ScenarioSpec spec;
+  spec.name = "lifecycle";
+  spec.quick = quick;
+  spec.dims = quick ? 1024 : 2048;
+  spec.train_samples = quick ? 600 : 1200;
+  spec.requests = flags.positive_size("--requests", quick ? 2000 : 4000);
+  spec.load.kind = chaos::LoadKind::kPoisson;
+  spec.load.base_rps =
+      static_cast<double>(flags.positive_size("--rate", 1200));
+  spec.drift_enabled = true;
+  spec.shift_at = flags.size("--shift-at", quick ? 600 : 1000);
+  spec.canary_every = flags.positive_size("--canary-every", 2);
+  spec.severity = flags.real("--severity", 0.75);
+  chaos::RunOptions opt;
+  opt.seed = flags.size("--seed", 0xD21F7);
   const std::size_t threads = flags.threads();
-  const std::uint64_t retrain_cost_us =
-      flags.positive_size("--retrain-cost-us", 30000);
-  const double shadow_fault_rate = flags.real("--shadow-fault-rate", 0.0);
-  const std::string ckpt_dir = flags.value("--ckpt-dir", "");
+  spec.retrain_cost_us = flags.positive_size("--retrain-cost-us", 30000);
+  spec.shadow_fault_rate = flags.real("--shadow-fault-rate", 0.0);
+  opt.store_dir = flags.value("--ckpt-dir", "");
   const std::string out_path = flags.value("--out", "");
   const std::string lifecycle_out = flags.value("--lifecycle-out", "");
   const bench::RtraceOutputs rtrace(flags);
@@ -67,126 +75,33 @@ int run(int argc, char** argv) {
   bench::apply_kernel_backend(flags);
   flags.done();
 
-  if (shift_at >= requests) {
+  if (spec.shift_at >= spec.requests) {
     std::fprintf(stderr, "error: need --shift-at < --requests\n");
     return 2;
   }
 
   set_global_threads(threads);
   ThreadPool& pool = global_pool();
+  opt.rtrace = obs::rtrace::trace_enabled();
+  const chaos::ChaosReport chaos = chaos::run_scenario(spec, opt, pool);
+  const serve::ServeReport& report = chaos.serve;
+  const lifecycle::LifecycleReport& lreport = chaos.lifecycle;
 
-  // The concept-shift stream: one label space, two feature regimes.
-  data::DriftStreamSpec dspec;
-  dspec.severity = severity;
-  dspec.seed = seed;
-  data::DriftStream stream(dspec);
+  if (chaos.boot.from_checkpoint)
+    std::printf("booted from checkpoint version %llu (%llu corrupt "
+                "quarantined)\n",
+                static_cast<unsigned long long>(chaos.boot.version),
+                static_cast<unsigned long long>(chaos.boot.quarantined));
+  else if (chaos.boot.version > 0)
+    std::fprintf(stderr,
+                 "warning: checkpoint version %llu has other geometry; "
+                 "using the fresh model\n",
+                 static_cast<unsigned long long>(chaos.boot.version));
 
-  // Train encoder + initial model on PRE-shift data only — the model the
-  // shift will strand.
-  const auto ds = stream.make_dataset(quick ? 600 : 1200, 200, false);
-  enc::EncoderConfig ecfg;
-  ecfg.dims = dims;
-  enc::GenericEncoder encoder(ecfg);
-  encoder.fit(ds.train_x);
-  const auto train = encoder.encode_batch(ds.train_x, pool);
-  auto initial = std::make_shared<model::HdcClassifier>(dims, dspec.classes);
-  initial->fit_parallel(train, ds.train_y, epochs, pool);
-
-  // The serving trace: request i serves stream sample i — pre-shift regime
-  // before --shift-at, post-shift after. Encoded up front so the engine's
-  // query indices cover both regimes.
-  std::vector<std::vector<float>> xs;
-  std::vector<int> labels;
-  xs.reserve(requests);
-  labels.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    auto s = stream.sample(i, i >= shift_at);
-    xs.push_back(std::move(s.x));
-    labels.push_back(s.label);
-  }
-  const auto queries = encoder.encode_batch(xs, pool);
-
-  serve::ServeConfig cfg;
-  cfg.seed = seed ^ 0x5EB7EULL;
-  cfg.min_dims = dims / 4;  // ladder {D, D/2, D/4}
-
-  lifecycle::LifecycleConfig lcfg;
-  lcfg.replay_capacity = 256;
-  lcfg.holdout = 96;
-  lcfg.min_replay = 192;
-  lcfg.min_fresh = 160;
-  lcfg.retrain_epochs = 3;
-  lcfg.retrain_cost_us = retrain_cost_us;
-  lcfg.cooldown_us = 50000;
-  lcfg.min_dims = cfg.min_dims;
-  lcfg.seed = seed ^ 0xC1F3ULL;
-  lcfg.shadow_fault_rate = shadow_fault_rate;
-
-  // --ckpt-dir both saves validated versions AND restarts from disk: when
-  // the store already holds a checkpoint of matching geometry, boot serves
-  // from it (corrupt files are quarantined, the walk falls back to older
-  // versions) and version numbering continues where the last run stopped.
-  std::unique_ptr<lifecycle::CheckpointStore> store;
-  if (!ckpt_dir.empty()) {
-    store = std::make_unique<lifecycle::CheckpointStore>(ckpt_dir, 4);
-    if (auto loaded = store->load_latest(); loaded.has_value()) {
-      if (loaded->model.dims() == dims &&
-          loaded->model.num_classes() == dspec.classes) {
-        initial = std::make_shared<model::HdcClassifier>(
-            std::move(loaded->model));
-        lcfg.initial_version = loaded->version;
-        std::printf("booted from checkpoint version %llu (%llu corrupt "
-                    "quarantined)\n",
-                    static_cast<unsigned long long>(loaded->version),
-                    static_cast<unsigned long long>(store->quarantined()));
-      } else {
-        std::fprintf(stderr,
-                     "warning: checkpoint geometry mismatch "
-                     "(D=%zu/%zu classes); using the fresh model\n",
-                     loaded->model.dims(), loaded->model.num_classes());
-      }
-    }
-  }
-
-  lifecycle::Manager manager(initial, queries, labels, lcfg, pool,
-                             store.get());
-  serve::ServeEngine engine(*initial, queries, labels, cfg, pool, {},
-                            &manager);
-
-  // Seeded open-loop Poisson arrivals; every --canary-every'th request is a
-  // labeled canary the lifecycle may learn from.
-  Rng gen(seed ^ 0x0A11CE5ULL);
-  const double mean_gap_us = 1e6 / static_cast<double>(rate_rps);
-  std::uint64_t vt = 0;
-  std::vector<serve::ResponseFuture> futures;
-  futures.reserve(requests);
-  for (std::size_t id = 0; id < requests; ++id) {
-    const double gap = -std::log(1.0 - gen.uniform()) * mean_gap_us;
-    vt += static_cast<std::uint64_t>(std::max<long long>(std::llround(gap), 1));
-    serve::Request req;
-    req.id = id;
-    req.arrival_us = vt;
-    req.deadline_us = vt + cfg.deadline_us;
-    req.query = id;
-    req.canary = (id % canary_every == 0);
-    futures.push_back(engine.submit(req));
-  }
-  const serve::ServeReport report = engine.finish();
-  const lifecycle::LifecycleReport lreport = manager.report();
-
-  // Invariants the scenario stands on: every future resolved, and the
-  // per-version tallies account for every served request exactly once.
-  if (!bench::futures_match_report(futures, report.outcomes)) return 1;
-  std::uint64_t version_served = 0;
-  for (const auto& v : report.versions) version_served += v.served;
-  if (version_served != report.served) {
-    std::fprintf(stderr, "error: per-version tallies do not sum to served\n");
-    return 1;
-  }
-
-  std::printf("generic_lifecycle: D=%zu, %zu requests at %zu rps, shift at "
+  std::printf("generic_lifecycle: D=%zu, %zu requests at %.0f rps, shift at "
               "request %zu, canary every %zu, %zu threads\n",
-              dims, requests, rate_rps, shift_at, canary_every, threads);
+              spec.dims, spec.requests, spec.load.base_rps, spec.shift_at,
+              spec.canary_every, threads);
   bench::print_rule(72);
   std::printf("drift: %llu alarms, score %.3f, margin ewma %.4f\n",
               static_cast<unsigned long long>(lreport.alarms),
@@ -216,11 +131,11 @@ int run(int argc, char** argv) {
                 v.served == 0 ? 0.0
                               : static_cast<double>(v.correct) /
                                     static_cast<double>(v.served));
-  if (store)
+  if (!opt.store_dir.empty())
     std::printf("checkpoints: %llu saved, %llu pruned (dir %s)\n",
-                static_cast<unsigned long long>(store->saved()),
-                static_cast<unsigned long long>(store->pruned()),
-                store->dir().c_str());
+                static_cast<unsigned long long>(lreport.checkpoints_saved),
+                static_cast<unsigned long long>(lreport.checkpoints_pruned),
+                opt.store_dir.c_str());
 
   obs_session.set_pool_stats(pool.stats());
   bench::write_output(out_path, "serve report",
@@ -228,7 +143,12 @@ int run(int argc, char** argv) {
   bench::write_output(lifecycle_out, "lifecycle report",
                       lifecycle::lifecycle_report_to_json(lreport));
   rtrace.write();
-  return 0;
+
+  for (const auto& inv : chaos.invariants)
+    if (!inv.passed)
+      std::fprintf(stderr, "error: invariant %s failed (value %.4g, bound "
+                   "%.4g)\n", inv.name.c_str(), inv.value, inv.bound);
+  return chaos.passed ? 0 : 1;
 }
 
 }  // namespace
