@@ -20,6 +20,13 @@
 //                        windows) and CARDIO-shaped (21 features, 19
 //                        windows)
 // and reports throughput plus speedup vs the forced-scalar reference.
+//
+// The learning section times learn_rounds' shape on the active backend:
+// CARDIO at `--dims` (1200 training queries, 10 classes), packed into the
+// narrow batch fit_parallel packs for a set that keeps updating, then
+// train_batch and five retraining epochs on it and held-out predict_batch,
+// at 1, 2 and 4 pool lanes. Every lane
+// count must train the 1-lane model and predict what it predicts.
 // Every measured distance, dot product and bundle is cross-checked against scalar
 // before timing: a backend that is fast but wrong fails loudly here, not in
 // production.
@@ -39,6 +46,9 @@
 //   kernels.<backend>.encode_speedup_milli          (1000 = scalar parity)
 //   kernels.<backend>.encode_short_ns_per_sample    (CARDIO shape)
 //   kernels.<backend>.encode_short_speedup_milli
+//   learn.cardio.query_width_bytes               (bytes per packed value)
+//   learn.cardio.lanes_<n>.pack_us / .train_batch_us / .retrain_5_epochs_us
+//   learn.cardio.lanes_<n>.predict_batch_us      (median over the reps)
 //   remat.encode_stored_ns_per_sample / remat.encode_remat_ns_per_sample
 //   remat.recompute_overhead_milli
 //   remat.footprint.stored_payload_bytes / remat.footprint.remat_payload_bytes
@@ -49,11 +59,15 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "data/benchmarks.h"
 #include "encoding/encoders.h"
 #include "hdc/hypervector.h"
 #include "hdc/item_memory.h"
 #include "hdc/kernels.h"
 #include "hdc/ops.h"
+#include "hdc/query_batch.h"
+#include "model/hdc_classifier.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 
@@ -109,7 +123,7 @@ struct TileWorkload {
   std::vector<hdc::IntHV> queries;
   std::vector<hdc::IntHV> classes;
   std::vector<std::vector<std::int16_t>> classes16;
-  std::vector<const std::int32_t*> query_rows;
+  std::vector<const void*> query_rows;
   std::vector<const std::int32_t*> class_rows;
   std::vector<const std::int16_t*> class16_rows;
   std::int64_t max_abs = 0;
@@ -139,6 +153,80 @@ TileWorkload make_tile_workload(std::size_t dims) {
   }
   for (const auto& c : w.classes16) w.class16_rows.push_back(c.data());
   return w;
+}
+
+/// Median of `v` (odd sizes; the upper middle otherwise).
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// The learning section (see the header): `reps` timed fits per lane
+/// count. False when a lane count trains or predicts differently.
+bool bench_learning(std::size_t dims, std::size_t reps) {
+  const data::Dataset ds = data::make_benchmark("CARDIO");
+  enc::EncoderConfig cfg;
+  cfg.dims = dims;
+  enc::GenericEncoder encoder(cfg);
+  encoder.fit(ds.train_x);
+  const auto train = encoder.encode_batch(ds.train_x, global_pool());
+  const auto test = encoder.encode_batch(ds.test_x, global_pool());
+  constexpr std::size_t kEpochs = 5;
+
+  std::printf("\nlearning: CARDIO, %zu train x %zu test queries, dims=%zu, "
+              "us per call (median of %zu)\n",
+              train.size(), test.size(), dims, reps);
+  std::printf("%-6s %10s %12s %14s %14s\n", "lanes", "pack", "train_batch",
+              "5 epochs", "predict_batch");
+  bench::print_rule(60);
+  std::vector<hdc::IntHV> want_rows;
+  std::vector<int> want_preds;
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{4}}) {
+    ThreadPool pool(lanes);
+    std::vector<double> pack_us, train_us, epochs_us, predict_us;
+    model::HdcClassifier m(dims, ds.num_classes);
+    std::vector<int> preds;
+    for (std::size_t r = 0; r < reps; ++r) {
+      obs::Stopwatch t;
+      const hdc::QueryBatch batch(train, dims);
+      pack_us.push_back(t.seconds() * 1e6);
+      set_gauge("learn.cardio.query_width_bytes",
+                static_cast<double>(batch.width()));
+      m = model::HdcClassifier(dims, ds.num_classes);
+      t.restart();
+      m.train_batch(batch, ds.train_y, pool);
+      train_us.push_back(t.seconds() * 1e6);
+      t.restart();
+      for (std::size_t e = 0; e < kEpochs; ++e)
+        m.retrain_epoch_parallel(batch, ds.train_y, pool);
+      epochs_us.push_back(t.seconds() * 1e6);
+      t.restart();
+      preds = m.predict_batch(test, pool);
+      predict_us.push_back(t.seconds() * 1e6);
+    }
+    std::vector<hdc::IntHV> rows;
+    for (std::size_t c = 0; c < m.num_classes(); ++c)
+      rows.push_back(m.class_vector(c));
+    if (want_rows.empty()) {
+      want_rows = rows;
+      want_preds = preds;
+    } else if (rows != want_rows || preds != want_preds) {
+      std::fprintf(stderr, "learning at %zu lanes diverged from 1 lane\n",
+                   lanes);
+      return false;
+    }
+    const std::string tag = "learn.cardio.lanes_" + std::to_string(lanes);
+    const double pack = median_of(pack_us), fit = median_of(train_us),
+                 epochs = median_of(epochs_us), predict = median_of(predict_us);
+    std::printf("%-6zu %10.0f %12.0f %14.0f %14.0f\n", lanes, pack, fit,
+                epochs, predict);
+    set_gauge(tag + ".pack_us", pack);
+    set_gauge(tag + ".train_batch_us", fit);
+    set_gauge(tag + ".retrain_5_epochs_us", epochs);
+    set_gauge(tag + ".predict_batch_us", predict);
+  }
+  return true;
 }
 
 }  // namespace
@@ -209,7 +297,7 @@ int main(int argc, char** argv) {
   auto run_tile = [&](const k::Kernels& table, std::size_t rung,
                       std::int64_t* out, std::size_t nq = TileWorkload::kQueries) {
     const k::DimRun run{0, rung};
-    table.dot_tile(tw.query_rows.data(), nq, tw.class_side(), &run, 1, out);
+    table.dot_tile({tw.query_rows.data()}, nq, tw.class_side(), &run, 1, out);
   };
   std::vector<std::vector<std::int64_t>> want_tile(rungs.size());
   for (std::size_t r = 0; r < rungs.size(); ++r) {
@@ -276,7 +364,7 @@ int main(int argc, char** argv) {
     if (backend == k::Backend::kScalar) scalar_1q_ns = ns;
     const double speedup = ns > 0 ? scalar_1q_ns / ns : 0;
     std::printf("%-8s %10.0f %9.2fx\n", name.c_str(), ns, speedup);
-    const std::string dims_tag = "." + std::to_string(dims);
+    const std::string dims_tag = std::string(".") + std::to_string(dims);
     set_gauge("kernels." + name + ".dot_tile_1q_ns_per_query" + dims_tag, ns);
     set_gauge("kernels." + name + ".dot_tile_1q_speedup_milli" + dims_tag,
               speedup * 1000.0);
@@ -343,6 +431,10 @@ int main(int argc, char** argv) {
   if (!bench_bundle("ISOLET", 128, "encode") ||
       !bench_bundle("CARDIO", 21, "encode_short"))
     return 1;
+
+  // ---- learning on CARDIO: the packed fit, at 1, 2 and 4 lanes ------------
+  k::set_backend(session_backend);
+  if (!bench_learning(dims, quick ? 3 : 9)) return 1;
 
   // ---- stored vs rematerialized memories ---------------------------------
   Rng rng(0x5A17);

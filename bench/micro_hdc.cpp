@@ -68,12 +68,12 @@ void BM_IntDot(benchmark::State& state) {
     a[i] = static_cast<std::int32_t>(rng.range(-100, 100));
     b[i] = static_cast<std::int32_t>(rng.range(-30000, 30000));
   }
-  const std::int32_t* q = a.data();
+  const void* q = a.data();
   const std::int32_t* row = b.data();
   const hdc::kernels::DimRun all{0, dims};
   std::int64_t out = 0;
   for (auto _ : state) {
-    hdc::kernels::active().dot_tile(&q, 1, {&row, 1}, &all, 1, &out);
+    hdc::kernels::active().dot_tile({&q}, 1, {&row, 1}, &all, 1, &out);
     benchmark::DoNotOptimize(out);
   }
 }

@@ -100,17 +100,14 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt,
   }
   if (store) {
     // Corrupt files are quarantined and the walk falls back to older ones.
-    if (auto loaded = store->load_latest()) {
-      report.boot.version = loaded->version;
-      if (loaded->model.dims() == spec.dims &&
-          loaded->model.num_classes() == dspec.classes) {
-        report.boot.from_checkpoint = true;
-        serving =
-            std::make_shared<model::HdcClassifier>(std::move(loaded->model));
-      }
-    } else if (spec.corrupt_boot) {
+    lifecycle::Boot boot = store->boot(spec.dims, dspec.classes);
+    if (!boot.latest && spec.corrupt_boot)
       throw std::runtime_error("corrupt_boot: no checkpoint survived");
-    }
+    if (boot.latest) report.boot.version = boot.latest->version;
+    report.boot.from_checkpoint = boot.fits;
+    if (boot.fits)
+      serving = std::make_shared<model::HdcClassifier>(
+          std::move(boot.latest->model));
     report.boot.quarantined = store->quarantined();
   }
 

@@ -108,11 +108,11 @@ double cosine(const IntHV& a, const IntHV& b) {
   const std::int64_t na = norm2(a);
   const std::int64_t nb = norm2(b);
   if (na == 0 || nb == 0) return 0.0;
-  const std::int32_t* q = a.data();
+  const void* q = a.data();
   const std::int32_t* row = b.data();
   const kernels::DimRun all{0, a.size()};
   std::int64_t dot = 0;
-  kernels::active().dot_tile(&q, 1, {&row, 1}, &all, 1, &dot);
+  kernels::active().dot_tile({&q}, 1, {&row, 1}, &all, 1, &dot);
   return static_cast<double>(dot) /
          (std::sqrt(static_cast<double>(na)) * std::sqrt(static_cast<double>(nb)));
 }

@@ -73,6 +73,24 @@ struct ClassRows {
   std::int64_t max_abs = 0;
 };
 
+/// Bytes per element of a dot tile's query rows.
+enum class QueryWidth : std::uint8_t { kInt8 = 1, kInt16 = 2, kInt32 = 4 };
+
+/// The query side of a dot tile: `rows` points at one row pointer per
+/// query, each row holding elements of `width` (int8, int16 or int32
+/// values at the class rows' offsets). A narrow view (int8 or int16) must
+/// carry in `max_abs` a bound on |q| over every value the runs cover: the
+/// SIMD tiles read narrow rows as they are, sign-extending each load, and
+/// take the int16 path under that bound. An int32 view's `max_abs` is not
+/// read: the SIMD tiles pack each block of int32 queries to int16 and
+/// measure its max|q| on the way, so any int32 rows are exact.
+/// hdc::QueryBatch hands out narrow views of its rows.
+struct QueryRows {
+  const void* const* rows = nullptr;
+  QueryWidth width = QueryWidth::kInt32;
+  std::int64_t max_abs = 0;
+};
+
 /// One term of a window: a bit-packed row (ceil(dims/64) words, unused
 /// tail bits zero) and the rotation rho^rot applied before it is XORed in.
 /// rot may exceed dims; it is taken modulo dims.
@@ -101,15 +119,16 @@ struct Kernels {
                             const std::uint64_t* const* refs, std::size_t rows,
                             std::size_t words, std::size_t* out) = nullptr;
 
-  /// out[q * nc + c] = Σ queries[q][j] * classes.rows[c][j] over every j
-  /// of the `nruns` runs: int32 products summed in int64, for `nq` query
-  /// rows × `nc` = classes.n class rows. Exact for any int32 operands — the
-  /// true sum whenever it fits in int64, the scalar reference's
-  /// two's-complement wrap when it does not. A backend may score
-  /// classes.rows16 instead only when max|q|, measured from this call's
-  /// queries, and classes.max_abs prove the int16 sums exact
-  /// (docs/kernels.md); otherwise it reads the int32 rows.
-  void (*dot_tile)(const std::int32_t* const* queries, std::size_t nq,
+  /// out[q * nc + c] = Σ queries.rows[q][j] * classes.rows[c][j] over
+  /// every j of the `nruns` runs: int32 products summed in int64, for `nq`
+  /// query rows × `nc` = classes.n class rows. Exact for any int32
+  /// operands — the true sum whenever it fits in int64, the scalar
+  /// reference's two's-complement wrap when it does not. A backend may
+  /// score classes.rows16 instead only when max|q| (the narrow view's
+  /// bound, or measured from an int32 view's queries) and classes.max_abs
+  /// prove the int16 sums exact (docs/kernels.md); otherwise it reads the
+  /// int32 class rows.
+  void (*dot_tile)(const QueryRows& queries, std::size_t nq,
                    const ClassRows& classes, const DimRun* runs,
                    std::size_t nruns, std::int64_t* out) = nullptr;
 

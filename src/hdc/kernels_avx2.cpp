@@ -147,6 +147,24 @@ struct Avx2 {
   static V load(const void* p) {
     return _mm256_loadu_si256(static_cast<const __m256i*>(p));
   }
+  /// Eight query values as int32 lanes; narrow rows sign-extend
+  /// (vpmovsxbd / vpmovsxwd).
+  static V load32(const std::int32_t* p) { return load(p); }
+  static V load32(const std::int16_t* p) {
+    return _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  static V load32(const std::int8_t* p) {
+    return _mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  }
+  /// Sixteen query values as int16 lanes; int8 rows sign-extend
+  /// (vpmovsxbw).
+  static V load16(const std::int16_t* p) { return load(p); }
+  static V load16(const std::int8_t* p) {
+    return _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
   static V add64(V a, V b) { return _mm256_add_epi64(a, b); }
   /// Odd int32 lanes moved into the even slots mul_even reads.
   static V odd(V a) { return _mm256_srli_epi64(a, 32); }

@@ -97,6 +97,24 @@ struct Avx512 {
   static constexpr std::size_t kInt16Lanes = 32;
   static V zero() { return _mm512_setzero_si512(); }
   static V load(const void* p) { return _mm512_loadu_si512(p); }
+  /// Sixteen query values as int32 lanes; narrow rows sign-extend
+  /// (vpmovsxbd / vpmovsxwd).
+  static V load32(const std::int32_t* p) { return load(p); }
+  static V load32(const std::int16_t* p) {
+    return _mm512_cvtepi16_epi32(_mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(p)));
+  }
+  static V load32(const std::int8_t* p) {
+    return _mm512_cvtepi8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  /// Thirty-two query values as int16 lanes; int8 rows sign-extend
+  /// (vpmovsxbw).
+  static V load16(const std::int16_t* p) { return load(p); }
+  static V load16(const std::int8_t* p) {
+    return _mm512_cvtepi8_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
   static V add64(V a, V b) { return _mm512_add_epi64(a, b); }
   /// Odd int32 lanes moved into the even slots mul_even reads.
   static V odd(V a) { return _mm512_srli_epi64(a, 32); }

@@ -16,7 +16,7 @@ namespace generic::hdc::kernels::detail {
 const Kernels& scalar_table();
 
 /// The reference dot tile; backends without a tile of their own point at it.
-void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
+void scalar_dot_tile(const QueryRows& queries, std::size_t nq,
                      const ClassRows& classes, const DimRun* runs,
                      std::size_t nruns, std::int64_t* out);
 

@@ -46,15 +46,18 @@ void scalar_xor_popcount_many(const std::uint64_t* q,
 
 }  // namespace
 
-void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
-                     const ClassRows& classes, const DimRun* runs,
-                     std::size_t nruns, std::int64_t* out) {
+namespace {
+
+template <typename Tq>
+void scalar_tile(const void* const* queries, std::size_t nq,
+                 const ClassRows& classes, const DimRun* runs,
+                 std::size_t nruns, std::int64_t* out) {
   // Only the int32 rows: the int16 copy is what the SIMD tiles are checked
   // against, never a source of the reference's sums.
   const std::size_t nc = classes.n;
   for (std::size_t q = 0; q < nq; ++q)
     for (std::size_t c = 0; c < nc; ++c) {
-      const std::int32_t* qr = queries[q];
+      const Tq* qr = static_cast<const Tq*>(queries[q]);
       const std::int32_t* cr = classes.rows[c];
       // Unsigned accumulation: each int32 product is exact in int64, and
       // the sum wraps (instead of overflowing) for operands no model holds.
@@ -65,6 +68,24 @@ void scalar_dot_tile(const std::int32_t* const* queries, std::size_t nq,
                                             cr[j]);
       out[q * nc + c] = static_cast<std::int64_t>(acc);
     }
+}
+
+}  // namespace
+
+void scalar_dot_tile(const QueryRows& queries, std::size_t nq,
+                     const ClassRows& classes, const DimRun* runs,
+                     std::size_t nruns, std::int64_t* out) {
+  switch (queries.width) {
+    case QueryWidth::kInt8:
+      return scalar_tile<std::int8_t>(queries.rows, nq, classes, runs, nruns,
+                                      out);
+    case QueryWidth::kInt16:
+      return scalar_tile<std::int16_t>(queries.rows, nq, classes, runs, nruns,
+                                       out);
+    case QueryWidth::kInt32:
+      return scalar_tile<std::int32_t>(queries.rows, nq, classes, runs, nruns,
+                                       out);
+  }
 }
 
 void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,

@@ -7,23 +7,29 @@
 //          lanes and multiplied with the signed 32x32->64 multiply
 //          (_mm*_mul_epi32), accumulating in int64 lanes. Any int32
 //          operands; the sum wraps exactly like the scalar reference's.
+//          Narrow query rows are sign-extended to int32 at load
+//          (Isa::load32), so they never need their int32 values again.
 //   int16  Isa::dot16 over the caller's int16 class rows (ClassRows::rows16)
-//          and the queries packed to int16: it multiplies int16 pairs and
-//          adds adjacent products into int32 lanes (vpdpwssd on avx512,
+//          and int16 query lanes: it multiplies int16 pairs and adds
+//          adjacent products into int32 lanes (vpdpwssd on avx512,
 //          vpmaddwd + vpaddd on avx2), which are widened into int64 lanes
-//          before they can overflow. Taken only when the bounds
-//          prove it exact: max|q| (measured while packing each query block)
-//          and the caller's max|c| <= 32767, and every int32 lane holds at
-//          most `i16_steps` * 2 products of magnitude <= max|q| * max|c|
-//          before widening, a bound below 2^31.
+//          before they can overflow. The query lanes are int16 rows as
+//          they are, int8 rows sign-extended at load (Isa::load16), or
+//          int32 rows packed to int16 per block. Taken only when the bounds
+//          prove it exact: max|q| (the narrow view's bound, or measured
+//          while packing each int32 block) and the caller's max|c| <=
+//          32767, and every int32 lane holds at most `i16_steps` * 2
+//          products of magnitude <= max|q| * max|c| before widening, a
+//          bound below 2^31.
 //
-// Each block of kQueryBlock queries is packed, bound-checked and scored
-// against every class (kQueryBlock x kClassBlock accumulators per pass, so
-// every class load serves several queries). Both int16 sides are read at
-// the runs' own offsets, so a prefix rung or a dead-chunk mask reads only
-// the dims it covers; a run end off the vector width is finished one
-// product at a time. Only the query pack lives in scratch: the class rows'
-// int16 copy is the caller's, kept exact on every write to class memory.
+// Each block of kQueryBlock queries is scored against every class
+// (kQueryBlock x kClassBlock accumulators per pass, so every class load
+// serves several queries). Both sides are read at the runs' own offsets,
+// so a prefix rung or a dead-chunk mask reads only the dims it covers; a
+// run end off the vector width is finished one product at a time. Only
+// the int32 queries' pack lives in scratch: the class rows' int16 copy is
+// the caller's, kept exact on every write to class memory, and narrow
+// query rows are read in place.
 //
 // Everything below has internal linkage on purpose: each ISA translation
 // unit compiles its own copy under its own flags, so a copy built for a
@@ -38,8 +44,8 @@
 namespace generic::hdc::kernels::detail {
 namespace {
 
-/// Queries packed and scored together, and classes per accumulator block
-/// (doubled for a lone query).
+/// Queries scored together, and classes per accumulator block (doubled
+/// for a lone query).
 constexpr std::size_t kQueryBlock = 4;
 constexpr int kClassBlock = 2;
 /// Largest operand magnitude the int16 path takes.
@@ -79,9 +85,10 @@ inline std::size_t i16_steps(std::int64_t max_q, std::int64_t max_c) {
   return static_cast<std::size_t>(((std::int64_t{1} << 31) - 1) / per_step);
 }
 
-/// int32 path for NQ queries x NC classes over the runs.
-template <typename Isa, int NQ, int NC>
-void tile32(const std::int32_t* const* q, const std::int32_t* const* c,
+/// int32 path for NQ query rows of Tq (sign-extended to int32 at load) x
+/// NC classes over the runs.
+template <typename Isa, int NQ, int NC, typename Tq>
+void tile32(const Tq* const* q, const std::int32_t* const* c,
             const DimRun* runs, std::size_t nruns, std::int64_t* out,
             std::size_t ldo) {
   using V = typename Isa::V;
@@ -101,7 +108,7 @@ void tile32(const std::int32_t* const* q, const std::int32_t* const* c,
         co[k] = Isa::odd(ce[k]);
       }
       for (int i = 0; i < NQ; ++i) {
-        const V qe = Isa::load(q[i] + j);
+        const V qe = Isa::load32(q[i] + j);
         const V qo = Isa::odd(qe);
         for (int k = 0; k < NC; ++k)
           acc[i][k] = Isa::add64(
@@ -121,13 +128,13 @@ void tile32(const std::int32_t* const* q, const std::int32_t* const* c,
           static_cast<std::int64_t>(tail[i][k] + Isa::hsum64(acc[i][k]));
 }
 
-/// int16 path for NQ packed queries (one per `qs` int16) x NC int16 class
-/// rows over the runs, widening every `steps` dot16 steps.
-template <typename Isa, int NQ, int NC>
-void tile16(const std::int16_t* q, std::size_t qs,
-            const std::int16_t* const* c, const DimRun* runs,
-            std::size_t nruns, std::size_t steps, std::int64_t* out,
-            std::size_t ldo) {
+/// int16 path for NQ query rows of Tq (int8 sign-extended to int16 at
+/// load, or int16) x NC int16 class rows over the runs, widening every
+/// `steps` dot16 steps.
+template <typename Isa, int NQ, int NC, typename Tq>
+void tile16(const Tq* const* q, const std::int16_t* const* c,
+            const DimRun* runs, std::size_t nruns, std::size_t steps,
+            std::int64_t* out, std::size_t ldo) {
   using V = typename Isa::V;
   constexpr std::size_t kStep = Isa::kInt16Lanes;
   V wide[NQ][NC];
@@ -154,7 +161,7 @@ void tile16(const std::int16_t* q, std::size_t qs,
         V cv[NC];
         for (int k = 0; k < NC; ++k) cv[k] = Isa::load(c[k] + j);
         for (int i = 0; i < NQ; ++i) {
-          const V qv = Isa::load(q + static_cast<std::size_t>(i) * qs + j);
+          const V qv = Isa::load16(q[i] + j);
           for (int k = 0; k < NC; ++k)
             acc[i][k] = Isa::dot16(acc[i][k], qv, cv[k]);
         }
@@ -168,8 +175,7 @@ void tile16(const std::int16_t* q, std::size_t qs,
       for (int i = 0; i < NQ; ++i)
         for (int k = 0; k < NC; ++k)
           tail[i][k] += static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(q[static_cast<std::size_t>(i) * qs + j]) *
-              c[k][j]);
+              static_cast<std::int64_t>(q[i][j]) * c[k][j]);
   }
   flush();
   for (int i = 0; i < NQ; ++i)
@@ -178,34 +184,76 @@ void tile16(const std::int16_t* q, std::size_t qs,
           static_cast<std::int64_t>(tail[i][k] + Isa::hsum64(wide[i][k]));
 }
 
-/// One block of NQ queries against classes [c, cls.n), NC classes per
-/// accumulator block and the rest in halving blocks: the int16 path over
-/// the queries packed into `q16` (one per `qs` int16) when set, the int32
+/// One block of NQ query rows of Tq against classes [c, cls.n), NC
+/// classes per accumulator block and the rest in halving blocks: the
+/// int16 path when `steps` is nonzero (Tq int8 or int16 only), the int32
 /// path otherwise.
-template <typename Isa, int NQ, int NC>
+template <typename Isa, int NQ, int NC, typename Tq>
 void score_block(const ClassRows& cls, std::size_t c, const DimRun* runs,
-                 std::size_t nruns, const std::int32_t* const* q,
-                 const std::int16_t* q16, std::size_t qs, std::size_t steps,
+                 std::size_t nruns, const Tq* const* q, std::size_t steps,
                  std::int64_t* out) {
   constexpr auto kNc = static_cast<std::size_t>(NC);
   for (; c + kNc <= cls.n; c += kNc) {
-    if (q16 != nullptr)
-      tile16<Isa, NQ, NC>(q16, qs, cls.rows16 + c, runs, nruns, steps,
-                          out + c, cls.n);
-    else
-      tile32<Isa, NQ, NC>(q, cls.rows + c, runs, nruns, out + c, cls.n);
+    if constexpr (sizeof(Tq) < sizeof(std::int32_t)) {
+      if (steps != 0) {
+        tile16<Isa, NQ, NC>(q, cls.rows16 + c, runs, nruns, steps, out + c,
+                            cls.n);
+        continue;
+      }
+    }
+    tile32<Isa, NQ, NC>(q, cls.rows + c, runs, nruns, out + c, cls.n);
   }
   if constexpr (NC > 1)
-    score_block<Isa, NQ, NC / 2>(cls, c, runs, nruns, q, q16, qs, steps, out);
+    score_block<Isa, NQ, NC / 2>(cls, c, runs, nruns, q, steps, out);
 }
 
-/// Kernels::dot_tile over an ISA's vector ops.
-template <typename Isa>
-void dot_tile(const std::int32_t* const* queries, std::size_t nq,
-              const ClassRows& cls, const DimRun* runs, std::size_t nruns,
-              std::int64_t* out) {
+/// `n` <= kQueryBlock query rows of Tq against every class.
+template <typename Isa, typename Tq>
+void score_queries(const ClassRows& cls, const DimRun* runs,
+                   std::size_t nruns, const Tq* const* q, std::size_t n,
+                   std::size_t steps, std::int64_t* out) {
   static_assert(kQueryBlock == 4, "score_block dispatch below");
-  if (nq == 0 || cls.n == 0) return;
+  switch (n) {
+    case 4:
+      score_block<Isa, 4, kClassBlock>(cls, 0, runs, nruns, q, steps, out);
+      break;
+    case 3:
+      score_block<Isa, 3, kClassBlock>(cls, 0, runs, nruns, q, steps, out);
+      break;
+    case 2:
+      score_block<Isa, 2, kClassBlock>(cls, 0, runs, nruns, q, steps, out);
+      break;
+    default:
+      // One query: twice the classes per block keep more loads in
+      // flight, which is what a single query's tile is bound by.
+      score_block<Isa, 1, 2 * kClassBlock>(cls, 0, runs, nruns, q, steps,
+                                           out);
+      break;
+  }
+}
+
+/// A narrow view's rows scored in place, each block on the int16 path when
+/// the view's bound and the class bound admit it.
+template <typename Isa, typename Tq>
+void narrow_tile(const QueryRows& queries, std::size_t nq,
+                 const ClassRows& cls, const DimRun* runs, std::size_t nruns,
+                 std::int64_t* out) {
+  const std::size_t steps =
+      cls.rows16 != nullptr ? i16_steps(queries.max_abs, cls.max_abs) : 0;
+  for (std::size_t q = 0; q < nq; q += kQueryBlock) {
+    const std::size_t n = nq - q < kQueryBlock ? nq - q : kQueryBlock;
+    const Tq* rows[kQueryBlock] = {};
+    for (std::size_t i = 0; i < n; ++i)
+      rows[i] = static_cast<const Tq*>(queries.rows[q + i]);
+    score_queries<Isa>(cls, runs, nruns, rows, n, steps, out + q * cls.n);
+  }
+}
+
+/// An int32 view's rows, each block packed to int16 (measuring its
+/// max|q|) when the class side has int16 rows under the bound.
+template <typename Isa>
+void wide_tile(const QueryRows& queries, std::size_t nq, const ClassRows& cls,
+               const DimRun* runs, std::size_t nruns, std::int64_t* out) {
   // The query pack shares the class rows' offsets up to the last run end.
   std::size_t stride = 0;
   for (std::size_t r = 0; r < nruns; ++r)
@@ -215,32 +263,37 @@ void dot_tile(const std::int32_t* const* queries, std::size_t nq,
     q16 = i16_scratch(kQueryBlock * stride);
   for (std::size_t q = 0; q < nq; q += kQueryBlock) {
     const std::size_t n = nq - q < kQueryBlock ? nq - q : kQueryBlock;
+    const std::int32_t* rows[kQueryBlock] = {};
+    for (std::size_t i = 0; i < n; ++i)
+      rows[i] = static_cast<const std::int32_t*>(queries.rows[q + i]);
     std::size_t steps = 0;
     if (q16 != nullptr)
-      steps = i16_steps(pack_i16(queries + q, n, runs, nruns, stride, q16),
+      steps = i16_steps(pack_i16(rows, n, runs, nruns, stride, q16),
                         cls.max_abs);
-    const std::int16_t* narrow = steps != 0 ? q16 : nullptr;
     std::int64_t* block_out = out + q * cls.n;
-    switch (n) {
-      case 4:
-        score_block<Isa, 4, kClassBlock>(cls, 0, runs, nruns, queries + q,
-                                         narrow, stride, steps, block_out);
-        break;
-      case 3:
-        score_block<Isa, 3, kClassBlock>(cls, 0, runs, nruns, queries + q,
-                                         narrow, stride, steps, block_out);
-        break;
-      case 2:
-        score_block<Isa, 2, kClassBlock>(cls, 0, runs, nruns, queries + q,
-                                         narrow, stride, steps, block_out);
-        break;
-      default:
-        // One query: twice the classes per block keep more loads in
-        // flight, which is what a single query's tile is bound by.
-        score_block<Isa, 1, 2 * kClassBlock>(cls, 0, runs, nruns, queries + q,
-                                             narrow, stride, steps, block_out);
-        break;
+    if (steps != 0) {
+      const std::int16_t* packed[kQueryBlock] = {};
+      for (std::size_t i = 0; i < n; ++i) packed[i] = q16 + i * stride;
+      score_queries<Isa>(cls, runs, nruns, packed, n, steps, block_out);
+    } else {
+      score_queries<Isa>(cls, runs, nruns, rows, n, 0, block_out);
     }
+  }
+}
+
+/// Kernels::dot_tile over an ISA's vector ops.
+template <typename Isa>
+void dot_tile(const QueryRows& queries, std::size_t nq, const ClassRows& cls,
+              const DimRun* runs, std::size_t nruns, std::int64_t* out) {
+  if (nq == 0 || cls.n == 0) return;
+  switch (queries.width) {
+    case QueryWidth::kInt8:
+      return narrow_tile<Isa, std::int8_t>(queries, nq, cls, runs, nruns, out);
+    case QueryWidth::kInt16:
+      return narrow_tile<Isa, std::int16_t>(queries, nq, cls, runs, nruns,
+                                            out);
+    case QueryWidth::kInt32:
+      return wide_tile<Isa>(queries, nq, cls, runs, nruns, out);
   }
 }
 

@@ -176,4 +176,11 @@ std::optional<LoadedCheckpoint> CheckpointStore::load_latest() {
   return loaded;
 }
 
+Boot CheckpointStore::boot(std::size_t dims, std::size_t num_classes) {
+  Boot b{load_latest()};
+  b.fits = b.latest && b.latest->model.dims() == dims &&
+           b.latest->model.num_classes() == num_classes;
+  return b;
+}
+
 }  // namespace generic::lifecycle

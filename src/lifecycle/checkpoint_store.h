@@ -54,6 +54,13 @@ struct LoadedCheckpoint {
   std::uint64_t vt = 0;
 };
 
+/// What a boot walk found: the newest checkpoint that verifies, if any,
+/// and whether it has the booting deployment's geometry.
+struct Boot {
+  std::optional<LoadedCheckpoint> latest;
+  bool fits = false;
+};
+
 class CheckpointStore {
  public:
   /// Creates `dir` if missing. keep_last must be >= 1.
@@ -66,6 +73,10 @@ class CheckpointStore {
 
   /// Newest checkpoint that verifies, or nullopt when none does.
   std::optional<LoadedCheckpoint> load_latest();
+
+  /// The boot walk every deployment with a store runs: load_latest(),
+  /// then check the checkpoint against `dims` × `num_classes`.
+  Boot boot(std::size_t dims, std::size_t num_classes);
 
   /// Checkpoints currently on disk (quarantined files excluded), sorted by
   /// ascending version.

@@ -193,19 +193,22 @@ void Manager::run_retrain(RetrainJob& job) {
   GENERIC_SPAN("lifecycle.retrain");
   // Newest `holdout` canaries validate; everything older trains. The split
   // is by recency so validation measures the model on the CURRENT regime.
+  // Both sides point into the query table: training rows are packed
+  // straight into one narrow batch, and the holdout is scored in place.
   const model::HdcClassifier& baseline = *current_;
   const std::size_t train_n = replay_.size() - cfg_.holdout;
-  std::vector<hdc::IntHV> train_x, hold_x;
+  std::vector<const hdc::IntHV*> train_x, hold_x;
   std::vector<int> train_y, hold_y;
   for (std::size_t i = 0; i < replay_.size(); ++i) {
     const std::uint64_t q = replay_[i];
-    (i < train_n ? train_x : hold_x).push_back(queries_[q]);
+    (i < train_n ? train_x : hold_x).push_back(&queries_[q]);
     (i < train_n ? train_y : hold_y).push_back(labels_[q]);
   }
+  const hdc::QueryBatch train(train_x, baseline.dims());
 
   auto shadow = std::make_shared<model::HdcClassifier>(baseline);
   for (std::size_t e = 0; e < cfg_.retrain_epochs; ++e) {
-    const std::size_t u = shadow->retrain_epoch_parallel(train_x, train_y, pool_);
+    const std::size_t u = shadow->retrain_epoch_parallel(train, train_y, pool_);
     job.updates += u;
     if (u == 0) break;
   }
@@ -230,9 +233,9 @@ void Manager::run_retrain(RetrainJob& job) {
   for (const std::size_t dims : job.rung_dims) {
     const std::vector<bool> mask = baseline.prefix_mask(dims);
     const std::vector<model::Prediction> sp =
-        shadow->predict_masked_margin_batch(hold_x, mask, pool_);
+        shadow->scan_batch(hold_x, mask, model::NormMode::kUpdated, pool_);
     const std::vector<model::Prediction> bp =
-        baseline.predict_masked_margin_batch(hold_x, mask, pool_);
+        baseline.scan_batch(hold_x, mask, model::NormMode::kUpdated, pool_);
     std::size_t s_ok = 0, b_ok = 0;
     for (std::size_t i = 0; i < hold_y.size(); ++i) {
       if (sp[i].cls == hold_y[i]) ++s_ok;

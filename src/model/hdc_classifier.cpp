@@ -90,7 +90,7 @@ struct HdcClassifier::Scoring {
 
   /// out[i * classes.size() + c]: the dots of `n` query rows against every
   /// class over the runs, from one dot tile.
-  void dot(const std::int32_t* const* queries, std::size_t n,
+  void dot(const hdc::kernels::QueryRows& queries, std::size_t n,
            std::int64_t* out) const {
     hdc::kernels::active().dot_tile(
         queries, n, {classes.data(), classes.size(), narrow.data(), max_abs},
@@ -131,7 +131,25 @@ void HdcClassifier::move_sample(const hdc::IntHV& encoded, int from, int to) {
   }
 }
 
+void HdcClassifier::move_sample(const hdc::QueryBatch& encoded,
+                                std::size_t i, int from, int to) {
+  const auto f = static_cast<std::size_t>(from);
+  const auto t = static_cast<std::size_t>(to);
+  encoded.add_into(i, classes_.at(f), -1);
+  encoded.add_into(i, classes_.at(t), +1);
+  for (std::size_t c : {f, t}) {
+    recompute_norms(c);
+    refresh_narrow(c);
+  }
+}
+
 void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
+                                std::span<const int> labels,
+                                ThreadPool& pool) {
+  train_batch(hdc::QueryBatch::borrow(encoded, dims_), labels, pool);
+}
+
+void HdcClassifier::train_batch(const hdc::QueryBatch& encoded,
                                 std::span<const int> labels,
                                 ThreadPool& pool) {
   GENERIC_SPAN("train.batch");
@@ -146,7 +164,7 @@ void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
     GENERIC_SPAN("train.batch.chunk");
     for (std::size_t i = 0; i < encoded.size(); ++i) {
       const auto c = static_cast<std::size_t>(labels[i]);
-      if (c >= begin && c < end) hdc::add_into(classes_[c], encoded[i]);
+      if (c >= begin && c < end) encoded.add_into(i, classes_[c], +1);
     }
   });
   recompute_norms();
@@ -155,6 +173,13 @@ void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
 
 std::size_t HdcClassifier::retrain_epoch_parallel(
     std::span<const hdc::IntHV> encoded, std::span<const int> labels,
+    ThreadPool& pool) {
+  return retrain_epoch_parallel(hdc::QueryBatch::borrow(encoded, dims_),
+                                labels, pool);
+}
+
+std::size_t HdcClassifier::retrain_epoch_parallel(
+    const hdc::QueryBatch& encoded, std::span<const int> labels,
     ThreadPool& pool) {
   GENERIC_SPAN("train.epoch");
   check_samples(encoded, labels, "retrain_epoch_parallel");
@@ -167,23 +192,21 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
   // the one predict() returns at that point of the sequential loop.
   Scoring s = prepare(nullptr, NormMode::kUpdated);
   const std::size_t nc = num_classes_;
-  std::vector<const std::int32_t*> rows(kRetrainBlock);
   std::vector<std::int64_t> dots(kRetrainBlock * nc);
   std::vector<std::int64_t> moved_dots(2 * kRetrainBlock);
   std::size_t updates = 0;
   for (std::size_t b = 0; b < encoded.size(); b += kRetrainBlock) {
     const std::size_t n = std::min(kRetrainBlock, encoded.size() - b);
-    for (std::size_t i = 0; i < n; ++i) rows[i] = encoded[b + i].data();
     // Each pool chunk writes its own queries' rows of `dots`.
     pool.parallel_for(n, [&](std::size_t begin, std::size_t end, std::size_t) {
-      s.dot(rows.data() + begin, end - begin, dots.data() + begin * nc);
+      s.dot(encoded.view(b + begin), end - begin, dots.data() + begin * nc);
     });
     for (std::size_t k = 0; k < n; ++k) {
       const int label = labels[b + k];
       const int pred = s.best(dots.data() + k * nc).cls;
       if (pred == label) continue;
       ++updates;
-      move_sample(encoded[b + k], pred, label);
+      move_sample(encoded, b + k, pred, label);
       const std::size_t moved[2] = {static_cast<std::size_t>(pred),
                                     static_cast<std::size_t>(label)};
       for (std::size_t c : moved) s.set_norm(c, chunk_norms_[c]);
@@ -194,7 +217,7 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
       if (rest == 0) continue;
       const std::int32_t* pair[2] = {s.classes[moved[0]], s.classes[moved[1]]};
       const std::int16_t* pair16[2] = {s.narrow[moved[0]], s.narrow[moved[1]]};
-      hdc::kernels::active().dot_tile(rows.data() + k + 1, rest,
+      hdc::kernels::active().dot_tile(encoded.view(b + k + 1), rest,
                                       {pair, 2, pair16, s.max_abs},
                                       s.runs.data(), s.runs.size(),
                                       moved_dots.data());
@@ -207,20 +230,38 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
   return updates;
 }
 
-void HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
-                                 std::span<const int> labels,
-                                 std::size_t epochs, ThreadPool& pool) {
-  GENERIC_SPAN("train.fit");
-  train_batch(encoded, labels, pool);
-  for (std::size_t e = 0; e < epochs; ++e)
-    if (retrain_epoch_parallel(encoded, labels, pool) == 0) break;
+std::size_t HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
+                                        std::span<const int> labels,
+                                        std::size_t epochs, ThreadPool& pool) {
+  // The one-shot pass and the first two epochs read the caller's rows in
+  // place. A set still updating after two epochs is read by every epoch
+  // until it converges, so it is packed then, once. A set that converges
+  // within two (an ISOLET shard: one update epoch, then none) never holds
+  // the copy, a quarter of its int32 bytes, beside its rows, nor pays for
+  // a pack that a single further pass would not earn back.
+  hdc::QueryBatch batch = hdc::QueryBatch::borrow(encoded, dims_);
+  train_batch(batch, labels, pool);
+  std::size_t e = 0;
+  for (; e < epochs; ++e) {
+    if (retrain_epoch_parallel(batch, labels, pool) == 0) break;
+    if (e == 1 && epochs > 2) batch = hdc::QueryBatch(encoded, dims_);
+  }
+  return e;
 }
 
 std::vector<int> HdcClassifier::predict_batch(
     std::span<const hdc::IntHV> queries, ThreadPool& pool) const {
-  const std::vector<Prediction> preds =
-      scan_batch(row_pointers(queries), std::vector<bool>(num_chunks_, true),
-                 NormMode::kUpdated, pool);
+  return predict_batch(hdc::QueryBatch::borrow(queries, dims_), pool);
+}
+
+std::vector<int> HdcClassifier::predict_batch(const hdc::QueryBatch& queries,
+                                              ThreadPool& pool) const {
+  if (queries.dims() != dims_)
+    throw std::invalid_argument("predict: query dimension mismatch");
+  GENERIC_SPAN("predict.batch");
+  const std::vector<Prediction> preds = scan_rows(
+      prepare(nullptr, NormMode::kUpdated), queries.view(), queries.size(),
+      pool);
   std::vector<int> out(preds.size(), 0);
   for (std::size_t i = 0; i < preds.size(); ++i) out[i] = preds[i].cls;
   return out;
@@ -329,15 +370,21 @@ HdcClassifier::Scoring HdcClassifier::prepare(
   return s;
 }
 
-void HdcClassifier::scan_block(const Scoring& s,
-                               const hdc::IntHV* const* queries, std::size_t n,
-                               Prediction* out) const {
-  std::vector<const std::int32_t*> rows(n);
-  for (std::size_t i = 0; i < n; ++i) rows[i] = queries[i]->data();
-  std::vector<std::int64_t> dots(n * num_classes_);
-  s.dot(rows.data(), n, dots.data());
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = s.best(dots.data() + i * num_classes_);
+std::vector<Prediction> HdcClassifier::scan_rows(
+    const Scoring& s, const hdc::kernels::QueryRows& queries, std::size_t n,
+    ThreadPool& pool) const {
+  std::vector<Prediction> out(n);
+  // One dot tile per pool chunk: the chunk's queries against every class.
+  pool.parallel_for(n, [&](std::size_t begin, std::size_t end, std::size_t) {
+    GENERIC_SPAN("predict.chunk");
+    GENERIC_COUNTER_ADD("predict.queries", end - begin);
+    std::vector<std::int64_t> dots((end - begin) * num_classes_);
+    s.dot({queries.rows + begin, queries.width, queries.max_abs}, end - begin,
+          dots.data());
+    for (std::size_t i = begin; i < end; ++i)
+      out[i] = s.best(dots.data() + (i - begin) * num_classes_);
+  });
+  return out;
 }
 
 void HdcClassifier::check_query(const hdc::IntHV& query) const {
@@ -348,10 +395,10 @@ void HdcClassifier::check_query(const hdc::IntHV& query) const {
 Prediction HdcClassifier::scan_one(const hdc::IntHV& query,
                                    const Scoring& s) const {
   check_query(query);
-  const hdc::IntHV* row = &query;
-  Prediction p;
-  scan_block(s, &row, 1, &p);
-  return p;
+  const void* row = query.data();
+  std::vector<std::int64_t> dots(num_classes_);
+  s.dot({&row, hdc::kernels::QueryWidth::kInt32}, 1, dots.data());
+  return s.best(dots.data());
 }
 
 Prediction HdcClassifier::scan(const hdc::IntHV& query,
@@ -366,32 +413,27 @@ std::vector<Prediction> HdcClassifier::scan_batch(
     const std::vector<bool>& chunk_ok, NormMode mode, ThreadPool& pool) const {
   check_mask(chunk_ok);
   GENERIC_SPAN("predict.batch");
-  for (const hdc::IntHV* q : queries) check_query(*q);
-  const Scoring s = prepare(&chunk_ok, mode);
-  std::vector<Prediction> out(queries.size());
-  // One dot tile per pool chunk: the chunk's queries against every class.
-  pool.parallel_for(queries.size(),
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      GENERIC_SPAN("predict.chunk");
-                      GENERIC_COUNTER_ADD("predict.queries", end - begin);
-                      scan_block(s, queries.data() + begin, end - begin,
-                                 out.data() + begin);
-                    });
-  return out;
+  std::vector<const void*> rows(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    check_query(*queries[i]);
+    rows[i] = queries[i]->data();
+  }
+  return scan_rows(prepare(&chunk_ok, mode),
+                   {rows.data(), hdc::kernels::QueryWidth::kInt32},
+                   queries.size(), pool);
 }
 
-void HdcClassifier::check_samples(std::span<const hdc::IntHV> encoded,
+void HdcClassifier::check_samples(const hdc::QueryBatch& encoded,
                                   std::span<const int> labels,
                                   const char* who) const {
   const std::string prefix = std::string(who) + ": ";
   if (encoded.size() != labels.size())
     throw std::invalid_argument(prefix + "size mismatch");
-  for (std::size_t i = 0; i < encoded.size(); ++i) {
-    if (labels[i] < 0 || static_cast<std::size_t>(labels[i]) >= num_classes_)
+  if (encoded.dims() != dims_)
+    throw std::invalid_argument(prefix + "sample dimension mismatch");
+  for (const int label : labels)
+    if (label < 0 || static_cast<std::size_t>(label) >= num_classes_)
       throw std::invalid_argument(prefix + "label out of range");
-    if (encoded[i].size() != dims_)
-      throw std::invalid_argument(prefix + "sample dimension mismatch");
-  }
 }
 
 void HdcClassifier::quantize(int bit_width) {

@@ -51,6 +51,8 @@
 
 #include "common/thread_pool.h"
 #include "hdc/hypervector.h"
+#include "hdc/kernels.h"
+#include "hdc/query_batch.h"
 
 namespace generic::model {
 
@@ -88,10 +90,16 @@ class HdcClassifier {
   // happen on the caller in fixed chunk order. Lane invariance and a
   // test-local reference are asserted by tests/model/test_parallel_determinism.
 
+  // The training entries take the encodings as an hdc::QueryBatch: packed
+  // at the narrowest exact width (1 byte per value for every Table-1
+  // GENERIC encoding) for a set read several times, or borrowed in place.
+  // The IntHV overloads are single passes and borrow their rows.
+
   /// One-shot training: bundle each encoding into its class accumulator.
-  /// Samples fan out in chunks, each chunk bundles into its own per-class
-  /// partial accumulators, and the partials are merged in chunk-index
-  /// order (integer adds — exact for any split).
+  /// Each pool chunk owns a range of class rows and adds, in sample order,
+  /// the samples labelled into them (integer adds — exact for any split).
+  void train_batch(const hdc::QueryBatch& encoded,
+                   std::span<const int> labels, ThreadPool& pool);
   void train_batch(std::span<const hdc::IntHV> encoded,
                    std::span<const int> labels, ThreadPool& pool);
 
@@ -101,15 +109,20 @@ class HdcClassifier {
   /// samples is scored in one dot tile whose queries fan out across the
   /// pool, then walked in order, and after an update only the two changed
   /// rows are re-scored for the block's later samples.
+  std::size_t retrain_epoch_parallel(const hdc::QueryBatch& encoded,
+                                     std::span<const int> labels,
+                                     ThreadPool& pool);
   std::size_t retrain_epoch_parallel(std::span<const hdc::IntHV> encoded,
                                      std::span<const int> labels,
                                      ThreadPool& pool);
 
   /// train_batch + at most `epochs` retraining epochs, stopping early when
-  /// an epoch makes no update.
-  void fit_parallel(std::span<const hdc::IntHV> encoded,
-                    std::span<const int> labels, std::size_t epochs,
-                    ThreadPool& pool);
+  /// an epoch makes no update. When the first two epochs both update, the
+  /// rows are packed once for the epochs after them. Returns the number of
+  /// retraining epochs that made an update.
+  std::size_t fit_parallel(std::span<const hdc::IntHV> encoded,
+                           std::span<const int> labels, std::size_t epochs,
+                           ThreadPool& pool);
 
   // ---- The similarity search (§4.2.2, §4.3.3) ----
   //
@@ -142,8 +155,11 @@ class HdcClassifier {
   /// build: the single-sample path an edge caller runs per input.
   int predict(const hdc::IntHV& query) const;
 
-  /// out[i] == predict(queries[i]): scan_batch() over every chunk. A
-  /// wrapper that stays because the wall-clock benchmark calls it.
+  /// out[i] == predict(queries[i]): the search over every chunk, queries
+  /// fanned out across the pool as scan_batch() does. The IntHV overload
+  /// borrows its rows; it stays because the wall-clock benchmark calls it.
+  std::vector<int> predict_batch(const hdc::QueryBatch& queries,
+                                 ThreadPool& pool) const;
   std::vector<int> predict_batch(std::span<const hdc::IntHV> queries,
                                  ThreadPool& pool) const;
 
@@ -176,6 +192,9 @@ class HdcClassifier {
   /// to class `to`, and refresh both classes' norms and int16 copies.
   /// Throws std::out_of_range for a class outside [0, num_classes()).
   void move_sample(const hdc::IntHV& encoded, int from, int to);
+  /// move_sample() of row `i` of `encoded`.
+  void move_sample(const hdc::QueryBatch& encoded, std::size_t i, int from,
+                   int to);
 
   /// max |c| over every stored class value: the bound the int16 copy is
   /// scored under (exact, so it shrinks when a large value is written
@@ -211,10 +230,11 @@ class HdcClassifier {
   /// `chunk_ok` null reads every chunk.
   Scoring prepare(const std::vector<bool>* chunk_ok, NormMode mode) const;
 
-  /// Score `n` checked queries against every class with one dot tile and
-  /// take each query's fixed-order argmax with margin.
-  void scan_block(const Scoring& s, const hdc::IntHV* const* queries,
-                  std::size_t n, Prediction* out) const;
+  /// Score `n` checked queries against every class, one dot tile per pool
+  /// chunk, and take each query's fixed-order argmax with margin.
+  std::vector<Prediction> scan_rows(const Scoring& s,
+                                    const hdc::kernels::QueryRows& queries,
+                                    std::size_t n, ThreadPool& pool) const;
   Prediction scan_one(const hdc::IntHV& query, const Scoring& s) const;
 
   void check_mask(const std::vector<bool>& chunk_ok) const;
@@ -228,7 +248,7 @@ class HdcClassifier {
   /// Training-input check run before any class memory is written: equal
   /// sample and label counts, labels in [0, num_classes), dims() elements
   /// per sample. Throws std::invalid_argument prefixed with `who`.
-  void check_samples(std::span<const hdc::IntHV> encoded,
+  void check_samples(const hdc::QueryBatch& encoded,
                      std::span<const int> labels, const char* who) const;
 
   std::size_t dims_;

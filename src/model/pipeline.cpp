@@ -19,17 +19,13 @@ HdcRunResult run_hdc_classification(enc::Encoder& enc, const data::Dataset& ds,
   }
 
   HdcClassifier model(enc.dims(), ds.num_classes);
-  std::size_t epoch = 0;
+  HdcRunResult res;
   {
     GENERIC_SPAN("pipeline.train");
-    model.train_batch(train_enc, ds.train_y, pool);
-    for (; epoch < epochs; ++epoch)
-      if (model.retrain_epoch_parallel(train_enc, ds.train_y, pool) == 0) break;
+    res.epochs_run = model.fit_parallel(train_enc, ds.train_y, epochs, pool);
   }
 
   GENERIC_SPAN("pipeline.predict");
-  HdcRunResult res;
-  res.epochs_run = epoch;
   res.predictions = model.predict_batch(test_enc, pool);
   std::size_t hits = 0;
   for (std::size_t i = 0; i < res.predictions.size(); ++i)

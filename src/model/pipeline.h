@@ -21,7 +21,7 @@ struct HdcRunResult {
 };
 
 /// Fit encoder on train data, encode both splits, train with retraining,
-/// and score on the test split: encode_batch + fit_parallel's steps +
+/// and score on the test split: encode_batch + fit_parallel +
 /// predict_batch through `pool`. `epochs` is the paper's constant 20 in
 /// the Table 1 harness. The result (accuracy, epoch count and every
 /// prediction) is the same for any lane count; callers without a pool of

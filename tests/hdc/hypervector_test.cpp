@@ -123,11 +123,11 @@ TEST(BinaryHV, AccumulateMatchesToInt) {
 
 /// a . b through the active kernels' one-query dot tile, the one int dot.
 std::int64_t tile_dot(const IntHV& a, const IntHV& b) {
-  const std::int32_t* q = a.data();
+  const void* q = a.data();
   const std::int32_t* row = b.data();
   const kernels::DimRun all{0, a.size()};
   std::int64_t out = 0;
-  kernels::active().dot_tile(&q, 1, {&row, 1}, &all, 1, &out);
+  kernels::active().dot_tile({&q}, 1, {&row, 1}, &all, 1, &out);
   return out;
 }
 

@@ -225,14 +225,64 @@ Int16Rows int16_copy(const std::vector<std::vector<std::int32_t>>& c) {
   return out;
 }
 
-/// One table's tile over the runs, as a flat q * nc + c vector; the class
-/// side carries `narrow` as its int16 rows when given.
+/// max |q| over every value of `q`.
+std::int64_t max_abs(const std::vector<std::vector<std::int32_t>>& q) {
+  std::int64_t m = 0;
+  for (const auto& row : q)
+    for (std::int32_t v : row) m = std::max(m, std::abs(std::int64_t{v}));
+  return m;
+}
+
+/// The query widths `q` fits exactly: int32 always, int16 and int8 when
+/// every value is in range.
+std::vector<k::QueryWidth> widths_for(
+    const std::vector<std::vector<std::int32_t>>& q) {
+  std::vector<k::QueryWidth> out = {k::QueryWidth::kInt32};
+  const std::int64_t m = max_abs(q);
+  if (m <= 32767) out.push_back(k::QueryWidth::kInt16);
+  if (m <= 127) out.push_back(k::QueryWidth::kInt8);
+  return out;
+}
+
+/// `q` stored at `width` (values truncated; widths_for() says which fit),
+/// and the tile's view of it, carrying max |q| as a narrow view must.
+struct QueryView {
+  std::vector<std::vector<std::int8_t>> i8;
+  std::vector<std::vector<std::int16_t>> i16;
+  std::vector<const void*> ptrs;
+  k::QueryRows rows;
+};
+
+QueryView query_view(const std::vector<std::vector<std::int32_t>>& q,
+                     k::QueryWidth width) {
+  QueryView v;
+  for (const auto& row : q) {
+    if (width == k::QueryWidth::kInt8) {
+      v.ptrs.push_back(v.i8.emplace_back(row.begin(), row.end()).data());
+    } else if (width == k::QueryWidth::kInt16) {
+      v.ptrs.push_back(v.i16.emplace_back(row.begin(), row.end()).data());
+    } else {
+      v.ptrs.push_back(row.data());
+    }
+  }
+  v.rows = {v.ptrs.data(), width, max_abs(q)};
+  return v;
+}
+
+std::string width_name(k::QueryWidth width) {
+  return "int" + std::to_string(8 * static_cast<int>(width)) + " queries";
+}
+
+/// One table's tile over the runs, as a flat q * nc + c vector; the query
+/// side is `q` at `width`, and the class side carries `narrow` as its
+/// int16 rows when given.
 std::vector<std::int64_t> tile(const k::Kernels& table,
                                const std::vector<std::vector<std::int32_t>>& q,
                                const std::vector<std::vector<std::int32_t>>& c,
                                const std::vector<k::DimRun>& runs,
-                               const Int16Rows* narrow = nullptr) {
-  const auto qp = pointers(q);
+                               const Int16Rows* narrow = nullptr,
+                               k::QueryWidth width = k::QueryWidth::kInt32) {
+  const QueryView qv = query_view(q, width);
   const auto cp = pointers(c);
   std::vector<const std::int16_t*> np;
   if (narrow != nullptr)
@@ -242,7 +292,7 @@ std::vector<std::int64_t> tile(const k::Kernels& table,
                          narrow != nullptr ? narrow->max_abs : 0};
   // Pre-filled so a backend that skips an output cannot pass by accident.
   std::vector<std::int64_t> out(q.size() * c.size(), 0x5EED);
-  table.dot_tile(qp.data(), q.size(), cls, runs.data(), runs.size(),
+  table.dot_tile(qv.rows, q.size(), cls, runs.data(), runs.size(),
                  out.data());
   return out;
 }
@@ -265,7 +315,8 @@ std::vector<__int128> exact_tile(
 }
 
 /// Every available backend's tile equals scalar, and scalar equals the
-/// exact sum (which the operands keep inside int64) — with the class rows
+/// exact sum (which the operands keep inside int64) — for the queries at
+/// every width they fit (int32, int16, int8), each with the class rows
 /// alone (the int32 path) and with their exact int16 copy supplied (the
 /// int16 path wherever the bounds admit it).
 void expect_tiles_exact(const std::vector<std::vector<std::int32_t>>& q,
@@ -278,12 +329,14 @@ void expect_tiles_exact(const std::vector<std::vector<std::int32_t>>& q,
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(static_cast<__int128>(want[i]), exact[i]) << what << " i=" << i;
   const Int16Rows narrow = int16_copy(c);
-  for (k::Backend b : test::available_backends()) {
-    EXPECT_EQ(tile(k::get(b), q, c, runs), want)
-        << k::to_string(b) << " " << what;
-    EXPECT_EQ(tile(k::get(b), q, c, runs, &narrow), want)
-        << k::to_string(b) << " int16 rows " << what;
-  }
+  for (k::QueryWidth width : widths_for(q))
+    for (k::Backend b : test::available_backends()) {
+      const std::string where = std::string(k::to_string(b)) + " " +
+                                width_name(width) + " " + what;
+      EXPECT_EQ(tile(k::get(b), q, c, runs, nullptr, width), want) << where;
+      EXPECT_EQ(tile(k::get(b), q, c, runs, &narrow, width), want)
+          << "int16 rows " << where;
+    }
 }
 
 /// Full, prefix, holed and single-chunk run lists over 1024 dims (eight
@@ -306,8 +359,10 @@ run_lists() {
 TEST(KernelEquivalence, DotTileMatchesScalarAcrossShapes) {
   Rng rng(0x7113);
   std::vector<std::size_t> query_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 33};
-  // Serving magnitudes (the narrow path) and wide ones (the int32 path).
-  for (const std::int64_t bound : {std::int64_t{60}, std::int64_t{1} << 20}) {
+  // Serving magnitudes (int8 queries, the narrow path), int16 queries
+  // (|q| past 127) and wide ones (the int32 path).
+  for (const std::int64_t bound :
+       {std::int64_t{60}, std::int64_t{3000}, std::int64_t{1} << 20}) {
     for (std::size_t nc : {std::size_t{1}, std::size_t{2}, std::size_t{26}}) {
       const auto classes = random_rows(nc, 1024, bound * 50, rng);
       for (std::size_t nq : query_counts) {
@@ -386,6 +441,28 @@ TEST(KernelEquivalence, DotTileExactAtAndPastTheInt16Bound) {
   }
 }
 
+TEST(KernelEquivalence, DotTileNarrowQueriesAgainstClassRowsPastInt16) {
+  // int8 and int16 query rows against class rows whose bound sits at
+  // 32767 (the int16 path) and past it (the int32 path, which must
+  // sign-extend the narrow rows at load), including a -32768 class value
+  // and rows far outside int16.
+  Rng rng(0x8A1D);
+  for (const std::int64_t q_bound : {std::int64_t{127}, std::int64_t{32767}})
+    for (const std::int32_t peak : {32767, 32768, -32768, 1 << 24})
+      for (std::size_t nq : {std::size_t{1}, std::size_t{4}, std::size_t{5}}) {
+        auto queries = random_rows(nq, 1024, q_bound, rng);
+        queries[0][rng.below(1024)] = static_cast<std::int32_t>(-q_bound);
+        auto classes = random_rows(3, 1024, 3000, rng);
+        classes[1][rng.below(1024)] = peak;
+        for (const auto& [name, runs] : run_lists())
+          expect_tiles_exact(queries, classes, runs,
+                             std::string(name) +
+                                 " q_bound=" + std::to_string(q_bound) +
+                                 " peak=" + std::to_string(peak) +
+                                 " nq=" + std::to_string(nq));
+      }
+}
+
 TEST(KernelEquivalence, DotTileScoresStoredInt16RowsOnlyUnderTheBound) {
   // A caller's int16 class rows are scored for any query count, one query
   // included, at the runs' own offsets, and only while the caller's row
@@ -416,22 +493,28 @@ TEST(KernelEquivalence, DotTileScoresStoredInt16RowsOnlyUnderTheBound) {
                                    " nc=" + std::to_string(nc) +
                                    " peak=" + std::to_string(peak);
           const auto want = tile(scalar, queries, classes, runs);
-          for (k::Backend b : test::available_backends()) {
-            const k::Kernels& table = k::get(b);
-            const std::string where = std::string(k::to_string(b)) + " " + what;
-            EXPECT_EQ(tile(table, queries, classes, runs), want) << where;
-            EXPECT_EQ(tile(table, queries, classes, runs, &exact16), want)
-                << where;
-            const auto got = tile(table, queries, classes, runs, &poisoned);
-            if (table.dot_tile == scalar.dot_tile || peak > 32767 ||
-                runs.empty()) {
-              EXPECT_EQ(got, want) << "poisoned copy read: " << where;
-              continue;
+          for (k::QueryWidth width : widths_for(queries))
+            for (k::Backend b : test::available_backends()) {
+              const k::Kernels& table = k::get(b);
+              const std::string where = std::string(k::to_string(b)) + " " +
+                                        width_name(width) + " " + what;
+              EXPECT_EQ(tile(table, queries, classes, runs, nullptr, width),
+                        want)
+                  << where;
+              EXPECT_EQ(tile(table, queries, classes, runs, &exact16, width),
+                        want)
+                  << where;
+              const auto got =
+                  tile(table, queries, classes, runs, &poisoned, width);
+              if (table.dot_tile == scalar.dot_tile || peak > 32767 ||
+                  runs.empty()) {
+                EXPECT_EQ(got, want) << "poisoned copy read: " << where;
+                continue;
+              }
+              for (std::size_t i = 0; i < want.size(); ++i)
+                EXPECT_NE(got[i], want[i])
+                    << "int16 rows not read: " << where << " i=" << i;
             }
-            for (std::size_t i = 0; i < want.size(); ++i)
-              EXPECT_NE(got[i], want[i])
-                  << "int16 rows not read: " << where << " i=" << i;
-          }
         }
       }
     }

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <utility>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "encoding/encoders.h"
 #include "hdc/hypervector.h"
 #include "hdc/kernels.h"
+#include "hdc/query_batch.h"
 #include "kernel_backends.h"
 #include "model/hdc_classifier.h"
 #include "model/hdc_cluster.h"
@@ -320,6 +322,92 @@ TEST_P(ParallelDeterminismTest, FitParallelMatchesFit) {
   }
 }
 
+TEST_P(ParallelDeterminismTest, QueryBatchPathMatchesReferenceAtEveryLaneCount) {
+  // The packed path fit_parallel runs: one int8 batch, trained and
+  // retrained over, then scored, under every backend at every lane count.
+  const auto ds = dataset();
+  enc::GenericEncoder encoder(small_config(GetParam()));
+  encoder.fit(ds.train_x);
+  const auto encoded = reference_encode(encoder, ds.train_x);
+  const auto test = reference_encode(encoder, ds.test_x);
+  const auto labels = noisy_labels(ds);
+  const hdc::QueryBatch batch(encoded, 512);
+  const hdc::QueryBatch test_batch(test, 512);
+  ASSERT_EQ(batch.width(), hdc::kernels::QueryWidth::kInt8);
+
+  test::BackendGuard guard;
+  hdc::kernels::set_backend(hdc::kernels::Backend::kScalar);
+  HdcClassifier ref = reference_init(encoded, labels, ds.num_classes);
+  std::vector<std::size_t> ref_updates;
+  for (int e = 0; e < 3; ++e)
+    ref_updates.push_back(reference_epoch(ref, encoded, labels));
+  ASSERT_GT(ref_updates[0], 0u) << "no update to compare";
+  std::vector<int> ref_predictions;
+  for (const auto& q : test) ref_predictions.push_back(ref.predict(q));
+
+  for (hdc::kernels::Backend b : test::available_backends()) {
+    hdc::kernels::set_backend(b);
+    for (std::size_t lanes : kLaneCounts) {
+      ThreadPool pool(lanes);
+      HdcClassifier m(512, ds.num_classes);
+      m.train_batch(batch, labels, pool);
+      for (int e = 0; e < 3; ++e)
+        EXPECT_EQ(m.retrain_epoch_parallel(batch, labels, pool),
+                  ref_updates[static_cast<std::size_t>(e)])
+            << "epoch " << e << " lanes=" << lanes << " "
+            << hdc::kernels::to_string(b);
+      expect_models_identical(ref, m, "query batch", lanes);
+      EXPECT_EQ(m.predict_batch(test_batch, pool), ref_predictions)
+          << "lanes=" << lanes << " " << hdc::kernels::to_string(b);
+    }
+  }
+}
+
+TEST_P(ParallelDeterminismTest, FitParallelMatchesReferenceAtEveryQueryWidth) {
+  // The encodings scaled to pack at int8, int16 (|q| past 127) and int32
+  // (|q| past 32767, class rows far past int16). Scaling every score by
+  // the same square keeps the reference's updates, and it runs past two
+  // update epochs, so fit_parallel packs and retrains on the batch at each
+  // width.
+  const auto ds = dataset();
+  enc::GenericEncoder encoder(small_config(GetParam()));
+  encoder.fit(ds.train_x);
+  const auto labels = noisy_labels(ds);
+  std::int32_t max_q = 1;
+  for (const auto& row : reference_encode(encoder, ds.train_x))
+    for (std::int32_t v : row) max_q = std::max(max_q, std::abs(v));
+  ASSERT_LE(max_q, 127);
+  struct Case {
+    std::int32_t scale;
+    hdc::kernels::QueryWidth width;
+  };
+  for (const Case cs :
+       {Case{1, hdc::kernels::QueryWidth::kInt8},
+        Case{127 / max_q + 1, hdc::kernels::QueryWidth::kInt16},
+        Case{32767 / max_q + 1, hdc::kernels::QueryWidth::kInt32}}) {
+    auto encoded = reference_encode(encoder, ds.train_x);
+    for (auto& row : encoded)
+      for (auto& v : row) v *= cs.scale;
+    ASSERT_EQ(hdc::QueryBatch(encoded, 512).width(), cs.width);
+    test::BackendGuard guard;
+    hdc::kernels::set_backend(hdc::kernels::Backend::kScalar);
+    HdcClassifier ref = reference_init(encoded, labels, ds.num_classes);
+    const std::size_t ref_epochs = reference_retrain(ref, encoded, labels, 6);
+    ASSERT_GT(ref_epochs, 2u) << "scale=" << cs.scale;
+    for (hdc::kernels::Backend b : test::available_backends()) {
+      hdc::kernels::set_backend(b);
+      for (std::size_t lanes : kLaneCounts) {
+        ThreadPool pool(lanes);
+        HdcClassifier m(512, ds.num_classes);
+        EXPECT_EQ(m.fit_parallel(encoded, labels, 6, pool), ref_epochs)
+            << "scale=" << cs.scale << " lanes=" << lanes << " "
+            << hdc::kernels::to_string(b);
+        expect_models_identical(ref, m, "fit_parallel width", lanes);
+      }
+    }
+  }
+}
+
 TEST_P(ParallelDeterminismTest, PredictBatchMatchesSerialPredict) {
   const auto ds = dataset();
   enc::GenericEncoder encoder(small_config(GetParam()));
@@ -525,8 +613,9 @@ std::vector<int> forced_labels(HdcClassifier& ref,
   return labels;
 }
 
-/// Two epochs at every lane count under every backend against the scalar
-/// reference: the forced epoch, then a free one over the same labels.
+/// Two epochs over the samples packed into one int8 batch, at every lane
+/// count under every backend, against the scalar reference on the int32
+/// samples: the forced epoch, then a free one over the same labels.
 void expect_edges_match(const EdgeCase& e,
                         const std::vector<std::size_t>& forced,
                         const char* what) {
@@ -535,16 +624,17 @@ void expect_edges_match(const EdgeCase& e,
   HdcClassifier ref = e.init;
   const std::vector<int> labels = forced_labels(ref, e.samples, forced);
   const std::size_t second = reference_epoch(ref, e.samples, labels);
+  const hdc::QueryBatch batch(e.samples, kEdgeDims);
+  ASSERT_EQ(batch.width(), hdc::kernels::QueryWidth::kInt8) << what;
   for (hdc::kernels::Backend b : test::available_backends()) {
     hdc::kernels::set_backend(b);
     for (std::size_t lanes : kEdgeLanes) {
       ThreadPool pool(lanes);
       HdcClassifier m = e.init;
-      EXPECT_EQ(m.retrain_epoch_parallel(e.samples, labels, pool),
-                forced.size())
+      EXPECT_EQ(m.retrain_epoch_parallel(batch, labels, pool), forced.size())
           << what << " n=" << e.samples.size() << " lanes=" << lanes << " "
           << hdc::kernels::to_string(b);
-      EXPECT_EQ(m.retrain_epoch_parallel(e.samples, labels, pool), second)
+      EXPECT_EQ(m.retrain_epoch_parallel(batch, labels, pool), second)
           << what << " n=" << e.samples.size() << " lanes=" << lanes << " "
           << hdc::kernels::to_string(b);
       expect_models_identical(ref, m, what, lanes);

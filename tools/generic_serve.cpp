@@ -144,21 +144,19 @@ int run(int argc, char** argv) {
   bool booted = false;
   if (!ckpt_dir.empty()) {
     store = std::make_unique<lifecycle::CheckpointStore>(ckpt_dir, 4);
-    if (auto loaded = store->load_latest(); loaded.has_value()) {
-      if (loaded->model.dims() == dims &&
-          loaded->model.num_classes() == ds.num_classes) {
-        clf = std::move(loaded->model);
-        booted = true;
-        std::printf("booted from checkpoint version %llu (%llu corrupt "
-                    "quarantined)\n",
-                    static_cast<unsigned long long>(loaded->version),
-                    static_cast<unsigned long long>(store->quarantined()));
-      } else {
-        std::fprintf(stderr,
-                     "warning: checkpoint geometry mismatch "
-                     "(D=%zu/%zu classes); retraining\n",
-                     loaded->model.dims(), loaded->model.num_classes());
-      }
+    lifecycle::Boot boot = store->boot(dims, ds.num_classes);
+    if (boot.fits) {
+      clf = std::move(boot.latest->model);
+      booted = true;
+      std::printf("booted from checkpoint version %llu (%llu corrupt "
+                  "quarantined)\n",
+                  static_cast<unsigned long long>(boot.latest->version),
+                  static_cast<unsigned long long>(store->quarantined()));
+    } else if (boot.latest) {
+      std::fprintf(stderr,
+                   "warning: checkpoint geometry mismatch "
+                   "(D=%zu/%zu classes); retraining\n",
+                   boot.latest->model.dims(), boot.latest->model.num_classes());
     }
   }
   if (!booted) {
