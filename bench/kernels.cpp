@@ -191,8 +191,9 @@ bool bench_learning(std::size_t dims, std::size_t reps) {
       obs::Stopwatch t;
       const hdc::QueryBatch batch(train, dims);
       pack_us.push_back(t.seconds() * 1e6);
-      set_gauge("learn.cardio.query_width_bytes",
-                static_cast<double>(batch.width()));
+      if (r == 0)
+        set_gauge("learn.cardio.query_width_bytes",
+                  static_cast<double>(batch.width()));
       m = model::HdcClassifier(dims, ds.num_classes);
       t.restart();
       m.train_batch(batch, ds.train_y, pool);
