@@ -1,6 +1,8 @@
 #include "hdc/query_batch.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
