@@ -84,7 +84,7 @@ enum class QueryWidth : std::uint8_t { kInt8 = 1, kInt16 = 2, kInt32 = 4 };
 /// take the int16 path under that bound. An int32 view's `max_abs` is not
 /// read: the SIMD tiles pack each block of int32 queries to int16 and
 /// measure its max|q| on the way, so any int32 rows are exact.
-/// hdc::QueryBatch hands out narrow views of its rows.
+/// hdc::QueryBatch hands out views of its rows.
 struct QueryRows {
   const void* const* rows = nullptr;
   QueryWidth width = QueryWidth::kInt32;
