@@ -8,12 +8,15 @@
 //   * dot_tile         — 32-query blocks (the serving engine's flush size)
 //                        × 26 int32 classes over a prefix of `--dims`
 //                        halved down to 512: every HdcClassifier
-//                        prediction's tile, one serving rung per row. The
-//                        classes' int16 copy is stored once before timing,
-//                        as HdcClassifier keeps it, so no call packs classes
-//   * dot_tile 1q      — one query × the same 26 classes at `--dims`: the
-//                        tile of predict(), edge inference and every
-//                        retraining sample
+//                        prediction's tile, one serving rung per row. Each
+//                        call packs the int32 queries' rung prefix into an
+//                        hdc::QueryBatch and tiles its view, as the
+//                        classifier does. The classes' int16 copy is
+//                        stored once before timing, as HdcClassifier keeps
+//                        it, so no call packs classes
+//   * dot_tile 1q      — one query packed the same way × the same 26
+//                        classes at `--dims`: the tile of predict() and
+//                        edge inference
 //   * bundle_windows   — one GENERIC sample per call (64 levels, n = 3,
 //                        ids bound: windows of four rotated rows at
 //                        `--dims`), ISOLET-shaped (128 features, 126
@@ -22,9 +25,9 @@
 // and reports throughput plus speedup vs the forced-scalar reference.
 //
 // The learning section times learn_rounds' shape on the active backend:
-// CARDIO at `--dims` (1200 training queries, 10 classes), packed into the
-// narrow batch fit_parallel packs for a set that keeps updating, then
-// train_batch and five retraining epochs on it and held-out predict_batch,
+// CARDIO at `--dims` (1200 training queries, 10 classes): the narrow batch
+// fit_parallel packs for a set that keeps updating, train_batch over the
+// IntHVs, five retraining epochs on the batch and held-out predict_batch,
 // at 1, 2 and 4 pool lanes. Every lane
 // count must train the 1-lane model and predict what it predicts.
 // Every measured distance, dot product and bundle is cross-checked against scalar
@@ -54,6 +57,7 @@
 //   remat.footprint.stored_payload_bytes / remat.footprint.remat_payload_bytes
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,15 +119,15 @@ void set_gauge(const std::string& name, double v) {
 
 /// Serving-shaped int32 operands for the dot tile: queries and classes at
 /// the magnitudes a trained ISOLET-sized model holds (|q| <= 60, |c| <=
-/// 3000), so backends take the narrow path the serving engine takes. The
-/// classes' int16 copy and bound are stored up front, like HdcClassifier's.
+/// 3000), so the queries pack to int8 and backends take the narrow path
+/// the serving engine takes. The classes' int16 copy and bound are stored
+/// up front, like HdcClassifier's.
 struct TileWorkload {
   static constexpr std::size_t kClasses = 26;
   static constexpr std::size_t kQueries = 32;
   std::vector<hdc::IntHV> queries;
   std::vector<hdc::IntHV> classes;
   std::vector<std::vector<std::int16_t>> classes16;
-  std::vector<const void*> query_rows;
   std::vector<const std::int32_t*> class_rows;
   std::vector<const std::int16_t*> class16_rows;
   std::int64_t max_abs = 0;
@@ -144,7 +148,6 @@ TileWorkload make_tile_workload(std::size_t dims) {
   };
   fill(w.queries, TileWorkload::kQueries, 60);
   fill(w.classes, TileWorkload::kClasses, 3000);
-  for (const auto& q : w.queries) w.query_rows.push_back(q.data());
   for (const auto& c : w.classes) {
     w.class_rows.push_back(c.data());
     w.classes16.emplace_back(c.begin(), c.end());
@@ -196,7 +199,7 @@ bool bench_learning(std::size_t dims, std::size_t reps) {
                   static_cast<double>(batch.width()));
       m = model::HdcClassifier(dims, ds.num_classes);
       t.restart();
-      m.train_batch(batch, ds.train_y, pool);
+      m.train_batch(train, ds.train_y, pool);
       train_us.push_back(t.seconds() * 1e6);
       t.restart();
       for (std::size_t e = 0; e < kEpochs; ++e)
@@ -297,8 +300,9 @@ int main(int argc, char** argv) {
   const std::size_t tile_out = TileWorkload::kQueries * TileWorkload::kClasses;
   auto run_tile = [&](const k::Kernels& table, std::size_t rung,
                       std::int64_t* out, std::size_t nq = TileWorkload::kQueries) {
+    const hdc::QueryBatch batch(std::span(tw.queries).first(nq), rung);
     const k::DimRun run{0, rung};
-    table.dot_tile({tw.query_rows.data()}, nq, tw.class_side(), &run, 1, out);
+    table.dot_tile(batch.view(), nq, tw.class_side(), &run, 1, out);
   };
   std::vector<std::vector<std::int64_t>> want_tile(rungs.size());
   for (std::size_t r = 0; r < rungs.size(); ++r) {
@@ -306,7 +310,8 @@ int main(int argc, char** argv) {
     run_tile(k::get(k::Backend::kScalar), rungs[r], want_tile[r].data());
   }
 
-  std::printf("\ndot_tile: %zu queries x %zu classes, ns per query\n",
+  std::printf("\ndot_tile: %zu queries x %zu classes, pack + tile, "
+              "ns per query\n",
               TileWorkload::kQueries, TileWorkload::kClasses);
   std::printf("%-8s", "backend");
   for (std::size_t rung : rungs) std::printf(" %10zu", rung);
@@ -344,7 +349,8 @@ int main(int argc, char** argv) {
   // ---- one query x every class at full dims: predict()'s tile -------------
   std::vector<std::int64_t> want_1q(TileWorkload::kClasses);
   run_tile(k::get(k::Backend::kScalar), dims, want_1q.data(), 1);
-  std::printf("\ndot_tile: 1 query x %zu classes at %zu dims, ns per query\n",
+  std::printf("\ndot_tile: 1 query x %zu classes at %zu dims, pack + tile, "
+              "ns per query\n",
               TileWorkload::kClasses, dims);
   bench::print_rule(30);
   double scalar_1q_ns = 0.0;

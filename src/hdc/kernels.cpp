@@ -26,12 +26,6 @@ std::string available_names() {
 
 }  // namespace
 
-std::int16_t* detail::i16_scratch(std::size_t n) {
-  thread_local std::vector<std::int16_t> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
-
 std::uint64_t* detail::u64_scratch(std::size_t n) {
   thread_local std::vector<std::uint64_t> buf;
   if (buf.size() < n) buf.resize(n);

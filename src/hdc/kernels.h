@@ -82,9 +82,9 @@ enum class QueryWidth : std::uint8_t { kInt8 = 1, kInt16 = 2, kInt32 = 4 };
 /// carry in `max_abs` a bound on |q| over every value the runs cover: the
 /// SIMD tiles read narrow rows as they are, sign-extending each load, and
 /// take the int16 path under that bound. An int32 view's `max_abs` is not
-/// read: the SIMD tiles pack each block of int32 queries to int16 and
-/// measure its max|q| on the way, so any int32 rows are exact.
-/// hdc::QueryBatch hands out views of its rows.
+/// read: int32 rows always take the int32 path, exact for any values. The
+/// tile narrows nothing itself; hdc::QueryBatch packs queries at their
+/// narrowest exact width and hands out views of its rows.
 struct QueryRows {
   const void* const* rows = nullptr;
   QueryWidth width = QueryWidth::kInt32;
@@ -124,10 +124,9 @@ struct Kernels {
   /// query rows × `nc` = classes.n class rows. Exact for any int32
   /// operands — the true sum whenever it fits in int64, the scalar
   /// reference's two's-complement wrap when it does not. A backend may
-  /// score classes.rows16 instead only when max|q| (the narrow view's
-  /// bound, or measured from an int32 view's queries) and classes.max_abs
-  /// prove the int16 sums exact (docs/kernels.md); otherwise it reads the
-  /// int32 class rows.
+  /// score classes.rows16 instead only for a narrow view whose bound and
+  /// classes.max_abs prove the int16 sums exact (docs/kernels.md);
+  /// otherwise, and for every int32 view, it reads the int32 class rows.
   void (*dot_tile)(const QueryRows& queries, std::size_t nq,
                    const ClassRows& classes, const DimRun* runs,
                    std::size_t nruns, std::int64_t* out) = nullptr;

@@ -26,15 +26,12 @@ void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,
                            std::size_t windows, std::size_t dims,
                            std::int32_t* acc);
 
-/// Per-thread int16 scratch of at least `n` elements for the dot tile's
-/// pack of an int32 query view. Defined in kernels.cpp, which no ISA flag
-/// reaches, so the buffer's allocation code is never built for a wider ISA
-/// than the host has. Contents are garbage on entry; the buffer only ever grows.
-std::int16_t* i16_scratch(std::size_t n);
-
-/// Per-thread scratch of the window bundle, under the same rules as
-/// i16_scratch: packed window words plus the SIMD driver's bit-planes, and
-/// the scalar reference's 16-bit per-dimension counters.
+/// Per-thread scratch of the window bundle, at least `n` elements: packed
+/// window words plus the SIMD driver's bit-planes, and the scalar
+/// reference's 16-bit per-dimension counters. Defined in kernels.cpp, which
+/// no ISA flag reaches, so the buffers' allocation code is never built for
+/// a wider ISA than the host has. Contents are garbage on entry; a buffer
+/// only ever grows.
 std::uint64_t* u64_scratch(std::size_t n);
 std::uint16_t* u16_scratch(std::size_t n);
 

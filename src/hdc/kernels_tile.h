@@ -14,22 +14,22 @@
 //          adjacent products into int32 lanes (vpdpwssd on avx512,
 //          vpmaddwd + vpaddd on avx2), which are widened into int64 lanes
 //          before they can overflow. The query lanes are int16 rows as
-//          they are, int8 rows sign-extended at load (Isa::load16), or
-//          int32 rows packed to int16 per block. Taken only when the bounds
-//          prove it exact: max|q| (the narrow view's bound, or measured
-//          while packing each int32 block) and the caller's max|c| <=
-//          32767, and every int32 lane holds at most `i16_steps` * 2
-//          products of magnitude <= max|q| * max|c| before widening, a
-//          bound below 2^31.
+//          they are or int8 rows sign-extended at load (Isa::load16); an
+//          int32 view never takes this path, since the tile packs nothing
+//          (hdc::QueryBatch narrows queries before they get here). Taken
+//          only when the bounds prove it exact: the narrow view's max|q|
+//          and the caller's max|c| <= 32767, and every int32 lane holds at
+//          most `i16_steps` * 2 products of magnitude <= max|q| * max|c|
+//          before widening, a bound below 2^31.
 //
 // Each block of kQueryBlock queries is scored against every class
 // (kQueryBlock x kClassBlock accumulators per pass, so every class load
 // serves several queries). Both sides are read at the runs' own offsets,
 // so a prefix rung or a dead-chunk mask reads only the dims it covers; a
-// run end off the vector width is finished one product at a time. Only
-// the int32 queries' pack lives in scratch: the class rows' int16 copy is
-// the caller's, kept exact on every write to class memory, and narrow
-// query rows are read in place.
+// run end off the vector width is finished one product at a time. The
+// tile keeps no scratch: the class rows' int16 copy is the caller's, kept
+// exact on every write to class memory, and query rows of every width are
+// read in place.
 //
 // Everything below has internal linkage on purpose: each ISA translation
 // unit compiles its own copy under its own flags, so a copy built for a
@@ -50,30 +50,6 @@ constexpr std::size_t kQueryBlock = 4;
 constexpr int kClassBlock = 2;
 /// Largest operand magnitude the int16 path takes.
 constexpr std::int64_t kI16Max = 32767;
-
-/// Copy the dims `runs` cover of each of `n` rows into `dst`, one row per
-/// `stride` int16 at the dims' own offsets, truncating each value to int16,
-/// and return max |v| over the values read. The copy is exact iff that is
-/// <= 32767.
-inline std::int64_t pack_i16(const std::int32_t* const* rows, std::size_t n,
-                             const DimRun* runs, std::size_t nruns,
-                             std::size_t stride, std::int16_t* dst) {
-  std::int32_t lo = 0;
-  std::int32_t hi = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    std::int16_t* d = dst + r * stride;
-    const std::int32_t* row = rows[r];
-    for (std::size_t k = 0; k < nruns; ++k)
-      for (std::size_t j = runs[k].begin; j < runs[k].end; ++j) {
-        const std::int32_t v = row[j];
-        lo = v < lo ? v : lo;
-        hi = v > hi ? v : hi;
-        d[j] = static_cast<std::int16_t>(v);
-      }
-  }
-  const std::int64_t neg = -static_cast<std::int64_t>(lo);
-  return neg > hi ? neg : hi;
-}
 
 /// dot16 steps (two products per int32 lane each) the int16 path may
 /// accumulate before widening: the largest s with
@@ -232,8 +208,9 @@ void score_queries(const ClassRows& cls, const DimRun* runs,
   }
 }
 
-/// A narrow view's rows scored in place, each block on the int16 path when
-/// the view's bound and the class bound admit it.
+/// A view's rows scored in place: narrow rows on the int16 path when the
+/// view's bound and the class bound admit it, int32 rows always on the
+/// int32 path (score_block keeps them off tile16).
 template <typename Isa, typename Tq>
 void narrow_tile(const QueryRows& queries, std::size_t nq,
                  const ClassRows& cls, const DimRun* runs, std::size_t nruns,
@@ -249,38 +226,6 @@ void narrow_tile(const QueryRows& queries, std::size_t nq,
   }
 }
 
-/// An int32 view's rows, each block packed to int16 (measuring its
-/// max|q|) when the class side has int16 rows under the bound.
-template <typename Isa>
-void wide_tile(const QueryRows& queries, std::size_t nq, const ClassRows& cls,
-               const DimRun* runs, std::size_t nruns, std::int64_t* out) {
-  // The query pack shares the class rows' offsets up to the last run end.
-  std::size_t stride = 0;
-  for (std::size_t r = 0; r < nruns; ++r)
-    stride = runs[r].end > stride ? runs[r].end : stride;
-  std::int16_t* q16 = nullptr;
-  if (cls.rows16 != nullptr && cls.max_abs <= kI16Max && stride != 0)
-    q16 = i16_scratch(kQueryBlock * stride);
-  for (std::size_t q = 0; q < nq; q += kQueryBlock) {
-    const std::size_t n = nq - q < kQueryBlock ? nq - q : kQueryBlock;
-    const std::int32_t* rows[kQueryBlock] = {};
-    for (std::size_t i = 0; i < n; ++i)
-      rows[i] = static_cast<const std::int32_t*>(queries.rows[q + i]);
-    std::size_t steps = 0;
-    if (q16 != nullptr)
-      steps = i16_steps(pack_i16(rows, n, runs, nruns, stride, q16),
-                        cls.max_abs);
-    std::int64_t* block_out = out + q * cls.n;
-    if (steps != 0) {
-      const std::int16_t* packed[kQueryBlock] = {};
-      for (std::size_t i = 0; i < n; ++i) packed[i] = q16 + i * stride;
-      score_queries<Isa>(cls, runs, nruns, packed, n, steps, block_out);
-    } else {
-      score_queries<Isa>(cls, runs, nruns, rows, n, 0, block_out);
-    }
-  }
-}
-
 /// Kernels::dot_tile over an ISA's vector ops.
 template <typename Isa>
 void dot_tile(const QueryRows& queries, std::size_t nq, const ClassRows& cls,
@@ -293,7 +238,8 @@ void dot_tile(const QueryRows& queries, std::size_t nq, const ClassRows& cls,
       return narrow_tile<Isa, std::int16_t>(queries, nq, cls, runs, nruns,
                                             out);
     case QueryWidth::kInt32:
-      return wide_tile<Isa>(queries, nq, cls, runs, nruns, out);
+      return narrow_tile<Isa, std::int32_t>(queries, nq, cls, runs, nruns,
+                                            out);
   }
 }
 

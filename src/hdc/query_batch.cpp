@@ -55,24 +55,11 @@ QueryBatch::QueryBatch(std::span<const IntHV* const> rows, std::size_t dims)
   pack(rows.size(), [&](std::size_t i) -> const IntHV& { return *rows[i]; });
 }
 
-QueryBatch QueryBatch::borrow(std::span<const IntHV> rows, std::size_t dims) {
-  QueryBatch b;
-  b.dims_ = dims;
-  b.width_ = QueryWidth::kInt32;
-  b.max_abs_ = std::numeric_limits<std::int64_t>::max();
-  for (const IntHV& row : rows) {
-    if (row.size() != dims)
-      throw std::invalid_argument("QueryBatch: row dimension mismatch");
-    b.rows_.push_back(row.data());
-  }
-  return b;
-}
-
 template <typename RowAt>
 void QueryBatch::pack(std::size_t n, const RowAt& row_at) {
   for (std::size_t i = 0; i < n; ++i)
-    if (row_at(i).size() != dims_)
-      throw std::invalid_argument("QueryBatch: row dimension mismatch");
+    if (row_at(i).size() < dims_)
+      throw std::invalid_argument("QueryBatch: row shorter than dims");
   // Narrowest first: a row past a width's range stops that pass, and the
   // next width packs again from the first row.
   for (const QueryWidth width :

@@ -1,5 +1,5 @@
 // A contiguous batch of encoded queries at the narrowest exact width
-// (docs/kernels.md, "Narrow query batches").
+// (docs/kernels.md, "The query side"): the one place queries are narrowed.
 //
 // Encoded GENERIC queries are small integers (every Table-1 encoding fits
 // int8 at 4096 dims), yet an IntHV stores each as int32 in its own heap
@@ -30,21 +30,19 @@ class QueryBatch {
   static constexpr std::size_t kRowAlign = 64;
 
   QueryBatch() = default;
-  /// Pack `rows`, each `dims` long (std::invalid_argument otherwise).
+  /// Pack the first `dims` values of each of `rows` (std::invalid_argument
+  /// for a shorter row): whole rows, or the prefix that a dot tile over
+  /// runs ending by `dims` reads. A caller that needs every row exactly
+  /// `dims` long checks that itself.
   QueryBatch(std::span<const IntHV> rows, std::size_t dims);
   /// Pack the rows `rows` point at, so a caller can batch rows of a table
   /// it owns without copying them first.
   QueryBatch(std::span<const IntHV* const> rows, std::size_t dims);
-  /// An int32 batch over `rows` themselves (which must outlive it), packed
-  /// nowhere: for a single pass, where packing would read every row once
-  /// more and hold a copy. max_abs() is then unknown (INT64_MAX).
-  static QueryBatch borrow(std::span<const IntHV> rows, std::size_t dims);
 
   std::size_t size() const { return rows_.size(); }
   std::size_t dims() const { return dims_; }
   kernels::QueryWidth width() const { return width_; }
-  /// A bound on |q| over every value of every row: exact for a packed
-  /// batch.
+  /// max |q| over every value of every row.
   std::int64_t max_abs() const { return max_abs_; }
 
   /// Row `i` (< size()): dims() values of width().
@@ -64,8 +62,8 @@ class QueryBatch {
   template <typename RowAt>
   void pack(std::size_t n, const RowAt& row_at);
 
-  std::vector<const void*> rows_;  ///< into data_, or the borrowed rows
-  std::unique_ptr<std::byte[]> data_;  ///< packed rows; null if borrowed
+  std::vector<const void*> rows_;  ///< into data_
+  std::unique_ptr<std::byte[]> data_;  ///< the packed rows
   std::size_t dims_ = 0;
   kernels::QueryWidth width_ = kernels::QueryWidth::kInt8;
   std::int64_t max_abs_ = 0;

@@ -24,14 +24,15 @@ double signed_square_score(std::int64_t dot, std::int64_t n2) {
   return num / static_cast<double>(n2);
 }
 
-/// Samples a retraining epoch scores per pooled dot tile.
-constexpr std::size_t kRetrainBlock = 32;
+/// Queries packed into one hdc::QueryBatch: a retraining block, scored in
+/// one pooled dot tile, and the most a scan's pool chunk packs at once.
+constexpr std::size_t kPackRows = 32;
 
-std::vector<const hdc::IntHV*> row_pointers(
-    std::span<const hdc::IntHV> queries) {
-  std::vector<const hdc::IntHV*> rows(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) rows[i] = &queries[i];
-  return rows;
+/// True when every row is `dims` long.
+bool all_dims(std::span<const hdc::IntHV> rows, std::size_t dims) {
+  return std::all_of(rows.begin(), rows.end(), [&](const hdc::IntHV& row) {
+    return row.size() == dims;
+  });
 }
 
 /// The one fixed-order argmax (first maximum wins) with runner-up
@@ -97,6 +98,9 @@ struct HdcClassifier::Scoring {
         runs.data(), runs.size(), out);
   }
 
+  /// Where the last run ends: a query pack needs no dims past it.
+  std::size_t reach() const { return runs.back().end; }
+
   /// The fixed-order argmax with margin over one query's class dots.
   Prediction best(const std::int64_t* dot) const {
     return argmax_with_margin(norms.size(), [&](std::size_t c) {
@@ -120,40 +124,44 @@ HdcClassifier::HdcClassifier(std::size_t dims, std::size_t num_classes,
 }
 
 void HdcClassifier::move_sample(const hdc::IntHV& encoded, int from, int to) {
-  const auto f = static_cast<std::size_t>(from);
-  const auto t = static_cast<std::size_t>(to);
-  hdc::add_into(classes_.at(f), encoded, -1);
-  hdc::add_into(classes_.at(t), encoded, +1);
-  // Only the two touched classes need their norms and copies refreshed.
-  for (std::size_t c : {f, t}) {
-    recompute_norms(c);
-    refresh_narrow(c);
-  }
+  check_move(encoded.size(), from, to);
+  hdc::add_into(classes_[static_cast<std::size_t>(from)], encoded, -1);
+  hdc::add_into(classes_[static_cast<std::size_t>(to)], encoded, +1);
+  refresh_moved(from, to);
 }
 
 void HdcClassifier::move_sample(const hdc::QueryBatch& encoded,
                                 std::size_t i, int from, int to) {
-  const auto f = static_cast<std::size_t>(from);
-  const auto t = static_cast<std::size_t>(to);
-  encoded.add_into(i, classes_.at(f), -1);
-  encoded.add_into(i, classes_.at(t), +1);
-  for (std::size_t c : {f, t}) {
-    recompute_norms(c);
-    refresh_narrow(c);
+  if (i >= encoded.size())
+    throw std::out_of_range("move_sample: row out of range");
+  check_move(encoded.dims(), from, to);
+  encoded.add_into(i, classes_[static_cast<std::size_t>(from)], -1);
+  encoded.add_into(i, classes_[static_cast<std::size_t>(to)], +1);
+  refresh_moved(from, to);
+}
+
+void HdcClassifier::check_move(std::size_t dims, int from, int to) const {
+  for (const int c : {from, to})
+    if (c < 0 || static_cast<std::size_t>(c) >= num_classes_)
+      throw std::out_of_range("move_sample: class out of range");
+  if (dims != dims_)
+    throw std::invalid_argument("move_sample: dimension mismatch");
+}
+
+void HdcClassifier::refresh_moved(int from, int to) {
+  // Only the two touched classes need their norms and copies refreshed.
+  for (const int c : {from, to}) {
+    recompute_norms(static_cast<std::size_t>(c));
+    refresh_narrow(static_cast<std::size_t>(c));
   }
 }
 
 void HdcClassifier::train_batch(std::span<const hdc::IntHV> encoded,
                                 std::span<const int> labels,
                                 ThreadPool& pool) {
-  train_batch(hdc::QueryBatch::borrow(encoded, dims_), labels, pool);
-}
-
-void HdcClassifier::train_batch(const hdc::QueryBatch& encoded,
-                                std::span<const int> labels,
-                                ThreadPool& pool) {
   GENERIC_SPAN("train.batch");
-  check_samples(encoded, labels, "train_batch");
+  check_samples(encoded.size(), all_dims(encoded, dims_), labels,
+                "train_batch");
   GENERIC_COUNTER_ADD("train.samples", encoded.size());
   for (auto& cls : classes_) std::fill(cls.begin(), cls.end(), 0);
   // Each chunk owns a range of class rows and adds, in sample order, the
@@ -164,7 +172,7 @@ void HdcClassifier::train_batch(const hdc::QueryBatch& encoded,
     GENERIC_SPAN("train.batch.chunk");
     for (std::size_t i = 0; i < encoded.size(); ++i) {
       const auto c = static_cast<std::size_t>(labels[i]);
-      if (c >= begin && c < end) encoded.add_into(i, classes_[c], +1);
+      if (c >= begin && c < end) hdc::add_into(classes_[c], encoded[i], +1);
     }
   });
   recompute_norms();
@@ -174,15 +182,24 @@ void HdcClassifier::train_batch(const hdc::QueryBatch& encoded,
 std::size_t HdcClassifier::retrain_epoch_parallel(
     std::span<const hdc::IntHV> encoded, std::span<const int> labels,
     ThreadPool& pool) {
-  return retrain_epoch_parallel(hdc::QueryBatch::borrow(encoded, dims_),
-                                labels, pool);
+  check_samples(encoded.size(), all_dims(encoded, dims_), labels,
+                "retrain_epoch_parallel");
+  return retrain_walk(nullptr, encoded, labels, pool);
 }
 
 std::size_t HdcClassifier::retrain_epoch_parallel(
     const hdc::QueryBatch& encoded, std::span<const int> labels,
     ThreadPool& pool) {
+  check_samples(encoded.size(), encoded.dims() == dims_, labels,
+                "retrain_epoch_parallel");
+  return retrain_walk(&encoded, {}, labels, pool);
+}
+
+std::size_t HdcClassifier::retrain_walk(const hdc::QueryBatch* packed,
+                                        std::span<const hdc::IntHV> encoded,
+                                        std::span<const int> labels,
+                                        ThreadPool& pool) {
   GENERIC_SPAN("train.epoch");
-  check_samples(encoded, labels, "retrain_epoch_parallel");
   // Samples stay sequential (each update feeds the next prediction), but
   // their dots need not be computed one at a time: a block is scored in one
   // pooled tile against the memory as it stands, then walked in order. An
@@ -192,21 +209,32 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
   // the one predict() returns at that point of the sequential loop.
   Scoring s = prepare(nullptr, NormMode::kUpdated);
   const std::size_t nc = num_classes_;
-  std::vector<std::int64_t> dots(kRetrainBlock * nc);
-  std::vector<std::int64_t> moved_dots(2 * kRetrainBlock);
+  std::vector<std::int64_t> dots(kPackRows * nc);
+  std::vector<std::int64_t> moved_dots(2 * kPackRows);
+  hdc::QueryBatch block;
   std::size_t updates = 0;
-  for (std::size_t b = 0; b < encoded.size(); b += kRetrainBlock) {
-    const std::size_t n = std::min(kRetrainBlock, encoded.size() - b);
+  for (std::size_t b = 0; b < labels.size(); b += kPackRows) {
+    const std::size_t n = std::min(kPackRows, labels.size() - b);
+    // The block is rows [first, first + n) of `rows`: the caller's batch,
+    // or its IntHVs packed here once for the tile, the re-scores and the
+    // updates.
+    const hdc::QueryBatch* rows = packed;
+    std::size_t first = b;
+    if (rows == nullptr) {
+      block = hdc::QueryBatch(encoded.subspan(b, n), dims_);
+      rows = &block;
+      first = 0;
+    }
     // Each pool chunk writes its own queries' rows of `dots`.
     pool.parallel_for(n, [&](std::size_t begin, std::size_t end, std::size_t) {
-      s.dot(encoded.view(b + begin), end - begin, dots.data() + begin * nc);
+      s.dot(rows->view(first + begin), end - begin, dots.data() + begin * nc);
     });
     for (std::size_t k = 0; k < n; ++k) {
       const int label = labels[b + k];
       const int pred = s.best(dots.data() + k * nc).cls;
       if (pred == label) continue;
       ++updates;
-      move_sample(encoded, b + k, pred, label);
+      move_sample(*rows, first + k, pred, label);
       const std::size_t moved[2] = {static_cast<std::size_t>(pred),
                                     static_cast<std::size_t>(label)};
       for (std::size_t c : moved) s.set_norm(c, chunk_norms_[c]);
@@ -217,7 +245,7 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
       if (rest == 0) continue;
       const std::int32_t* pair[2] = {s.classes[moved[0]], s.classes[moved[1]]};
       const std::int16_t* pair16[2] = {s.narrow[moved[0]], s.narrow[moved[1]]};
-      hdc::kernels::active().dot_tile(encoded.view(b + k + 1), rest,
+      hdc::kernels::active().dot_tile(rows->view(first + k + 1), rest,
                                       {pair, 2, pair16, s.max_abs},
                                       s.runs.data(), s.runs.size(),
                                       moved_dots.data());
@@ -233,17 +261,21 @@ std::size_t HdcClassifier::retrain_epoch_parallel(
 std::size_t HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
                                         std::span<const int> labels,
                                         std::size_t epochs, ThreadPool& pool) {
-  // The one-shot pass and the first two epochs read the caller's rows in
-  // place. A set still updating after two epochs is read by every epoch
-  // until it converges, so it is packed then, once. A set that converges
-  // within two (an ISOLET shard: one update epoch, then none) never holds
-  // the copy, a quarter of its int32 bytes, beside its rows, nor pays for
-  // a pack that a single further pass would not earn back.
-  hdc::QueryBatch batch = hdc::QueryBatch::borrow(encoded, dims_);
-  train_batch(batch, labels, pool);
+  // The one-shot pass adds the caller's rows in place, and the first two
+  // epochs pack them one 32-sample block at a time. A set still updating
+  // after two epochs is read by every epoch until it converges, so it is
+  // packed whole then, once. A set that converges within two (an ISOLET
+  // shard: one update epoch, then none) never holds the copy, a quarter of
+  // its int32 bytes, beside its rows, nor pays for a pack that a single
+  // further pass would not earn back.
+  train_batch(encoded, labels, pool);
+  hdc::QueryBatch batch;
   std::size_t e = 0;
   for (; e < epochs; ++e) {
-    if (retrain_epoch_parallel(batch, labels, pool) == 0) break;
+    const std::size_t updates =
+        e < 2 ? retrain_epoch_parallel(encoded, labels, pool)
+              : retrain_epoch_parallel(batch, labels, pool);
+    if (updates == 0) break;
     if (e == 1 && epochs > 2) batch = hdc::QueryBatch(encoded, dims_);
   }
   return e;
@@ -251,17 +283,8 @@ std::size_t HdcClassifier::fit_parallel(std::span<const hdc::IntHV> encoded,
 
 std::vector<int> HdcClassifier::predict_batch(
     std::span<const hdc::IntHV> queries, ThreadPool& pool) const {
-  return predict_batch(hdc::QueryBatch::borrow(queries, dims_), pool);
-}
-
-std::vector<int> HdcClassifier::predict_batch(const hdc::QueryBatch& queries,
-                                              ThreadPool& pool) const {
-  if (queries.dims() != dims_)
-    throw std::invalid_argument("predict: query dimension mismatch");
-  GENERIC_SPAN("predict.batch");
-  const std::vector<Prediction> preds = scan_rows(
-      prepare(nullptr, NormMode::kUpdated), queries.view(), queries.size(),
-      pool);
+  const std::vector<Prediction> preds =
+      scan_rows(prepare(nullptr, NormMode::kUpdated), queries, pool);
   std::vector<int> out(preds.size(), 0);
   for (std::size_t i = 0; i < preds.size(); ++i) out[i] = preds[i].cls;
   return out;
@@ -270,7 +293,8 @@ std::vector<int> HdcClassifier::predict_batch(const hdc::QueryBatch& queries,
 std::vector<Prediction> HdcClassifier::predict_masked_margin_batch(
     std::span<const hdc::IntHV> queries, const std::vector<bool>& chunk_ok,
     ThreadPool& pool) const {
-  return scan_batch(row_pointers(queries), chunk_ok, NormMode::kUpdated, pool);
+  check_mask(chunk_ok);
+  return scan_rows(prepare(&chunk_ok, NormMode::kUpdated), queries, pool);
 }
 
 void HdcClassifier::set_class_vector(std::size_t c, hdc::IntHV row) {
@@ -370,19 +394,29 @@ HdcClassifier::Scoring HdcClassifier::prepare(
   return s;
 }
 
-std::vector<Prediction> HdcClassifier::scan_rows(
-    const Scoring& s, const hdc::kernels::QueryRows& queries, std::size_t n,
-    ThreadPool& pool) const {
-  std::vector<Prediction> out(n);
-  // One dot tile per pool chunk: the chunk's queries against every class.
-  pool.parallel_for(n, [&](std::size_t begin, std::size_t end, std::size_t) {
+template <typename Rows>
+std::vector<Prediction> HdcClassifier::scan_rows(const Scoring& s,
+                                                 Rows queries,
+                                                 ThreadPool& pool) const {
+  GENERIC_SPAN("predict.batch");
+  for (const auto& q : queries) check_query(q);
+  std::vector<Prediction> out(queries.size());
+  // Each pool chunk packs its queries kPackRows at a time, up to the dims
+  // the runs read, and scores each block against every class in one dot
+  // tile.
+  pool.parallel_for(queries.size(), [&](std::size_t begin, std::size_t end,
+                                        std::size_t) {
     GENERIC_SPAN("predict.chunk");
     GENERIC_COUNTER_ADD("predict.queries", end - begin);
-    std::vector<std::int64_t> dots((end - begin) * num_classes_);
-    s.dot({queries.rows + begin, queries.width, queries.max_abs}, end - begin,
-          dots.data());
-    for (std::size_t i = begin; i < end; ++i)
-      out[i] = s.best(dots.data() + (i - begin) * num_classes_);
+    std::vector<std::int64_t> dots(std::min(kPackRows, end - begin) *
+                                   num_classes_);
+    for (std::size_t b = begin; b < end; b += kPackRows) {
+      const std::size_t n = std::min(kPackRows, end - b);
+      const hdc::QueryBatch block(queries.subspan(b, n), s.reach());
+      s.dot(block.view(), n, dots.data());
+      for (std::size_t i = 0; i < n; ++i)
+        out[b + i] = s.best(dots.data() + i * num_classes_);
+    }
   });
   return out;
 }
@@ -395,9 +429,10 @@ void HdcClassifier::check_query(const hdc::IntHV& query) const {
 Prediction HdcClassifier::scan_one(const hdc::IntHV& query,
                                    const Scoring& s) const {
   check_query(query);
-  const void* row = query.data();
+  const hdc::QueryBatch one(std::span<const hdc::IntHV>(&query, 1),
+                            s.reach());
   std::vector<std::int64_t> dots(num_classes_);
-  s.dot({&row, hdc::kernels::QueryWidth::kInt32}, 1, dots.data());
+  s.dot(one.view(), 1, dots.data());
   return s.best(dots.data());
 }
 
@@ -412,24 +447,16 @@ std::vector<Prediction> HdcClassifier::scan_batch(
     std::span<const hdc::IntHV* const> queries,
     const std::vector<bool>& chunk_ok, NormMode mode, ThreadPool& pool) const {
   check_mask(chunk_ok);
-  GENERIC_SPAN("predict.batch");
-  std::vector<const void*> rows(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    check_query(*queries[i]);
-    rows[i] = queries[i]->data();
-  }
-  return scan_rows(prepare(&chunk_ok, mode),
-                   {rows.data(), hdc::kernels::QueryWidth::kInt32},
-                   queries.size(), pool);
+  return scan_rows(prepare(&chunk_ok, mode), queries, pool);
 }
 
-void HdcClassifier::check_samples(const hdc::QueryBatch& encoded,
+void HdcClassifier::check_samples(std::size_t count, bool dims_ok,
                                   std::span<const int> labels,
                                   const char* who) const {
   const std::string prefix = std::string(who) + ": ";
-  if (encoded.size() != labels.size())
+  if (count != labels.size())
     throw std::invalid_argument(prefix + "size mismatch");
-  if (encoded.dims() != dims_)
+  if (!dims_ok)
     throw std::invalid_argument(prefix + "sample dimension mismatch");
   for (const int label : labels)
     if (label < 0 || static_cast<std::size_t>(label) >= num_classes_)

@@ -51,7 +51,6 @@
 
 #include "common/thread_pool.h"
 #include "hdc/hypervector.h"
-#include "hdc/kernels.h"
 #include "hdc/query_batch.h"
 
 namespace generic::model {
@@ -90,16 +89,17 @@ class HdcClassifier {
   // happen on the caller in fixed chunk order. Lane invariance and a
   // test-local reference are asserted by tests/model/test_parallel_determinism.
 
-  // The training entries take the encodings as an hdc::QueryBatch: packed
-  // at the narrowest exact width (1 byte per value for every Table-1
-  // GENERIC encoding) for a set read several times, or borrowed in place.
-  // The IntHV overloads are single passes and borrow their rows.
+  // Every entry that scores IntHVs narrows them through hdc::QueryBatch
+  // (the narrowest exact width: 1 byte per value for every Table-1 GENERIC
+  // encoding) at most 32 rows at a time, a scan only up to the last dim its
+  // mask reads, so no call holds a copy of a whole set; the dot tile itself
+  // narrows nothing. A set read by many epochs is packed whole once by its
+  // owner and retrained through the batch overload.
 
   /// One-shot training: bundle each encoding into its class accumulator.
   /// Each pool chunk owns a range of class rows and adds, in sample order,
   /// the samples labelled into them (integer adds — exact for any split).
-  void train_batch(const hdc::QueryBatch& encoded,
-                   std::span<const int> labels, ThreadPool& pool);
+  /// A single pass: the int32 rows are added as they are.
   void train_batch(std::span<const hdc::IntHV> encoded,
                    std::span<const int> labels, ThreadPool& pool);
 
@@ -108,7 +108,8 @@ class HdcClassifier {
   /// of a predict + move_sample loop in sample order: each block of 32
   /// samples is scored in one dot tile whose queries fan out across the
   /// pool, then walked in order, and after an update only the two changed
-  /// rows are re-scored for the block's later samples.
+  /// rows are re-scored for the block's later samples. The IntHV overload
+  /// packs each block once, and its tile, re-scores and updates read that.
   std::size_t retrain_epoch_parallel(const hdc::QueryBatch& encoded,
                                      std::span<const int> labels,
                                      ThreadPool& pool);
@@ -118,8 +119,8 @@ class HdcClassifier {
 
   /// train_batch + at most `epochs` retraining epochs, stopping early when
   /// an epoch makes no update. When the first two epochs both update, the
-  /// rows are packed once for the epochs after them. Returns the number of
-  /// retraining epochs that made an update.
+  /// rows are packed whole once for the epochs after them. Returns the
+  /// number of retraining epochs that made an update.
   std::size_t fit_parallel(std::span<const hdc::IntHV> encoded,
                            std::span<const int> labels, std::size_t epochs,
                            ThreadPool& pool);
@@ -156,10 +157,8 @@ class HdcClassifier {
   int predict(const hdc::IntHV& query) const;
 
   /// out[i] == predict(queries[i]): the search over every chunk, queries
-  /// fanned out across the pool as scan_batch() does. The IntHV overload
-  /// borrows its rows; it stays because the wall-clock benchmark calls it.
-  std::vector<int> predict_batch(const hdc::QueryBatch& queries,
-                                 ThreadPool& pool) const;
+  /// fanned out across the pool as scan_batch() does. A wrapper that stays
+  /// because the wall-clock benchmark calls it.
   std::vector<int> predict_batch(std::span<const hdc::IntHV> queries,
                                  ThreadPool& pool) const;
 
@@ -190,9 +189,12 @@ class HdcClassifier {
 
   /// The retraining update: subtract `encoded` from class `from`, add it
   /// to class `to`, and refresh both classes' norms and int16 copies.
-  /// Throws std::out_of_range for a class outside [0, num_classes()).
+  /// Throws std::out_of_range for a class outside [0, num_classes()) and
+  /// std::invalid_argument for a row that is not dims() long, before
+  /// writing anything.
   void move_sample(const hdc::IntHV& encoded, int from, int to);
-  /// move_sample() of row `i` of `encoded`.
+  /// move_sample() of row `i` of `encoded` (std::out_of_range past its
+  /// last row).
   void move_sample(const hdc::QueryBatch& encoded, std::size_t i, int from,
                    int to);
 
@@ -230,25 +232,42 @@ class HdcClassifier {
   /// `chunk_ok` null reads every chunk.
   Scoring prepare(const std::vector<bool>* chunk_ok, NormMode mode) const;
 
-  /// Score `n` checked queries against every class, one dot tile per pool
-  /// chunk, and take each query's fixed-order argmax with margin.
-  std::vector<Prediction> scan_rows(const Scoring& s,
-                                    const hdc::kernels::QueryRows& queries,
-                                    std::size_t n, ThreadPool& pool) const;
+  /// Check every query of `queries` (a span of IntHVs or of pointers to
+  /// them), score them against every class, each pool chunk packing its
+  /// queries 32 at a time into one dot tile each, and take each query's
+  /// fixed-order argmax with margin.
+  template <typename Rows>
+  std::vector<Prediction> scan_rows(const Scoring& s, Rows queries,
+                                    ThreadPool& pool) const;
   Prediction scan_one(const hdc::IntHV& query, const Scoring& s) const;
 
   void check_mask(const std::vector<bool>& chunk_ok) const;
   void check_query(const hdc::IntHV& query) const;
+  void check_query(const hdc::IntHV* query) const { check_query(*query); }
+
+  /// One retraining epoch over labels.size() checked samples: the rows of
+  /// `packed` when it is set, else `encoded` packed one block at a time.
+  std::size_t retrain_walk(const hdc::QueryBatch* packed,
+                           std::span<const hdc::IntHV> encoded,
+                           std::span<const int> labels, ThreadPool& pool);
+
+  /// move_sample()'s checks, made before it writes: both classes in range
+  /// and a row of `dims` == dims() values.
+  void check_move(std::size_t dims, int from, int to) const;
+  /// Refresh the norms and int16 copies of the two classes an update
+  /// moved a sample between.
+  void refresh_moved(int from, int to);
 
   /// Refresh the int16 copy and max |c| of class `c` (or of every class)
   /// from its int32 row; called after every write to class memory.
   void refresh_narrow(std::size_t c);
   void refresh_narrow();
 
-  /// Training-input check run before any class memory is written: equal
-  /// sample and label counts, labels in [0, num_classes), dims() elements
-  /// per sample. Throws std::invalid_argument prefixed with `who`.
-  void check_samples(const hdc::QueryBatch& encoded,
+  /// Training-input check run before any class memory is written: `count`
+  /// samples for as many labels, labels in [0, num_classes), and every
+  /// sample dims() long (`dims_ok`). Throws std::invalid_argument prefixed
+  /// with `who`.
+  void check_samples(std::size_t count, bool dims_ok,
                      std::span<const int> labels, const char* who) const;
 
   std::size_t dims_;

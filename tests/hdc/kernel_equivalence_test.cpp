@@ -379,8 +379,8 @@ TEST(KernelEquivalence, DotTileMatchesScalarAcrossShapes) {
 
 TEST(KernelEquivalence, DotTileExtremeInt32OperandsStayExact) {
   // INT32_MIN / INT32_MAX cannot be narrowed, so every backend must take
-  // the int32 path even with enough queries to pack. Each aligned pair of
-  // products nearly cancels, so the exact sums stay inside int64.
+  // the int32 path, for any query count. Each aligned pair of products
+  // nearly cancels, so the exact sums stay inside int64.
   constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
   constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
   constexpr std::size_t kDims = 256;
@@ -465,10 +465,12 @@ TEST(KernelEquivalence, DotTileNarrowQueriesAgainstClassRowsPastInt16) {
 
 TEST(KernelEquivalence, DotTileScoresStoredInt16RowsOnlyUnderTheBound) {
   // A caller's int16 class rows are scored for any query count, one query
-  // included, at the runs' own offsets, and only while the caller's row
-  // bound admits int16. A poisoned copy (every value off by one) shows
-  // which rows a tile read: under bound 32767 every output of a SIMD tile
-  // moves; under 32768, or with no copy, none does.
+  // included, at the runs' own offsets, only for narrow query views, and
+  // only while the caller's row bound admits int16. A poisoned copy (every
+  // value off by one) shows which rows a tile read: for int8 and int16
+  // queries under bound 32767 every output of a SIMD tile moves; under
+  // 32768, with no copy, or for int32 queries (the tile packs nothing, so
+  // an int32 view always takes the int32 path) none does.
   Rng rng(0x1616);
   const k::Kernels& scalar = k::get(k::Backend::kScalar);
   const std::vector<std::size_t> query_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 33};
@@ -507,7 +509,7 @@ TEST(KernelEquivalence, DotTileScoresStoredInt16RowsOnlyUnderTheBound) {
               const auto got =
                   tile(table, queries, classes, runs, &poisoned, width);
               if (table.dot_tile == scalar.dot_tile || peak > 32767 ||
-                  runs.empty()) {
+                  runs.empty() || width == k::QueryWidth::kInt32) {
                 EXPECT_EQ(got, want) << "poisoned copy read: " << where;
                 continue;
               }

@@ -2,7 +2,9 @@
 // measured while packing, and row adds equal to hdc::add_into.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -87,20 +89,24 @@ TEST(QueryBatch, ViewCarriesTheRowsWidthAndBound) {
   EXPECT_EQ(view.max_abs, 300);
 }
 
-TEST(QueryBatch, BorrowedBatchReadsTheRowsInPlace) {
-  const std::vector<IntHV> rows = rows_up_to(5, 3, 128);
-  const QueryBatch batch = QueryBatch::borrow(rows, 128);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch.width(), QueryWidth::kInt32);
+TEST(QueryBatch, PacksThePrefixOfLongerRows) {
+  // A scan over a chunk prefix packs only the dims it reads: the width and
+  // the bound come from those values alone.
+  std::vector<IntHV> rows = rows_up_to(100, 2, 128);
+  rows[1][64] = 40000;
+  std::int64_t want_max = 0;
+  for (const IntHV& row : rows)
+    for (std::size_t j = 0; j < 64; ++j)
+      want_max = std::max<std::int64_t>(want_max, std::abs(row[j]));
+  const QueryBatch batch(rows, 64);
+  EXPECT_EQ(batch.dims(), 64u);
+  EXPECT_EQ(batch.width(), QueryWidth::kInt8);
+  EXPECT_EQ(batch.max_abs(), want_max);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(batch.row(i), rows[i].data());
-    IntHV got(128, 0);
+    IntHV got(64, 0);
     batch.add_into(i, got, +1);
-    EXPECT_EQ(got, rows[i]);
+    EXPECT_EQ(got, IntHV(rows[i].begin(), rows[i].begin() + 64));
   }
-  std::vector<IntHV> ragged = rows;
-  ragged[2].push_back(0);
-  EXPECT_THROW(QueryBatch::borrow(ragged, 128), std::invalid_argument);
 }
 
 TEST(QueryBatch, RejectsRowsOfTheWrongLength) {

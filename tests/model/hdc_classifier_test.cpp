@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <span>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
+#include "hdc/kernels.h"
+#include "hdc/query_batch.h"
+#include "kernel_backends.h"
+#include "model/model_io.h"
 #include "resilience/fault_model.h"
 
 namespace generic::model {
@@ -208,6 +216,58 @@ TEST(HdcClassifier, BadLabelLeavesClassMemoryUntouched) {
         for (std::size_t k = 0; k < m.num_chunks(); ++k)
           EXPECT_EQ(m.chunk_norm(c, k), trained.chunk_norm(c, k))
               << name << " label=" << bad << " class=" << c;
+      }
+    }
+  }
+}
+
+// A rejected retraining update must write nothing: move_sample checks both
+// classes, the row index and the row length before it touches a row. An
+// update that subtracted from `from` before checking `to` would leave that
+// row rewritten with its norms and int16 copy stale, so the SIMD backends
+// would score it differently from scalar.
+TEST(HdcClassifier, RejectedMoveSampleLeavesClassMemoryUntouched) {
+  const auto s = make_synth(512, 3, 10, 0.45, 29);
+  HdcClassifier trained(512, 3);
+  trained.train_batch(s.train, s.train_y, global_pool());
+  const std::vector<std::uint8_t> bytes = serialize_classifier(trained);
+  const hdc::QueryBatch batch(std::span(s.train).first(2), 512);
+  const hdc::IntHV short_row(256, 1);
+  const std::vector<bool> all(trained.num_chunks(), true);
+  using Step = std::function<void(HdcClassifier&)>;
+  const std::pair<const char*, Step> steps[] = {
+      {"to past the classes",
+       [&](HdcClassifier& m) { m.move_sample(s.train[0], 0, 7); }},
+      {"negative to",
+       [&](HdcClassifier& m) { m.move_sample(s.train[0], 1, -1); }},
+      {"from past the classes",
+       [&](HdcClassifier& m) { m.move_sample(s.train[0], 3, 0); }},
+      {"short row", [&](HdcClassifier& m) { m.move_sample(short_row, 0, 1); }},
+      {"batch row, to past the classes",
+       [&](HdcClassifier& m) { m.move_sample(batch, 0, 0, 7); }},
+      {"batch row past its end",
+       [&](HdcClassifier& m) { m.move_sample(batch, 2, 0, 1); }},
+  };
+  test::BackendGuard guard;
+  for (const auto& [name, step] : steps) {
+    HdcClassifier m = trained;
+    EXPECT_THROW(step(m), std::logic_error) << name;
+    EXPECT_EQ(serialize_classifier(m), bytes) << name;
+    for (std::size_t c = 0; c < m.num_classes(); ++c)
+      for (std::size_t k = 0; k < m.num_chunks(); ++k)
+        EXPECT_EQ(m.chunk_norm(c, k), trained.chunk_norm(c, k))
+            << name << " class=" << c;
+    hdc::kernels::set_backend(hdc::kernels::Backend::kScalar);
+    std::vector<Prediction> want;
+    for (const auto& q : s.test) want.push_back(m.scan(q, all));
+    for (hdc::kernels::Backend b : test::available_backends()) {
+      hdc::kernels::set_backend(b);
+      for (std::size_t i = 0; i < s.test.size(); ++i) {
+        const Prediction got = m.scan(s.test[i], all);
+        EXPECT_EQ(got.cls, want[i].cls)
+            << name << " " << hdc::kernels::to_string(b) << " i=" << i;
+        EXPECT_EQ(got.margin, want[i].margin)
+            << name << " " << hdc::kernels::to_string(b) << " i=" << i;
       }
     }
   }

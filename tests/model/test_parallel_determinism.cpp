@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -323,8 +324,9 @@ TEST_P(ParallelDeterminismTest, FitParallelMatchesFit) {
 }
 
 TEST_P(ParallelDeterminismTest, QueryBatchPathMatchesReferenceAtEveryLaneCount) {
-  // The packed path fit_parallel runs: one int8 batch, trained and
-  // retrained over, then scored, under every backend at every lane count.
+  // The packed path fit_parallel runs after two update epochs: one int8
+  // batch retrained over, then the held-out queries scored, under every
+  // backend at every lane count.
   const auto ds = dataset();
   enc::GenericEncoder encoder(small_config(GetParam()));
   encoder.fit(ds.train_x);
@@ -332,7 +334,6 @@ TEST_P(ParallelDeterminismTest, QueryBatchPathMatchesReferenceAtEveryLaneCount) 
   const auto test = reference_encode(encoder, ds.test_x);
   const auto labels = noisy_labels(ds);
   const hdc::QueryBatch batch(encoded, 512);
-  const hdc::QueryBatch test_batch(test, 512);
   ASSERT_EQ(batch.width(), hdc::kernels::QueryWidth::kInt8);
 
   test::BackendGuard guard;
@@ -350,14 +351,14 @@ TEST_P(ParallelDeterminismTest, QueryBatchPathMatchesReferenceAtEveryLaneCount) 
     for (std::size_t lanes : kLaneCounts) {
       ThreadPool pool(lanes);
       HdcClassifier m(512, ds.num_classes);
-      m.train_batch(batch, labels, pool);
+      m.train_batch(encoded, labels, pool);
       for (int e = 0; e < 3; ++e)
         EXPECT_EQ(m.retrain_epoch_parallel(batch, labels, pool),
                   ref_updates[static_cast<std::size_t>(e)])
             << "epoch " << e << " lanes=" << lanes << " "
             << hdc::kernels::to_string(b);
       expect_models_identical(ref, m, "query batch", lanes);
-      EXPECT_EQ(m.predict_batch(test_batch, pool), ref_predictions)
+      EXPECT_EQ(m.predict_batch(test, pool), ref_predictions)
           << "lanes=" << lanes << " " << hdc::kernels::to_string(b);
     }
   }
@@ -667,6 +668,77 @@ TEST(RetrainBlockEdges, RowPastInt16RangeMidBlock) {
   forced_labels(crossed, e.samples, {forced.front()});
   ASSERT_GT(crossed.class_max_abs(), 32767);
   expect_edges_match(e, forced, "row past int16");
+}
+
+TEST(RetrainBlockEdges, BlocksPackedAtDifferentWidthsMatchReference) {
+  // The IntHV entries pack 32 rows at a time, so one set's blocks can pack
+  // at different widths: samples 0-31 and 96-99 fit int8, 32-63 need int16
+  // (a 128 at sample 40) and 64-95 int32 (a 40000 at sample 70, which the
+  // update at 70 carries into the class rows). The whole-set batch packs
+  // at int32, and a scan's pool chunks straddle the blocks.
+  EdgeCase e = make_edge_case(100, 0, 0, 0x3D1D);
+  e.samples[40][7] = 128;
+  e.samples[70][9] = 40000;
+  using hdc::kernels::QueryWidth;
+  const std::pair<std::size_t, QueryWidth> blocks[] = {
+      {0, QueryWidth::kInt8},
+      {32, QueryWidth::kInt16},
+      {64, QueryWidth::kInt32},
+      {96, QueryWidth::kInt8}};
+  for (const auto& [begin, width] : blocks)
+    ASSERT_EQ(hdc::QueryBatch(std::span(e.samples).subspan(begin).first(
+                                  std::min<std::size_t>(32, 100 - begin)),
+                              kEdgeDims)
+                  .width(),
+              width)
+        << "block at " << begin;
+  const hdc::QueryBatch batch(e.samples, kEdgeDims);
+  ASSERT_EQ(batch.width(), QueryWidth::kInt32);
+  std::vector<const hdc::IntHV*> rows;
+  for (const auto& x : e.samples) rows.push_back(&x);
+
+  test::BackendGuard guard;
+  hdc::kernels::set_backend(hdc::kernels::Backend::kScalar);
+  HdcClassifier ref = e.init;
+  const std::vector<std::size_t> forced = {3, 40, 41, 70, 71, 98};
+  const std::vector<int> labels = forced_labels(ref, e.samples, forced);
+  const std::size_t second = reference_epoch(ref, e.samples, labels);
+  const std::vector<bool> mask = ref.prefix_mask(256);
+  std::vector<int> ref_predictions;
+  std::vector<Prediction> ref_scans;
+  for (const auto& x : e.samples) {
+    ref_predictions.push_back(ref.predict(x));
+    ref_scans.push_back(ref.scan(x, mask));
+  }
+
+  for (hdc::kernels::Backend b : test::available_backends()) {
+    hdc::kernels::set_backend(b);
+    for (std::size_t lanes : kEdgeLanes) {
+      ThreadPool pool(lanes);
+      for (const bool packed : {false, true}) {
+        const std::string where = std::string(packed ? "batch" : "IntHVs") +
+                                  " lanes=" + std::to_string(lanes) + " " +
+                                  std::string(hdc::kernels::to_string(b));
+        HdcClassifier m = e.init;
+        auto epoch = [&] {
+          return packed ? m.retrain_epoch_parallel(batch, labels, pool)
+                        : m.retrain_epoch_parallel(e.samples, labels, pool);
+        };
+        EXPECT_EQ(epoch(), forced.size()) << where;
+        EXPECT_EQ(epoch(), second) << where;
+        expect_models_identical(ref, m, "mixed widths", lanes);
+        EXPECT_EQ(m.predict_batch(e.samples, pool), ref_predictions) << where;
+        const std::vector<Prediction> scans =
+            m.scan_batch(rows, mask, NormMode::kUpdated, pool);
+        ASSERT_EQ(scans.size(), ref_scans.size());
+        for (std::size_t i = 0; i < scans.size(); ++i) {
+          EXPECT_EQ(scans[i].cls, ref_scans[i].cls) << where << " i=" << i;
+          EXPECT_EQ(scans[i].margin, ref_scans[i].margin)
+              << where << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, ParallelDeterminismTest,
