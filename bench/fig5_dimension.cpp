@@ -7,11 +7,13 @@
 // dimensions shrink (paper: up to 20.1 pts on EEG and 8.5 on ISOLET), and
 // ISOLET holding accuracy down to ~1K dimensions (the §4.3.4 discussion).
 #include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
+#include "hdc/query_batch.h"
 #include "model/hdc_classifier.h"
 
 using namespace generic;
@@ -42,12 +44,15 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n%-8s %12s %12s %8s\n", name, "dims", "Constant",
                 "Updated", "gap");
     bench::print_rule(44);
-    std::vector<const hdc::IntHV*> rows;
-    for (const auto& q : test) rows.push_back(&q);
+    // The test set packed once for all 16 scans.
+    const hdc::QueryBatch table(test, full_dims);
+    std::vector<std::size_t> rows(table.size());
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
     for (std::size_t dims = 512; dims <= full_dims; dims += 512) {
       const std::vector<bool> mask = clf.prefix_mask(dims);
       auto acc = [&](model::NormMode mode) {
-        const auto preds = clf.scan_batch(rows, mask, mode, global_pool());
+        const auto preds =
+            clf.scan_batch(table, rows, mask, mode, global_pool());
         std::size_t hits = 0;
         for (std::size_t i = 0; i < preds.size(); ++i)
           hits += preds[i].cls == ds.test_y[i];

@@ -11,9 +11,12 @@
 //                        prediction's tile, one serving rung per row. Each
 //                        call packs the int32 queries' rung prefix into an
 //                        hdc::QueryBatch and tiles its view, as the
-//                        classifier does. The classes' int16 copy is
-//                        stored once before timing, as HdcClassifier keeps
-//                        it, so no call packs classes
+//                        classifier's IntHV entries do. The classes' int16
+//                        copy is stored once before timing, as
+//                        HdcClassifier keeps it, so no call packs classes
+//   * dot_tile table   — the same tile over 32 gathered rows of a 780-row
+//                        query table packed once at `--dims`: the serving
+//                        engine's flush, which packs nothing
 //   * dot_tile 1q      — one query packed the same way × the same 26
 //                        classes at `--dims`: the tile of predict() and
 //                        edge inference
@@ -43,6 +46,8 @@
 //   kernels.<backend>.nearest_speedup_milli   (1000 = scalar parity)
 //   kernels.<backend>.dot_tile_ns_per_query.<dims>
 //   kernels.<backend>.dot_tile_speedup_milli.<dims>
+//   kernels.<backend>.dot_tile_table_ns_per_query.<dims>
+//   kernels.<backend>.dot_tile_table_speedup_milli.<dims>
 //   kernels.<backend>.dot_tile_1q_ns_per_query.<dims>
 //   kernels.<backend>.dot_tile_1q_speedup_milli.<dims>
 //   kernels.<backend>.encode_ns_per_sample          (ISOLET shape)
@@ -57,6 +62,7 @@
 //   remat.footprint.stored_payload_bytes / remat.footprint.remat_payload_bytes
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -121,11 +127,16 @@ void set_gauge(const std::string& name, double v) {
 /// the magnitudes a trained ISOLET-sized model holds (|q| <= 60, |c| <=
 /// 3000), so the queries pack to int8 and backends take the narrow path
 /// the serving engine takes. The classes' int16 copy and bound are stored
-/// up front, like HdcClassifier's.
+/// up front, like HdcClassifier's. `table` is a serving engine's query
+/// table (780 rows, the size of ISOLET's test set, packed once at full
+/// dims) and `gathered` the 32 rows of it one flush scores.
 struct TileWorkload {
   static constexpr std::size_t kClasses = 26;
   static constexpr std::size_t kQueries = 32;
+  static constexpr std::size_t kTableRows = 780;
   std::vector<hdc::IntHV> queries;
+  hdc::QueryBatch table;
+  std::vector<std::size_t> gathered;
   std::vector<hdc::IntHV> classes;
   std::vector<std::vector<std::int16_t>> classes16;
   std::vector<const std::int32_t*> class_rows;
@@ -155,6 +166,12 @@ TileWorkload make_tile_workload(std::size_t dims) {
       w.max_abs = std::max<std::int64_t>(w.max_abs, v < 0 ? -v : v);
   }
   for (const auto& c : w.classes16) w.class16_rows.push_back(c.data());
+  std::vector<hdc::IntHV> table;
+  fill(table, TileWorkload::kTableRows, 60);
+  w.table = hdc::QueryBatch(table, dims);
+  for (std::size_t i = 0; i < TileWorkload::kQueries; ++i)
+    w.gathered.push_back(
+        static_cast<std::size_t>(rng.below(TileWorkload::kTableRows)));
   return w;
 }
 
@@ -294,6 +311,9 @@ int main(int argc, char** argv) {
   }
 
   // ---- query x class dot tile, one serving rung per row --------------------
+  // Two paths per backend: a flush that packs its 32 queries' rung prefix
+  // first (predict_masked_margin_batch), and one that gathers 32 rows of a
+  // table packed once (the serving engine's flush).
   const TileWorkload tw = make_tile_workload(dims);
   std::vector<std::size_t> rungs;
   for (std::size_t d = dims; d >= 512; d /= 2) rungs.push_back(d);
@@ -304,46 +324,73 @@ int main(int argc, char** argv) {
     const k::DimRun run{0, rung};
     table.dot_tile(batch.view(), nq, tw.class_side(), &run, 1, out);
   };
-  std::vector<std::vector<std::int64_t>> want_tile(rungs.size());
-  for (std::size_t r = 0; r < rungs.size(); ++r) {
-    want_tile[r].resize(tile_out);
-    run_tile(k::get(k::Backend::kScalar), rungs[r], want_tile[r].data());
+  auto run_table_rows = [&](const k::Kernels& table, std::size_t rung,
+                            std::int64_t* out) {
+    const void* rows[TileWorkload::kQueries];
+    for (std::size_t i = 0; i < TileWorkload::kQueries; ++i)
+      rows[i] = tw.table.row(tw.gathered[i]);
+    const k::DimRun run{0, rung};
+    table.dot_tile({rows, tw.table.width(), tw.table.max_abs()},
+                   TileWorkload::kQueries, tw.class_side(), &run, 1, out);
+  };
+  struct TilePath {
+    const char* label;
+    const char* gauge;
+    std::function<void(const k::Kernels&, std::size_t, std::int64_t*)> run;
+    std::vector<std::vector<std::int64_t>> want;
+    std::vector<double> scalar_ns;
+  };
+  TilePath paths[] = {
+      {"pack + tile", "dot_tile",
+       [&](const k::Kernels& t, std::size_t rung, std::int64_t* out) {
+         run_tile(t, rung, out);
+       },
+       {}, {}},
+      {"table rows, no pack", "dot_tile_table", run_table_rows, {}, {}},
+  };
+  for (TilePath& path : paths) {
+    path.want.assign(rungs.size(), std::vector<std::int64_t>(tile_out));
+    path.scalar_ns.assign(rungs.size(), 0.0);
+    for (std::size_t r = 0; r < rungs.size(); ++r)
+      path.run(k::get(k::Backend::kScalar), rungs[r], path.want[r].data());
   }
 
-  std::printf("\ndot_tile: %zu queries x %zu classes, pack + tile, "
-              "ns per query\n",
-              TileWorkload::kQueries, TileWorkload::kClasses);
-  std::printf("%-8s", "backend");
+  std::printf("\ndot_tile: %zu queries x %zu classes, ns per query (table: "
+              "%zu rows packed once)\n",
+              TileWorkload::kQueries, TileWorkload::kClasses,
+              TileWorkload::kTableRows);
+  std::printf("%-8s %-20s", "backend", "path");
   for (std::size_t rung : rungs) std::printf(" %10zu", rung);
   std::printf("\n");
-  bench::print_rule(9 + 11 * rungs.size());
-  std::vector<double> scalar_ns(rungs.size(), 0.0);
+  bench::print_rule(30 + 11 * rungs.size());
   for (k::Backend backend : k::compiled_backends()) {
     if (!k::available(backend)) continue;
     const k::Kernels& table = k::get(backend);
     const std::string name(k::to_string(backend));
     std::vector<std::int64_t> got(tile_out);
-    std::printf("%-8s", name.c_str());
-    for (std::size_t r = 0; r < rungs.size(); ++r) {
-      run_tile(table, rungs[r], got.data());
-      if (got != want_tile[r]) {
-        std::fprintf(stderr, "%s: dot_tile diverged from scalar at %zu dims\n",
-                     name.c_str(), rungs[r]);
-        return 1;
+    for (TilePath& path : paths) {
+      std::printf("%-8s %-20s", name.c_str(), path.label);
+      for (std::size_t r = 0; r < rungs.size(); ++r) {
+        path.run(table, rungs[r], got.data());
+        if (got != path.want[r]) {
+          std::fprintf(stderr, "%s: %s diverged from scalar at %zu dims\n",
+                       name.c_str(), path.gauge, rungs[r]);
+          return 1;
+        }
+        // measure_mwords counts calls here: Mcalls/s -> ns per query.
+        const double mcalls = measure_mwords(
+            [&] { path.run(table, rungs[r], got.data()); }, 1.0, target_s);
+        const double ns = 1e3 / mcalls / TileWorkload::kQueries;
+        if (backend == k::Backend::kScalar) path.scalar_ns[r] = ns;
+        const double speedup = ns > 0 ? path.scalar_ns[r] / ns : 0;
+        std::printf(" %10.0f", ns);
+        const std::string prefix = "kernels." + name + "." + path.gauge;
+        const std::string dims_tag = "." + std::to_string(rungs[r]);
+        set_gauge(prefix + "_ns_per_query" + dims_tag, ns);
+        set_gauge(prefix + "_speedup_milli" + dims_tag, speedup * 1000.0);
       }
-      // measure_mwords counts calls here: Mcalls/s -> ns per query.
-      const double mcalls = measure_mwords(
-          [&] { run_tile(table, rungs[r], got.data()); }, 1.0, target_s);
-      const double ns = 1e3 / mcalls / TileWorkload::kQueries;
-      if (backend == k::Backend::kScalar) scalar_ns[r] = ns;
-      const double speedup = ns > 0 ? scalar_ns[r] / ns : 0;
-      std::printf(" %10.0f", ns);
-      const std::string dims_tag = "." + std::to_string(rungs[r]);
-      set_gauge("kernels." + name + ".dot_tile_ns_per_query" + dims_tag, ns);
-      set_gauge("kernels." + name + ".dot_tile_speedup_milli" + dims_tag,
-                speedup * 1000.0);
+      std::printf("\n");
     }
-    std::printf("\n");
   }
 
   // ---- one query x every class at full dims: predict()'s tile -------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <ranges>
 #include <stdexcept>
 #include <utility>
@@ -193,8 +194,9 @@ void Manager::run_retrain(RetrainJob& job) {
   GENERIC_SPAN("lifecycle.retrain");
   // Newest `holdout` canaries validate; everything older trains. The split
   // is by recency so validation measures the model on the CURRENT regime.
-  // Both sides point into the query table: training rows are packed
-  // straight into one narrow batch, and the holdout is scored in place.
+  // Both sides point into the query table and are packed straight into
+  // one narrow batch each: the training rows for every epoch, the holdout
+  // for every rung's scan of the shadow and the baseline.
   const model::HdcClassifier& baseline = *current_;
   const std::size_t train_n = replay_.size() - cfg_.holdout;
   std::vector<const hdc::IntHV*> train_x, hold_x;
@@ -205,6 +207,9 @@ void Manager::run_retrain(RetrainJob& job) {
     (i < train_n ? train_y : hold_y).push_back(labels_[q]);
   }
   const hdc::QueryBatch train(train_x, baseline.dims());
+  const hdc::QueryBatch hold(hold_x, baseline.dims());
+  std::vector<std::size_t> hold_rows(hold.size());
+  std::iota(hold_rows.begin(), hold_rows.end(), std::size_t{0});
 
   auto shadow = std::make_shared<model::HdcClassifier>(baseline);
   for (std::size_t e = 0; e < cfg_.retrain_epochs; ++e) {
@@ -232,10 +237,10 @@ void Manager::run_retrain(RetrainJob& job) {
   job.passed = true;
   for (const std::size_t dims : job.rung_dims) {
     const std::vector<bool> mask = baseline.prefix_mask(dims);
-    const std::vector<model::Prediction> sp =
-        shadow->scan_batch(hold_x, mask, model::NormMode::kUpdated, pool_);
-    const std::vector<model::Prediction> bp =
-        baseline.scan_batch(hold_x, mask, model::NormMode::kUpdated, pool_);
+    const std::vector<model::Prediction> sp = shadow->scan_batch(
+        hold, hold_rows, mask, model::NormMode::kUpdated, pool_);
+    const std::vector<model::Prediction> bp = baseline.scan_batch(
+        hold, hold_rows, mask, model::NormMode::kUpdated, pool_);
     std::size_t s_ok = 0, b_ok = 0;
     for (std::size_t i = 0; i < hold_y.size(); ++i) {
       if (sp[i].cls == hold_y[i]) ++s_ok;

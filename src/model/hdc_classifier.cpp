@@ -394,31 +394,43 @@ HdcClassifier::Scoring HdcClassifier::prepare(
   return s;
 }
 
-template <typename Rows>
-std::vector<Prediction> HdcClassifier::scan_rows(const Scoring& s,
-                                                 Rows queries,
-                                                 ThreadPool& pool) const {
+template <typename DotBlock>
+std::vector<Prediction> HdcClassifier::scan_blocks(const Scoring& s,
+                                                   std::size_t count,
+                                                   const DotBlock& dot_block,
+                                                   ThreadPool& pool) const {
   GENERIC_SPAN("predict.batch");
-  for (const auto& q : queries) check_query(q);
-  std::vector<Prediction> out(queries.size());
-  // Each pool chunk packs its queries kPackRows at a time, up to the dims
-  // the runs read, and scores each block against every class in one dot
-  // tile.
-  pool.parallel_for(queries.size(), [&](std::size_t begin, std::size_t end,
-                                        std::size_t) {
+  std::vector<Prediction> out(count);
+  // Each pool chunk scores its queries kPackRows at a time against every
+  // class, one dot tile per block.
+  pool.parallel_for(count, [&](std::size_t begin, std::size_t end,
+                               std::size_t) {
     GENERIC_SPAN("predict.chunk");
     GENERIC_COUNTER_ADD("predict.queries", end - begin);
     std::vector<std::int64_t> dots(std::min(kPackRows, end - begin) *
                                    num_classes_);
     for (std::size_t b = begin; b < end; b += kPackRows) {
       const std::size_t n = std::min(kPackRows, end - b);
-      const hdc::QueryBatch block(queries.subspan(b, n), s.reach());
-      s.dot(block.view(), n, dots.data());
+      dot_block(b, n, dots.data());
       for (std::size_t i = 0; i < n; ++i)
         out[b + i] = s.best(dots.data() + i * num_classes_);
     }
   });
   return out;
+}
+
+std::vector<Prediction> HdcClassifier::scan_rows(
+    const Scoring& s, std::span<const hdc::IntHV> queries,
+    ThreadPool& pool) const {
+  for (const auto& q : queries) check_query(q);
+  // Each block is packed up to the dims the runs read.
+  return scan_blocks(
+      s, queries.size(),
+      [&](std::size_t b, std::size_t n, std::int64_t* dots) {
+        const hdc::QueryBatch block(queries.subspan(b, n), s.reach());
+        s.dot(block.view(), n, dots);
+      },
+      pool);
 }
 
 void HdcClassifier::check_query(const hdc::IntHV& query) const {
@@ -444,10 +456,25 @@ Prediction HdcClassifier::scan(const hdc::IntHV& query,
 }
 
 std::vector<Prediction> HdcClassifier::scan_batch(
-    std::span<const hdc::IntHV* const> queries,
+    const hdc::QueryBatch& table, std::span<const std::size_t> rows,
     const std::vector<bool>& chunk_ok, NormMode mode, ThreadPool& pool) const {
   check_mask(chunk_ok);
-  return scan_rows(prepare(&chunk_ok, mode), queries, pool);
+  if (table.dims() != dims_)
+    throw std::invalid_argument("scan_batch: table dimension mismatch");
+  for (const std::size_t r : rows)
+    if (r >= table.size())
+      throw std::out_of_range("scan_batch: row out of range");
+  // A block's view is its rows' pointers into the table, at the table's
+  // width and bound: nothing is packed.
+  const Scoring s = prepare(&chunk_ok, mode);
+  return scan_blocks(
+      s, rows.size(),
+      [&](std::size_t b, std::size_t n, std::int64_t* dots) {
+        const void* block[kPackRows];
+        for (std::size_t i = 0; i < n; ++i) block[i] = table.row(rows[b + i]);
+        s.dot({block, table.width(), table.max_abs()}, n, dots);
+      },
+      pool);
 }
 
 void HdcClassifier::check_samples(std::size_t count, bool dims_ok,

@@ -93,8 +93,9 @@ class HdcClassifier {
   // (the narrowest exact width: 1 byte per value for every Table-1 GENERIC
   // encoding) at most 32 rows at a time, a scan only up to the last dim its
   // mask reads, so no call holds a copy of a whole set; the dot tile itself
-  // narrows nothing. A set read by many epochs is packed whole once by its
-  // owner and retrained through the batch overload.
+  // narrows nothing. A set read many times is packed whole once by its
+  // owner: retrained through the batch overload, scanned through the table
+  // scan_batch().
 
   /// One-shot training: bundle each encoding into its class accumulator.
   /// Each pool chunk owns a range of class rows and adds, in sample order,
@@ -137,11 +138,15 @@ class HdcClassifier {
   Prediction scan(const hdc::IntHV& query, const std::vector<bool>& chunk_ok,
                   NormMode mode = NormMode::kUpdated) const;
 
-  /// scan() of every query, over pointers to the query rows so callers can
-  /// score rows of a table they own without copying them. Queries fan out
-  /// across the pool in chunks, one dot tile per chunk, into indexed
-  /// slots, so the result is bit-identical for any lane count.
-  std::vector<Prediction> scan_batch(std::span<const hdc::IntHV* const> queries,
+  /// out[i] == scan() of row rows[i] of `table` (any order, repeats
+  /// allowed): an owner packs its queries once and scores any of them
+  /// with no pack per call. The rows fan out across the pool in chunks,
+  /// each handing the dot tile its rows as packed, 32 at a time, into
+  /// indexed slots, so the result is bit-identical for any lane count. A
+  /// table whose dims() differs throws std::invalid_argument and a row
+  /// past its last std::out_of_range, before any row is scored.
+  std::vector<Prediction> scan_batch(const hdc::QueryBatch& table,
+                                     std::span<const std::size_t> rows,
                                      const std::vector<bool>& chunk_ok,
                                      NormMode mode, ThreadPool& pool) const;
 
@@ -232,18 +237,23 @@ class HdcClassifier {
   /// `chunk_ok` null reads every chunk.
   Scoring prepare(const std::vector<bool>* chunk_ok, NormMode mode) const;
 
-  /// Check every query of `queries` (a span of IntHVs or of pointers to
-  /// them), score them against every class, each pool chunk packing its
-  /// queries 32 at a time into one dot tile each, and take each query's
-  /// fixed-order argmax with margin.
-  template <typename Rows>
-  std::vector<Prediction> scan_rows(const Scoring& s, Rows queries,
+  /// The one block-scoring loop: `count` queries fan out across the pool
+  /// in chunks, each chunk scoring its queries 32 at a time, where
+  /// `dot_block(b, n, out)` writes the class dots of queries [b, b + n)
+  /// (Scoring::dot), and each query takes its fixed-order argmax with
+  /// margin.
+  template <typename DotBlock>
+  std::vector<Prediction> scan_blocks(const Scoring& s, std::size_t count,
+                                      const DotBlock& dot_block,
+                                      ThreadPool& pool) const;
+  /// scan_blocks() of IntHVs, each checked and each block packed.
+  std::vector<Prediction> scan_rows(const Scoring& s,
+                                    std::span<const hdc::IntHV> queries,
                                     ThreadPool& pool) const;
   Prediction scan_one(const hdc::IntHV& query, const Scoring& s) const;
 
   void check_mask(const std::vector<bool>& chunk_ok) const;
   void check_query(const hdc::IntHV& query) const;
-  void check_query(const hdc::IntHV* query) const { check_query(*query); }
 
   /// One retraining epoch over labels.size() checked samples: the rows of
   /// `packed` when it is set, else `encoded` packed one block at a time.

@@ -40,6 +40,17 @@ void count(obs::Counter* c, std::uint64_t delta = 1) {
   if (c != nullptr) c->add(delta);
 }
 
+/// The query table packed once at `dims`, after checking that every row is
+/// exactly `dims` long (QueryBatch would pack a longer row's prefix).
+hdc::QueryBatch pack_table(std::span<const hdc::IntHV> queries,
+                           std::size_t dims) {
+  for (const hdc::IntHV& q : queries)
+    if (q.size() != dims)
+      throw std::invalid_argument(
+          "ServeEngine: query row length differs from the model's dims");
+  return hdc::QueryBatch(queries, dims);
+}
+
 }  // namespace
 
 ServeEngine::ServeEngine(const model::HdcClassifier& model,
@@ -64,6 +75,7 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
     throw std::invalid_argument("ServeEngine: empty query set");
   if (cfg_.servers == 0)
     throw std::invalid_argument("ServeEngine: need at least one server");
+  table_ = pack_table(queries_, model_->dims());
 
   const std::size_t chunk = model_->dims() / model_->num_chunks();
   ladder_ = dims_ladder(model_->dims(), chunk, cfg_.min_dims);
@@ -108,6 +120,8 @@ ServeEngine::ServeEngine(const model::HdcClassifier& model,
 }
 
 ResponseFuture ServeEngine::submit(const Request& req) {
+  if (req.query >= table_.size())
+    throw std::out_of_range("ServeEngine: request query past the table");
   ResponseFuture future;
   if (finished_) {
     // Finished engine: resolve as shed, so every future handed out resolves.
@@ -176,6 +190,7 @@ void ServeEngine::poll_encoder(std::uint64_t now) {
       if (upd->queries.size() != queries_.size())
         throw std::invalid_argument(
             "ServeEngine: swapped-in encoder table size mismatch");
+      hdc::QueryBatch table = pack_table(upd->queries, model_->dims());
       // Same invariant as a model swap: flush every deferred batch against
       // the outgoing query table first, then bump the epoch so flush_rung
       // can assert no batch straddled the swap.
@@ -187,6 +202,7 @@ void ServeEngine::poll_encoder(std::uint64_t now) {
                      static_cast<std::int64_t>(deferred));
       for (std::size_t r = 0; r < batch_.size(); ++r) flush_rung(r);
       queries_ = upd->queries;
+      table_ = std::move(table);
       ++model_epoch_;
     }
     const auto faulty = static_cast<std::int64_t>(upd->faulty_rows);
@@ -486,8 +502,8 @@ void ServeEngine::flush_rung(std::size_t rung) {
                     {"rung", static_cast<std::int64_t>(rung)},
                     {"batch", static_cast<std::int64_t>(b.size())},
                     {"version", static_cast<std::int64_t>(model_version_)});
-  std::vector<const hdc::IntHV*> qs;
-  qs.reserve(b.size());
+  std::vector<std::size_t> rows;
+  rows.reserve(b.size());
   for (const InFlight* f : b) {
     // Swap invariant: every deferred request in this batch was admitted to
     // it under the model that is about to score it. poll_lifecycle flushes
@@ -495,11 +511,11 @@ void ServeEngine::flush_rung(std::size_t rung) {
     // not an input condition.
     if (f->epoch != model_epoch_)
       throw std::logic_error("ServeEngine: prediction batch spans a swap");
-    qs.push_back(&queries_[f->req.query]);
+    rows.push_back(f->req.query);
   }
   const std::vector<model::Prediction> preds =
-      model_->scan_batch(qs, rung_mask_[rung], model::NormMode::kUpdated,
-                         pool_);
+      model_->scan_batch(table_, rows, rung_mask_[rung],
+                         model::NormMode::kUpdated, pool_);
   VersionStats& vstats = report_.versions.back();
   for (std::size_t i = 0; i < b.size(); ++i) {
     InFlight* f = b[i];

@@ -7,11 +7,13 @@
 // and the SLO-driven degradation ladder — is made on the VIRTUAL clock
 // carried by the requests plus the deterministic service-cost model, never
 // the wall clock. Heavy compute (the actual predictions) is deferred into
-// fixed-size per-rung batches, each flushed through one
-// HdcClassifier::scan_batch call on the rung's chunk mask,
-// whose results are bit-identical at any pool lane count. Consequence: the
-// generic.serve.v1 report is byte-identical for a fixed (trace, config,
-// seed) regardless of --threads.
+// fixed-size per-rung batches. The query table is packed once into an
+// hdc::QueryBatch at the model's full dims, at construction and again at
+// every encoder-table swap; a flush scores its requests' rows of that table
+// by index through one HdcClassifier::scan_batch call on the rung's chunk
+// mask, so no flush packs a query, and the results are bit-identical at any
+// pool lane count. Consequence: the generic.serve.v1 report is
+// byte-identical for a fixed (trace, config, seed) regardless of --threads.
 //
 // Virtual-time model:
 //  * cfg.servers service lanes; a request in service occupies one lane for
@@ -41,6 +43,7 @@
 
 #include "common/thread_pool.h"
 #include "hdc/hypervector.h"
+#include "hdc/query_batch.h"
 #include "model/hdc_classifier.h"
 #include "obs/obs.h"
 #include "serve/burn_monitor.h"
@@ -125,10 +128,13 @@ void append_encoder_fault_json(std::string& out,
 class ServeEngine {
  public:
   /// The engine serves `queries` by index; `labels` are the ground truth
-  /// used only for the accuracy tallies in the report. `chunk_ok` (size
-  /// model.num_chunks(), empty == all ok) marks faulty dimension blocks:
-  /// serving then scores only ok chunks inside the active rung prefix
-  /// (the rung's chunk mask), the graceful-degradation path of
+  /// used only for the accuracy tallies in the report. Every query row
+  /// must be exactly model.dims() long (std::invalid_argument otherwise,
+  /// before anything is packed): flushes score a packed copy of the table,
+  /// one byte per value for every Table-1 GENERIC encoding. `chunk_ok`
+  /// (size model.num_chunks(), empty == all ok) marks faulty dimension
+  /// blocks: serving then scores only ok chunks inside the active rung
+  /// prefix (the rung's chunk mask), the graceful-degradation path of
   /// resilience::BlockGuard. Throws if any ladder rung would have no ok
   /// chunk to score.
   ///
@@ -140,8 +146,9 @@ class ServeEngine {
   /// `encoder` (optional, not owned, must outlive the engine) is polled at
   /// the same virtual-time points for encoder-memory incidents; a delivered
   /// update may swap the serving query table (corrupt / masked / scrubbed
-  /// re-encodings of the same query set; see encoder_hook.h). An update
-  /// whose geometry or table size does not match throws
+  /// re-encodings of the same query set; see encoder_hook.h), which the
+  /// engine then packs again. An update whose geometry, table size or row
+  /// length does not match throws
   /// std::invalid_argument out of the submit(), tick() or finish() call
   /// that polled it; the engine is then only safe to destroy.
   ServeEngine(const model::HdcClassifier& model,
@@ -157,9 +164,10 @@ class ServeEngine {
   /// Admit one request: run every event scheduled at or before its
   /// arrival, poll the lifecycle/encoder hooks there, then admit, shed or
   /// queue it. Requests must be submitted in non-decreasing arrival_us
-  /// order with distinct ids. The future resolves when the request reaches
-  /// a terminal outcome; after finish() it comes back already resolved as
-  /// kShed.
+  /// order with distinct ids; a query index past the table throws
+  /// std::out_of_range before anything runs. The future resolves when the
+  /// request reaches a terminal outcome; after finish() it comes back
+  /// already resolved as kShed.
   ResponseFuture submit(const Request& req);
 
   /// Drain everything in flight and return the final report. Call exactly
@@ -226,7 +234,10 @@ class ServeEngine {
   /// installed version so in-flight readers can never dangle).
   const model::HdcClassifier* model_;
   std::shared_ptr<const model::HdcClassifier> owned_model_;
+  /// The serving query table: the caller's rows (read by the transient
+  /// fault model) and their packed copy (scored by every flush).
   std::span<const hdc::IntHV> queries_;
+  hdc::QueryBatch table_;
   std::span<const int> labels_;
   ServeConfig cfg_;
   ThreadPool& pool_;

@@ -174,14 +174,20 @@ TEST(HdcClassifier, ScoreValidation) {
   EXPECT_THROW(clf.scan(q, {true, true}), std::invalid_argument);
   EXPECT_THROW(clf.scan(q, {false, false, false, false}),
                std::invalid_argument);
-  // The batch checks the same mask and every query before scoring any.
-  const hdc::IntHV* rows[] = {&q, &bad};
-  EXPECT_THROW(clf.scan_batch(rows, clf.prefix_mask(256), NormMode::kUpdated,
-                              global_pool()),
+  // The table scan checks the same mask, the table's dims and every row
+  // index before scoring any.
+  const hdc::QueryBatch table(std::span(&q, 1), 256);
+  const hdc::QueryBatch narrow(std::span(&q, 1), 128);
+  const std::size_t rows[] = {0, 1};
+  EXPECT_THROW(clf.scan_batch(table, {rows, 1}, {true, true},
+                              NormMode::kUpdated, global_pool()),
                std::invalid_argument);
-  EXPECT_THROW(clf.scan_batch({rows, 1}, {true, true}, NormMode::kUpdated,
-                              global_pool()),
+  EXPECT_THROW(clf.scan_batch(narrow, {rows, 1}, clf.prefix_mask(128),
+                              NormMode::kUpdated, global_pool()),
                std::invalid_argument);
+  EXPECT_THROW(clf.scan_batch(table, rows, clf.prefix_mask(256),
+                              NormMode::kUpdated, global_pool()),
+               std::out_of_range);
 }
 
 // A label outside [0, num_classes) must be rejected before any class

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "golden.h"
 #include "hdc/hypervector.h"
 #include "hdc/kernels.h"
+#include "hdc/query_batch.h"
 #include "kernel_backends.h"
 #include "model/hdc_classifier.h"
 
@@ -122,10 +124,12 @@ std::string render_model(const HdcClassifier& clf,
       {"mask=holes", holes},
       {"mask=single", single},
   };
-  std::vector<const hdc::IntHV*> rows;
-  for (const auto& q : queries) rows.push_back(&q);
+  const hdc::QueryBatch table(queries, clf.dims());
+  std::vector<std::size_t> rows(table.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
   for (const auto& [name, mask] : masks)
-    render(out, name, clf.scan_batch(rows, mask, NormMode::kUpdated, pool));
+    render(out, name,
+           clf.scan_batch(table, rows, mask, NormMode::kUpdated, pool));
   return out;
 }
 

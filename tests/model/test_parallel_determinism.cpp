@@ -1,10 +1,11 @@
 // Lane-invariance suite for the learning and inference engine: every
 // pooled entry point — encode_batch, train_batch, retrain_epoch_parallel,
-// fit_parallel, predict_batch, the masked margin batch, HdcCluster::fit
-// and labels, and run_hdc_classification — must produce BYTE-IDENTICAL
-// models and predictions for every pool width, including pools far wider
-// than the machine (threads ∈ {1, 2, 7, 16} on a possibly single-core
-// host), and must equal a small test-local reference written from the
+// fit_parallel, predict_batch, the masked margin batch, the table
+// scan_batch, HdcCluster::fit and labels, and run_hdc_classification —
+// must produce BYTE-IDENTICAL models and predictions for every pool
+// width, including pools far wider than the machine (threads ∈ {1, 2,
+// 7, 16} on a possibly single-core host; the table scan runs at 1, 2
+// and 4), and must equal a small test-local reference written from the
 // paper's description rather than from the engine's code: per-sample
 // encode(), one-shot training as a plain per-class hdc::add_into sum, a
 // retraining epoch as a predict + move_sample loop in sample order,
@@ -21,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -477,6 +479,81 @@ TEST_P(ParallelDeterminismTest, PredictMaskedBatchMatchesSerial) {
   }
 }
 
+TEST_P(ParallelDeterminismTest, TableScanOfGatheredRowsMatchesScan) {
+  // The serving flush: rows of a table packed once, gathered by index in
+  // any order and with repeats, scored at every ladder rung with and
+  // without dead chunks, both norm modes, under scalar and the active
+  // backend, at 1, 2 and 4 lanes. Each must be the per-query scan().
+  const auto ds = dataset();
+  enc::GenericEncoder encoder(small_config(GetParam()));
+  encoder.fit(ds.train_x);
+  const auto train = reference_encode(encoder, ds.train_x);
+  const auto test = reference_encode(encoder, ds.test_x);
+  HdcClassifier clf(512, ds.num_classes);
+  clf.fit_parallel(train, ds.train_y, 5, global_pool());
+  const hdc::QueryBatch table(test, 512);
+  // GENERIC encodings pack to int8: the tile reads the narrow rows.
+  ASSERT_EQ(table.width(), hdc::kernels::QueryWidth::kInt8);
+
+  // Out of order (a stride through the table), repeats (every row twice,
+  // the first row again at the end), and more rows than one 32-row block.
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < 2 * test.size(); ++i)
+    rows.push_back(i * 7 % test.size());
+  rows.push_back(test.size() - 1);
+  rows.push_back(0);
+  rows.push_back(0);
+
+  std::vector<std::vector<bool>> masks;
+  for (const std::vector<bool>& ok :
+       {std::vector<bool>{}, std::vector<bool>{true, false, true, false}})
+    for (const std::size_t dims : {512ul, 256ul, 128ul})
+      masks.push_back(clf.prefix_mask(dims, ok));
+
+  test::BackendGuard guard;
+  const hdc::kernels::Backend active = hdc::kernels::active_backend();
+  for (const hdc::kernels::Backend b :
+       {hdc::kernels::Backend::kScalar, active}) {
+    for (const std::vector<bool>& mask : masks) {
+      for (const NormMode mode : {NormMode::kUpdated, NormMode::kConstant}) {
+        hdc::kernels::set_backend(hdc::kernels::Backend::kScalar);
+        std::vector<Prediction> want;
+        for (const std::size_t r : rows)
+          want.push_back(clf.scan(test[r], mask, mode));
+        hdc::kernels::set_backend(b);
+        for (const std::size_t lanes : {1ul, 2ul, 4ul}) {
+          ThreadPool pool(lanes);
+          const std::vector<Prediction> got =
+              clf.scan_batch(table, rows, mask, mode, pool);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            const std::string where =
+                std::string(hdc::kernels::to_string(b)) +
+                " lanes=" + std::to_string(lanes) +
+                " chunks=" + std::to_string(std::count(
+                                 mask.begin(), mask.end(), true)) +
+                (mode == NormMode::kUpdated ? " updated" : " constant") +
+                " i=" + std::to_string(i);
+            EXPECT_EQ(got[i].cls, want[i].cls) << where;
+            EXPECT_EQ(got[i].margin, want[i].margin) << where;
+          }
+        }
+      }
+    }
+  }
+
+  // A row past the table, and a table packed at other dims, throw before
+  // anything is scored.
+  const std::vector<std::size_t> past = {0, test.size()};
+  EXPECT_THROW(clf.scan_batch(table, past, masks[0], NormMode::kUpdated,
+                              global_pool()),
+               std::out_of_range);
+  const hdc::QueryBatch short_table(test, 256);
+  EXPECT_THROW(clf.scan_batch(short_table, rows, clf.prefix_mask(256),
+                              NormMode::kUpdated, global_pool()),
+               std::invalid_argument);
+}
+
 TEST_P(ParallelDeterminismTest, ClusteringMatchesReferenceAtEveryLaneCount) {
   const auto ds = dataset();
   enc::GenericEncoder encoder(small_config(GetParam()));
@@ -694,8 +771,8 @@ TEST(RetrainBlockEdges, BlocksPackedAtDifferentWidthsMatchReference) {
         << "block at " << begin;
   const hdc::QueryBatch batch(e.samples, kEdgeDims);
   ASSERT_EQ(batch.width(), QueryWidth::kInt32);
-  std::vector<const hdc::IntHV*> rows;
-  for (const auto& x : e.samples) rows.push_back(&x);
+  std::vector<std::size_t> rows(batch.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
 
   test::BackendGuard guard;
   hdc::kernels::set_backend(hdc::kernels::Backend::kScalar);
@@ -728,13 +805,17 @@ TEST(RetrainBlockEdges, BlocksPackedAtDifferentWidthsMatchReference) {
         EXPECT_EQ(epoch(), second) << where;
         expect_models_identical(ref, m, "mixed widths", lanes);
         EXPECT_EQ(m.predict_batch(e.samples, pool), ref_predictions) << where;
-        const std::vector<Prediction> scans =
-            m.scan_batch(rows, mask, NormMode::kUpdated, pool);
-        ASSERT_EQ(scans.size(), ref_scans.size());
-        for (std::size_t i = 0; i < scans.size(); ++i) {
-          EXPECT_EQ(scans[i].cls, ref_scans[i].cls) << where << " i=" << i;
-          EXPECT_EQ(scans[i].margin, ref_scans[i].margin)
-              << where << " i=" << i;
+        // The IntHV scan packs each block; the table scan reads the
+        // whole-set batch.
+        for (const std::vector<Prediction>& scans :
+             {m.predict_masked_margin_batch(e.samples, mask, pool),
+              m.scan_batch(batch, rows, mask, NormMode::kUpdated, pool)}) {
+          ASSERT_EQ(scans.size(), ref_scans.size());
+          for (std::size_t i = 0; i < scans.size(); ++i) {
+            EXPECT_EQ(scans[i].cls, ref_scans[i].cls) << where << " i=" << i;
+            EXPECT_EQ(scans[i].margin, ref_scans[i].margin)
+                << where << " i=" << i;
+          }
         }
       }
     }

@@ -433,6 +433,60 @@ TEST(ServeEngineTest, MismatchedSwapThrowsOnTheCaller) {
   }
 }
 
+// The engine packs its query table once, so a row that is not exactly
+// model.dims() long is rejected up front rather than at a flush: a short
+// row could not be scored, and a long one would be packed by its prefix.
+TEST(ServeEngineTest, RejectsQueryRowsNotModelDimsLong) {
+  const TinyWorkload w = make_workload(8);
+  ThreadPool pool(1);
+  const ServeConfig cfg = base_config();
+  for (const std::size_t len : {w.clf.dims() - 1, w.clf.dims() + 1}) {
+    std::vector<hdc::IntHV> queries = w.queries;
+    queries[5].resize(len, 1);
+    EXPECT_THROW(ServeEngine(w.clf, queries, w.labels, cfg, pool),
+                 std::invalid_argument)
+        << "row length " << len;
+  }
+}
+
+TEST(ServeEngineTest, SwapToALongerRowThrowsBeforeFlushing) {
+  const TinyWorkload w = make_workload(8);
+  ThreadPool pool(1);
+  const ServeConfig cfg = base_config();
+  ScriptedEncoderFaults::Entry entry;
+  entry.meta.phase = EncoderUpdate::Phase::kScrub;
+  entry.meta.vt = 1500;
+  entry.table = w.queries;
+  entry.table[3].push_back(0);
+  ScriptedEncoderFaults enc({entry});
+  ServeEngine engine(w.clf, w.queries, w.labels, cfg, pool, {}, nullptr,
+                     &enc);
+  const ResponseFuture f =
+      engine.submit(make_request(0, 1000, cfg.deadline_us, 0));
+  // Request 0 completes at 2000 and waits in its rung's batch; the swap
+  // polled at the second arrival is rejected before that batch is flushed.
+  EXPECT_THROW((void)engine.submit(make_request(1, 2000, cfg.deadline_us, 1)),
+               std::invalid_argument);
+  EXPECT_FALSE(f.try_get().has_value());
+}
+
+TEST(ServeEngineTest, RejectsARequestPastTheQueryTable) {
+  const TinyWorkload w = make_workload(4);
+  ThreadPool pool(1);
+  const ServeConfig cfg = base_config();
+  ServeEngine engine(w.clf, w.queries, w.labels, cfg, pool);
+  EXPECT_THROW((void)engine.submit(make_request(0, 100, cfg.deadline_us, 4)),
+               std::out_of_range);
+  // Nothing was admitted: the engine serves the next request as usual.
+  const ResponseFuture f =
+      engine.submit(make_request(1, 200, cfg.deadline_us, 3));
+  const ServeReport rep = engine.finish();
+  EXPECT_EQ(rep.requests, 1u);
+  EXPECT_EQ(rep.served, 1u);
+  ASSERT_TRUE(f.try_get().has_value());
+  EXPECT_EQ(f.try_get()->predicted, w.clf.predict(w.queries[3]));
+}
+
 TEST(ServeEngineTest, SubmitAfterFinishResolvesShed) {
   const TinyWorkload w = make_workload(4);
   ThreadPool pool(1);
