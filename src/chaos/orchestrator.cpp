@@ -322,22 +322,12 @@ ChaosReport run_edge(const ScenarioSpec& spec, const RunOptions& opt,
         swap_vt = s.vt;
         have_swap = true;
       }
-    std::uint64_t total = 0, correct = 0;
-    if (have_swap) {
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        if (i % spec.canary_every != 0) continue;
-        if (arrivals[i] < swap_vt ||
-            arrivals[i] >= swap_vt + spec.invariants.recovery_window_us)
-          continue;
-        const auto r = futures[i].try_get();
-        if (!r.has_value() || !served_outcome(r->outcome)) continue;
-        ++total;
-        if (r->predicted == labels[i]) ++correct;
-      }
-    }
+    std::uint64_t total = 0;
     const double recovered =
-        total == 0 ? 0.0
-                   : static_cast<double>(correct) / static_cast<double>(total);
+        have_swap ? window_canary_acc(
+                        swap_vt, swap_vt + spec.invariants.recovery_window_us,
+                        total)
+                  : 0.0;
     check("accuracy_recovery", true, recovered,
           spec.invariants.recovery_accuracy,
           have_swap && total > 0 &&

@@ -183,40 +183,36 @@ std::optional<serve::ResponseFuture> FleetEngine::route(const Send& s,
   ++tenant_tally_[s.tenant].requests;
   ++model_tally_[s.model].requests;
 
+  // Gates 1 and 2 reject the same way; they differ in status and trace.
+  auto reject = [&](FleetStatus status, rtrace::EventKind kind,
+                    std::size_t detail) {
+    rej = FleetResponse{};
+    rej.id = s.id;
+    rej.status = status;
+    rej.finish_us = s.send_us;
+    rtrace::record(kind, s.send_us, s.id, 0, prio,
+                   static_cast<std::int64_t>(detail));
+    tally(tenant_tally_[s.tenant], status, false, false, 0);
+    tally(model_tally_[s.model], status, false, false, 0);
+    ++report_.statuses[static_cast<std::size_t>(status)];
+    if (auto a = burn_.observe(s.send_us, false)) report_.slo_alerts.push_back(*a);
+    return std::nullopt;
+  };
+
   // Gate 1: tenant token bucket (integer micro-tokens).
   const std::uint64_t delta_us = s.send_us - t.last_refill_us;
   t.last_refill_us = s.send_us;
   t.tokens_micro = std::min(t.cap_micro, t.tokens_micro + delta_us * t.quota_rps);
-  if (t.tokens_micro < 1000000ull) {
-    rej = FleetResponse{};
-    rej.id = s.id;
-    rej.status = FleetStatus::kQuotaRejected;
-    rej.finish_us = s.send_us;
-    rtrace::record(rtrace::EventKind::kFleetQuota, s.send_us, s.id, 0, prio,
-                   static_cast<std::int64_t>(s.tenant));
-    tally(tenant_tally_[s.tenant], rej.status, false, false, 0);
-    tally(model_tally_[s.model], rej.status, false, false, 0);
-    ++report_.statuses[static_cast<std::size_t>(rej.status)];
-    if (auto a = burn_.observe(s.send_us, false)) report_.slo_alerts.push_back(*a);
-    return std::nullopt;
-  }
+  if (t.tokens_micro < 1000000ull)
+    return reject(FleetStatus::kQuotaRejected, rtrace::EventKind::kFleetQuota,
+                  s.tenant);
 
   // Gate 2: weighted shedding on the projected model backlog.
   const std::uint64_t backlog_start = std::max(m.busy_until_us, s.send_us);
   const std::uint64_t projected_delay = backlog_start - s.send_us;
-  if (projected_delay > cfg_.shed_budget_us[prio]) {
-    rej = FleetResponse{};
-    rej.id = s.id;
-    rej.status = FleetStatus::kPriorityShed;
-    rej.finish_us = s.send_us;
-    rtrace::record(rtrace::EventKind::kFleetShed, s.send_us, s.id, 0, prio,
-                   static_cast<std::int64_t>(s.model));
-    tally(tenant_tally_[s.tenant], rej.status, false, false, 0);
-    tally(model_tally_[s.model], rej.status, false, false, 0);
-    ++report_.statuses[static_cast<std::size_t>(rej.status)];
-    if (auto a = burn_.observe(s.send_us, false)) report_.slo_alerts.push_back(*a);
-    return std::nullopt;
-  }
+  if (projected_delay > cfg_.shed_budget_us[prio])
+    return reject(FleetStatus::kPriorityShed, rtrace::EventKind::kFleetShed,
+                  s.model);
 
   // Gate 3: admit into the model engine.
   t.tokens_micro -= 1000000ull;

@@ -8,8 +8,8 @@
 // use (§3.3) and what a CPU/MCU deployment of a GENERIC model would ship.
 //
 // BinaryModel converts a trained HdcClassifier into packed sign vectors
-// and serves predictions ~an order of magnitude faster than the int32
-// path (see bench/micro_hdc). Norms are constant across classes (every
+// and serves predictions through hdc::nearest_hamming, whose throughput
+// bench/kernels gauges per backend. Norms are constant across classes (every
 // sign vector has ||C||^2 = D), so the cosine argmax reduces to a plain
 // max-dot — no divider at all.
 //
