@@ -154,7 +154,7 @@ class Flags {
   std::set<std::string> requested_;
 };
 
-/// Consume --kernel-backend=<auto|scalar|avx2|avx512|neon> and force the
+/// Consume --kernel-backend=<auto|scalar|avx2|avx512|amx|neon> and force the
 /// XOR+popcount kernel backend (hdc/kernels.h) before any hypervector work
 /// runs. GENERIC_KERNEL_BACKEND sets the same thing from the environment;
 /// the flag wins because it resolves first. Unknown or uncompiled backends

@@ -12,8 +12,10 @@
 //                        call packs the int32 queries' rung prefix into an
 //                        hdc::QueryBatch and tiles its view, as the
 //                        classifier's IntHV entries do. The classes' int16
-//                        copy is stored once before timing, as
-//                        HdcClassifier keeps it, so no call packs classes
+//                        copy and AMX operand are stored once before
+//                        timing, as HdcClassifier keeps them, so no call
+//                        packs classes. A last column is the full rung's
+//                        time over the next rung's (4096/2048 by default)
 //   * dot_tile table   — the same tile over 32 gathered rows of a 780-row
 //                        query table packed once at `--dims`: the serving
 //                        engine's flush, which packs nothing
@@ -126,8 +128,8 @@ void set_gauge(const std::string& name, double v) {
 /// Serving-shaped int32 operands for the dot tile: queries and classes at
 /// the magnitudes a trained ISOLET-sized model holds (|q| <= 60, |c| <=
 /// 3000), so the queries pack to int8 and backends take the narrow path
-/// the serving engine takes. The classes' int16 copy and bound are stored
-/// up front, like HdcClassifier's. `table` is a serving engine's query
+/// the serving engine takes. The classes' int16 copy, AMX operand and
+/// bound are stored up front, like HdcClassifier's. `table` is a serving engine's query
 /// table (780 rows, the size of ISOLET's test set, packed once at full
 /// dims) and `gathered` the 32 rows of it one flush scores.
 struct TileWorkload {
@@ -141,9 +143,11 @@ struct TileWorkload {
   std::vector<std::vector<std::int16_t>> classes16;
   std::vector<const std::int32_t*> class_rows;
   std::vector<const std::int16_t*> class16_rows;
+  k::AmxOperand amx;
   std::int64_t max_abs = 0;
   k::ClassRows class_side() const {
-    return {class_rows.data(), kClasses, class16_rows.data(), max_abs};
+    return {class_rows.data(), kClasses, class16_rows.data(), max_abs,
+            amx.data()};
   }
 };
 
@@ -166,6 +170,9 @@ TileWorkload make_tile_workload(std::size_t dims) {
       w.max_abs = std::max<std::int64_t>(w.max_abs, v < 0 ? -v : v);
   }
   for (const auto& c : w.classes16) w.class16_rows.push_back(c.data());
+  w.amx = k::AmxOperand(TileWorkload::kClasses, dims);
+  for (std::size_t c = 0; c < TileWorkload::kClasses; ++c)
+    w.amx.set_row(c, w.classes[c]);
   std::vector<hdc::IntHV> table;
   fill(table, TileWorkload::kTableRows, 60);
   w.table = hdc::QueryBatch(table, dims);
@@ -361,8 +368,11 @@ int main(int argc, char** argv) {
               TileWorkload::kTableRows);
   std::printf("%-8s %-20s", "backend", "path");
   for (std::size_t rung : rungs) std::printf(" %10zu", rung);
+  // ROADMAP item 7's roofline check: the full-dims rung over the next.
+  const bool ratio = rungs.size() >= 2;
+  if (ratio) std::printf(" %10s", "d/(d/2)");
   std::printf("\n");
-  bench::print_rule(30 + 11 * rungs.size());
+  bench::print_rule(30 + 11 * (rungs.size() + (ratio ? 1 : 0)));
   for (k::Backend backend : k::compiled_backends()) {
     if (!k::available(backend)) continue;
     const k::Kernels& table = k::get(backend);
@@ -370,6 +380,7 @@ int main(int argc, char** argv) {
     std::vector<std::int64_t> got(tile_out);
     for (TilePath& path : paths) {
       std::printf("%-8s %-20s", name.c_str(), path.label);
+      std::vector<double> row_ns(rungs.size());
       for (std::size_t r = 0; r < rungs.size(); ++r) {
         path.run(table, rungs[r], got.data());
         if (got != path.want[r]) {
@@ -384,11 +395,13 @@ int main(int argc, char** argv) {
         if (backend == k::Backend::kScalar) path.scalar_ns[r] = ns;
         const double speedup = ns > 0 ? path.scalar_ns[r] / ns : 0;
         std::printf(" %10.0f", ns);
+        row_ns[r] = ns;
         const std::string prefix = "kernels." + name + "." + path.gauge;
         const std::string dims_tag = "." + std::to_string(rungs[r]);
         set_gauge(prefix + "_ns_per_query" + dims_tag, ns);
         set_gauge(prefix + "_speedup_milli" + dims_tag, speedup * 1000.0);
       }
+      if (ratio) std::printf(" %10.2f", row_ns[1] > 0 ? row_ns[0] / row_ns[1] : 0);
       std::printf("\n");
     }
   }

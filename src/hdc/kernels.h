@@ -21,6 +21,12 @@
 //           lanes with vpdpwssd fusing the int16 multiply-add, and the
 //           same bit-sliced window bundle with vpshldvq funnel shifts and
 //           vpternlogq adders (x86 + VPOPCNTDQ + BW + VBMI2 + VNNI)
+//   amx     avx512's popcount and window bundle; a dot tile that scores
+//           blocks of int8 query rows with AMX tile multiplies against a
+//           hi/lo int8 split of the class rows (AmxOperand), exact under
+//           an int32 bound, and hands every other call to avx512's tile
+//           (x86 + the avx512 features + AMX-TILE + AMX-INT8 + the
+//           kernel's tile-data permission)
 //   neon    vcnt + widening pairwise accumulation (aarch64); scalar tile
 //           and scalar window bundle
 //
@@ -39,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -48,6 +55,7 @@ enum class Backend {
   kScalar,
   kAvx2,
   kAvx512,
+  kAmx,
   kNeon,
 };
 
@@ -59,18 +67,84 @@ struct DimRun {
 };
 
 /// The class side of a dot tile: `n` int32 rows, the values the tile is
-/// exact for, and optionally the same rows stored as int16. When `rows16`
-/// is set, `max_abs` must bound |v| over every value of `rows` the runs
-/// cover, and whenever max_abs <= 32767, rows16[c][j] == rows[c][j] at
-/// every covered j (the rows share offsets). The caller keeps that copy
-/// (HdcClassifier refreshes it on every class-memory write); the scalar
-/// reference never reads it, so a stale copy shows up as a mismatch
-/// against scalar.
+/// exact for, and optionally the same rows stored as int16 and as an
+/// AmxOperand's data(). When `rows16` or `amx` is set, `max_abs` must
+/// bound |v| over every value of `rows` the runs cover, and whenever
+/// max_abs <= 32767, rows16[c][j] == rows[c][j] at every covered j (the
+/// rows share offsets) and `amx` holds the same n rows. The caller keeps
+/// those copies (HdcClassifier refreshes them on every class-memory
+/// write); the scalar reference never reads them, so a stale copy shows
+/// up as a mismatch against scalar.
 struct ClassRows {
   const std::int32_t* const* rows = nullptr;
   std::size_t n = 0;
   const std::int16_t* const* rows16 = nullptr;
   std::int64_t max_abs = 0;
+  const std::int8_t* amx = nullptr;
+};
+
+/// The class side of the amx dot tile (docs/kernels.md, "The dot tile"):
+/// `n` rows of `dims` values, each value c split into hi = c >> 8 (int8)
+/// and lo = c & 0xFF (uint8), so c == 256 * hi + lo whenever |c| <= 32767.
+/// Stored in the VNNI layout of an AMX B tile: for each 64-dim step and
+/// each group of 16 classes, one 1 KB tile of hi then one of lo, where
+/// dims 4r..4r+3 of the group's class k are bytes 4k..4k+3 of the tile's
+/// 64-byte row r. Steps are outermost, so a step's tiles are adjacent;
+/// the classes past n and the dims past `dims` are zero. This is the one
+/// builder of that layout: HdcClassifier keeps one per model, and tests
+/// and benches build theirs with it.
+class AmxOperand {
+ public:
+  /// Dims per step and classes per group: the K and N of one B tile.
+  static constexpr std::size_t kStep = 64;
+  static constexpr std::size_t kGroup = 16;
+  /// Bytes of one B tile: 16 rows of 64.
+  static constexpr std::size_t kTileBytes = 1024;
+
+  /// Byte offset of the hi tile of 64-dim step `step` and class group
+  /// `group` in an operand of `groups` groups; its lo tile follows it.
+  static constexpr std::size_t tile_offset(std::size_t step,
+                                           std::size_t group,
+                                           std::size_t groups) {
+    return (step * groups + group) * 2 * kTileBytes;
+  }
+
+  AmxOperand() = default;
+  /// `n` rows of `dims` values, all zero.
+  AmxOperand(std::size_t n, std::size_t dims);
+  /// A copy finds its own 64-byte boundary in its own buffer; a move keeps
+  /// the buffer and so the boundary.
+  AmxOperand(const AmxOperand& other);
+  AmxOperand& operator=(const AmxOperand& other);
+  AmxOperand(AmxOperand&&) noexcept = default;
+  AmxOperand& operator=(AmxOperand&&) noexcept = default;
+
+  /// Store row `c` from its `dims` int32 values; std::invalid_argument for
+  /// c >= n or a row of another length. A value outside int16 leaves
+  /// bytes that are not its split; the tile reads the copy only while
+  /// ClassRows::max_abs <= 32767 rules such a value out.
+  void set_row(std::size_t c, std::span<const std::int32_t> row);
+
+  bool empty() const { return buf_.empty(); }
+  /// The operand ClassRows::amx points at, on a 64-byte boundary; nullptr
+  /// when empty().
+  const std::int8_t* data() const {
+    return empty() ? nullptr : buf_.data() + offset_;
+  }
+
+  /// Same shape and same bytes.
+  friend bool operator==(const AmxOperand& a, const AmxOperand& b);
+
+ private:
+  /// A plain allocation aligned by hand, as QueryBatch's rows are: an
+  /// over-aligned new's padded blocks raised learn_rounds' peak RSS by
+  /// ~1 MB, and an unaligned operand splits every tile row over two cache
+  /// lines (the amx tile ran ~1.5x slower).
+  std::vector<std::int8_t> buf_;
+  std::size_t offset_ = 0;  ///< of the operand's first byte in buf_
+  std::size_t bytes_ = 0;   ///< operand bytes from data()
+  std::size_t n_ = 0;
+  std::size_t dims_ = 0;
 };
 
 /// Bytes per element of a dot tile's query rows.
@@ -124,9 +198,10 @@ struct Kernels {
   /// query rows × `nc` = classes.n class rows. Exact for any int32
   /// operands — the true sum whenever it fits in int64, the scalar
   /// reference's two's-complement wrap when it does not. A backend may
-  /// score classes.rows16 instead only for a narrow view whose bound and
-  /// classes.max_abs prove the int16 sums exact (docs/kernels.md);
-  /// otherwise, and for every int32 view, it reads the int32 class rows.
+  /// score classes.rows16 or classes.amx instead only for a narrow view
+  /// whose bound and classes.max_abs prove those sums exact
+  /// (docs/kernels.md); otherwise, and for every int32 view, it reads the
+  /// int32 class rows.
   void (*dot_tile)(const QueryRows& queries, std::size_t nq,
                    const ClassRows& classes, const DimRun* runs,
                    std::size_t nruns, std::int64_t* out) = nullptr;
@@ -148,7 +223,7 @@ struct Kernels {
                          std::int32_t* acc) = nullptr;
 };
 
-/// Canonical lower-case name: "scalar", "avx2", "avx512", "neon".
+/// Canonical lower-case name: "scalar", "avx2", "avx512", "amx", "neon".
 std::string_view to_string(Backend backend);
 
 /// Parse a backend name (as spelled by to_string). "auto" is not a backend;
@@ -159,12 +234,14 @@ std::optional<Backend> parse_backend(std::string_view name);
 std::vector<Backend> compiled_backends();
 
 /// True when the running CPU can execute `backend` (kScalar always can).
+/// For kAmx this includes the kernel's permission to use tile data,
+/// requested once per process on the first call that asks.
 bool cpu_supports(Backend backend);
 
 /// Compiled in AND supported by the running CPU.
 bool available(Backend backend);
 
-/// The best available backend: avx512 > avx2 > neon > scalar.
+/// The best available backend: amx > avx512 > avx2 > neon > scalar.
 Backend best_available();
 
 /// Dispatch table of an explicit backend; throws std::invalid_argument when
@@ -173,7 +250,7 @@ const Kernels& get(Backend backend);
 
 /// The process-wide active dispatch table the hdc/ops kernels call through.
 /// First use resolves GENERIC_KERNEL_BACKEND ("auto", "scalar", "avx2",
-/// "avx512", "neon"; unset == "auto"); an unknown or unavailable value
+/// "avx512", "amx", "neon"; unset == "auto"); an unknown or unavailable value
 /// throws so a forced CI leg can never silently run the wrong kernels.
 const Kernels& active();
 
@@ -188,5 +265,10 @@ void set_backend(Backend backend);
 /// Set from a CLI/env spelling, accepting "auto". Throws on unknown or
 /// unavailable names with a message listing the available backends.
 void set_backend_from_string(std::string_view name);
+
+/// Process-wide count of amx dot_tile calls scored with tile multiplies
+/// rather than handed to avx512's tile: how tests see that a caller's
+/// blocks reach the AMX path.
+std::uint64_t amx_tile_calls();
 
 }  // namespace generic::hdc::kernels

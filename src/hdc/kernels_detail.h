@@ -6,6 +6,7 @@
 // compiled in (GENERIC_KERNELS_HAVE_*).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -42,6 +43,14 @@ const Kernels& avx2_table();
 #if defined(GENERIC_KERNELS_HAVE_AVX512)
 const Kernels& avx512_table();
 #endif
+
+#if defined(GENERIC_KERNELS_HAVE_AMX)
+const Kernels& amx_table();
+#endif
+
+/// amx_tile_calls()'s count, bumped by the amx tile on every call it
+/// scores with tile multiplies.
+extern std::atomic<std::uint64_t> amx_calls;
 
 #if defined(GENERIC_KERNELS_HAVE_NEON)
 const Kernels& neon_table();

@@ -26,10 +26,12 @@
 // (kQueryBlock x kClassBlock accumulators per pass, so every class load
 // serves several queries). Both sides are read at the runs' own offsets,
 // so a prefix rung or a dead-chunk mask reads only the dims it covers; a
-// run end off the vector width is finished one product at a time. The
+// run end off the vector width is finished one product at a time. This
 // tile keeps no scratch: the class rows' int16 copy is the caller's, kept
 // exact on every write to class memory, and query rows of every width are
-// read in place.
+// read in place. (The amx backend's tile, kernels_amx.cpp, is not written
+// over these ops: it gathers int8 query steps into a 1 KB stack buffer
+// for its tile loads, and sends every call it does not take here.)
 //
 // Everything below has internal linkage on purpose: each ISA translation
 // unit compiles its own copy under its own flags, so a copy built for a

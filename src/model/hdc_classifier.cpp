@@ -71,6 +71,7 @@ struct HdcClassifier::Scoring {
   std::vector<const std::int32_t*> classes;
   std::vector<const std::int16_t*> narrow;  ///< the rows' int16 copies
   std::int64_t max_abs = 0;                 ///< max |c| over every row
+  const std::int8_t* amx = nullptr;         ///< the rows' AMX operand
   NormMode mode = NormMode::kUpdated;
   std::size_t chunk = 0;
 
@@ -94,7 +95,8 @@ struct HdcClassifier::Scoring {
   void dot(const hdc::kernels::QueryRows& queries, std::size_t n,
            std::int64_t* out) const {
     hdc::kernels::active().dot_tile(
-        queries, n, {classes.data(), classes.size(), narrow.data(), max_abs},
+        queries, n,
+        {classes.data(), classes.size(), narrow.data(), max_abs, amx},
         runs.data(), runs.size(), out);
   }
 
@@ -120,6 +122,8 @@ HdcClassifier::HdcClassifier(std::size_t dims, std::size_t num_classes,
   classes_.assign(num_classes, hdc::IntHV(dims, 0));
   narrow_.assign(num_classes * dims, 0);
   narrow_max_.assign(num_classes, 0);
+  if (hdc::kernels::available(hdc::kernels::Backend::kAmx))
+    amx_ = hdc::kernels::AmxOperand(num_classes, dims);
   chunk_norms_.assign(num_classes, std::vector<std::int64_t>(num_chunks_, 0));
 }
 
@@ -238,7 +242,7 @@ std::size_t HdcClassifier::retrain_walk(const hdc::QueryBatch* packed,
       const std::size_t moved[2] = {static_cast<std::size_t>(pred),
                                     static_cast<std::size_t>(label)};
       for (std::size_t c : moved) s.set_norm(c, chunk_norms_[c]);
-      // A stale bound could let the tile read a row's int16 copy after the
+      // A stale bound could let a tile read a row's narrow copies after the
       // update pushed it past 32767.
       s.max_abs = class_max_abs();
       const std::size_t rest = n - k - 1;
@@ -324,6 +328,7 @@ void HdcClassifier::refresh_narrow(std::size_t c) {
   }
   narrow_max_[c] = std::max(-static_cast<std::int64_t>(lo),
                             static_cast<std::int64_t>(hi));
+  if (!amx_.empty()) amx_.set_row(c, classes_[c]);
 }
 
 void HdcClassifier::recompute_norms() {
@@ -386,6 +391,7 @@ HdcClassifier::Scoring HdcClassifier::prepare(
   s.classes.resize(num_classes_);
   s.narrow.resize(num_classes_);
   s.max_abs = class_max_abs();
+  s.amx = amx_.data();
   for (std::size_t c = 0; c < num_classes_; ++c) {
     s.set_norm(c, chunk_norms_[c]);
     s.classes[c] = classes_[c].data();

@@ -23,13 +23,14 @@
 // models, scrubbing, deserialization, clustering). The int32 rows
 // are the source of truth — serialization, class_vector() and the scalar
 // kernel read only them. Every write also refreshes an int16 copy of the
-// rows it touched and each row's exact max |c|, so that copy is ALWAYS
-// exact: the SIMD dot tile scores it whenever max|q| and max|c| prove the
-// int16 sums exact, and falls back to the int32 rows otherwise (a fault
-// that pushes a value past 32767 costs speed, never exactness). Norms are
-// different: only training, move_sample and quantize() refresh them;
-// everything else calls recompute_norms() explicitly, and fault injection
-// leaves them stale on purpose (below).
+// rows it touched, each row's exact max |c| and, where the amx backend is
+// available, the rows' AMX operand (hdc::kernels::AmxOperand), so those
+// copies are ALWAYS exact: the SIMD dot tiles score them whenever max|q|
+// and max|c| prove the narrow sums exact, and fall back to the int32 rows
+// otherwise (a fault that pushes a value past 32767 costs speed, never
+// exactness). Norms are different: only training, move_sample and
+// quantize() refresh them; everything else calls recompute_norms()
+// explicitly, and fault injection leaves them stale on purpose (below).
 //
 // The model mirrors three ASIC features:
 //  * sub-norms — the norm2 memory stores the squared L2 norm of every
@@ -51,6 +52,7 @@
 
 #include "common/thread_pool.h"
 #include "hdc/hypervector.h"
+#include "hdc/kernels.h"
 #include "hdc/query_batch.h"
 
 namespace generic::model {
@@ -180,12 +182,12 @@ class HdcClassifier {
   const hdc::IntHV& class_vector(std::size_t c) const { return classes_.at(c); }
 
   /// Replace class `c`'s row with `row` (dims() elements). Refreshes the
-  /// row's int16 copy; norms are left for recompute_norms().
+  /// row's narrow copies; norms are left for recompute_norms().
   void set_class_vector(std::size_t c, hdc::IntHV row);
 
   /// Rewrite class `c`'s row in place: `edit` is called with a
-  /// std::span<std::int32_t> over its dims() values, then the row's int16
-  /// copy is refreshed. Norms are left for recompute_norms().
+  /// std::span<std::int32_t> over its dims() values, then the row's narrow
+  /// copies are refreshed. Norms are left for recompute_norms().
   template <typename Edit>
   void edit_class_vector(std::size_t c, Edit&& edit) {
     edit(std::span<std::int32_t>(classes_.at(c)));
@@ -193,7 +195,7 @@ class HdcClassifier {
   }
 
   /// The retraining update: subtract `encoded` from class `from`, add it
-  /// to class `to`, and refresh both classes' norms and int16 copies.
+  /// to class `to`, and refresh both classes' norms and narrow copies.
   /// Throws std::out_of_range for a class outside [0, num_classes()) and
   /// std::invalid_argument for a row that is not dims() long, before
   /// writing anything.
@@ -207,6 +209,10 @@ class HdcClassifier {
   /// scored under (exact, so it shrinks when a large value is written
   /// back down).
   std::int64_t class_max_abs() const;
+
+  /// The class rows as the amx dot tile reads them, kept exact beside the
+  /// int16 copy; empty where the amx backend is unavailable.
+  const hdc::kernels::AmxOperand& amx_operand() const { return amx_; }
 
   /// Record the bit-width of externally provided (already quantized) class
   /// values — used by model deserialization; quantize() is the normal path.
@@ -268,8 +274,9 @@ class HdcClassifier {
   /// moved a sample between.
   void refresh_moved(int from, int to);
 
-  /// Refresh the int16 copy and max |c| of class `c` (or of every class)
-  /// from its int32 row; called after every write to class memory.
+  /// Refresh the int16 copy, max |c| and AMX operand row of class `c`
+  /// (or of every class) from its int32 row; called after every write to
+  /// class memory.
   void refresh_narrow(std::size_t c);
   void refresh_narrow();
 
@@ -290,6 +297,7 @@ class HdcClassifier {
   /// max |c|: exact after every write (see header).
   std::vector<std::int16_t> narrow_;
   std::vector<std::int64_t> narrow_max_;
+  hdc::kernels::AmxOperand amx_;
   std::vector<std::vector<std::int64_t>> chunk_norms_;
 };
 

@@ -273,9 +273,21 @@ std::string width_name(k::QueryWidth width) {
   return "int" + std::to_string(8 * static_cast<int>(width)) + " queries";
 }
 
+/// The AMX operand of the int16 rows `narrow` (as they are, so a poisoned
+/// copy poisons it too), over rows of `dims` values.
+k::AmxOperand amx_copy(const Int16Rows& narrow, std::size_t dims) {
+  k::AmxOperand op(narrow.rows.size(), dims);
+  for (std::size_t c = 0; c < narrow.rows.size(); ++c) {
+    const std::vector<std::int32_t> row(narrow.rows[c].begin(),
+                                        narrow.rows[c].end());
+    op.set_row(c, row);
+  }
+  return op;
+}
+
 /// One table's tile over the runs, as a flat q * nc + c vector; the query
 /// side is `q` at `width`, and the class side carries `narrow` as its
-/// int16 rows when given.
+/// int16 rows and its AMX operand when given.
 std::vector<std::int64_t> tile(const k::Kernels& table,
                                const std::vector<std::vector<std::int32_t>>& q,
                                const std::vector<std::vector<std::int32_t>>& c,
@@ -285,11 +297,14 @@ std::vector<std::int64_t> tile(const k::Kernels& table,
   const QueryView qv = query_view(q, width);
   const auto cp = pointers(c);
   std::vector<const std::int16_t*> np;
-  if (narrow != nullptr)
+  k::AmxOperand amx;
+  if (narrow != nullptr) {
     for (const auto& r : narrow->rows) np.push_back(r.data());
+    amx = amx_copy(*narrow, c.empty() ? 0 : c[0].size());
+  }
   const k::ClassRows cls{cp.data(), c.size(),
                          narrow != nullptr ? np.data() : nullptr,
-                         narrow != nullptr ? narrow->max_abs : 0};
+                         narrow != nullptr ? narrow->max_abs : 0, amx.data()};
   // Pre-filled so a backend that skips an output cannot pass by accident.
   std::vector<std::int64_t> out(q.size() * c.size(), 0x5EED);
   table.dot_tile(qv.rows, q.size(), cls, runs.data(), runs.size(),
@@ -523,6 +538,136 @@ TEST(KernelEquivalence, DotTileScoresStoredInt16RowsOnlyUnderTheBound) {
   }
 }
 
+/// The amx tile's output for `q` at `width` against `c` with its int16
+/// copy and AMX operand, checked equal to scalar; `took_amx` says whether
+/// the call reached the tile multiplies.
+std::vector<std::int64_t> amx_tile(
+    const std::vector<std::vector<std::int32_t>>& q,
+    const std::vector<std::vector<std::int32_t>>& c,
+    const std::vector<k::DimRun>& runs, k::QueryWidth width, bool& took_amx,
+    const std::string& what) {
+  const Int16Rows narrow = int16_copy(c);
+  const std::uint64_t before = k::amx_tile_calls();
+  const auto got =
+      tile(k::get(k::Backend::kAmx), q, c, runs, &narrow, width);
+  took_amx = k::amx_tile_calls() != before;
+  EXPECT_EQ(got, tile(k::get(k::Backend::kScalar), q, c, runs)) << what;
+  return got;
+}
+
+TEST(KernelEquivalence, AmxTileMatchesScalarAcrossBlockAndGroupEdges) {
+  // Every query count 1..40 against every class count 1..40 (partial and
+  // whole 16-query blocks and 16-class groups, one group or a pair, 15/16/
+  // 17/32/33 among them), over full, ragged and chunk-masked runs, for
+  // int8, int16 and int32 views. Only int8 views under the bound take the
+  // tile multiplies, and every such call of two or more queries does; a
+  // lone query keeps avx512's tile.
+  if (!k::available(k::Backend::kAmx))
+    GTEST_SKIP() << "amx backend unavailable on this host";
+  constexpr std::size_t kDims = 192;
+  const std::vector<std::pair<const char*, std::vector<k::DimRun>>> lists = {
+      {"full", {{0, kDims}}},
+      {"ragged", {{3, 70}, {101, 102}, {130, 190}}},
+      {"masked", {{0, 64}, {128, kDims}}},
+  };
+  Rng rng(0xA3C5);
+  for (std::size_t nc = 1; nc <= 40; ++nc) {
+    auto classes = random_rows(nc, kDims, 32767, rng);
+    classes[0][rng.below(kDims)] = -32767;
+    for (std::size_t nq = 1; nq <= 40; ++nq) {
+      auto queries = random_rows(nq, kDims, 127, rng);
+      queries[0][rng.below(kDims)] = -127;
+      // int16 and int32 views only at the edges: they never take AMX.
+      const bool edge = nq % 16 <= 1 || nc % 16 <= 1;
+      for (const auto& [name, runs] : lists)
+        for (k::QueryWidth width : widths_for(queries)) {
+          if (width != k::QueryWidth::kInt8 && !edge) continue;
+          const std::string what = std::string(name) + " " +
+                                   width_name(width) +
+                                   " nq=" + std::to_string(nq) +
+                                   " nc=" + std::to_string(nc);
+          bool took_amx = false;
+          amx_tile(queries, classes, runs, width, took_amx, what);
+          EXPECT_EQ(took_amx, width == k::QueryWidth::kInt8 && nq >= 2)
+              << what;
+        }
+    }
+  }
+}
+
+TEST(KernelEquivalence, AmxOperandChecksShapesAndCopiesAligned) {
+  // The builder runs on every host (models keep an operand only where amx
+  // is available, but tests and benches build theirs anywhere). Its
+  // storage is aligned by hand, so a copy must find its own boundary.
+  k::AmxOperand op(3, 100);
+  const std::vector<std::int32_t> row(100, 7);
+  EXPECT_NO_THROW(op.set_row(2, row));
+  EXPECT_THROW(op.set_row(3, row), std::invalid_argument);
+  EXPECT_THROW(op.set_row(0, std::span(row).first(99)),
+               std::invalid_argument);
+  EXPECT_TRUE(k::AmxOperand().empty());
+  EXPECT_EQ(k::AmxOperand().data(), nullptr);
+  std::vector<k::AmxOperand> copies;
+  for (int i = 0; i < 8; ++i) copies.push_back(op);  // varied addresses
+  for (const k::AmxOperand& copy : copies) {
+    EXPECT_TRUE(copy == op);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(copy.data()) % 64, 0u);
+  }
+  k::AmxOperand other(3, 100);
+  EXPECT_FALSE(other == op);
+  other = op;
+  EXPECT_TRUE(other == op);
+}
+
+TEST(KernelEquivalence, AmxTileFallsBackPastTheClassBound) {
+  // |c| = 32767 splits into hi = 127, lo = 255 and takes AMX; 32768 has no
+  // int8 hi, so the tile hands the call to avx512's, still exact.
+  if (!k::available(k::Backend::kAmx))
+    GTEST_SKIP() << "amx backend unavailable on this host";
+  Rng rng(0xB0B);
+  for (const std::int32_t peak : {32767, -32767, 32768, -32768}) {
+    auto classes = random_rows(17, 1024, 3000, rng);
+    classes[16][rng.below(1024)] = peak;
+    const auto queries = random_rows(32, 1024, 127, rng);
+    for (const auto& [name, runs] : run_lists()) {
+      bool took_amx = false;
+      amx_tile(queries, classes, runs, k::QueryWidth::kInt8, took_amx,
+               std::string(name) + " peak=" + std::to_string(peak));
+      EXPECT_EQ(took_amx, peak != 32768 && peak != -32768)
+          << name << " peak=" << peak;
+    }
+  }
+}
+
+TEST(KernelEquivalence, AmxTileExactOnEachSideOfTheInt32Bound) {
+  // |q| = 127 against lo = 255 drives the lo tile to 127 * 255 * K: below
+  // 2^31 at K = 66304 (AMX), above it at K = 66368 (the fallback). Both
+  // must equal scalar and the exact sum.
+  if (!k::available(k::Backend::kAmx))
+    GTEST_SKIP() << "amx backend unavailable on this host";
+  for (const std::size_t dims : {std::size_t{66304}, std::size_t{66368}}) {
+    const std::vector<std::vector<std::int32_t>> queries(
+        16, std::vector<std::int32_t>(dims, 127));
+    // lo = 255 with hi = 127, 0 and -1.
+    const std::vector<std::vector<std::int32_t>> classes = {
+        std::vector<std::int32_t>(dims, 32767),
+        std::vector<std::int32_t>(dims, 255),
+        std::vector<std::int32_t>(dims, -1)};
+    bool took_amx = false;
+    const auto got = amx_tile(queries, classes, {{0, dims}},
+                              k::QueryWidth::kInt8, took_amx,
+                              "K=" + std::to_string(dims));
+    const auto k64 = static_cast<std::int64_t>(dims);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(got[3 * i], 127 * 32767 * k64);
+      EXPECT_EQ(got[3 * i + 1], 127 * 255 * k64);
+      EXPECT_EQ(got[3 * i + 2], -127 * k64);
+    }
+    EXPECT_EQ(took_amx, 127 * 255 * k64 < (std::int64_t{1} << 31))
+        << "K=" << dims;
+  }
+}
+
 // ---- Window bundle ----------------------------------------------------------
 
 /// Rows and terms of a window-bundle call; term t points into
@@ -699,7 +844,8 @@ TEST(KernelEquivalence, WindowBundleExactAtAndPastTheCounterBound) {
 
 TEST(KernelDispatch, NamesRoundTrip) {
   for (k::Backend b : {k::Backend::kScalar, k::Backend::kAvx2,
-                       k::Backend::kAvx512, k::Backend::kNeon}) {
+                       k::Backend::kAvx512, k::Backend::kAmx,
+                       k::Backend::kNeon}) {
     const auto parsed = k::parse_backend(k::to_string(b));
     ASSERT_TRUE(parsed.has_value()) << k::to_string(b);
     EXPECT_EQ(*parsed, b);

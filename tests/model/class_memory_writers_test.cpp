@@ -1,5 +1,5 @@
-// Every writer of class memory keeps the int16 copy the SIMD dot tiles
-// score exact. The scalar tile reads only the int32 rows, so after each
+// Every writer of class memory keeps the int16 copy and the AMX operand
+// the SIMD dot tiles score exact. The scalar tile reads only the int32 rows, so after each
 // writer the predictions and margins of every available backend must equal
 // scalar's: a writer that skipped the refresh would leave a stale copy that
 // a SIMD backend scores and scalar does not. Each check first asserts that
@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "data/benchmarks.h"
 #include "encoding/encoders.h"
+#include "hdc/query_batch.h"
 #include "kernel_backends.h"
 #include "model/hdc_classifier.h"
 #include "model/model_io.h"
@@ -254,6 +255,75 @@ TEST(ClassMemoryWriters, BoundShrinksWhenALargeValueIsWrittenBack) {
   clf.set_class_vector(1, hdc::IntHV(kDims, -32768));
   EXPECT_EQ(clf.class_max_abs(), 32768);
   expect_scored_copy_exact(clf, "row at -32768", /*narrow=*/false);
+}
+
+/// The model's AMX operand equals one built from its int32 rows, row for
+/// row, by the one builder the tile's tests use.
+void expect_amx_operand_exact(const HdcClassifier& clf,
+                              const std::string& writer) {
+  k::AmxOperand want(clf.num_classes(), clf.dims());
+  for (std::size_t c = 0; c < clf.num_classes(); ++c)
+    want.set_row(c, clf.class_vector(c));
+  EXPECT_TRUE(clf.amx_operand() == want) << writer << ": stale AMX operand";
+}
+
+TEST(ClassMemoryWriters, AmxOperandFollowsEveryWriter) {
+  if (!k::available(k::Backend::kAmx))
+    GTEST_SKIP() << "amx backend unavailable: models keep no AMX operand";
+  const Rig& r = rig();
+  ASSERT_FALSE(r.clf.amx_operand().empty());
+  expect_amx_operand_exact(r.clf, "train_batch");
+  {
+    HdcClassifier clf = r.clf;
+    clf.move_sample(r.train[0], 0, 1);
+    expect_amx_operand_exact(clf, "move_sample(IntHV)");
+    const hdc::QueryBatch batch(std::span(r.train).first(4), kDims);
+    clf.move_sample(batch, 3, 1, 2);
+    expect_amx_operand_exact(clf, "move_sample(QueryBatch)");
+  }
+  {
+    HdcClassifier clf = r.clf;
+    clf.set_class_vector(0, clf.class_vector(1));
+    expect_amx_operand_exact(clf, "set_class_vector");
+    clf.edit_class_vector(2, [](std::span<std::int32_t> row) {
+      for (auto& v : row) v = -v;
+    });
+    expect_amx_operand_exact(clf, "edit_class_vector");
+  }
+  for (int bw : {8, 1}) {
+    HdcClassifier clf = r.clf;
+    clf.quantize(bw);
+    expect_amx_operand_exact(clf, "quantize(" + std::to_string(bw) + ")");
+  }
+  expect_amx_operand_exact(
+      deserialize_classifier(serialize_classifier(r.clf)),
+      "deserialize_classifier");
+  expect_amx_operand_exact(
+      deserialize_model(serialize_model(*r.encoder, r.clf)).classifier,
+      "deserialize_model");
+}
+
+TEST(ClassMemoryWriters, AmxScoresBatchedScansWithTileMultiplies) {
+  // Exactness alone cannot tell the AMX path from its avx512 fallback:
+  // both equal scalar. The amx tile's call count can. A model's blocks
+  // of int8 queries must reach the tile multiplies.
+  if (!k::available(k::Backend::kAmx))
+    GTEST_SKIP() << "amx backend unavailable on this host";
+  const Rig& r = rig();
+  test::BackendGuard guard;
+  k::set_backend(k::Backend::kAmx);
+  const hdc::QueryBatch table(r.probes, kDims);
+  ASSERT_EQ(table.width(), k::QueryWidth::kInt8);
+  std::vector<std::size_t> rows(table.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = rows.size() - 1 - i;
+  ThreadPool pool(2);
+  std::uint64_t before = k::amx_tile_calls();
+  r.clf.scan_batch(table, rows, r.clf.prefix_mask(kDims), NormMode::kUpdated,
+                   pool);
+  EXPECT_GT(k::amx_tile_calls(), before) << "scan_batch took the fallback";
+  before = k::amx_tile_calls();
+  r.clf.predict_batch(r.probes, pool);
+  EXPECT_GT(k::amx_tile_calls(), before) << "predict_batch took the fallback";
 }
 
 }  // namespace

@@ -19,8 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <future>
-#include <regex>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -43,12 +43,55 @@ std::string fixture_path() {
   return std::string(GENERIC_GOLDEN_DIR) + "/metrics_page_scrubbed.json";
 }
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Replace with "<num>" the value after every `"key": ` whose key
+/// `key_ok` accepts, where `value_len(json, at)` is the length of the
+/// value starting at `at` (0: not a value to scrub). Both scrubbers below
+/// are this scan.
+template <typename KeyOk, typename ValueLen>
+std::string scrub_values(const std::string& json, const KeyOk& key_ok,
+                         const ValueLen& value_len) {
+  std::string out;
+  std::size_t copied = 0;  // json[0, copied) is in out
+  for (std::size_t p = json.find("\": "); p != std::string::npos;
+       p = json.find("\": ", p + 1)) {
+    const std::size_t open = p == 0 ? std::string::npos : json.rfind('"', p - 1);
+    if (open == std::string::npos) continue;
+    const std::string_view key(json.data() + open + 1, p - open - 1);
+    const std::size_t at = p + 3;
+    const std::size_t n = key_ok(key) ? value_len(json, at) : 0;
+    if (n == 0) continue;
+    out.append(json, copied, at - copied);
+    out += "\"<num>\"";
+    copied = at + n;
+  }
+  out.append(json, copied);
+  return out;
+}
+
 /// Replace the numeric value of every timing/size key with "<num>". The
-/// key list is structural: anything measured in seconds, bytes or rates.
+/// key list is structural: anything measured in seconds, bytes or rates
+/// (a key of [A-Za-z0-9_.] ending in _s, _bytes or _per_s; the value an
+/// optional '-', a digit, then any of [0-9eE+.-]).
 std::string scrub_volatile(const std::string& json) {
-  static const std::regex volatile_value(
-      R"re(("[A-Za-z0-9_.]*(?:_s|_bytes|_per_s)": )-?[0-9][0-9eE+.\-]*)re");
-  return std::regex_replace(json, volatile_value, "$1\"<num>\"");
+  auto key_ok = [](std::string_view key) {
+    for (char c : key)
+      if (!is_digit(c) && !(c >= 'A' && c <= 'Z') && !(c >= 'a' && c <= 'z') &&
+          c != '_' && c != '.')
+        return false;
+    return key.ends_with("_s") || key.ends_with("_bytes");
+  };
+  auto value_len = [](const std::string& json, std::size_t at) {
+    std::size_t i = at;
+    if (i < json.size() && json[i] == '-') ++i;
+    if (i >= json.size() || !is_digit(json[i])) return std::size_t{0};
+    const std::string_view tail = "0123456789eE+.-";
+    while (i < json.size() && tail.find(json[i]) != std::string_view::npos)
+      ++i;
+    return i - at;
+  };
+  return scrub_values(json, key_ok, value_len);
 }
 
 /// The pinned instrumented run. One pool lane keeps every count (chunks,
@@ -114,11 +157,21 @@ TEST(ObsGolden, FixtureDeclaresSchemaAndCoreSections) {
     EXPECT_NE(want.find(marker), std::string::npos) << "missing " << marker;
 }
 
-/// Replace every trace-event "ts"/"dur" value (wall microseconds, %.3f)
-/// with "<num>", the way scrub_volatile treats wall times.
+/// Replace every trace-event "ts"/"dur" value (wall microseconds, %.3f:
+/// digits, '.', three digits) with "<num>", the way scrub_volatile treats
+/// wall times.
 std::string scrub_trace_times(const std::string& json) {
-  static const std::regex wall_time(R"re(("(?:ts|dur)": )[0-9]+\.[0-9]{3})re");
-  return std::regex_replace(json, wall_time, "$1\"<num>\"");
+  auto key_ok = [](std::string_view key) { return key == "ts" || key == "dur"; };
+  auto value_len = [](const std::string& json, std::size_t at) {
+    std::size_t i = at;
+    while (i < json.size() && is_digit(json[i])) ++i;
+    if (i == at || i + 3 >= json.size() || json[i] != '.' ||
+        !is_digit(json[i + 1]) || !is_digit(json[i + 2]) ||
+        !is_digit(json[i + 3]))
+      return std::size_t{0};
+    return i + 4 - at;
+  };
+  return scrub_values(json, key_ok, value_len);
 }
 
 TEST(ObsGolden, ScrubbedTraceMatchesCommittedFixture) {

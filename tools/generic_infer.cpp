@@ -63,7 +63,7 @@ int run(int argc, char** argv) {
         "        [--fault-trials=5] [--fault-seed=64023] [--degrade]\n"
         "        [--fault-out=campaign.json] [--threads=N]]\n"
         "       [--trace=out.json] [--metrics=out.json]\n"
-        "       [--kernel-backend=auto|scalar|avx2|avx512|neon]\n",
+        "       [--kernel-backend=auto|scalar|avx2|avx512|amx|neon]\n",
         stderr);
     return 2;
   }

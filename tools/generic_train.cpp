@@ -49,7 +49,7 @@ int run(int argc, char** argv) {
         "       [--dims=4096] [--levels=64] [--window=3] [--no-ids]\n"
         "       [--epochs=20] [--test-frac=0.25] [--label-col=-1] [--seed=1]\n"
         "       [--trace=out.json] [--metrics=out.json]\n"
-        "       [--kernel-backend=auto|scalar|avx2|avx512|neon]\n",
+        "       [--kernel-backend=auto|scalar|avx2|avx512|amx|neon]\n",
         stderr);
     return 2;
   }
