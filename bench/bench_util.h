@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -119,6 +120,21 @@ class Flags {
     return x;
   }
 
+  /// Column index of `--key=N`: -1 (the last column, also the fallback when
+  /// absent) or an integer in [0, INT_MAX]. A fraction, another negative
+  /// or a value past INT_MAX is an error, never a truncated column.
+  int column(std::string_view key) {
+    const std::string v = value(key, "");
+    if (v.empty() || v == "-1") return -1;
+    const bool digits = is_number(v.c_str());
+    const unsigned long long n =
+        digits ? std::strtoull(v.c_str(), nullptr, 10) : 0;
+    if (!digits || n > INT_MAX)
+      die("flag '" + std::string(key) +
+          "' needs -1 or a column index in [0, INT_MAX], got '" + v + "'");
+    return static_cast<int>(n);
+  }
+
   /// Pool lane count from `--threads=N` / `--threads N`. Default 1 — every
   /// bench stays serial, and therefore byte-identical to its pre-parallel
   /// output, unless asked; 0 also means serial.
@@ -154,15 +170,18 @@ class Flags {
   std::set<std::string> requested_;
 };
 
-/// Consume --kernel-backend=<auto|scalar|avx2|avx512|amx|neon> and force the
-/// XOR+popcount kernel backend (hdc/kernels.h) before any hypervector work
-/// runs. GENERIC_KERNEL_BACKEND sets the same thing from the environment;
-/// the flag wins because it resolves first. Unknown or uncompiled backends
-/// exit(2) with the list of choices this binary actually has.
+/// Consume --kernel-backend=<auto|scalar|avx2|avx512|amx> and force the
+/// kernel backend (hdc/kernels.h) before any hypervector work runs.
+/// Without the flag, GENERIC_KERNEL_BACKEND picks it (unset: auto); the
+/// flag wins when both are given. Unknown or uncompiled backends exit(2)
+/// with the list of choices this binary actually has.
 inline void apply_kernel_backend(Flags& flags) {
-  const std::string name = flags.value("--kernel-backend", "auto");
+  const std::string name = flags.value("--kernel-backend", "");
   try {
-    hdc::kernels::set_backend_from_string(name);
+    if (name.empty())
+      hdc::kernels::active();  // resolves GENERIC_KERNEL_BACKEND
+    else
+      hdc::kernels::set_backend_from_string(name);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "--kernel-backend: %s\n", e.what());
     std::exit(2);

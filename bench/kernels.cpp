@@ -3,22 +3,22 @@
 // (hdc/item_memory.h).
 //
 // For every backend available on this host it measures:
-//   * nearest_hamming  — one query vs `--classes` rows (the binary
-//                        model's tile×rows kernel)
 //   * dot_tile         — 32-query blocks (the serving engine's flush size)
 //                        × 26 int32 classes over a prefix of `--dims`
 //                        halved down to 512: every HdcClassifier
 //                        prediction's tile, one serving rung per row. Each
-//                        call packs the int32 queries' rung prefix into an
-//                        hdc::QueryBatch and tiles its view, as the
-//                        classifier's IntHV entries do. The classes' int16
+//                        call packs the rung prefix of 32 rows of a
+//                        780-row int32 query table into an hdc::QueryBatch
+//                        and tiles its view, as the classifier's IntHV
+//                        entries do; each call packs the next 32 rows, so
+//                        the pack reads memory, not cache. The classes' int16
 //                        copy and AMX operand are stored once before
 //                        timing, as HdcClassifier keeps them, so no call
 //                        packs classes. A last column is the full rung's
 //                        time over the next rung's (4096/2048 by default)
-//   * dot_tile table   — the same tile over 32 gathered rows of a 780-row
-//                        query table packed once at `--dims`: the serving
-//                        engine's flush, which packs nothing
+//   * dot_tile table   — the same tile over 32 gathered rows of that table
+//                        packed once at `--dims`: the serving engine's
+//                        flush, which packs nothing
 //   * dot_tile 1q      — one query packed the same way × the same 26
 //                        classes at `--dims`: the tile of predict() and
 //                        edge inference
@@ -35,7 +35,7 @@
 // IntHVs, five retraining epochs on the batch and held-out predict_batch,
 // at 1, 2 and 4 pool lanes. Every lane
 // count must train the 1-lane model and predict what it predicts.
-// Every measured distance, dot product and bundle is cross-checked against scalar
+// Every measured dot product and bundle is cross-checked against scalar
 // before timing: a backend that is fast but wrong fails loudly here, not in
 // production.
 //
@@ -44,10 +44,8 @@
 // Schmuck/Benini/Rahimi memory/recompute trade, quantified.
 //
 // All numbers land in generic.metrics.v1 gauges when --metrics is given:
-//   kernels.<backend>.nearest_mwords_per_s
-//   kernels.<backend>.nearest_speedup_milli   (1000 = scalar parity)
 //   kernels.<backend>.dot_tile_ns_per_query.<dims>
-//   kernels.<backend>.dot_tile_speedup_milli.<dims>
+//   kernels.<backend>.dot_tile_speedup_milli.<dims>   (1000 = scalar parity)
 //   kernels.<backend>.dot_tile_table_ns_per_query.<dims>
 //   kernels.<backend>.dot_tile_table_speedup_milli.<dims>
 //   kernels.<backend>.dot_tile_1q_ns_per_query.<dims>
@@ -77,7 +75,6 @@
 #include "hdc/hypervector.h"
 #include "hdc/item_memory.h"
 #include "hdc/kernels.h"
-#include "hdc/ops.h"
 #include "hdc/query_batch.h"
 #include "model/hdc_classifier.h"
 #include "obs/export.h"
@@ -88,26 +85,10 @@ namespace k = hdc::kernels;
 
 namespace {
 
-struct Workload {
-  std::vector<hdc::BinaryHV> refs;
-  std::vector<hdc::BinaryHV> queries;
-};
-
-Workload make_workload(std::size_t dims, std::size_t classes,
-                       std::size_t queries) {
-  Rng rng(0xBE7C8);
-  Workload w;
-  for (std::size_t c = 0; c < classes; ++c)
-    w.refs.push_back(hdc::BinaryHV::random(dims, rng));
-  for (std::size_t q = 0; q < queries; ++q)
-    w.queries.push_back(hdc::BinaryHV::random(dims, rng));
-  return w;
-}
-
-/// Time `body` (which processes `words_per_rep` packed words per call)
-/// until ~target_s elapsed; returns Mwords/s.
+/// Time `body` (which processes `units_per_rep` units per call: calls,
+/// samples) until ~target_s elapsed; returns millions of units per second.
 template <typename F>
-double measure_mwords(F&& body, double words_per_rep, double target_s) {
+double measure_mrate(F&& body, double units_per_rep, double target_s) {
   // Calibrate: run once, scale the rep count to the time budget.
   obs::Stopwatch warm;
   body();
@@ -117,7 +98,7 @@ double measure_mwords(F&& body, double words_per_rep, double target_s) {
   obs::Stopwatch timer;
   for (std::size_t r = 0; r < reps; ++r) body();
   const double secs = timer.seconds();
-  return words_per_rep * static_cast<double>(reps) / secs / 1e6;
+  return units_per_rep * static_cast<double>(reps) / secs / 1e6;
 }
 
 void set_gauge(const std::string& name, double v) {
@@ -129,14 +110,15 @@ void set_gauge(const std::string& name, double v) {
 /// the magnitudes a trained ISOLET-sized model holds (|q| <= 60, |c| <=
 /// 3000), so the queries pack to int8 and backends take the narrow path
 /// the serving engine takes. The classes' int16 copy, AMX operand and
-/// bound are stored up front, like HdcClassifier's. `table` is a serving engine's query
-/// table (780 rows, the size of ISOLET's test set, packed once at full
-/// dims) and `gathered` the 32 rows of it one flush scores.
+/// bound are stored up front, like HdcClassifier's. `rows` is a serving
+/// engine's int32 query table (780 rows, the size of ISOLET's test set),
+/// `table` the same rows packed once at full dims, and `gathered` the 32
+/// rows of it one flush scores.
 struct TileWorkload {
   static constexpr std::size_t kClasses = 26;
   static constexpr std::size_t kQueries = 32;
   static constexpr std::size_t kTableRows = 780;
-  std::vector<hdc::IntHV> queries;
+  std::vector<hdc::IntHV> rows;
   hdc::QueryBatch table;
   std::vector<std::size_t> gathered;
   std::vector<hdc::IntHV> classes;
@@ -161,7 +143,6 @@ TileWorkload make_tile_workload(std::size_t dims) {
       for (auto& v : row)
         v = static_cast<std::int32_t>(rng.range(-bound, bound));
   };
-  fill(w.queries, TileWorkload::kQueries, 60);
   fill(w.classes, TileWorkload::kClasses, 3000);
   for (const auto& c : w.classes) {
     w.class_rows.push_back(c.data());
@@ -173,9 +154,8 @@ TileWorkload make_tile_workload(std::size_t dims) {
   w.amx = k::AmxOperand(TileWorkload::kClasses, dims);
   for (std::size_t c = 0; c < TileWorkload::kClasses; ++c)
     w.amx.set_row(c, w.classes[c]);
-  std::vector<hdc::IntHV> table;
-  fill(table, TileWorkload::kTableRows, 60);
-  w.table = hdc::QueryBatch(table, dims);
+  fill(w.rows, TileWorkload::kTableRows, 60);
+  w.table = hdc::QueryBatch(w.rows, dims);
   for (std::size_t i = 0; i < TileWorkload::kQueries; ++i)
     w.gathered.push_back(
         static_cast<std::size_t>(rng.below(TileWorkload::kTableRows)));
@@ -263,8 +243,6 @@ int main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool quick = flags.has("--quick");
   const std::size_t dims = flags.size("--dims", 4096);
-  const std::size_t classes = flags.size("--classes", 64);
-  const std::size_t queries = flags.size("--queries", 32);
   obs::Session session(flags.value("--trace", ""),
                        flags.value("--metrics", ""));
   bench::apply_kernel_backend(flags);
@@ -272,62 +250,27 @@ int main(int argc, char** argv) {
   const k::Backend session_backend = k::active_backend();
 
   const double target_s = quick ? 0.05 : 0.4;
-  const Workload w = make_workload(dims, classes, queries);
-  const double words = static_cast<double>(w.refs.front().num_words());
-
-  // Scalar truths every backend is diffed against before it is timed.
-  k::set_backend(k::Backend::kScalar);
-  std::vector<std::size_t> want_nearest;
-  for (const auto& q : w.queries)
-    want_nearest.push_back(hdc::nearest_hamming(q, w.refs));
-
-  std::printf("kernels: dims=%zu classes=%zu queries=%zu active=%s\n", dims,
-              classes, queries,
+  std::printf("kernels: dims=%zu active=%s\n", dims,
               std::string(k::to_string(session_backend)).c_str());
-  std::printf("%-8s %22s %10s\n", "backend", "nearest Mwords/s", "speedup");
-  bench::print_rule(43);
-
-  double scalar_nearest = 0.0;
-  for (k::Backend backend : k::compiled_backends()) {
-    if (!k::available(backend)) continue;
-    k::set_backend(backend);
-    const std::string name(k::to_string(backend));
-
-    // Correctness gate: bit-identical winners or abort.
-    for (std::size_t q = 0; q < w.queries.size(); ++q)
-      if (hdc::nearest_hamming(w.queries[q], w.refs) != want_nearest[q]) {
-        std::fprintf(stderr, "%s: nearest winner diverged from scalar\n",
-                     name.c_str());
-        return 1;
-      }
-
-    std::size_t sink = 0;
-    const double nearest = measure_mwords(
-        [&] {
-          for (const auto& q : w.queries)
-            sink += hdc::nearest_hamming(q, w.refs);
-        },
-        words * static_cast<double>(classes * queries), target_s);
-    if (backend == k::Backend::kScalar) scalar_nearest = nearest;
-    const double speedup = scalar_nearest > 0 ? nearest / scalar_nearest : 0;
-
-    std::printf("%-8s %22.0f %9.2fx%s\n", name.c_str(), nearest, speedup,
-                sink == 0 ? " " : "");
-    set_gauge("kernels." + name + ".nearest_mwords_per_s", nearest);
-    set_gauge("kernels." + name + ".nearest_speedup_milli", speedup * 1000.0);
-  }
 
   // ---- query x class dot tile, one serving rung per row --------------------
   // Two paths per backend: a flush that packs its 32 queries' rung prefix
   // first (predict_masked_margin_batch), and one that gathers 32 rows of a
-  // table packed once (the serving engine's flush).
+  // table packed once (the serving engine's flush). The packing path
+  // starts at table row `next_row` and moves it on by 32 rows per call, so
+  // a timed pack streams the 12.8 MB int32 table (at 4096 dims) as a
+  // flush's pack does; every cross-check starts from row 0.
   const TileWorkload tw = make_tile_workload(dims);
   std::vector<std::size_t> rungs;
   for (std::size_t d = dims; d >= 512; d /= 2) rungs.push_back(d);
   const std::size_t tile_out = TileWorkload::kQueries * TileWorkload::kClasses;
+  std::size_t next_row = 0;
   auto run_tile = [&](const k::Kernels& table, std::size_t rung,
                       std::int64_t* out, std::size_t nq = TileWorkload::kQueries) {
-    const hdc::QueryBatch batch(std::span(tw.queries).first(nq), rung);
+    const hdc::QueryBatch batch(std::span(tw.rows).subspan(next_row, nq), rung);
+    next_row += TileWorkload::kQueries;
+    if (next_row + TileWorkload::kQueries > TileWorkload::kTableRows)
+      next_row = 0;
     const k::DimRun run{0, rung};
     table.dot_tile(batch.view(), nq, tw.class_side(), &run, 1, out);
   };
@@ -358,8 +301,10 @@ int main(int argc, char** argv) {
   for (TilePath& path : paths) {
     path.want.assign(rungs.size(), std::vector<std::int64_t>(tile_out));
     path.scalar_ns.assign(rungs.size(), 0.0);
-    for (std::size_t r = 0; r < rungs.size(); ++r)
+    for (std::size_t r = 0; r < rungs.size(); ++r) {
+      next_row = 0;
       path.run(k::get(k::Backend::kScalar), rungs[r], path.want[r].data());
+    }
   }
 
   std::printf("\ndot_tile: %zu queries x %zu classes, ns per query (table: "
@@ -382,14 +327,14 @@ int main(int argc, char** argv) {
       std::printf("%-8s %-20s", name.c_str(), path.label);
       std::vector<double> row_ns(rungs.size());
       for (std::size_t r = 0; r < rungs.size(); ++r) {
+        next_row = 0;
         path.run(table, rungs[r], got.data());
         if (got != path.want[r]) {
           std::fprintf(stderr, "%s: %s diverged from scalar at %zu dims\n",
                        name.c_str(), path.gauge, rungs[r]);
           return 1;
         }
-        // measure_mwords counts calls here: Mcalls/s -> ns per query.
-        const double mcalls = measure_mwords(
+        const double mcalls = measure_mrate(
             [&] { path.run(table, rungs[r], got.data()); }, 1.0, target_s);
         const double ns = 1e3 / mcalls / TileWorkload::kQueries;
         if (backend == k::Backend::kScalar) path.scalar_ns[r] = ns;
@@ -407,8 +352,13 @@ int main(int argc, char** argv) {
   }
 
   // ---- one query x every class at full dims: predict()'s tile -------------
+  // Always table row 0: one row stays in cache, as predict()'s query does.
+  auto run_1q = [&](const k::Kernels& table, std::int64_t* out) {
+    next_row = 0;
+    run_tile(table, dims, out, 1);
+  };
   std::vector<std::int64_t> want_1q(TileWorkload::kClasses);
-  run_tile(k::get(k::Backend::kScalar), dims, want_1q.data(), 1);
+  run_1q(k::get(k::Backend::kScalar), want_1q.data());
   std::printf("\ndot_tile: 1 query x %zu classes at %zu dims, pack + tile, "
               "ns per query\n",
               TileWorkload::kClasses, dims);
@@ -419,15 +369,14 @@ int main(int argc, char** argv) {
     const k::Kernels& table = k::get(backend);
     const std::string name(k::to_string(backend));
     std::vector<std::int64_t> got(TileWorkload::kClasses);
-    run_tile(table, dims, got.data(), 1);
+    run_1q(table, got.data());
     if (got != want_1q) {
       std::fprintf(stderr, "%s: one-query dot_tile diverged from scalar\n",
                    name.c_str());
       return 1;
     }
-    const double ns = 1e3 / measure_mwords(
-                                [&] { run_tile(table, dims, got.data(), 1); },
-                                1.0, target_s);
+    const double ns =
+        1e3 / measure_mrate([&] { run_1q(table, got.data()); }, 1.0, target_s);
     if (backend == k::Backend::kScalar) scalar_1q_ns = ns;
     const double speedup = ns > 0 ? scalar_1q_ns / ns : 0;
     std::printf("%-8s %10.0f %9.2fx\n", name.c_str(), ns, speedup);
@@ -483,9 +432,8 @@ int main(int argc, char** argv) {
                      name.c_str(), shape);
         return false;
       }
-      // measure_mwords counts calls here: Msamples/s -> ns per sample.
       const double ns =
-          1e3 / measure_mwords([&] { run_bundle(table, got); }, 1.0, target_s);
+          1e3 / measure_mrate([&] { run_bundle(table, got); }, 1.0, target_s);
       if (backend == k::Backend::kScalar) scalar_ns = ns;
       const double speedup = ns > 0 ? scalar_ns / ns : 0;
       std::printf("%-8s %16.0f %9.2fx\n", name.c_str(), ns, speedup);
@@ -523,13 +471,13 @@ int main(int argc, char** argv) {
   auto encode_all_with = [&](const enc::Encoder& e) {
     for (const auto& x : xs) enc_sink += static_cast<std::size_t>(e.encode(x)[0]);
   };
-  const double stored_mw = measure_mwords([&] { encode_all_with(stored); },
+  const double stored_mw = measure_mrate([&] { encode_all_with(stored); },
                                           static_cast<double>(samples),
                                           target_s);
-  const double remat_mw = measure_mwords([&] { encode_all_with(remat); },
+  const double remat_mw = measure_mrate([&] { encode_all_with(remat); },
                                          static_cast<double>(samples),
                                          target_s);
-  // measure_mwords returned "Msamples/s"; invert into ns/sample.
+  // measure_mrate returned Msamples/s; invert into ns/sample.
   const double stored_ns = 1e3 / stored_mw;
   const double remat_ns = 1e3 / remat_mw;
   const double overhead = stored_ns > 0 ? remat_ns / stored_ns : 0;

@@ -127,7 +127,6 @@ std::string_view to_string(Backend backend) {
     case Backend::kAvx2: return "avx2";
     case Backend::kAvx512: return "avx512";
     case Backend::kAmx: return "amx";
-    case Backend::kNeon: return "neon";
   }
   return "unknown";
 }
@@ -137,7 +136,6 @@ std::optional<Backend> parse_backend(std::string_view name) {
   if (name == "avx2") return Backend::kAvx2;
   if (name == "avx512") return Backend::kAvx512;
   if (name == "amx") return Backend::kAmx;
-  if (name == "neon") return Backend::kNeon;
   return std::nullopt;
 }
 
@@ -151,9 +149,6 @@ std::vector<Backend> compiled_backends() {
 #endif
 #if defined(GENERIC_KERNELS_HAVE_AMX)
   out.push_back(Backend::kAmx);
-#endif
-#if defined(GENERIC_KERNELS_HAVE_NEON)
-  out.push_back(Backend::kNeon);
 #endif
   return out;
 }
@@ -172,7 +167,6 @@ bool cpu_supports(Backend backend) {
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
-             __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
              __builtin_cpu_supports("avx512vbmi2") != 0 &&
              __builtin_cpu_supports("avx512vnni") != 0;
 #else
@@ -183,14 +177,6 @@ bool cpu_supports(Backend backend) {
       return cpu_supports(Backend::kAvx512) &&
              __builtin_cpu_supports("amx-tile") != 0 &&
              __builtin_cpu_supports("amx-int8") != 0 && amx_permitted();
-#else
-      return false;
-#endif
-    case Backend::kNeon:
-      // NEON is architecturally baseline on aarch64; if the backend was
-      // compiled in, the CPU has it.
-#if defined(__aarch64__)
-      return true;
 #else
       return false;
 #endif
@@ -206,8 +192,7 @@ bool available(Backend backend) {
 }
 
 Backend best_available() {
-  for (Backend b :
-       {Backend::kAmx, Backend::kAvx512, Backend::kAvx2, Backend::kNeon})
+  for (Backend b : {Backend::kAmx, Backend::kAvx512, Backend::kAvx2})
     if (available(b)) return b;
   return Backend::kScalar;
 }
@@ -236,12 +221,6 @@ const Kernels& get(Backend backend) {
     case Backend::kAmx:
 #if defined(GENERIC_KERNELS_HAVE_AMX)
       return detail::amx_table();
-#else
-      break;
-#endif
-    case Backend::kNeon:
-#if defined(GENERIC_KERNELS_HAVE_NEON)
-      return detail::neon_table();
 #else
       break;
 #endif

@@ -1,34 +1,31 @@
 // Runtime-dispatched integer kernels — the one place every similarity
-// search and every binary encoder bottoms out (docs/kernels.md):
-// XOR+popcount for binary models, the query×class int32 dot tile every
-// HdcClassifier prediction scores through, and the window bundle every
+// search and every binary encoder bottoms out (docs/kernels.md): the
+// query×class int32 dot tile every HdcClassifier prediction scores
+// through, at every class-memory bit width, and the window bundle every
 // encoder that bundles binary rows (Eq. 1, Fig. 2(d)) encodes through.
 //
-// All three are exact integer reductions, so any backend that computes the
+// Both are exact integer reductions, so any backend that computes the
 // same sums is bit-identical by construction: vectorization here can never
 // disturb the determinism contract of docs/parallelism.md. What the
 // dispatch layer adds is the choice of HOW the sums are computed:
 //
-//   scalar  portable reference: 4-way unrolled hardware popcount, a plain
-//           int64 dot loop, and one 16-bit counter add per window bit,
-//           compiled with vectorization disabled so it stays the honest
-//           baseline
-//   avx2    pshufb nibble-lookup popcount; dot tile on _mm256_mul_epi32,
-//           or _mm256_madd_epi16 over the caller's int16 class rows when
-//           an operand bound proves int16 exact; windows rotated in
-//           registers and counted in carry-save bit-planes
-//   avx512  vpopcntq over 512-bit lanes; the same dot tile on 512-bit
-//           lanes with vpdpwssd fusing the int16 multiply-add, and the
-//           same bit-sliced window bundle with vpshldvq funnel shifts and
-//           vpternlogq adders (x86 + VPOPCNTDQ + BW + VBMI2 + VNNI)
-//   amx     avx512's popcount and window bundle; a dot tile that scores
-//           blocks of int8 query rows with AMX tile multiplies against a
-//           hi/lo int8 split of the class rows (AmxOperand), exact under
-//           an int32 bound, and hands every other call to avx512's tile
-//           (x86 + the avx512 features + AMX-TILE + AMX-INT8 + the
-//           kernel's tile-data permission)
-//   neon    vcnt + widening pairwise accumulation (aarch64); scalar tile
-//           and scalar window bundle
+//   scalar  portable reference: a plain int64 dot loop and one 16-bit
+//           counter add per window bit, compiled with vectorization
+//           disabled so it stays the honest baseline
+//   avx2    dot tile on _mm256_mul_epi32, or _mm256_madd_epi16 over the
+//           caller's int16 class rows when an operand bound proves int16
+//           exact; windows rotated in registers and counted in carry-save
+//           bit-planes
+//   avx512  the same dot tile on 512-bit lanes with vpdpwssd fusing the
+//           int16 multiply-add, and the same bit-sliced window bundle with
+//           vpshldvq funnel shifts and vpternlogq adders (x86 + F + BW +
+//           VBMI2 + VNNI)
+//   amx     avx512's window bundle; a dot tile that scores blocks of int8
+//           query rows with AMX tile multiplies against a hi/lo int8 split
+//           of the class rows (AmxOperand), exact under an int32 bound, and
+//           hands every other call to avx512's tile (x86 + the avx512
+//           features + AMX-TILE + AMX-INT8 + the kernel's tile-data
+//           permission)
 //
 // Selection is runtime CPU-feature detection ("auto" picks the best
 // available), overridable by the GENERIC_KERNEL_BACKEND environment
@@ -36,8 +33,8 @@
 // (wrong architecture) or not supported by the host CPU are rejected with
 // a clear error rather than silently falling back.
 //
-// Every backend must be byte-identical to scalar — same distances, same
-// dot products, same winners, same bundled counts — which
+// Every backend must be byte-identical to scalar — same dot products, same
+// winners, same bundled counts — which
 // tests/hdc/kernel_equivalence_test.cpp asserts for every compiled backend
 // across ragged shapes.
 #pragma once
@@ -56,7 +53,6 @@ enum class Backend {
   kAvx2,
   kAvx512,
   kAmx,
-  kNeon,
 };
 
 /// A half-open run [begin, end) of dimensions a dot tile sums over — the
@@ -186,13 +182,6 @@ struct Kernels {
   Backend backend = Backend::kScalar;
   const char* name = "scalar";
 
-  /// out[r] += popcount(q[i] ^ refs[r][i]) over `words` words for each of
-  /// `rows` reference rows — the hamming_many/nearest_hamming inner tile,
-  /// shaped so a backend can amortize query loads across rows.
-  void (*xor_popcount_many)(const std::uint64_t* q,
-                            const std::uint64_t* const* refs, std::size_t rows,
-                            std::size_t words, std::size_t* out) = nullptr;
-
   /// out[q * nc + c] = Σ queries.rows[q][j] * classes.rows[c][j] over
   /// every j of the `nruns` runs: int32 products summed in int64, for `nq`
   /// query rows × `nc` = classes.n class rows. Exact for any int32
@@ -223,7 +212,7 @@ struct Kernels {
                          std::int32_t* acc) = nullptr;
 };
 
-/// Canonical lower-case name: "scalar", "avx2", "avx512", "amx", "neon".
+/// Canonical lower-case name: "scalar", "avx2", "avx512", "amx".
 std::string_view to_string(Backend backend);
 
 /// Parse a backend name (as spelled by to_string). "auto" is not a backend;
@@ -241,16 +230,17 @@ bool cpu_supports(Backend backend);
 /// Compiled in AND supported by the running CPU.
 bool available(Backend backend);
 
-/// The best available backend: amx > avx512 > avx2 > neon > scalar.
+/// The best available backend: amx > avx512 > avx2 > scalar.
 Backend best_available();
 
 /// Dispatch table of an explicit backend; throws std::invalid_argument when
 /// it is not available on this build/CPU.
 const Kernels& get(Backend backend);
 
-/// The process-wide active dispatch table the hdc/ops kernels call through.
-/// First use resolves GENERIC_KERNEL_BACKEND ("auto", "scalar", "avx2",
-/// "avx512", "amx", "neon"; unset == "auto"); an unknown or unavailable value
+/// The process-wide active dispatch table every scoring and encoding call
+/// goes through. First use resolves GENERIC_KERNEL_BACKEND ("auto",
+/// "scalar", "avx2", "avx512", "amx"; unset == "auto"); an unknown or
+/// unavailable value
 /// throws so a forced CI leg can never silently run the wrong kernels.
 const Kernels& active();
 

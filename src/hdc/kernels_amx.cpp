@@ -1,6 +1,6 @@
-// AMX backend: avx512's popcount and window bundle, and a dot tile that
-// scores blocks of int8 query rows with AMX tile multiplies
-// (docs/kernels.md, "The dot tile").
+// AMX backend: avx512's window bundle, and a dot tile that scores blocks
+// of int8 query rows with AMX tile multiplies (docs/kernels.md, "The dot
+// tile").
 //
 // The class side is an AmxOperand (hdc/kernels.h): each int16-exact class
 // value c split into hi = c >> 8 (int8) and lo = c & 0xFF (uint8), stored
@@ -160,8 +160,7 @@ void amx_dot_tile(const QueryRows& queries, std::size_t nq,
 }  // namespace
 
 const Kernels& amx_table() {
-  static const Kernels k{Backend::kAmx, "amx",
-                         avx512_table().xor_popcount_many, &amx_dot_tile,
+  static const Kernels k{Backend::kAmx, "amx", &amx_dot_tile,
                          avx512_table().bundle_windows};
   return k;
 }

@@ -1,13 +1,8 @@
-// AVX2 backend: Muła pshufb nibble-lookup popcount, the dot tile of
-// hdc/kernels_tile.h on 256-bit lanes, and the bit-sliced window bundle of
-// hdc/kernels_bundle.h: sll/srl/or funnel shifts, five-op carry-save
-// adders, and bit-planes expanded into 16-bit counts by shuffle/cmpeq.
-//
-// Each 256-bit lane of a ^ b is split into nibbles, counted through a
-// 16-entry shuffle table, and accumulated in 8-bit lanes. Blocks are capped
-// at 28 vectors (28 * 8 = 224 < 255) so the u8 lanes cannot saturate before
-// the _mm256_sad_epu8 fold widens them to u64. All sums are exact integers,
-// so the result is bit-identical to the scalar reference by construction.
+// AVX2 backend: the dot tile of hdc/kernels_tile.h on 256-bit lanes, and
+// the bit-sliced window bundle of hdc/kernels_bundle.h: sll/srl/or funnel
+// shifts, five-op carry-save adders, and bit-planes expanded into 16-bit
+// counts by shuffle/cmpeq. All sums are exact integers, so the result is
+// bit-identical to the scalar reference by construction.
 //
 // This TU is compiled with -mavx2 (see src/hdc/CMakeLists.txt); dispatch
 // guarantees it only runs after __builtin_cpu_supports("avx2") passed.
@@ -20,123 +15,12 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
 namespace generic::hdc::kernels::detail {
 
 namespace {
-
-inline __m256i xor256(const std::uint64_t* a, const std::uint64_t* b,
-                      std::size_t k) {
-  return _mm256_xor_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k)),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + k)));
-}
-
-/// Per-byte popcount of v via two 4-bit table lookups.
-inline __m256i count_bytes(__m256i v, __m256i lut, __m256i low) {
-  const __m256i lo = _mm256_and_si256(v, low);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
-  return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                         _mm256_shuffle_epi8(lut, hi));
-}
-
-inline __m256i nibble_lut() {
-  return _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-                          0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-}
-
-inline std::size_t fold_u64(__m256i total) {
-  return static_cast<std::uint64_t>(_mm256_extract_epi64(total, 0)) +
-         static_cast<std::uint64_t>(_mm256_extract_epi64(total, 1)) +
-         static_cast<std::uint64_t>(_mm256_extract_epi64(total, 2)) +
-         static_cast<std::uint64_t>(_mm256_extract_epi64(total, 3));
-}
-
-/// u8-lane block cap: 28 vectors * max 8 bits/byte = 224 < 255.
-constexpr std::size_t kBlockVectors = 28;
-
-std::size_t avx2_xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t n) {
-  const __m256i lut = nibble_lut();
-  const __m256i low = _mm256_set1_epi8(0x0f);
-  __m256i total = _mm256_setzero_si256();
-  std::size_t i = 0;
-  while (i + 4 <= n) {
-    std::size_t block = (n - i) / 4;
-    if (block > kBlockVectors) block = kBlockVectors;
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t j = 0;
-    for (; j + 4 <= block; j += 4) {
-      const __m256i s01 = _mm256_add_epi8(count_bytes(xor256(a, b, i), lut, low),
-                                          count_bytes(xor256(a, b, i + 4), lut, low));
-      const __m256i s23 =
-          _mm256_add_epi8(count_bytes(xor256(a, b, i + 8), lut, low),
-                          count_bytes(xor256(a, b, i + 12), lut, low));
-      acc = _mm256_add_epi8(acc, _mm256_add_epi8(s01, s23));
-      i += 16;
-    }
-    for (; j < block; ++j) {
-      acc = _mm256_add_epi8(acc, count_bytes(xor256(a, b, i), lut, low));
-      i += 4;
-    }
-    total = _mm256_add_epi64(total,
-                             _mm256_sad_epu8(acc, _mm256_setzero_si256()));
-  }
-  std::size_t s = fold_u64(total);
-  for (; i < n; ++i)
-    s += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
-  return s;
-}
-
-void avx2_xor_popcount_many(const std::uint64_t* q,
-                            const std::uint64_t* const* refs, std::size_t rows,
-                            std::size_t words, std::size_t* out) {
-  const __m256i lut = nibble_lut();
-  const __m256i low = _mm256_set1_epi8(0x0f);
-  std::size_t r = 0;
-  // Two rows share each query load; per-row u8 accumulators obey the same
-  // 28-vector block cap as the single-span kernel.
-  for (; r + 2 <= rows; r += 2) {
-    const std::uint64_t* b0 = refs[r];
-    const std::uint64_t* b1 = refs[r + 1];
-    __m256i t0 = _mm256_setzero_si256();
-    __m256i t1 = _mm256_setzero_si256();
-    std::size_t i = 0;
-    while (i + 4 <= words) {
-      std::size_t block = (words - i) / 4;
-      if (block > kBlockVectors) block = kBlockVectors;
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      for (std::size_t j = 0; j < block; ++j) {
-        const __m256i vq =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
-        const __m256i v0 = _mm256_xor_si256(
-            vq, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b0 + i)));
-        const __m256i v1 = _mm256_xor_si256(
-            vq, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b1 + i)));
-        acc0 = _mm256_add_epi8(acc0, count_bytes(v0, lut, low));
-        acc1 = _mm256_add_epi8(acc1, count_bytes(v1, lut, low));
-        i += 4;
-      }
-      t0 = _mm256_add_epi64(t0,
-                            _mm256_sad_epu8(acc0, _mm256_setzero_si256()));
-      t1 = _mm256_add_epi64(t1,
-                            _mm256_sad_epu8(acc1, _mm256_setzero_si256()));
-    }
-    std::size_t s0 = fold_u64(t0);
-    std::size_t s1 = fold_u64(t1);
-    for (; i < words; ++i) {
-      s0 += static_cast<std::size_t>(std::popcount(q[i] ^ b0[i]));
-      s1 += static_cast<std::size_t>(std::popcount(q[i] ^ b1[i]));
-    }
-    out[r] += s0;
-    out[r + 1] += s1;
-  }
-  for (; r < rows; ++r) out[r] += avx2_xor_popcount(q, refs[r], words);
-}
 
 /// The vector ops kernels_tile.h is written over, on 256-bit lanes.
 struct Avx2 {
@@ -181,7 +65,12 @@ struct Avx2 {
         _mm256_cvtepi32_epi64(_mm256_castsi256_si128(a)),
         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(a, 1)));
   }
-  static std::uint64_t hsum64(V a) { return fold_u64(a); }
+  static std::uint64_t hsum64(V a) {
+    return static_cast<std::uint64_t>(_mm256_extract_epi64(a, 0)) +
+           static_cast<std::uint64_t>(_mm256_extract_epi64(a, 1)) +
+           static_cast<std::uint64_t>(_mm256_extract_epi64(a, 2)) +
+           static_cast<std::uint64_t>(_mm256_extract_epi64(a, 3));
+  }
 
   static void store(void* p, V a) {
     _mm256_storeu_si256(static_cast<__m256i*>(p), a);
@@ -265,8 +154,8 @@ struct Avx2 {
 }  // namespace
 
 const Kernels& avx2_table() {
-  static const Kernels k{Backend::kAvx2, "avx2", &avx2_xor_popcount_many,
-                         &dot_tile<Avx2>, &bundle_windows<Avx2>};
+  static const Kernels k{Backend::kAvx2, "avx2", &dot_tile<Avx2>,
+                         &bundle_windows<Avx2>};
   return k;
 }
 

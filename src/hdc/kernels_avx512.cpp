@@ -1,20 +1,16 @@
-// AVX-512 backend: native vpopcntq over 512-bit lanes, the dot tile of
-// hdc/kernels_tile.h on 512-bit lanes, and the bit-sliced window bundle of
-// hdc/kernels_bundle.h: vpshldvq funnel shifts, vpternlogq carry-save
-// adders, and _mm512_mask_add_epi16 to turn bit-planes into counts.
+// AVX-512 backend: the dot tile of hdc/kernels_tile.h on 512-bit lanes,
+// and the bit-sliced window bundle of hdc/kernels_bundle.h: vpshldvq
+// funnel shifts, vpternlogq carry-save adders, and _mm512_mask_add_epi16
+// to turn bit-planes into counts.
 //
-// Requires AVX512F + AVX512BW + AVX512VPOPCNTDQ + AVX512VBMI2 +
-// AVX512_VNNI (Ice Lake, Sapphire Rapids, Zen 4 and later; dispatch checks
-// all five at runtime; BW is the bundle's 16-bit mask-add, VBMI2 the
-// bundle's vpshldvq, VNNI the tile's vpdpwssd). The many-rows kernel
-// interleaves two reference
-// rows per pass so each 512-bit query load is amortized across two
-// XOR+popcount chains — that, not the popcount itself, is where the wins
-// over scalar come from at typical 64-word (4096-dim) rows. Exact integer
-// sums, so bit-identical to the scalar reference by construction.
+// Requires AVX512F + AVX512BW + AVX512VBMI2 + AVX512_VNNI (Ice Lake,
+// Sapphire Rapids, Zen 4 and later; dispatch checks all four at runtime;
+// BW is the bundle's 16-bit mask-add, VBMI2 the bundle's vpshldvq, VNNI
+// the tile's vpdpwssd). Exact integer sums, so bit-identical to the scalar
+// reference by construction.
 //
-// This TU is compiled with -mavx512f -mavx512bw -mavx512vpopcntdq
-// -mavx512vbmi2 -mavx512vnni (see src/hdc/CMakeLists.txt).
+// This TU is compiled with -mavx512f -mavx512bw -mavx512vbmi2
+// -mavx512vnni (see src/hdc/CMakeLists.txt).
 #include "hdc/kernels_detail.h"
 
 #if defined(GENERIC_KERNELS_HAVE_AVX512)
@@ -24,7 +20,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -32,63 +27,6 @@
 namespace generic::hdc::kernels::detail {
 
 namespace {
-
-std::size_t avx512_xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t n) {
-  __m512i t0 = _mm512_setzero_si512();
-  __m512i t1 = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i x0 = _mm512_xor_si512(_mm512_loadu_si512(a + i),
-                                        _mm512_loadu_si512(b + i));
-    const __m512i x1 = _mm512_xor_si512(_mm512_loadu_si512(a + i + 8),
-                                        _mm512_loadu_si512(b + i + 8));
-    t0 = _mm512_add_epi64(t0, _mm512_popcnt_epi64(x0));
-    t1 = _mm512_add_epi64(t1, _mm512_popcnt_epi64(x1));
-  }
-  for (; i + 8 <= n; i += 8) {
-    const __m512i x = _mm512_xor_si512(_mm512_loadu_si512(a + i),
-                                       _mm512_loadu_si512(b + i));
-    t0 = _mm512_add_epi64(t0, _mm512_popcnt_epi64(x));
-  }
-  std::size_t s = static_cast<std::size_t>(_mm512_reduce_add_epi64(t0)) +
-                  static_cast<std::size_t>(_mm512_reduce_add_epi64(t1));
-  for (; i < n; ++i)
-    s += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
-  return s;
-}
-
-void avx512_xor_popcount_many(const std::uint64_t* q,
-                              const std::uint64_t* const* refs,
-                              std::size_t rows, std::size_t words,
-                              std::size_t* out) {
-  std::size_t r = 0;
-  for (; r + 2 <= rows; r += 2) {
-    const std::uint64_t* b0 = refs[r];
-    const std::uint64_t* b1 = refs[r + 1];
-    __m512i t0 = _mm512_setzero_si512();
-    __m512i t1 = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= words; i += 8) {
-      const __m512i vq = _mm512_loadu_si512(q + i);
-      t0 = _mm512_add_epi64(
-          t0, _mm512_popcnt_epi64(
-                  _mm512_xor_si512(vq, _mm512_loadu_si512(b0 + i))));
-      t1 = _mm512_add_epi64(
-          t1, _mm512_popcnt_epi64(
-                  _mm512_xor_si512(vq, _mm512_loadu_si512(b1 + i))));
-    }
-    std::size_t s0 = static_cast<std::size_t>(_mm512_reduce_add_epi64(t0));
-    std::size_t s1 = static_cast<std::size_t>(_mm512_reduce_add_epi64(t1));
-    for (; i < words; ++i) {
-      s0 += static_cast<std::size_t>(std::popcount(q[i] ^ b0[i]));
-      s1 += static_cast<std::size_t>(std::popcount(q[i] ^ b1[i]));
-    }
-    out[r] += s0;
-    out[r + 1] += s1;
-  }
-  for (; r < rows; ++r) out[r] += avx512_xor_popcount(q, refs[r], words);
-}
 
 /// The vector ops kernels_tile.h is written over, on 512-bit lanes.
 struct Avx512 {
@@ -198,8 +136,7 @@ struct Avx512 {
 }  // namespace
 
 const Kernels& avx512_table() {
-  static const Kernels k{Backend::kAvx512, "avx512",
-                         &avx512_xor_popcount_many, &dot_tile<Avx512>,
+  static const Kernels k{Backend::kAvx512, "avx512", &dot_tile<Avx512>,
                          &bundle_windows<Avx512>};
   return k;
 }

@@ -1,7 +1,7 @@
 // Internal seam between the kernels dispatch TU and the backend TUs.
 //
 // Each backend lives in its own translation unit so its ISA flags (-mavx2,
-// -mavx512vpopcntdq) never leak into code that runs before dispatch has
+// -mavx512vnni, -mamx-int8) never leak into code that runs before dispatch has
 // checked the CPU. kernels.cpp only links the table accessors that CMake
 // compiled in (GENERIC_KERNELS_HAVE_*).
 #pragma once
@@ -51,9 +51,5 @@ const Kernels& amx_table();
 /// amx_tile_calls()'s count, bumped by the amx tile on every call it
 /// scores with tile multiplies.
 extern std::atomic<std::uint64_t> amx_calls;
-
-#if defined(GENERIC_KERNELS_HAVE_NEON)
-const Kernels& neon_table();
-#endif
 
 }  // namespace generic::hdc::kernels::detail

@@ -2,14 +2,12 @@
 //
 // This TU is compiled with -fno-tree-vectorize (see src/hdc/CMakeLists.txt):
 // with the repo's global -march=native the compiler happily auto-vectorizes
-// this loop with the widest popcount the build host has, which would make
+// these loops with the widest vectors the build host has, which would make
 // "scalar" silently depend on the build machine and turn every
 // scalar-vs-SIMD benchmark into a lie. Disabling vectorization keeps it the
-// honest portable baseline: 4-way unrolled hardware popcount, one word at a
-// time, a plain int64 dot loop for the query×class tile, and one 16-bit
-// counter add per window bit for the window bundle.
+// honest portable baseline: a plain int64 dot loop for the query×class
+// tile, and one 16-bit counter add per window bit for the window bundle.
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -17,34 +15,6 @@
 #include "hdc/kernels_detail.h"
 
 namespace generic::hdc::kernels::detail {
-
-namespace {
-
-std::size_t scalar_xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t n) {
-  // 4-way accumulators break the popcount dependency chain.
-  std::size_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
-    s1 += static_cast<std::size_t>(std::popcount(a[i + 1] ^ b[i + 1]));
-    s2 += static_cast<std::size_t>(std::popcount(a[i + 2] ^ b[i + 2]));
-    s3 += static_cast<std::size_t>(std::popcount(a[i + 3] ^ b[i + 3]));
-  }
-  for (; i < n; ++i)
-    s0 += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
-  return s0 + s1 + s2 + s3;
-}
-
-void scalar_xor_popcount_many(const std::uint64_t* q,
-                              const std::uint64_t* const* refs,
-                              std::size_t rows, std::size_t words,
-                              std::size_t* out) {
-  for (std::size_t r = 0; r < rows; ++r)
-    out[r] += scalar_xor_popcount(q, refs[r], words);
-}
-
-}  // namespace
 
 namespace {
 
@@ -118,8 +88,7 @@ void scalar_bundle_windows(const RotatedRow* terms, std::size_t per_window,
 }
 
 const Kernels& scalar_table() {
-  static const Kernels k{Backend::kScalar, "scalar",
-                         &scalar_xor_popcount_many, &scalar_dot_tile,
+  static const Kernels k{Backend::kScalar, "scalar", &scalar_dot_tile,
                          &scalar_bundle_windows};
   return k;
 }

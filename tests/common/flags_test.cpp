@@ -81,6 +81,28 @@ TEST(FlagsDeathTest, UnknownFlagStillDiesAtDone) {
       ::testing::ExitedWithCode(2), "unknown flag");
 }
 
+TEST(FlagsDeathTest, ColumnRejectsWhatIsNotAColumn) {
+  // --label-col used to go through real() and a cast: 6.9 read column 6,
+  // -7 the last column, and 1e12 overflowed the int.
+  for (const char* v : {"6.9", "-7", "1e12", "2147483648", "-0", "x"}) {
+    EXPECT_EXIT(
+        {
+          Flags f = make_flags({std::string("--label-col=") + v});
+          (void)f.column("--label-col");
+        },
+        ::testing::ExitedWithCode(2), "needs -1 or a column index")
+        << v;
+  }
+}
+
+TEST(FlagsTest, ColumnTakesMinusOneAndIndices) {
+  EXPECT_EQ(make_flags({}).column("--label-col"), -1);
+  EXPECT_EQ(make_flags({"--label-col=-1"}).column("--label-col"), -1);
+  EXPECT_EQ(make_flags({"--label-col=0"}).column("--label-col"), 0);
+  EXPECT_EQ(make_flags({"--label-col=2147483647"}).column("--label-col"),
+            2147483647);
+}
+
 TEST(FlagsTest, AccessorsPassThroughValidValues) {
   Flags f = make_flags({"--rate=250", "--metrics-every=0.5",
                         "--fault-rate=-0.25", "--severity=1e-3"});

@@ -10,7 +10,8 @@
 //
 // With --labeled, the last column (or --label-col) holds ground truth and
 // accuracy is reported; otherwise one prediction per line is printed.
-// --binary runs the packed 1-bit fast path (model::BinaryModel).
+// --binary runs the fully binary operating point: sign class memory
+// (quantize(1)) scored against the sign of each encoded query.
 //
 // --fault-campaign (implies labelled data) runs the Monte Carlo
 // fault-injection campaign of resilience::run_campaign on the loaded
@@ -26,7 +27,6 @@
 #include "bench/bench_util.h"
 #include "data/csv.h"
 #include "encoding/encoders.h"
-#include "model/binary_model.h"
 #include "model/model_io.h"
 #include "obs/export.h"
 #include "resilience/campaign.h"
@@ -39,7 +39,7 @@ int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const std::string model_path = flags.value("--model", "");
   const std::string data_path = flags.value("--data", "");
-  const int label_col = static_cast<int>(flags.real("--label-col", -1));
+  const int label_col = flags.column("--label-col");
   const bool labeled = flags.has("--labeled");
   const bool binary = flags.has("--binary");
   const bool campaign = flags.has("--fault-campaign");
@@ -63,7 +63,7 @@ int run(int argc, char** argv) {
         "        [--fault-trials=5] [--fault-seed=64023] [--degrade]\n"
         "        [--fault-out=campaign.json] [--threads=N]]\n"
         "       [--trace=out.json] [--metrics=out.json]\n"
-        "       [--kernel-backend=auto|scalar|avx2|avx512|amx|neon]\n",
+        "       [--kernel-backend=auto|scalar|avx2|avx512|amx]\n",
         stderr);
     return 2;
   }
@@ -90,7 +90,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  const auto saved = model::load_model_file(model_path);
+  auto saved = model::load_model_file(model_path);
   enc::GenericEncoder encoder(saved.encoder_config);
   if (!saved.quantizer_fitted)
     throw std::runtime_error("model was saved with an unfitted encoder");
@@ -111,11 +111,12 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  std::unique_ptr<model::BinaryModel> fast;
-  if (binary) fast = std::make_unique<model::BinaryModel>(saved.classifier);
+  if (binary) saved.classifier.quantize(1);
   auto predict = [&](const std::vector<float>& x) {
-    const auto q = encoder.encode(x);
-    return binary ? fast->predict(q) : saved.classifier.predict(q);
+    auto q = encoder.encode(x);
+    if (binary)
+      for (auto& v : q) v = v >= 0 ? 1 : -1;
+    return saved.classifier.predict(q);
   };
 
   if (labeled) {
@@ -126,7 +127,7 @@ int run(int argc, char** argv) {
     std::printf("accuracy: %.2f%% (%zu/%zu)%s\n",
                 100.0 * static_cast<double>(hits) /
                     static_cast<double>(samples.x.size()),
-                hits, samples.x.size(), binary ? " [1-bit fast path]" : "");
+                hits, samples.x.size(), binary ? " [1-bit]" : "");
   } else {
     const auto xs = data::load_unlabeled_csv(data_path);
     for (const auto& x : xs) std::printf("%d\n", predict(x));

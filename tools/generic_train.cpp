@@ -29,7 +29,7 @@ int run(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const std::string data_path = flags.value("--data", "");
   const std::string model_path = flags.value("--model", "");
-  const int label_col = static_cast<int>(flags.real("--label-col", -1));
+  const int label_col = flags.column("--label-col");
   const double test_frac = flags.real("--test-frac", 0.25);
   const auto seed = static_cast<std::uint64_t>(flags.size("--seed", 1));
   enc::EncoderConfig cfg;
@@ -49,7 +49,7 @@ int run(int argc, char** argv) {
         "       [--dims=4096] [--levels=64] [--window=3] [--no-ids]\n"
         "       [--epochs=20] [--test-frac=0.25] [--label-col=-1] [--seed=1]\n"
         "       [--trace=out.json] [--metrics=out.json]\n"
-        "       [--kernel-backend=auto|scalar|avx2|avx512|amx|neon]\n",
+        "       [--kernel-backend=auto|scalar|avx2|avx512|amx]\n",
         stderr);
     return 2;
   }
